@@ -29,7 +29,6 @@ from .nls import (
     nonlinear_substep,
     semiclassical_energy,
     solve_nls,
-    strang_step,
 )
 from .studies import (
     GaussianSpec,
@@ -61,8 +60,8 @@ __all__ = [
     "Field", "Grid", "SobolevIndex", "make_grid", "make_gaussian",
     "transform", "inverse_transform", "gradient", "laplacian", "norm",
     "lp_norm", "resample", "tail_fraction", "save_field", "load_field",
-    "NlsState", "NlsRunConfig", "solve_nls", "strang_step",
-    "kinetic_substep", "nonlinear_substep", "mass", "semiclassical_energy",
+    "NlsState", "NlsRunConfig", "solve_nls", "kinetic_substep",
+    "nonlinear_substep", "mass", "semiclassical_energy",
     "GrenierState", "CorrectorState", "WkbRunConfig", "grenier_rhs",
     "corrector_rhs", "solve_grenier", "solve_limit_with_corrector",
     "reconstruct",

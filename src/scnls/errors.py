@@ -13,6 +13,13 @@ class ResolutionError(GuardError):
         self.tail_fraction = tail_fraction
         self.t = t
 
+    @classmethod
+    def check(cls, frac, tail_tol, where, t=None):
+        """Raise unless frac <= tail_tol; a NaN fraction fails too."""
+        if not frac <= tail_tol:
+            raise cls(f"spectral tail fraction {frac:.3e} exceeds {tail_tol:.1e} {where}; "
+                      "oscillations are unresolved on this grid", tail_fraction=frac, t=t)
+
 
 class SingularityError(GuardError):
     """Phase gradient exceeded the singularity threshold."""
@@ -30,3 +37,8 @@ class NonFiniteError(GuardError):
         super().__init__(msg)
         self.last_state = last_state
         self.t = t
+
+    @classmethod
+    def at_step(cls, step, dt, last_state):
+        t = step * dt
+        return cls(f"non-finite values at step {step} (t = {t:.6g})", last_state, t)

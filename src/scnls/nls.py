@@ -6,6 +6,10 @@ on a periodic grid. eps = 1 recovers the unscaled defocusing equation.
 Both substeps are exact flows (a unitary spectral multiplier and a
 pointwise phase rotation), so mass is conserved to roundoff and the only
 time-stepping error is the splitting commutator.
+
+solve_nls fuses the closing kinetic half-step of each Strang step with the
+opening one of the next, and closes with a half-step only at save points,
+updating the field and one scratch buffer in place.
 """
 
 from __future__ import annotations
@@ -63,38 +67,41 @@ def default_dt(grid, eps, safety=0.5):
     return safety * min(eps * dx, dx * dx / eps)
 
 
-def _kinetic(values, grid, eps, tau):
-    vhat = np.fft.fftn(values)
-    vhat *= np.exp(-0.5j * eps * tau * grid.k_squared)
-    return np.fft.ifftn(vhat)
+def _kinetic(u, buf, *mults):
+    """u <- ifftn(mults * fftn(u)) in place, with buf as spectral scratch."""
+    np.fft.fftn(u, out=buf)
+    for mult in mults:
+        buf *= mult
+    np.fft.ifftn(buf, out=u)
 
 
-def _nonlinear(values, eps, tau):
-    return values * np.exp(-1j * (tau / eps) * np.abs(values) ** 2)
+def _rotate(u, buf, rate):
+    """u <- u * exp(-1j * rate * |u|^2) in place; returns sum |u|^2 (finite iff u is)."""
+    dens = buf.real
+    np.square(np.abs(u, out=dens), out=dens)
+    total = dens.sum()
+    dens *= -rate
+    np.sin(dens, out=buf.imag)
+    np.cos(dens, out=dens)
+    u *= buf
+    return total
 
 
 def kinetic_substep(state: NlsState, tau) -> NlsState:
     """Exact flow of i*eps*du/dt = -(eps^2/2) Lap(u) over tau.
 
-    Substeps act as operator pieces: the clock is advanced by strang_step.
+    Substeps act as operator pieces: they do not advance the clock.
     """
-    u = state.u
-    return NlsState(state.t, Field(u.grid, _kinetic(u.values, u.grid, state.eps, tau)), state.eps)
+    u = state.u.values.copy()
+    _kinetic(u, np.empty_like(u), np.exp(-0.5j * state.eps * tau * state.u.grid.k_squared))
+    return NlsState(state.t, Field(state.u.grid, u), state.eps)
 
 
 def nonlinear_substep(state: NlsState, tau) -> NlsState:
     """Exact flow of i*eps*du/dt = |u|^2 u over tau; |u| is pointwise invariant."""
-    u = state.u
-    return NlsState(state.t, Field(u.grid, _nonlinear(u.values, state.eps, tau)), state.eps)
-
-
-def strang_step(state: NlsState, dt) -> NlsState:
-    """Second-order composition: kinetic half, nonlinear full, kinetic half."""
-    out = kinetic_substep(state, dt / 2)
-    out = nonlinear_substep(out, dt)
-    out = kinetic_substep(out, dt / 2)
-    out.t = state.t + dt
-    return out
+    u = state.u.values.copy()
+    _rotate(u, np.empty_like(u), tau / state.eps)
+    return NlsState(state.t, Field(state.u.grid, u), state.eps)
 
 
 def mass(f: Field) -> float:
@@ -110,17 +117,6 @@ def semiclassical_energy(state: NlsState) -> float:
     return state.eps**2 * grad_sq + lp_norm(state.u, 4) ** 4
 
 
-def _check_resolution(values, grid, tail_tol, t):
-    frac = tail_fraction(Field(grid, values, PHYSICAL))
-    if frac > tail_tol:
-        raise ResolutionError(
-            f"spectral tail fraction {frac:.3e} exceeds {tail_tol:.1e} at t = {t:.6g}; "
-            "oscillations are under-resolved on this grid",
-            tail_fraction=frac,
-            t=t,
-        )
-
-
 def solve_nls(u0: Field, eps, config: NlsRunConfig, observer=None):
     """Integrate from u0 to T, returning snapshots every save_every steps.
 
@@ -129,8 +125,8 @@ def solve_nls(u0: Field, eps, config: NlsRunConfig, observer=None):
     is called as observer(t, state) at every save.
 
     Raises ResolutionError if the spectral tail guard trips at any saved
-    time (including t = 0) and NonFiniteError on NaN/overflow, carrying the
-    last good snapshot.
+    time (including t = 0) and NonFiniteError on NaN/overflow in u0 or at
+    any step, carrying the last good snapshot (None when u0 is at fault).
     """
     if u0.space != PHYSICAL:
         raise ValueError("solve_nls expects a physical-space initial field")
@@ -138,33 +134,30 @@ def solve_nls(u0: Field, eps, config: NlsRunConfig, observer=None):
     dt = config.T / n_steps
     grid = u0.grid
 
-    _check_resolution(u0.values, grid, config.tail_tol, 0.0)
-
     half_mult = np.exp(-0.25j * eps * dt * grid.k_squared)
     u = u0.values.copy()
+    buf = np.empty_like(u)
     snapshots = []
 
-    def save(step, values):
+    def save(step):
         t = step * dt
-        _check_resolution(values, grid, config.tail_tol, t)
-        state = NlsState(t, Field(grid, values.copy()), eps)
+        if not np.isfinite(u).all():
+            raise NonFiniteError.at_step(step, dt, snapshots[-1] if snapshots else None)
+        ResolutionError.check(tail_fraction(Field(grid, u)), config.tail_tol, f"at t = {t:.6g}", t)
+        state = NlsState(t, Field(grid, u.copy()), eps)
         snapshots.append(state)
         if observer is not None:
             observer(t, state)
 
-    save(0, u)
-    for step in range(1, n_steps + 1):
-        uhat = np.fft.fftn(u)
-        u = np.fft.ifftn(uhat * half_mult)
-        u *= np.exp(-1j * (dt / eps) * np.abs(u) ** 2)
-        uhat = np.fft.fftn(u)
-        u = np.fft.ifftn(uhat * half_mult)
-        if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
-            raise NonFiniteError(
-                f"non-finite values at step {step} (t = {step * dt:.6g})",
-                last_state=snapshots[-1],
-                t=step * dt,
-            )
-        if step % config.save_every == 0 or step == n_steps:
-            save(step, u)
+    save(0)
+    for seg_start in range(0, n_steps, config.save_every):
+        seg_end = min(seg_start + config.save_every, n_steps)
+        _kinetic(u, buf, half_mult)
+        for step in range(seg_start + 1, seg_end + 1):
+            if not np.isfinite(_rotate(u, buf, dt / eps)):
+                raise NonFiniteError.at_step(step, dt, snapshots[-1])
+            if step < seg_end:
+                _kinetic(u, buf, half_mult, half_mult)
+        _kinetic(u, buf, half_mult)
+        save(seg_end)
     return snapshots

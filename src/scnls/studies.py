@@ -830,7 +830,7 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
     while not in_band(j_star):
         j_star *= 2
         if j_star > 1e12:
-            break
+            raise ValueError(f"no j <= 1e12 puts both data energies within delta = {delta} of C0")
     lo, hi = max(1.0, j_star / 2), j_star
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -227,12 +227,8 @@ def _check_singularity(grad_phi, sing_tol, t):
 
 def _check_finite(arrays, step, dt, last):
     for arr in arrays:
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise NonFiniteError(
-                f"non-finite values at step {step} (t = {step * dt:.6g})",
-                last_state=last,
-                t=step * dt,
-            )
+        if not np.isfinite(arr).all():
+            raise NonFiniteError.at_step(step, dt, last)
 
 
 def _integrate(fields, rhs, config, make_snapshot):
@@ -352,13 +348,7 @@ def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
     if np.abs(phi.values.imag).max() > PHI_IMAG_TOL:
         raise ValueError("phase field has a non-negligible imaginary part")
     out = Field(a.grid, a.values * np.exp(1j * phi.values.real / eps))
-    frac = tail_fraction(out)
-    if frac > tail_tol:
-        raise ResolutionError(
-            f"reconstructed wavefunction has spectral tail fraction {frac:.3e} "
-            f"> {tail_tol:.1e}: phase oscillations are unresolved on this grid",
-            tail_fraction=frac,
-        )
+    ResolutionError.check(tail_fraction(out), tail_tol, "in the reconstructed wavefunction")
     return out
 
 

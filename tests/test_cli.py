@@ -124,6 +124,18 @@ class TestStudyCommands:
         assert (out1 / "ghost_study.csv").read_bytes() == (out2 / "ghost_study.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_ghost_study_identical_across_jobs(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_sweep())
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            args = ["study-ghost", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]
+            assert cli.run(args) == 0
+        names = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert names == sorted(p.name for p in outs[1].glob("*.csv"))
+        assert names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_smalltime_study(self, tmp_path):
         cfg = write_config(tmp_path, tiny_sweep())
         out = tmp_path / "out"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from scnls import grid as sg
 from scnls import nls
-from scnls.errors import ResolutionError
+from scnls.errors import NonFiniteError, ResolutionError
 from scnls.grid import Field, make_grid, make_gaussian
 from scnls.nls import NlsRunConfig, NlsState, mass, semiclassical_energy, solve_nls
 
@@ -121,14 +121,60 @@ class TestStrang:
         return_err = np.abs(back[-1].u.values - u0.values).max()
         assert return_err <= 10 * max(fwd_err, 1e-14)
 
-    def test_strang_step_matches_solver_composition(self):
+
+def reference_chain(u0, eps, dt, n_steps):
+    """States after 0..n_steps unfused Strang steps built from the substeps."""
+    state = NlsState(0.0, u0, eps)
+    out = [state.u.values]
+    for _ in range(n_steps):
+        state = nls.kinetic_substep(state, dt / 2)
+        state = nls.nonlinear_substep(state, dt)
+        state = nls.kinetic_substep(state, dt / 2)
+        out.append(state.u.values)
+    return out
+
+
+class TestFusedEngine:
+    N_STEPS = 10
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 10_000), amplitude=st.floats(0.1, 2.0))
+    def test_matches_unfused_substep_chain(self, dim, save_every, sign, seed, amplitude):
+        g = make_grid(dim, 4.0, 32)
+        u0 = random_field(g, seed, scale=amplitude)
+        eps, T = 0.5, sign * 0.05
+        cfg = NlsRunConfig(dt=T / self.N_STEPS, T=T, save_every=save_every, tail_tol=1.0)
+        traj = solve_nls(u0, eps, cfg)
+        ref = reference_chain(u0, eps, T / self.N_STEPS, self.N_STEPS)
+        saved = sorted(set(range(0, self.N_STEPS + 1, save_every)) | {self.N_STEPS})
+        assert [s.t for s in traj] == pytest.approx([k * T / self.N_STEPS for k in saved])
+        for state, k in zip(traj, saved, strict=True):
+            err = np.abs(state.u.values - ref[k]).max() / np.abs(ref[k]).max()
+            assert err <= 1e-12
+
+    @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
+    def test_two_ffts_per_step_plus_two_per_segment(self, monkeypatch, save_every):
+        counts = {"fftn": 0, "ifftn": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in counts:
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        # The tail guard's transforms are the grid layer's, not the engine's.
+        monkeypatch.setattr(nls, "tail_fraction", lambda f: 0.0)
         g = make_grid(1, 12.0, 128)
-        state = NlsState(0.0, make_gaussian(g), 0.5)
-        dt = 1e-3
-        stepped = nls.strang_step(state, dt)
-        traj = solve_nls(state.u, state.eps, NlsRunConfig(dt=dt, T=dt, save_every=1))
-        np.testing.assert_allclose(stepped.u.values, traj[-1].u.values, atol=1e-15)
-        assert stepped.t == pytest.approx(dt)
+        n_steps = 10
+        solve_nls(make_gaussian(g), 0.5, NlsRunConfig(dt=1e-3, T=n_steps * 1e-3,
+                                                      save_every=save_every))
+        segments = -(-n_steps // save_every)
+        assert counts["fftn"] == counts["ifftn"] == n_steps + segments
 
 
 class TestGuards:
@@ -144,6 +190,38 @@ class TestGuards:
         with pytest.raises(ResolutionError) as exc:
             solve_nls(rough, 1.0, NlsRunConfig(dt=1e-3, T=0.01))
         assert exc.value.tail_fraction > 0.5
+
+    def test_overflowing_spectrum_trips_tail_guard(self):
+        # A finite datum whose tail and total spectral power both overflow:
+        # the tail fraction is inf/inf = NaN, which must not read as resolved.
+        g = make_grid(1, np.pi, 32)
+        rough = Field(g, 1e160 * np.exp(1j * 0.9 * g.k_max * g.x_axes[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(sg.tail_fraction(rough))
+            with pytest.raises(ResolutionError, match="at t = 0;") as exc:
+                solve_nls(rough, 1.0, NlsRunConfig(dt=1e-3, T=0.01))
+        assert exc.value.t == 0.0
+
+    def test_non_finite_datum_rejected_at_start(self):
+        g = make_grid(1, 12.0, 64)
+        values = make_gaussian(g).values
+        values[3] = np.nan
+        with pytest.raises(NonFiniteError, match="step 0") as exc:
+            solve_nls(Field(g, values), 0.5, NlsRunConfig(dt=1e-3, T=0.01))
+        assert exc.value.t == 0.0
+        assert exc.value.last_state is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_caught_at_the_step_with_last_good_snapshot(self):
+        # |u|^2 overflows in the first nonlinear phase; the datum itself is
+        # finite. The next save point is nine steps later.
+        g = make_grid(1, 12.0, 64)
+        u0 = make_gaussian(g, amplitude=1e155)
+        with pytest.raises(NonFiniteError, match="step 1 ") as exc:
+            solve_nls(u0, 0.5, NlsRunConfig(dt=1e-3, T=0.01, save_every=10))
+        assert exc.value.t == pytest.approx(1e-3)
+        assert exc.value.last_state.t == 0.0
+        assert np.all(np.isfinite(exc.value.last_state.u.values))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dt"):

@@ -272,6 +272,12 @@ class TestCorollaryBookkeeping:
         with pytest.raises(ValueError, match="n >= 5"):
             corollary_bookkeeping(4, ghost_report)
 
+    def test_unreachable_band_named(self, ghost_report):
+        # The perturbed data energy approaches C0 only like j^{-1/2}, so a
+        # band this narrow is never entered below the j = 1e12 search cap.
+        with pytest.raises(ValueError, match="no j <= 1e12 .* delta = 1e-12"):
+            corollary_bookkeeping(6, ghost_report, delta=1e-12)
+
     def test_scaled_data_quantities_match_two_grid_quadrature(self):
         # Oracle: realize lam * a0(jx) on the shrunken grid and integrate;
         # the mass, gradient, and quartic terms must follow the exact j

@@ -239,6 +239,12 @@ class TestReconstruct:
         with pytest.raises(ResolutionError, match="unresolved"):
             reconstruct(gaussian_1d, phi, 1e-3)
 
+    def test_non_finite_amplitude_trips_guard(self, grid_1d, gaussian_1d):
+        a = gaussian_1d.copy()
+        a.values[7] = np.nan
+        with pytest.raises(ResolutionError, match="tail fraction nan"):
+            reconstruct(a, Field(grid_1d, np.zeros(grid_1d.shape)), 0.5)
+
 
 class TestExactReformulation:
     @pytest.mark.parametrize("a1_mode", ["zero", "equal"])
