@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import nls, report, studies, wkb
@@ -23,6 +24,7 @@ from .studies import (
     RunCache,
     ScalingParams,
     SweepConfig,
+    aligned_run_config,
     corollary_bookkeeping,
     ghost_higher_order_study,
     ghost_separation_study,
@@ -35,6 +37,7 @@ log = logging.getLogger("scnls")
 
 CONFIG_SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SCNLS_OUT_DIR"
+RUN_SAVES = 10  # save intervals of run-nls / run-wkb unless run.save_every is set
 
 COMMANDS = (
     "run-nls", "run-wkb", "study-wkb-error", "study-smalltime",
@@ -192,7 +195,8 @@ def validate_config(doc, command):
     solver = doc.get("solver", {})
     _check_keys(solver, ("nls_dt_safety", "wkb_dt_safety", "tail_tol"), "solver")
     out["solver"] = {
-        "nls_dt_safety": _number(solver, "nls_dt_safety", "solver", 0.06, exclusive_min=0.0),
+        "nls_dt_safety": _number(solver, "nls_dt_safety", "solver", nls.DEFAULT_DT_SAFETY,
+                                 exclusive_min=0.0),
         "wkb_dt_safety": _number(solver, "wkb_dt_safety", "solver", 0.25, exclusive_min=0.0),
         "tail_tol": _number(solver, "tail_tol", "solver", 1e-6, exclusive_min=0.0),
     }
@@ -215,6 +219,11 @@ def validate_config(doc, command):
         "sing_tol": _number(run, "sing_tol", "run", None, exclusive_min=0.0,
                             allow_none=True),
     }
+
+    if out["run"]["T"] == 0:
+        _fail("run.T", "must be nonzero")
+    if out["run"]["dt"] == 0:
+        _fail("run.dt", "must be nonzero (omit it for the default step)")
 
     scaling = doc.get("scaling", {})
     _check_keys(scaling, ("n", "s", "sigma", "k"), "scaling")
@@ -268,6 +277,11 @@ def _sweep_config(cfg, jobs, extra_s=(), a1_mode=None):
 # subcommands
 # ----------------------------------------------------------------------
 
+def _save_cadence(horizon, dt):
+    """Steps between saves for about RUN_SAVES saves over the horizon."""
+    return max(1, round(abs(horizon / dt) / RUN_SAVES))
+
+
 def _clip_dt(dt_rule, horizon):
     """Default rule step, clipped into the run horizon, carrying its sign."""
     sign = 1.0 if horizon > 0 else -1.0
@@ -292,10 +306,17 @@ def cmd_run_nls(cfg, out_dir, jobs):
     if not 0 < run["eps"] <= 1:
         _fail("run.eps", f"must lie in (0, 1] for the wavefunction solver, got {run['eps']}")
     grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
-    dt = run["dt"] or _clip_dt(nls.default_dt(grid, run["eps"]), run["T"])
-    save_every = run["save_every"] or max(1, round(abs(run["T"] / dt) / 10))
-    rc = nls.NlsRunConfig(dt=dt, T=run["T"], save_every=save_every,
-                          tail_tol=cfg["solver"]["tail_tol"])
+    tail_tol = cfg["solver"]["tail_tol"]
+    if run["dt"] is None:
+        rc = aligned_run_config(
+            nls.NlsRunConfig, nls.default_dt(grid, run["eps"], cfg["solver"]["nls_dt_safety"]),
+            run["T"], RUN_SAVES, tail_tol=tail_tol,
+        )
+    else:
+        rc = nls.NlsRunConfig(dt=run["dt"], T=run["T"], tail_tol=tail_tol,
+                              save_every=_save_cadence(run["T"], run["dt"]))
+    if run["save_every"]:
+        rc = replace(rc, save_every=run["save_every"])
     u0 = GaussianSpec(**cfg["data"]).realize(grid)
     traj = nls.solve_nls(u0, run["eps"], rc)
     rows = report.nls_trajectory_rows(traj, run["norms"])
@@ -318,8 +339,10 @@ def cmd_run_nls(cfg, out_dir, jobs):
 def cmd_run_wkb(cfg, out_dir, jobs):
     run = cfg["run"]
     grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
-    dt = run["dt"] or _clip_dt(wkb.default_dt(grid, run["eps"]), run["T"])
-    save_every = run["save_every"] or max(1, round(abs(run["T"] / dt) / 10))
+    dt = run["dt"]
+    if dt is None:
+        dt = _clip_dt(wkb.default_dt(grid, run["eps"], cfg["solver"]["wkb_dt_safety"]), run["T"])
+    save_every = run["save_every"] or _save_cadence(run["T"], dt)
     rc = wkb.WkbRunConfig(dt=dt, T=run["T"], save_every=save_every,
                           tail_tol=cfg["solver"]["tail_tol"], sing_tol=run["sing_tol"])
     a0 = GaussianSpec(**cfg["data"]).realize(grid)

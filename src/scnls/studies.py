@@ -68,7 +68,7 @@ class SweepConfig:
     eps_ref: float = 0.25
     wkb_points: int = 256
     n_saves: int = 10
-    nls_dt_safety: float = 0.06
+    nls_dt_safety: float = nls.DEFAULT_DT_SAFETY
     wkb_dt_safety: float = 0.25
     tail_tol: float = 1e-6
     smalltime_points: int = 6
@@ -124,22 +124,25 @@ class SweepConfig:
         return make_grid(1, self.half_width, self.wkb_points)
 
     def nls_run_config(self, grid, eps):
-        dt, steps = _align_dt(
-            nls.default_dt(grid, eps, self.nls_dt_safety), self.horizon / self.n_saves
+        return aligned_run_config(
+            nls.NlsRunConfig, nls.default_dt(grid, eps, self.nls_dt_safety),
+            self.horizon, self.n_saves, tail_tol=self.tail_tol,
         )
-        return nls.NlsRunConfig(dt=dt, T=self.horizon, save_every=steps, tail_tol=self.tail_tol)
 
     def wkb_run_config(self, grid, eps, horizon=None):
-        horizon = self.horizon if horizon is None else horizon
-        dt, steps = _align_dt(
-            wkb.default_dt(grid, eps, self.wkb_dt_safety), horizon / self.n_saves
+        return aligned_run_config(
+            wkb.WkbRunConfig, wkb.default_dt(grid, eps, self.wkb_dt_safety),
+            self.horizon if horizon is None else horizon, self.n_saves, tail_tol=self.tail_tol,
         )
-        return wkb.WkbRunConfig(dt=dt, T=horizon, save_every=steps, tail_tol=self.tail_tol)
 
 
-def _align_dt(dt_target, save_interval):
-    steps = max(1, math.ceil(save_interval / dt_target))
-    return save_interval / steps, steps
+def aligned_run_config(config_cls, dt_target, horizon, n_saves, **kwargs):
+    """config_cls for a run saved at n_saves equal intervals of the horizon,
+    each a whole number of steps no longer than dt_target; dt carries the
+    sign of the horizon."""
+    interval = horizon / n_saves
+    steps = max(1, math.ceil(abs(interval) / dt_target))
+    return config_cls(dt=interval / steps, T=horizon, save_every=steps, **kwargs)
 
 
 def tilde_multiplier(mode, eps, order=2):

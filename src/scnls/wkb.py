@@ -40,6 +40,12 @@ PHI_IMAG_TOL = 1e-12
 _SING_RATE_FLOOR = 0.2
 
 
+def _require_real_phase(phi: Field, what):
+    """Reject a phase whose imaginary part exceeds PHI_IMAG_TOL or is NaN."""
+    if not np.abs(phi.values.imag).max() <= PHI_IMAG_TOL:
+        raise ValueError(f"{what} has a non-negligible imaginary part")
+
+
 @dataclass
 class GrenierState:
     t: float
@@ -50,8 +56,7 @@ class GrenierState:
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps!r}")
-        if np.abs(self.phi.values.imag).max() > PHI_IMAG_TOL:
-            raise ValueError("phase field has a non-negligible imaginary part")
+        _require_real_phase(self.phi, "phase field")
         if self.t == 0 and np.abs(self.phi.values).max() != 0.0:
             raise ValueError("the phase must vanish identically at t = 0")
 
@@ -63,8 +68,7 @@ class CorrectorState:
     phi1: Field
 
     def __post_init__(self):
-        if np.abs(self.phi1.values.imag).max() > PHI_IMAG_TOL:
-            raise ValueError("corrector phase has a non-negligible imaginary part")
+        _require_real_phase(self.phi1, "corrector phase")
         if self.t == 0 and np.abs(self.phi1.values).max() != 0.0:
             raise ValueError("the corrector phase must vanish identically at t = 0")
 
@@ -345,8 +349,7 @@ def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
     guard on the result (the phase may oscillate too fast for the grid)."""
     if not eps > 0:
         raise ValueError(f"reconstruction requires eps > 0, got {eps!r}")
-    if np.abs(phi.values.imag).max() > PHI_IMAG_TOL:
-        raise ValueError("phase field has a non-negligible imaginary part")
+    _require_real_phase(phi, "phase field")
     out = Field(a.grid, a.values * np.exp(1j * phi.values.real / eps))
     ResolutionError.check(tail_fraction(out), tail_tol, "in the reconstructed wavefunction")
     return out

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import pytest
 
@@ -10,6 +12,18 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2))
     return path
+
+
+def run_command(tmp_path, command, run, **sections):
+    """Run a run-* command in a fresh directory; returns (summary, trajectory rows)."""
+    out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    out.mkdir()
+    cfg = write_config(out, {"schema_version": 1, "run": run, **sections})
+    assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    name = "nls_trajectory.csv" if command == "run-nls" else "wkb_trajectory.csv"
+    with open(out / name, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return json.loads((out / "summary.json").read_text()), rows
 
 
 def tiny_sweep(**overrides):
@@ -82,6 +96,41 @@ class TestRunCommands:
         cfg = write_config(tmp_path, {"schema_version": 1, "run": {"eps": 0.0}})
         assert cli.run(["run-nls", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "run.eps" in capsys.readouterr().err
+
+    def test_run_nls_default_cadence_aligned(self, tmp_path):
+        # Ten save intervals of T/10, forward and backward in time.
+        for T in (0.05, -0.05):
+            run = {"eps": 0.25, "points": 256, "T": T, "norms": []}
+            summary, rows = run_command(tmp_path, "run-nls", run)
+            assert [float(r["t"]) for r in rows] == pytest.approx([k * T / 10 for k in range(11)])
+            assert summary["dt"] == pytest.approx(T / 10)
+
+    def test_run_nls_explicit_dt_and_save_every_win(self, tmp_path):
+        run = {"eps": 0.25, "points": 256, "T": 0.05, "norms": [], "dt": 0.001, "save_every": 25}
+        summary, rows = run_command(tmp_path, "run-nls", run)
+        assert summary["dt"] == 0.001
+        assert [float(r["t"]) for r in rows] == pytest.approx([0.0, 0.025, 0.05])
+        del run["dt"]
+        summary, rows = run_command(tmp_path, "run-nls", run)
+        assert summary["dt"] == pytest.approx(0.005)  # the aligned default: 10 steps
+        assert [float(r["t"]) for r in rows] == pytest.approx([0.0, 0.05])
+
+    @pytest.mark.parametrize("command", ["run-nls", "run-wkb"])
+    @pytest.mark.parametrize("field, run", [("run.dt", {"dt": 0, "T": 0.1}),
+                                            ("run.T", {"T": 0})])
+    def test_zero_step_or_horizon_named(self, tmp_path, capsys, command, field, run):
+        cfg = write_config(tmp_path, {"schema_version": 1, "run": run})
+        assert cli.run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, run", [
+        ("run-nls", "nls_dt_safety", {"eps": 0.25, "points": 256, "T": 0.05}),
+        ("run-wkb", "wkb_dt_safety", {"eps": 0.0, "points": 64, "T": 0.05}),
+    ])
+    def test_dt_safety_honored(self, tmp_path, command, key, run):
+        default, _ = run_command(tmp_path, command, run)
+        small, _ = run_command(tmp_path, command, run, solver={key: 0.01})
+        assert small["dt"] < default["dt"] / 10
 
     def test_run_wkb_with_corrector_and_dumps(self, tmp_path):
         cfg = write_config(
@@ -182,6 +231,17 @@ class TestStudyCommands:
 
 
 class TestSelftest:
+    def test_real_suite_passes_and_is_deterministic(self, tmp_path, capsys):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert cli.run(["selftest", "--out", str(out)]) == 0
+            assert len(re.findall(r"^\[[1-9]\] \S+\s+PASS\b", capsys.readouterr().out,
+                                  re.MULTILINE)) == 9
+        names = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert len(names) == 5
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     @pytest.fixture
     def stub_suite(self, monkeypatch):
         outcomes = {"passed": True}

@@ -62,7 +62,27 @@ class TestSubsteps:
         assert np.abs(out.u.values).max() == 0.0
 
 
+def strang_chain(u0, eps, dt, n_steps):
+    """States after 0..n_steps unfused Strang steps K(dt/2) N(dt) K(dt/2)."""
+    return composition_chain(u0, eps, dt, n_steps, (0.5, 0.5), (1.0,))
+
+
+def composition_chain(u0, eps, dt, n_steps, kinetic=nls.KINETIC, nonlinear=nls.NONLINEAR):
+    """States after 0..n_steps unfused steps of a composition table, built
+    from the substeps (the default table is the engine's)."""
+    state = NlsState(0.0, u0, eps)
+    out = [state.u.values]
+    for _ in range(n_steps):
+        for a, b in zip(kinetic, nonlinear):
+            state = nls.nonlinear_substep(nls.kinetic_substep(state, a * dt), b * dt)
+        state = nls.kinetic_substep(state, kinetic[-1] * dt)
+        out.append(state.u.values)
+    return out
+
+
 class TestStrang:
+    """solve_nls as a composition of Strang stages."""
+
     def test_plane_wave_closed_form(self):
         # For eps = 1 and u0 = e^{ix} on [-pi, pi): Lap u = -u and |u| = 1,
         # so u(t, x) = e^{i x - 3 i t / 2} exactly.
@@ -77,6 +97,17 @@ class TestStrang:
         np.testing.assert_allclose(final.u.values, expected, atol=1e-5)
 
     def test_second_order_self_convergence(self):
+        # The Strang stage the engine composes is second order; the
+        # engine's own fine run is the reference.
+        g = make_grid(1, 12.0, 256)
+        u0 = make_gaussian(g)
+        eps, T = 0.5, 0.2
+        ref = solve_nls(u0, eps, NlsRunConfig(dt=T / 512, T=T, save_every=10**6))[-1].u.values
+        err_coarse = np.abs(strang_chain(u0, eps, T / 64, 64)[-1] - ref).max()
+        err_fine = np.abs(strang_chain(u0, eps, T / 128, 128)[-1] - ref).max()
+        assert err_coarse / err_fine == pytest.approx(4.0, rel=0.2)
+
+    def test_fourth_order_self_convergence(self):
         g = make_grid(1, 12.0, 256)
         u0 = make_gaussian(g)
         eps = 0.5
@@ -85,10 +116,11 @@ class TestStrang:
             cfg = NlsRunConfig(dt=dt, T=0.2, save_every=10**6)
             return solve_nls(u0, eps, cfg)[-1].u.values
 
-        ref = run(0.2 / 2048)
-        err_coarse = np.abs(run(0.2 / 64) - ref).max()
-        err_fine = np.abs(run(0.2 / 128) - ref).max()
-        assert err_coarse / err_fine == pytest.approx(4.0, rel=0.2)
+        ref = run(0.2 / 512)
+        err_coarse = np.abs(run(0.2 / 16) - ref).max()
+        err_fine = np.abs(run(0.2 / 32) - ref).max()
+        assert err_fine > 1e3 * np.finfo(float).eps * np.abs(ref).max()
+        assert err_coarse / err_fine == pytest.approx(16.0, rel=0.2)
 
     def test_mass_conserved_to_roundoff(self):
         g = make_grid(1, 12.0, 256)
@@ -103,8 +135,7 @@ class TestStrang:
         g = make_grid(1, 12.0, 512)
         u0 = make_gaussian(g)
         eps = 0.25
-        dt = nls.default_dt(g, eps, safety=0.25)
-        cfg = NlsRunConfig(dt=dt, T=0.25, save_every=200)
+        cfg = NlsRunConfig(dt=nls.default_dt(g, eps), T=0.25, save_every=10)
         traj = solve_nls(u0, eps, cfg)
         e0 = semiclassical_energy(traj[0])
         drift = max(abs(semiclassical_energy(s) - e0) for s in traj) / abs(e0)
@@ -122,18 +153,6 @@ class TestStrang:
         assert return_err <= 10 * max(fwd_err, 1e-14)
 
 
-def reference_chain(u0, eps, dt, n_steps):
-    """States after 0..n_steps unfused Strang steps built from the substeps."""
-    state = NlsState(0.0, u0, eps)
-    out = [state.u.values]
-    for _ in range(n_steps):
-        state = nls.kinetic_substep(state, dt / 2)
-        state = nls.nonlinear_substep(state, dt)
-        state = nls.kinetic_substep(state, dt / 2)
-        out.append(state.u.values)
-    return out
-
-
 class TestFusedEngine:
     N_STEPS = 10
 
@@ -148,7 +167,7 @@ class TestFusedEngine:
         eps, T = 0.5, sign * 0.05
         cfg = NlsRunConfig(dt=T / self.N_STEPS, T=T, save_every=save_every, tail_tol=1.0)
         traj = solve_nls(u0, eps, cfg)
-        ref = reference_chain(u0, eps, T / self.N_STEPS, self.N_STEPS)
+        ref = composition_chain(u0, eps, T / self.N_STEPS, self.N_STEPS)
         saved = sorted(set(range(0, self.N_STEPS + 1, save_every)) | {self.N_STEPS})
         assert [s.t for s in traj] == pytest.approx([k * T / self.N_STEPS for k in saved])
         for state, k in zip(traj, saved, strict=True):
@@ -173,8 +192,54 @@ class TestFusedEngine:
         n_steps = 10
         solve_nls(make_gaussian(g), 0.5, NlsRunConfig(dt=1e-3, T=n_steps * 1e-3,
                                                       save_every=save_every))
+        # One FFT pair per Strang stage, three stages per step, and one more
+        # pair per save segment: 6 FFTs per step plus 2 per segment.
         segments = -(-n_steps // save_every)
-        assert counts["fftn"] == counts["ifftn"] == n_steps + segments
+        assert counts["fftn"] == counts["ifftn"] == len(nls.NONLINEAR) * n_steps + segments
+
+    def test_yoshida_coefficients(self):
+        w1, w0 = nls.NONLINEAR[:2]
+        assert nls.NONLINEAR == (w1, w0, w1)
+        assert sum(nls.NONLINEAR) == pytest.approx(1.0, abs=1e-15)
+        assert sum(nls.KINETIC) == pytest.approx(1.0, abs=1e-15)
+        assert 2 * w1**3 + w0**3 == pytest.approx(0.0, abs=1e-14)
+        assert nls.KINETIC == (w1 / 2, (w1 + w0) / 2, (w1 + w0) / 2, w1 / 2)
+
+
+band_limited_runs = dict(
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    amplitude=st.floats(0.1, 2.0),
+    eps=st.sampled_from([1.0, 0.5, 0.25]),
+    n_steps=st.integers(1, 8),
+)
+
+
+def small_grid(dim):
+    return make_grid(dim, 4.0, {1: 64, 2: 32, 3: 16}[dim])
+
+
+class TestEngineProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(**band_limited_runs)
+    def test_reversible_under_dt_sign_flip(self, dim, seed, amplitude, eps, n_steps):
+        u0 = random_field(small_grid(dim), seed, scale=amplitude, smooth_width=3)
+        T = 0.02 * n_steps
+        fwd = solve_nls(u0, eps, NlsRunConfig(dt=T / n_steps, T=T, save_every=3, tail_tol=1.0))
+        back = solve_nls(fwd[-1].u, eps,
+                         NlsRunConfig(dt=-T / n_steps, T=-T, save_every=3, tail_tol=1.0))
+        assert back[-1].t == pytest.approx(-T)
+        err = np.abs(back[-1].u.values - u0.values).max() / np.abs(u0.values).max()
+        assert err <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(**band_limited_runs)
+    def test_mass_conserved(self, dim, seed, amplitude, eps, n_steps):
+        u0 = random_field(small_grid(dim), seed, scale=amplitude, smooth_width=3)
+        T = 0.05 * n_steps
+        traj = solve_nls(u0, eps, NlsRunConfig(dt=T / n_steps, T=T, save_every=2, tail_tol=1.0))
+        m0 = mass(u0)
+        assert max(abs(mass(s.u) - m0) for s in traj) <= 1e-12 * m0
 
 
 class TestGuards:

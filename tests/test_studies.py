@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scnls import report as rpt
-from scnls import studies, wkb
+from scnls import nls, studies, wkb
 from scnls.grid import Field, SobolevIndex, lp_norm, make_grid, norm
 from scnls.studies import (
     GaussianSpec,
@@ -61,6 +61,28 @@ class TestSweepConfig:
 
     def test_tau_index(self, short_cfg):
         assert short_cfg.tau_index == 8  # tau = 0.2 on a 0.025 save grid
+
+    @pytest.mark.parametrize("horizon", [0.25, -0.25])
+    def test_run_config_aligned_to_save_grid(self, horizon):
+        rc = studies.aligned_run_config(nls.NlsRunConfig, 0.0176, horizon, 10)
+        assert (rc.dt, rc.T, rc.save_every) == (horizon / 20, horizon, 2)
+
+    def test_default_step_accurate_at_largest_drift_point(self):
+        # eps = 1/4 with datum (1 + eps) a0 carries the suite's largest energy
+        # drift; the default step must agree with an 8x finer one.
+        cfg = SweepConfig(eps_list=(0.25,))
+        eps = 0.25
+        grid = cfg.grid_for(eps)
+        rc = cfg.nls_run_config(grid, eps)
+        assert rc.dt == pytest.approx(0.0125)
+        fine = nls.NlsRunConfig(dt=rc.dt / 8, T=rc.T, save_every=8 * rc.save_every,
+                                tail_tol=rc.tail_tol)
+        u0 = cfg.a0.realize(grid, 1 + eps)
+        coarse_traj, fine_traj = (nls.solve_nls(u0, eps, c) for c in (rc, fine))
+        assert [s.t for s in coarse_traj] == pytest.approx([s.t for s in fine_traj])
+        for a, b in zip(coarse_traj, fine_traj, strict=True):
+            diff = Field(grid, a.u.values - b.u.values)
+            assert norm(diff) <= 3e-7 * norm(b.u)
 
 
 class TestWkbErrorStudy:

@@ -62,6 +62,12 @@ class TestGrenierRhs:
                 phi_values=np.ones(grid_1d.shape, dtype=complex),
             )
 
+    def test_nan_imaginary_phase_rejected(self, grid_1d):
+        phi = np.zeros(grid_1d.shape, dtype=complex)
+        phi[5] = np.nan * 1j
+        with pytest.raises(ValueError, match="imaginary"):
+            fresh_state(grid_1d, np.zeros(grid_1d.shape, dtype=complex), t=0.1, phi_values=phi)
+
 
 class TestCorrectorRhs:
     def test_initial_corrector_phase_rate(self, grid_1d, gaussian_1d):
@@ -73,6 +79,12 @@ class TestCorrectorRhs:
         np.testing.assert_allclose(
             dphi1.values.real, -2 * np.abs(gaussian_1d.values) ** 2, atol=1e-12
         )
+
+    def test_nan_imaginary_corrector_phase_rejected(self, grid_1d, gaussian_1d):
+        phi1 = np.zeros(grid_1d.shape, dtype=complex)
+        phi1[5] = np.nan * 1j
+        with pytest.raises(ValueError, match="corrector phase .* imaginary"):
+            CorrectorState(0.1, gaussian_1d.copy(), Field(grid_1d, phi1))
 
     def test_imaginary_perturbation_gives_zero_phase_rate(self, grid_1d, gaussian_1d):
         background = fresh_state(grid_1d, gaussian_1d.values)
@@ -238,6 +250,12 @@ class TestReconstruct:
         phi = Field(grid_1d, (5.0 * np.sin(np.pi * grid_1d.x_axes[0] / 12)).astype(complex))
         with pytest.raises(ResolutionError, match="unresolved"):
             reconstruct(gaussian_1d, phi, 1e-3)
+
+    def test_nan_imaginary_phase_rejected(self, grid_1d, gaussian_1d):
+        phi = np.zeros(grid_1d.shape, dtype=complex)
+        phi[5] = np.nan * 1j
+        with pytest.raises(ValueError, match="imaginary"):
+            reconstruct(gaussian_1d, Field(grid_1d, phi), 0.5)
 
     def test_non_finite_amplitude_trips_guard(self, grid_1d, gaussian_1d):
         a = gaussian_1d.copy()
