@@ -190,21 +190,16 @@ class AcceptanceSuite:
         # materialize all sweeps first so the cache holds every run
         self.ghost_report, self.higher_order_report, self.error_report
         worst_mass, worst_energy, n_runs = 0.0, 0.0, 0
-        with self.cache._lock:
-            runs = [v for k, v in self.cache._data.items() if k[0] == "nls"]
-        for traj in runs:
-            if norm(traj[0].u) == 0.0:
+        for traj in self.cache.runs("nls"):
+            masses = [nls.mass(s.u) for s in traj]
+            m0 = masses[0]
+            if m0 == 0.0:
                 continue
             n_runs += 1
-            m0 = nls.mass(traj[0].u)
-            e0 = nls.semiclassical_energy(traj[0])
-            worst_mass = max(
-                worst_mass, max(abs(nls.mass(s.u) - m0) for s in traj) / m0
-            )
-            worst_energy = max(
-                worst_energy,
-                max(abs(nls.semiclassical_energy(s) - e0) for s in traj) / abs(e0),
-            )
+            energies = [nls.semiclassical_energy(s) for s in traj]
+            e0 = energies[0]
+            worst_mass = max(worst_mass, max(abs(m - m0) for m in masses) / m0)
+            worst_energy = max(worst_energy, max(abs(e - e0) for e in energies) / abs(e0))
         ok = worst_mass < 1e-10 and worst_energy < 1e-6 and n_runs >= 10
         return CheckResult(
             7, CRITERIA[6], ok,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
-from .grid import PHYSICAL, Field, SobolevIndex, lp_norm, norm, tail_fraction
+from .grid import PHYSICAL, SPECTRAL, Field, SobolevIndex, lp_norm, norm, tail_fraction
 
 MAX_STEPS = 5_000_000
 DEFAULT_DT_SAFETY = 0.5
@@ -127,18 +127,22 @@ def mass(f: Field) -> float:
     return float(np.sum(np.abs(f.values) ** 2) * f.grid.quad_weight)
 
 
-def semiclassical_energy(state: NlsState) -> float:
-    """eps^2 * int |grad u|^2 + int |u|^4, conserved by the exact flow."""
-    grad_sq = norm(state.u, SobolevIndex(1.0, homogeneous=True)) ** 2
+def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> float:
+    """eps^2 * int |grad u|^2 + int |u|^4, conserved by the exact flow.
+
+    spectrum, when given, is transform(state.u); the gradient term then
+    reads it instead of transforming the field again.
+    """
+    grad_sq = norm(state.u if spectrum is None else spectrum,
+                   SobolevIndex(1.0, homogeneous=True)) ** 2
     return state.eps**2 * grad_sq + lp_norm(state.u, 4) ** 4
 
 
-def solve_nls(u0: Field, eps, config: NlsRunConfig, observer=None):
+def solve_nls(u0: Field, eps, config: NlsRunConfig):
     """Integrate from u0 to T, returning snapshots every save_every steps.
 
     dt is adjusted to the nearest divisor of T so the run lands exactly on
-    the horizon. The final state is always saved. The observer, when given,
-    is called as observer(t, state) at every save.
+    the horizon. The final state is always saved.
 
     Raises ResolutionError if the spectral tail guard trips at any saved
     time (including t = 0) and NonFiniteError on NaN/overflow in u0 or at
@@ -160,21 +164,23 @@ def solve_nls(u0: Field, eps, config: NlsRunConfig, observer=None):
     buf = np.empty_like(u)
     snapshots = []
 
-    def save(step):
+    def save(step, guarded):
+        # guarded is u0 at t = 0, which tail_fraction transforms, and the
+        # loop's spectrum afterwards: ifftn(buf, out=u) leaves buf equal to
+        # fftn(u) to roundoff, and a tail fraction does not see transform's
+        # per-mode sign or constant weight, so buf serves without an FFT.
         t = step * dt
         if not np.isfinite(u).all():
             raise NonFiniteError.at_step(step, dt, snapshots[-1] if snapshots else None)
-        ResolutionError.check(tail_fraction(Field(grid, u)), config.tail_tol, f"at t = {t:.6g}", t)
-        state = NlsState(t, Field(grid, u.copy()), eps)
-        snapshots.append(state)
-        if observer is not None:
-            observer(t, state)
+        ResolutionError.check(tail_fraction(guarded), config.tail_tol, f"at t = {t:.6g}", t)
+        snapshots.append(NlsState(t, Field(grid, u.copy()), eps))
 
     def rotate(step, rate):
         if not np.isfinite(_rotate(u, buf, rate)):
             raise NonFiniteError.at_step(step, dt, snapshots[-1])
 
-    save(0)
+    save(0, u0)
+    loop_spectrum = Field(grid, buf, SPECTRAL)
     for seg_start in range(0, n_steps, config.save_every):
         seg_end = min(seg_start + config.save_every, n_steps)
         _kinetic(u, buf, outer)
@@ -186,5 +192,5 @@ def solve_nls(u0: Field, eps, config: NlsRunConfig, observer=None):
             if step < seg_end:
                 _kinetic(u, buf, outer, outer)
         _kinetic(u, buf, outer)
-        save(seg_end)
+        save(seg_end, loop_spectrum)
     return snapshots

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import nls, wkb
-from .grid import Field, SobolevIndex, norm
+from .grid import SobolevIndex, norm, transform
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -102,16 +102,18 @@ def write_summary_json(reports, path):
 
 
 def nls_trajectory_rows(snapshots, norm_orders=()):
-    """(t, mass, energy, requested H^s norms) per saved time."""
+    """(t, mass, energy, requested H^s norms) per saved time; the energy
+    and the norms share one transform of each snapshot."""
     rows = []
     for state in snapshots:
+        uhat = transform(state.u)
         row = {
             "t": state.t,
             "mass": nls.mass(state.u),
-            "energy": nls.semiclassical_energy(state),
+            "energy": nls.semiclassical_energy(state, uhat),
         }
         for s in norm_orders:
-            row[f"h{s:g}"] = norm(state.u, SobolevIndex(s))
+            row[f"h{s:g}"] = norm(uhat, SobolevIndex(s))
         rows.append(row)
     return rows
 
@@ -130,9 +132,11 @@ def wkb_trajectory_rows(snapshots, norm_orders=()):
             "energy": wkb.wkb_energy(state),
             "grad_phi_max": wkb.grad_phi_max(state),
         }
-        for s in norm_orders:
-            row[f"a_h{s:g}"] = norm(state.a, SobolevIndex(s))
-            row[f"phi_h{s:g}"] = norm(state.phi, SobolevIndex(s))
+        if norm_orders:
+            a_hat, phi_hat = transform(state.a), transform(state.phi)
+            for s in norm_orders:
+                row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
+                row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))
         if corr is not None:
             row["a1_l2"] = norm(corr.a1)
             row["phi1_linf"] = float(np.abs(corr.phi1.values).max())

@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nls, wkb
-from .grid import Field, SobolevIndex, lp_norm, make_gaussian, make_grid, norm, resample
+from .grid import (
+    Field, SobolevIndex, lp_norm, make_gaussian, make_grid, norm, resample, transform,
+)
 
 A1_MODES = ("zero", "equal_a0", "scaled", "imaginary")
 
@@ -188,6 +190,12 @@ class RunCache:
         value = fn()
         with self._lock:
             return self._data.setdefault(key, value)
+
+    def runs(self, kind):
+        """Cached values whose key starts with kind ("nls", "limit", ...),
+        in insertion order."""
+        with self._lock:
+            return [v for k, v in self._data.items() if k[0] == kind]
 
 
 def _nls_trajectory(cache, cfg: SweepConfig, eps, multiplier, refine=1):
@@ -357,12 +365,16 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
         for (bg, corr), us, uts, gs in zip(limit, u_traj, ut_traj, g_traj):
             a_f, phi_f, phi1_f = _profile_fields(bg, corr, n_fine)
             carrier = a_f.values * np.exp(1j * phi_f / eps)
-            d_plain = Field(fine, us.u.values - carrier)
-            d_pert = Field(fine, uts.u.values - carrier * np.exp(1j * phi1_f))
-            da = Field(bg.a.grid, gs.a.values - bg.a.values)
-            dphi = Field(bg.a.grid, gs.phi.values - bg.phi.values)
-            da2 = Field(bg.a.grid, da.values - eps * corr.a1.values)
-            dphi2 = Field(bg.a.grid, dphi.values - eps * corr.phi1.values)
+            coarse = bg.a.grid
+            a_gap = gs.a.values - bg.a.values
+            phi_gap = gs.phi.values - bg.phi.values
+            # Each error field is transformed once, for every s below.
+            d_plain = transform(Field(fine, us.u.values - carrier))
+            d_pert = transform(Field(fine, uts.u.values - carrier * np.exp(1j * phi1_f)))
+            da = transform(Field(coarse, a_gap))
+            dphi = transform(Field(coarse, phi_gap))
+            da2 = transform(Field(coarse, a_gap - eps * corr.a1.values))
+            dphi2 = transform(Field(coarse, phi_gap - eps * corr.phi1.values))
             for s in config.s_list:
                 idx_eps = SobolevIndex(s, eps_scaled=eps)
                 idx = SobolevIndex(s)
@@ -433,10 +445,12 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
             key, lambda rc=rc: wkb.solve_limit_with_corrector(a0, a0, rc)
         )
         bg, corr = traj[-1]
+        res = transform(Field(grid, bg.phi.values.real + t * a0_sq))
+        res1 = transform(Field(grid, corr.phi1.values.real + 2 * t * a0_sq))
         for s in config.s_list:
             idx = SobolevIndex(s)
-            r = norm(Field(grid, bg.phi.values.real + t * a0_sq), idx)
-            r1 = norm(Field(grid, corr.phi1.values.real + 2 * t * a0_sq), idx)
+            r = norm(res, idx)
+            r1 = norm(res1, idx)
             rows.append(_row("phase_residual", "residual", r, t=t, s=s))
             rows.append(_row("corrector_phase_residual", "residual", r1, t=t, s=s))
 
@@ -481,15 +495,16 @@ def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> Stu
         lam = corrector_phase_scale(mode, eps, order)
         a_f, phi_f, phi1_f = _profile_fields(bg_tau, corr_tau, grid.points_per_axis)
         pred_vals = a_f.values * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
-        pred = Field(grid, pred_vals)
+        pred = transform(Field(grid, pred_vals))
 
         out = {"l4": lp_norm(diff, 4.0), "per_s": {}}
+        diff_hat = transform(diff)
         refined = None
         if config.certify_refinement:
-            refined = pair_diff(eps, 2)[1]
+            refined = transform(pair_diff(eps, 2)[1])
         for s in config.s_list:
             idx = SobolevIndex(s, homogeneous=True)
-            raw = norm(diff, idx)
+            raw = norm(diff_hat, idx)
             d = eps**s * raw
             p = eps**s * norm(pred, idx)
             entry = {"raw": raw, "D": d, "P": p,

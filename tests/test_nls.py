@@ -176,16 +176,7 @@ class TestFusedEngine:
 
     @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
     def test_two_ffts_per_step_plus_two_per_segment(self, monkeypatch, save_every):
-        counts = {"fftn": 0, "ifftn": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for name in counts:
-            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        counts = count_ffts(monkeypatch)
         # The tail guard's transforms are the grid layer's, not the engine's.
         monkeypatch.setattr(nls, "tail_fraction", lambda f: 0.0)
         g = make_grid(1, 12.0, 128)
@@ -197,6 +188,20 @@ class TestFusedEngine:
         segments = -(-n_steps // save_every)
         assert counts["fftn"] == counts["ifftn"] == len(nls.NONLINEAR) * n_steps + segments
 
+    @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
+    def test_save_point_guard_adds_one_fft_in_total(self, monkeypatch, save_every):
+        # With the real tail guard: only the t = 0 check transforms; every
+        # later save reads the spectrum the loop holds.
+        counts = count_ffts(monkeypatch)
+        g = make_grid(1, 12.0, 128)
+        n_steps = 10
+        traj = solve_nls(make_gaussian(g), 0.5, NlsRunConfig(dt=1e-3, T=n_steps * 1e-3,
+                                                             save_every=save_every))
+        segments = -(-n_steps // save_every)
+        assert len(traj) == segments + 1
+        assert counts["fftn"] == len(nls.NONLINEAR) * n_steps + segments + 1
+        assert counts["ifftn"] == len(nls.NONLINEAR) * n_steps + segments
+
     def test_yoshida_coefficients(self):
         w1, w0 = nls.NONLINEAR[:2]
         assert nls.NONLINEAR == (w1, w0, w1)
@@ -204,6 +209,21 @@ class TestFusedEngine:
         assert sum(nls.KINETIC) == pytest.approx(1.0, abs=1e-15)
         assert 2 * w1**3 + w0**3 == pytest.approx(0.0, abs=1e-14)
         assert nls.KINETIC == (w1 / 2, (w1 + w0) / 2, (w1 + w0) / 2, w1 / 2)
+
+
+def count_ffts(monkeypatch):
+    """Count np.fft.fftn / ifftn calls from here to the end of the test."""
+    counts = {"fftn": 0, "ifftn": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return counts
 
 
 band_limited_runs = dict(
@@ -267,6 +287,26 @@ class TestGuards:
                 solve_nls(rough, 1.0, NlsRunConfig(dt=1e-3, T=0.01))
         assert exc.value.t == 0.0
 
+    def test_mid_run_trip_reads_the_loop_spectrum(self):
+        # Resolved at t = 0 (tail 7e-29); the nonlinear phase steepens the
+        # field until the tail first exceeds 1e-4 at the save at t = 0.05.
+        g = make_grid(1, 12.0, 128)
+        u0 = make_gaussian(g, amplitude=6.0)
+        tol, eps = 1e-4, 0.5
+
+        def run(tail_tol):
+            return solve_nls(u0, eps, NlsRunConfig(dt=1e-3, T=0.2, save_every=10,
+                                                   tail_tol=tail_tol))
+
+        with pytest.raises(ResolutionError, match="at t = 0.05;") as exc:
+            run(tol)
+        ref = run(1.0)
+        fracs = [sg.tail_fraction(s.u) for s in ref]
+        first_trip = next(i for i, f in enumerate(fracs) if f > tol)
+        assert first_trip == 5
+        assert exc.value.t == ref[first_trip].t
+        assert exc.value.tail_fraction == pytest.approx(fracs[first_trip], rel=1e-12)
+
     def test_non_finite_datum_rejected_at_start(self):
         g = make_grid(1, 12.0, 64)
         values = make_gaussian(g).values
@@ -310,10 +350,3 @@ class TestFunctionals:
         state = plane_wave_state(k0, eps)
         expected = (eps**2 * k0**2 + 1.0) * 2 * np.pi
         assert semiclassical_energy(state) == pytest.approx(expected, rel=1e-12)
-
-    def test_observer_called_at_saves(self):
-        g = make_grid(1, 12.0, 128)
-        seen = []
-        cfg = NlsRunConfig(dt=0.01, T=0.1, save_every=5)
-        solve_nls(make_gaussian(g), 0.5, cfg, observer=lambda t, s: seen.append(t))
-        assert seen == pytest.approx([0.0, 0.05, 0.1])

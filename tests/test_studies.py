@@ -382,3 +382,25 @@ class TestFitAndReportPlumbing:
         wtraj = wkb.solve_limit_with_corrector(gaussian_1d, gaussian_1d, wcfg)
         wrows = rpt.wkb_trajectory_rows(wtraj, norm_orders=(1.0,))
         assert all("grad_phi_max" in r and "phi1_linf" in r for r in wrows)
+
+    @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
+                             ids=["1d", "2d"])
+    def test_trajectory_rows_transform_each_snapshot_once(self, monkeypatch, g):
+        traj = nls.solve_nls(GaussianSpec().realize(g), 0.5,
+                             nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5))
+        orders = (0.0, 1.0, 2.0)
+        calls = []
+        fftn = np.fft.fftn
+
+        def counting_fftn(*args, **kwargs):
+            calls.append(args)
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+        rows = rpt.nls_trajectory_rows(traj, norm_orders=orders)
+        assert len(calls) == len(traj)
+        monkeypatch.undo()
+        for row, state in zip(rows, traj, strict=True):
+            assert row["energy"] == nls.semiclassical_energy(state)
+            for s in orders:
+                assert row[f"h{s:g}"] == norm(state.u, SobolevIndex(s))
