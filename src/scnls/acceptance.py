@@ -9,7 +9,7 @@ eps-sweeps are shared across criteria through one run cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +55,6 @@ class AcceptanceSuite:
 
     def __init__(self, jobs=1, seed=0):
         self.cache = RunCache()
-        self.jobs = jobs
         self.seed = seed
         self.config = SweepConfig(
             eps_list=FULL_EPS_SWEEP,
@@ -64,8 +63,27 @@ class AcceptanceSuite:
             horizon=0.25,
             jobs=jobs,
         )
+        self.control_config = replace(
+            self.config, eps_list=self.config.eps_list[-2:], a1_mode="zero")
+        self.higher_order_config = replace(self.config, a1_mode="scaled", scaled_order=2)
+        self._runs_stacked = False
 
     # -- shared heavy computations ------------------------------------
+
+    def stack_nls_runs(self):
+        """Cache every wavefunction run the criteria read, each sweep
+        point's data as one stacked integration: a0 and tilde_multiplier's
+        datum for each study config, {1, 1+eps, 1+eps^2} times a0."""
+        if self._runs_stacked:
+            return
+        configs = (self.config, self.control_config, self.higher_order_config)
+
+        def multipliers(eps):
+            return [1.0] + [studies.tilde_multiplier(c.a1_mode, eps, c.scaled_order)
+                            for c in configs if eps in c.eps_list]
+
+        studies.stack_nls_runs(self.cache, self.config, multipliers)
+        self._runs_stacked = True
 
     @cached_property
     def ghost_report(self):
@@ -73,19 +91,11 @@ class AcceptanceSuite:
 
     @cached_property
     def control_report(self):
-        cfg = SweepConfig(
-            eps_list=self.config.eps_list[-2:], s_list=self.config.s_list,
-            a1_mode="zero", jobs=self.jobs,
-        )
-        return ghost_separation_study(cfg, self.cache)
+        return ghost_separation_study(self.control_config, self.cache)
 
     @cached_property
     def higher_order_report(self):
-        cfg = SweepConfig(
-            eps_list=self.config.eps_list, s_list=self.config.s_list,
-            a1_mode="scaled", scaled_order=2, jobs=self.jobs,
-        )
-        return ghost_higher_order_study(cfg, self.cache)
+        return ghost_higher_order_study(self.higher_order_config, self.cache)
 
     @cached_property
     def error_report(self):
@@ -263,6 +273,7 @@ class AcceptanceSuite:
     # -- driver ---------------------------------------------------------
 
     def run_criterion(self, number):
+        self.stack_nls_runs()
         return getattr(self, f"criterion_{number}")()
 
     def run_all(self, printer=None):

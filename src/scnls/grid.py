@@ -15,6 +15,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,6 +121,22 @@ class Grid:
             out = out & self.axis_view(np.abs(self.k_axes[ax]) <= cutoff, ax)
         return out
 
+    @cached_property
+    def tail_boxes(self):
+        """Disjoint index boxes covering exactly the modes dealias_mask
+        drops. Per axis those are one contiguous band in FFT order; box j
+        takes that band on axis j, the kept modes on the axes before it and
+        every mode on the axes after it."""
+        k = np.abs(self.k_axes[0])
+        dropped = np.flatnonzero(k > (2.0 / 3.0) * k.max())
+        band = slice(dropped[0], dropped[-1] + 1)
+        kept = (slice(0, band.start), slice(band.stop, None))
+        return tuple(
+            head + (band,) + (slice(None),) * (self.dim - 1 - axis)
+            for axis in range(self.dim)
+            for head in itertools.product(kept, repeat=axis)
+        )
+
     def meshgrid(self):
         return np.meshgrid(*self.x_axes, indexing="ij")
 
@@ -176,9 +193,12 @@ def _require_space(f, space, op):
 def transform(f: Field) -> Field:
     """Physical -> spectral, continuum-integral normalization."""
     _require_space(f, PHYSICAL, "transform")
-    g = f.grid
-    fhat = np.fft.fftn(f.values) * (g.quad_weight * g.spectral_phase)
-    return Field(g, fhat, SPECTRAL)
+    return from_fft(f.grid, np.fft.fftn(f.values))
+
+
+def from_fft(grid, fft_values) -> Field:
+    """transform's result for the field whose np.fft.fftn is fft_values."""
+    return Field(grid, fft_values * (grid.quad_weight * grid.spectral_phase), SPECTRAL)
 
 
 def inverse_transform(f: Field) -> Field:
@@ -292,11 +312,12 @@ def tail_fraction(f: Field) -> float:
     """Fraction of spectral mass above the two-thirds cutoff (resolution guard)."""
     if f.space == PHYSICAL:
         f = transform(f)
-    power = np.abs(f.values) ** 2
+    power = np.abs(f.values)
+    np.square(power, out=power)
     total = power.sum()
     if total == 0.0:
         return 0.0
-    return float(power[~f.grid.dealias_mask].sum() / total)
+    return float(sum(power[box].sum() for box in f.grid.tail_boxes) / total)
 
 
 def resample(f: Field, points_per_axis) -> Field:

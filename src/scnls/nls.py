@@ -10,10 +10,19 @@ time-stepping error is the splitting commutator.
 A step is Yoshida's symmetric triple jump of Strang steps (Phys. Lett. A
 150, 1990), S(w1*dt) S(w0*dt) S(w1*dt), which is time-reversible and of
 order four; KINETIC and NONLINEAR hold its substep coefficients.
-solve_nls fuses the closing kinetic piece of each step with the opening
-one of the next, and splits them again only at save points, updating the
-field and one scratch buffer in place: 3 FFT pairs per step plus one per
-save segment.
+The step loop fuses the closing kinetic piece of each step with the
+opening one of the next, and splits them again only at save points,
+updating the field and one scratch buffer in place: 3 FFT pairs per step
+plus one per save segment.
+
+The loop advances a stack of data on one grid with one step, eps and
+save cadence: the field is an (m, *grid.shape) array, every FFT runs over
+the grid axes only, and each member's trajectory is bit-identical to its
+own single run. solve_nls is the stack of one; solve_nls_stack runs
+several data together (the paired runs of a sweep point), so the Python
+loop and the per-call FFT overhead are paid once for all of them. The
+guards stay per member: a member that trips one raises the error its
+single run would, at the same step.
 
 The default step is safety * min(eps, dx^2/eps): O(eps), which resolves
 the semiclassical wavefunction (Bao, Jin & Markowich, J. Comput. Phys.
@@ -83,19 +92,20 @@ def default_dt(grid, eps, safety=DEFAULT_DT_SAFETY):
     return safety * min(eps, dx * dx / eps)
 
 
-def _kinetic(u, buf, *mults):
-    """u <- ifftn(mults * fftn(u)) in place, with buf as spectral scratch."""
-    np.fft.fftn(u, out=buf)
+def _kinetic(u, buf, axes, *mults):
+    """u <- ifftn(mults * fftn(u)) over axes, in place, with buf as spectral scratch."""
+    np.fft.fftn(u, axes=axes, out=buf)
     for mult in mults:
         buf *= mult
-    np.fft.ifftn(buf, out=u)
+    np.fft.ifftn(buf, axes=axes, out=u)
 
 
-def _rotate(u, buf, rate):
-    """u <- u * exp(-1j * rate * |u|^2) in place; returns sum |u|^2 (finite iff u is)."""
+def _rotate(u, buf, rate, axes):
+    """u <- u * exp(-1j * rate * |u|^2) in place; returns sum |u|^2 over
+    axes (finite iff u is)."""
     dens = buf.real
     np.square(np.abs(u, out=dens), out=dens)
-    total = dens.sum()
+    total = dens.sum(axis=axes)
     dens *= -rate
     np.sin(dens, out=buf.imag)
     np.cos(dens, out=dens)
@@ -109,14 +119,15 @@ def kinetic_substep(state: NlsState, tau) -> NlsState:
     Substeps act as operator pieces: they do not advance the clock.
     """
     u = state.u.values.copy()
-    _kinetic(u, np.empty_like(u), np.exp(-0.5j * state.eps * tau * state.u.grid.k_squared))
+    _kinetic(u, np.empty_like(u), None,
+             np.exp(-0.5j * state.eps * tau * state.u.grid.k_squared))
     return NlsState(state.t, Field(state.u.grid, u), state.eps)
 
 
 def nonlinear_substep(state: NlsState, tau) -> NlsState:
     """Exact flow of i*eps*du/dt = |u|^2 u over tau; |u| is pointwise invariant."""
     u = state.u.values.copy()
-    _rotate(u, np.empty_like(u), tau / state.eps)
+    _rotate(u, np.empty_like(u), tau / state.eps, None)
     return NlsState(state.t, Field(state.u.grid, u), state.eps)
 
 
@@ -148,11 +159,31 @@ def solve_nls(u0: Field, eps, config: NlsRunConfig):
     time (including t = 0) and NonFiniteError on NaN/overflow in u0 or at
     any step, carrying the last good snapshot (None when u0 is at fault).
     """
-    if u0.space != PHYSICAL:
-        raise ValueError("solve_nls expects a physical-space initial field")
+    return _integrate([u0], eps, config)[0]
+
+
+def solve_nls_stack(u0s, eps, config: NlsRunConfig):
+    """solve_nls for several data on one grid in one step loop: one
+    trajectory per datum, each equal to that datum's own solve_nls run.
+
+    The first member to trip a guard, in step order, raises the error its
+    single run raises, with its own last good snapshot.
+    """
+    return _integrate(list(u0s), eps, config)
+
+
+def _integrate(u0s, eps, config):
+    """The fused Yoshida loop over the stack u0s; returns its trajectories."""
+    if not u0s:
+        raise ValueError("solve_nls_stack needs at least one datum")
+    grid = u0s[0].grid
+    for f in u0s:
+        if f.space != PHYSICAL:
+            raise ValueError("solve_nls expects a physical-space initial field")
+        if f.grid != grid:
+            raise ValueError("stacked data must share one grid")
     n_steps = max(1, round(config.T / config.dt))
     dt = config.T / n_steps
-    grid = u0.grid
 
     # One multiplier per distinct kinetic coefficient: the outer piece is
     # applied twice where a step's last piece meets the next step's first.
@@ -160,37 +191,50 @@ def solve_nls(u0: Field, eps, config: NlsRunConfig):
     outer = mults[KINETIC[0]]
     inner = [mults[a] for a in KINETIC[1:-1]]
     rates = [b * dt / eps for b in NONLINEAR]
-    u = u0.values.copy()
+    u = np.stack([f.values for f in u0s])
     buf = np.empty_like(u)
-    snapshots = []
+    # The kernels run on the bare field when the stack has one member:
+    # numpy's FFTs of a (1, N) array cost ~8% more per call than of the
+    # (N,) array (1-D, N = 4096), which would slow every single run.
+    if len(u0s) == 1:
+        field, scratch, axes = u[0], buf[0], None
+    else:
+        field, scratch, axes = u, buf, tuple(range(1, grid.dim + 1))
+    trajectories = [[] for _ in u0s]
+
+    def last(member):
+        return trajectories[member][-1] if trajectories[member] else None
 
     def save(step, guarded):
-        # guarded is u0 at t = 0, which tail_fraction transforms, and the
+        # guarded is u0s at t = 0, which tail_fraction transforms, and the
         # loop's spectrum afterwards: ifftn(buf, out=u) leaves buf equal to
         # fftn(u) to roundoff, and a tail fraction does not see transform's
         # per-mode sign or constant weight, so buf serves without an FFT.
         t = step * dt
-        if not np.isfinite(u).all():
-            raise NonFiniteError.at_step(step, dt, snapshots[-1] if snapshots else None)
-        ResolutionError.check(tail_fraction(guarded), config.tail_tol, f"at t = {t:.6g}", t)
-        snapshots.append(NlsState(t, Field(grid, u.copy()), eps))
+        for member, (values, guard) in enumerate(zip(u, guarded)):
+            if not np.isfinite(values).all():
+                raise NonFiniteError.at_step(step, dt, last(member))
+            ResolutionError.check(tail_fraction(guard), config.tail_tol, f"at t = {t:.6g}", t)
+        for traj, values in zip(trajectories, u):
+            traj.append(NlsState(t, Field(grid, values.copy()), eps))
 
     def rotate(step, rate):
-        if not np.isfinite(_rotate(u, buf, rate)):
-            raise NonFiniteError.at_step(step, dt, snapshots[-1])
+        finite = np.isfinite(_rotate(field, scratch, rate, axes))
+        if not finite.all():
+            raise NonFiniteError.at_step(step, dt, last(int(np.argmin(finite))))
 
-    save(0, u0)
-    loop_spectrum = Field(grid, buf, SPECTRAL)
+    save(0, u0s)
+    loop_spectra = [Field(grid, member, SPECTRAL) for member in buf]
     for seg_start in range(0, n_steps, config.save_every):
         seg_end = min(seg_start + config.save_every, n_steps)
-        _kinetic(u, buf, outer)
+        _kinetic(field, scratch, axes, outer)
         for step in range(seg_start + 1, seg_end + 1):
             for rate, mult in zip(rates, inner):
                 rotate(step, rate)
-                _kinetic(u, buf, mult)
+                _kinetic(field, scratch, axes, mult)
             rotate(step, rates[-1])
             if step < seg_end:
-                _kinetic(u, buf, outer, outer)
-        _kinetic(u, buf, outer)
-        save(seg_end, loop_spectrum)
-    return snapshots
+                _kinetic(field, scratch, axes, outer, outer)
+        _kinetic(field, scratch, axes, outer)
+        save(seg_end, loop_spectra)
+    return trajectories

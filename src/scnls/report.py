@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import nls, wkb
-from .grid import SobolevIndex, norm, transform
+from .grid import SobolevIndex, from_fft, norm, transform
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -119,21 +119,24 @@ def nls_trajectory_rows(snapshots, norm_orders=()):
 
 
 def wkb_trajectory_rows(snapshots, norm_orders=()):
-    """NLS columns plus the phase-gradient sup and corrector norms."""
+    """NLS columns plus the phase-gradient sup and corrector norms; the
+    energy, the gradient sup and the norms share one transform each of a
+    and phi."""
     rows = []
     for snap in snapshots:
         if isinstance(snap, tuple):
             state, corr = snap
         else:
             state, corr = snap, None
+        fft_pair = wkb.spectra(state)
         row = {
             "t": state.t,
             "mass": nls.mass(state.a),
-            "energy": wkb.wkb_energy(state),
-            "grad_phi_max": wkb.grad_phi_max(state),
+            "energy": wkb.wkb_energy(state, fft_pair),
+            "grad_phi_max": wkb.grad_phi_max(state, fft_pair),
         }
         if norm_orders:
-            a_hat, phi_hat = transform(state.a), transform(state.phi)
+            a_hat, phi_hat = (from_fft(state.a.grid, f) for f in fft_pair)
             for s in norm_orders:
                 row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
                 row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))

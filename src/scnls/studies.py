@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nls, wkb
+from .errors import GuardError
 from .grid import (
     Field, SobolevIndex, lp_norm, make_gaussian, make_grid, norm, resample, transform,
 )
@@ -177,19 +178,38 @@ def corrector_phase_scale(mode, eps, order=2):
 
 
 class RunCache:
-    """Memoizes trajectories across studies; safe under the thread pool."""
+    """Memoizes trajectories across studies; safe under the thread pool.
+
+    Each key is computed once: a thread that asks for a key another
+    thread is computing waits for that result (or its exception).
+    """
 
     def __init__(self):
         self._data = {}
+        self._running = {}
         self._lock = threading.Lock()
 
     def get_or_run(self, key, fn):
         with self._lock:
             if key in self._data:
                 return self._data[key]
-        value = fn()
+            running = self._running.get(key)
+            if running is None:
+                self._running[key] = mine = Future()
+        if running is not None:
+            return running.result()
+        try:
+            value = fn()
+        except BaseException as exc:
+            with self._lock:
+                del self._running[key]
+            mine.set_exception(exc)
+            raise
         with self._lock:
-            return self._data.setdefault(key, value)
+            self._data[key] = value
+            del self._running[key]
+        mine.set_result(value)
+        return value
 
     def runs(self, kind):
         """Cached values whose key starts with kind ("nls", "limit", ...),
@@ -198,13 +218,42 @@ class RunCache:
             return [v for k, v in self._data.items() if k[0] == kind]
 
 
-def _nls_trajectory(cache, cfg: SweepConfig, eps, multiplier, refine=1):
+def _nls_run(cfg: SweepConfig, eps, multiplier, refine=1):
+    """Grid, run config and cache key of the wavefunction run from
+    multiplier * a0 at one sweep point."""
     grid = cfg.grid_for(eps, refine)
     rc = cfg.nls_run_config(grid, eps)
-    key = ("nls", grid.points_per_axis, eps, complex(multiplier), cfg.a0, rc)
+    return grid, rc, ("nls", grid.points_per_axis, eps, complex(multiplier), cfg.a0, rc)
+
+
+def _nls_trajectory(cache, cfg: SweepConfig, eps, multiplier, refine=1):
+    grid, rc, key = _nls_run(cfg, eps, multiplier, refine)
     return cache.get_or_run(
         key, lambda: nls.solve_nls(cfg.a0.realize(grid, multiplier), eps, rc)
     )
+
+
+def stack_nls_runs(cache, cfg: SweepConfig, multipliers):
+    """Cache the wavefunction runs from m * a0 for every m in
+    multipliers(eps), one stacked integration per sweep point, under the
+    keys _nls_trajectory reads.
+
+    A stack that trips a guard caches nothing: its runs are left to
+    _nls_trajectory, which raises each run's own error when it is asked
+    for that run.
+    """
+    def one_eps(eps):
+        mults = list(dict.fromkeys(multipliers(eps)))
+        grid, rc, _ = _nls_run(cfg, eps, 1.0)
+        try:
+            runs = nls.solve_nls_stack([cfg.a0.realize(grid, m) for m in mults], eps, rc)
+        except GuardError:
+            return
+        for m, traj in zip(mults, runs):
+            _, _, key = _nls_run(cfg, eps, m)
+            cache.get_or_run(key, lambda traj=traj: traj)
+
+    _sweep_map(cfg, one_eps)
 
 
 def _limit_trajectory(cache, cfg: SweepConfig, a1_kind="equal_a0"):

@@ -120,11 +120,14 @@ class _SpectralWork:
         self.minus_k2 = -grid.k_squared
         self.mask = grid.dealias_mask
 
+    def grads(self, vhat):
+        """Gradient components of the field whose np.fft.fftn is vhat."""
+        return [np.fft.ifftn(m * vhat) for m in self.grad]
+
     def derivs(self, values):
+        """Gradient components and Laplacian of values."""
         vhat = np.fft.fftn(values)
-        grads = [np.fft.ifftn(m * vhat) for m in self.grad]
-        lap = np.fft.ifftn(self.minus_k2 * vhat)
-        return grads, lap
+        return self.grads(vhat), np.fft.ifftn(self.minus_k2 * vhat)
 
     def dealias(self, values):
         return np.fft.ifftn(np.fft.fftn(values) * self.mask)
@@ -146,7 +149,7 @@ def _grenier_rates(work, a, phi, eps):
 
 
 def _corrector_rates(work, a1, phi1, a, grad_phi, grad_a, lap_a, lap_phi):
-    grad_a1, _ = work.derivs(a1)
+    grad_a1 = work.grads(np.fft.fftn(a1))
     grad_phi1, lap_phi1 = work.derivs(phi1)
     grad_phi1 = [g.real for g in grad_phi1]
     lap_phi1 = lap_phi1.real
@@ -212,7 +215,7 @@ def corrector_rhs(background: GrenierState, corr: CorrectorState):
 def _auto_sing_tol(work, a_init, horizon):
     # Early-time scale: |grad phi| grows like t * max|grad |a(0)|^2|, so
     # 50x its value at the horizon is far outside regular behaviour.
-    grads, _ = work.derivs(np.abs(a_init) ** 2)
+    grads = work.grads(np.fft.fftn(np.abs(a_init) ** 2))
     rate = max(np.abs(g.real).max() for g in grads)
     return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
 
@@ -355,24 +358,34 @@ def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
     return out
 
 
-def grad_phi_max(state: GrenierState) -> float:
-    """Sup norm of the phase gradient, the singularity-guard observable."""
-    work = _SpectralWork(state.phi.grid)
-    grads, _ = work.derivs(state.phi.values.real)
+def spectra(state: GrenierState):
+    """np.fft.fftn of the amplitude and of the (real) phase, the spectra
+    grad_phi_max and wkb_energy read; grid.from_fft gives them transform's
+    normalization."""
+    return np.fft.fftn(state.a.values), np.fft.fftn(state.phi.values.real)
+
+
+def grad_phi_max(state: GrenierState, fft_pair=None) -> float:
+    """Sup norm of the phase gradient, the singularity-guard observable.
+    fft_pair, when given, is spectra(state)."""
+    _, phi_fft = spectra(state) if fft_pair is None else fft_pair
+    grads = _SpectralWork(state.phi.grid).grads(phi_fft)
     return float(max(np.abs(g.real).max() for g in grads))
 
 
-def wkb_energy(state: GrenierState) -> float:
+def wkb_energy(state: GrenierState, fft_pair=None) -> float:
     """Wavefunction energy in phase-amplitude variables:
 
         int |eps grad a + i a grad phi|^2 + int |a|^4,
 
     which equals the semiclassical energy of a e^{i phi/eps} for eps > 0
-    and its eps -> 0 limit for the limit system."""
+    and its eps -> 0 limit for the limit system. fft_pair, when given, is
+    spectra(state)."""
     grid = state.a.grid
     work = _SpectralWork(grid)
-    grad_a, _ = work.derivs(state.a.values)
-    grad_phi, _ = work.derivs(state.phi.values.real)
+    a_fft, phi_fft = spectra(state) if fft_pair is None else fft_pair
+    grad_a = work.grads(a_fft)
+    grad_phi = work.grads(phi_fft)
     density = sum(
         np.abs(state.eps * ga + 1j * state.a.values * gp.real) ** 2
         for ga, gp in zip(grad_a, grad_phi)

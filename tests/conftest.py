@@ -28,3 +28,18 @@ def random_field(grid, seed, scale=1.0, smooth_width=5):
     out = np.fft.ifftn(spec) * grid.num_points
     peak = np.abs(out).max()
     return sg.Field(grid, out * (scale / peak), sg.PHYSICAL)
+
+
+def count_ffts(monkeypatch):
+    """Count np.fft.fftn / ifftn calls from here to the end of the test."""
+    counts = {"fftn": 0, "ifftn": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return counts

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from scnls import cli
+from scnls import cli, nls
 from scnls.acceptance import CheckResult
 
 
@@ -231,16 +231,32 @@ class TestStudyCommands:
 
 
 class TestSelftest:
-    def test_real_suite_passes_and_is_deterministic(self, tmp_path, capsys):
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out in outs:
-            assert cli.run(["selftest", "--out", str(out)]) == 0
-            assert len(re.findall(r"^\[[1-9]\] \S+\s+PASS\b", capsys.readouterr().out,
-                                  re.MULTILINE)) == 9
-        names = sorted(p.name for p in outs[0].glob("*.csv"))
+    def test_real_suite_passes_and_is_deterministic(self, tmp_path, capsys, monkeypatch):
+        # Repeated runs, and runs with --jobs 1 and 2, write identical bytes.
+        # Every wavefunction run comes from one stack per sweep point.
+        stacks = []
+        solve_stack = nls.solve_nls_stack
+
+        def recording(u0s, eps, rc):
+            stacks.append(len(u0s))
+            return solve_stack(u0s, eps, rc)
+
+        monkeypatch.setattr(nls, "solve_nls_stack", recording)
+        monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
+        runs = [(tmp_path / "a", 1), (tmp_path / "b", 1), (tmp_path / "c", 2)]
+        stdout = []
+        for out, jobs in runs:
+            stacks.clear()
+            assert cli.run(["selftest", "--out", str(out), "--jobs", str(jobs)]) == 0
+            stdout.append(capsys.readouterr().out)
+            assert len(re.findall(r"^\[[1-9]\] \S+\s+PASS\b", stdout[-1], re.MULTILINE)) == 9
+            assert stacks == [3] * 5
+        assert stdout[0] == stdout[1] == stdout[2]
+        names = sorted(p.name for p in runs[0][0].glob("*.csv"))
         assert len(names) == 5
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for name in names + ["acceptance_summary.json"]:
+            first = (runs[0][0] / name).read_bytes()
+            assert all((out / name).read_bytes() == first for out, _ in runs[1:])
 
     @pytest.fixture
     def stub_suite(self, monkeypatch):

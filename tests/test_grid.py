@@ -287,3 +287,38 @@ def test_tail_fraction_resolved_vs_rough(grid_1d, gaussian_1d):
     assert sg.tail_fraction(gaussian_1d) < 1e-20
     rough = sg.Field(grid_1d, np.exp(1j * 0.9 * grid_1d.k_max * grid_1d.x_axes[0]))
     assert sg.tail_fraction(rough) > 0.9
+
+
+def reference_tail_fraction(f):
+    """The masked-copy formula tail_fraction replaced."""
+    power = np.abs(sg.transform(f).values) ** 2
+    return float(power[~f.grid.dealias_mask].sum() / power.sum())
+
+
+class TestTailFraction:
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 256), (1, 4096), (2, 8), (2, 64), (3, 8),
+                                       (3, 16)])
+    def test_boxes_cover_exactly_the_dropped_modes(self, dim, n):
+        g = make_grid(dim, 3.0, n)
+        cover = np.zeros(g.shape, dtype=int)
+        for box in g.tail_boxes:
+            cover[box] += 1
+        assert np.array_equal(cover, (~g.dealias_mask).astype(int))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 3), log_n=st.integers(3, 6), seed=st.integers(0, 10_000),
+           smooth=st.booleans())
+    def test_matches_the_masked_copy_formula(self, dim, log_n, seed, smooth):
+        g = make_grid(dim, 4.0, 2**log_n)
+        if smooth:
+            f = random_field(g, seed, smooth_width=1)
+        else:
+            rng = np.random.default_rng(seed)
+            f = sg.Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        new, old = sg.tail_fraction(f), reference_tail_fraction(f)
+        if dim == 1:
+            assert new == old
+        assert abs(new - old) <= 1e-14 * old
+        # The guard's verdict at any bound more than 1e-12 away is unchanged.
+        for tol in (old * (1 - 1e-12), old * (1 + 1e-12), 1e-6):
+            assert (new <= tol) == (old <= tol)

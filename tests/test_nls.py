@@ -7,9 +7,11 @@ from scnls import grid as sg
 from scnls import nls
 from scnls.errors import NonFiniteError, ResolutionError
 from scnls.grid import Field, make_grid, make_gaussian
-from scnls.nls import NlsRunConfig, NlsState, mass, semiclassical_energy, solve_nls
+from scnls.nls import (
+    NlsRunConfig, NlsState, mass, semiclassical_energy, solve_nls, solve_nls_stack,
+)
 
-from conftest import random_field
+from conftest import count_ffts, random_field
 
 
 def plane_wave_state(k0=1.0, eps=1.0, n=64):
@@ -211,19 +213,101 @@ class TestFusedEngine:
         assert nls.KINETIC == (w1 / 2, (w1 + w0) / 2, (w1 + w0) / 2, w1 / 2)
 
 
-def count_ffts(monkeypatch):
-    """Count np.fft.fftn / ifftn calls from here to the end of the test."""
-    counts = {"fftn": 0, "ifftn": 0}
+class TestStackedEngine:
+    N_STEPS = 10
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("save_every", [1, 3, 10])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @settings(max_examples=4, deadline=None)
+    @given(members=st.integers(1, 3), seed=st.integers(0, 10_000),
+           amplitude=st.floats(0.1, 2.0))
+    def test_members_equal_their_single_runs(self, dim, save_every, sign, members, seed,
+                                             amplitude):
+        g = make_grid(dim, 4.0, 32)
+        data = [random_field(g, seed + m, scale=amplitude * (1 + m)) for m in range(members)]
+        T = sign * 0.05
+        cfg = NlsRunConfig(dt=T / self.N_STEPS, T=T, save_every=save_every, tail_tol=1.0)
+        stacked = solve_nls_stack(data, 0.5, cfg)
+        assert len(stacked) == members
+        for u0, traj in zip(data, stacked, strict=True):
+            single = solve_nls(u0, 0.5, cfg)
+            assert [s.t for s in traj] == [s.t for s in single]
+            for a, b in zip(traj, single, strict=True):
+                assert np.array_equal(a.u.values, b.u.values)
+                assert a.u.values.shape == g.shape and a.eps == b.eps
 
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    return counts
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("save_every", [1, 3, 10])
+    def test_stack_makes_the_ffts_of_one_run(self, monkeypatch, dim, save_every):
+        # The tail guard's transforms are the grid layer's, not the engine's.
+        monkeypatch.setattr(nls, "tail_fraction", lambda f: 0.0)
+        g = make_grid(dim, 6.0, 32)
+        cfg = NlsRunConfig(dt=1e-3, T=self.N_STEPS * 1e-3, save_every=save_every)
+        counts = count_ffts(monkeypatch)
+        solve_nls(make_gaussian(g), 0.5, cfg)
+        single = dict(counts)
+        counts.update(fftn=0, ifftn=0)
+        solve_nls_stack([make_gaussian(g, amplitude=a) for a in (1.0, 1.5, 2.0)], 0.5, cfg)
+        assert counts == single
+        assert single["fftn"] == single["ifftn"] > 0
+
+    def test_member_data_untouched(self):
+        g = make_grid(1, 12.0, 64)
+        data = [make_gaussian(g), make_gaussian(g, amplitude=2.0)]
+        before = [f.values.copy() for f in data]
+        solve_nls_stack(data, 0.5, NlsRunConfig(dt=1e-3, T=0.01, tail_tol=1.0))
+        assert all(np.array_equal(f.values, b) for f, b in zip(data, before))
+
+    @staticmethod
+    def _tripping_runs():
+        """(datum that trips a guard, config, error type) on one 1-D grid."""
+        g = make_grid(1, 12.0, 128)
+        nan_datum = make_gaussian(g).values
+        nan_datum[3] = np.nan
+        rough = Field(g, np.exp(1j * 0.9 * g.k_max * g.x_axes[0]))
+        return g, [
+            # tail above 1e-4 at the save at t = 0.05 (see TestGuards)
+            (make_gaussian(g, amplitude=6.0),
+             NlsRunConfig(dt=1e-3, T=0.2, save_every=10, tail_tol=1e-4), ResolutionError),
+            (rough, NlsRunConfig(dt=1e-3, T=0.01), ResolutionError),
+            (Field(g, nan_datum), NlsRunConfig(dt=1e-3, T=0.01), NonFiniteError),
+            # |u|^2 overflows in the first nonlinear phase, between saves
+            (make_gaussian(g, amplitude=1e155),
+             NlsRunConfig(dt=1e-3, T=0.01, save_every=10), NonFiniteError),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tripping_member_raises_its_single_run_error(self, case, position):
+        g, runs = self._tripping_runs()
+        bad, cfg, kind = runs[case]
+        with pytest.raises(kind) as single:
+            solve_nls(bad, 0.5, cfg)
+        data = [make_gaussian(g, amplitude=0.5), make_gaussian(g, amplitude=0.7)]
+        data.insert(position, bad)
+        with pytest.raises(kind) as stacked:
+            solve_nls_stack(data, 0.5, cfg)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.t == single.value.t
+        if kind is ResolutionError:
+            assert stacked.value.tail_fraction == single.value.tail_fraction
+        else:
+            last, ref = stacked.value.last_state, single.value.last_state
+            assert (last is None) == (ref is None)
+            if ref is not None:
+                assert last.t == ref.t and np.array_equal(last.u.values, ref.u.values)
+
+    def test_stack_validation(self):
+        g = make_grid(1, 12.0, 64)
+        cfg = NlsRunConfig(dt=1e-3, T=0.01)
+        with pytest.raises(ValueError, match="at least one"):
+            solve_nls_stack([], 0.5, cfg)
+        with pytest.raises(ValueError, match="one grid"):
+            solve_nls_stack([make_gaussian(g), make_gaussian(make_grid(1, 12.0, 128))], 0.5, cfg)
+        with pytest.raises(ValueError, match="physical-space"):
+            solve_nls_stack([make_gaussian(g), sg.transform(make_gaussian(g))], 0.5, cfg)
 
 
 band_limited_runs = dict(

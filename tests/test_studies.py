@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from scnls import report as rpt
 from scnls import nls, studies, wkb
+from scnls.errors import ResolutionError
 from scnls.grid import Field, SobolevIndex, lp_norm, make_grid, norm
 from scnls.studies import (
     GaussianSpec,
@@ -17,6 +20,8 @@ from scnls.studies import (
     small_time_study,
     wkb_error_study,
 )
+
+from conftest import count_ffts
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,109 @@ class TestSweepConfig:
         for a, b in zip(coarse_traj, fine_traj, strict=True):
             diff = Field(grid, a.u.values - b.u.values)
             assert norm(diff) <= 3e-7 * norm(b.u)
+
+
+class TestRunCache:
+    def test_overlapping_requests_for_one_key_compute_it_once(self):
+        cache = RunCache()
+        calls, results = [], [None, None]
+        computing, release = threading.Event(), threading.Event()
+
+        def fn():
+            calls.append(threading.get_ident())
+            computing.set()
+            assert release.wait(timeout=10)
+            return object()
+
+        def ask(i):
+            results[i] = cache.get_or_run("key", fn)
+
+        first = threading.Thread(target=ask, args=(0,))
+        first.start()
+        assert computing.wait(timeout=10)
+        # The first thread is inside fn; the second asks for the same key.
+        second = threading.Thread(target=ask, args=(1,))
+        second.start()
+        second.join(timeout=0.5)
+        assert second.is_alive()
+        release.set()
+        for t in (first, second):
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(calls) == 1
+        assert results[0] is results[1] is not None
+        assert cache.get_or_run("key", fn) is results[0] and len(calls) == 1
+
+    def test_failed_run_reaches_waiters_and_is_not_cached(self):
+        cache = RunCache()
+        computing, release = threading.Event(), threading.Event()
+        errors = []
+
+        def failing():
+            computing.set()
+            assert release.wait(timeout=10)
+            raise RuntimeError("run failed")
+
+        def ask():
+            try:
+                cache.get_or_run("key", failing)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=ask)]
+        threads[0].start()
+        assert computing.wait(timeout=10)
+        threads.append(threading.Thread(target=ask))
+        threads[1].start()
+        threads[1].join(timeout=0.5)
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert errors == ["run failed", "run failed"]
+        assert cache.get_or_run("key", lambda: 42) == 42
+
+
+class TestStackedRuns:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch, jobs):
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), jobs=jobs)
+
+        def multipliers(eps):
+            return [1.0, 1.0 + eps, 1.0, 1.0 + eps**2]
+
+        singles = RunCache()
+        expected = {(eps, m): studies._nls_trajectory(singles, cfg, eps, m)
+                    for eps in cfg.eps_list for m in set(multipliers(eps))}
+        stacks = []
+        solve_stack = nls.solve_nls_stack
+
+        def recording(u0s, eps, rc):
+            stacks.append((eps, len(u0s)))
+            return solve_stack(u0s, eps, rc)
+
+        monkeypatch.setattr(nls, "solve_nls_stack", recording)
+        cache = RunCache()
+        studies.stack_nls_runs(cache, cfg, multipliers)
+        assert sorted(stacks) == [(0.125, 3), (0.25, 3)]
+        monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
+        for (eps, m), ref in expected.items():
+            traj = studies._nls_trajectory(cache, cfg, eps, m)
+            assert [s.t for s in traj] == [s.t for s in ref]
+            assert all(np.array_equal(a.u.values, b.u.values) for a, b in zip(traj, ref))
+        assert len(cache.runs("nls")) == len(expected)
+
+    def test_tripped_stack_leaves_each_run_its_own_error(self):
+        # a0 = 30 exp(-x^2) trips the tail guard at the first save on both
+        # grids; 1e-3 a0 stays resolved.
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,),
+                          a0=GaussianSpec(amplitude=30.0))
+        cache = RunCache()
+        studies.stack_nls_runs(cache, cfg, lambda eps: [1.0, 1e-3])
+        assert cache.runs("nls") == []
+        assert len(studies._nls_trajectory(cache, cfg, 0.25, 1e-3)) == cfg.n_saves + 1
+        with pytest.raises(ResolutionError):
+            studies._nls_trajectory(cache, cfg, 0.25, 1.0)
 
 
 class TestWkbErrorStudy:
@@ -404,3 +512,24 @@ class TestFitAndReportPlumbing:
             assert row["energy"] == nls.semiclassical_energy(state)
             for s in orders:
                 assert row[f"h{s:g}"] == norm(state.u, SobolevIndex(s))
+
+    @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
+                             ids=["1d", "2d"])
+    def test_wkb_rows_transform_a_and_phi_once(self, monkeypatch, g):
+        a0 = GaussianSpec().realize(g)
+        traj = wkb.solve_limit_with_corrector(
+            a0, a0, wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5))
+        orders = (0.0, 1.0)
+        counts = count_ffts(monkeypatch)
+        rows = rpt.wkb_trajectory_rows(traj, norm_orders=orders)
+        # fftn of a, of phi and of a1 (its L2 norm); one ifftn per gradient
+        # component of a and of phi for the energy, and of phi for its sup.
+        assert counts == {"fftn": 3 * len(traj), "ifftn": 3 * g.dim * len(traj)}
+        monkeypatch.undo()
+        for row, (state, corr) in zip(rows, traj, strict=True):
+            assert row["energy"] == wkb.wkb_energy(state)
+            assert row["grad_phi_max"] == wkb.grad_phi_max(state)
+            assert row["a1_l2"] == norm(corr.a1)
+            for s in orders:
+                assert row[f"a_h{s:g}"] == norm(state.a, SobolevIndex(s))
+                assert row[f"phi_h{s:g}"] == norm(state.phi, SobolevIndex(s))

@@ -16,6 +16,8 @@ from scnls.wkb import (
     solve_limit_with_corrector,
 )
 
+from conftest import count_ffts
+
 
 def fresh_state(grid, a_values, eps=0.0, t=0.0, phi_values=None):
     phi = np.zeros(grid.shape, dtype=complex) if phi_values is None else phi_values
@@ -222,6 +224,21 @@ class TestCorrectorFlow:
         traj = solve_limit_with_corrector(gaussian_1d, a1, cfg)
         worst = max(np.abs(corr.phi1.values).max() for _, corr in traj)
         assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_corrector_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim):
+    # Per RK4 stage: the background needs gradient and Laplacian of a and
+    # phi, the corrector the gradient of a1 and both of phi1, and the four
+    # quadratic terms are dealiased once each.
+    g = make_grid(dim, 6.0, 32)
+    a0 = make_gaussian(g)
+    n_steps = 3
+    counts = count_ffts(monkeypatch)
+    solve_limit_with_corrector(a0, a0, WkbRunConfig(dt=1e-2, T=n_steps * 1e-2, sing_tol=1e3))
+    stages = 4 * n_steps
+    assert counts["fftn"] == 8 * stages
+    assert counts["ifftn"] == (4 * dim + 7) * stages
 
 
 class TestReconstruct:
