@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,9 +35,19 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 
+def _frozen(arr):
+    """Mark a cached array read-only, so that every holder of the grid can
+    share it safely."""
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Precomputed spectral machinery for [-L, L)^n, immutable and shareable."""
+    """Precomputed spectral machinery for [-L, L)^n, immutable and shareable.
+
+    Its cached arrays are read-only; make_grid hands out one Grid per
+    (dim, half_width, points_per_axis) while any holder keeps it alive."""
 
     dim: int
     half_width: float
@@ -71,12 +83,12 @@ class Grid:
     @cached_property
     def x_axes(self):
         x = -self.half_width + self.spacing * np.arange(self.points_per_axis)
-        return (x,) * self.dim
+        return (_frozen(x),) * self.dim
 
     @cached_property
     def k_axes(self):
         k = 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
-        return (k,) * self.dim
+        return (_frozen(k),) * self.dim
 
     def axis_view(self, arr, axis):
         """Reshape a per-axis 1-D array for broadcasting over the grid."""
@@ -90,7 +102,7 @@ class Grid:
         out = np.zeros(self.shape)
         for ax in range(self.dim):
             out = out + self.axis_view(self.k_axes[ax] ** 2, ax)
-        return out
+        return _frozen(out)
 
     @cached_property
     def spectral_phase(self):
@@ -100,17 +112,20 @@ class Grid:
         out = np.ones(self.shape)
         for ax in range(self.dim):
             out = out * self.axis_view(sign, ax)
-        return out
+        return _frozen(out)
 
     @cached_property
-    def grad_multipliers(self):
-        """i*kappa per axis with the unpaired Nyquist mode zeroed."""
-        out = []
+    def derivative_multipliers(self):
+        """i*kappa per axis with the unpaired Nyquist mode zeroed, then
+        -|kappa|^2, stacked over the full grid: one product with a spectrum
+        gives every gradient component and the Laplacian."""
+        out = np.empty((self.dim + 1,) + self.shape, dtype=np.complex128)
         for ax in range(self.dim):
             k = self.k_axes[ax].copy()
             k[self.points_per_axis // 2] = 0.0
-            out.append(1j * self.axis_view(k, ax))
-        return tuple(out)
+            out[ax] = 1j * self.axis_view(k, ax)
+        out[self.dim] = -self.k_squared
+        return _frozen(out)
 
     @cached_property
     def dealias_mask(self):
@@ -119,7 +134,7 @@ class Grid:
         for ax in range(self.dim):
             cutoff = (2.0 / 3.0) * np.abs(self.k_axes[ax]).max()
             out = out & self.axis_view(np.abs(self.k_axes[ax]) <= cutoff, ax)
-        return out
+        return _frozen(out)
 
     @cached_property
     def tail_boxes(self):
@@ -137,12 +152,28 @@ class Grid:
             for head in itertools.product(kept, repeat=axis)
         )
 
+    @cached_property
+    def _weights(self):
+        return {}
+
+    def sobolev_weight(self, index):
+        """index.weight(k_squared), computed once per index (two threads
+        racing on a new index both compute it; either copy serves)."""
+        if index not in self._weights:
+            self._weights[index] = _frozen(index.weight(self.k_squared))
+        return self._weights[index]
+
     def meshgrid(self):
         return np.meshgrid(*self.x_axes, indexing="ij")
 
 
+_GRIDS = weakref.WeakValueDictionary()
+_GRIDS_LOCK = threading.Lock()
+
+
 def make_grid(dim, half_width, points_per_axis, max_points=DEFAULT_MAX_POINTS):
-    """Build a Grid for [-L, L)^dim with N points per axis.
+    """The Grid for [-L, L)^dim with N points per axis, shared with every
+    other live caller that asked for the same one.
 
     N must be a power of two >= 8 so that dx*N == 2L holds exactly in
     binary floating point.
@@ -161,7 +192,9 @@ def make_grid(dim, half_width, points_per_axis, max_points=DEFAULT_MAX_POINTS):
             f"grid of {n}^{dim} = {n**dim} points exceeds the memory budget of "
             f"{max_points} points"
         )
-    return Grid(dim=int(dim), half_width=float(half_width), points_per_axis=n)
+    key = (int(dim), float(half_width), n)
+    with _GRIDS_LOCK:
+        return _GRIDS.setdefault(key, Grid(*key))
 
 
 @dataclass
@@ -193,7 +226,9 @@ def _require_space(f, space, op):
 def transform(f: Field) -> Field:
     """Physical -> spectral, continuum-integral normalization."""
     _require_space(f, PHYSICAL, "transform")
-    return from_fft(f.grid, np.fft.fftn(f.values))
+    values = np.fft.fftn(f.values)
+    values *= f.grid.quad_weight * f.grid.spectral_phase  # in place: one grid array fewer
+    return Field(f.grid, values, SPECTRAL)
 
 
 def from_fft(grid, fft_values) -> Field:
@@ -215,7 +250,7 @@ def gradient(f: Field) -> list[Field]:
     g = f.grid
     fhat = np.fft.fftn(f.values)
     return [
-        Field(g, np.fft.ifftn(mult * fhat), PHYSICAL) for mult in g.grad_multipliers
+        Field(g, np.fft.ifftn(mult * fhat), PHYSICAL) for mult in g.derivative_multipliers[: g.dim]
     ]
 
 
@@ -259,8 +294,11 @@ def norm(f: Field, index: SobolevIndex = SobolevIndex()) -> float:
     if f.space == PHYSICAL:
         f = transform(f)
     g = f.grid
-    w = index.weight(g.k_squared)
-    return float(np.sqrt(np.sum(w * np.abs(f.values) ** 2) * g.parseval_weight))
+    power = np.abs(f.values)
+    np.square(power, out=power)
+    if index.s != 0:  # every weight of order 0 is identically 1
+        power *= g.sobolev_weight(index)
+    return float(np.sqrt(np.sum(power) * g.parseval_weight))
 
 
 def lp_norm(f: Field, p: float) -> float:

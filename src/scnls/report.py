@@ -104,24 +104,26 @@ def write_summary_json(reports, path):
 def nls_trajectory_rows(snapshots, norm_orders=()):
     """(t, mass, energy, requested H^s norms) per saved time; the energy
     and the norms share one transform of each snapshot."""
-    rows = []
-    for state in snapshots:
-        uhat = transform(state.u)
-        row = {
-            "t": state.t,
-            "mass": nls.mass(state.u),
-            "energy": nls.semiclassical_energy(state, uhat),
-        }
-        for s in norm_orders:
-            row[f"h{s:g}"] = norm(uhat, SobolevIndex(s))
-        rows.append(row)
-    return rows
+    return [_nls_row(state, norm_orders) for state in snapshots]
+
+
+def _nls_row(state, norm_orders):
+    # one snapshot's transform is freed before the next one is made
+    uhat = transform(state.u)
+    row = {
+        "t": state.t,
+        "mass": nls.mass(state.u),
+        "energy": nls.semiclassical_energy(state, uhat),
+    }
+    for s in norm_orders:
+        row[f"h{s:g}"] = norm(uhat, SobolevIndex(s))
+    return row
 
 
 def wkb_trajectory_rows(snapshots, norm_orders=()):
     """NLS columns plus the phase-gradient sup and corrector norms; the
     energy, the gradient sup and the norms share one transform each of a
-    and phi."""
+    and phi, and the energy and the gradient sup one gradient computation."""
     rows = []
     for snap in snapshots:
         if isinstance(snap, tuple):
@@ -129,11 +131,12 @@ def wkb_trajectory_rows(snapshots, norm_orders=()):
         else:
             state, corr = snap, None
         fft_pair = wkb.spectra(state)
+        grads = wkb.gradients(state, fft_pair)
         row = {
             "t": state.t,
             "mass": nls.mass(state.a),
-            "energy": wkb.wkb_energy(state, fft_pair),
-            "grad_phi_max": wkb.grad_phi_max(state, fft_pair),
+            "energy": wkb.wkb_energy(state, grads),
+            "grad_phi_max": wkb.grad_phi_max(state, grads),
         }
         if norm_orders:
             a_hat, phi_hat = (from_fft(state.a.grid, f) for f in fft_pair)

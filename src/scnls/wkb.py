@@ -15,6 +15,11 @@ The corrector pair (a1, phi1) solves the linearization of the limit
 system around (a, phi) forced by i Lap(a) / 2, and is co-integrated with
 the eps = 0 background inside one RK4 flow so no stage interpolation is
 ever needed.
+
+Each run advances one stacked state, [a, phi] or [a, phi, a1, phi1], so
+that an RK4 stage makes 4 batched FFT calls: one fftn and one ifftn give
+every gradient and Laplacian, and one more pair dealiases every
+quadratic term.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .grid import (
     check_boundary_decay,
     tail_fraction,
 )
-from .nls import MAX_STEPS
+from .nls import NlsRunConfig
 
 PHI_IMAG_TOL = 1e-12
 
@@ -74,29 +79,15 @@ class CorrectorState:
 
 
 @dataclass(frozen=True)
-class WkbRunConfig:
-    dt: float
-    T: float
-    save_every: int = 1
-    tail_tol: float = 1e-6
+class WkbRunConfig(NlsRunConfig):
+    """NlsRunConfig's step, horizon, save cadence and tail bound, checked
+    the same way, plus the singularity bound and the datum decay check."""
+
     sing_tol: float | None = None
     enforce_decay: bool = True
 
     def __post_init__(self):
-        if self.dt == 0 or not np.isfinite(self.dt):
-            raise ValueError(f"dt must be nonzero and finite, got {self.dt!r}")
-        if self.T == 0 or not np.isfinite(self.T):
-            raise ValueError(f"T must be nonzero and finite, got {self.T!r}")
-        if self.dt * self.T < 0:
-            raise ValueError(f"dt = {self.dt} must carry the sign of the horizon T = {self.T}")
-        if abs(self.dt) > abs(self.T) * (1 + 1e-12):
-            raise ValueError(f"dt = {self.dt} exceeds the horizon T = {self.T}")
-        if self.T / self.dt > MAX_STEPS:
-            raise ValueError(
-                f"T/dt = {self.T / self.dt:.3g} exceeds the step budget {MAX_STEPS}"
-            )
-        if not self.save_every >= 1:
-            raise ValueError(f"save_every must be >= 1, got {self.save_every!r}")
+        super().__post_init__()
         if self.sing_tol is not None and not self.sing_tol > 0:
             raise ValueError(f"sing_tol must be positive, got {self.sing_tol!r}")
 
@@ -111,62 +102,71 @@ def default_dt(grid, eps, safety=0.25):
     return safety * dx
 
 
-class _SpectralWork:
-    """Per-grid scratch: derivative multipliers and the dealias projector."""
+def _gradients(grid, spectra):
+    """Gradient components of the fields whose np.fft.fftn are spectra
+    (one field, or a stack of them), from one batched ifftn: the component
+    axis goes in front of the grid axes."""
+    mults = grid.derivative_multipliers[: grid.dim]
+    return np.fft.ifftn(
+        np.expand_dims(spectra, -grid.dim - 1) * mults, axes=range(-grid.dim, 0)
+    )
 
-    def __init__(self, grid):
-        self.grid = grid
-        self.grad = grid.grad_multipliers
-        self.minus_k2 = -grid.k_squared
+
+class _Rates:
+    """d/dt of the stacked state [a, phi] or, with the corrector,
+    [a, phi, a1, phi1]; the phases are real and stored with zero imaginary
+    part.  Per call, one batched fftn and ifftn give every gradient and
+    Laplacian, and one more pair dealiases every quadratic term."""
+
+    def __init__(self, grid, corrector, eps=0.0, sing_tol=None):
+        d = grid.dim
+        self.dim, self.eps, self.sing_tol = d, eps, sing_tol
+        self.axes = range(-d, 0)
+        self.mults = grid.derivative_multipliers
         self.mask = grid.dealias_mask
+        # gradient and Laplacian rows per field; no term reads Lap(a1)
+        sizes = (d + 1, d + 1, d, d + 1) if corrector else (d + 1, d + 1)
+        self.deriv = np.empty((sum(sizes),) + grid.shape, dtype=complex)
+        bounds = np.cumsum((0,) + sizes)
+        self.blocks = [self.deriv[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def grads(self, vhat):
-        """Gradient components of the field whose np.fft.fftn is vhat."""
-        return [np.fft.ifftn(m * vhat) for m in self.grad]
-
-    def derivs(self, values):
-        """Gradient components and Laplacian of values."""
-        vhat = np.fft.fftn(values)
-        return self.grads(vhat), np.fft.ifftn(self.minus_k2 * vhat)
-
-    def dealias(self, values):
-        return np.fft.ifftn(np.fft.fftn(values) * self.mask)
-
-
-def _grenier_rates(work, a, phi, eps):
-    """Right-hand sides for (a, phi); phi enters and leaves as float64."""
-    grad_a, lap_a = work.derivs(a)
-    grad_phi, lap_phi = work.derivs(phi)
-    grad_phi = [g.real for g in grad_phi]
-    lap_phi = lap_phi.real
-
-    quad_phi = -(0.5 * sum(g * g for g in grad_phi) + np.abs(a) ** 2)
-    quad_a = -(sum(gp * ga for gp, ga in zip(grad_phi, grad_a)) + 0.5 * a * lap_phi)
-
-    dphi = work.dealias(quad_phi).real
-    da = work.dealias(quad_a) + 0.5j * eps * lap_a
-    return da, dphi, grad_phi, grad_a, lap_a, lap_phi
-
-
-def _corrector_rates(work, a1, phi1, a, grad_phi, grad_a, lap_a, lap_phi):
-    grad_a1 = work.grads(np.fft.fftn(a1))
-    grad_phi1, lap_phi1 = work.derivs(phi1)
-    grad_phi1 = [g.real for g in grad_phi1]
-    lap_phi1 = lap_phi1.real
-
-    quad_phi1 = -(
-        sum(gp * g1 for gp, g1 in zip(grad_phi, grad_phi1))
-        + 2.0 * (np.conj(a) * a1).real
-    )
-    quad_a1 = -(
-        sum(gp * g1 for gp, g1 in zip(grad_phi, grad_a1))
-        + sum(g1 * ga for g1, ga in zip(grad_phi1, grad_a))
-        + 0.5 * a1 * lap_phi
-        + 0.5 * a * lap_phi1
-    )
-    dphi1 = work.dealias(quad_phi1).real
-    da1 = work.dealias(quad_a1) + 0.5j * lap_a
-    return da1, dphi1
+    def __call__(self, y, t, out):
+        """Write the rates of y into out (which must not be y); raise
+        SingularityError if the phase gradient exceeds sing_tol."""
+        d = self.dim
+        spec = np.fft.fftn(y, axes=self.axes, out=out)
+        for field, block in enumerate(self.blocks):
+            np.multiply(self.mults[: len(block)], spec[field], out=block)
+        np.fft.ifftn(self.deriv, axes=self.axes, out=self.deriv)
+        da, dphi, *corr = self.blocks
+        grad_a, lap_a = da[:d], da[d]
+        grad_phi, lap_phi = dphi[:d].real, dphi[d].real
+        if self.sing_tol is not None:
+            _check_singularity(grad_phi, self.sing_tol, t)
+        a = y[0]
+        out[0] = -(sum(gp * ga for gp, ga in zip(grad_phi, grad_a)) + 0.5 * a * lap_phi)
+        out[1] = -(0.5 * sum(g * g for g in grad_phi) + np.abs(a) ** 2)
+        if corr:
+            a1, (grad_a1, dphi1) = y[2], corr
+            grad_phi1, lap_phi1 = dphi1[:d].real, dphi1[d].real
+            out[2] = -(
+                sum(gp * g1 for gp, g1 in zip(grad_phi, grad_a1))
+                + sum(g1 * ga for g1, ga in zip(grad_phi1, grad_a))
+                + 0.5 * a1 * lap_phi
+                + 0.5 * a * lap_phi1
+            )
+            out[3] = -(
+                sum(gp * g1 for gp, g1 in zip(grad_phi, grad_phi1))
+                + 2.0 * (np.conj(a) * a1).real
+            )
+        np.fft.fftn(out, axes=self.axes, out=out)
+        np.multiply(out, self.mask, out=out)
+        np.fft.ifftn(out, axes=self.axes, out=out)
+        out[1::2].imag = 0.0  # the phase rates are real
+        out[0] += 0.5j * self.eps * lap_a
+        if corr:
+            out[2] += 0.5j * lap_a
+        return out
 
 
 def grenier_rhs(state: GrenierState, sing_tol=None):
@@ -175,21 +175,10 @@ def grenier_rhs(state: GrenierState, sing_tol=None):
     When sing_tol is given, raises SingularityError if the phase gradient
     already exceeds it.
     """
-    work = _SpectralWork(state.a.grid)
-    a = state.a.values
-    phi = state.phi.values.real
-    da, dphi, grad_phi, *_ = _grenier_rates(work, a, phi, state.eps)
-    if sing_tol is not None:
-        gmax = max(np.abs(g).max() for g in grad_phi)
-        if gmax > sing_tol:
-            raise SingularityError(
-                f"phase gradient {gmax:.3e} exceeds the singularity threshold "
-                f"{sing_tol:.3e}",
-                grad_max=gmax,
-                t=state.t,
-            )
     g = state.a.grid
-    return Field(g, da), Field(g, dphi.astype(complex))
+    y = np.stack([state.a.values, state.phi.values.real])
+    k = _Rates(g, corrector=False, eps=state.eps, sing_tol=sing_tol)(y, state.t, np.empty_like(y))
+    return Field(g, k[0]), Field(g, k[1])
 
 
 def corrector_rhs(background: GrenierState, corr: CorrectorState):
@@ -201,27 +190,23 @@ def corrector_rhs(background: GrenierState, corr: CorrectorState):
         raise ValueError(
             f"background time {background.t} does not match corrector time {corr.t}"
         )
-    work = _SpectralWork(background.a.grid)
-    a = background.a.values
-    phi = background.phi.values.real
-    _, _, grad_phi, grad_a, lap_a, lap_phi = _grenier_rates(work, a, phi, 0.0)
-    da1, dphi1 = _corrector_rates(
-        work, corr.a1.values, corr.phi1.values.real, a, grad_phi, grad_a, lap_a, lap_phi
-    )
     g = background.a.grid
-    return Field(g, da1), Field(g, dphi1.astype(complex))
+    y = np.stack([background.a.values, background.phi.values.real,
+                  corr.a1.values, corr.phi1.values.real])
+    k = _Rates(g, corrector=True)(y, corr.t, np.empty_like(y))
+    return Field(g, k[2]), Field(g, k[3])
 
 
-def _auto_sing_tol(work, a_init, horizon):
+def _auto_sing_tol(grid, a_init, horizon):
     # Early-time scale: |grad phi| grows like t * max|grad |a(0)|^2|, so
     # 50x its value at the horizon is far outside regular behaviour.
-    grads = work.grads(np.fft.fftn(np.abs(a_init) ** 2))
-    rate = max(np.abs(g.real).max() for g in grads)
+    grads = _gradients(grid, np.fft.fftn(np.abs(a_init) ** 2))
+    rate = np.abs(grads.real).max()
     return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
 
 
 def _check_singularity(grad_phi, sing_tol, t):
-    gmax = max(np.abs(g).max() for g in grad_phi)
+    gmax = np.abs(grad_phi).max()
     if gmax > sing_tol:
         raise SingularityError(
             f"phase gradient {gmax:.3e} exceeds the singularity threshold "
@@ -232,33 +217,40 @@ def _check_singularity(grad_phi, sing_tol, t):
         )
 
 
-def _check_finite(arrays, step, dt, last):
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise NonFiniteError.at_step(step, dt, last)
+def _integrate(y, rates, config, make_snapshot):
+    """Classical RK4 on the stacked state y, advanced in place, with guard
+    checks and snapshots.
 
-
-def _integrate(fields, rhs, config, make_snapshot):
-    """Classical RK4 over a list of arrays with guard checks and snapshots.
-
-    rhs(y, t) may raise guard errors; the system itself is autonomous, the
-    stage time is for diagnostics only.
+    rates(y, t, out) may raise guard errors; the system itself is
+    autonomous, the stage time is for diagnostics only.  The stage sums
+    keep the order y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in
+    place so that one buffer serves k2 to k4.
     """
     n_steps = max(1, round(config.T / config.dt))
     dt = config.T / n_steps
-    snapshots = [make_snapshot(0.0, fields)]
-    y = list(fields)
+    snapshots = [make_snapshot(0.0, y)]
+    acc, k, stage = (np.empty_like(y) for _ in range(3))
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
-        k1 = rhs(y, t)
-        k2 = rhs([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)], t + 0.5 * dt)
-        k3 = rhs([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)], t + 0.5 * dt)
-        k4 = rhs([yi + dt * ki for yi, ki in zip(y, k3)], t + dt)
-        y = [
-            yi + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
-        _check_finite(y, step, dt, snapshots[-1])
+        rates(y, t, acc)
+        np.multiply(acc, 0.5 * dt, out=stage)
+        stage += y
+        rates(stage, t + 0.5 * dt, k)
+        np.multiply(k, 0.5 * dt, out=stage)
+        stage += y
+        k *= 2
+        acc += k
+        rates(stage, t + 0.5 * dt, k)
+        np.multiply(k, dt, out=stage)
+        stage += y
+        k *= 2
+        acc += k
+        rates(stage, t + dt, k)
+        acc += k
+        acc *= dt / 6.0
+        y += acc
+        if not np.isfinite(y).all():
+            raise NonFiniteError.at_step(step, dt, snapshots[-1])
         if step % config.save_every == 0 or step == n_steps:
             snapshots.append(make_snapshot(step * dt, y))
     return snapshots
@@ -283,9 +275,9 @@ def _prep_initial(a0: Field, a1, eps, config):
                 "the eps = 0 limit system starts from a0 alone; a1 is ignored",
                 stacklevel=3,
             )
-        return a0.values.copy()
+        return a0.values
     if a1 is None:
-        return a0.values.copy()
+        return a0.values
     return a0.values + eps * a1.values
 
 
@@ -299,21 +291,14 @@ def solve_grenier(a0: Field, a1, eps, config: WkbRunConfig):
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
     grid = a0.grid
-    work = _SpectralWork(grid)
-    a_init = _prep_initial(a0, a1, eps, config)
-    phi_init = np.zeros(grid.shape)
-    sing_tol = config.sing_tol or _auto_sing_tol(work, a_init, config.T)
-
-    def rhs(y, t):
-        a, phi = y
-        da, dphi, grad_phi, *_ = _grenier_rates(work, a, phi, eps)
-        _check_singularity(grad_phi, sing_tol, t)
-        return [da, dphi]
+    y = np.zeros((2,) + grid.shape, dtype=complex)
+    y[0] = _prep_initial(a0, a1, eps, config)
+    sing_tol = config.sing_tol or _auto_sing_tol(grid, y[0], config.T)
 
     def snap(t, y):
-        return GrenierState(t, Field(grid, y[0].copy()), Field(grid, y[1].astype(complex)), eps)
+        return GrenierState(t, Field(grid, y[0].copy()), Field(grid, y[1].real), eps)
 
-    return _integrate([a_init, phi_init], rhs, config, snap)
+    return _integrate(y, _Rates(grid, corrector=False, eps=eps, sing_tol=sing_tol), config, snap)
 
 
 def solve_limit_with_corrector(a0: Field, a1, config: WkbRunConfig):
@@ -323,28 +308,20 @@ def solve_limit_with_corrector(a0: Field, a1, config: WkbRunConfig):
     (GrenierState, CorrectorState) pairs at the saved times.
     """
     grid = a0.grid
-    work = _SpectralWork(grid)
     _check_data(a0, a1, config)
-    a_init = a0.values.copy()
-    a1_init = np.zeros(grid.shape, dtype=complex) if a1 is None else a1.values.copy()
-    sing_tol = config.sing_tol or _auto_sing_tol(work, a_init, config.T)
-
-    def rhs(y, t):
-        a, phi, a1c, phi1 = y
-        da, dphi, grad_phi, grad_a, lap_a, lap_phi = _grenier_rates(work, a, phi, 0.0)
-        _check_singularity(grad_phi, sing_tol, t)
-        da1, dphi1 = _corrector_rates(work, a1c, phi1, a, grad_phi, grad_a, lap_a, lap_phi)
-        return [da, dphi, da1, dphi1]
+    y = np.zeros((4,) + grid.shape, dtype=complex)
+    y[0] = a0.values
+    if a1 is not None:
+        y[2] = a1.values
+    sing_tol = config.sing_tol or _auto_sing_tol(grid, y[0], config.T)
 
     def snap(t, y):
         return (
-            GrenierState(t, Field(grid, y[0].copy()), Field(grid, y[1].astype(complex)), 0.0),
-            CorrectorState(t, Field(grid, y[2].copy()), Field(grid, y[3].astype(complex))),
+            GrenierState(t, Field(grid, y[0].copy()), Field(grid, y[1].real), 0.0),
+            CorrectorState(t, Field(grid, y[2].copy()), Field(grid, y[3].real)),
         )
 
-    return _integrate(
-        [a_init, np.zeros(grid.shape), a1_init, np.zeros(grid.shape)], rhs, config, snap
-    )
+    return _integrate(y, _Rates(grid, corrector=True, sing_tol=sing_tol), config, snap)
 
 
 def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
@@ -360,35 +337,37 @@ def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
 
 def spectra(state: GrenierState):
     """np.fft.fftn of the amplitude and of the (real) phase, the spectra
-    grad_phi_max and wkb_energy read; grid.from_fft gives them transform's
-    normalization."""
+    gradients reads; grid.from_fft gives them transform's normalization."""
     return np.fft.fftn(state.a.values), np.fft.fftn(state.phi.values.real)
 
 
-def grad_phi_max(state: GrenierState, fft_pair=None) -> float:
-    """Sup norm of the phase gradient, the singularity-guard observable.
+def gradients(state: GrenierState, fft_pair=None):
+    """Gradient components of a and of phi, shape (2, dim, *grid.shape),
+    the one gradient computation grad_phi_max and wkb_energy read.
     fft_pair, when given, is spectra(state)."""
-    _, phi_fft = spectra(state) if fft_pair is None else fft_pair
-    grads = _SpectralWork(state.phi.grid).grads(phi_fft)
-    return float(max(np.abs(g.real).max() for g in grads))
+    fft_pair = spectra(state) if fft_pair is None else fft_pair
+    return _gradients(state.a.grid, np.stack(fft_pair))
 
 
-def wkb_energy(state: GrenierState, fft_pair=None) -> float:
+def grad_phi_max(state: GrenierState, grads=None) -> float:
+    """Sup norm of the phase gradient, the singularity-guard observable.
+    grads, when given, is gradients(state)."""
+    grads = gradients(state) if grads is None else grads
+    return float(np.abs(grads[1].real).max())
+
+
+def wkb_energy(state: GrenierState, grads=None) -> float:
     """Wavefunction energy in phase-amplitude variables:
 
         int |eps grad a + i a grad phi|^2 + int |a|^4,
 
     which equals the semiclassical energy of a e^{i phi/eps} for eps > 0
-    and its eps -> 0 limit for the limit system. fft_pair, when given, is
-    spectra(state)."""
-    grid = state.a.grid
-    work = _SpectralWork(grid)
-    a_fft, phi_fft = spectra(state) if fft_pair is None else fft_pair
-    grad_a = work.grads(a_fft)
-    grad_phi = work.grads(phi_fft)
+    and its eps -> 0 limit for the limit system. grads, when given, is
+    gradients(state)."""
+    grad_a, grad_phi = gradients(state) if grads is None else grads
     density = sum(
         np.abs(state.eps * ga + 1j * state.a.values * gp.real) ** 2
         for ga, gp in zip(grad_a, grad_phi)
     )
     quart = np.abs(state.a.values) ** 4
-    return float(np.sum(density + quart) * grid.quad_weight)
+    return float(np.sum(density + quart) * state.a.grid.quad_weight)

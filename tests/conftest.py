@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,14 +32,27 @@ def random_field(grid, seed, scale=1.0, smooth_width=5):
     return sg.Field(grid, out * (scale / peak), sg.PHYSICAL)
 
 
+class FftCounts(dict):
+    """Calls per transform name; .rows holds the transformed rows per name,
+    the product of the axes a call does not transform (1 for a call that
+    transforms every axis)."""
+
+    def __init__(self, names):
+        super().__init__((name, 0) for name in names)
+        self.rows = dict.fromkeys(names, 0)
+
+
 def count_ffts(monkeypatch):
-    """Count np.fft.fftn / ifftn calls from here to the end of the test."""
-    counts = {"fftn": 0, "ifftn": 0}
+    """Count np.fft.fftn / ifftn calls and rows from here to the end of the test."""
+    counts = FftCounts(("fftn", "ifftn"))
 
     def counting(name, fn):
-        def wrapped(*args, **kwargs):
+        def wrapped(a, s=None, axes=None, *args, **kwargs):
+            shape = np.shape(a)
+            done = range(len(shape)) if axes is None else {ax % len(shape) for ax in axes}
             counts[name] += 1
-            return fn(*args, **kwargs)
+            counts.rows[name] += math.prod(n for ax, n in enumerate(shape) if ax not in done)
+            return fn(a, s, axes, *args, **kwargs)
         return wrapped
 
     for name in counts:

@@ -322,3 +322,100 @@ class TestTailFraction:
         # The guard's verdict at any bound more than 1e-12 away is unchanged.
         for tol in (old * (1 - 1e-12), old * (1 + 1e-12), 1e-6):
             assert (new <= tol) == (old <= tol)
+
+
+class TestSharedGrid:
+    def test_make_grid_shares_one_grid_per_key(self):
+        g = make_grid(2, 3.0, 16)
+        assert make_grid(2, 3, 16.0) is g
+        assert make_grid(2, 3.0, 32) is not g
+        assert make_grid(1, 3.0, 16) is not g
+
+    def test_concurrent_callers_share_one_grid(self, monkeypatch):
+        import sys
+        import threading
+        import time
+
+        grid_class = sg.Grid
+
+        def slow_grid(*args):
+            time.sleep(1e-3)  # widen the window between lookup and store
+            return grid_class(*args)
+
+        monkeypatch.setattr(sg, "Grid", slow_grid)
+        results, start = [], threading.Barrier(8)
+
+        def ask():
+            start.wait(timeout=10)
+            results.append(make_grid(1, 9.375, 128))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 8 and all(g is results[0] for g in results)
+
+    def test_dead_grids_are_freed(self):
+        import gc
+        import weakref
+
+        ref = weakref.ref(make_grid(1, 7.25, 64))
+        gc.collect()
+        assert ref() is None
+        assert make_grid(1, 7.25, 64).points_per_axis == 64
+
+    def test_cached_arrays_are_read_only(self):
+        g = make_grid(2, 3.0, 16)
+        arrays = [*g.x_axes, *g.k_axes, g.k_squared, g.spectral_phase,
+                  g.derivative_multipliers, g.dealias_mask, g.sobolev_weight(SobolevIndex(1.0))]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
+    def test_derivative_multipliers_stack_gradient_and_laplacian(self):
+        g = make_grid(2, 3.0, 16)
+        stack = g.derivative_multipliers
+        assert stack.shape == (3, 16, 16)
+        k = g.k_axes[0].copy()
+        k[8] = 0.0  # the unpaired Nyquist mode
+        assert np.array_equal(stack[0], np.broadcast_to(1j * k[:, None], g.shape))
+        assert np.array_equal(stack[1], np.broadcast_to(1j * k[None, :], g.shape))
+        assert np.array_equal(stack[2], -g.k_squared)
+
+    def test_each_weight_is_computed_once_per_grid(self, monkeypatch):
+        calls = []
+        weight = SobolevIndex.weight
+        monkeypatch.setattr(SobolevIndex, "weight",
+                            lambda self, k2: calls.append(self) or weight(self, k2))
+        g = make_grid(1, 5.125, 32)  # a key no other test holds
+        f = random_field(g, 3)
+        indices = [SobolevIndex(1.0), SobolevIndex(1.0, homogeneous=True),
+                   SobolevIndex(2.0, eps_scaled=0.5)]
+        first = [norm(f, index) for index in indices]
+        assert [norm(f, SobolevIndex(s.s, s.homogeneous, s.eps_scaled)) for s in indices] == first
+        assert calls == indices
+        # every order-0 weight is identically 1, so none is computed
+        norm(f, SobolevIndex(0.0, eps_scaled=0.5))
+        assert calls == indices
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(1, 2), seed=st.integers(0, 10_000), s=st.floats(0.0, 3.0),
+           kind=st.sampled_from(["plain", "homogeneous", "eps"]))
+    def test_norm_and_transform_equal_the_uncached_formulas(self, dim, seed, s, kind):
+        g = make_grid(dim, 4.0, 32)
+        f = random_field(g, seed)
+        index = SobolevIndex(s, homogeneous=kind == "homogeneous",
+                             eps_scaled=0.25 if kind == "eps" else None)
+        fhat = sg.transform(f)
+        assert np.array_equal(
+            fhat.values, np.fft.fftn(f.values) * (g.quad_weight * g.spectral_phase))
+        w = index.weight(g.k_squared)
+        assert norm(f, index) == float(
+            np.sqrt(np.sum(w * np.abs(fhat.values) ** 2) * g.parseval_weight))

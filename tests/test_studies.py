@@ -522,9 +522,11 @@ class TestFitAndReportPlumbing:
         orders = (0.0, 1.0)
         counts = count_ffts(monkeypatch)
         rows = rpt.wkb_trajectory_rows(traj, norm_orders=orders)
-        # fftn of a, of phi and of a1 (its L2 norm); one ifftn per gradient
-        # component of a and of phi for the energy, and of phi for its sup.
-        assert counts == {"fftn": 3 * len(traj), "ifftn": 3 * g.dim * len(traj)}
+        # fftn of a, of phi and of a1 (its L2 norm); one batched ifftn gives
+        # every gradient component of a and of phi, which the energy and the
+        # phase-gradient sup share.
+        assert counts == {"fftn": 3 * len(traj), "ifftn": len(traj)}
+        assert counts.rows == {"fftn": 3 * len(traj), "ifftn": 2 * g.dim * len(traj)}
         monkeypatch.undo()
         for row, (state, corr) in zip(rows, traj, strict=True):
             assert row["energy"] == wkb.wkb_energy(state)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scnls import grid as sg
 from scnls import nls, wkb
-from scnls.errors import ResolutionError, SingularityError
+from scnls.errors import NonFiniteError, ResolutionError, SingularityError
 from scnls.grid import Field, SobolevIndex, make_grid, make_gaussian, norm, resample
 from scnls.wkb import (
     CorrectorState,
@@ -16,7 +18,93 @@ from scnls.wkb import (
     solve_limit_with_corrector,
 )
 
-from conftest import count_ffts
+from conftest import count_ffts, random_field
+
+
+# Per-field reference of the right-hand sides and the RK4 loop: one FFT per
+# field and derivative, phases carried as real arrays, a new list of arrays
+# per stage.  The stacked engine must reproduce it bit for bit.
+
+def ref_derivs(g, values):
+    vhat = np.fft.fftn(values)
+    return [np.fft.ifftn(m * vhat) for m in g.derivative_multipliers[: g.dim]], np.fft.ifftn(-g.k_squared * vhat)
+
+
+def ref_dealias(g, values):
+    return np.fft.ifftn(np.fft.fftn(values) * g.dealias_mask)
+
+
+def ref_grenier_rates(g, a, phi, eps):
+    grad_a, lap_a = ref_derivs(g, a)
+    grad_phi, lap_phi = ref_derivs(g, phi)
+    grad_phi = [x.real for x in grad_phi]
+    lap_phi = lap_phi.real
+    quad_phi = -(0.5 * sum(x * x for x in grad_phi) + np.abs(a) ** 2)
+    quad_a = -(sum(gp * ga for gp, ga in zip(grad_phi, grad_a)) + 0.5 * a * lap_phi)
+    rates = [ref_dealias(g, quad_a) + 0.5j * eps * lap_a, ref_dealias(g, quad_phi).real]
+    return rates, (grad_phi, grad_a, lap_a, lap_phi)
+
+
+def ref_corrector_rates(g, a, phi, a1, phi1):
+    (da, dphi), (grad_phi, grad_a, lap_a, lap_phi) = ref_grenier_rates(g, a, phi, 0.0)
+    a1_hat = np.fft.fftn(a1)
+    grad_a1 = [np.fft.ifftn(m * a1_hat) for m in g.derivative_multipliers[: g.dim]]
+    grad_phi1, lap_phi1 = ref_derivs(g, phi1)
+    grad_phi1 = [x.real for x in grad_phi1]
+    lap_phi1 = lap_phi1.real
+    quad_phi1 = -(
+        sum(gp * g1 for gp, g1 in zip(grad_phi, grad_phi1)) + 2.0 * (np.conj(a) * a1).real
+    )
+    quad_a1 = -(
+        sum(gp * g1 for gp, g1 in zip(grad_phi, grad_a1))
+        + sum(g1 * ga for g1, ga in zip(grad_phi1, grad_a))
+        + 0.5 * a1 * lap_phi
+        + 0.5 * a * lap_phi1
+    )
+    return [da, dphi, ref_dealias(g, quad_a1) + 0.5j * lap_a, ref_dealias(g, quad_phi1).real]
+
+
+def ref_rk4(fields, rhs, config):
+    """(t, fields) at the saved steps; stops after the first step that
+    leaves a non-finite value and returns that step's fields last."""
+    n_steps = max(1, round(config.T / config.dt))
+    dt = config.T / n_steps
+    y = list(fields)
+    saved = [(0.0, y)]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(y)
+        k2 = rhs([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)])
+        k3 = rhs([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)])
+        k4 = rhs([yi + dt * ki for yi, ki in zip(y, k3)])
+        y = [yi + (dt / 6.0) * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        if not all(np.isfinite(yi).all() for yi in y):
+            saved.append((step * dt, y))
+            break
+        if step % config.save_every == 0 or step == n_steps:
+            saved.append((step * dt, y))
+    return saved
+
+
+def ref_solve_grenier(a0, eps, config):
+    g = a0.grid
+    return ref_rk4([a0.values, np.zeros(g.shape)],
+                   lambda y: ref_grenier_rates(g, *y, eps)[0], config)
+
+
+def ref_solve_limit_with_corrector(a0, a1, config):
+    g = a0.grid
+    zero = np.zeros(g.shape)
+    return ref_rk4([a0.values, zero, a1.values, zero],
+                   lambda y: ref_corrector_rates(g, *y), config)
+
+
+def snapshot_fields(snap):
+    states = snap if isinstance(snap, tuple) else (snap,)
+    out = []
+    for state in states:
+        out += [state.a.values, state.phi.values] if isinstance(state, GrenierState) else [
+            state.a1.values, state.phi1.values]
+    return out
 
 
 def fresh_state(grid, a_values, eps=0.0, t=0.0, phi_values=None):
@@ -114,9 +202,9 @@ class TestCorrectorRhs:
         da1, dphi1 = corrector_rhs(background, corr)
 
         mask = g.dealias_mask
-        gphi = np.fft.ifftn(g.grad_multipliers[0] * np.fft.fftn(phi)).real
-        ga1 = np.fft.ifftn(g.grad_multipliers[0] * np.fft.fftn(a1))
-        gphi1 = np.fft.ifftn(g.grad_multipliers[0] * np.fft.fftn(phi1)).real
+        gphi = np.fft.ifftn(g.derivative_multipliers[0] * np.fft.fftn(phi)).real
+        ga1 = np.fft.ifftn(g.derivative_multipliers[0] * np.fft.fftn(a1))
+        gphi1 = np.fft.ifftn(g.derivative_multipliers[0] * np.fft.fftn(phi1)).real
         lphi = np.fft.ifftn(-g.k_squared * np.fft.fftn(phi)).real
         dealias = lambda v: np.fft.ifftn(np.fft.fftn(v) * mask)
         expect_da1 = dealias(-(gphi * ga1) - 0.5 * a1 * lphi)
@@ -226,19 +314,135 @@ class TestCorrectorFlow:
         assert worst <= 1e-8
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_corrector_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim):
-    # Per RK4 stage: the background needs gradient and Laplacian of a and
-    # phi, the corrector the gradient of a1 and both of phi1, and the four
-    # quadratic terms are dealiased once each.
+def ffts_per_stage(monkeypatch, dim, solve):
+    """FFT calls and rows per RK4 stage of a 3-step run of solve(a0, config)."""
     g = make_grid(dim, 6.0, 32)
     a0 = make_gaussian(g)
     n_steps = 3
     counts = count_ffts(monkeypatch)
-    solve_limit_with_corrector(a0, a0, WkbRunConfig(dt=1e-2, T=n_steps * 1e-2, sing_tol=1e3))
+    solve(a0, WkbRunConfig(dt=1e-2, T=n_steps * 1e-2, sing_tol=1e3))
     stages = 4 * n_steps
-    assert counts["fftn"] == 8 * stages
-    assert counts["ifftn"] == (4 * dim + 7) * stages
+    return ({name: n / stages for name, n in counts.items()},
+            {name: n / stages for name, n in counts.rows.items()})
+
+
+# Per RK4 stage, one fftn of the stacked state and one batched ifftn give
+# every derivative, and one more pair dealiases every quadratic term.
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_corrector_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim):
+    # Rows: the background needs gradient and Laplacian of a and phi, the
+    # corrector the gradient of a1 and both of phi1, and each of the four
+    # quadratic terms is dealiased once.
+    calls, rows = ffts_per_stage(monkeypatch, dim,
+                                 lambda a0, cfg: solve_limit_with_corrector(a0, a0, cfg))
+    assert calls == {"fftn": 2, "ifftn": 2}
+    assert rows == {"fftn": 8, "ifftn": 4 * dim + 7}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grenier_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim):
+    calls, rows = ffts_per_stage(monkeypatch, dim,
+                                 lambda a0, cfg: solve_grenier(a0, a0, 0.25, cfg))
+    assert calls == {"fftn": 2, "ifftn": 2}
+    assert rows == {"fftn": 4, "ifftn": 2 * dim + 4}
+
+
+class TestBitIdentity:
+    """The stacked engine against the per-field reference above."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10_000), amplitude=st.floats(0.1, 2.0),
+           eps=st.sampled_from([0.0, 0.125, 0.5]), t=st.floats(0.0, 1.0))
+    def test_rhs(self, dim, seed, amplitude, eps, t):
+        g = make_grid(dim, 4.0, 32)
+        a, a1 = (random_field(g, seed + m, scale=amplitude).values for m in (0, 1))
+        phi, phi1 = (random_field(g, seed + m, scale=amplitude).values.real for m in (2, 3))
+        state = GrenierState(t, Field(g, a), Field(g, phi if t else 0 * phi), eps)
+        da, dphi = grenier_rhs(state)
+        ref_da, ref_dphi = ref_grenier_rates(g, a, state.phi.values.real, eps)[0]
+        assert np.array_equal(da.values, ref_da)
+        assert np.array_equal(dphi.values, ref_dphi)
+        assert not dphi.values.imag.any()
+
+        background = GrenierState(t, Field(g, a), state.phi, 0.0)
+        corr = CorrectorState(t, Field(g, a1), Field(g, phi1 if t else 0 * phi1))
+        da1, dphi1 = corrector_rhs(background, corr)
+        ref = ref_corrector_rates(g, a, state.phi.values.real, a1, corr.phi1.values.real)
+        assert np.array_equal(da1.values, ref[2])
+        assert np.array_equal(dphi1.values, ref[3])
+        assert not dphi1.values.imag.any()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 10_000), amplitude=st.floats(0.1, 2.0),
+           eps=st.sampled_from([0.0, 0.125, 0.5]), save_every=st.integers(1, 4))
+    def test_solvers(self, dim, sign, corrector, seed, amplitude, eps, save_every):
+        g = make_grid(dim, 4.0, 32)
+        a0, a1 = (random_field(g, seed + m, scale=amplitude) for m in (0, 1))
+        config = WkbRunConfig(dt=sign * 0.01, T=sign * 0.06, save_every=save_every,
+                              sing_tol=1e6, enforce_decay=False)
+        if corrector:
+            traj = solve_limit_with_corrector(a0, a1, config)
+            ref = ref_solve_limit_with_corrector(a0, a1, config)
+        else:
+            traj = solve_grenier(a0, None, eps, config)
+            ref = ref_solve_grenier(a0, eps, config)
+        assert len(traj) == len(ref)
+        for snap, (t, fields) in zip(traj, ref):
+            states = snap if isinstance(snap, tuple) else (snap,)
+            assert all(state.t == t for state in states)
+            for got, want in zip(snapshot_fields(snap), fields, strict=True):
+                assert np.array_equal(got, want)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("case", ["grenier", "corrector", "corrector-only"])
+    def test_overflow_raises_at_its_step_with_the_last_saved_snapshot(self, case):
+        g = make_grid(1, 6.0, 64)
+        if case == "corrector-only":
+            # the background stays finite; the corrector overflows at t = 0.48
+            a0, a1 = make_gaussian(g), make_gaussian(g, amplitude=1e306)
+            config = WkbRunConfig(dt=1e-2, T=1.0, save_every=5, sing_tol=np.inf)
+        else:
+            # everything overflows at t = 0.004
+            a0 = a1 = make_gaussian(g, amplitude=1e3)
+            config = WkbRunConfig(dt=1e-3, T=0.05, save_every=3, sing_tol=np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if case == "grenier":
+                ref = ref_solve_grenier(a0, 0.25, config)
+                run = lambda: solve_grenier(a0, None, 0.25, config)
+            else:
+                ref = ref_solve_limit_with_corrector(a0, a1, config)
+                run = lambda: solve_limit_with_corrector(a0, a1, config)
+            with pytest.raises(NonFiniteError) as exc:
+                run()
+        (t_last, last), (t_bad, bad) = ref[-2:]
+        step = round(t_bad / config.dt)
+        # the reference overflows between two save points, after the first
+        assert step % config.save_every != 0 and step > config.save_every
+        assert not all(np.isfinite(field).all() for field in bad)
+        assert np.isfinite(bad[0]).all() == (case == "corrector-only")
+        assert exc.value.t == t_bad
+        assert str(exc.value).startswith(f"non-finite values at step {step} ")
+        snap = exc.value.last_state
+        assert (snap if case == "grenier" else snap[0]).t == t_last
+        for got, want in zip(snapshot_fields(snap), last, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
+    def test_singularity_abort_is_unchanged(self, gaussian_1d, corrector):
+        cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=0.05)
+        with pytest.raises(SingularityError) as exc:
+            if corrector:
+                solve_limit_with_corrector(gaussian_1d, gaussian_1d, cfg)
+            else:
+                solve_grenier(gaussian_1d, None, 0.0, cfg)
+        assert exc.value.t == 0.042
+        assert exc.value.grad_max == 0.05063986133455971
 
 
 class TestReconstruct:
