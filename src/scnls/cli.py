@@ -10,28 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import nls, report, studies, wkb
-from .acceptance import AcceptanceSuite
+from .acceptance import FULL_EPS_SWEEP, AcceptanceSuite
 from .errors import GuardError
-from .grid import Field, lp_norm, make_grid, save_field
-from .studies import (
-    GaussianSpec,
-    RunCache,
-    ScalingParams,
-    SweepConfig,
-    aligned_run_config,
-    corollary_bookkeeping,
-    ghost_higher_order_study,
-    ghost_separation_study,
-    inflation_bookkeeping,
-    small_time_study,
-    wkb_error_study,
-)
+from .grid import lp_norm, make_grid, save_field
+from .studies import GaussianSpec, ScalingParams, SweepConfig
 
 log = logging.getLogger("scnls")
 
@@ -39,12 +30,7 @@ CONFIG_SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SCNLS_OUT_DIR"
 RUN_SAVES = 10  # save intervals of run-nls / run-wkb unless run.save_every is set
 
-COMMANDS = (
-    "run-nls", "run-wkb", "study-wkb-error", "study-smalltime",
-    "study-ghost", "study-ghost-n", "report-inflation", "report-corollary",
-    "selftest",
-)
-
+# command -> the `study` name a config may carry; also the parser's command order
 STUDY_NAMES = {
     "run-nls": "run_nls",
     "run-wkb": "run_wkb",
@@ -59,69 +45,148 @@ STUDY_NAMES = {
 
 
 # ----------------------------------------------------------------------
-# config validation: flat JSON document, versioned, unknown keys rejected
+# config schema: flat JSON document, versioned, unknown keys rejected
 # ----------------------------------------------------------------------
+
+class Key(NamedTuple):
+    """One config key.  kind is the type of the checked value: float, int,
+    bool, str (one of choices) or tuple (a list of floats).  A key whose
+    default is MISSING is required; a number whose default is None may be
+    null.  ge and le are inclusive bounds, gt an exclusive one."""
+
+    kind: type
+    default: object = MISSING
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    choices: tuple = ()
+
+
+def _fields_of(cls, **keys):
+    """keys, each defaulting to the default of the field of cls it names."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {name: key if key.default is not MISSING else key._replace(default=defaults[name])
+            for name, key in keys.items()}
+
+
+TOP_LEVEL = {
+    "schema_version": Key(int),
+    "seed": Key(int, 0),
+    "jobs": Key(int, 1, ge=1),
+}
+
+SCHEMA = {
+    "grid": _fields_of(
+        SweepConfig,
+        half_width=Key(float, gt=0.0),
+        points_base=Key(int, ge=8),
+        eps_ref=Key(float, gt=0.0, le=1.0),
+        wkb_points=Key(int, ge=8),
+        max_points_per_axis=Key(int, ge=8),
+    ),
+    "data": _fields_of(
+        GaussianSpec,
+        amplitude=Key(float),
+        width=Key(float, gt=0.0),
+        center=Key(float),
+    ),
+    "sweep": _fields_of(
+        SweepConfig,
+        eps_list=Key(tuple, FULL_EPS_SWEEP),
+        s_list=Key(tuple),
+        tau=Key(float, gt=0.0),
+        horizon=Key(float, gt=0.0),
+        a1_mode=Key(str, choices=studies.A1_MODES),
+        scaled_order=Key(int, ge=1),
+        n_saves=Key(int, ge=1),
+        certify_refinement=Key(bool),
+        smalltime_points=Key(int, ge=3),
+    ),
+    "solver": _fields_of(
+        SweepConfig,
+        nls_dt_safety=Key(float, gt=0.0),
+        wkb_dt_safety=Key(float, gt=0.0),
+        tail_tol=Key(float, gt=0.0),
+    ),
+    "run": {
+        "eps": Key(float, 0.125, ge=0.0, le=1.0),
+        "dim": Key(int, 1, ge=1),
+        "points": Key(int, 512, ge=8),
+        "T": Key(float, 0.25),
+        "dt": Key(float, None),
+        "save_every": Key(int, 0, ge=0),
+        "norms": Key(tuple, (0.0, 1.0)),
+        "a1_mode": Key(str, "zero", choices=("zero", "equal_a0", "imaginary")),
+        "with_corrector": Key(bool, False),
+        "dump_fields": Key(bool, False),
+        "sing_tol": Key(float, None, gt=0.0),
+    },
+    "scaling": {
+        "n": Key(int, 6, ge=3),
+        "s": Key(float, 1.0),
+        "sigma": Key(float, 1.5),
+        "k": Key(float, 1.0),
+    },
+    "corollary": {
+        "n": Key(int, 6, ge=5),
+        "delta": Key(float, 0.1, gt=0.0),
+        "target_energy": Key(float, None, gt=0.0),
+    },
+}
+
 
 def _fail(path, message):
     raise ValueError(f"config field '{path}' {message}")
 
 
-def _check_keys(doc, allowed, path):
-    unknown = sorted(set(doc) - set(allowed))
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _checked(key, val, path):
+    """val checked against key: numbers as floats, number lists as float tuples."""
+    if val is None and key.default is None:
+        return None
+    if val is MISSING or (val is None and key.kind in (float, int)):
+        _fail(path, "is required")
+    if key.kind is bool:
+        if not isinstance(val, bool):
+            _fail(path, f"must be true/false, got {val!r}")
+        return val
+    if key.kind is str:
+        if val not in key.choices:
+            _fail(path, f"must be one of {sorted(key.choices)}, got {val!r}")
+        return val
+    if key.kind is tuple:
+        if not isinstance(val, (list, tuple)) or not all(map(_is_number, val)):
+            _fail(path, f"must be a list of numbers, got {val!r}")
+        if not all(map(math.isfinite, val)):
+            _fail(path, f"must be a list of finite numbers, got {val!r}")
+        return tuple(float(v) for v in val)
+    if key.kind is int and (isinstance(val, bool) or not isinstance(val, int)):
+        _fail(path, f"must be an integer, got {val!r}")
+    if not _is_number(val):
+        _fail(path, f"must be a number, got {val!r}")
+    if key.kind is float and not math.isfinite(val):
+        _fail(path, f"must be finite, got {val}")
+    if key.ge is not None and val < key.ge:
+        _fail(path, f"must be >= {key.ge}, got {val}")
+    if key.gt is not None and val <= key.gt:
+        _fail(path, f"must be > {key.gt}, got {val}")
+    if key.le is not None and val > key.le:
+        _fail(path, f"must be <= {key.le}, got {val}")
+    return float(val) if key.kind is float else val
+
+
+def _section(doc, keys, path, others=()):
+    """doc checked against keys, defaults filled in; others may also appear."""
+    if not isinstance(doc, dict):
+        _fail(path, "must be a JSON object")
+    unknown = sorted(set(doc) - set(keys) - set(others))
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} under '{path}'")
-
-
-def _number(doc, key, path, default=None, minimum=None, maximum=None,
-            exclusive_min=None, allow_none=False):
-    val = doc.get(key, default)
-    if val is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "is required")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {val!r}")
-    if minimum is not None and val < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-    if exclusive_min is not None and val <= exclusive_min:
-        _fail(f"{path}.{key}", f"must be > {exclusive_min}, got {val}")
-    if maximum is not None and val > maximum:
-        _fail(f"{path}.{key}", f"must be <= {maximum}, got {val}")
-    return float(val)
-
-
-def _integer(doc, key, path, default=None, minimum=None):
-    val = doc.get(key, default)
-    if val is None:
-        _fail(f"{path}.{key}", "is required")
-    if isinstance(val, bool) or not isinstance(val, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-    return val
-
-
-def _boolean(doc, key, path, default=False):
-    val = doc.get(key, default)
-    if not isinstance(val, bool):
-        _fail(f"{path}.{key}", f"must be true/false, got {val!r}")
-    return val
-
-
-def _choice(doc, key, path, choices, default=None):
-    val = doc.get(key, default)
-    if val not in choices:
-        _fail(f"{path}.{key}", f"must be one of {sorted(choices)}, got {val!r}")
-    return val
-
-
-def _number_list(doc, key, path, default):
-    val = doc.get(key, list(default))
-    if not isinstance(val, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
-    ):
-        _fail(f"{path}.{key}", f"must be a list of numbers, got {val!r}")
-    return tuple(float(v) for v in val)
+    return {name: _checked(key, doc.get(name, key.default), f"{path}.{name}")
+            for name, key in keys.items()}
 
 
 def load_config(path):
@@ -137,304 +202,149 @@ def load_config(path):
 
 def validate_config(doc, command):
     """Normalize the document; every error names the offending field."""
-    _check_keys(
-        doc,
-        ("schema_version", "study", "grid", "data", "sweep", "solver", "run",
-         "scaling", "corollary", "out_dir", "seed", "jobs"),
-        "<top level>",
-    )
-    version = _integer(doc, "schema_version", "<top level>")
-    if version != CONFIG_SCHEMA_VERSION:
-        _fail("schema_version", f"must be {CONFIG_SCHEMA_VERSION}, got {version}")
-    study = doc.get("study")
-    if study is not None and study != STUDY_NAMES[command]:
-        _fail("study", f"names '{study}' but the subcommand runs '{STUDY_NAMES[command]}'")
-
-    out = {"out_dir": doc.get("out_dir"), "seed": _integer(doc, "seed", "<top level>", 0),
-           "jobs": _integer(doc, "jobs", "<top level>", 1, minimum=1)}
+    out = _section(doc, TOP_LEVEL, "<top level>", ("study", "out_dir", *SCHEMA))
+    if out["schema_version"] != CONFIG_SCHEMA_VERSION:
+        _fail("schema_version", f"must be {CONFIG_SCHEMA_VERSION}, got {out['schema_version']}")
+    if doc.get("study") not in (None, STUDY_NAMES[command]):
+        _fail("study", f"names '{doc['study']}' but the subcommand runs '{STUDY_NAMES[command]}'")
+    out["out_dir"] = doc.get("out_dir")
     if out["out_dir"] is not None and not isinstance(out["out_dir"], str):
         _fail("out_dir", "must be a string path")
-
-    grid = doc.get("grid", {})
-    _check_keys(grid, ("half_width", "points_base", "eps_ref", "wkb_points",
-                       "max_points_per_axis"), "grid")
-    out["grid"] = {
-        "half_width": _number(grid, "half_width", "grid", 12.0, exclusive_min=0.0),
-        "points_base": _integer(grid, "points_base", "grid", 256, minimum=8),
-        "eps_ref": _number(grid, "eps_ref", "grid", 0.25, exclusive_min=0.0, maximum=1.0),
-        "wkb_points": _integer(grid, "wkb_points", "grid", 256, minimum=8),
-        "max_points_per_axis": _integer(grid, "max_points_per_axis", "grid", 32768, minimum=8),
-    }
-
-    data = doc.get("data", {})
-    _check_keys(data, ("amplitude", "width", "center"), "data")
-    out["data"] = {
-        "amplitude": _number(data, "amplitude", "data", 1.0),
-        "width": _number(data, "width", "data", 1.0, exclusive_min=0.0),
-        "center": _number(data, "center", "data", 0.0),
-    }
-
-    sweep = doc.get("sweep", {})
-    _check_keys(sweep, ("eps_list", "s_list", "tau", "horizon", "a1_mode",
-                        "scaled_order", "n_saves", "certify_refinement",
-                        "smalltime_points"), "sweep")
-    out["sweep"] = {
-        "eps_list": _number_list(sweep, "eps_list", "sweep",
-                                 (0.25, 0.125, 0.0625, 0.03125, 0.015625)),
-        "s_list": _number_list(sweep, "s_list", "sweep", (0.0, 1.0, 2.0)),
-        "tau": _number(sweep, "tau", "sweep", 0.2, exclusive_min=0.0),
-        "horizon": _number(sweep, "horizon", "sweep", 0.25, exclusive_min=0.0),
-        "a1_mode": _choice(sweep, "a1_mode", "sweep", studies.A1_MODES,
-                           "scaled" if command == "study-ghost-n" else "equal_a0"),
-        "scaled_order": _integer(sweep, "scaled_order", "sweep", 2, minimum=1),
-        "n_saves": _integer(sweep, "n_saves", "sweep", 10, minimum=1),
-        "certify_refinement": _boolean(sweep, "certify_refinement", "sweep", False),
-        "smalltime_points": _integer(sweep, "smalltime_points", "sweep", 6, minimum=3),
-    }
-
-    solver = doc.get("solver", {})
-    _check_keys(solver, ("nls_dt_safety", "wkb_dt_safety", "tail_tol"), "solver")
-    out["solver"] = {
-        "nls_dt_safety": _number(solver, "nls_dt_safety", "solver", nls.DEFAULT_DT_SAFETY,
-                                 exclusive_min=0.0),
-        "wkb_dt_safety": _number(solver, "wkb_dt_safety", "solver", 0.25, exclusive_min=0.0),
-        "tail_tol": _number(solver, "tail_tol", "solver", 1e-6, exclusive_min=0.0),
-    }
-
-    run = doc.get("run", {})
-    _check_keys(run, ("eps", "dim", "points", "T", "dt", "save_every", "norms",
-                      "a1_mode", "with_corrector", "dump_fields", "sing_tol"), "run")
-    out["run"] = {
-        "eps": _number(run, "eps", "run", 0.125, minimum=0.0, maximum=1.0),
-        "dim": _integer(run, "dim", "run", 1, minimum=1),
-        "points": _integer(run, "points", "run", 512, minimum=8),
-        "T": _number(run, "T", "run", 0.25),
-        "dt": _number(run, "dt", "run", None, allow_none=True),
-        "save_every": _integer(run, "save_every", "run", 0, minimum=0),
-        "norms": _number_list(run, "norms", "run", (0.0, 1.0)),
-        "a1_mode": _choice(run, "a1_mode", "run",
-                           ("zero", "equal_a0", "imaginary"), "zero"),
-        "with_corrector": _boolean(run, "with_corrector", "run", False),
-        "dump_fields": _boolean(run, "dump_fields", "run", False),
-        "sing_tol": _number(run, "sing_tol", "run", None, exclusive_min=0.0,
-                            allow_none=True),
-    }
-
+    for name, keys in SCHEMA.items():
+        out[name] = _section(doc.get(name, {}), keys, name)
     if out["run"]["T"] == 0:
         _fail("run.T", "must be nonzero")
     if out["run"]["dt"] == 0:
         _fail("run.dt", "must be nonzero (omit it for the default step)")
-
-    scaling = doc.get("scaling", {})
-    _check_keys(scaling, ("n", "s", "sigma", "k"), "scaling")
-    out["scaling"] = {
-        "n": _integer(scaling, "n", "scaling", 6, minimum=3),
-        "s": _number(scaling, "s", "scaling", 1.0),
-        "sigma": _number(scaling, "sigma", "scaling", 1.5),
-        "k": _number(scaling, "k", "scaling", 1.0),
-    }
-
-    corollary = doc.get("corollary", {})
-    _check_keys(corollary, ("n", "delta", "target_energy"), "corollary")
-    out["corollary"] = {
-        "n": _integer(corollary, "n", "corollary", 6, minimum=5),
-        "delta": _number(corollary, "delta", "corollary", 0.1, exclusive_min=0.0),
-        "target_energy": _number(corollary, "target_energy", "corollary", None,
-                                 exclusive_min=0.0, allow_none=True),
-    }
     return out
 
 
-def _sweep_config(cfg, jobs, extra_s=(), a1_mode=None):
-    s_list = list(cfg["sweep"]["s_list"])
-    for s in extra_s:
-        if not any(abs(s - x) <= 1e-12 for x in s_list):
-            s_list.append(s)
-    return SweepConfig(
-        eps_list=tuple(cfg["sweep"]["eps_list"]),
-        s_list=tuple(sorted(s_list)),
-        tau=cfg["sweep"]["tau"],
-        horizon=cfg["sweep"]["horizon"],
-        a0=GaussianSpec(**cfg["data"]),
-        a1_mode=a1_mode or cfg["sweep"]["a1_mode"],
-        scaled_order=cfg["sweep"]["scaled_order"],
-        half_width=cfg["grid"]["half_width"],
-        points_base=cfg["grid"]["points_base"],
-        eps_ref=cfg["grid"]["eps_ref"],
-        wkb_points=cfg["grid"]["wkb_points"],
-        n_saves=cfg["sweep"]["n_saves"],
-        nls_dt_safety=cfg["solver"]["nls_dt_safety"],
-        wkb_dt_safety=cfg["solver"]["wkb_dt_safety"],
-        tail_tol=cfg["solver"]["tail_tol"],
-        smalltime_points=cfg["sweep"]["smalltime_points"],
-        certify_refinement=cfg["sweep"]["certify_refinement"],
-        max_points_per_axis=cfg["grid"]["max_points_per_axis"],
-        jobs=jobs,
-    )
+def _sweep_config(cfg, jobs, extra_s=None, a1_mode=None):
+    s_list = cfg["sweep"]["s_list"]
+    if extra_s is not None and not any(abs(extra_s - x) <= 1e-12 for x in s_list):
+        s_list += (extra_s,)
+    sweep = {**cfg["sweep"], "s_list": tuple(sorted(s_list)),
+             "a1_mode": a1_mode or cfg["sweep"]["a1_mode"]}
+    return SweepConfig(a0=GaussianSpec(**cfg["data"]), **cfg["grid"], **sweep,
+                       **cfg["solver"], jobs=jobs)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def _save_cadence(horizon, dt):
-    """Steps between saves for about RUN_SAVES saves over the horizon."""
-    return max(1, round(abs(horizon / dt) / RUN_SAVES))
-
-
-def _clip_dt(dt_rule, horizon):
-    """Default rule step, clipped into the run horizon, carrying its sign."""
-    sign = 1.0 if horizon > 0 else -1.0
-    return sign * min(dt_rule, abs(horizon))
-
-
-def _emit(out_dir, csv_name, reports):
-    paths = []
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
-    names = csv_name if isinstance(csv_name, (list, tuple)) else [csv_name]
-    for rep, name in zip(reports, names):
-        paths.append(report.write_study_csv(rep, out_dir / name))
-    paths.append(report.write_summary_json(list(reports), out_dir / "summary.json"))
+def _emit(out_dir, names, reports):
+    """Write each report's CSV and one summary.json; returns exit code 0."""
+    paths = [report.write_study_csv(rep, out_dir / name) for rep, name in zip(reports, names)]
+    paths.append(report.write_summary_json(reports, out_dir / "summary.json"))
     for p in paths:
         log.info("wrote %s", p)
-    return paths
+    return 0
+
+
+def _run_config(config_cls, run, default_dt, **kwargs):
+    """config_cls for the run section: run.dt or default_dt, saved every
+    run.save_every steps or about RUN_SAVES times over the horizon."""
+    dt = default_dt if run["dt"] is None else run["dt"]
+    save_every = run["save_every"] or max(1, round(abs(run["T"] / dt) / RUN_SAVES))
+    return config_cls(dt=dt, T=run["T"], save_every=save_every, **kwargs)
+
+
+def _run_single(cfg, out_dir, kind, solve):
+    """The path run-nls and run-wkb share.  solve(grid, a0) runs the solver
+    and returns its step, its trajectory rows and one {file prefix: Field}
+    dict per snapshot."""
+    run = cfg["run"]
+    grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
+    dt, rows, snapshots = solve(grid, GaussianSpec(**cfg["data"]).realize(grid))
+    path = report.write_trajectory_csv(rows, out_dir / f"{kind}_trajectory.csv")
+    log.info("wrote %s", path)
+    if run["dump_fields"]:
+        fdir = out_dir / "fields"
+        fdir.mkdir(exist_ok=True)
+        for i, snapshot in enumerate(snapshots):
+            for prefix, field in snapshot.items():
+                save_field(field, fdir / f"{prefix}_{i:04d}")
+    report.dump_json({"schema_version": report.SUMMARY_SCHEMA_VERSION,
+                      "study": f"run_{kind}", "passed": True,
+                      "rows": len(rows), "eps": run["eps"], "dt": dt},
+                     out_dir / "summary.json")
+    return 0
 
 
 def cmd_run_nls(cfg, out_dir, jobs):
-    run = cfg["run"]
+    run, solver = cfg["run"], cfg["solver"]
     if not 0 < run["eps"] <= 1:
         _fail("run.eps", f"must lie in (0, 1] for the wavefunction solver, got {run['eps']}")
-    grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
-    tail_tol = cfg["solver"]["tail_tol"]
-    if run["dt"] is None:
-        rc = aligned_run_config(
-            nls.NlsRunConfig, nls.default_dt(grid, run["eps"], cfg["solver"]["nls_dt_safety"]),
-            run["T"], RUN_SAVES, tail_tol=tail_tol,
-        )
-    else:
-        rc = nls.NlsRunConfig(dt=run["dt"], T=run["T"], tail_tol=tail_tol,
-                              save_every=_save_cadence(run["T"], run["dt"]))
-    if run["save_every"]:
-        rc = replace(rc, save_every=run["save_every"])
-    u0 = GaussianSpec(**cfg["data"]).realize(grid)
-    traj = nls.solve_nls(u0, run["eps"], rc)
-    rows = report.nls_trajectory_rows(traj, run["norms"])
-    path = report.write_trajectory_csv(rows, out_dir / "nls_trajectory.csv")
-    log.info("wrote %s", path)
-    if run["dump_fields"]:
-        fdir = out_dir / "fields"
-        fdir.mkdir(exist_ok=True)
-        for i, state in enumerate(traj):
-            save_field(state.u, fdir / f"u_{i:04d}")
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump({"schema_version": report.SUMMARY_SCHEMA_VERSION,
-                   "study": "run_nls", "passed": True,
-                   "rows": len(rows), "eps": run["eps"], "dt": rc.dt},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return 0
+
+    def solve(grid, u0):
+        # the default step divides each of the RUN_SAVES save intervals evenly
+        target = nls.default_dt(grid, run["eps"], solver["nls_dt_safety"])
+        aligned = studies.aligned_run_config(nls.NlsRunConfig, target, run["T"], RUN_SAVES)
+        rc = _run_config(nls.NlsRunConfig, run, aligned.dt, tail_tol=solver["tail_tol"])
+        traj = nls.solve_nls(u0, run["eps"], rc)
+        return rc.dt, report.nls_trajectory_rows(traj, run["norms"]), [{"u": s.u} for s in traj]
+
+    return _run_single(cfg, out_dir, "nls", solve)
 
 
 def cmd_run_wkb(cfg, out_dir, jobs):
-    run = cfg["run"]
-    grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
-    dt = run["dt"]
-    if dt is None:
-        dt = _clip_dt(wkb.default_dt(grid, run["eps"], cfg["solver"]["wkb_dt_safety"]), run["T"])
-    save_every = run["save_every"] or _save_cadence(run["T"], dt)
-    rc = wkb.WkbRunConfig(dt=dt, T=run["T"], save_every=save_every,
-                          tail_tol=cfg["solver"]["tail_tol"], sing_tol=run["sing_tol"])
-    a0 = GaussianSpec(**cfg["data"]).realize(grid)
-    if run["a1_mode"] == "zero":
-        a1 = None
-    elif run["a1_mode"] == "equal_a0":
-        a1 = a0
-    else:
-        a1 = Field(grid, 1j * a0.values)
-    if run["with_corrector"]:
-        if run["eps"] != 0:
-            _fail("run.with_corrector", "requires run.eps = 0 (the corrector rides the limit system)")
-        traj = wkb.solve_limit_with_corrector(a0, a1, rc)
-    else:
-        traj = wkb.solve_grenier(a0, a1, run["eps"], rc)
-    rows = report.wkb_trajectory_rows(traj, run["norms"])
-    path = report.write_trajectory_csv(rows, out_dir / "wkb_trajectory.csv")
-    log.info("wrote %s", path)
-    if run["dump_fields"]:
-        fdir = out_dir / "fields"
-        fdir.mkdir(exist_ok=True)
-        for i, snap in enumerate(traj):
-            state = snap[0] if isinstance(snap, tuple) else snap
-            save_field(state.a, fdir / f"a_{i:04d}")
-            save_field(state.phi, fdir / f"phi_{i:04d}")
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump({"schema_version": report.SUMMARY_SCHEMA_VERSION,
-                   "study": "run_wkb", "passed": True,
-                   "rows": len(rows), "eps": run["eps"], "dt": rc.dt},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return 0
+    run, solver = cfg["run"], cfg["solver"]
+    if run["with_corrector"] and run["eps"] != 0:
+        _fail("run.with_corrector", "requires run.eps = 0 (the corrector rides the limit system)")
+
+    def solve(grid, a0):
+        # the default step is the RK4 rule clipped to the horizon
+        target = wkb.default_dt(grid, run["eps"], solver["wkb_dt_safety"])
+        rc = _run_config(wkb.WkbRunConfig, run, math.copysign(min(target, abs(run["T"])), run["T"]),
+                         tail_tol=solver["tail_tol"], sing_tol=run["sing_tol"])
+        a1 = studies.a1_datum(run["a1_mode"], a0)
+        if run["with_corrector"]:
+            traj = wkb.solve_limit_with_corrector(a0, a1, rc)
+        else:
+            traj = wkb.solve_grenier(a0, a1, run["eps"], rc)
+        states = [snap[0] if isinstance(snap, tuple) else snap for snap in traj]
+        return (rc.dt, report.wkb_trajectory_rows(traj, run["norms"]),
+                [{"a": s.a, "phi": s.phi} for s in states])
+
+    return _run_single(cfg, out_dir, "wkb", solve)
 
 
-def cmd_study_wkb_error(cfg, out_dir, jobs):
-    rep = wkb_error_study(_sweep_config(cfg, jobs))
-    _emit(out_dir, "wkb_error_study.csv", rep)
-    return 0
+# study-* command -> (function of `studies`, looked up on each call so that a wrapper
+# bound on the module runs, e.g. perfbench's tracer; CSV name; forced sweep.a1_mode)
+STUDY_COMMANDS = {
+    "study-wkb-error": ("wkb_error_study", "wkb_error_study.csv", None),
+    "study-smalltime": ("small_time_study", "smalltime_study.csv", None),
+    "study-ghost": ("ghost_separation_study", "ghost_study.csv", None),
+    "study-ghost-n": ("ghost_higher_order_study", "ghost_n_study.csv", "scaled"),
+}
 
 
-def cmd_study_smalltime(cfg, out_dir, jobs):
-    rep = small_time_study(_sweep_config(cfg, jobs))
-    _emit(out_dir, "smalltime_study.csv", rep)
-    return 0
-
-
-def cmd_study_ghost(cfg, out_dir, jobs):
-    rep = ghost_separation_study(_sweep_config(cfg, jobs))
-    _emit(out_dir, "ghost_study.csv", rep)
-    return 0
-
-
-def cmd_study_ghost_n(cfg, out_dir, jobs):
-    rep = ghost_higher_order_study(_sweep_config(cfg, jobs, a1_mode="scaled"))
-    _emit(out_dir, "ghost_n_study.csv", rep)
-    return 0
+def cmd_study(command, cfg, out_dir, jobs):
+    study, csv_name, a1_mode = STUDY_COMMANDS[command]
+    rep = getattr(studies, study)(_sweep_config(cfg, jobs, a1_mode=a1_mode))
+    return _emit(out_dir, [csv_name], [rep])
 
 
 def cmd_report_inflation(cfg, out_dir, jobs):
     params = ScalingParams(**cfg["scaling"])
-    sweep = _sweep_config(cfg, jobs, extra_s=(params.k,))
-    measured = ghost_separation_study(sweep)
-    rep = inflation_bookkeeping(params, measured)
-    _emit(out_dir, ["ghost_study.csv", "inflation_report.csv"], [measured, rep])
-    return 0
+    measured = studies.ghost_separation_study(_sweep_config(cfg, jobs, extra_s=params.k))
+    rep = studies.inflation_bookkeeping(params, measured)
+    return _emit(out_dir, ["ghost_study.csv", "inflation_report.csv"], [measured, rep])
 
 
 def cmd_report_corollary(cfg, out_dir, jobs):
-    n = cfg["corollary"]["n"]
-    sweep = _sweep_config(cfg, jobs, extra_s=(1.0,))
-    target = cfg["corollary"]["target_energy"]
-    if target is not None:
+    sweep = _sweep_config(cfg, jobs, extra_s=1.0)
+    corollary = cfg["corollary"]
+    if corollary["target_energy"] is not None:
         # rescale the datum so the j-independent leading energy term hits
         # the requested level before the sweep runs
         probe = sweep.a0.realize(sweep.wkb_grid())
-        quart = lp_norm(probe, 4.0) ** 4
-        alpha = (target / quart) ** 0.25
-        sweep = SweepConfig(
-            **{**_dataclass_dict(sweep), "a0": GaussianSpec(
-                amplitude=sweep.a0.amplitude * alpha,
-                width=sweep.a0.width, center=sweep.a0.center)}
-        )
-    measured = ghost_separation_study(sweep)
-    rep = corollary_bookkeeping(n, measured, delta=cfg["corollary"]["delta"])
-    _emit(out_dir, ["ghost_study.csv", "corollary_report.csv"], [measured, rep])
-    return 0
-
-
-def _dataclass_dict(dc):
-    from dataclasses import fields
-
-    return {f.name: getattr(dc, f.name) for f in fields(dc)}
+        alpha = (corollary["target_energy"] / lp_norm(probe, 4.0) ** 4) ** 0.25
+        sweep = replace(sweep, a0=replace(sweep.a0, amplitude=sweep.a0.amplitude * alpha))
+    measured = studies.ghost_separation_study(sweep)
+    rep = studies.corollary_bookkeeping(corollary["n"], measured, delta=corollary["delta"])
+    return _emit(out_dir, ["ghost_study.csv", "corollary_report.csv"], [measured, rep])
 
 
 def cmd_selftest(cfg, out_dir, jobs):
@@ -449,9 +359,7 @@ def cmd_selftest(cfg, out_dir, jobs):
             for r in results
         ],
     }
-    with open(out_dir / "acceptance_summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    report.dump_json(payload, out_dir / "acceptance_summary.json")
     names = ["wkb_error_study.csv", "smalltime_study.csv", "ghost_study.csv",
              "ghost_control_study.csv", "ghost_n_study.csv"]
     for rep, name in zip(suite.reports(), names):
@@ -466,10 +374,7 @@ def cmd_selftest(cfg, out_dir, jobs):
 DISPATCH = {
     "run-nls": cmd_run_nls,
     "run-wkb": cmd_run_wkb,
-    "study-wkb-error": cmd_study_wkb_error,
-    "study-smalltime": cmd_study_smalltime,
-    "study-ghost": cmd_study_ghost,
-    "study-ghost-n": cmd_study_ghost_n,
+    **{command: partial(cmd_study, command) for command in STUDY_COMMANDS},
     "report-inflation": cmd_report_inflation,
     "report-corollary": cmd_report_corollary,
     "selftest": cmd_selftest,
@@ -482,7 +387,7 @@ def build_parser():
         description="Pseudo-spectral verification suite for semiclassical cubic NLS",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in STUDY_NAMES:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config (defaults to the canonical setup)")
@@ -511,8 +416,7 @@ def run(argv) -> int:
         jobs = args.jobs if args.jobs is not None else cfg["jobs"]
         if jobs < 1:
             _fail("jobs", f"must be >= 1, got {jobs}")
-        out_dir = args.out or cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "scnls_out"
-        out_dir = Path(out_dir)
+        out_dir = Path(args.out or cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "scnls_out")
         out_dir.mkdir(parents=True, exist_ok=True)
         return DISPATCH[args.command](cfg, out_dir, jobs)
     except ValueError as exc:

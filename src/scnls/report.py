@@ -95,6 +95,11 @@ def write_summary_json(reports, path):
         "passed": all(r.passed() for r in reports),
         "studies": {r.study: summary_dict(r) for r in reports},
     }
+    return dump_json(payload, path)
+
+
+def dump_json(payload, path):
+    """Write payload as key-sorted, indented JSON ending in a newline."""
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

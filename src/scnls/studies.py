@@ -256,6 +256,18 @@ def stack_nls_runs(cache, cfg: SweepConfig, multipliers):
     _sweep_map(cfg, one_eps)
 
 
+def a1_datum(kind, a0):
+    """The datum a1 a phase-amplitude run pairs with a0: None for "zero",
+    a0 for "equal_a0", i a0 for "imaginary"."""
+    if kind == "zero":
+        return None
+    if kind == "equal_a0":
+        return a0
+    if kind == "imaginary":
+        return Field(a0.grid, 1j * a0.values)
+    raise ValueError(f"unknown a1 datum kind {kind!r}")
+
+
 def _limit_trajectory(cache, cfg: SweepConfig, a1_kind="equal_a0"):
     grid = cfg.wkb_grid()
     rc = cfg.wkb_run_config(grid, 0.0)
@@ -263,15 +275,7 @@ def _limit_trajectory(cache, cfg: SweepConfig, a1_kind="equal_a0"):
 
     def go():
         a0 = cfg.a0.realize(grid)
-        if a1_kind == "zero":
-            a1 = None
-        elif a1_kind == "equal_a0":
-            a1 = a0
-        elif a1_kind == "imaginary":
-            a1 = Field(grid, 1j * a0.values)
-        else:
-            raise ValueError(f"unknown corrector datum kind {a1_kind!r}")
-        return wkb.solve_limit_with_corrector(a0, a1, rc)
+        return wkb.solve_limit_with_corrector(a0, a1_datum(a1_kind, a0), rc)
 
     return cache.get_or_run(key, go)
 
@@ -283,8 +287,7 @@ def _grenier_trajectory(cache, cfg: SweepConfig, eps, a1_kind="equal_a0"):
 
     def go():
         a0 = cfg.a0.realize(grid)
-        a1 = a0 if a1_kind == "equal_a0" else None
-        return wkb.solve_grenier(a0, a1, eps, rc)
+        return wkb.solve_grenier(a0, a1_datum(a1_kind, a0), eps, rc)
 
     return cache.get_or_run(key, go)
 

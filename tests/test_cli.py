@@ -1,11 +1,16 @@
 import csv
 import json
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from scnls import cli, nls
-from scnls.acceptance import CheckResult
+from scnls.acceptance import FULL_EPS_SWEEP, CheckResult
+from scnls.studies import SweepConfig
+
+FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -70,11 +75,63 @@ class TestConfigValidation:
         assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "a1_mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid.half_width", float("inf")),
+        ("data.amplitude", float("inf")),
+        ("run.T", float("nan")),
+        ("run.dt", float("-inf")),
+        ("sweep.eps_list", [0.25, float("nan")]),
+    ])
+    def test_non_finite_number_named(self, tmp_path, capsys, field, value):
+        section, key = field.split(".")
+        cfg = write_config(tmp_path, {"schema_version": 1, section: {key: value}})
+        assert cli.run(["run-nls", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "finite" in err
+
+    def test_section_must_be_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema_version": 1, "grid": [1]})
+        assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config field 'grid'" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert cli.run(["study-everything"]) == 2
 
     def test_help_exits_zero(self):
         assert cli.run(["--help"]) == 0
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command", list(cli.STUDY_COMMANDS))
+    def test_defaults_build_the_canonical_sweep(self, command):
+        cfg = cli.validate_config({"schema_version": 1}, command)
+        sweep = cli._sweep_config(cfg, 1, a1_mode=cli.STUDY_COMMANDS[command][2])
+        a1_mode = "scaled" if command == "study-ghost-n" else "equal_a0"
+        expected = SweepConfig(eps_list=FULL_EPS_SWEEP, a1_mode=a1_mode)
+        for f in fields(SweepConfig):
+            got, want = getattr(sweep, f.name), getattr(expected, f.name)
+            assert (got, type(got)) == (want, type(want)), f.name
+
+    def test_integers_given_for_numbers_become_floats(self):
+        doc = {"schema_version": 1, "grid": {"half_width": 12}, "sweep": {"s_list": [0, 1]}}
+        cfg = cli.validate_config(doc, "study-ghost")
+        assert type(cfg["grid"]["half_width"]) is float
+        assert [type(s) for s in cfg["sweep"]["s_list"]] == [float, float]
+
+    def test_formats_doc_lists_the_schema(self):
+        text = FORMATS_MD.read_text()
+        example = json.loads(re.search(r"## Config \(JSON\).*?```json\n(.*?)```", text, re.S)[1])
+        cli.validate_config(example, "study-ghost")
+        sections = {name: example.pop(name) for name in cli.SCHEMA}
+        assert sections == {
+            section: {name: list(k.default) if k.kind is tuple else k.default
+                      for name, k in keys.items()}
+            for section, keys in cli.SCHEMA.items()
+        }
+        assert sorted(example) == sorted(["study", "out_dir", *cli.TOP_LEVEL])
+        assert example["schema_version"] == cli.CONFIG_SCHEMA_VERSION
+        assert (example["seed"], example["jobs"]) == (cli.TOP_LEVEL["seed"].default,
+                                                      cli.TOP_LEVEL["jobs"].default)
 
 
 class TestRunCommands:

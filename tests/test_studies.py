@@ -193,6 +193,26 @@ class TestStackedRuns:
             studies._nls_trajectory(cache, cfg, 0.25, 1.0)
 
 
+class TestA1Datum:
+    def test_kinds(self):
+        a0 = GaussianSpec().realize(make_grid(1, 12.0, 64))
+        assert studies.a1_datum("zero", a0) is None
+        assert studies.a1_datum("equal_a0", a0) is a0
+        imaginary = studies.a1_datum("imaginary", a0)
+        assert imaginary.grid is a0.grid
+        assert np.array_equal(imaginary.values, 1j * a0.values)
+        with pytest.raises(ValueError, match="scaled"):
+            studies.a1_datum("scaled", a0)
+
+    def test_grenier_run_takes_its_datum(self, short_cfg):
+        cache = RunCache()
+        zero = studies._grenier_trajectory(cache, short_cfg, 0.25, "zero")
+        imaginary = studies._grenier_trajectory(cache, short_cfg, 0.25, "imaginary")
+        assert not np.array_equal(zero[-1].a.values, imaginary[-1].a.values)
+        with pytest.raises(ValueError, match="scaled"):
+            studies._grenier_trajectory(cache, short_cfg, 0.25, "scaled")
+
+
 class TestWkbErrorStudy:
     def test_slopes_within_bands(self, short_cfg, cache):
         rep = wkb_error_study(short_cfg, cache)
