@@ -28,6 +28,10 @@ from .studies import (
 )
 
 FULL_EPS_SWEEP = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
+# Criterion 1's sweep points and perturbations, and criterion 6's.
+ORACLE_EPS = (0.125, 0.0625)
+ORACLE_MODES = ("zero", "equal_a0")
+DEGENERACY_MODE = "imaginary"
 
 CRITERIA = (
     "oracle-equivalence",
@@ -66,24 +70,32 @@ class AcceptanceSuite:
         self.control_config = replace(
             self.config, eps_list=self.config.eps_list[-2:], a1_mode="zero")
         self.higher_order_config = replace(self.config, a1_mode="scaled", scaled_order=2)
-        self._runs_stacked = False
+        self._runs_planned = False
 
     # -- shared heavy computations ------------------------------------
 
-    def stack_nls_runs(self):
-        """Cache every wavefunction run the criteria read, each sweep
-        point's data as one stacked integration: a0 and tilde_multiplier's
-        datum for each study config, {1, 1+eps, 1+eps^2} times a0."""
-        if self._runs_stacked:
+    def _oracle_runs(self, eps, mode):
+        """The wavefunction and phase-amplitude runs criterion 1 compares."""
+        return (studies._nls_run(self.config, eps, studies.tilde_multiplier(mode, eps)),
+                studies._grenier_run(self.config, eps, mode))
+
+    def plan_runs(self):
+        """Cache every run the criteria read, each group of runs that can
+        share one integration as one stack (studies.stack_runs)."""
+        if self._runs_planned:
             return
-        configs = (self.config, self.control_config, self.higher_order_config)
-
-        def multipliers(eps):
-            return [1.0] + [studies.tilde_multiplier(c.a1_mode, eps, c.scaled_order)
-                            for c in configs if eps in c.eps_list]
-
-        studies.stack_nls_runs(self.cache, self.config, multipliers)
-        self._runs_stacked = True
+        c = self.config
+        runs = [
+            studies._limit_run(c), studies._limit_run(c, DEGENERACY_MODE),
+            *(studies._limit_run(c, horizon=t) for t in studies._small_times(c)),
+            *(run for eps in c.eps_list for run in studies._error_runs(c, eps)),
+            *(run for cfg in (c, self.control_config, self.higher_order_config)
+              for eps in cfg.eps_list for run in studies._pair_runs(cfg, eps)),
+            *(run for eps in ORACLE_EPS for mode in ORACLE_MODES
+              for run in self._oracle_runs(eps, mode)),
+        ]
+        studies.stack_runs(self.cache, c, runs)
+        self._runs_planned = True
 
     @cached_property
     def ghost_report(self):
@@ -113,11 +125,10 @@ class AcceptanceSuite:
         saved time, for eps in {1/8, 1/16} and both data choices."""
         bound = 1e-4
         worst, where = 0.0, ""
-        for eps in (0.125, 0.0625):
-            for mode in ("zero", "equal_a0"):
-                mult = studies.tilde_multiplier(mode, eps)
-                u_traj = studies._nls_trajectory(self.cache, self.config, eps, mult)
-                g_traj = studies._grenier_trajectory(self.cache, self.config, eps, mode)
+        for eps in ORACLE_EPS:
+            for mode in ORACLE_MODES:
+                u_traj, g_traj = (studies._trajectory(self.cache, run)
+                                  for run in self._oracle_runs(eps, mode))
                 n_fine = u_traj[0].u.grid.points_per_axis
                 u0_l2 = norm(u_traj[0].u)
                 for us, gs in zip(u_traj, g_traj):
@@ -187,7 +198,7 @@ class AcceptanceSuite:
     def criterion_6(self):
         """Purely imaginary perturbation keeps the corrector phase below
         1e-8 in sup norm for all computed times."""
-        traj = studies._limit_trajectory(self.cache, self.config, "imaginary")
+        traj = studies._limit_trajectory(self.cache, self.config, DEGENERACY_MODE)
         worst = max(float(np.abs(corr.phi1.values).max()) for _, corr in traj)
         return CheckResult(
             6, CRITERIA[5], worst <= 1e-8,
@@ -273,7 +284,7 @@ class AcceptanceSuite:
     # -- driver ---------------------------------------------------------
 
     def run_criterion(self, number):
-        self.stack_nls_runs()
+        self.plan_runs()
         return getattr(self, f"criterion_{number}")()
 
     def run_all(self, printer=None):

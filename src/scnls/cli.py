@@ -143,6 +143,11 @@ def _is_number(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _finite(val):
+    """A finite float, or an integer in the float range."""
+    return math.isfinite(val) if isinstance(val, float) else abs(val) <= sys.float_info.max
+
+
 def _checked(key, val, path):
     """val checked against key: numbers as floats, number lists as float tuples."""
     if val is None and key.default is None:
@@ -160,14 +165,14 @@ def _checked(key, val, path):
     if key.kind is tuple:
         if not isinstance(val, (list, tuple)) or not all(map(_is_number, val)):
             _fail(path, f"must be a list of numbers, got {val!r}")
-        if not all(map(math.isfinite, val)):
+        if not all(map(_finite, val)):
             _fail(path, f"must be a list of finite numbers, got {val!r}")
         return tuple(float(v) for v in val)
     if key.kind is int and (isinstance(val, bool) or not isinstance(val, int)):
         _fail(path, f"must be an integer, got {val!r}")
     if not _is_number(val):
         _fail(path, f"must be a number, got {val!r}")
-    if key.kind is float and not math.isfinite(val):
+    if not _finite(val):
         _fail(path, f"must be finite, got {val}")
     if key.ge is not None and val < key.ge:
         _fail(path, f"must be >= {key.ge}, got {val}")
@@ -212,6 +217,9 @@ def validate_config(doc, command):
         _fail("out_dir", "must be a string path")
     for name, keys in SCHEMA.items():
         out[name] = _section(doc.get(name, {}), keys, name)
+    forced = STUDY_COMMANDS.get(command, (None, None, None))[2]
+    if forced is not None and doc.get("sweep", {}).get("a1_mode", forced) != forced:
+        _fail("sweep.a1_mode", f"must be '{forced}' for {command}, got {doc['sweep']['a1_mode']!r}")
     if out["run"]["T"] == 0:
         _fail("run.T", "must be nonzero")
     if out["run"]["dt"] == 0:

@@ -218,6 +218,17 @@ class Field:
         return Field(self.grid, self.values.copy(), self.space)
 
 
+def _fft(a, dim, out=None):
+    """np.fft.fftn over the last dim axes; np.fft.fft for one axis (the
+    same bits without the n-D wrapper)."""
+    return np.fft.fft(a, out=out) if dim == 1 else np.fft.fftn(a, axes=range(-dim, 0), out=out)
+
+
+def _ifft(a, dim, out=None):
+    """The inverse of _fft."""
+    return np.fft.ifft(a, out=out) if dim == 1 else np.fft.ifftn(a, axes=range(-dim, 0), out=out)
+
+
 def _require_space(f, space, op):
     if f.space != space:
         raise ValueError(f"{op} expects a {space}-space field, got {f.space}")
@@ -226,13 +237,13 @@ def _require_space(f, space, op):
 def transform(f: Field) -> Field:
     """Physical -> spectral, continuum-integral normalization."""
     _require_space(f, PHYSICAL, "transform")
-    values = np.fft.fftn(f.values)
+    values = _fft(f.values, f.grid.dim)
     values *= f.grid.quad_weight * f.grid.spectral_phase  # in place: one grid array fewer
     return Field(f.grid, values, SPECTRAL)
 
 
 def from_fft(grid, fft_values) -> Field:
-    """transform's result for the field whose np.fft.fftn is fft_values."""
+    """transform's result for the field whose _fft is fft_values."""
     return Field(grid, fft_values * (grid.quad_weight * grid.spectral_phase), SPECTRAL)
 
 
@@ -240,7 +251,7 @@ def inverse_transform(f: Field) -> Field:
     """Spectral -> physical, inverse of transform."""
     _require_space(f, SPECTRAL, "inverse_transform")
     g = f.grid
-    vals = np.fft.ifftn(f.values * g.spectral_phase / g.quad_weight)
+    vals = _ifft(f.values * g.spectral_phase / g.quad_weight, g.dim)
     return Field(g, vals, PHYSICAL)
 
 
@@ -248,9 +259,9 @@ def gradient(f: Field) -> list[Field]:
     """Spectral gradient of the trigonometric interpolant, one Field per axis."""
     _require_space(f, PHYSICAL, "gradient")
     g = f.grid
-    fhat = np.fft.fftn(f.values)
+    fhat = _fft(f.values, g.dim)
     return [
-        Field(g, np.fft.ifftn(mult * fhat), PHYSICAL) for mult in g.derivative_multipliers[: g.dim]
+        Field(g, _ifft(mult * fhat, g.dim), PHYSICAL) for mult in g.derivative_multipliers[: g.dim]
     ]
 
 
@@ -258,8 +269,8 @@ def laplacian(f: Field) -> Field:
     """Spectral Laplacian via the -|kappa|^2 multiplier."""
     _require_space(f, PHYSICAL, "laplacian")
     g = f.grid
-    fhat = np.fft.fftn(f.values)
-    return Field(g, np.fft.ifftn(-g.k_squared * fhat), PHYSICAL)
+    fhat = _fft(f.values, g.dim)
+    return Field(g, _ifft(-g.k_squared * fhat, g.dim), PHYSICAL)
 
 
 @dataclass(frozen=True)

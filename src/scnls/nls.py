@@ -17,9 +17,9 @@ plus one per save segment.
 
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
-the grid axes only, and each member's trajectory is bit-identical to its
-own single run. solve_nls is the stack of one; solve_nls_stack runs
-several data together (the paired runs of a sweep point), so the Python
+the grid axes only (np.fft.fft/ifft on a 1-D grid), and each member's
+trajectory is bit-identical to its own single run. solve_nls is the
+stack of one; solve_nls_stack runs several data together, so the Python
 loop and the per-call FFT overhead are paid once for all of them. The
 guards stay per member: a member that trips one raises the error its
 single run would, at the same step.
@@ -37,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
-from .grid import PHYSICAL, SPECTRAL, Field, SobolevIndex, lp_norm, norm, tail_fraction
+from .grid import (
+    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, lp_norm, norm, tail_fraction,
+)
 
 MAX_STEPS = 5_000_000
 DEFAULT_DT_SAFETY = 0.5
@@ -92,12 +94,13 @@ def default_dt(grid, eps, safety=DEFAULT_DT_SAFETY):
     return safety * min(eps, dx * dx / eps)
 
 
-def _kinetic(u, buf, axes, *mults):
-    """u <- ifftn(mults * fftn(u)) over axes, in place, with buf as spectral scratch."""
-    np.fft.fftn(u, axes=axes, out=buf)
+def _kinetic(u, buf, dim, *mults):
+    """u <- ifftn(mults * fftn(u)) over the last dim axes, in place, with
+    buf as spectral scratch."""
+    _fft(u, dim, out=buf)
     for mult in mults:
         buf *= mult
-    np.fft.ifftn(buf, axes=axes, out=u)
+    _ifft(buf, dim, out=u)
 
 
 def _rotate(u, buf, rate, axes):
@@ -119,7 +122,7 @@ def kinetic_substep(state: NlsState, tau) -> NlsState:
     Substeps act as operator pieces: they do not advance the clock.
     """
     u = state.u.values.copy()
-    _kinetic(u, np.empty_like(u), None,
+    _kinetic(u, np.empty_like(u), state.u.grid.dim,
              np.exp(-0.5j * state.eps * tau * state.u.grid.k_squared))
     return NlsState(state.t, Field(state.u.grid, u), state.eps)
 
@@ -159,7 +162,7 @@ def solve_nls(u0: Field, eps, config: NlsRunConfig):
     time (including t = 0) and NonFiniteError on NaN/overflow in u0 or at
     any step, carrying the last good snapshot (None when u0 is at fault).
     """
-    return _integrate([u0], eps, config)[0]
+    return solve_nls_stack([u0], eps, config)[0]
 
 
 def solve_nls_stack(u0s, eps, config: NlsRunConfig):
@@ -169,11 +172,7 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig):
     The first member to trip a guard, in step order, raises the error its
     single run raises, with its own last good snapshot.
     """
-    return _integrate(list(u0s), eps, config)
-
-
-def _integrate(u0s, eps, config):
-    """The fused Yoshida loop over the stack u0s; returns its trajectories."""
+    u0s = list(u0s)
     if not u0s:
         raise ValueError("solve_nls_stack needs at least one datum")
     grid = u0s[0].grid
@@ -193,13 +192,7 @@ def _integrate(u0s, eps, config):
     rates = [b * dt / eps for b in NONLINEAR]
     u = np.stack([f.values for f in u0s])
     buf = np.empty_like(u)
-    # The kernels run on the bare field when the stack has one member:
-    # numpy's FFTs of a (1, N) array cost ~8% more per call than of the
-    # (N,) array (1-D, N = 4096), which would slow every single run.
-    if len(u0s) == 1:
-        field, scratch, axes = u[0], buf[0], None
-    else:
-        field, scratch, axes = u, buf, tuple(range(1, grid.dim + 1))
+    axes = tuple(range(1, grid.dim + 1))
     trajectories = [[] for _ in u0s]
 
     def last(member):
@@ -219,7 +212,7 @@ def _integrate(u0s, eps, config):
             traj.append(NlsState(t, Field(grid, values.copy()), eps))
 
     def rotate(step, rate):
-        finite = np.isfinite(_rotate(field, scratch, rate, axes))
+        finite = np.isfinite(_rotate(u, buf, rate, axes))
         if not finite.all():
             raise NonFiniteError.at_step(step, dt, last(int(np.argmin(finite))))
 
@@ -227,14 +220,14 @@ def _integrate(u0s, eps, config):
     loop_spectra = [Field(grid, member, SPECTRAL) for member in buf]
     for seg_start in range(0, n_steps, config.save_every):
         seg_end = min(seg_start + config.save_every, n_steps)
-        _kinetic(field, scratch, axes, outer)
+        _kinetic(u, buf, grid.dim, outer)
         for step in range(seg_start + 1, seg_end + 1):
             for rate, mult in zip(rates, inner):
                 rotate(step, rate)
-                _kinetic(field, scratch, axes, mult)
+                _kinetic(u, buf, grid.dim, mult)
             rotate(step, rates[-1])
             if step < seg_end:
-                _kinetic(field, scratch, axes, outer, outer)
-        _kinetic(field, scratch, axes, outer)
+                _kinetic(u, buf, grid.dim, outer, outer)
+        _kinetic(u, buf, grid.dim, outer)
         save(seg_end, loop_spectra)
     return trajectories

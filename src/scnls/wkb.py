@@ -16,10 +16,12 @@ system around (a, phi) forced by i Lap(a) / 2, and is co-integrated with
 the eps = 0 background inside one RK4 flow so no stage interpolation is
 ever needed.
 
-Each run advances one stacked state, [a, phi] or [a, phi, a1, phi1], so
-that an RK4 stage makes 4 batched FFT calls: one fftn and one ifftn give
-every gradient and Laplacian, and one more pair dealiases every
-quadratic term.
+RK4 advances a state of shape (fields, members, *grid): the fields
+[a, phi] or [a, phi, a1, phi1] of runs that share a grid, a step count and
+a save cadence, each with its own datum, eps, dt and singularity bound.
+A stage makes 4 batched FFT calls (np.fft.fft/ifft on a 1-D grid), one
+pair for every derivative and one to dealias.  A stack member equals its
+single run (a stack of one) bit for bit and raises that run's guard error.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .errors import NonFiniteError, ResolutionError, SingularityError
 from .grid import (
     PHYSICAL,
     Field,
+    _fft,
+    _ifft,
     check_boundary_decay,
     tail_fraction,
 )
@@ -103,46 +107,51 @@ def default_dt(grid, eps, safety=0.25):
 
 
 def _gradients(grid, spectra):
-    """Gradient components of the fields whose np.fft.fftn are spectra
-    (one field, or a stack of them), from one batched ifftn: the component
+    """Gradient components of the fields whose _fft are spectra (one field,
+    or a stack of them), from one batched inverse transform: the component
     axis goes in front of the grid axes."""
     mults = grid.derivative_multipliers[: grid.dim]
-    return np.fft.ifftn(
-        np.expand_dims(spectra, -grid.dim - 1) * mults, axes=range(-grid.dim, 0)
-    )
+    return _ifft(np.expand_dims(spectra, -grid.dim - 1) * mults, grid.dim)
 
 
 class _Rates:
     """d/dt of the stacked state [a, phi] or, with the corrector,
-    [a, phi, a1, phi1]; the phases are real and stored with zero imaginary
-    part.  Per call, one batched fftn and ifftn give every gradient and
-    Laplacian, and one more pair dealiases every quadratic term."""
+    [a, phi, a1, phi1], each field of shape (members, *grid); the phases
+    are real and stored with zero imaginary part.  eps and sing_tol (or
+    None: no check) hold one value per member."""
 
     def __init__(self, grid, corrector, eps=0.0, sing_tol=None):
         d = grid.dim
-        self.dim, self.eps, self.sing_tol = d, eps, sing_tol
-        self.axes = range(-d, 0)
-        self.mults = grid.derivative_multipliers
+        eps = np.ravel(eps)
+        self.dim, self.sing_tol = d, None if sing_tol is None else np.ravel(sing_tol)
+        self.kin = np.reshape(0.5j * eps, (-1,) + (1,) * d)
+        self.mults = grid.derivative_multipliers[:, None]
         self.mask = grid.dealias_mask
         # gradient and Laplacian rows per field; no term reads Lap(a1)
         sizes = (d + 1, d + 1, d, d + 1) if corrector else (d + 1, d + 1)
-        self.deriv = np.empty((sum(sizes),) + grid.shape, dtype=complex)
+        self.deriv = np.empty((sum(sizes), len(eps)) + grid.shape, dtype=complex)
         bounds = np.cumsum((0,) + sizes)
         self.blocks = [self.deriv[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def __call__(self, y, t, out):
-        """Write the rates of y into out (which must not be y); raise
-        SingularityError if the phase gradient exceeds sing_tol."""
+        """Write the rates of y into out (not y); t holds each member's stage
+        time, for the error of the first member to exceed its sing_tol."""
         d = self.dim
-        spec = np.fft.fftn(y, axes=self.axes, out=out)
+        spec = _fft(y, d, out=out)
         for field, block in enumerate(self.blocks):
             np.multiply(self.mults[: len(block)], spec[field], out=block)
-        np.fft.ifftn(self.deriv, axes=self.axes, out=self.deriv)
+        _ifft(self.deriv, d, out=self.deriv)
         da, dphi, *corr = self.blocks
         grad_a, lap_a = da[:d], da[d]
         grad_phi, lap_phi = dphi[:d].real, dphi[d].real
         if self.sing_tol is not None:
-            _check_singularity(grad_phi, self.sing_tol, t)
+            gmax = np.abs(grad_phi).max(axis=(0, *range(2, grad_phi.ndim)))
+            if (gmax > self.sing_tol).any():
+                m = int(np.argmax(gmax > self.sing_tol))
+                raise SingularityError(
+                    f"phase gradient {gmax[m]:.3e} exceeds the singularity threshold "
+                    f"{self.sing_tol[m]:.3e} at t = {t[m]:.6g}; the run is approaching "
+                    "the breakdown time", grad_max=gmax[m], t=float(t[m]))
         a = y[0]
         out[0] = -(sum(gp * ga for gp, ga in zip(grad_phi, grad_a)) + 0.5 * a * lap_phi)
         out[1] = -(0.5 * sum(g * g for g in grad_phi) + np.abs(a) ** 2)
@@ -159,11 +168,11 @@ class _Rates:
                 sum(gp * g1 for gp, g1 in zip(grad_phi, grad_phi1))
                 + 2.0 * (np.conj(a) * a1).real
             )
-        np.fft.fftn(out, axes=self.axes, out=out)
+        _fft(out, d, out=out)
         np.multiply(out, self.mask, out=out)
-        np.fft.ifftn(out, axes=self.axes, out=out)
+        _ifft(out, d, out=out)
         out[1::2].imag = 0.0  # the phase rates are real
-        out[0] += 0.5j * self.eps * lap_a
+        out[0] += self.kin * lap_a
         if corr:
             out[2] += 0.5j * lap_a
         return out
@@ -176,9 +185,9 @@ def grenier_rhs(state: GrenierState, sing_tol=None):
     already exceeds it.
     """
     g = state.a.grid
-    y = np.stack([state.a.values, state.phi.values.real])
-    k = _Rates(g, corrector=False, eps=state.eps, sing_tol=sing_tol)(y, state.t, np.empty_like(y))
-    return Field(g, k[0]), Field(g, k[1])
+    y = np.stack([state.a.values, state.phi.values.real])[:, None]
+    k = _Rates(g, corrector=False, eps=state.eps, sing_tol=sing_tol)(y, [state.t], np.empty_like(y))
+    return Field(g, k[0, 0]), Field(g, k[1, 0])
 
 
 def corrector_rhs(background: GrenierState, corr: CorrectorState):
@@ -192,68 +201,65 @@ def corrector_rhs(background: GrenierState, corr: CorrectorState):
         )
     g = background.a.grid
     y = np.stack([background.a.values, background.phi.values.real,
-                  corr.a1.values, corr.phi1.values.real])
-    k = _Rates(g, corrector=True)(y, corr.t, np.empty_like(y))
-    return Field(g, k[2]), Field(g, k[3])
+                  corr.a1.values, corr.phi1.values.real])[:, None]
+    k = _Rates(g, corrector=True)(y, [corr.t], np.empty_like(y))
+    return Field(g, k[2, 0]), Field(g, k[3, 0])
 
 
 def _auto_sing_tol(grid, a_init, horizon):
     # Early-time scale: |grad phi| grows like t * max|grad |a(0)|^2|, so
     # 50x its value at the horizon is far outside regular behaviour.
-    grads = _gradients(grid, np.fft.fftn(np.abs(a_init) ** 2))
+    grads = _gradients(grid, _fft(np.abs(a_init) ** 2, grid.dim))
     rate = np.abs(grads.real).max()
     return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
 
 
-def _check_singularity(grad_phi, sing_tol, t):
-    gmax = np.abs(grad_phi).max()
-    if gmax > sing_tol:
-        raise SingularityError(
-            f"phase gradient {gmax:.3e} exceeds the singularity threshold "
-            f"{sing_tol:.3e} at t = {t:.6g}; the run is approaching the "
-            "breakdown time",
-            grad_max=gmax,
-            t=t,
-        )
-
-
-def _integrate(y, rates, config, make_snapshot):
-    """Classical RK4 on the stacked state y, advanced in place, with guard
-    checks and snapshots.
-
-    rates(y, t, out) may raise guard errors; the system itself is
-    autonomous, the stage time is for diagnostics only.  The stage sums
-    keep the order y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in
-    place so that one buffer serves k2 to k4.
+def _integrate(y, grid, corrector, eps, configs, make_snapshot):
+    """Classical RK4 on y of shape (fields, members, *grid), in place, with
+    guard checks; one eps and run config per member, with one step count
+    and save cadence (each member's dt is its T / steps).  Returns the
+    trajectory of make_snapshot(member, t, y) per member.  The stage times
+    are diagnostics only.  The stage sums keep the order
+    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in place, one buffer for k2-k4.
     """
-    n_steps = max(1, round(config.T / config.dt))
-    dt = config.T / n_steps
-    snapshots = [make_snapshot(0.0, y)]
+    schedules = {(max(1, round(c.T / c.dt)), c.save_every) for c in configs}
+    if len(schedules) != 1:
+        raise ValueError("stacked runs must share their step count and save cadence")
+    ((n_steps, save_every),) = schedules
+    sing_tol = [c.sing_tol or _auto_sing_tol(grid, y[0, m], c.T) for m, c in enumerate(configs)]
+    rates = _Rates(grid, corrector, eps, sing_tol)
+    dts = [c.T / n_steps for c in configs]
+    times = np.array(dts)
+    dt = times.reshape((-1,) + (1,) * grid.dim)
+    trajectories = [[make_snapshot(m, 0.0, y)] for m in range(len(configs))]
     acc, k, stage = (np.empty_like(y) for _ in range(3))
     for step in range(1, n_steps + 1):
-        t = (step - 1) * dt
+        t = (step - 1) * times
         rates(y, t, acc)
         np.multiply(acc, 0.5 * dt, out=stage)
         stage += y
-        rates(stage, t + 0.5 * dt, k)
+        rates(stage, t + 0.5 * times, k)
         np.multiply(k, 0.5 * dt, out=stage)
         stage += y
         k *= 2
         acc += k
-        rates(stage, t + 0.5 * dt, k)
+        rates(stage, t + 0.5 * times, k)
         np.multiply(k, dt, out=stage)
         stage += y
         k *= 2
         acc += k
-        rates(stage, t + dt, k)
+        rates(stage, t + times, k)
         acc += k
         acc *= dt / 6.0
         y += acc
-        if not np.isfinite(y).all():
-            raise NonFiniteError.at_step(step, dt, snapshots[-1])
-        if step % config.save_every == 0 or step == n_steps:
-            snapshots.append(make_snapshot(step * dt, y))
-    return snapshots
+        finite = np.isfinite(y).all(axis=(0, *range(2, y.ndim)))
+        if not finite.all():
+            m = int(np.argmin(finite))
+            raise NonFiniteError.at_step(step, dts[m], trajectories[m][-1])
+        if step % save_every == 0 or step == n_steps:
+            for m, traj in enumerate(trajectories):
+                traj.append(make_snapshot(m, step * dts[m], y))
+    return trajectories
 
 
 def _check_data(a0: Field, a1, config):
@@ -269,16 +275,10 @@ def _check_data(a0: Field, a1, config):
 
 def _prep_initial(a0: Field, a1, eps, config):
     _check_data(a0, a1, config)
-    if eps == 0:
-        if a1 is not None and np.abs(a1.values).max() > 0:
-            warnings.warn(
-                "the eps = 0 limit system starts from a0 alone; a1 is ignored",
-                stacklevel=3,
-            )
-        return a0.values
-    if a1 is None:
-        return a0.values
-    return a0.values + eps * a1.values
+    if eps == 0 and a1 is not None and np.abs(a1.values).max() > 0:
+        warnings.warn("the eps = 0 limit system starts from a0 alone; a1 is ignored",
+                      stacklevel=4)
+    return a0.values if eps == 0 or a1 is None else a0.values + eps * a1.values
 
 
 def solve_grenier(a0: Field, a1, eps, config: WkbRunConfig):
@@ -288,17 +288,15 @@ def solve_grenier(a0: Field, a1, eps, config: WkbRunConfig):
     The phase-gradient singularity guard and NaN checks abort the run with
     SingularityError / NonFiniteError.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
-    grid = a0.grid
-    y = np.zeros((2,) + grid.shape, dtype=complex)
-    y[0] = _prep_initial(a0, a1, eps, config)
-    sing_tol = config.sing_tol or _auto_sing_tol(grid, y[0], config.T)
+    return solve_grenier_stack([(a0, a1, eps, config)])[0]
 
-    def snap(t, y):
-        return GrenierState(t, Field(grid, y[0].copy()), Field(grid, y[1].real), eps)
 
-    return _integrate(y, _Rates(grid, corrector=False, eps=eps, sing_tol=sing_tol), config, snap)
+def solve_grenier_stack(members):
+    """solve_grenier for (a0, a1, eps, config) members on one grid with one
+    step count and save cadence, in one RK4 loop: one trajectory per
+    member, equal to its single run; the first member to trip a guard
+    raises its single run's error."""
+    return _solve_stack(members, corrector=False)
 
 
 def solve_limit_with_corrector(a0: Field, a1, config: WkbRunConfig):
@@ -307,21 +305,39 @@ def solve_limit_with_corrector(a0: Field, a1, config: WkbRunConfig):
     The corrector starts from a1 with zero phase; returns a list of
     (GrenierState, CorrectorState) pairs at the saved times.
     """
-    grid = a0.grid
-    _check_data(a0, a1, config)
-    y = np.zeros((4,) + grid.shape, dtype=complex)
-    y[0] = a0.values
-    if a1 is not None:
-        y[2] = a1.values
-    sing_tol = config.sing_tol or _auto_sing_tol(grid, y[0], config.T)
+    return solve_limit_stack([(a0, a1, config)])[0]
 
-    def snap(t, y):
-        return (
-            GrenierState(t, Field(grid, y[0].copy()), Field(grid, y[1].real), 0.0),
-            CorrectorState(t, Field(grid, y[2].copy()), Field(grid, y[3].real)),
-        )
 
-    return _integrate(y, _Rates(grid, corrector=True, sing_tol=sing_tol), config, snap)
+def solve_limit_stack(members):
+    """solve_limit_with_corrector for (a0, a1, config) members, stacked as
+    in solve_grenier_stack."""
+    return _solve_stack(members, corrector=True)
+
+
+def _solve_stack(members, corrector):
+    if not members:
+        raise ValueError("a stack needs at least one member")
+    if len({member[0].grid for member in members}) > 1:
+        raise ValueError("stacked data must share one grid")
+    grid = members[0][0].grid
+    y = np.zeros((4 if corrector else 2, len(members)) + grid.shape, dtype=complex)
+    eps = [0.0 if corrector else member[2] for member in members]
+    for m, (a0, a1, *_, config) in enumerate(members):
+        if corrector:
+            _check_data(a0, a1, config)
+            y[0, m], y[2, m] = a0.values, 0.0 if a1 is None else a1.values
+        elif eps[m] < 0:
+            raise ValueError(f"eps must be >= 0, got {eps[m]!r}")
+        else:
+            y[0, m] = _prep_initial(a0, a1, eps[m], config)
+
+    def snap(m, t, y):
+        state = GrenierState(t, Field(grid, y[0, m].copy()), Field(grid, y[1, m].real), eps[m])
+        if not corrector:
+            return state
+        return state, CorrectorState(t, Field(grid, y[2, m].copy()), Field(grid, y[3, m].real))
+
+    return _integrate(y, grid, corrector, eps, [member[-1] for member in members], snap)
 
 
 def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
@@ -336,9 +352,11 @@ def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
 
 
 def spectra(state: GrenierState):
-    """np.fft.fftn of the amplitude and of the (real) phase, the spectra
-    gradients reads; grid.from_fft gives them transform's normalization."""
-    return np.fft.fftn(state.a.values), np.fft.fftn(state.phi.values.real)
+    """The unnormalized FFTs of the amplitude and of the (real) phase, the
+    spectra gradients reads; grid.from_fft gives them transform's
+    normalization."""
+    d = state.a.grid.dim
+    return _fft(state.a.values, d), _fft(state.phi.values.real, d)
 
 
 def gradients(state: GrenierState, fft_pair=None):

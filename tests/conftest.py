@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -33,28 +35,51 @@ def random_field(grid, seed, scale=1.0, smooth_width=5):
 
 
 class FftCounts(dict):
-    """Calls per transform name; .rows holds the transformed rows per name,
-    the product of the axes a call does not transform (1 for a call that
-    transforms every axis)."""
+    """Calls per transform direction ("forward", "inverse"); .rows holds the
+    transformed rows per direction, the product of the axes a call does not
+    transform (1 for a call that transforms every axis)."""
 
     def __init__(self, names):
         super().__init__((name, 0) for name in names)
         self.rows = dict.fromkeys(names, 0)
 
 
-def count_ffts(monkeypatch):
-    """Count np.fft.fftn / ifftn calls and rows from here to the end of the test."""
-    counts = FftCounts(("fftn", "ifftn"))
+FFT_ENTRY_POINTS = {"forward": ("fft", "fftn"), "inverse": ("ifft", "ifftn")}
 
-    def counting(name, fn):
-        def wrapped(a, s=None, axes=None, *args, **kwargs):
-            shape = np.shape(a)
+
+def count_ffts(monkeypatch):
+    """Count forward (np.fft.fft, fftn) and inverse (ifft, ifftn) calls and
+    rows from here to the end of the test."""
+    counts = FftCounts(FFT_ENTRY_POINTS)
+
+    def counting(direction, fn):
+        signature = inspect.signature(fn)
+
+        def wrapped(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            shape = np.shape(bound["a"])
+            axes = [bound.get("axis", -1)] if "axis" in signature.parameters else bound.get("axes")
             done = range(len(shape)) if axes is None else {ax % len(shape) for ax in axes}
-            counts[name] += 1
-            counts.rows[name] += math.prod(n for ax, n in enumerate(shape) if ax not in done)
-            return fn(a, s, axes, *args, **kwargs)
+            counts[direction] += 1
+            counts.rows[direction] += math.prod(n for ax, n in enumerate(shape) if ax not in done)
+            return fn(*args, **kwargs)
         return wrapped
 
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    for direction, names in FFT_ENTRY_POINTS.items():
+        for name in names:
+            monkeypatch.setattr(np.fft, name, counting(direction, getattr(np.fft, name)))
     return counts
+
+
+def bit_identical(x, y):
+    """x and y hold the same bits: arrays by bytes, dataclasses field by
+    field, lists and tuples item by item, anything else by ==."""
+    if x is y:
+        return True
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(bit_identical(a, b) for a, b in zip(x, y))
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and bit_identical(list(vars(x).values()), list(vars(y).values()))
+    return x == y

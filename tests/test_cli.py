@@ -89,6 +89,28 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err and "finite" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid.half_width", 10**400),
+        ("sweep.eps_list", [0.25, 10**400]),
+        ("sweep.n_saves", 10**400),
+    ], ids=["number", "list-element", "integer"])
+    def test_integer_beyond_float_range_named(self, tmp_path, capsys, field, value):
+        section, key = field.split(".")
+        cfg = write_config(tmp_path, {"schema_version": 1, section: {key: value}})
+        assert cli.run(["run-nls", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "finite" in err
+
+    @pytest.mark.parametrize("mode", ["zero", "equal_a0", "imaginary"])
+    def test_ghost_n_study_refuses_another_a1_mode(self, tmp_path, capsys, mode):
+        doc = tiny_sweep()
+        doc["sweep"]["a1_mode"] = mode
+        cfg = write_config(tmp_path, doc)
+        assert cli.run(["study-ghost-n", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'sweep.a1_mode'" in err and "'scaled'" in err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_section_must_be_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 1, "grid": [1]})
         assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -255,6 +277,17 @@ class TestStudyCommands:
         summary = json.loads((out / "summary.json").read_text())
         header = summary["studies"]["ghost_higher_order"]["header"]
         assert header["config"]["a1_mode"] == "scaled"
+
+    def test_ghost_n_study_accepts_an_explicit_scaled_mode(self, tmp_path):
+        implicit, explicit = tiny_sweep(), tiny_sweep()
+        explicit["sweep"]["a1_mode"] = "scaled"
+        csvs = []
+        for name, doc in (("implicit", implicit), ("explicit", explicit)):
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            out = tmp_path / name
+            assert cli.run(["study-ghost-n", "--config", str(cfg), "--out", str(out)]) == 0
+            csvs.append((out / "ghost_n_study.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_report_inflation(self, tmp_path):
         doc = tiny_sweep()

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from scnls import grid as sg
+from scnls import nls, wkb
 from scnls.grid import SobolevIndex, make_grid, norm
 
-from conftest import random_field
+from conftest import bit_identical, random_field
 
 
 class TestMakeGrid:
@@ -322,6 +323,24 @@ class TestTailFraction:
         # The guard's verdict at any bound more than 1e-12 away is unchanged.
         for tol in (old * (1 - 1e-12), old * (1 + 1e-12), 1e-6):
             assert (new <= tol) == (old <= tol)
+
+
+class TestFftHelpers:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equal_fftn_over_the_last_axes(self, dim):
+        g = make_grid(dim, 4.0, 16)
+        a = np.stack([random_field(g, seed).values for seed in range(2)])
+        axes = range(1, dim + 1)
+        assert bit_identical(sg._fft(a, dim), np.fft.fftn(a, axes=axes))
+        assert bit_identical(sg._ifft(a, dim), np.fft.ifftn(a, axes=axes))
+
+    def test_one_axis_bypasses_the_nd_wrapper(self, monkeypatch, grid_1d, gaussian_1d):
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("n-D FFT wrapper"))
+        sg.inverse_transform(sg.transform(gaussian_1d))
+        sg.gradient(gaussian_1d), sg.laplacian(gaussian_1d)
+        nls.solve_nls(gaussian_1d, 0.5, nls.NlsRunConfig(dt=1e-3, T=2e-3))
+        wkb.solve_limit_with_corrector(gaussian_1d, gaussian_1d, wkb.WkbRunConfig(dt=1e-3, T=2e-3))
 
 
 class TestSharedGrid:

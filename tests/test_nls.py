@@ -188,7 +188,7 @@ class TestFusedEngine:
         # One FFT pair per Strang stage, three stages per step, and one more
         # pair per save segment: 6 FFTs per step plus 2 per segment.
         segments = -(-n_steps // save_every)
-        assert counts["fftn"] == counts["ifftn"] == len(nls.NONLINEAR) * n_steps + segments
+        assert counts["forward"] == counts["inverse"] == len(nls.NONLINEAR) * n_steps + segments
 
     @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
     def test_save_point_guard_adds_one_fft_in_total(self, monkeypatch, save_every):
@@ -201,8 +201,8 @@ class TestFusedEngine:
                                                              save_every=save_every))
         segments = -(-n_steps // save_every)
         assert len(traj) == segments + 1
-        assert counts["fftn"] == len(nls.NONLINEAR) * n_steps + segments + 1
-        assert counts["ifftn"] == len(nls.NONLINEAR) * n_steps + segments
+        assert counts["forward"] == len(nls.NONLINEAR) * n_steps + segments + 1
+        assert counts["inverse"] == len(nls.NONLINEAR) * n_steps + segments
 
     def test_yoshida_coefficients(self):
         w1, w0 = nls.NONLINEAR[:2]
@@ -247,10 +247,10 @@ class TestStackedEngine:
         counts = count_ffts(monkeypatch)
         solve_nls(make_gaussian(g), 0.5, cfg)
         single = dict(counts)
-        counts.update(fftn=0, ifftn=0)
+        counts.update(forward=0, inverse=0)
         solve_nls_stack([make_gaussian(g, amplitude=a) for a in (1.0, 1.5, 2.0)], 0.5, cfg)
         assert counts == single
-        assert single["fftn"] == single["ifftn"] > 0
+        assert single["forward"] == single["inverse"] > 0
 
     def test_member_data_untouched(self):
         g = make_grid(1, 12.0, 64)

@@ -1,11 +1,12 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scnls import report as rpt
 from scnls import nls, studies, wkb
-from scnls.errors import ResolutionError
+from scnls.errors import ResolutionError, SingularityError
 from scnls.grid import Field, SobolevIndex, lp_norm, make_grid, norm
 from scnls.studies import (
     GaussianSpec,
@@ -21,7 +22,7 @@ from scnls.studies import (
     wkb_error_study,
 )
 
-from conftest import count_ffts
+from conftest import bit_identical, count_ffts
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +156,10 @@ class TestStackedRuns:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch, jobs):
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), jobs=jobs)
-
-        def multipliers(eps):
-            return [1.0, 1.0 + eps, 1.0, 1.0 + eps**2]
-
+        runs = [studies._nls_run(cfg, eps, m) for eps in cfg.eps_list
+                for m in (1.0, 1.0 + eps, 1.0, 1.0 + eps**2)]
         singles = RunCache()
-        expected = {(eps, m): studies._nls_trajectory(singles, cfg, eps, m)
-                    for eps in cfg.eps_list for m in set(multipliers(eps))}
+        expected = {run: studies._trajectory(singles, run) for run in runs}
         stacks = []
         solve_stack = nls.solve_nls_stack
 
@@ -171,11 +169,11 @@ class TestStackedRuns:
 
         monkeypatch.setattr(nls, "solve_nls_stack", recording)
         cache = RunCache()
-        studies.stack_nls_runs(cache, cfg, multipliers)
+        studies.stack_runs(cache, cfg, runs)
         assert sorted(stacks) == [(0.125, 3), (0.25, 3)]
         monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
-        for (eps, m), ref in expected.items():
-            traj = studies._nls_trajectory(cache, cfg, eps, m)
+        for run, ref in expected.items():
+            traj = studies._trajectory(cache, studies._nls_run(cfg, run.eps, run.datum))
             assert [s.t for s in traj] == [s.t for s in ref]
             assert all(np.array_equal(a.u.values, b.u.values) for a, b in zip(traj, ref))
         assert len(cache.runs("nls")) == len(expected)
@@ -186,11 +184,56 @@ class TestStackedRuns:
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,),
                           a0=GaussianSpec(amplitude=30.0))
         cache = RunCache()
-        studies.stack_nls_runs(cache, cfg, lambda eps: [1.0, 1e-3])
+        studies.stack_runs(cache, cfg, [studies._nls_run(cfg, eps, m)
+                                        for eps in cfg.eps_list for m in (1.0, 1e-3)])
         assert cache.runs("nls") == []
-        assert len(studies._nls_trajectory(cache, cfg, 0.25, 1e-3)) == cfg.n_saves + 1
+        resolved, tripping = (studies._nls_run(cfg, 0.25, m) for m in (1e-3, 1.0))
+        assert len(studies._trajectory(cache, resolved)) == cfg.n_saves + 1
         with pytest.raises(ResolutionError):
-            studies._nls_trajectory(cache, cfg, 0.25, 1.0)
+            studies._trajectory(cache, tripping)
+
+    def test_phase_amplitude_runs_stack_by_steps_and_cadence(self, monkeypatch):
+        cfg = SweepConfig(eps_list=(0.25, 0.125, 0.0625, 0.03125), s_list=(0.0,))
+        runs = [*(studies._grenier_run(cfg, eps, kind) for eps in cfg.eps_list
+                  for kind in ("zero", "equal_a0")),
+                *(studies._limit_run(cfg, kind) for kind in ("equal_a0", "imaginary")),
+                *(studies._limit_run(cfg, horizon=t) for t in studies._small_times(cfg)[1:]),
+                # 20 steps like the full-horizon limit runs, saved every step
+                studies._limit_run(replace(cfg, n_saves=20))]
+        singles = RunCache()
+        expected = {run: studies._trajectory(singles, run) for run in runs}
+        stacks = []
+        for name in ("solve_grenier_stack", "solve_limit_stack"):
+            def recording(members, solve=getattr(wkb, name), name=name):
+                stacks.append((name, len(members), members[0][-1].save_every))
+                return solve(members)
+            monkeypatch.setattr(wkb, name, recording)
+        cache = RunCache()
+        studies.stack_runs(cache, cfg, runs)
+        # Grenier runs take 6, 3 and 2 steps per save at eps = 1/4, 1/8 and
+        # below; the limit runs 2 at the full horizon and 1 at the shorter ones.
+        assert sorted(stacks) == [("solve_grenier_stack", 2, 3), ("solve_grenier_stack", 2, 6),
+                                  ("solve_grenier_stack", 4, 2), ("solve_limit_stack", 1, 1),
+                                  ("solve_limit_stack", 2, 2), ("solve_limit_stack", 5, 1)]
+        for name in ("solve_grenier", "solve_limit_with_corrector"):
+            monkeypatch.setattr(wkb, name, lambda *a: pytest.fail("single run"))
+        for run, ref in expected.items():
+            assert bit_identical(studies._trajectory(cache, run), ref)
+
+    def test_tripped_phase_amplitude_stack_caches_nothing(self):
+        # a0 = 6 exp(-x^2) trips the singularity guard before t = 2 and not
+        # before t = 1.
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), horizon=2.0,
+                          a0=GaussianSpec(amplitude=6.0))
+        tripping = [studies._limit_run(cfg, kind) for kind in ("equal_a0", "imaginary")]
+        healthy = studies._limit_run(cfg, horizon=1.0)
+        cache = RunCache()
+        studies.stack_runs(cache, cfg, [*tripping, healthy])
+        (cached,) = cache.runs("limit")
+        assert bit_identical(cached, studies._trajectory(RunCache(), healthy))
+        for run in tripping:
+            with pytest.raises(SingularityError):
+                studies._trajectory(cache, run)
 
 
 class TestA1Datum:
@@ -206,11 +249,11 @@ class TestA1Datum:
 
     def test_grenier_run_takes_its_datum(self, short_cfg):
         cache = RunCache()
-        zero = studies._grenier_trajectory(cache, short_cfg, 0.25, "zero")
-        imaginary = studies._grenier_trajectory(cache, short_cfg, 0.25, "imaginary")
+        zero, imaginary = (studies._trajectory(cache, studies._grenier_run(short_cfg, 0.25, k))
+                           for k in ("zero", "imaginary"))
         assert not np.array_equal(zero[-1].a.values, imaginary[-1].a.values)
         with pytest.raises(ValueError, match="scaled"):
-            studies._grenier_trajectory(cache, short_cfg, 0.25, "scaled")
+            studies._trajectory(cache, studies._grenier_run(short_cfg, 0.25, "scaled"))
 
 
 class TestWkbErrorStudy:
@@ -241,7 +284,7 @@ class TestWkbErrorStudy:
         rep = wkb_error_study(short_cfg, cache)
         eps = short_cfg.eps_list[0]
         fine = short_cfg.grid_for(eps)
-        u = studies._nls_trajectory(cache, short_cfg, eps, 1.0)
+        u = studies._trajectory(cache, studies._nls_run(short_cfg, eps, 1.0))
         limit = studies._limit_trajectory(cache, short_cfg, "equal_a0")
         sup = 0.0
         for (bg, corr), us in zip(limit, u):
@@ -517,16 +560,9 @@ class TestFitAndReportPlumbing:
         traj = nls.solve_nls(GaussianSpec().realize(g), 0.5,
                              nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5))
         orders = (0.0, 1.0, 2.0)
-        calls = []
-        fftn = np.fft.fftn
-
-        def counting_fftn(*args, **kwargs):
-            calls.append(args)
-            return fftn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+        counts = count_ffts(monkeypatch)
         rows = rpt.nls_trajectory_rows(traj, norm_orders=orders)
-        assert len(calls) == len(traj)
+        assert counts == {"forward": len(traj), "inverse": 0}
         monkeypatch.undo()
         for row, state in zip(rows, traj, strict=True):
             assert row["energy"] == nls.semiclassical_energy(state)
@@ -542,11 +578,11 @@ class TestFitAndReportPlumbing:
         orders = (0.0, 1.0)
         counts = count_ffts(monkeypatch)
         rows = rpt.wkb_trajectory_rows(traj, norm_orders=orders)
-        # fftn of a, of phi and of a1 (its L2 norm); one batched ifftn gives
+        # FFTs of a, of phi and of a1 (its L2 norm); one batched inverse gives
         # every gradient component of a and of phi, which the energy and the
         # phase-gradient sup share.
-        assert counts == {"fftn": 3 * len(traj), "ifftn": len(traj)}
-        assert counts.rows == {"fftn": 3 * len(traj), "ifftn": 2 * g.dim * len(traj)}
+        assert counts == {"forward": 3 * len(traj), "inverse": len(traj)}
+        assert counts.rows == {"forward": 3 * len(traj), "inverse": 2 * g.dim * len(traj)}
         monkeypatch.undo()
         for row, (state, corr) in zip(rows, traj, strict=True):
             assert row["energy"] == wkb.wkb_energy(state)

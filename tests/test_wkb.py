@@ -15,10 +15,12 @@ from scnls.wkb import (
     grenier_rhs,
     reconstruct,
     solve_grenier,
+    solve_grenier_stack,
+    solve_limit_stack,
     solve_limit_with_corrector,
 )
 
-from conftest import count_ffts, random_field
+from conftest import bit_identical, count_ffts, random_field
 
 
 # Per-field reference of the right-hand sides and the RK4 loop: one FFT per
@@ -326,7 +328,7 @@ def ffts_per_stage(monkeypatch, dim, solve):
             {name: n / stages for name, n in counts.rows.items()})
 
 
-# Per RK4 stage, one fftn of the stacked state and one batched ifftn give
+# Per RK4 stage, one FFT of the stacked state and one batched inverse give
 # every derivative, and one more pair dealiases every quadratic term.
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -336,16 +338,16 @@ def test_corrector_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim)
     # quadratic terms is dealiased once.
     calls, rows = ffts_per_stage(monkeypatch, dim,
                                  lambda a0, cfg: solve_limit_with_corrector(a0, a0, cfg))
-    assert calls == {"fftn": 2, "ifftn": 2}
-    assert rows == {"fftn": 8, "ifftn": 4 * dim + 7}
+    assert calls == {"forward": 2, "inverse": 2}
+    assert rows == {"forward": 8, "inverse": 4 * dim + 7}
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grenier_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim):
     calls, rows = ffts_per_stage(monkeypatch, dim,
                                  lambda a0, cfg: solve_grenier(a0, a0, 0.25, cfg))
-    assert calls == {"fftn": 2, "ifftn": 2}
-    assert rows == {"fftn": 4, "ifftn": 2 * dim + 4}
+    assert calls == {"forward": 2, "inverse": 2}
+    assert rows == {"forward": 4, "inverse": 2 * dim + 4}
 
 
 class TestBitIdentity:
@@ -443,6 +445,100 @@ class TestGuards:
                 solve_grenier(gaussian_1d, None, 0.0, cfg)
         assert exc.value.t == 0.042
         assert exc.value.grad_max == 0.05063986133455971
+
+
+class TestStackedEngine:
+    """Each member of a stack against its own single run."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grenier_members_equal_their_single_runs(self, dim):
+        g = make_grid(dim, 4.0, 32)
+        data = [random_field(g, 10 + m, scale=0.5 + 0.5 * m) for m in range(3)]
+        a1s = [None, data[1], Field(g, 1j * data[2].values)]
+        # one step count (6) and cadence, three step sizes
+        members = [
+            (a0, a1, eps, WkbRunConfig(dt=0.01 * (m + 1), T=0.06 * (m + 1), save_every=2,
+                                       sing_tol=1e6, enforce_decay=False))
+            for m, (a0, a1, eps) in enumerate(zip(data, a1s, (0.0, 0.125, 0.5)))
+        ]
+        stacked = solve_grenier_stack(members)
+        assert len(stacked) == len(members)
+        for member, traj in zip(members, stacked, strict=True):
+            single = solve_grenier(*member)
+            assert len(traj) == 4 and bit_identical(traj, single)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_limit_members_with_different_horizons_equal_their_single_runs(self, dim):
+        g = make_grid(dim, 6.0, 32)
+        a0 = make_gaussian(g)
+        members = [
+            (a0, a1, WkbRunConfig(dt=T / 4, T=T, save_every=2))
+            for a1, T in ((None, 0.04), (a0, 0.02), (Field(g, 1j * a0.values), 0.01))
+        ]
+        stacked = solve_limit_stack(members)
+        for member, traj in zip(members, stacked, strict=True):
+            single = solve_limit_with_corrector(*member)
+            assert traj[-1][0].t == member[2].T and bit_identical(traj, single)
+
+    @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_member_with_small_sing_tol_raises_its_single_run_error(
+            self, gaussian_1d, corrector, position):
+        healthy = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=10.0)
+        tight = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=0.05)
+        if corrector:
+            solve, stack = solve_limit_with_corrector, solve_limit_stack
+            members = [(gaussian_1d, gaussian_1d, rc) for rc in (healthy, healthy)]
+            members[position] = (gaussian_1d, gaussian_1d, tight)
+        else:
+            solve, stack = solve_grenier, solve_grenier_stack
+            members = [(gaussian_1d, None, eps, healthy) for eps in (0.0, 0.25)]
+            members[position] = (gaussian_1d, None, 0.0, tight)
+        for m, member in enumerate(members):
+            if m != position:
+                assert len(solve(*member)) == 14  # 125 steps, saved every 10 and at the end
+        with pytest.raises(SingularityError) as single:
+            solve(*members[position])
+        with pytest.raises(SingularityError) as stacked:
+            stack(members)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.t == single.value.t == 0.042
+        assert stacked.value.grad_max == single.value.grad_max == 0.05063986133455971
+
+    def test_non_finite_member_raises_with_its_own_last_snapshot(self):
+        g = make_grid(1, 6.0, 64)
+        config = WkbRunConfig(dt=1e-3, T=0.05, save_every=3, sing_tol=np.inf)
+        # the second member overflows at t = 0.004; the first stays finite
+        members = [(make_gaussian(g), None, 0.25, config),
+                   (make_gaussian(g, amplitude=1e3), None, 0.25, config)]
+        assert np.isfinite(solve_grenier(*members[0])[-1].a.values).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as single:
+                solve_grenier(*members[1])
+            with pytest.raises(NonFiniteError) as stacked:
+                solve_grenier_stack(members)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.t == single.value.t
+        assert stacked.value.last_state.t == 0.003
+        assert bit_identical(stacked.value.last_state, single.value.last_state)
+
+    @pytest.mark.parametrize("other", [dict(dt=1e-2, T=0.05), dict(dt=1e-2, T=0.04, save_every=1)],
+                             ids=["steps", "cadence"])
+    def test_members_must_share_steps_and_cadence(self, gaussian_1d, other):
+        base = WkbRunConfig(dt=1e-2, T=0.04, save_every=2)
+        odd = WkbRunConfig(**{"save_every": 2, **other})
+        with pytest.raises(ValueError, match="step count and save cadence"):
+            solve_grenier_stack([(gaussian_1d, None, 0.0, base), (gaussian_1d, None, 0.0, odd)])
+        with pytest.raises(ValueError, match="step count and save cadence"):
+            solve_limit_stack([(gaussian_1d, None, base), (gaussian_1d, None, odd)])
+
+    def test_stack_validation(self, gaussian_1d):
+        with pytest.raises(ValueError, match="at least one member"):
+            solve_grenier_stack([])
+        other = make_gaussian(make_grid(1, 12.0, 128))
+        cfg = WkbRunConfig(dt=1e-2, T=0.04)
+        with pytest.raises(ValueError, match="share one grid"):
+            solve_limit_stack([(gaussian_1d, None, cfg), (other, None, cfg)])
 
 
 class TestReconstruct:
