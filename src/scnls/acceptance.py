@@ -57,7 +57,7 @@ class CheckResult:
 class AcceptanceSuite:
     """Shared-state runner for the nine acceptance criteria."""
 
-    def __init__(self, jobs=1, seed=0):
+    def __init__(self, seed=0):
         self.cache = RunCache()
         self.seed = seed
         self.config = SweepConfig(
@@ -65,7 +65,6 @@ class AcceptanceSuite:
             s_list=(0.0, 1.0, 2.0),
             tau=0.2,
             horizon=0.25,
-            jobs=jobs,
         )
         self.control_config = replace(
             self.config, eps_list=self.config.eps_list[-2:], a1_mode="zero")
@@ -76,7 +75,8 @@ class AcceptanceSuite:
 
     def _oracle_runs(self, eps, mode):
         """The wavefunction and phase-amplitude runs criterion 1 compares."""
-        return (studies._nls_run(self.config, eps, studies.tilde_multiplier(mode, eps)),
+        multiplier, _ = studies.A1_FACTORS[mode](eps, self.config.scaled_order)
+        return (studies._nls_run(self.config, eps, multiplier),
                 studies._grenier_run(self.config, eps, mode))
 
     def plan_runs(self):
@@ -94,7 +94,7 @@ class AcceptanceSuite:
             *(run for eps in ORACLE_EPS for mode in ORACLE_MODES
               for run in self._oracle_runs(eps, mode)),
         ]
-        studies.stack_runs(self.cache, c, runs)
+        studies.stack_runs(self.cache, runs)
         self._runs_planned = True
 
     @cached_property

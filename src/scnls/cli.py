@@ -148,6 +148,17 @@ def _finite(val):
     return math.isfinite(val) if isinstance(val, float) else abs(val) <= sys.float_info.max
 
 
+def _shown(val):
+    """repr(val), with every integer beyond the float range cut to its
+    leading digits and its digit count."""
+    if isinstance(val, list):
+        return f"[{', '.join(map(_shown, val))}]"
+    if isinstance(val, int) and abs(val) > sys.float_info.max:
+        digits = str(abs(val))
+        return f"{'-' * (val < 0)}{digits[:8]}... ({len(digits)} digits)"
+    return repr(val)
+
+
 def _checked(key, val, path):
     """val checked against key: numbers as floats, number lists as float tuples."""
     if val is None and key.default is None:
@@ -164,16 +175,16 @@ def _checked(key, val, path):
         return val
     if key.kind is tuple:
         if not isinstance(val, (list, tuple)) or not all(map(_is_number, val)):
-            _fail(path, f"must be a list of numbers, got {val!r}")
+            _fail(path, f"must be a list of numbers, got {_shown(val)}")
         if not all(map(_finite, val)):
-            _fail(path, f"must be a list of finite numbers, got {val!r}")
+            _fail(path, f"must be a list of finite numbers, got {_shown(val)}")
         return tuple(float(v) for v in val)
     if key.kind is int and (isinstance(val, bool) or not isinstance(val, int)):
         _fail(path, f"must be an integer, got {val!r}")
     if not _is_number(val):
         _fail(path, f"must be a number, got {val!r}")
     if not _finite(val):
-        _fail(path, f"must be finite, got {val}")
+        _fail(path, f"must be finite, got {_shown(val)}")
     if key.ge is not None and val < key.ge:
         _fail(path, f"must be >= {key.ge}, got {val}")
     if key.gt is not None and val <= key.gt:
@@ -227,14 +238,13 @@ def validate_config(doc, command):
     return out
 
 
-def _sweep_config(cfg, jobs, extra_s=None, a1_mode=None):
+def _sweep_config(cfg, extra_s=None, a1_mode=None):
     s_list = cfg["sweep"]["s_list"]
     if extra_s is not None and not any(abs(extra_s - x) <= 1e-12 for x in s_list):
         s_list += (extra_s,)
     sweep = {**cfg["sweep"], "s_list": tuple(sorted(s_list)),
              "a1_mode": a1_mode or cfg["sweep"]["a1_mode"]}
-    return SweepConfig(a0=GaussianSpec(**cfg["data"]), **cfg["grid"], **sweep,
-                       **cfg["solver"], jobs=jobs)
+    return SweepConfig(a0=GaussianSpec(**cfg["data"]), **cfg["grid"], **sweep, **cfg["solver"])
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +290,7 @@ def _run_single(cfg, out_dir, kind, solve):
     return 0
 
 
-def cmd_run_nls(cfg, out_dir, jobs):
+def cmd_run_nls(cfg, out_dir):
     run, solver = cfg["run"], cfg["solver"]
     if not 0 < run["eps"] <= 1:
         _fail("run.eps", f"must lie in (0, 1] for the wavefunction solver, got {run['eps']}")
@@ -296,7 +306,7 @@ def cmd_run_nls(cfg, out_dir, jobs):
     return _run_single(cfg, out_dir, "nls", solve)
 
 
-def cmd_run_wkb(cfg, out_dir, jobs):
+def cmd_run_wkb(cfg, out_dir):
     run, solver = cfg["run"], cfg["solver"]
     if run["with_corrector"] and run["eps"] != 0:
         _fail("run.with_corrector", "requires run.eps = 0 (the corrector rides the limit system)")
@@ -328,21 +338,21 @@ STUDY_COMMANDS = {
 }
 
 
-def cmd_study(command, cfg, out_dir, jobs):
+def cmd_study(command, cfg, out_dir):
     study, csv_name, a1_mode = STUDY_COMMANDS[command]
-    rep = getattr(studies, study)(_sweep_config(cfg, jobs, a1_mode=a1_mode))
+    rep = getattr(studies, study)(_sweep_config(cfg, a1_mode=a1_mode))
     return _emit(out_dir, [csv_name], [rep])
 
 
-def cmd_report_inflation(cfg, out_dir, jobs):
+def cmd_report_inflation(cfg, out_dir):
     params = ScalingParams(**cfg["scaling"])
-    measured = studies.ghost_separation_study(_sweep_config(cfg, jobs, extra_s=params.k))
+    measured = studies.ghost_separation_study(_sweep_config(cfg, extra_s=params.k))
     rep = studies.inflation_bookkeeping(params, measured)
     return _emit(out_dir, ["ghost_study.csv", "inflation_report.csv"], [measured, rep])
 
 
-def cmd_report_corollary(cfg, out_dir, jobs):
-    sweep = _sweep_config(cfg, jobs, extra_s=1.0)
+def cmd_report_corollary(cfg, out_dir):
+    sweep = _sweep_config(cfg, extra_s=1.0)
     corollary = cfg["corollary"]
     if corollary["target_energy"] is not None:
         # rescale the datum so the j-independent leading energy term hits
@@ -355,8 +365,8 @@ def cmd_report_corollary(cfg, out_dir, jobs):
     return _emit(out_dir, ["ghost_study.csv", "corollary_report.csv"], [measured, rep])
 
 
-def cmd_selftest(cfg, out_dir, jobs):
-    suite = AcceptanceSuite(jobs=jobs, seed=cfg["seed"])
+def cmd_selftest(cfg, out_dir):
+    suite = AcceptanceSuite(seed=cfg["seed"])
     results = suite.run_all(printer=print)
     payload = {
         "schema_version": report.SUMMARY_SCHEMA_VERSION,
@@ -402,7 +412,7 @@ def build_parser():
         p.add_argument("--out", type=Path, default=None,
                        help=f"output directory (default ${OUT_DIR_ENV} or ./scnls_out)")
         p.add_argument("--jobs", type=int, default=None,
-                       help="concurrent sweep points (default from config, then 1)")
+                       help="accepted and ignored: sweeps run sequentially, in eps order")
         p.add_argument("--verbose", action="store_true")
     return parser
 
@@ -424,9 +434,11 @@ def run(argv) -> int:
         jobs = args.jobs if args.jobs is not None else cfg["jobs"]
         if jobs < 1:
             _fail("jobs", f"must be >= 1, got {jobs}")
+        if jobs > 1:
+            log.warning("jobs = %d ignored: sweeps run sequentially", jobs)
         out_dir = Path(args.out or cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "scnls_out")
         out_dir.mkdir(parents=True, exist_ok=True)
-        return DISPATCH[args.command](cfg, out_dir, jobs)
+        return DISPATCH[args.command](cfg, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

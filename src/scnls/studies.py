@@ -15,8 +15,6 @@ spectrally upsampled wherever an oscillatory profile is needed.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -28,7 +26,17 @@ from .grid import (
     Field, Grid, SobolevIndex, lp_norm, make_gaussian, make_grid, norm, resample, transform,
 )
 
-A1_MODES = ("zero", "equal_a0", "scaled", "imaginary")
+# a1_mode -> (eps, N) -> (m, lambda): the perturbed run starts from m a0, and
+# its profile is a e^{i lambda phi1} e^{i phi/eps}.  The corrector system is
+# linear in its datum, so a1 = c a0 gives c phi1; a purely imaginary
+# perturbation of a real background gives no phase at all.
+A1_FACTORS = {
+    "zero": lambda eps, order: (1.0, 0.0),
+    "equal_a0": lambda eps, order: (1.0 + eps, 1.0),
+    "scaled": lambda eps, order: (1.0 + eps**order, eps ** (order - 1)),
+    "imaginary": lambda eps, order: (1.0 + 1j * eps, 0.0),
+}
+A1_MODES = tuple(A1_FACTORS)
 
 # Operational stand-ins for the eps -> 0 limit: the two finest sweep
 # points must agree to this relative spread and exceed the floor.
@@ -78,7 +86,6 @@ class SweepConfig:
     smalltime_points: int = 6
     certify_refinement: bool = False
     max_points_per_axis: int = 32768
-    jobs: int = 1
 
     def __post_init__(self):
         if len(self.eps_list) == 0:
@@ -105,8 +112,6 @@ class SweepConfig:
             v = getattr(self, name)
             if v < 8 or v & (v - 1) != 0:
                 raise ValueError(f"{name} must be a power of two >= 8, got {v!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
         if self.smalltime_points < 3:
             raise ValueError("smalltime_points must be >= 3 for slope fits")
 
@@ -149,74 +154,22 @@ def aligned_run_config(config_cls, dt_target, horizon, n_saves, **kwargs):
     return config_cls(dt=interval / steps, T=horizon, save_every=steps, **kwargs)
 
 
-def tilde_multiplier(mode, eps, order=2):
-    """Datum factor for the perturbed run: u_tilde(0) = m * a0."""
-    if mode == "zero":
-        return 1.0
-    if mode == "equal_a0":
-        return 1.0 + eps
-    if mode == "scaled":
-        return 1.0 + eps**order
-    if mode == "imaginary":
-        return 1.0 + 1j * eps
-    raise ValueError(f"unknown a1_mode {mode!r}")
-
-
-def corrector_phase_scale(mode, eps, order=2):
-    """Factor lambda such that the perturbed profile is a e^{i lambda phi1} e^{i phi/eps}.
-
-    The corrector system is linear in its datum, so a1 = c*a0 produces
-    c*phi1; purely imaginary perturbations of a real background produce no
-    phase at all.
-    """
-    if mode == "zero" or mode == "imaginary":
-        return 0.0
-    if mode == "equal_a0":
-        return 1.0
-    if mode == "scaled":
-        return eps ** (order - 1)
-    raise ValueError(f"unknown a1_mode {mode!r}")
-
-
 class RunCache:
-    """Memoizes trajectories across studies; safe under the thread pool.
-
-    Each key is computed once: a thread that asks for a key another
-    thread is computing waits for that result (or its exception).
-    """
+    """Memoizes trajectories across studies: fn runs once per key, and a
+    run that raises caches nothing."""
 
     def __init__(self):
         self._data = {}
-        self._running = {}
-        self._lock = threading.Lock()
 
     def get_or_run(self, key, fn):
-        with self._lock:
-            if key in self._data:
-                return self._data[key]
-            running = self._running.get(key)
-            if running is None:
-                self._running[key] = mine = Future()
-        if running is not None:
-            return running.result()
-        try:
-            value = fn()
-        except BaseException as exc:
-            with self._lock:
-                del self._running[key]
-            mine.set_exception(exc)
-            raise
-        with self._lock:
-            self._data[key] = value
-            del self._running[key]
-        mine.set_result(value)
-        return value
+        if key not in self._data:
+            self._data[key] = fn()
+        return self._data[key]
 
     def runs(self, kind):
         """Cached values whose key starts with kind ("nls", "limit", ...),
         in insertion order."""
-        with self._lock:
-            return [v for k, v in self._data.items() if k[0] == kind]
+        return [v for k, v in self._data.items() if k[0] == kind]
 
 
 class Run(NamedTuple):
@@ -274,11 +227,10 @@ def _solve_stack(runs):
     return (wkb.solve_grenier_stack if kind == "grenier" else wkb.solve_limit_stack)(members)
 
 
-def stack_runs(cache, cfg: SweepConfig, runs):
+def stack_runs(cache, runs):
     """Cache every run in runs under its key, as one stacked integration
-    per group (groups run under cfg.jobs): wavefunction runs group by grid,
-    eps and run config, phase-amplitude runs of one kind by grid, step
-    count and save cadence.
+    per group: wavefunction runs group by grid, eps and run config,
+    phase-amplitude runs of one kind by grid, step count and save cadence.
 
     A stack that trips a guard caches nothing: its runs are left to
     _trajectory, which raises each run's own error when it is asked for
@@ -291,17 +243,15 @@ def stack_runs(cache, cfg: SweepConfig, runs):
         shared = (run.eps, rc) if run.kind == "nls" else (steps, rc.save_every)
         groups.setdefault((run.kind, run.grid, shared), []).append(run)
 
-    def one_stack(group):
+    # Wavefunction stacks first: run before the small phase-amplitude ones,
+    # they leave the heap less fragmented (selftest peak RSS 0.2 MiB lower).
+    for group in sorted(groups.values(), key=lambda g: g[0].kind != "nls"):
         try:
             trajectories = _solve_stack(group)
         except GuardError:
-            return
+            continue
         for run, traj in zip(group, trajectories):
             cache.get_or_run(run, lambda traj=traj: traj)
-
-    # Wavefunction stacks first: run before the small phase-amplitude ones,
-    # they leave the heap less fragmented (selftest peak RSS 0.2 MiB lower).
-    _sweep_map(cfg, one_stack, sorted(groups.values(), key=lambda g: g[0].kind != "nls"))
 
 
 def a1_datum(kind, a0):
@@ -324,7 +274,7 @@ def _error_runs(config, eps):
 
 def _pair_runs(config, eps, refine=1):
     """The paired wavefunction runs a ghost study reads at one sweep point."""
-    tilde = tilde_multiplier(config.a1_mode, eps, config.scaled_order)
+    tilde, _ = A1_FACTORS[config.a1_mode](eps, config.scaled_order)
     return _nls_run(config, eps, 1.0, refine), _nls_run(config, eps, tilde, refine)
 
 
@@ -403,14 +353,14 @@ def _config_header(cfg: SweepConfig, **notes):
     return header
 
 
-def _band_check(name, value, band, checks, note=""):
+def _check(checks, name, passed, value, bound, note=""):
+    """Record the named pass/fail check with its measured value and bound."""
+    checks[name] = {"passed": bool(passed), "value": value, "bound": bound, "note": note}
+
+
+def _band_check(checks, name, value, band):
     lo, hi = band
-    checks[name] = {
-        "passed": bool(value is not None and lo <= value <= hi),
-        "value": value,
-        "bound": f"[{lo}, {hi}]",
-        "note": note,
-    }
+    _check(checks, name, lo <= value <= hi, value, f"[{lo}, {hi}]")
 
 
 def _profile_fields(bg, corr, fine_n):
@@ -419,16 +369,6 @@ def _profile_fields(bg, corr, fine_n):
     phi = resample(bg.phi, fine_n).values.real
     phi1 = resample(corr.phi1, fine_n).values.real
     return a, phi, phi1
-
-
-def _sweep_map(cfg, fn, items=None):
-    """Evaluate fn on every item (by default every sweep point), in a pool
-    of cfg.jobs threads when that exceeds 1; results keep the item order."""
-    items = cfg.eps_list if items is None else items
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> StudyReport:
@@ -475,7 +415,7 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
                 sup_exp[s] = max(sup_exp[s], norm(da2, idx) + norm(dphi2, idx))
         return sup_plain, sup_pert, sup_hyp, sup_exp
 
-    results = _sweep_map(config, one_eps)
+    results = [one_eps(eps) for eps in config.eps_list]
 
     rows = []
     families = ("profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap")
@@ -500,17 +440,15 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
                     {"family": family, "s": s, "slope": None, "intercept": None,
                      "max_resid": None, "n_points": len(vals)}
                 )
-                checks[f"{family}_slope_s{s:g}"] = {
-                    "passed": True, "value": None, "bound": "zero data",
-                    "note": "all errors vanish identically",
-                }
+                _check(checks, f"{family}_slope_s{s:g}", True, None, "zero data",
+                       "all errors vanish identically")
                 continue
             slope, intercept, resid = fit_loglog(config.eps_list, vals)
             slopes.append(
                 {"family": family, "s": s, "slope": slope, "intercept": intercept,
                  "max_resid": resid, "n_points": len(vals)}
             )
-            _band_check(f"{family}_slope_s{s:g}", slope, bands[family], checks)
+            _band_check(checks, f"{family}_slope_s{s:g}", slope, bands[family])
 
     header = _config_header(config, description="profile and expansion error sweep")
     return StudyReport("wkb_error", header, rows, slopes, checks)
@@ -548,7 +486,7 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
                 {"family": family, "s": s, "slope": slope, "intercept": intercept,
                  "max_resid": resid, "n_points": len(vals)}
             )
-            _band_check(f"{family}_slope_s{s:g}", slope, SLOPE_BAND_CUBIC, checks)
+            _band_check(checks, f"{family}_slope_s{s:g}", slope, SLOPE_BAND_CUBIC)
 
     header = _config_header(config, description="dyadic small-time expansion residuals")
     return StudyReport("small_time", header, rows, slopes, checks)
@@ -573,7 +511,7 @@ def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> Stu
 
     def one_eps(eps):
         grid, diff = pair_diff(eps, 1)
-        lam = corrector_phase_scale(mode, eps, order)
+        _, lam = A1_FACTORS[mode](eps, order)
         a_f, phi_f, phi1_f = _profile_fields(bg_tau, corr_tau, grid.points_per_axis)
         pred_vals = a_f.values * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
         pred = transform(Field(grid, pred_vals))
@@ -598,7 +536,7 @@ def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> Stu
             out["per_s"][s] = entry
         return out
 
-    results = _sweep_map(config, one_eps)
+    results = [one_eps(eps) for eps in config.eps_list]
 
     rows = []
     for eps, res in zip(config.eps_list, results):
@@ -616,51 +554,35 @@ def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> Stu
         rows.append(_row("ghost", "diff_l4", res["l4"], eps=eps, s=None))
 
     checks = {}
-    quantity = "higher_order_scaled" if higher_order else "separation_scaled"
     rtol = HIGHER_ORDER_STABILIZATION_RTOL if higher_order else GHOST_STABILIZATION_RTOL
-    control = mode in ("zero",)
     for s in config.s_list:
         vals = [res["per_s"][s]["Q" if higher_order else "D"] for res in results]
-        if control:
+        if mode == "zero":
             worst = max(abs(v) for v in vals)
-            checks[f"control_null_s{s:g}"] = {
-                "passed": worst <= 1e-10, "value": worst, "bound": "<= 1e-10",
-                "note": "identical data must give a vanishing difference",
-            }
+            _check(checks, f"control_null_s{s:g}", worst <= 1e-10, worst, "<= 1e-10",
+                   "identical data must give a vanishing difference")
             continue
         spread = relative_spread(vals[-1], vals[-2])
         stabilized = spread <= rtol
         above_floor = min(vals[-1], vals[-2]) >= floor
         separated = min(vals[-1], vals[-2]) >= 0.5 * max(vals) and above_floor
-        checks[f"stabilized_s{s:g}"] = {
-            "passed": bool(stabilized), "value": spread, "bound": f"<= {rtol}",
-            "note": "relative spread of the two finest sweep points",
-        }
-        checks[f"above_floor_s{s:g}"] = {
-            "passed": bool(above_floor), "value": min(vals[-1], vals[-2]),
-            "bound": f">= {floor:.6e}",
-            "note": "floor is 1e-3 * |a0|_L2",
-        }
-        checks[f"separated_s{s:g}"] = {
-            "passed": bool(separated), "value": min(vals[-1], vals[-2]),
-            "bound": f">= max(floor, half of max over sweep = {0.5 * max(vals):.6e})",
-            "note": "operational liminf > 0 verdict",
-        }
+        _check(checks, f"stabilized_s{s:g}", stabilized, spread, f"<= {rtol}",
+               "relative spread of the two finest sweep points")
+        _check(checks, f"above_floor_s{s:g}", above_floor, min(vals[-1], vals[-2]),
+               f">= {floor:.6e}", "floor is 1e-3 * |a0|_L2")
+        _check(checks, f"separated_s{s:g}", separated, min(vals[-1], vals[-2]),
+               f">= max(floor, half of max over sweep = {0.5 * max(vals):.6e})",
+               "operational liminf > 0 verdict")
         ratios = [res["per_s"][s]["ratio"] for res in results[-2:]]
         if all(r is not None for r in ratios):
             worst_ratio = max(ratios, key=lambda r: abs(math.log(r)) if r > 0 else math.inf)
-            checks[f"profile_ratio_s{s:g}"] = {
-                "passed": bool(all(0.5 <= r <= 2.0 for r in ratios)),
-                "value": worst_ratio,
-                "bound": "[0.5, 2.0] at the two finest sweep points",
-                "note": "measured/predicted outside the band flags under-resolution",
-            }
-        if not control and config.certify_refinement:
+            _check(checks, f"profile_ratio_s{s:g}", all(0.5 <= r <= 2.0 for r in ratios),
+                   worst_ratio, "[0.5, 2.0] at the two finest sweep points",
+                   "measured/predicted outside the band flags under-resolution")
+        if config.certify_refinement:
             worst = max(res["per_s"][s].get("refined_change", 0.0) for res in results)
-            checks[f"grid_independent_s{s:g}"] = {
-                "passed": worst < 0.05, "value": worst, "bound": "< 0.05",
-                "note": "doubling N changes the reported value by less than 5%",
-            }
+            _check(checks, f"grid_independent_s{s:g}", worst < 0.05, worst, "< 0.05",
+                   "doubling N changes the reported value by less than 5%")
 
     name = "ghost_higher_order" if higher_order else "ghost_separation"
     header = _config_header(
@@ -810,41 +732,25 @@ def inflation_bookkeeping(params: ScalingParams, measured: StudyReport) -> Study
     else:
         classification = "decays"
 
-    checks = {
-        "data_differences_vanish": {
-            "passed": bool(1 + sig - n / 2 < 0 and 1 - n / 2 < 0),
-            "value": 1 + sig - n / 2,
-            "bound": "< 0",
-            "note": "exact exponents of the datum-difference norms",
-        },
-        "exponent_matches_threshold_side": {
-            "passed": bool(
-                (exact > 1e-12) == (k > params.k_threshold + 1e-12)
-                and (abs(exact) <= 1e-12) == (abs(k - params.k_threshold) <= 1e-12)
-            ),
-            "value": exact,
-            "bound": f"sign flip at k = {params.k_threshold}",
-            "note": classification,
-        },
-    }
+    checks = {}
+    _check(checks, "data_differences_vanish", 1 + sig - n / 2 < 0 and 1 - n / 2 < 0,
+           1 + sig - n / 2, "< 0", "exact exponents of the datum-difference norms")
+    _check(checks, "exponent_matches_threshold_side",
+           (exact > 1e-12) == (k > params.k_threshold + 1e-12)
+           and (abs(exact) <= 1e-12) == (abs(k - params.k_threshold) <= 1e-12),
+           exact, f"sign flip at k = {params.k_threshold}", classification)
     if slope is not None:
         # Desk-scale sweeps still carry the O(eps) transient of the
         # separation quantity, so only the sign of the measured growth is
         # meaningful away from the threshold.
         if abs(exact) >= 0.5:
-            checks["measured_growth_sign"] = {
-                "passed": bool(np.sign(slope) == np.sign(exact)),
-                "value": slope,
-                "bound": f"sign of exact exponent {exact}",
-                "note": "fit of the rescaled measured differences against j",
-            }
+            _check(checks, "measured_growth_sign", np.sign(slope) == np.sign(exact), slope,
+                   f"sign of exact exponent {exact}",
+                   "fit of the rescaled measured differences against j")
         else:
-            checks["measured_growth_sign"] = {
-                "passed": True,
-                "value": slope,
-                "bound": "informational near the threshold",
-                "note": "boundedness is covered by the separation stabilization check",
-            }
+            _check(checks, "measured_growth_sign", True, slope,
+                   "informational near the threshold",
+                   "boundedness is covered by the separation stabilization check")
 
     header = {
         "params": asdict(params),
@@ -956,43 +862,27 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
     ]
     spread = relative_spread(e_sol[-1], e_sol[-2]) if len(e_sol) >= 2 else None
 
-    checks = {
-        "mass_vanishes": {
-            "passed": bool(
-                all(col == sorted(col, reverse=True) for col in mass_cols) and -2 * s < 0
-            ),
-            "value": mass_cols[0][-1],
-            "bound": "decreasing with exact exponent -n/2",
-            "note": "mass of both data sequences",
-        },
-        "data_energy_difference_vanishes": {
-            "passed": bool(diffs == sorted(diffs, reverse=True) and 4 - n < 0),
-            "value": diffs[-1],
-            "bound": "decreasing with exact exponent 4 - n",
-            "note": "",
-        },
-        "data_energies_in_band": {
-            "passed": bool(
-                band_rows
-                and all(abs(ep - c0) <= delta and abs(ed - c0) <= delta
-                        for _, ep, ed in band_rows)
-            ),
-            "value": band_rows[-1][1] if band_rows else None,
-            "bound": f"[{c0 - delta}, {c0 + delta}] for j >= {j_star:.6g}",
-            "note": f"{len(band_rows)} sweep rows past the threshold",
-        },
-        "solution_energy_bounded_below": {
-            "passed": bool(
-                spread is not None
-                and spread <= HIGHER_ORDER_STABILIZATION_RTOL
-                and min(e_sol[-1], e_sol[-2]) >= SEPARATION_FLOOR_FACTOR * c0
-            ),
-            "value": min(e_sol[-2:]) if len(e_sol) >= 2 else None,
-            "bound": f">= {SEPARATION_FLOOR_FACTOR * c0:.6e} with spread <= "
-                     f"{HIGHER_ORDER_STABILIZATION_RTOL}",
-            "note": "extrapolated difference energy at t_j",
-        },
-    }
+    checks = {}
+    _check(checks, "mass_vanishes",
+           all(col == sorted(col, reverse=True) for col in mass_cols) and -2 * s < 0,
+           mass_cols[0][-1], "decreasing with exact exponent -n/2", "mass of both data sequences")
+    _check(checks, "data_energy_difference_vanishes",
+           diffs == sorted(diffs, reverse=True) and 4 - n < 0,
+           diffs[-1], "decreasing with exact exponent 4 - n")
+    _check(checks, "data_energies_in_band",
+           band_rows and all(abs(ep - c0) <= delta and abs(ed - c0) <= delta
+                             for _, ep, ed in band_rows),
+           band_rows[-1][1] if band_rows else None,
+           f"[{c0 - delta}, {c0 + delta}] for j >= {j_star:.6g}",
+           f"{len(band_rows)} sweep rows past the threshold")
+    _check(checks, "solution_energy_bounded_below",
+           spread is not None
+           and spread <= HIGHER_ORDER_STABILIZATION_RTOL
+           and min(e_sol[-1], e_sol[-2]) >= SEPARATION_FLOOR_FACTOR * c0,
+           min(e_sol[-2:]) if len(e_sol) >= 2 else None,
+           f">= {SEPARATION_FLOOR_FACTOR * c0:.6e} with spread <= "
+           f"{HIGHER_ORDER_STABILIZATION_RTOL}",
+           "extrapolated difference energy at t_j")
 
     header = {
         "n": n,

@@ -93,13 +93,16 @@ class TestConfigValidation:
         ("grid.half_width", 10**400),
         ("sweep.eps_list", [0.25, 10**400]),
         ("sweep.n_saves", 10**400),
-    ], ids=["number", "list-element", "integer"])
+        ("sweep.s_list", [0.0, -10**400]),
+    ], ids=["number", "list-element", "integer", "negative-list-element"])
     def test_integer_beyond_float_range_named(self, tmp_path, capsys, field, value):
         section, key = field.split(".")
         cfg = write_config(tmp_path, {"schema_version": 1, section: {key: value}})
         assert cli.run(["run-nls", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err and "finite" in err
+        # the number is shortened to its leading digits and its length
+        assert "10000000... (401 digits)" in err and len(err) < 200
 
     @pytest.mark.parametrize("mode", ["zero", "equal_a0", "imaginary"])
     def test_ghost_n_study_refuses_another_a1_mode(self, tmp_path, capsys, mode):
@@ -127,7 +130,7 @@ class TestSchema:
     @pytest.mark.parametrize("command", list(cli.STUDY_COMMANDS))
     def test_defaults_build_the_canonical_sweep(self, command):
         cfg = cli.validate_config({"schema_version": 1}, command)
-        sweep = cli._sweep_config(cfg, 1, a1_mode=cli.STUDY_COMMANDS[command][2])
+        sweep = cli._sweep_config(cfg, a1_mode=cli.STUDY_COMMANDS[command][2])
         a1_mode = "scaled" if command == "study-ghost-n" else "equal_a0"
         expected = SweepConfig(eps_list=FULL_EPS_SWEEP, a1_mode=a1_mode)
         for f in fields(SweepConfig):
@@ -252,16 +255,21 @@ class TestStudyCommands:
         assert (out1 / "ghost_study.csv").read_bytes() == (out2 / "ghost_study.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
-    def test_ghost_study_identical_across_jobs(self, tmp_path):
+    def test_ghost_study_identical_across_jobs(self, tmp_path, caplog):
+        # --jobs is accepted and ignored: a value above 1 warns once.
         cfg = write_config(tmp_path, tiny_sweep())
         outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        warnings = []
         for jobs, out in zip((1, 2), outs):
+            caplog.clear()
             args = ["study-ghost", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]
             assert cli.run(args) == 0
+            warnings.append([r.getMessage() for r in caplog.records if r.levelname == "WARNING"])
+        assert warnings == [[], ["jobs = 2 ignored: sweeps run sequentially"]]
         names = sorted(p.name for p in outs[0].glob("*.csv"))
         assert names == sorted(p.name for p in outs[1].glob("*.csv"))
         assert names
-        for name in names:
+        for name in names + ["summary.json"]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_smalltime_study(self, tmp_path):
@@ -353,8 +361,7 @@ class TestSelftest:
         outcomes = {"passed": True}
 
         class StubSuite:
-            def __init__(self, jobs=1, seed=0):
-                self.jobs = jobs
+            def __init__(self, seed=0):
                 self.seed = seed
 
             def run_all(self, printer=None):

@@ -1,4 +1,3 @@
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -92,70 +91,33 @@ class TestSweepConfig:
 
 
 class TestRunCache:
-    def test_overlapping_requests_for_one_key_compute_it_once(self):
-        cache = RunCache()
-        calls, results = [], [None, None]
-        computing, release = threading.Event(), threading.Event()
+    def test_runs_each_key_once_and_caches_no_failure(self):
+        cache, calls = RunCache(), []
 
-        def fn():
-            calls.append(threading.get_ident())
-            computing.set()
-            assert release.wait(timeout=10)
-            return object()
+        def run(key):
+            calls.append(key)
+            return [key]
 
-        def ask(i):
-            results[i] = cache.get_or_run("key", fn)
-
-        first = threading.Thread(target=ask, args=(0,))
-        first.start()
-        assert computing.wait(timeout=10)
-        # The first thread is inside fn; the second asks for the same key.
-        second = threading.Thread(target=ask, args=(1,))
-        second.start()
-        second.join(timeout=0.5)
-        assert second.is_alive()
-        release.set()
-        for t in (first, second):
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert len(calls) == 1
-        assert results[0] is results[1] is not None
-        assert cache.get_or_run("key", fn) is results[0] and len(calls) == 1
-
-    def test_failed_run_reaches_waiters_and_is_not_cached(self):
-        cache = RunCache()
-        computing, release = threading.Event(), threading.Event()
-        errors = []
+        results = [cache.get_or_run(("nls", k), lambda k=k: run(k)) for k in "abab"]
+        assert calls == ["a", "b"]
+        assert results[0] is results[2] and results[1] is results[3]
+        assert cache.runs("nls") == [["a"], ["b"]]
 
         def failing():
-            computing.set()
-            assert release.wait(timeout=10)
+            calls.append("failed")
             raise RuntimeError("run failed")
 
-        def ask():
-            try:
-                cache.get_or_run("key", failing)
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        threads = [threading.Thread(target=ask)]
-        threads[0].start()
-        assert computing.wait(timeout=10)
-        threads.append(threading.Thread(target=ask))
-        threads[1].start()
-        threads[1].join(timeout=0.5)
-        release.set()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert errors == ["run failed", "run failed"]
-        assert cache.get_or_run("key", lambda: 42) == 42
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="run failed"):
+                cache.get_or_run(("limit", "c"), failing)
+        assert calls == ["a", "b", "failed", "failed"]
+        assert cache.runs("limit") == []
+        assert cache.get_or_run(("limit", "c"), lambda: 42) == 42
 
 
 class TestStackedRuns:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch, jobs):
-        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), jobs=jobs)
+    def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch):
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
         runs = [studies._nls_run(cfg, eps, m) for eps in cfg.eps_list
                 for m in (1.0, 1.0 + eps, 1.0, 1.0 + eps**2)]
         singles = RunCache()
@@ -169,7 +131,7 @@ class TestStackedRuns:
 
         monkeypatch.setattr(nls, "solve_nls_stack", recording)
         cache = RunCache()
-        studies.stack_runs(cache, cfg, runs)
+        studies.stack_runs(cache, runs)
         assert sorted(stacks) == [(0.125, 3), (0.25, 3)]
         monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
         for run, ref in expected.items():
@@ -184,8 +146,8 @@ class TestStackedRuns:
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,),
                           a0=GaussianSpec(amplitude=30.0))
         cache = RunCache()
-        studies.stack_runs(cache, cfg, [studies._nls_run(cfg, eps, m)
-                                        for eps in cfg.eps_list for m in (1.0, 1e-3)])
+        studies.stack_runs(cache, [studies._nls_run(cfg, eps, m)
+                                   for eps in cfg.eps_list for m in (1.0, 1e-3)])
         assert cache.runs("nls") == []
         resolved, tripping = (studies._nls_run(cfg, 0.25, m) for m in (1e-3, 1.0))
         assert len(studies._trajectory(cache, resolved)) == cfg.n_saves + 1
@@ -209,7 +171,7 @@ class TestStackedRuns:
                 return solve(members)
             monkeypatch.setattr(wkb, name, recording)
         cache = RunCache()
-        studies.stack_runs(cache, cfg, runs)
+        studies.stack_runs(cache, runs)
         # Grenier runs take 6, 3 and 2 steps per save at eps = 1/4, 1/8 and
         # below; the limit runs 2 at the full horizon and 1 at the shorter ones.
         assert sorted(stacks) == [("solve_grenier_stack", 2, 3), ("solve_grenier_stack", 2, 6),
@@ -228,7 +190,7 @@ class TestStackedRuns:
         tripping = [studies._limit_run(cfg, kind) for kind in ("equal_a0", "imaginary")]
         healthy = studies._limit_run(cfg, horizon=1.0)
         cache = RunCache()
-        studies.stack_runs(cache, cfg, [*tripping, healthy])
+        studies.stack_runs(cache, [*tripping, healthy])
         (cached,) = cache.runs("limit")
         assert bit_identical(cached, studies._trajectory(RunCache(), healthy))
         for run in tripping:
@@ -237,6 +199,19 @@ class TestStackedRuns:
 
 
 class TestA1Datum:
+    @pytest.mark.parametrize("order, scaled", [(2, (1.015625, 0.125)),
+                                               (3, (1.001953125, 0.015625))],
+                             ids=["order2", "order3"])
+    def test_mode_factors(self, order, scaled):
+        # (datum multiplier m, corrector phase scale lambda) at eps = 1/8
+        assert studies.A1_MODES == ("zero", "equal_a0", "scaled", "imaginary")
+        assert {mode: f(0.125, order) for mode, f in studies.A1_FACTORS.items()} == {
+            "zero": (1.0, 0.0),
+            "equal_a0": (1.125, 1.0),
+            "scaled": scaled,
+            "imaginary": (1 + 0.125j, 0.0),
+        }
+
     def test_kinds(self):
         a0 = GaussianSpec().realize(make_grid(1, 12.0, 64))
         assert studies.a1_datum("zero", a0) is None
