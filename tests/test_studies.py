@@ -116,7 +116,9 @@ class TestRunCache:
 
 
 class TestStackedRuns:
-    def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch):
+    # copies = 2 asks for every run twice: the stacks must not grow.
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch, copies):
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
         runs = [studies._nls_run(cfg, eps, m) for eps in cfg.eps_list
                 for m in (1.0, 1.0 + eps, 1.0, 1.0 + eps**2)]
@@ -131,7 +133,7 @@ class TestStackedRuns:
 
         monkeypatch.setattr(nls, "solve_nls_stack", recording)
         cache = RunCache()
-        studies.stack_runs(cache, runs)
+        studies.stack_runs(cache, runs * copies)
         assert sorted(stacks) == [(0.125, 3), (0.25, 3)]
         monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
         for run, ref in expected.items():
