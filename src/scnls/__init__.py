@@ -8,9 +8,8 @@ from .grid import (
     Field,
     Grid,
     SobolevIndex,
-    gradient,
+    derivatives,
     inverse_transform,
-    laplacian,
     load_field,
     lp_norm,
     make_gaussian,
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "Grid", "SobolevIndex", "make_grid", "make_gaussian",
-    "transform", "inverse_transform", "gradient", "laplacian", "norm",
+    "transform", "inverse_transform", "derivatives", "norm",
     "lp_norm", "resample", "tail_fraction", "save_field", "load_field",
     "NlsState", "NlsRunConfig", "solve_nls", "kinetic_substep",
     "nonlinear_substep", "mass", "semiclassical_energy",

@@ -8,6 +8,7 @@ byte-identical CSVs (17-significant-digit formatting, fixed ordering).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -268,21 +269,27 @@ def _run_config(config_cls, run, default_dt, **kwargs):
     return config_cls(dt=dt, T=run["T"], save_every=save_every, **kwargs)
 
 
-def _run_single(cfg, out_dir, kind, solve):
-    """The path run-nls and run-wkb share.  solve(grid, a0) runs the solver
-    and returns its step, its trajectory rows and one {file prefix: Field}
-    dict per snapshot."""
+def _run_single(cfg, out_dir, kind, solve, row, dumps):
+    """The path run-nls and run-wkb share.  solve(grid, a0, keep) runs the
+    solver with keep as its per-save function and returns its step and
+    trajectory.  keep writes the snapshot's {file prefix: Field} dumps(snapshot)
+    when run.dump_fields is set and returns its row(snapshot, norms), so the
+    run holds one snapshot at a time; a guard abort leaves the earlier dumps."""
     run = cfg["run"]
     grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
-    dt, rows, snapshots = solve(grid, GaussianSpec(**cfg["data"]).realize(grid))
+    fdir, saves = out_dir / "fields", itertools.count()
+
+    def keep(snapshot):
+        i = next(saves)
+        if run["dump_fields"]:
+            fdir.mkdir(exist_ok=True)
+            for prefix, field in dumps(snapshot).items():
+                save_field(field, fdir / f"{prefix}_{i:04d}")
+        return row(snapshot, run["norms"])
+
+    dt, rows = solve(grid, GaussianSpec(**cfg["data"]).realize(grid), keep)
     path = report.write_trajectory_csv(rows, out_dir / f"{kind}_trajectory.csv")
     log.info("wrote %s", path)
-    if run["dump_fields"]:
-        fdir = out_dir / "fields"
-        fdir.mkdir(exist_ok=True)
-        for i, snapshot in enumerate(snapshots):
-            for prefix, field in snapshot.items():
-                save_field(field, fdir / f"{prefix}_{i:04d}")
     report.dump_json({"schema_version": report.SUMMARY_SCHEMA_VERSION,
                       "study": f"run_{kind}", "passed": True,
                       "rows": len(rows), "eps": run["eps"], "dt": dt},
@@ -295,15 +302,14 @@ def cmd_run_nls(cfg, out_dir):
     if not 0 < run["eps"] <= 1:
         _fail("run.eps", f"must lie in (0, 1] for the wavefunction solver, got {run['eps']}")
 
-    def solve(grid, u0):
+    def solve(grid, u0, keep):
         # the default step divides each of the RUN_SAVES save intervals evenly
         target = nls.default_dt(grid, run["eps"], solver["nls_dt_safety"])
         aligned = studies.aligned_run_config(nls.NlsRunConfig, target, run["T"], RUN_SAVES)
         rc = _run_config(nls.NlsRunConfig, run, aligned.dt, tail_tol=solver["tail_tol"])
-        traj = nls.solve_nls(u0, run["eps"], rc)
-        return rc.dt, report.nls_trajectory_rows(traj, run["norms"]), [{"u": s.u} for s in traj]
+        return rc.dt, nls.solve_nls(u0, run["eps"], rc, keep)
 
-    return _run_single(cfg, out_dir, "nls", solve)
+    return _run_single(cfg, out_dir, "nls", solve, report.nls_row, lambda s: {"u": s.u})
 
 
 def cmd_run_wkb(cfg, out_dir):
@@ -311,21 +317,21 @@ def cmd_run_wkb(cfg, out_dir):
     if run["with_corrector"] and run["eps"] != 0:
         _fail("run.with_corrector", "requires run.eps = 0 (the corrector rides the limit system)")
 
-    def solve(grid, a0):
+    def solve(grid, a0, keep):
         # the default step is the RK4 rule clipped to the horizon
         target = wkb.default_dt(grid, run["eps"], solver["wkb_dt_safety"])
         rc = _run_config(wkb.WkbRunConfig, run, math.copysign(min(target, abs(run["T"])), run["T"]),
                          tail_tol=solver["tail_tol"], sing_tol=run["sing_tol"])
         a1 = studies.a1_datum(run["a1_mode"], a0)
         if run["with_corrector"]:
-            traj = wkb.solve_limit_with_corrector(a0, a1, rc)
-        else:
-            traj = wkb.solve_grenier(a0, a1, run["eps"], rc)
-        states = [snap[0] if isinstance(snap, tuple) else snap for snap in traj]
-        return (rc.dt, report.wkb_trajectory_rows(traj, run["norms"]),
-                [{"a": s.a, "phi": s.phi} for s in states])
+            return rc.dt, wkb.solve_limit_with_corrector(a0, a1, rc, keep)
+        return rc.dt, wkb.solve_grenier(a0, a1, run["eps"], rc, keep)
 
-    return _run_single(cfg, out_dir, "wkb", solve)
+    def dumps(snap):
+        state = snap[0] if run["with_corrector"] else snap
+        return {"a": state.a, "phi": state.phi}
+
+    return _run_single(cfg, out_dir, "wkb", solve, report.wkb_row, dumps)
 
 
 # study-* command -> (function of `studies`, looked up on each call so that a wrapper

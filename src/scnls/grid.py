@@ -255,22 +255,13 @@ def inverse_transform(f: Field) -> Field:
     return Field(g, vals, PHYSICAL)
 
 
-def gradient(f: Field) -> list[Field]:
-    """Spectral gradient of the trigonometric interpolant, one Field per axis."""
-    _require_space(f, PHYSICAL, "gradient")
+def derivatives(f: Field) -> list[Field]:
+    """Spectral gradient of the trigonometric interpolant, one Field per
+    axis, then its Laplacian: one transform and one batched inverse over
+    Grid.derivative_multipliers."""
+    _require_space(f, PHYSICAL, "derivatives")
     g = f.grid
-    fhat = _fft(f.values, g.dim)
-    return [
-        Field(g, _ifft(mult * fhat, g.dim), PHYSICAL) for mult in g.derivative_multipliers[: g.dim]
-    ]
-
-
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian via the -|kappa|^2 multiplier."""
-    _require_space(f, PHYSICAL, "laplacian")
-    g = f.grid
-    fhat = _fft(f.values, g.dim)
-    return Field(g, _ifft(-g.k_squared * fhat, g.dim), PHYSICAL)
+    return [Field(g, d) for d in _ifft(g.derivative_multipliers * _fft(f.values, g.dim), g.dim)]
 
 
 @dataclass(frozen=True)

@@ -152,22 +152,27 @@ def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> floa
     return state.eps**2 * grad_sq + lp_norm(state.u, 4) ** 4
 
 
-def solve_nls(u0: Field, eps, config: NlsRunConfig):
+def solve_nls(u0: Field, eps, config: NlsRunConfig, keep=None):
     """Integrate from u0 to T, returning snapshots every save_every steps.
 
     dt is adjusted to the nearest divisor of T so the run lands exactly on
     the horizon. The final state is always saved.
 
+    keep, when given, is called on each saved NlsState once every guard
+    at that time has passed, and the trajectory holds what it returns
+    instead, so the caller may let each snapshot go as soon as it is saved.
+
     Raises ResolutionError if the spectral tail guard trips at any saved
     time (including t = 0) and NonFiniteError on NaN/overflow in u0 or at
     any step, carrying the last good snapshot (None when u0 is at fault).
     """
-    return solve_nls_stack([u0], eps, config)[0]
+    return solve_nls_stack([u0], eps, config, keep)[0]
 
 
-def solve_nls_stack(u0s, eps, config: NlsRunConfig):
+def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     """solve_nls for several data on one grid in one step loop: one
     trajectory per datum, each equal to that datum's own solve_nls run.
+    keep, when given, is applied to every member's saved states.
 
     The first member to trip a guard, in step order, raises the error its
     single run raises, with its own last good snapshot.
@@ -193,10 +198,9 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig):
     u = np.stack([f.values for f in u0s])
     buf = np.empty_like(u)
     axes = tuple(range(1, grid.dim + 1))
+    keep = keep or (lambda state: state)
     trajectories = [[] for _ in u0s]
-
-    def last(member):
-        return trajectories[member][-1] if trajectories[member] else None
+    last = [None] * len(u0s)  # each member's last saved state, the only one held
 
     def save(step, guarded):
         # guarded is u0s at t = 0, which tail_fraction transforms, and the
@@ -206,15 +210,16 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig):
         t = step * dt
         for member, (values, guard) in enumerate(zip(u, guarded)):
             if not np.isfinite(values).all():
-                raise NonFiniteError.at_step(step, dt, last(member))
+                raise NonFiniteError.at_step(step, dt, last[member])
             ResolutionError.check(tail_fraction(guard), config.tail_tol, f"at t = {t:.6g}", t)
-        for traj, values in zip(trajectories, u):
-            traj.append(NlsState(t, Field(grid, values.copy()), eps))
+        for member, values in enumerate(u):
+            last[member] = NlsState(t, Field(grid, values.copy()), eps)
+            trajectories[member].append(keep(last[member]))
 
     def rotate(step, rate):
         finite = np.isfinite(_rotate(u, buf, rate, axes))
         if not finite.all():
-            raise NonFiniteError.at_step(step, dt, last(int(np.argmin(finite))))
+            raise NonFiniteError.at_step(step, dt, last[int(np.argmin(finite))])
 
     save(0, u0s)
     loop_spectra = [Field(grid, member, SPECTRAL) for member in buf]

@@ -107,13 +107,13 @@ def dump_json(payload, path):
 
 
 def nls_trajectory_rows(snapshots, norm_orders=()):
-    """(t, mass, energy, requested H^s norms) per saved time; the energy
-    and the norms share one transform of each snapshot."""
-    return [_nls_row(state, norm_orders) for state in snapshots]
+    """nls_row of each snapshot."""
+    return [nls_row(state, norm_orders) for state in snapshots]
 
 
-def _nls_row(state, norm_orders):
-    # one snapshot's transform is freed before the next one is made
+def nls_row(state, norm_orders=()):
+    """(t, mass, energy, requested H^s norms) of one saved NlsState; the
+    energy and the norms share one transform of it."""
     uhat = transform(state.u)
     row = {
         "t": state.t,
@@ -126,33 +126,34 @@ def _nls_row(state, norm_orders):
 
 
 def wkb_trajectory_rows(snapshots, norm_orders=()):
-    """NLS columns plus the phase-gradient sup and corrector norms; the
-    energy, the gradient sup and the norms share one transform each of a
-    and phi, and the energy and the gradient sup one gradient computation."""
-    rows = []
-    for snap in snapshots:
-        if isinstance(snap, tuple):
-            state, corr = snap
-        else:
-            state, corr = snap, None
-        fft_pair = wkb.spectra(state)
-        grads = wkb.gradients(state, fft_pair)
-        row = {
-            "t": state.t,
-            "mass": nls.mass(state.a),
-            "energy": wkb.wkb_energy(state, grads),
-            "grad_phi_max": wkb.grad_phi_max(state, grads),
-        }
-        if norm_orders:
-            a_hat, phi_hat = (from_fft(state.a.grid, f) for f in fft_pair)
-            for s in norm_orders:
-                row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
-                row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))
-        if corr is not None:
-            row["a1_l2"] = norm(corr.a1)
-            row["phi1_linf"] = float(np.abs(corr.phi1.values).max())
-        rows.append(row)
-    return rows
+    """wkb_row of each snapshot."""
+    return [wkb_row(snap, norm_orders) for snap in snapshots]
+
+
+def wkb_row(snap, norm_orders=()):
+    """NLS columns plus the phase-gradient sup of one saved GrenierState,
+    and the corrector norms when snap is a (GrenierState, CorrectorState)
+    pair; the energy, the gradient sup and the norms share one transform
+    each of a and phi, and the energy and the gradient sup one gradient
+    computation."""
+    state, corr = snap if isinstance(snap, tuple) else (snap, None)
+    fft_pair = wkb.spectra(state)
+    grads = wkb.gradients(state, fft_pair)
+    row = {
+        "t": state.t,
+        "mass": nls.mass(state.a),
+        "energy": wkb.wkb_energy(state, grads),
+        "grad_phi_max": wkb.grad_phi_max(state, grads),
+    }
+    if norm_orders:
+        a_hat, phi_hat = (from_fft(state.a.grid, f) for f in fft_pair)
+        for s in norm_orders:
+            row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
+            row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))
+    if corr is not None:
+        row["a1_l2"] = norm(corr.a1)
+        row["phi1_linf"] = float(np.abs(corr.phi1.values).max())
+    return row
 
 
 def write_trajectory_csv(rows, path):

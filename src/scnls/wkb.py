@@ -214,13 +214,15 @@ def _auto_sing_tol(grid, a_init, horizon):
     return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
 
 
-def _integrate(y, grid, corrector, eps, configs, make_snapshot):
+def _integrate(y, grid, corrector, eps, configs, make_snapshot, keep=None):
     """Classical RK4 on y of shape (fields, members, *grid), in place, with
     guard checks; one eps and run config per member, with one step count
     and save cadence (each member's dt is its T / steps).  Returns the
-    trajectory of make_snapshot(member, t, y) per member.  The stage times
-    are diagnostics only.  The stage sums keep the order
-    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in place, one buffer for k2-k4.
+    trajectory of keep(make_snapshot(member, t, y)) per member (keep=None:
+    the snapshots); only each member's last snapshot is held, for
+    NonFiniteError.  The stage times are diagnostics only.  The stage sums
+    keep the order y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in place, one
+    buffer for k2-k4.
     """
     schedules = {(max(1, round(c.T / c.dt)), c.save_every) for c in configs}
     if len(schedules) != 1:
@@ -231,7 +233,9 @@ def _integrate(y, grid, corrector, eps, configs, make_snapshot):
     dts = [c.T / n_steps for c in configs]
     times = np.array(dts)
     dt = times.reshape((-1,) + (1,) * grid.dim)
-    trajectories = [[make_snapshot(m, 0.0, y)] for m in range(len(configs))]
+    keep = keep or (lambda snapshot: snapshot)
+    last = [make_snapshot(m, 0.0, y) for m in range(len(configs))]
+    trajectories = [[keep(snapshot)] for snapshot in last]
     acc, k, stage = (np.empty_like(y) for _ in range(3))
     for step in range(1, n_steps + 1):
         t = (step - 1) * times
@@ -255,10 +259,11 @@ def _integrate(y, grid, corrector, eps, configs, make_snapshot):
         finite = np.isfinite(y).all(axis=(0, *range(2, y.ndim)))
         if not finite.all():
             m = int(np.argmin(finite))
-            raise NonFiniteError.at_step(step, dts[m], trajectories[m][-1])
+            raise NonFiniteError.at_step(step, dts[m], last[m])
         if step % save_every == 0 or step == n_steps:
             for m, traj in enumerate(trajectories):
-                traj.append(make_snapshot(m, step * dts[m], y))
+                last[m] = make_snapshot(m, step * dts[m], y)
+                traj.append(keep(last[m]))
     return trajectories
 
 
@@ -281,40 +286,42 @@ def _prep_initial(a0: Field, a1, eps, config):
     return a0.values if eps == 0 or a1 is None else a0.values + eps * a1.values
 
 
-def solve_grenier(a0: Field, a1, eps, config: WkbRunConfig):
+def solve_grenier(a0: Field, a1, eps, config: WkbRunConfig, keep=None):
     """Integrate the phase-amplitude system from a(0) = a0 + eps*a1, phi(0) = 0.
 
-    Returns GrenierState snapshots every save_every steps (final included).
+    Returns GrenierState snapshots every save_every steps (final included),
+    or what keep, when given, returns for each of them as it is saved.
     The phase-gradient singularity guard and NaN checks abort the run with
     SingularityError / NonFiniteError.
     """
-    return solve_grenier_stack([(a0, a1, eps, config)])[0]
+    return solve_grenier_stack([(a0, a1, eps, config)], keep)[0]
 
 
-def solve_grenier_stack(members):
+def solve_grenier_stack(members, keep=None):
     """solve_grenier for (a0, a1, eps, config) members on one grid with one
     step count and save cadence, in one RK4 loop: one trajectory per
     member, equal to its single run; the first member to trip a guard
     raises its single run's error."""
-    return _solve_stack(members, corrector=False)
+    return _solve_stack(members, keep, corrector=False)
 
 
-def solve_limit_with_corrector(a0: Field, a1, config: WkbRunConfig):
+def solve_limit_with_corrector(a0: Field, a1, config: WkbRunConfig, keep=None):
     """Co-integrate the eps = 0 limit system with its corrector.
 
     The corrector starts from a1 with zero phase; returns a list of
-    (GrenierState, CorrectorState) pairs at the saved times.
+    (GrenierState, CorrectorState) pairs at the saved times, each passed
+    through keep when it is given.
     """
-    return solve_limit_stack([(a0, a1, config)])[0]
+    return solve_limit_stack([(a0, a1, config)], keep)[0]
 
 
-def solve_limit_stack(members):
+def solve_limit_stack(members, keep=None):
     """solve_limit_with_corrector for (a0, a1, config) members, stacked as
     in solve_grenier_stack."""
-    return _solve_stack(members, corrector=True)
+    return _solve_stack(members, keep, corrector=True)
 
 
-def _solve_stack(members, corrector):
+def _solve_stack(members, keep, corrector):
     if not members:
         raise ValueError("a stack needs at least one member")
     if len({member[0].grid for member in members}) > 1:
@@ -337,7 +344,7 @@ def _solve_stack(members, corrector):
             return state
         return state, CorrectorState(t, Field(grid, y[2, m].copy()), Field(grid, y[3, m].real))
 
-    return _integrate(y, grid, corrector, eps, [member[-1] for member in members], snap)
+    return _integrate(y, grid, corrector, eps, [member[-1] for member in members], snap, keep)
 
 
 def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:

@@ -1,13 +1,16 @@
 import csv
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from scnls import cli, nls
+from scnls import cli, nls, report, wkb
 from scnls.acceptance import FULL_EPS_SWEEP, CheckResult
+from scnls.grid import load_field, make_grid
 from scnls.studies import SweepConfig
 
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
@@ -229,13 +232,110 @@ class TestRunCommands:
         assert (out / "fields" / "phi_0000.json").exists()
 
     def test_run_wkb_guard_abort_exit_code(self, tmp_path, capsys):
+        # the singularity guard trips in the first step, after the t = 0 save
         cfg = write_config(
             tmp_path,
             {"schema_version": 1,
-             "run": {"eps": 0.0, "points": 64, "T": 0.25, "sing_tol": 1e-6}},
+             "run": {"eps": 0.0, "points": 64, "T": 0.25, "sing_tol": 1e-6,
+                     "dump_fields": True}},
         )
         assert cli.run(["run-wkb", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "guard" in capsys.readouterr().err
+        assert not (tmp_path / "wkb_trajectory.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
+        assert dump_names(tmp_path) == saved_names(1, ("a", "phi"))
+
+    def test_run_nls_guard_abort_keeps_the_earlier_dumps(self, tmp_path, capsys):
+        # the tail guard passes at t = 0 and 0.05 and trips at the third save
+        cfg = write_config(
+            tmp_path,
+            {"schema_version": 1, "solver": {"tail_tol": 3e-5},
+             "run": {"eps": 0.25, "points": 64, "T": 0.5, "dump_fields": True}},
+        )
+        assert cli.run(["run-nls", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "solver guard abort: spectral tail fraction" in err
+        assert "exceeds 3.0e-05 at t = 0.1;" in err
+        assert not (tmp_path / "nls_trajectory.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
+        assert dump_names(tmp_path) == saved_names(2, ("u",))
+
+    @pytest.mark.parametrize("command, solver, run", [
+        ("run-nls", "solve_nls", {"eps": 0.25}),
+        ("run-wkb", "solve_grenier", {"eps": 0.25, "dt": 0.025}),
+        ("run-wkb", "solve_limit_with_corrector",
+         {"eps": 0.0, "dt": 0.025, "with_corrector": True, "a1_mode": "equal_a0"}),
+    ])
+    def test_dumps_in_dimension_three_equal_the_trajectory(self, tmp_path, monkeypatch,
+                                                           command, solver, run):
+        # on 16^3, a Gaussian that decays to 1e-12 at the boundary keeps a
+        # spectral tail fraction of about 2e-2, hence tail_tol = 0.1
+        module = nls if command == "run-nls" else wkb
+        solve, calls = getattr(module, solver), []
+        monkeypatch.setattr(module, solver, lambda *args: calls.append(args[:-1]) or solve(*args))
+        summary, rows = run_command(tmp_path, command,
+                                    {"dim": 3, "points": 16, "dump_fields": True, **run},
+                                    data={"width": 1.9}, solver={"tail_tol": 0.1})
+        (out,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+        traj = solve(*calls[0])  # the same run, every snapshot collected
+        assert summary["rows"] == len(rows) == len(traj) == 11
+        to_rows = report.nls_trajectory_rows if command == "run-nls" else report.wkb_trajectory_rows
+        assert rows == [{k: report.fmt(v) for k, v in row.items()}
+                        for row in to_rows(traj, (0.0, 1.0))]
+        prefixes = ("u",) if command == "run-nls" else ("a", "phi")
+        assert dump_names(out) == saved_names(11, prefixes)
+        for i, snap in enumerate(traj):
+            state = snap[0] if isinstance(snap, tuple) else snap
+            for prefix in prefixes:
+                dumped = load_field(out / "fields" / f"{prefix}_{i:04d}")
+                assert np.array_equal(dumped.values, getattr(state, prefix).values)
+        if command == "run-nls":
+            mass = [float(r["mass"]) for r in rows]
+            assert max(abs(m - mass[0]) for m in mass) / mass[0] <= 1e-10
+
+
+def dump_names(out):
+    return sorted(p.name for p in (out / "fields").iterdir())
+
+
+def saved_names(saves, prefixes):
+    """The dump files of the first `saves` saved times."""
+    return sorted(f"{prefix}_{i:04d}.{ext}" for prefix in prefixes
+                  for i in range(saves) for ext in ("csv", "json"))
+
+
+class TestRunMemory:
+    """run-nls and run-wkb hold one snapshot at a time, so a run that saves
+    41 times peaks below one field above the same run saving twice, whose
+    trajectory never holds more than two snapshots.  Kept whole, the 41
+    snapshots would add 39 fields (run-nls) or 156 (run-wkb with the
+    corrector: a, phi, a1 and phi1)."""
+
+    @pytest.mark.parametrize("command, run", [
+        ("run-nls", {"eps": 0.25}),
+        ("run-wkb", {"eps": 0.0, "with_corrector": True, "a1_mode": "equal_a0"}),
+    ])
+    def test_peak_does_not_grow_with_the_saves(self, tmp_path, command, run):
+        grid = make_grid(2, 12.0, 128)  # held: each run finds the grid's cached arrays
+        field_bytes = grid.num_points * 16
+
+        def peak(save_every, T=0.04):
+            out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+            out.mkdir()
+            cfg = write_config(out, {
+                "schema_version": 1, "grid": {"half_width": grid.half_width},
+                "run": {"dim": 2, "points": grid.points_per_axis, "T": T, "dt": 0.001,
+                        "save_every": save_every, **run}})
+            tracemalloc.start()
+            try:
+                assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1, T=0.002)  # warm-up: fills the grid's caches
+        two, many = peak(40), peak(1)
+        assert many < two + field_bytes, f"{(many - two) / field_bytes:.2f} fields above"
 
 
 class TestStudyCommands:
