@@ -69,7 +69,6 @@ class AcceptanceSuite:
         self.control_config = replace(
             self.config, eps_list=self.config.eps_list[-2:], a1_mode="zero")
         self.higher_order_config = replace(self.config, a1_mode="scaled", scaled_order=2)
-        self._runs_planned = False
 
     # -- shared heavy computations ------------------------------------
 
@@ -80,22 +79,19 @@ class AcceptanceSuite:
                 studies._grenier_run(self.config, eps, mode))
 
     def plan_runs(self):
-        """Cache every run the criteria read, each group of runs that can
+        """Cache every run the criteria read: the studies' run lists, the
+        degeneracy run and the oracle runs, each group of runs that can
         share one integration as one stack (studies.stack_runs)."""
-        if self._runs_planned:
-            return
         c = self.config
-        runs = [
-            studies._limit_run(c), studies._limit_run(c, DEGENERACY_MODE),
-            *(studies._limit_run(c, horizon=t) for t in studies._small_times(c)),
-            *(run for eps in c.eps_list for run in studies._error_runs(c, eps)),
+        studies.stack_runs(self.cache, [
+            studies._limit_run(c, DEGENERACY_MODE),
+            *studies.wkb_error_runs(c),
+            *studies.small_time_runs(c),
             *(run for cfg in (c, self.control_config, self.higher_order_config)
-              for eps in cfg.eps_list for run in studies._pair_runs(cfg, eps)),
+              for run in studies.ghost_runs(cfg)),
             *(run for eps in ORACLE_EPS for mode in ORACLE_MODES
               for run in self._oracle_runs(eps, mode)),
-        ]
-        studies.stack_runs(self.cache, runs)
-        self._runs_planned = True
+        ])
 
     @cached_property
     def ghost_report(self):
@@ -143,41 +139,35 @@ class AcceptanceSuite:
             f"max relative L2 discrepancy {worst:.3e} <= {bound} ({where})",
         )
 
+    def _slope_criterion(self, number, report, band, labels):
+        """Criterion number from report's slope checks, one per family in
+        labels (family -> label prefix) and s; it passes when all of them do."""
+        ok, slopes = True, []
+        for family, label in labels.items():
+            for s in self.config.s_list:
+                check = report.checks[f"{family}_slope_s{s:g}"]
+                ok = ok and check["passed"]
+                slopes.append(f"{label}s={s:g}: {check['value']:.3f}")
+        lo, hi = band
+        return CheckResult(number, CRITERIA[number - 1], ok,
+                           f"slopes in [{lo}, {hi}]: " + ", ".join(slopes))
+
     def criterion_2(self):
         """Profile error slopes vs eps in [0.8, 1.2] for both profiles and
         s in {0, 1, 2}."""
-        lo, hi = 0.8, 1.2
-        slopes = []
-        ok = True
-        for family in ("profile_plain", "profile_perturbed"):
-            for s in self.config.s_list:
-                slope = self.error_report.slope(family, s)["slope"]
-                slopes.append(f"{family[8:]}/s={s:g}: {slope:.3f}")
-                ok = ok and lo <= slope <= hi
-        return CheckResult(2, CRITERIA[1], ok, f"slopes in [{lo}, {hi}]: " + ", ".join(slopes))
+        return self._slope_criterion(2, self.error_report, studies.SLOPE_BAND_ORDER1,
+                                     {"profile_plain": "plain/", "profile_perturbed": "perturbed/"})
 
     def criterion_3(self):
         """Expansion error slope (corrector subtracted) in [1.7, 2.3]."""
-        lo, hi = 1.7, 2.3
-        slopes = []
-        ok = True
-        for s in self.config.s_list:
-            slope = self.error_report.slope("expansion_gap", s)["slope"]
-            slopes.append(f"s={s:g}: {slope:.3f}")
-            ok = ok and lo <= slope <= hi
-        return CheckResult(3, CRITERIA[2], ok, f"slopes in [{lo}, {hi}]: " + ", ".join(slopes))
+        return self._slope_criterion(3, self.error_report, studies.SLOPE_BAND_ORDER2,
+                                     {"expansion_gap": ""})
 
     def criterion_4(self):
         """Small-time residual slopes in [2.7, 3.3] for both expansions."""
-        lo, hi = 2.7, 3.3
-        slopes = []
-        ok = True
-        for family in ("phase_residual", "corrector_phase_residual"):
-            for s in self.config.s_list:
-                slope = self.smalltime_report.slope(family, s)["slope"]
-                slopes.append(f"{family.split('_')[0]}/s={s:g}: {slope:.3f}")
-                ok = ok and lo <= slope <= hi
-        return CheckResult(4, CRITERIA[3], ok, f"slopes in [{lo}, {hi}]: " + ", ".join(slopes))
+        return self._slope_criterion(
+            4, self.smalltime_report, studies.SLOPE_BAND_CUBIC,
+            {"phase_residual": "phase/", "corrector_phase_residual": "corrector/"})
 
     def criterion_5(self):
         """Ghost separation: the two finest-eps values of
@@ -198,7 +188,7 @@ class AcceptanceSuite:
     def criterion_6(self):
         """Purely imaginary perturbation keeps the corrector phase below
         1e-8 in sup norm for all computed times."""
-        traj = studies._limit_trajectory(self.cache, self.config, DEGENERACY_MODE)
+        traj = studies._trajectory(self.cache, studies._limit_run(self.config, DEGENERACY_MODE))
         worst = max(float(np.abs(corr.phi1.values).max()) for _, corr in traj)
         return CheckResult(
             6, CRITERIA[5], worst <= 1e-8,
@@ -208,8 +198,6 @@ class AcceptanceSuite:
     def criterion_7(self):
         """Mass drift < 1e-10 relative and energy drift < 1e-6 relative on
         every wavefunction run the suite performed."""
-        # materialize all sweeps first so the cache holds every run
-        self.ghost_report, self.higher_order_report, self.error_report
         worst_mass, worst_energy, n_runs = 0.0, 0.0, 0
         for traj in self.cache.runs("nls"):
             masses = [nls.mass(s.u) for s in traj]

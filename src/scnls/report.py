@@ -106,11 +106,6 @@ def dump_json(payload, path):
     return path
 
 
-def nls_trajectory_rows(snapshots, norm_orders=()):
-    """nls_row of each snapshot."""
-    return [nls_row(state, norm_orders) for state in snapshots]
-
-
 def nls_row(state, norm_orders=()):
     """(t, mass, energy, requested H^s norms) of one saved NlsState; the
     energy and the norms share one transform of it."""
@@ -123,11 +118,6 @@ def nls_row(state, norm_orders=()):
     for s in norm_orders:
         row[f"h{s:g}"] = norm(uhat, SobolevIndex(s))
     return row
-
-
-def wkb_trajectory_rows(snapshots, norm_orders=()):
-    """wkb_row of each snapshot."""
-    return [wkb_row(snap, norm_orders) for snap in snapshots]
 
 
 def wkb_row(snap, norm_orders=()):

@@ -161,6 +161,9 @@ class RunCache:
     def __init__(self):
         self._data = {}
 
+    def __contains__(self, key):
+        return key in self._data
+
     def get_or_run(self, key, fn):
         if key not in self._data:
             self._data[key] = fn()
@@ -215,10 +218,6 @@ def _trajectory(cache, run):
     return cache.get_or_run(run, lambda: solve(*_solver_args(run)))
 
 
-def _limit_trajectory(cache, cfg: SweepConfig, a1_kind="equal_a0", horizon=None):
-    return _trajectory(cache, _limit_run(cfg, a1_kind, horizon))
-
-
 def _solve_stack(runs):
     members = [_solver_args(run) for run in runs]
     kind, eps, config = runs[0].kind, runs[0].eps, runs[0].config
@@ -231,6 +230,8 @@ def stack_runs(cache, runs):
     """Cache every run in runs under its key, as one stacked integration
     per group: wavefunction runs group by grid, eps and run config,
     phase-amplitude runs of one kind by grid, step count and save cadence.
+    Runs already in the cache are skipped, so a second call over the same
+    runs integrates nothing.
 
     A stack that trips a guard caches nothing: its runs are left to
     _trajectory, which raises each run's own error when it is asked for
@@ -238,6 +239,8 @@ def stack_runs(cache, runs):
     """
     groups = {}
     for run in dict.fromkeys(runs):
+        if run in cache:
+            continue
         rc = run.config
         steps = max(1, round(rc.T / rc.dt))
         shared = (run.eps, rc) if run.kind == "nls" else (steps, rc.save_every)
@@ -278,8 +281,25 @@ def _pair_runs(config, eps, refine=1):
     return _nls_run(config, eps, 1.0, refine), _nls_run(config, eps, tilde, refine)
 
 
-def _small_times(config):
-    return [config.horizon * 0.5**m for m in range(config.smalltime_points)]
+def wkb_error_runs(config):
+    """Every run wkb_error_study reads, in its reading order."""
+    return [_limit_run(config),
+            *(run for eps in config.eps_list for run in _error_runs(config, eps))]
+
+
+def small_time_runs(config):
+    """Every run small_time_study reads: one limit run per dyadic horizon."""
+    return [_limit_run(config, horizon=config.horizon * 0.5**m)
+            for m in range(config.smalltime_points)]
+
+
+def ghost_runs(config):
+    """Every run a ghost study reads, in its reading order: the limit run,
+    then each sweep point's pair and, under certify_refinement, its pair on
+    grids refined twofold."""
+    refines = (1, 2) if config.certify_refinement else (1,)
+    return [_limit_run(config), *(run for eps in config.eps_list for refine in refines
+                                  for run in _pair_runs(config, eps, refine))]
 
 
 def fit_loglog(xs, ys):
@@ -358,9 +378,24 @@ def _check(checks, name, passed, value, bound, note=""):
     checks[name] = {"passed": bool(passed), "value": value, "bound": bound, "note": note}
 
 
-def _band_check(checks, name, value, band):
-    lo, hi = band
-    _check(checks, name, lo <= value <= hi, value, f"[{lo}, {hi}]")
+def _slope_fits(rows, xs, s_list, bands, degenerate=False):
+    """The log-log slope of each family's row values against xs at each s,
+    and its check against the family's band (bands: family -> (lo, hi)).
+    A degenerate sweep, whose values all vanish, fits nothing and passes."""
+    slopes, checks = [], {}
+    for family, (lo, hi) in bands.items():
+        for s in s_list:
+            vals = [r["value"] for r in rows if r["family"] == family and _close(r["s"], s)]
+            name = f"{family}_slope_s{s:g}"
+            if degenerate:
+                fit = (None, None, None)
+                _check(checks, name, True, None, "zero data", "all errors vanish identically")
+            else:
+                fit = fit_loglog(xs, vals)
+                _check(checks, name, lo <= fit[0] <= hi, fit[0], f"[{lo}, {hi}]")
+            slopes.append({"family": family, "s": s, "slope": fit[0], "intercept": fit[1],
+                           "max_resid": fit[2], "n_points": len(vals)})
+    return slopes, checks
 
 
 def _profile_fields(bg, corr, fine_n):
@@ -382,7 +417,8 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
     * expansion_gap      corrector-corrected gap                   = O(eps^2)
     """
     cache = cache or RunCache()
-    limit = _limit_trajectory(cache, config)
+    stack_runs(cache, wkb_error_runs(config))
+    limit = _trajectory(cache, _limit_run(config))
 
     def one_eps(eps):
         fine = config.grid_for(eps)
@@ -424,31 +460,9 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
             for s in config.s_list:
                 rows.append(_row(family, "sup_error", sup[s], eps=eps, s=s))
 
-    slopes, checks = [], {}
-    bands = {
-        "profile_plain": SLOPE_BAND_ORDER1,
-        "profile_perturbed": SLOPE_BAND_ORDER1,
-        "hyperbolic_gap": SLOPE_BAND_ORDER1,
-        "expansion_gap": SLOPE_BAND_ORDER2,
-    }
-    degenerate = all(r["value"] == 0.0 for r in rows)
-    for family in families:
-        for s in config.s_list:
-            vals = [r["value"] for r in rows if r["family"] == family and _close(r["s"], s)]
-            if degenerate:
-                slopes.append(
-                    {"family": family, "s": s, "slope": None, "intercept": None,
-                     "max_resid": None, "n_points": len(vals)}
-                )
-                _check(checks, f"{family}_slope_s{s:g}", True, None, "zero data",
-                       "all errors vanish identically")
-                continue
-            slope, intercept, resid = fit_loglog(config.eps_list, vals)
-            slopes.append(
-                {"family": family, "s": s, "slope": slope, "intercept": intercept,
-                 "max_resid": resid, "n_points": len(vals)}
-            )
-            _band_check(checks, f"{family}_slope_s{s:g}", slope, bands[family])
+    bands = dict.fromkeys(families[:3], SLOPE_BAND_ORDER1) | {"expansion_gap": SLOPE_BAND_ORDER2}
+    slopes, checks = _slope_fits(rows, config.eps_list, config.s_list, bands,
+                                 degenerate=all(r["value"] == 0.0 for r in rows))
 
     header = _config_header(config, description="profile and expansion error sweep")
     return StudyReport("wkb_error", header, rows, slopes, checks)
@@ -461,13 +475,15 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
     r1(t) = |phi1(t) + 2 t |a0|^2|_{H^s}  both scale like t^3.
     """
     cache = cache or RunCache()
+    runs = small_time_runs(config)
+    stack_runs(cache, runs)
     grid = config.wkb_grid()
     a0_sq = np.abs(config.a0.realize(grid).values) ** 2
-    times = _small_times(config)
+    times = [run.config.T for run in runs]
 
     rows = []
-    for t in times:
-        bg, corr = _limit_trajectory(cache, config, horizon=t)[-1]
+    for t, run in zip(times, runs):
+        bg, corr = _trajectory(cache, run)[-1]
         res = transform(Field(grid, bg.phi.values.real + t * a0_sq))
         res1 = transform(Field(grid, corr.phi1.values.real + 2 * t * a0_sq))
         for s in config.s_list:
@@ -477,16 +493,8 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
             rows.append(_row("phase_residual", "residual", r, t=t, s=s))
             rows.append(_row("corrector_phase_residual", "residual", r1, t=t, s=s))
 
-    slopes, checks = [], {}
-    for family in ("phase_residual", "corrector_phase_residual"):
-        for s in config.s_list:
-            vals = [r["value"] for r in rows if r["family"] == family and _close(r["s"], s)]
-            slope, intercept, resid = fit_loglog(times, vals)
-            slopes.append(
-                {"family": family, "s": s, "slope": slope, "intercept": intercept,
-                 "max_resid": resid, "n_points": len(vals)}
-            )
-            _band_check(checks, f"{family}_slope_s{s:g}", slope, SLOPE_BAND_CUBIC)
+    bands = dict.fromkeys(("phase_residual", "corrector_phase_residual"), SLOPE_BAND_CUBIC)
+    slopes, checks = _slope_fits(rows, times, config.s_list, bands)
 
     header = _config_header(config, description="dyadic small-time expansion residuals")
     return StudyReport("small_time", header, rows, slopes, checks)
@@ -495,9 +503,10 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
 def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> StudyReport:
     if len(config.eps_list) < 2:
         raise ValueError("ghost studies need at least two sweep points")
+    stack_runs(cache, ghost_runs(config))
     mode = config.a1_mode
     order = config.scaled_order
-    bg_tau, corr_tau = _limit_trajectory(cache, config)[config.tau_index]
+    bg_tau, corr_tau = _trajectory(cache, _limit_run(config))[config.tau_index]
     wkb_grid = config.wkb_grid()
     a0_l2 = norm(config.a0.realize(wkb_grid))
     floor = SEPARATION_FLOOR_FACTOR * a0_l2

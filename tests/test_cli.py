@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scnls import cli, nls, report, wkb
+from scnls import cli, nls, report, studies, wkb
 from scnls.acceptance import FULL_EPS_SWEEP, CheckResult
+from scnls.errors import GuardError
 from scnls.grid import load_field, make_grid
-from scnls.studies import SweepConfig
+from scnls.studies import RunCache, SweepConfig
 
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
@@ -279,9 +280,9 @@ class TestRunCommands:
         (out,) = [p for p in tmp_path.iterdir() if p.is_dir()]
         traj = solve(*calls[0])  # the same run, every snapshot collected
         assert summary["rows"] == len(rows) == len(traj) == 11
-        to_rows = report.nls_trajectory_rows if command == "run-nls" else report.wkb_trajectory_rows
-        assert rows == [{k: report.fmt(v) for k, v in row.items()}
-                        for row in to_rows(traj, (0.0, 1.0))]
+        to_row = report.nls_row if command == "run-nls" else report.wkb_row
+        assert rows == [{k: report.fmt(v) for k, v in to_row(snap, (0.0, 1.0)).items()}
+                        for snap in traj]
         prefixes = ("u",) if command == "run-nls" else ("a", "phi")
         assert dump_names(out) == saved_names(11, prefixes)
         for i, snap in enumerate(traj):
@@ -417,6 +418,68 @@ class TestStudyCommands:
         summary = json.loads((out / "summary.json").read_text())
         c0 = summary["studies"]["corollary"]["header"]["leading_energy"]
         assert c0 == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("study-wkb-error", {}),
+        ("study-smalltime", {}),
+        ("study-ghost", {}),
+        ("study-ghost", {"certify_refinement": True}),
+        ("study-ghost-n", {}),
+        ("report-inflation", {}),
+        ("report-corollary", {}),
+    ], ids=["wkb-error", "smalltime", "ghost", "ghost-certified", "ghost-n", "inflation",
+            "corollary"])
+    def test_sweep_commands_stack_and_match_single_runs(self, tmp_path, monkeypatch,
+                                                        command, sweep):
+        # The reference reads every run alone; the command itself must take
+        # every run from a stack and write the same bytes.
+        doc = tiny_sweep()
+        doc["sweep"] = {"eps_list": [0.25, 0.125, 0.0625], "s_list": [0.0, 1.0], **sweep}
+        cfg = write_config(tmp_path, doc)
+        single, stacked = tmp_path / "single", tmp_path / "stacked"
+        with monkeypatch.context() as mp:
+            mp.setattr(studies, "stack_runs", lambda cache, runs: None)
+            assert cli.run([command, "--config", str(cfg), "--out", str(single)]) == 0
+        for module, name in ((nls, "solve_nls"), (wkb, "solve_grenier"),
+                             (wkb, "solve_limit_with_corrector")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        assert cli.run([command, "--config", str(cfg), "--out", str(stacked)]) == 0
+        names = sorted(p.name for p in single.iterdir())
+        assert "summary.json" in names and len(names) > 1
+        assert names == sorted(p.name for p in stacked.iterdir())
+        for name in names:
+            assert (single / name).read_bytes() == (stacked / name).read_bytes(), name
+
+    # a0 = 30 exp(-x^2): at the default horizon the limit run, read first,
+    # trips the singularity guard; over a horizon of 0.025 it stays healthy
+    # and the first wavefunction run trips the tail guard at t = 0.0025.
+    @pytest.mark.parametrize("sweep", [{}, {"horizon": 0.025, "tau": 0.025}],
+                             ids=["limit-trips", "wavefunction-trips"])
+    def test_ghost_study_guard_abort_names_the_first_tripping_run(self, tmp_path, capsys,
+                                                                  sweep):
+        doc = tiny_sweep(data={"amplitude": 30.0})
+        doc["sweep"].update(sweep)
+        cfg = write_config(tmp_path, doc)
+        assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        for run in studies.ghost_runs(cli._sweep_config(cli.validate_config(doc, "study-ghost"))):
+            try:
+                studies._trajectory(RunCache(), run)
+            except GuardError as exc:
+                assert err == f"solver guard abort: {exc}\n"
+                return
+        pytest.fail("no run trips a guard")
+
+    def test_grid_cap_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # The run list is built before any run, so a sweep point past the cap
+        # is a config error even where an earlier run would trip a guard.
+        doc = tiny_sweep(data={"amplitude": 30.0})
+        doc["grid"]["max_points_per_axis"] = 256
+        cfg = write_config(tmp_path, doc)
+        for module, name in ((nls, "solve_nls_stack"), (wkb, "solve_limit_stack")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: eps = 0.125 needs N = 512 > configured cap 256\n"
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))

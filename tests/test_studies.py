@@ -135,6 +135,9 @@ class TestStackedRuns:
         cache = RunCache()
         studies.stack_runs(cache, runs * copies)
         assert sorted(stacks) == [(0.125, 3), (0.25, 3)]
+        # a second call over cached runs adds no stack
+        studies.stack_runs(cache, runs)
+        assert len(stacks) == 2
         monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
         for run, ref in expected.items():
             traj = studies._trajectory(cache, studies._nls_run(cfg, run.eps, run.datum))
@@ -161,7 +164,7 @@ class TestStackedRuns:
         runs = [*(studies._grenier_run(cfg, eps, kind) for eps in cfg.eps_list
                   for kind in ("zero", "equal_a0")),
                 *(studies._limit_run(cfg, kind) for kind in ("equal_a0", "imaginary")),
-                *(studies._limit_run(cfg, horizon=t) for t in studies._small_times(cfg)[1:]),
+                *studies.small_time_runs(cfg)[1:],
                 # 20 steps like the full-horizon limit runs, saved every step
                 studies._limit_run(replace(cfg, n_saves=20))]
         singles = RunCache()
@@ -262,7 +265,7 @@ class TestWkbErrorStudy:
         eps = short_cfg.eps_list[0]
         fine = short_cfg.grid_for(eps)
         u = studies._trajectory(cache, studies._nls_run(short_cfg, eps, 1.0))
-        limit = studies._limit_trajectory(cache, short_cfg, "equal_a0")
+        limit = studies._trajectory(cache, studies._limit_run(short_cfg, "equal_a0"))
         sup = 0.0
         for (bg, corr), us in zip(limit, u):
             a_f, phi_f, _ = studies._profile_fields(bg, corr, fine.points_per_axis)
@@ -522,13 +525,13 @@ class TestFitAndReportPlumbing:
 
         cfg = nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5)
         traj = nls.solve_nls(gaussian_1d, 0.5, cfg)
-        rows = rpt.nls_trajectory_rows(traj, norm_orders=(1.0,))
+        rows = [rpt.nls_row(state, norm_orders=(1.0,)) for state in traj]
         assert [r["t"] for r in rows] == pytest.approx([0.0, 0.05, 0.1])
         assert all("h1" in r and "mass" in r and "energy" in r for r in rows)
 
         wcfg = wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5)
         wtraj = wkb.solve_limit_with_corrector(gaussian_1d, gaussian_1d, wcfg)
-        wrows = rpt.wkb_trajectory_rows(wtraj, norm_orders=(1.0,))
+        wrows = [rpt.wkb_row(snap, norm_orders=(1.0,)) for snap in wtraj]
         assert all("grad_phi_max" in r and "phi1_linf" in r for r in wrows)
 
     @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
@@ -538,7 +541,7 @@ class TestFitAndReportPlumbing:
                              nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5))
         orders = (0.0, 1.0, 2.0)
         counts = count_ffts(monkeypatch)
-        rows = rpt.nls_trajectory_rows(traj, norm_orders=orders)
+        rows = [rpt.nls_row(state, norm_orders=orders) for state in traj]
         assert counts == {"forward": len(traj), "inverse": 0}
         monkeypatch.undo()
         for row, state in zip(rows, traj, strict=True):
@@ -554,7 +557,7 @@ class TestFitAndReportPlumbing:
             a0, a0, wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5))
         orders = (0.0, 1.0)
         counts = count_ffts(monkeypatch)
-        rows = rpt.wkb_trajectory_rows(traj, norm_orders=orders)
+        rows = [rpt.wkb_row(snap, norm_orders=orders) for snap in traj]
         # FFTs of a, of phi and of a1 (its L2 norm); one batched inverse gives
         # every gradient component of a and of phi, which the energy and the
         # phase-gradient sup share.
