@@ -139,18 +139,27 @@ class AcceptanceSuite:
             f"max relative L2 discrepancy {worst:.3e} <= {bound} ({where})",
         )
 
+    def _criterion(self, number, named, head="", sep="; ", tail=()):
+        """Criterion number from study checks; it passes when every check it
+        names passes.  Each (report, prefixes, template) entry of named
+        names report's checks <prefix>_s<s> at every s; a non-empty template
+        formats them (in prefix order, and s) into one part of the detail.
+        The detail is head, then the parts and tail joined by sep."""
+        ok, parts = True, []
+        for report, prefixes, template in named:
+            for s in self.config.s_list:
+                checks = [report.checks[f"{prefix}_s{s:g}"] for prefix in prefixes]
+                ok = ok and all(check["passed"] for check in checks)
+                if template:
+                    parts.append(template.format(*checks, s=s))
+        return CheckResult(number, CRITERIA[number - 1], ok, head + sep.join([*parts, *tail]))
+
     def _slope_criterion(self, number, report, band, labels):
         """Criterion number from report's slope checks, one per family in
-        labels (family -> label prefix) and s; it passes when all of them do."""
-        ok, slopes = True, []
-        for family, label in labels.items():
-            for s in self.config.s_list:
-                check = report.checks[f"{family}_slope_s{s:g}"]
-                ok = ok and check["passed"]
-                slopes.append(f"{label}s={s:g}: {check['value']:.3f}")
-        lo, hi = band
-        return CheckResult(number, CRITERIA[number - 1], ok,
-                           f"slopes in [{lo}, {hi}]: " + ", ".join(slopes))
+        labels (family -> label prefix) and s."""
+        named = [(report, [f"{family}_slope"], label + "s={s:g}: {0[value]:.3f}")
+                 for family, label in labels.items()]
+        return self._criterion(number, named, "slopes in [{}, {}]: ".format(*band), ", ")
 
     def criterion_2(self):
         """Profile error slopes vs eps in [0.8, 1.2] for both profiles and
@@ -173,17 +182,11 @@ class AcceptanceSuite:
         """Ghost separation: the two finest-eps values of
         eps^s |u - u~|_{Hdot^s}(tau) agree within 25% and exceed
         1e-3 |a0|_L2; the identical-data control vanishes to 1e-10."""
-        ok = True
-        parts = []
-        for s in self.config.s_list:
-            st = self.ghost_report.checks[f"stabilized_s{s:g}"]
-            fl = self.ghost_report.checks[f"above_floor_s{s:g}"]
-            ok = ok and st["passed"] and fl["passed"]
-            parts.append(f"s={s:g}: spread {st['value']:.3f}, floor ok={fl['passed']}")
-            ctl = self.control_report.checks[f"control_null_s{s:g}"]
-            ok = ok and ctl["passed"]
-        parts.append("control run null to 1e-10")
-        return CheckResult(5, CRITERIA[4], ok, "; ".join(parts))
+        return self._criterion(5, [
+            (self.ghost_report, ["stabilized", "above_floor"],
+             "s={s:g}: spread {0[value]:.3f}, floor ok={1[passed]}"),
+            (self.control_report, ["control_null"], ""),
+        ], tail=["control run null to 1e-10"])
 
     def criterion_6(self):
         """Purely imaginary perturbation keeps the corrector phase below
@@ -260,14 +263,8 @@ class AcceptanceSuite:
     def criterion_9(self):
         """Higher-order ghost with datum (1 + eps^2) a0: the rescaled
         separation stabilizes within 30% across the two finest eps."""
-        ok = True
-        parts = []
-        for s in self.config.s_list:
-            st = self.higher_order_report.checks[f"stabilized_s{s:g}"]
-            fl = self.higher_order_report.checks[f"above_floor_s{s:g}"]
-            ok = ok and st["passed"] and fl["passed"]
-            parts.append(f"s={s:g}: spread {st['value']:.3f}")
-        return CheckResult(9, CRITERIA[8], ok, "; ".join(parts))
+        return self._criterion(9, [(self.higher_order_report, ["stabilized", "above_floor"],
+                                    "s={s:g}: spread {0[value]:.3f}")])
 
     # -- driver ---------------------------------------------------------
 

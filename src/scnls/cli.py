@@ -363,8 +363,11 @@ def cmd_report_corollary(cfg, out_dir):
     if corollary["target_energy"] is not None:
         # rescale the datum so the j-independent leading energy term hits
         # the requested level before the sweep runs
-        probe = sweep.a0.realize(sweep.wkb_grid())
-        alpha = (corollary["target_energy"] / lp_norm(probe, 4.0) ** 4) ** 0.25
+        quart = lp_norm(sweep.a0.realize(sweep.wkb_grid()), 4.0) ** 4
+        if quart == 0:
+            _fail("corollary.target_energy", "cannot be reached by rescaling a zero datum "
+                  "(its quartic energy |a0|_L4^4 is 0)")
+        alpha = (corollary["target_energy"] / quart) ** 0.25
         sweep = replace(sweep, a0=replace(sweep.a0, amplitude=sweep.a0.amplitude * alpha))
     measured = studies.ghost_separation_study(sweep)
     rep = studies.corollary_bookkeeping(corollary["n"], measured, delta=corollary["delta"])

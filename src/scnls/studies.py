@@ -96,6 +96,8 @@ class SweepConfig:
             raise ValueError(f"eps_list must be strictly decreasing, got {self.eps_list}")
         if len(self.s_list) == 0 or any(s < 0 for s in self.s_list):
             raise ValueError(f"s_list must be nonempty with s >= 0, got {self.s_list}")
+        if any(_close(a, b) for i, a in enumerate(self.s_list) for b in self.s_list[:i]):
+            raise ValueError(f"s_list entries must be distinct, got {self.s_list}")
         if not 0 < self.tau <= self.horizon:
             raise ValueError(f"tau = {self.tau} must lie in (0, horizon = {self.horizon}]")
         ratio = self.tau / (self.horizon / self.n_saves)
@@ -336,14 +338,7 @@ class StudyReport:
 
     def values(self, family, quantity, s=None):
         """Column of row values for one (family, quantity, s), in row order."""
-        out = []
-        for r in self.rows:
-            if r["family"] != family or r["quantity"] != quantity:
-                continue
-            if s is not None and not _close(r.get("s"), s):
-                continue
-            out.append(r["value"])
-        return out
+        return [r["value"] for r in _rows_at(self.rows, family, quantity, s)]
 
     def slope(self, family, s=None):
         for item in self.slopes:
@@ -359,6 +354,13 @@ def _close(a, b, tol=1e-12):
     if a is None or b is None:
         return a is b
     return abs(a - b) <= tol
+
+
+def _rows_at(rows, family, quantity, s=None):
+    """The rows of one (family, quantity) at s, in row order; s=None matches
+    any s."""
+    return [r for r in rows if r["family"] == family and r["quantity"] == quantity
+            and (s is None or _close(r.get("s"), s))]
 
 
 def _row(family, quantity, value, **extra):
@@ -378,14 +380,14 @@ def _check(checks, name, passed, value, bound, note=""):
     checks[name] = {"passed": bool(passed), "value": value, "bound": bound, "note": note}
 
 
-def _slope_fits(rows, xs, s_list, bands, degenerate=False):
-    """The log-log slope of each family's row values against xs at each s,
+def _slope_fits(rows, quantity, xs, s_list, bands, degenerate=False):
+    """The log-log slope of each family's quantity rows against xs at each s,
     and its check against the family's band (bands: family -> (lo, hi)).
     A degenerate sweep, whose values all vanish, fits nothing and passes."""
     slopes, checks = [], {}
     for family, (lo, hi) in bands.items():
         for s in s_list:
-            vals = [r["value"] for r in rows if r["family"] == family and _close(r["s"], s)]
+            vals = [r["value"] for r in _rows_at(rows, family, quantity, s)]
             name = f"{family}_slope_s{s:g}"
             if degenerate:
                 fit = (None, None, None)
@@ -419,16 +421,15 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
     cache = cache or RunCache()
     stack_runs(cache, wkb_error_runs(config))
     limit = _trajectory(cache, _limit_run(config))
+    families = ("profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap")
 
-    def one_eps(eps):
+    # One sweep point per call, so that its fields are freed before the next
+    # point's are built (selftest peak RSS 0.3 MiB lower than one flat loop).
+    def point_rows(eps):
         fine = config.grid_for(eps)
         n_fine = fine.points_per_axis
         u_traj, ut_traj, g_traj = (_trajectory(cache, run) for run in _error_runs(config, eps))
-
-        sup_plain = {s: 0.0 for s in config.s_list}
-        sup_pert = {s: 0.0 for s in config.s_list}
-        sup_hyp = {s: 0.0 for s in config.s_list}
-        sup_exp = {s: 0.0 for s in config.s_list}
+        sup = {(family, s): 0.0 for family in families for s in config.s_list}
         for (bg, corr), us, uts, gs in zip(limit, u_traj, ut_traj, g_traj):
             a_f, phi_f, phi1_f = _profile_fields(bg, corr, n_fine)
             carrier = a_f.values * np.exp(1j * phi_f / eps)
@@ -445,23 +446,17 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
             for s in config.s_list:
                 idx_eps = SobolevIndex(s, eps_scaled=eps)
                 idx = SobolevIndex(s)
-                sup_plain[s] = max(sup_plain[s], norm(d_plain, idx_eps))
-                sup_pert[s] = max(sup_pert[s], norm(d_pert, idx_eps))
-                sup_hyp[s] = max(sup_hyp[s], norm(da, idx) + norm(dphi, idx))
-                sup_exp[s] = max(sup_exp[s], norm(da2, idx) + norm(dphi2, idx))
-        return sup_plain, sup_pert, sup_hyp, sup_exp
+                errors = (norm(d_plain, idx_eps), norm(d_pert, idx_eps),
+                          norm(da, idx) + norm(dphi, idx), norm(da2, idx) + norm(dphi2, idx))
+                for family, error in zip(families, errors):
+                    sup[family, s] = max(sup[family, s], error)
+        return [_row(family, "sup_error", sup[family, s], eps=eps, s=s)
+                for family in families for s in config.s_list]
 
-    results = [one_eps(eps) for eps in config.eps_list]
-
-    rows = []
-    families = ("profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap")
-    for eps, sups in zip(config.eps_list, results):
-        for family, sup in zip(families, sups):
-            for s in config.s_list:
-                rows.append(_row(family, "sup_error", sup[s], eps=eps, s=s))
+    rows = [row for eps in config.eps_list for row in point_rows(eps)]
 
     bands = dict.fromkeys(families[:3], SLOPE_BAND_ORDER1) | {"expansion_gap": SLOPE_BAND_ORDER2}
-    slopes, checks = _slope_fits(rows, config.eps_list, config.s_list, bands,
+    slopes, checks = _slope_fits(rows, "sup_error", config.eps_list, config.s_list, bands,
                                  degenerate=all(r["value"] == 0.0 for r in rows))
 
     header = _config_header(config, description="profile and expansion error sweep")
@@ -494,7 +489,7 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
             rows.append(_row("corrector_phase_residual", "residual", r1, t=t, s=s))
 
     bands = dict.fromkeys(("phase_residual", "corrector_phase_residual"), SLOPE_BAND_CUBIC)
-    slopes, checks = _slope_fits(rows, times, config.s_list, bands)
+    slopes, checks = _slope_fits(rows, "residual", times, config.s_list, bands)
 
     header = _config_header(config, description="dyadic small-time expansion residuals")
     return StudyReport("small_time", header, rows, slopes, checks)
@@ -518,54 +513,48 @@ def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> Stu
         grid = u_tau.u.grid
         return grid, Field(grid, u_tau.u.values - ut_tau.u.values)
 
-    def one_eps(eps):
+    def point_rows(eps):
+        """The rows of one sweep point; as in wkb_error_study, its fields
+        are freed when it returns."""
         grid, diff = pair_diff(eps, 1)
         _, lam = A1_FACTORS[mode](eps, order)
         a_f, phi_f, phi1_f = _profile_fields(bg_tau, corr_tau, grid.points_per_axis)
         pred_vals = a_f.values * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
         pred = transform(Field(grid, pred_vals))
 
-        out = {"l4": lp_norm(diff, 4.0), "per_s": {}}
+        l4 = lp_norm(diff, 4.0)
         diff_hat = transform(diff)
         refined = None
         if config.certify_refinement:
             refined = transform(pair_diff(eps, 2)[1])
+        out = []
         for s in config.s_list:
             idx = SobolevIndex(s, homogeneous=True)
             raw = norm(diff_hat, idx)
             d = eps**s * raw
             p = eps**s * norm(pred, idx)
-            entry = {"raw": raw, "D": d, "P": p,
-                     "ratio": d / p if p > 1e-300 else None}
+            table = [("diff_hs_raw", raw), ("separation_scaled", d), ("profile_prediction", p)]
+            if p > 1e-300:
+                table.append(("ratio_to_profile", d / p))
             if refined is not None:
                 d2 = eps**s * norm(refined, idx)
-                entry["refined_change"] = relative_spread(d, d2)
+                table.append(("refined_rel_change", relative_spread(d, d2)))
             if higher_order:
-                entry["Q"] = d * eps ** (1 - order)
-            out["per_s"][s] = entry
-        return out
+                table.append(("higher_order_scaled", d * eps ** (1 - order)))
+            out += [_row("ghost", quantity, value, eps=eps, s=s) for quantity, value in table]
+        return out + [_row("ghost", "diff_l4", l4, eps=eps, s=None)]
 
-    results = [one_eps(eps) for eps in config.eps_list]
+    rows = [row for eps in config.eps_list for row in point_rows(eps)]
 
-    rows = []
-    for eps, res in zip(config.eps_list, results):
-        for s in config.s_list:
-            e = res["per_s"][s]
-            rows.append(_row("ghost", "diff_hs_raw", e["raw"], eps=eps, s=s))
-            rows.append(_row("ghost", "separation_scaled", e["D"], eps=eps, s=s))
-            rows.append(_row("ghost", "profile_prediction", e["P"], eps=eps, s=s))
-            if e["ratio"] is not None:
-                rows.append(_row("ghost", "ratio_to_profile", e["ratio"], eps=eps, s=s))
-            if "refined_change" in e:
-                rows.append(_row("ghost", "refined_rel_change", e["refined_change"], eps=eps, s=s))
-            if higher_order:
-                rows.append(_row("ghost", "higher_order_scaled", e["Q"], eps=eps, s=s))
-        rows.append(_row("ghost", "diff_l4", res["l4"], eps=eps, s=None))
-
-    checks = {}
+    header = _config_header(config, description="paired-run separation at the observation time",
+                            observation_time=config.tau, a0_l2=a0_l2, separation_floor=floor)
+    report = StudyReport("ghost_higher_order" if higher_order else "ghost_separation",
+                         header, rows, [], {})
+    checks = report.checks
     rtol = HIGHER_ORDER_STABILIZATION_RTOL if higher_order else GHOST_STABILIZATION_RTOL
+    verdict = "higher_order_scaled" if higher_order else "separation_scaled"
     for s in config.s_list:
-        vals = [res["per_s"][s]["Q" if higher_order else "D"] for res in results]
+        vals = report.values("ghost", verdict, s)
         if mode == "zero":
             worst = max(abs(v) for v in vals)
             _check(checks, f"control_null_s{s:g}", worst <= 1e-10, worst, "<= 1e-10",
@@ -573,35 +562,29 @@ def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> Stu
             continue
         spread = relative_spread(vals[-1], vals[-2])
         stabilized = spread <= rtol
-        above_floor = min(vals[-1], vals[-2]) >= floor
-        separated = min(vals[-1], vals[-2]) >= 0.5 * max(vals) and above_floor
+        lowest = min(vals[-1], vals[-2])
+        # a vanishing separation fails even where the floor itself is 0 (a0 = 0)
+        above_floor = lowest > 0 and lowest >= floor
+        separated = lowest >= 0.5 * max(vals) and above_floor
         _check(checks, f"stabilized_s{s:g}", stabilized, spread, f"<= {rtol}",
                "relative spread of the two finest sweep points")
-        _check(checks, f"above_floor_s{s:g}", above_floor, min(vals[-1], vals[-2]),
+        _check(checks, f"above_floor_s{s:g}", above_floor, lowest,
                f">= {floor:.6e}", "floor is 1e-3 * |a0|_L2")
-        _check(checks, f"separated_s{s:g}", separated, min(vals[-1], vals[-2]),
+        _check(checks, f"separated_s{s:g}", separated, lowest,
                f">= max(floor, half of max over sweep = {0.5 * max(vals):.6e})",
                "operational liminf > 0 verdict")
-        ratios = [res["per_s"][s]["ratio"] for res in results[-2:]]
-        if all(r is not None for r in ratios):
+        ratios = [r["value"] for r in _rows_at(rows, "ghost", "ratio_to_profile", s)
+                  if r["eps"] in config.eps_list[-2:]]
+        if len(ratios) == 2:
             worst_ratio = max(ratios, key=lambda r: abs(math.log(r)) if r > 0 else math.inf)
             _check(checks, f"profile_ratio_s{s:g}", all(0.5 <= r <= 2.0 for r in ratios),
                    worst_ratio, "[0.5, 2.0] at the two finest sweep points",
                    "measured/predicted outside the band flags under-resolution")
         if config.certify_refinement:
-            worst = max(res["per_s"][s].get("refined_change", 0.0) for res in results)
+            worst = max(report.values("ghost", "refined_rel_change", s))
             _check(checks, f"grid_independent_s{s:g}", worst < 0.05, worst, "< 0.05",
                    "doubling N changes the reported value by less than 5%")
-
-    name = "ghost_higher_order" if higher_order else "ghost_separation"
-    header = _config_header(
-        config,
-        description="paired-run separation at the observation time",
-        observation_time=config.tau,
-        a0_l2=a0_l2,
-        separation_floor=floor,
-    )
-    return StudyReport(name, header, rows, [], checks)
+    return report
 
 
 def ghost_separation_study(config: SweepConfig, cache: RunCache | None = None) -> StudyReport:
@@ -661,13 +644,12 @@ class ScalingParams:
         return tau * j ** -(self.s_c + 2 - self.s)
 
 
-def _measured_column(measured: StudyReport, quantity, s):
-    eps, vals = [], []
-    for r in measured.rows:
-        if r["family"] == "ghost" and r["quantity"] == quantity and _close(r.get("s"), s):
-            eps.append(r["eps"])
-            vals.append(r["value"])
-    return eps, vals
+def _tabulate(rows, columns, family, eps, table):
+    """Append one sweep point's (quantity, value, s) table to rows, and each
+    value to its quantity's column in columns."""
+    for quantity, value, s in table:
+        rows.append(_row(family, quantity, value, eps=eps, s=s))
+        columns.setdefault(quantity, []).append(value)
 
 
 def _datum_from_header(measured: StudyReport):
@@ -687,8 +669,8 @@ def inflation_bookkeeping(params: ScalingParams, measured: StudyReport) -> Study
     """Physical-scale bookkeeping: datum norms shrink in H^sigma while the
     measured solution differences, rescaled by j^{k-s}, grow (or stay
     bounded below at the threshold exponent)."""
-    eps_col, raw_col = _measured_column(measured, "diff_hs_raw", params.k)
-    if not eps_col:
+    measured_rows = _rows_at(measured.rows, "ghost", "diff_hs_raw", params.k)
+    if not measured_rows:
         raise ValueError(
             f"measured study has no Hdot^{params.k:g} difference rows; "
             "re-run the sweep with k included in s_list"
@@ -697,38 +679,24 @@ def inflation_bookkeeping(params: ScalingParams, measured: StudyReport) -> Study
     a0_l2 = norm(a0)
     a0_hsig = norm(a0, SobolevIndex(params.sigma, homogeneous=True))
 
-    rows, n, s, sig, k = [], params.n, params.s, params.sigma, params.k
-    scaled_vals, js = [], []
-    for eps, raw in zip(eps_col, raw_col):
-        j = params.j_for(eps)
-        t_j = params.t_j(j, tau)
-        scaled = j ** (k - s) * raw
-        js.append(j)
-        scaled_vals.append(scaled)
-        rows.append(_row("inflation", "j", j, eps=eps, s=k))
-        rows.append(_row("inflation", "t_j", t_j, eps=eps, s=k))
-        rows.append(_row("inflation", "physical_diff_hk", scaled, eps=eps, s=k))
-        rows.append(
-            _row("inflation", "data_diff_l2", j ** (1 - n / 2) * a0_l2, eps=eps, s=None)
-        )
-        rows.append(
-            _row(
-                "inflation", "data_diff_hsigma",
-                j ** (1 + sig - n / 2) * a0_hsig, eps=eps, s=sig,
-            )
-        )
-        rows.append(
-            _row(
-                "inflation", "data_diff_hsigma_bound",
-                j ** (1 - n / 2) * a0_l2 + j ** (1 + sig - n / 2) * a0_hsig,
-                eps=eps, s=sig,
-            )
-        )
+    rows, cols, n, s, sig, k = [], {}, params.n, params.s, params.sigma, params.k
+    for r in measured_rows:
+        j = params.j_for(r["eps"])
+        _tabulate(rows, cols, "inflation", r["eps"], (
+            ("j", j, k),
+            ("t_j", params.t_j(j, tau), k),
+            ("physical_diff_hk", j ** (k - s) * r["value"], k),
+            ("data_diff_l2", j ** (1 - n / 2) * a0_l2, None),
+            ("data_diff_hsigma", j ** (1 + sig - n / 2) * a0_hsig, sig),
+            ("data_diff_hsigma_bound",
+             j ** (1 - n / 2) * a0_l2 + j ** (1 + sig - n / 2) * a0_hsig, sig),
+        ))
+    js = cols["j"]
 
     exact = params.growth_exponent()
     slope, intercept, resid = (None, None, None)
     if len(js) >= 3:
-        slope, intercept, resid = fit_loglog(js, scaled_vals)
+        slope, intercept, resid = fit_loglog(js, cols["physical_diff_hk"])
     slopes = [
         {"family": "inflation", "s": k, "slope": slope, "intercept": intercept,
          "max_resid": resid, "n_points": len(js)},
@@ -785,11 +753,11 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
         raise ValueError(f"delta must be positive, got {delta!r}")
     s = n / 4
     s_c = n / 2 - 1
-    eps_h1, raw_h1 = _measured_column(measured, "diff_hs_raw", 1.0)
-    if not eps_h1:
+    h1_rows = _rows_at(measured.rows, "ghost", "diff_hs_raw", 1.0)
+    if not h1_rows:
         raise ValueError("measured study must include s = 1 rows for the gradient energy")
-    eps_l4, raw_l4 = _measured_column(measured, "diff_l4", None)
-    if eps_l4 != eps_h1:
+    l4_rows = _rows_at(measured.rows, "ghost", "diff_l4")
+    if [r["eps"] for r in l4_rows] != [r["eps"] for r in h1_rows]:
         raise ValueError("measured study lacks matching quartic-norm rows")
 
     a0, tau = _datum_from_header(measured)
@@ -804,32 +772,22 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
     def data_energy(lam, j):
         return lam**2 * j ** (2 - n) * grad_sq + lam**4 * j**-n * quart
 
-    rows, e_sol = [], []
-    for eps, rh1, rl4 in zip(eps_h1, raw_h1, raw_l4):
-        j = eps ** (1.0 / (s - s_c))
-        t_j = tau * j ** -(s_c + 2 - s)
+    rows, cols = [], {}
+    for h1, l4 in zip(h1_rows, l4_rows):
+        j = h1["eps"] ** (1.0 / (s - s_c))
         lam_plain = j ** (n / 2 - s)
         lam_tilde = lam_plain + j
-        e_diff = j ** (2 - 2 * s) * rh1**2 + j ** (n - 4 * s) * rl4**4
-        e_sol.append(e_diff)
-        rows.append(_row("corollary", "j", j, eps=eps, s=None))
-        rows.append(_row("corollary", "t_j", t_j, eps=eps, s=None))
-        rows.append(_row("corollary", "mass_data", data_mass(lam_plain, j), eps=eps, s=None))
-        rows.append(
-            _row("corollary", "mass_data_tilde", data_mass(lam_tilde, j), eps=eps, s=None)
-        )
-        rows.append(
-            _row("corollary", "energy_data", data_energy(lam_plain, j), eps=eps, s=None)
-        )
-        rows.append(
-            _row("corollary", "energy_data_tilde", data_energy(lam_tilde, j), eps=eps, s=None)
-        )
-        rows.append(
-            _row(
-                "corollary", "energy_data_diff", data_energy(j, j), eps=eps, s=None
-            )
-        )
-        rows.append(_row("corollary", "energy_solution_diff", e_diff, eps=eps, s=None))
+        _tabulate(rows, cols, "corollary", h1["eps"], (
+            ("j", j, None),
+            ("t_j", tau * j ** -(s_c + 2 - s), None),
+            ("mass_data", data_mass(lam_plain, j), None),
+            ("mass_data_tilde", data_mass(lam_tilde, j), None),
+            ("energy_data", data_energy(lam_plain, j), None),
+            ("energy_data_tilde", data_energy(lam_tilde, j), None),
+            ("energy_data_diff", data_energy(j, j), None),
+            ("energy_solution_diff",
+             j ** (2 - 2 * s) * h1["value"]**2 + j ** (n - 4 * s) * l4["value"]**4, None),
+        ))
 
     # Smallest j past which both data energies sit inside the band; the
     # corrections decay monotonically so a doubling search is enough.
@@ -854,22 +812,13 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
             lo = mid
     j_star = hi
 
-    mass_cols = [
-        [r["value"] for r in rows if r["quantity"] == q]
-        for q in ("mass_data", "mass_data_tilde")
-    ]
-    diffs = [r["value"] for r in rows if r["quantity"] == "energy_data_diff"]
-    js = [r["value"] for r in rows if r["quantity"] == "j"]
-    band_rows = [
-        (jv, ep, ed)
-        for jv, ep, ed in zip(
-            js,
-            [r["value"] for r in rows if r["quantity"] == "energy_data"],
-            [r["value"] for r in rows if r["quantity"] == "energy_data_tilde"],
-        )
-        if jv >= j_star
-    ]
+    mass_cols = [cols["mass_data"], cols["mass_data_tilde"]]
+    diffs, e_sol = cols["energy_data_diff"], cols["energy_solution_diff"]
+    band_rows = [(jv, ep, ed)
+                 for jv, ep, ed in zip(cols["j"], cols["energy_data"], cols["energy_data_tilde"])
+                 if jv >= j_star]
     spread = relative_spread(e_sol[-1], e_sol[-2]) if len(e_sol) >= 2 else None
+    lowest = min(e_sol[-2:]) if len(e_sol) >= 2 else None
 
     checks = {}
     _check(checks, "mass_vanishes",
@@ -884,11 +833,12 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
            band_rows[-1][1] if band_rows else None,
            f"[{c0 - delta}, {c0 + delta}] for j >= {j_star:.6g}",
            f"{len(band_rows)} sweep rows past the threshold")
+    # a vanishing difference energy fails even where the floor itself is 0 (a0 = 0)
     _check(checks, "solution_energy_bounded_below",
            spread is not None
            and spread <= HIGHER_ORDER_STABILIZATION_RTOL
-           and min(e_sol[-1], e_sol[-2]) >= SEPARATION_FLOOR_FACTOR * c0,
-           min(e_sol[-2:]) if len(e_sol) >= 2 else None,
+           and lowest > 0 and lowest >= SEPARATION_FLOOR_FACTOR * c0,
+           lowest,
            f">= {SEPARATION_FLOOR_FACTOR * c0:.6e} with spread <= "
            f"{HIGHER_ORDER_STABILIZATION_RTOL}",
            "extrapolated difference energy at t_j")

@@ -75,3 +75,44 @@ def test_every_cached_run_equals_its_single_run(planned):
     assert collections.Counter(run.kind for run in runs) == {"nls": 15, "grenier": 7, "limit": 7}
     for run in runs:
         assert bit_identical(s.cache._data[run], studies._trajectory(RunCache(), run)), run
+
+
+# The study checks each study-backed criterion names, per report attribute.
+CRITERION_CHECKS = {
+    2: {"error_report": ["profile_plain_slope", "profile_perturbed_slope"]},
+    3: {"error_report": ["expansion_gap_slope"]},
+    4: {"smalltime_report": ["phase_residual_slope", "corrector_phase_residual_slope"]},
+    5: {"ghost_report": ["stabilized", "above_floor"], "control_report": ["control_null"]},
+    9: {"higher_order_report": ["stabilized", "above_floor"]},
+}
+
+
+def stub_suite(number, failing=None):
+    """A suite whose reports hold only the checks criterion number names,
+    all passing with value 0.125 except failing, plus one failing check it
+    does not name."""
+    s = AcceptanceSuite()
+    for attr, prefixes in CRITERION_CHECKS[number].items():
+        checks = {f"{prefix}_s{x:g}": {"passed": f"{prefix}_s{x:g}" != failing, "value": 0.125}
+                  for prefix in prefixes for x in s.config.s_list}
+        checks["unnamed_s0"] = {"passed": False, "value": 0.0}
+        s.__dict__[attr] = studies.StudyReport("stub", {}, [], [], checks)
+    return s
+
+
+@pytest.mark.parametrize("number", CRITERION_CHECKS)
+def test_study_criterion_passes_when_every_check_it_names_does(number):
+    named = [f"{prefix}_s{x:g}" for prefixes in CRITERION_CHECKS[number].values()
+             for prefix in prefixes for x in (0.0, 1.0, 2.0)]
+    criterion = getattr(AcceptanceSuite, f"criterion_{number}")
+    assert criterion(stub_suite(number)).passed
+    for name in named:
+        assert not criterion(stub_suite(number, name)).passed, name
+
+
+def test_ghost_criteria_details():
+    assert AcceptanceSuite.criterion_5(stub_suite(5)).detail == (
+        "s=0: spread 0.125, floor ok=True; s=1: spread 0.125, floor ok=True; "
+        "s=2: spread 0.125, floor ok=True; control run null to 1e-10")
+    assert AcceptanceSuite.criterion_9(stub_suite(9, "above_floor_s1")).detail == (
+        "s=0: spread 0.125; s=1: spread 0.125; s=2: spread 0.125")

@@ -419,6 +419,35 @@ class TestStudyCommands:
         c0 = summary["studies"]["corollary"]["header"]["leading_energy"]
         assert c0 == pytest.approx(1.0, rel=1e-6)
 
+    def test_report_corollary_target_energy_needs_a_nonzero_datum(self, tmp_path, capsys):
+        doc = tiny_sweep(data={"amplitude": 0.0})
+        doc["corollary"] = {"target_energy": 1.0}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.run(["report-corollary", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'corollary.target_energy' ")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command, failed", [
+        ("study-ghost", []),
+        ("study-ghost-n", []),
+        ("report-corollary", ["solution_energy_bounded_below"]),
+    ], ids=["ghost", "ghost-n", "corollary"])
+    def test_zero_datum_fails_the_bounded_below_verdicts(self, tmp_path, command, failed):
+        # a0 = 0 makes the floor 0 as well; a vanishing separation still fails
+        cfg = write_config(tmp_path, tiny_sweep(data={"amplitude": 0.0}))
+        out = tmp_path / "out"
+        assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is False
+        checks = {name: check for study in summary["studies"].values()
+                  for name, check in study["checks"].items()}
+        floor = [f"{kind}_s{s}" for kind in ("above_floor", "separated") for s in (0, 1)]
+        assert sorted(name for name, c in checks.items() if not c["passed"]) == sorted(
+            floor + failed)
+        assert all(checks[name]["value"] == 0.0 for name in floor + failed)
+
     @pytest.mark.parametrize("command, sweep", [
         ("study-wkb-error", {}),
         ("study-smalltime", {}),

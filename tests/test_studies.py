@@ -56,6 +56,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="a1_mode"):
             SweepConfig(eps_list=(0.25,), a1_mode="sideways")
 
+    def test_rejects_repeated_s(self):
+        # every study reads its columns back by (family, quantity, s)
+        with pytest.raises(ValueError, match="distinct"):
+            SweepConfig(eps_list=(0.25,), s_list=(0.0, 1.0, 1.0))
+
     def test_grid_growth_and_cap(self):
         cfg = SweepConfig(eps_list=(0.25, 0.125), points_base=256)
         assert cfg.grid_for(0.25).points_per_axis == 256
@@ -494,6 +499,71 @@ class TestCorollaryBookkeeping:
         assert all(e >= c0 for e in energies)
         assert energies[-1] - c0 < energies[0] - c0
         assert rep.header["limitation"]
+
+
+def layout(rep):
+    """(family, quantity, sweep point, s) of each row, in row order; the sweep
+    point is eps, or t for the small-time study."""
+    return [(r["family"], r["quantity"], r.get("eps", r.get("t")), r["s"]) for r in rep.rows]
+
+
+def ghost_layout(cfg, quantities):
+    return [row for eps in cfg.eps_list
+            for row in [("ghost", q, eps, s) for s in cfg.s_list for q in quantities]
+            + [("ghost", "diff_l4", eps, None)]]
+
+
+GHOST_QUANTITIES = ["diff_hs_raw", "separation_scaled", "profile_prediction", "ratio_to_profile"]
+
+
+class TestRowLayout:
+    """Rows come in the order docs/formats.md states: sweep point major, then
+    as listed there for each study."""
+
+    def test_wkb_error(self, short_cfg, cache):
+        families = ["profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap"]
+        assert layout(wkb_error_study(short_cfg, cache)) == [
+            (f, "sup_error", eps, s)
+            for eps in short_cfg.eps_list for f in families for s in short_cfg.s_list]
+
+    def test_small_time(self, short_cfg, cache):
+        times = [short_cfg.horizon * 0.5**m for m in range(short_cfg.smalltime_points)]
+        assert layout(small_time_study(short_cfg, cache)) == [
+            (f, "residual", t, s) for t in times for s in short_cfg.s_list
+            for f in ("phase_residual", "corrector_phase_residual")]
+
+    def test_ghost_separation(self, short_cfg, ghost_report):
+        assert layout(ghost_report) == ghost_layout(short_cfg, GHOST_QUANTITIES)
+
+    def test_ghost_separation_certified(self, cache):
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0, 1.0), certify_refinement=True)
+        assert layout(ghost_separation_study(cfg, cache)) == ghost_layout(
+            cfg, GHOST_QUANTITIES + ["refined_rel_change"])
+
+    def test_ghost_without_prediction_has_no_ratio_rows(self, cache):
+        # the control pair's profile prediction vanishes at every eps
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0, 1.0), a1_mode="zero")
+        rep = ghost_separation_study(cfg, cache)
+        assert layout(rep) == ghost_layout(cfg, GHOST_QUANTITIES[:3])
+        assert not any(name.startswith("profile_ratio") for name in rep.checks)
+
+    def test_ghost_higher_order(self, short_cfg, cache):
+        cfg = replace(short_cfg, a1_mode="scaled")
+        assert layout(ghost_higher_order_study(cfg, cache)) == ghost_layout(
+            cfg, GHOST_QUANTITIES + ["higher_order_scaled"])
+
+    def test_inflation(self, short_cfg, ghost_report):
+        p = ScalingParams(n=6, s=1.0, sigma=1.5, k=1.0)
+        table = [("j", p.k), ("t_j", p.k), ("physical_diff_hk", p.k), ("data_diff_l2", None),
+                 ("data_diff_hsigma", p.sigma), ("data_diff_hsigma_bound", p.sigma)]
+        assert layout(inflation_bookkeeping(p, ghost_report)) == [
+            ("inflation", q, eps, s) for eps in short_cfg.eps_list for q, s in table]
+
+    def test_corollary(self, short_cfg, ghost_report):
+        quantities = ["j", "t_j", "mass_data", "mass_data_tilde", "energy_data",
+                      "energy_data_tilde", "energy_data_diff", "energy_solution_diff"]
+        assert layout(corollary_bookkeeping(6, ghost_report)) == [
+            ("corollary", q, eps, None) for eps in short_cfg.eps_list for q in quantities]
 
 
 class TestFitAndReportPlumbing:
