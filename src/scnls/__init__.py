@@ -8,7 +8,6 @@ from .grid import (
     Field,
     Grid,
     SobolevIndex,
-    derivatives,
     inverse_transform,
     load_field,
     lp_norm,
@@ -23,9 +22,7 @@ from .grid import (
 from .nls import (
     NlsRunConfig,
     NlsState,
-    kinetic_substep,
     mass,
-    nonlinear_substep,
     semiclassical_energy,
     solve_nls,
 )
@@ -46,8 +43,6 @@ from .wkb import (
     CorrectorState,
     GrenierState,
     WkbRunConfig,
-    corrector_rhs,
-    grenier_rhs,
     reconstruct,
     solve_grenier,
     solve_limit_with_corrector,
@@ -57,13 +52,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "Grid", "SobolevIndex", "make_grid", "make_gaussian",
-    "transform", "inverse_transform", "derivatives", "norm",
-    "lp_norm", "resample", "tail_fraction", "save_field", "load_field",
-    "NlsState", "NlsRunConfig", "solve_nls", "kinetic_substep",
-    "nonlinear_substep", "mass", "semiclassical_energy",
-    "GrenierState", "CorrectorState", "WkbRunConfig", "grenier_rhs",
-    "corrector_rhs", "solve_grenier", "solve_limit_with_corrector",
-    "reconstruct",
+    "transform", "inverse_transform", "norm", "lp_norm", "resample",
+    "tail_fraction", "save_field", "load_field",
+    "NlsState", "NlsRunConfig", "solve_nls", "mass", "semiclassical_energy",
+    "GrenierState", "CorrectorState", "WkbRunConfig", "solve_grenier",
+    "solve_limit_with_corrector", "reconstruct",
     "SweepConfig", "GaussianSpec", "ScalingParams", "StudyReport",
     "RunCache", "wkb_error_study", "small_time_study",
     "ghost_separation_study", "ghost_higher_order_study",

@@ -17,15 +17,14 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-# Default memory budget: complex128 fields of this size are ~0.5 GiB.
-DEFAULT_MAX_POINTS = 2**25
+# Memory budget: complex128 fields of this size are ~0.5 GiB.
+MAX_POINTS = 2**25
 
 # Boundary decay tolerance for constructed data; periodization error
 # below this is negligible against all solver tolerances.
@@ -157,21 +156,16 @@ class Grid:
         return {}
 
     def sobolev_weight(self, index):
-        """index.weight(k_squared), computed once per index (two threads
-        racing on a new index both compute it; either copy serves)."""
+        """index.weight(k_squared), computed once per index."""
         if index not in self._weights:
             self._weights[index] = _frozen(index.weight(self.k_squared))
         return self._weights[index]
 
-    def meshgrid(self):
-        return np.meshgrid(*self.x_axes, indexing="ij")
-
 
 _GRIDS = weakref.WeakValueDictionary()
-_GRIDS_LOCK = threading.Lock()
 
 
-def make_grid(dim, half_width, points_per_axis, max_points=DEFAULT_MAX_POINTS):
+def make_grid(dim, half_width, points_per_axis):
     """The Grid for [-L, L)^dim with N points per axis, shared with every
     other live caller that asked for the same one.
 
@@ -187,14 +181,13 @@ def make_grid(dim, half_width, points_per_axis, max_points=DEFAULT_MAX_POINTS):
         raise ValueError(
             f"points_per_axis must be a power of two >= 8, got {points_per_axis!r}"
         )
-    if n**dim > max_points:
+    if n**dim > MAX_POINTS:
         raise ValueError(
             f"grid of {n}^{dim} = {n**dim} points exceeds the memory budget of "
-            f"{max_points} points"
+            f"{MAX_POINTS} points"
         )
     key = (int(dim), float(half_width), n)
-    with _GRIDS_LOCK:
-        return _GRIDS.setdefault(key, Grid(*key))
+    return _GRIDS.setdefault(key, Grid(*key))
 
 
 @dataclass
@@ -255,15 +248,6 @@ def inverse_transform(f: Field) -> Field:
     return Field(g, vals, PHYSICAL)
 
 
-def derivatives(f: Field) -> list[Field]:
-    """Spectral gradient of the trigonometric interpolant, one Field per
-    axis, then its Laplacian: one transform and one batched inverse over
-    Grid.derivative_multipliers."""
-    _require_space(f, PHYSICAL, "derivatives")
-    g = f.grid
-    return [Field(g, d) for d in _ifft(g.derivative_multipliers * _fft(f.values, g.dim), g.dim)]
-
-
 @dataclass(frozen=True)
 class SobolevIndex:
     """Selects the spectral weight: L2 (s=0), H^s, homogeneous H^s, or
@@ -309,10 +293,10 @@ def lp_norm(f: Field, p: float) -> float:
     return float((np.sum(np.abs(f.values) ** p) * f.grid.quad_weight) ** (1.0 / p))
 
 
-def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0, decay_tol=DECAY_TOL):
+def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
     """Canonical smooth rapidly-decaying datum: amplitude * exp(-|x-c|^2/w^2).
 
-    Rejects combinations whose boundary samples exceed decay_tol * amplitude,
+    Rejects combinations whose boundary samples exceed DECAY_TOL * amplitude,
     since then the periodic domain is too small to stand in for free space.
     """
     if not width > 0:
@@ -323,7 +307,7 @@ def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0, decay_tol=DECAY_TO
         r2 = r2 + grid.axis_view((grid.x_axes[ax] - centers[ax]) ** 2, ax)
     vals = amplitude * np.exp(-r2 / width**2)
     f = Field(grid, vals, PHYSICAL)
-    check_boundary_decay(f, tol=abs(amplitude) * decay_tol)
+    check_boundary_decay(f, tol=abs(amplitude) * DECAY_TOL)
     return f
 
 
@@ -411,13 +395,20 @@ def load_field(path_base) -> Field:
         raise ValueError(f"unsupported field schema version {header.get('schema_version')!r}")
     grid = make_grid(header["dim"], header["half_width"], header["points_per_axis"])
     vals = np.zeros(grid.num_points, dtype=np.complex128)
+    seen = np.zeros(grid.num_points, dtype=bool)
     with open(f"{path_base}.csv", newline="") as fh:
         rows = csv.reader(fh)
         next(rows)
         count = 0
-        for row in rows:
-            vals[int(row[0])] = float(row[1]) + 1j * float(row[2])
-            count += 1
+        for count, row in enumerate(rows, 1):
+            i = int(row[0])
+            if not 0 <= i < grid.num_points:
+                raise ValueError(f"field dump row {count} has index {i} outside "
+                                 f"[0, {grid.num_points})")
+            if seen[i]:
+                raise ValueError(f"field dump row {count} repeats index {i}")
+            seen[i] = True
+            vals[i] = float(row[1]) + 1j * float(row[2])
     if count != grid.num_points:
         raise ValueError(f"field dump has {count} rows, expected {grid.num_points}")
     return Field(grid, vals.reshape(grid.shape), header["space"])

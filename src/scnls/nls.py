@@ -116,24 +116,6 @@ def _rotate(u, buf, rate, axes):
     return total
 
 
-def kinetic_substep(state: NlsState, tau) -> NlsState:
-    """Exact flow of i*eps*du/dt = -(eps^2/2) Lap(u) over tau.
-
-    Substeps act as operator pieces: they do not advance the clock.
-    """
-    u = state.u.values.copy()
-    _kinetic(u, np.empty_like(u), state.u.grid.dim,
-             np.exp(-0.5j * state.eps * tau * state.u.grid.k_squared))
-    return NlsState(state.t, Field(state.u.grid, u), state.eps)
-
-
-def nonlinear_substep(state: NlsState, tau) -> NlsState:
-    """Exact flow of i*eps*du/dt = |u|^2 u over tau; |u| is pointwise invariant."""
-    u = state.u.values.copy()
-    _rotate(u, np.empty_like(u), tau / state.eps, None)
-    return NlsState(state.t, Field(state.u.grid, u), state.eps)
-
-
 def mass(f: Field) -> float:
     """int |u|^2 dx by grid quadrature."""
     if f.space != PHYSICAL:

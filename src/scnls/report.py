@@ -88,8 +88,6 @@ def summary_dict(report):
 
 def write_summary_json(reports, path):
     """Single summary for one CLI invocation; reports keyed by study name."""
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
     payload = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "passed": all(r.passed() for r in reports),

@@ -205,26 +205,22 @@ def _limit_run(cfg: SweepConfig, a1_kind="equal_a0", horizon=None):
     return Run("limit", grid, 0.0, cfg.wkb_run_config(grid, 0.0, horizon), cfg.a0, a1_kind)
 
 
-def _solver_args(run):
-    """The arguments of run's single-run solver."""
-    if run.kind == "nls":
-        return run.a0.realize(run.grid, run.datum), run.eps, run.config
-    a0 = run.a0.realize(run.grid)
-    a1 = a1_datum(run.datum, a0)
-    return (a0, a1, run.eps, run.config) if run.kind == "grenier" else (a0, a1, run.config)
-
-
 def _trajectory(cache, run):
-    solve = {"nls": nls.solve_nls, "grenier": wkb.solve_grenier,
-             "limit": wkb.solve_limit_with_corrector}[run.kind]
-    return cache.get_or_run(run, lambda: solve(*_solver_args(run)))
+    return cache.get_or_run(run, lambda: _solve_stack([run])[0])
 
 
 def _solve_stack(runs):
-    members = [_solver_args(run) for run in runs]
-    kind, eps, config = runs[0].kind, runs[0].eps, runs[0].config
+    """One stacked integration of runs, which share their kind, grid and
+    (for "nls") eps and run config: one trajectory per run."""
+    kind, grid = runs[0].kind, runs[0].grid
     if kind == "nls":
-        return nls.solve_nls_stack([u0 for u0, _, _ in members], eps, config)
+        return nls.solve_nls_stack([run.a0.realize(grid, run.datum) for run in runs],
+                                   runs[0].eps, runs[0].config)
+    members = []
+    for run in runs:
+        a0 = run.a0.realize(grid)
+        a1 = a1_datum(run.datum, a0)
+        members.append((a0, a1, run.eps, run.config) if kind == "grenier" else (a0, a1, run.config))
     return (wkb.solve_grenier_stack if kind == "grenier" else wkb.solve_limit_stack)(members)
 
 
@@ -236,8 +232,8 @@ def stack_runs(cache, runs):
     runs integrates nothing.
 
     A stack that trips a guard caches nothing: its runs are left to
-    _trajectory, which raises each run's own error when it is asked for
-    that run.
+    _trajectory, which reads each as a stack of one and so raises that
+    run's own error when it is asked for that run.
     """
     groups = {}
     for run in dict.fromkeys(runs):
@@ -820,20 +816,23 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
     spread = relative_spread(e_sol[-1], e_sol[-2]) if len(e_sol) >= 2 else None
     lowest = min(e_sol[-2:]) if len(e_sol) >= 2 else None
 
+    # Each verdict below also needs a strictly positive value: an all-zero
+    # datum (a0 = 0) gives all-zero columns, which are "sorted decreasing",
+    # a zero C0, whose band holds 0, and a zero floor.
     checks = {}
     _check(checks, "mass_vanishes",
-           all(col == sorted(col, reverse=True) for col in mass_cols) and -2 * s < 0,
+           all(col == sorted(col, reverse=True) for col in mass_cols) and -2 * s < 0
+           and mass_cols[0][-1] > 0,
            mass_cols[0][-1], "decreasing with exact exponent -n/2", "mass of both data sequences")
     _check(checks, "data_energy_difference_vanishes",
-           diffs == sorted(diffs, reverse=True) and 4 - n < 0,
+           diffs == sorted(diffs, reverse=True) and 4 - n < 0 and diffs[-1] > 0,
            diffs[-1], "decreasing with exact exponent 4 - n")
     _check(checks, "data_energies_in_band",
-           band_rows and all(abs(ep - c0) <= delta and abs(ed - c0) <= delta
-                             for _, ep, ed in band_rows),
+           band_rows and band_rows[-1][1] > 0
+           and all(abs(ep - c0) <= delta and abs(ed - c0) <= delta for _, ep, ed in band_rows),
            band_rows[-1][1] if band_rows else None,
            f"[{c0 - delta}, {c0 + delta}] for j >= {j_star:.6g}",
            f"{len(band_rows)} sweep rows past the threshold")
-    # a vanishing difference energy fails even where the floor itself is 0 (a0 = 0)
     _check(checks, "solution_energy_bounded_below",
            spread is not None
            and spread <= HIGHER_ORDER_STABILIZATION_RTOL

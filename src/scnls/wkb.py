@@ -178,34 +178,6 @@ class _Rates:
         return out
 
 
-def grenier_rhs(state: GrenierState, sing_tol=None):
-    """Time derivatives (da/dt, dphi/dt) as Fields.
-
-    When sing_tol is given, raises SingularityError if the phase gradient
-    already exceeds it.
-    """
-    g = state.a.grid
-    y = np.stack([state.a.values, state.phi.values.real])[:, None]
-    k = _Rates(g, corrector=False, eps=state.eps, sing_tol=sing_tol)(y, [state.t], np.empty_like(y))
-    return Field(g, k[0, 0]), Field(g, k[1, 0])
-
-
-def corrector_rhs(background: GrenierState, corr: CorrectorState):
-    """Time derivatives (da1/dt, dphi1/dt) of the corrector pair around an
-    eps = 0 background at the same time."""
-    if background.eps != 0:
-        raise ValueError("the corrector background must be an eps = 0 state")
-    if background.t != corr.t:
-        raise ValueError(
-            f"background time {background.t} does not match corrector time {corr.t}"
-        )
-    g = background.a.grid
-    y = np.stack([background.a.values, background.phi.values.real,
-                  corr.a1.values, corr.phi1.values.real])[:, None]
-    k = _Rates(g, corrector=True)(y, [corr.t], np.empty_like(y))
-    return Field(g, k[2, 0]), Field(g, k[3, 0])
-
-
 def _auto_sing_tol(grid, a_init, horizon):
     # Early-time scale: |grad phi| grows like t * max|grad |a(0)|^2|, so
     # 50x its value at the horizon is far outside regular behaviour.
@@ -347,14 +319,15 @@ def _solve_stack(members, keep, corrector):
     return _integrate(y, grid, corrector, eps, [member[-1] for member in members], snap, keep)
 
 
-def reconstruct(a: Field, phi: Field, eps, tail_tol=1e-6) -> Field:
+def reconstruct(a: Field, phi: Field, eps) -> Field:
     """Oscillatory wavefunction a * exp(i phi / eps), with a resolution
-    guard on the result (the phase may oscillate too fast for the grid)."""
+    guard on the result (the phase may oscillate too fast for the grid):
+    its spectral tail fraction must not exceed 1e-6."""
     if not eps > 0:
         raise ValueError(f"reconstruction requires eps > 0, got {eps!r}")
     _require_real_phase(phi, "phase field")
     out = Field(a.grid, a.values * np.exp(1j * phi.values.real / eps))
-    ResolutionError.check(tail_fraction(out), tail_tol, "in the reconstructed wavefunction")
+    ResolutionError.check(tail_fraction(out), 1e-6, "in the reconstructed wavefunction")
     return out
 
 

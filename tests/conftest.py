@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scnls import grid as sg
+from scnls import studies
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +84,17 @@ def bit_identical(x, y):
     if dataclasses.is_dataclass(x):
         return type(x) is type(y) and bit_identical(list(vars(x).values()), list(vars(y).values()))
     return x == y
+
+
+def bar_cache_misses(monkeypatch):
+    """Make studies._trajectory fail the test when it is asked for a run
+    that is not cached yet, so that every run read must come from a stack
+    planned before it (a miss would run a stack of one)."""
+    trajectory = studies._trajectory
+
+    def cached_only(cache, run):
+        if run not in cache:
+            pytest.fail(f"{run.kind} run read outside its stack")
+        return trajectory(cache, run)
+
+    monkeypatch.setattr(studies, "_trajectory", cached_only)

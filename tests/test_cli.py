@@ -14,6 +14,8 @@ from scnls.errors import GuardError
 from scnls.grid import load_field, make_grid
 from scnls.studies import RunCache, SweepConfig
 
+from conftest import bar_cache_misses
+
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 
@@ -432,7 +434,8 @@ class TestStudyCommands:
     @pytest.mark.parametrize("command, failed", [
         ("study-ghost", []),
         ("study-ghost-n", []),
-        ("report-corollary", ["solution_energy_bounded_below"]),
+        ("report-corollary", ["mass_vanishes", "data_energy_difference_vanishes",
+                              "data_energies_in_band", "solution_energy_bounded_below"]),
     ], ids=["ghost", "ghost-n", "corollary"])
     def test_zero_datum_fails_the_bounded_below_verdicts(self, tmp_path, command, failed):
         # a0 = 0 makes the floor 0 as well; a vanishing separation still fails
@@ -460,8 +463,9 @@ class TestStudyCommands:
             "corollary"])
     def test_sweep_commands_stack_and_match_single_runs(self, tmp_path, monkeypatch,
                                                         command, sweep):
-        # The reference reads every run alone; the command itself must take
-        # every run from a stack and write the same bytes.
+        # The reference reads every run alone, as a stack of one; the command
+        # itself must read every run from a stack it planned first, and write
+        # the same bytes.
         doc = tiny_sweep()
         doc["sweep"] = {"eps_list": [0.25, 0.125, 0.0625], "s_list": [0.0, 1.0], **sweep}
         cfg = write_config(tmp_path, doc)
@@ -469,9 +473,7 @@ class TestStudyCommands:
         with monkeypatch.context() as mp:
             mp.setattr(studies, "stack_runs", lambda cache, runs: None)
             assert cli.run([command, "--config", str(cfg), "--out", str(single)]) == 0
-        for module, name in ((nls, "solve_nls"), (wkb, "solve_grenier"),
-                             (wkb, "solve_limit_with_corrector")):
-            monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        bar_cache_misses(monkeypatch)
         assert cli.run([command, "--config", str(cfg), "--out", str(stacked)]) == 0
         names = sorted(p.name for p in single.iterdir())
         assert "summary.json" in names and len(names) > 1

