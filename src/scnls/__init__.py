@@ -28,7 +28,6 @@ from .nls import (
 )
 from .studies import (
     GaussianSpec,
-    RunCache,
     ScalingParams,
     StudyReport,
     SweepConfig,
@@ -58,7 +57,7 @@ __all__ = [
     "GrenierState", "CorrectorState", "WkbRunConfig", "solve_grenier",
     "solve_limit_with_corrector", "reconstruct",
     "SweepConfig", "GaussianSpec", "ScalingParams", "StudyReport",
-    "RunCache", "wkb_error_study", "small_time_study",
+    "wkb_error_study", "small_time_study",
     "ghost_separation_study", "ghost_higher_order_study",
     "inflation_bookkeeping", "corollary_bookkeeping",
     "GuardError", "ResolutionError", "SingularityError", "NonFiniteError",

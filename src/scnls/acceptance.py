@@ -18,7 +18,6 @@ from . import nls, studies, wkb
 from .grid import Field, SobolevIndex, make_grid, norm, resample
 from .studies import (
     GaussianSpec,
-    RunCache,
     ScalingParams,
     SweepConfig,
     ghost_higher_order_study,
@@ -58,7 +57,7 @@ class AcceptanceSuite:
     """Shared-state runner for the nine acceptance criteria."""
 
     def __init__(self, seed=0):
-        self.cache = RunCache()
+        self.cache = {}
         self.seed = seed
         self.config = SweepConfig(
             eps_list=FULL_EPS_SWEEP,
@@ -123,8 +122,7 @@ class AcceptanceSuite:
         worst, where = 0.0, ""
         for eps in ORACLE_EPS:
             for mode in ORACLE_MODES:
-                u_traj, g_traj = (studies._trajectory(self.cache, run)
-                                  for run in self._oracle_runs(eps, mode))
+                u_traj, g_traj = (self.cache[run] for run in self._oracle_runs(eps, mode))
                 n_fine = u_traj[0].u.grid.points_per_axis
                 u0_l2 = norm(u_traj[0].u)
                 for us, gs in zip(u_traj, g_traj):
@@ -191,7 +189,7 @@ class AcceptanceSuite:
     def criterion_6(self):
         """Purely imaginary perturbation keeps the corrector phase below
         1e-8 in sup norm for all computed times."""
-        traj = studies._trajectory(self.cache, studies._limit_run(self.config, DEGENERACY_MODE))
+        traj = self.cache[studies._limit_run(self.config, DEGENERACY_MODE)]
         worst = max(float(np.abs(corr.phi1.values).max()) for _, corr in traj)
         return CheckResult(
             6, CRITERIA[5], worst <= 1e-8,
@@ -202,7 +200,7 @@ class AcceptanceSuite:
         """Mass drift < 1e-10 relative and energy drift < 1e-6 relative on
         every wavefunction run the suite performed."""
         worst_mass, worst_energy, n_runs = 0.0, 0.0, 0
-        for traj in self.cache.runs("nls"):
+        for traj in (v for run, v in self.cache.items() if run.kind == "nls"):
             masses = [nls.mass(s.u) for s in traj]
             m0 = masses[0]
             if m0 == 0.0:

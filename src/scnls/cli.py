@@ -53,7 +53,8 @@ class Key(NamedTuple):
     """One config key.  kind is the type of the checked value: float, int,
     bool, str (one of choices) or tuple (a list of floats).  A key whose
     default is MISSING is required; a number whose default is None may be
-    null.  ge and le are inclusive bounds, gt an exclusive one."""
+    null.  ge and le are inclusive bounds, gt an exclusive one; a tuple's
+    bounds hold for each entry."""
 
     kind: type
     default: object = MISSING
@@ -111,12 +112,12 @@ SCHEMA = {
     ),
     "run": {
         "eps": Key(float, 0.125, ge=0.0, le=1.0),
-        "dim": Key(int, 1, ge=1),
+        "dim": Key(int, 1, ge=1, le=3),
         "points": Key(int, 512, ge=8),
         "T": Key(float, 0.25),
         "dt": Key(float, None),
         "save_every": Key(int, 0, ge=0),
-        "norms": Key(tuple, (0.0, 1.0)),
+        "norms": Key(tuple, (0.0, 1.0), ge=0.0),
         "a1_mode": Key(str, "zero", choices=("zero", "equal_a0", "imaginary")),
         "with_corrector": Key(bool, False),
         "dump_fields": Key(bool, False),
@@ -179,6 +180,8 @@ def _checked(key, val, path):
             _fail(path, f"must be a list of numbers, got {_shown(val)}")
         if not all(map(_finite, val)):
             _fail(path, f"must be a list of finite numbers, got {_shown(val)}")
+        for v in val:
+            _bounded(key, v, path, "have entries")
         return tuple(float(v) for v in val)
     if key.kind is int and (isinstance(val, bool) or not isinstance(val, int)):
         _fail(path, f"must be an integer, got {val!r}")
@@ -186,13 +189,18 @@ def _checked(key, val, path):
         _fail(path, f"must be a number, got {val!r}")
     if not _finite(val):
         _fail(path, f"must be finite, got {_shown(val)}")
-    if key.ge is not None and val < key.ge:
-        _fail(path, f"must be >= {key.ge}, got {val}")
-    if key.gt is not None and val <= key.gt:
-        _fail(path, f"must be > {key.gt}, got {val}")
-    if key.le is not None and val > key.le:
-        _fail(path, f"must be <= {key.le}, got {val}")
+    _bounded(key, val, path)
     return float(val) if key.kind is float else val
+
+
+def _bounded(key, val, path, what="be"):
+    """Fail unless the number val keeps key's bounds."""
+    if key.ge is not None and val < key.ge:
+        _fail(path, f"must {what} >= {key.ge}, got {val}")
+    if key.gt is not None and val <= key.gt:
+        _fail(path, f"must {what} > {key.gt}, got {val}")
+    if key.le is not None and val > key.le:
+        _fail(path, f"must {what} <= {key.le}, got {val}")
 
 
 def _section(doc, keys, path, others=()):
@@ -234,6 +242,8 @@ def validate_config(doc, command):
         _fail("sweep.a1_mode", f"must be '{forced}' for {command}, got {doc['sweep']['a1_mode']!r}")
     if out["run"]["T"] == 0:
         _fail("run.T", "must be nonzero")
+    if out["run"]["points"] & (out["run"]["points"] - 1):
+        _fail("run.points", f"must be a power of two, got {out['run']['points']}")
     if out["run"]["dt"] == 0:
         _fail("run.dt", "must be nonzero (omit it for the default step)")
     return out

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nls, wkb
-from .errors import GuardError
 from .grid import (
     Field, Grid, SobolevIndex, lp_norm, make_gaussian, make_grid, norm, resample, transform,
 )
@@ -156,27 +155,6 @@ def aligned_run_config(config_cls, dt_target, horizon, n_saves, **kwargs):
     return config_cls(dt=interval / steps, T=horizon, save_every=steps, **kwargs)
 
 
-class RunCache:
-    """Memoizes trajectories across studies: fn runs once per key, and a
-    run that raises caches nothing."""
-
-    def __init__(self):
-        self._data = {}
-
-    def __contains__(self, key):
-        return key in self._data
-
-    def get_or_run(self, key, fn):
-        if key not in self._data:
-            self._data[key] = fn()
-        return self._data[key]
-
-    def runs(self, kind):
-        """Cached values whose key starts with kind ("nls", "limit", ...),
-        in insertion order."""
-        return [v for k, v in self._data.items() if k[0] == kind]
-
-
 class Run(NamedTuple):
     """One trajectory a study reads, and its cache key.  datum is the
     multiplier of a0 for kind "nls", the a1_datum kind for "grenier" and
@@ -205,10 +183,6 @@ def _limit_run(cfg: SweepConfig, a1_kind="equal_a0", horizon=None):
     return Run("limit", grid, 0.0, cfg.wkb_run_config(grid, 0.0, horizon), cfg.a0, a1_kind)
 
 
-def _trajectory(cache, run):
-    return cache.get_or_run(run, lambda: _solve_stack([run])[0])
-
-
 def _solve_stack(runs):
     """One stacked integration of runs, which share their kind, grid and
     (for "nls") eps and run config: one trajectory per run."""
@@ -225,15 +199,14 @@ def _solve_stack(runs):
 
 
 def stack_runs(cache, runs):
-    """Cache every run in runs under its key, as one stacked integration
-    per group: wavefunction runs group by grid, eps and run config,
-    phase-amplitude runs of one kind by grid, step count and save cadence.
-    Runs already in the cache are skipped, so a second call over the same
-    runs integrates nothing.
+    """Store every run in runs in the dict cache under its key, as one
+    stacked integration per group: wavefunction runs group by grid, eps and
+    run config, phase-amplitude runs of one kind by grid, step count and
+    save cadence.  Runs already in the cache are skipped, so a second call
+    over the same runs integrates nothing.
 
-    A stack that trips a guard caches nothing: its runs are left to
-    _trajectory, which reads each as a stack of one and so raises that
-    run's own error when it is asked for that run.
+    A guard error propagates from the first stack that trips; that stack
+    stores nothing, the stacks before it keep their runs.
     """
     groups = {}
     for run in dict.fromkeys(runs):
@@ -247,12 +220,7 @@ def stack_runs(cache, runs):
     # Wavefunction stacks first: run before the small phase-amplitude ones,
     # they leave the heap less fragmented (selftest peak RSS 0.2 MiB lower).
     for group in sorted(groups.values(), key=lambda g: g[0].kind != "nls"):
-        try:
-            trajectories = _solve_stack(group)
-        except GuardError:
-            continue
-        for run, traj in zip(group, trajectories):
-            cache.get_or_run(run, lambda traj=traj: traj)
+        cache.update(zip(group, _solve_stack(group)))
 
 
 def a1_datum(kind, a0):
@@ -404,7 +372,7 @@ def _profile_fields(bg, corr, fine_n):
     return a, phi, phi1
 
 
-def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> StudyReport:
+def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyReport:
     """Accuracy of the oscillatory profiles and of the eps-expansion.
 
     Four error families per (eps, s), each a sup over the saved times:
@@ -414,9 +382,9 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
     * hyperbolic_gap     |a^eps - a|_{H^s} + |phi^eps - phi|_{H^s} = O(eps)
     * expansion_gap      corrector-corrected gap                   = O(eps^2)
     """
-    cache = cache or RunCache()
+    cache = {} if cache is None else cache
     stack_runs(cache, wkb_error_runs(config))
-    limit = _trajectory(cache, _limit_run(config))
+    limit = cache[_limit_run(config)]
     families = ("profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap")
 
     # One sweep point per call, so that its fields are freed before the next
@@ -424,7 +392,7 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
     def point_rows(eps):
         fine = config.grid_for(eps)
         n_fine = fine.points_per_axis
-        u_traj, ut_traj, g_traj = (_trajectory(cache, run) for run in _error_runs(config, eps))
+        u_traj, ut_traj, g_traj = (cache[run] for run in _error_runs(config, eps))
         sup = {(family, s): 0.0 for family in families for s in config.s_list}
         for (bg, corr), us, uts, gs in zip(limit, u_traj, ut_traj, g_traj):
             a_f, phi_f, phi1_f = _profile_fields(bg, corr, n_fine)
@@ -459,13 +427,13 @@ def wkb_error_study(config: SweepConfig, cache: RunCache | None = None) -> Study
     return StudyReport("wkb_error", header, rows, slopes, checks)
 
 
-def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> StudyReport:
+def small_time_study(config: SweepConfig, cache: dict | None = None) -> StudyReport:
     """Residuals of the small-time phase expansions on a dyadic t-grid.
 
     r(t)  = |phi(t)  +   t |a0|^2|_{H^s}  and
     r1(t) = |phi1(t) + 2 t |a0|^2|_{H^s}  both scale like t^3.
     """
-    cache = cache or RunCache()
+    cache = {} if cache is None else cache
     runs = small_time_runs(config)
     stack_runs(cache, runs)
     grid = config.wkb_grid()
@@ -474,7 +442,7 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
 
     rows = []
     for t, run in zip(times, runs):
-        bg, corr = _trajectory(cache, run)[-1]
+        bg, corr = cache[run][-1]
         res = transform(Field(grid, bg.phi.values.real + t * a0_sq))
         res1 = transform(Field(grid, corr.phi1.values.real + 2 * t * a0_sq))
         for s in config.s_list:
@@ -491,19 +459,20 @@ def small_time_study(config: SweepConfig, cache: RunCache | None = None) -> Stud
     return StudyReport("small_time", header, rows, slopes, checks)
 
 
-def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> StudyReport:
+def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> StudyReport:
     if len(config.eps_list) < 2:
         raise ValueError("ghost studies need at least two sweep points")
+    cache = {} if cache is None else cache
     stack_runs(cache, ghost_runs(config))
     mode = config.a1_mode
     order = config.scaled_order
-    bg_tau, corr_tau = _trajectory(cache, _limit_run(config))[config.tau_index]
+    bg_tau, corr_tau = cache[_limit_run(config)][config.tau_index]
     wkb_grid = config.wkb_grid()
     a0_l2 = norm(config.a0.realize(wkb_grid))
     floor = SEPARATION_FLOOR_FACTOR * a0_l2
 
     def pair_diff(eps, refine):
-        u_traj, ut_traj = (_trajectory(cache, run) for run in _pair_runs(config, eps, refine))
+        u_traj, ut_traj = (cache[run] for run in _pair_runs(config, eps, refine))
         u_tau = u_traj[config.tau_index]
         ut_tau = ut_traj[config.tau_index]
         grid = u_tau.u.grid
@@ -583,18 +552,18 @@ def _ghost_core(config: SweepConfig, cache: RunCache, higher_order: bool) -> Stu
     return report
 
 
-def ghost_separation_study(config: SweepConfig, cache: RunCache | None = None) -> StudyReport:
+def ghost_separation_study(config: SweepConfig, cache: dict | None = None) -> StudyReport:
     """Separation D_s(eps) = eps^s |u(tau) - u~(tau)|_{Hdot^s} for paired
     runs, with the profile prediction and the operational liminf verdict."""
-    return _ghost_core(config, cache or RunCache(), higher_order=False)
+    return _ghost_core(config, cache, higher_order=False)
 
 
-def ghost_higher_order_study(config: SweepConfig, cache: RunCache | None = None) -> StudyReport:
+def ghost_higher_order_study(config: SweepConfig, cache: dict | None = None) -> StudyReport:
     """Same pairing with datum (1 + eps^N) a0, tabulating
     eps^{s+1-N} |u - u~|_{Hdot^s} which stabilizes to a positive constant."""
     if config.a1_mode != "scaled":
         raise ValueError("higher-order ghost study requires a1_mode = 'scaled'")
-    return _ghost_core(config, cache or RunCache(), higher_order=True)
+    return _ghost_core(config, cache, higher_order=True)
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,6 @@ def bit_identical(x, y):
     return x == y
 
 
-def bar_cache_misses(monkeypatch):
-    """Make studies._trajectory fail the test when it is asked for a run
-    that is not cached yet, so that every run read must come from a stack
-    planned before it (a miss would run a stack of one)."""
-    trajectory = studies._trajectory
-
-    def cached_only(cache, run):
-        if run not in cache:
-            pytest.fail(f"{run.kind} run read outside its stack")
-        return trajectory(cache, run)
-
-    monkeypatch.setattr(studies, "_trajectory", cached_only)
+def alone(run):
+    """The trajectory of the studies.Run run, from a stack of one."""
+    return studies._solve_stack([run])[0]

@@ -8,9 +8,8 @@ import pytest
 
 from scnls import nls, studies, wkb
 from scnls.acceptance import CRITERIA, AcceptanceSuite
-from scnls.studies import RunCache
 
-from conftest import bit_identical
+from conftest import alone, bit_identical
 
 STACK_SOLVERS = ((nls, "solve_nls_stack"), (wkb, "solve_grenier_stack"),
                  (wkb, "solve_limit_stack"))
@@ -71,10 +70,9 @@ def test_criteria_make_no_solver_call_once_planned(planned, monkeypatch):
 
 def test_every_cached_run_equals_its_single_run(planned):
     s, _ = planned
-    runs = list(s.cache._data)
-    assert collections.Counter(run.kind for run in runs) == {"nls": 15, "grenier": 7, "limit": 7}
-    for run in runs:
-        assert bit_identical(s.cache._data[run], studies._trajectory(RunCache(), run)), run
+    assert collections.Counter(run.kind for run in s.cache) == {"nls": 15, "grenier": 7, "limit": 7}
+    for run, traj in s.cache.items():
+        assert bit_identical(traj, alone(run)), run
 
 
 # The study checks each study-backed criterion names, per report attribute.

@@ -12,9 +12,9 @@ from scnls import cli, nls, report, studies, wkb
 from scnls.acceptance import FULL_EPS_SWEEP, CheckResult
 from scnls.errors import GuardError
 from scnls.grid import load_field, make_grid
-from scnls.studies import RunCache, SweepConfig
+from scnls.studies import SweepConfig
 
-from conftest import bar_cache_misses
+from conftest import alone
 
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
@@ -109,6 +109,21 @@ class TestConfigValidation:
         assert f"config field '{field}'" in err and "finite" in err
         # the number is shortened to its leading digits and its length
         assert "10000000... (401 digits)" in err and len(err) < 200
+
+    # Validation must catch these before the grid or the solver sees them:
+    # their messages name no field, and a run with dumps writes fields/ at
+    # t = 0 before the solver reads run.norms.
+    @pytest.mark.parametrize("key, value", [("dim", 4), ("points", 100), ("norms", [-1])],
+                             ids=["dim", "points", "norms"])
+    def test_run_field_out_of_range_named_before_any_output(self, tmp_path, capsys, key,
+                                                            value):
+        cfg = write_config(tmp_path, {"schema_version": 1,
+                                      "run": {key: value, "dump_fields": True}})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.run(["run-nls", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config field 'run.{key}'" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("mode", ["zero", "equal_a0", "imaginary"])
     def test_ghost_n_study_refuses_another_a1_mode(self, tmp_path, capsys, mode):
@@ -463,27 +478,38 @@ class TestStudyCommands:
             "corollary"])
     def test_sweep_commands_stack_and_match_single_runs(self, tmp_path, monkeypatch,
                                                         command, sweep):
-        # The reference reads every run alone, as a stack of one; the command
-        # itself must read every run from a stack it planned first, and write
-        # the same bytes.
+        # The reference stacks every run alone; the command itself must stack
+        # some runs together and write the same bytes.
         doc = tiny_sweep()
         doc["sweep"] = {"eps_list": [0.25, 0.125, 0.0625], "s_list": [0.0, 1.0], **sweep}
         cfg = write_config(tmp_path, doc)
         single, stacked = tmp_path / "single", tmp_path / "stacked"
+        stack_runs, solve_stack, sizes = studies.stack_runs, studies._solve_stack, []
+
+        def recording(runs):
+            sizes.append(len(runs))
+            return solve_stack(runs)
+
+        monkeypatch.setattr(studies, "_solve_stack", recording)
         with monkeypatch.context() as mp:
-            mp.setattr(studies, "stack_runs", lambda cache, runs: None)
+            mp.setattr(studies, "stack_runs",
+                       lambda cache, runs: [stack_runs(cache, [run]) for run in runs])
             assert cli.run([command, "--config", str(cfg), "--out", str(single)]) == 0
-        bar_cache_misses(monkeypatch)
+        single_sizes = sizes.copy()
+        sizes.clear()
         assert cli.run([command, "--config", str(cfg), "--out", str(stacked)]) == 0
+        assert set(single_sizes) == {1} and max(sizes) > 1 and sum(sizes) == len(single_sizes)
         names = sorted(p.name for p in single.iterdir())
         assert "summary.json" in names and len(names) > 1
         assert names == sorted(p.name for p in stacked.iterdir())
         for name in names:
             assert (single / name).read_bytes() == (stacked / name).read_bytes(), name
 
-    # a0 = 30 exp(-x^2): at the default horizon the limit run, read first,
-    # trips the singularity guard; over a horizon of 0.025 it stays healthy
-    # and the first wavefunction run trips the tail guard at t = 0.0025.
+    # a0 = 30 exp(-x^2): at the default horizon the limit run trips the
+    # singularity guard and the first wavefunction pair the tail guard at
+    # t = 0.025; over a horizon of 0.025 the limit run stays healthy and the
+    # first pair trips at t = 0.0025.  Wavefunction stacks run first, in eps
+    # order, so both abort on the first pair.
     @pytest.mark.parametrize("sweep", [{}, {"horizon": 0.025, "tau": 0.025}],
                              ids=["limit-trips", "wavefunction-trips"])
     def test_ghost_study_guard_abort_names_the_first_tripping_run(self, tmp_path, capsys,
@@ -493,11 +519,19 @@ class TestStudyCommands:
         cfg = write_config(tmp_path, doc)
         assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        for run in studies.ghost_runs(cli._sweep_config(cli.validate_config(doc, "study-ghost"))):
-            try:
-                studies._trajectory(RunCache(), run)
-            except GuardError as exc:
-                assert err == f"solver guard abort: {exc}\n"
+        config = cli._sweep_config(cli.validate_config(doc, "study-ghost"))
+        # The stacks in stacking order; a tripping stack raises the error of
+        # the member that trips first in step order.
+        for stack in [*(studies._pair_runs(config, eps) for eps in config.eps_list),
+                      [studies._limit_run(config)]]:
+            errors = []
+            for run in stack:
+                try:
+                    alone(run)
+                except GuardError as exc:
+                    errors.append(exc)
+            if errors:
+                assert err == f"solver guard abort: {min(errors, key=lambda exc: exc.t)}\n"
                 return
         pytest.fail("no run trips a guard")
 

@@ -9,7 +9,6 @@ from scnls.errors import ResolutionError, SingularityError
 from scnls.grid import Field, SobolevIndex, lp_norm, make_grid, norm
 from scnls.studies import (
     GaussianSpec,
-    RunCache,
     ScalingParams,
     SweepConfig,
     corollary_bookkeeping,
@@ -21,19 +20,12 @@ from scnls.studies import (
     wkb_error_study,
 )
 
-from conftest import bar_cache_misses, bit_identical, count_ffts
+from conftest import alone, bit_identical, count_ffts
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return RunCache()
-
-
-def bar_single_run_solvers(monkeypatch):
-    """Make every single-run solver fail the test if it is called."""
-    for module, name in ((nls, "solve_nls"), (wkb, "solve_grenier"),
-                         (wkb, "solve_limit_with_corrector")):
-        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    return {}
 
 
 @pytest.fixture(scope="module")
@@ -102,31 +94,6 @@ class TestSweepConfig:
             assert norm(diff) <= 3e-7 * norm(b.u)
 
 
-class TestRunCache:
-    def test_runs_each_key_once_and_caches_no_failure(self):
-        cache, calls = RunCache(), []
-
-        def run(key):
-            calls.append(key)
-            return [key]
-
-        results = [cache.get_or_run(("nls", k), lambda k=k: run(k)) for k in "abab"]
-        assert calls == ["a", "b"]
-        assert results[0] is results[2] and results[1] is results[3]
-        assert cache.runs("nls") == [["a"], ["b"]]
-
-        def failing():
-            calls.append("failed")
-            raise RuntimeError("run failed")
-
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="run failed"):
-                cache.get_or_run(("limit", "c"), failing)
-        assert calls == ["a", "b", "failed", "failed"]
-        assert cache.runs("limit") == []
-        assert cache.get_or_run(("limit", "c"), lambda: 42) == 42
-
-
 class TestStackedRuns:
     # copies = 2 asks for every run twice: the stacks must not grow.
     @pytest.mark.parametrize("copies", [1, 2])
@@ -134,8 +101,7 @@ class TestStackedRuns:
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
         runs = [studies._nls_run(cfg, eps, m) for eps in cfg.eps_list
                 for m in (1.0, 1.0 + eps, 1.0, 1.0 + eps**2)]
-        singles = RunCache()
-        expected = {run: studies._trajectory(singles, run) for run in runs}
+        expected = {run: alone(run) for run in runs}
         stacks = []
         solve_stack = nls.solve_nls_stack
 
@@ -144,40 +110,37 @@ class TestStackedRuns:
             return solve_stack(u0s, eps, rc)
 
         monkeypatch.setattr(nls, "solve_nls_stack", recording)
-        cache = RunCache()
+        cache = {}
         studies.stack_runs(cache, runs * copies)
         assert sorted(stacks) == [(0.125, 3), (0.25, 3)]
         # a second call over cached runs adds no stack
         studies.stack_runs(cache, runs)
         assert len(stacks) == 2
-        bar_cache_misses(monkeypatch)
         for run, ref in expected.items():
-            traj = studies._trajectory(cache, studies._nls_run(cfg, run.eps, run.datum))
+            traj = cache[studies._nls_run(cfg, run.eps, run.datum)]
             assert [s.t for s in traj] == [s.t for s in ref]
             assert all(np.array_equal(a.u.values, b.u.values) for a, b in zip(traj, ref))
-        assert len(cache.runs("nls")) == len(expected)
+        assert len(cache) == len(expected)
 
-    def test_tripped_stack_leaves_each_run_its_own_error(self, monkeypatch):
+    def test_tripped_stack_raises_its_runs_error_keeps_earlier_stacks(self):
         # a0 = 30 exp(-x^2) trips the tail guard at the first save on both
-        # grids; 1e-3 a0 stays resolved.
+        # grids; 1e-3 a0 stays resolved.  The eps = 1/2 stack, listed first,
+        # is stored; the eps = 1/4 stack trips, and neither it nor the
+        # eps = 1/8 stack after it stores a run.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,),
                           a0=GaussianSpec(amplitude=30.0))
-        cache = RunCache()
-        studies.stack_runs(cache, [studies._nls_run(cfg, eps, m)
-                                   for eps in cfg.eps_list for m in (1.0, 1e-3)])
-        assert cache.runs("nls") == []
-        resolved, tripping = (studies._nls_run(cfg, 0.25, m) for m in (1e-3, 1.0))
-        ref = nls.solve_nls(cfg.a0.realize(resolved.grid, 1e-3), 0.25, resolved.config)
+        healthy, tripping = studies._nls_run(cfg, 0.5, 1e-3), studies._nls_run(cfg, 0.25, 1.0)
+        ref = alone(healthy)
         with pytest.raises(ResolutionError) as ref_error:
-            nls.solve_nls(cfg.a0.realize(tripping.grid, 1.0), 0.25, tripping.config)
-        # the fallback reads each run as a stack of one
-        bar_single_run_solvers(monkeypatch)
-        traj = studies._trajectory(cache, resolved)
-        assert len(traj) == cfg.n_saves + 1
-        assert bit_identical(traj, ref)
+            alone(tripping)
+        cache = {}
         with pytest.raises(ResolutionError) as error:
-            studies._trajectory(cache, tripping)
+            studies.stack_runs(cache, [healthy, *(studies._nls_run(cfg, eps, m)
+                                                  for eps in cfg.eps_list for m in (1e-3, 1.0))])
         assert str(error.value) == str(ref_error.value)
+        assert list(cache) == [healthy]
+        assert len(cache[healthy]) == cfg.n_saves + 1
+        assert bit_identical(cache[healthy], ref)
 
     def test_phase_amplitude_runs_stack_by_steps_and_cadence(self, monkeypatch):
         cfg = SweepConfig(eps_list=(0.25, 0.125, 0.0625, 0.03125), s_list=(0.0,))
@@ -187,35 +150,31 @@ class TestStackedRuns:
                 *studies.small_time_runs(cfg)[1:],
                 # 20 steps like the full-horizon limit runs, saved every step
                 studies._limit_run(replace(cfg, n_saves=20))]
-        singles = RunCache()
-        expected = {run: studies._trajectory(singles, run) for run in runs}
+        expected = {run: alone(run) for run in runs}
         stacks = []
         for name in ("solve_grenier_stack", "solve_limit_stack"):
             def recording(members, solve=getattr(wkb, name), name=name):
                 stacks.append((name, len(members), members[0][-1].save_every))
                 return solve(members)
             monkeypatch.setattr(wkb, name, recording)
-        cache = RunCache()
+        cache = {}
         studies.stack_runs(cache, runs)
         # Grenier runs take 6, 3 and 2 steps per save at eps = 1/4, 1/8 and
         # below; the limit runs 2 at the full horizon and 1 at the shorter ones.
         assert sorted(stacks) == [("solve_grenier_stack", 2, 3), ("solve_grenier_stack", 2, 6),
                                   ("solve_grenier_stack", 4, 2), ("solve_limit_stack", 1, 1),
                                   ("solve_limit_stack", 2, 2), ("solve_limit_stack", 5, 1)]
-        bar_cache_misses(monkeypatch)
         for run, ref in expected.items():
-            assert bit_identical(studies._trajectory(cache, run), ref)
+            assert bit_identical(cache[run], ref)
 
-    def test_tripped_phase_amplitude_stack_caches_nothing(self, monkeypatch):
+    def test_tripped_phase_amplitude_stack_caches_nothing(self):
         # a0 = 6 exp(-x^2) trips the singularity guard before t = 2 and not
-        # before t = 1.
+        # before t = 1.  The healthy stack runs first and keeps its run; both
+        # members of the tripping stack trip at one step, and the first raises.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), horizon=2.0,
                           a0=GaussianSpec(amplitude=6.0))
         tripping = [studies._limit_run(cfg, kind) for kind in ("equal_a0", "imaginary")]
         healthy = studies._limit_run(cfg, horizon=1.0)
-        cache = RunCache()
-        studies.stack_runs(cache, [*tripping, healthy])
-        (cached,) = cache.runs("limit")
 
         def single(run):
             a0 = run.a0.realize(run.grid)
@@ -226,15 +185,14 @@ class TestStackedRuns:
         for run in tripping:
             with pytest.raises(SingularityError) as ref_error:
                 single(run)
-            ref_errors.append(str(ref_error.value))
-        # the fallback reads each run as a stack of one
-        bar_single_run_solvers(monkeypatch)
-        assert bit_identical(cached, ref)
-        assert bit_identical(cached, studies._trajectory(RunCache(), healthy))
-        for run, message in zip(tripping, ref_errors, strict=True):
-            with pytest.raises(SingularityError) as error:
-                studies._trajectory(cache, run)
-            assert str(error.value) == message
+            ref_errors.append(ref_error.value)
+        assert ref_errors[0].t == ref_errors[1].t
+        cache = {}
+        with pytest.raises(SingularityError) as error:
+            studies.stack_runs(cache, [healthy, *tripping])
+        assert str(error.value) == str(ref_errors[0])
+        assert list(cache) == [healthy]
+        assert bit_identical(cache[healthy], ref)
 
 
 class TestA1Datum:
@@ -262,12 +220,11 @@ class TestA1Datum:
             studies.a1_datum("scaled", a0)
 
     def test_grenier_run_takes_its_datum(self, short_cfg):
-        cache = RunCache()
-        zero, imaginary = (studies._trajectory(cache, studies._grenier_run(short_cfg, 0.25, k))
+        zero, imaginary = (alone(studies._grenier_run(short_cfg, 0.25, k))
                            for k in ("zero", "imaginary"))
         assert not np.array_equal(zero[-1].a.values, imaginary[-1].a.values)
         with pytest.raises(ValueError, match="scaled"):
-            studies._trajectory(cache, studies._grenier_run(short_cfg, 0.25, "scaled"))
+            alone(studies._grenier_run(short_cfg, 0.25, "scaled"))
 
 
 class TestWkbErrorStudy:
@@ -298,8 +255,8 @@ class TestWkbErrorStudy:
         rep = wkb_error_study(short_cfg, cache)
         eps = short_cfg.eps_list[0]
         fine = short_cfg.grid_for(eps)
-        u = studies._trajectory(cache, studies._nls_run(short_cfg, eps, 1.0))
-        limit = studies._trajectory(cache, studies._limit_run(short_cfg, "equal_a0"))
+        u = cache[studies._nls_run(short_cfg, eps, 1.0)]
+        limit = cache[studies._limit_run(short_cfg, "equal_a0")]
         sup = 0.0
         for (bg, corr), us in zip(limit, u):
             a_f, phi_f, _ = studies._profile_fields(bg, corr, fine.points_per_axis)
