@@ -24,7 +24,7 @@ from .nls import (
     NlsState,
     mass,
     semiclassical_energy,
-    solve_nls,
+    solve_nls_stack,
 )
 from .studies import (
     GaussianSpec,
@@ -43,8 +43,8 @@ from .wkb import (
     GrenierState,
     WkbRunConfig,
     reconstruct,
-    solve_grenier,
-    solve_limit_with_corrector,
+    solve_grenier_stack,
+    solve_limit_stack,
 )
 
 __version__ = "0.1.0"
@@ -53,9 +53,9 @@ __all__ = [
     "Field", "Grid", "SobolevIndex", "make_grid", "make_gaussian",
     "transform", "inverse_transform", "norm", "lp_norm", "resample",
     "tail_fraction", "save_field", "load_field",
-    "NlsState", "NlsRunConfig", "solve_nls", "mass", "semiclassical_energy",
-    "GrenierState", "CorrectorState", "WkbRunConfig", "solve_grenier",
-    "solve_limit_with_corrector", "reconstruct",
+    "NlsState", "NlsRunConfig", "solve_nls_stack", "mass", "semiclassical_energy",
+    "GrenierState", "CorrectorState", "WkbRunConfig", "solve_grenier_stack",
+    "solve_limit_stack", "reconstruct",
     "SweepConfig", "GaussianSpec", "ScalingParams", "StudyReport",
     "wkb_error_study", "small_time_study",
     "ghost_separation_study", "ghost_higher_order_study",

@@ -279,30 +279,29 @@ def _run_config(config_cls, run, default_dt, **kwargs):
     return config_cls(dt=dt, T=run["T"], save_every=save_every, **kwargs)
 
 
-def _run_single(cfg, out_dir, kind, solve, row, dumps):
-    """The path run-nls and run-wkb share.  solve(grid, a0, keep) runs the
-    solver with keep as its per-save function and returns its step and
-    trajectory.  keep writes the snapshot's {file prefix: Field} dumps(snapshot)
-    when run.dump_fields is set and returns its row(snapshot, norms), so the
-    run holds one snapshot at a time; a guard abort leaves the earlier dumps."""
-    run = cfg["run"]
-    grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
+def _run_single(cfg, out_dir, run, row, dumps):
+    """The path run-nls and run-wkb share: integrate the studies.Run run
+    alone, with keep as its per-save function.  keep writes the snapshot's
+    {file prefix: Field} dumps(snapshot) when run.dump_fields is set and
+    returns its row(snapshot, norms), so the run holds one snapshot at a
+    time; a guard abort leaves the earlier dumps."""
+    section, kind = cfg["run"], "nls" if run.kind == "nls" else "wkb"
     fdir, saves = out_dir / "fields", itertools.count()
 
     def keep(snapshot):
         i = next(saves)
-        if run["dump_fields"]:
+        if section["dump_fields"]:
             fdir.mkdir(exist_ok=True)
             for prefix, field in dumps(snapshot).items():
                 save_field(field, fdir / f"{prefix}_{i:04d}")
-        return row(snapshot, run["norms"])
+        return row(snapshot, section["norms"])
 
-    dt, rows = solve(grid, GaussianSpec(**cfg["data"]).realize(grid), keep)
+    (rows,) = studies.solve_runs([run], keep)
     path = report.write_trajectory_csv(rows, out_dir / f"{kind}_trajectory.csv")
     log.info("wrote %s", path)
     report.dump_json({"schema_version": report.SUMMARY_SCHEMA_VERSION,
                       "study": f"run_{kind}", "passed": True,
-                      "rows": len(rows), "eps": run["eps"], "dt": dt},
+                      "rows": len(rows), "eps": run.eps, "dt": run.config.dt},
                      out_dir / "summary.json")
     return 0
 
@@ -311,37 +310,32 @@ def cmd_run_nls(cfg, out_dir):
     run, solver = cfg["run"], cfg["solver"]
     if not 0 < run["eps"] <= 1:
         _fail("run.eps", f"must lie in (0, 1] for the wavefunction solver, got {run['eps']}")
-
-    def solve(grid, u0, keep):
-        # the default step divides each of the RUN_SAVES save intervals evenly
-        target = nls.default_dt(grid, run["eps"], solver["nls_dt_safety"])
-        aligned = studies.aligned_run_config(nls.NlsRunConfig, target, run["T"], RUN_SAVES)
-        rc = _run_config(nls.NlsRunConfig, run, aligned.dt, tail_tol=solver["tail_tol"])
-        return rc.dt, nls.solve_nls(u0, run["eps"], rc, keep)
-
-    return _run_single(cfg, out_dir, "nls", solve, report.nls_row, lambda s: {"u": s.u})
+    grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
+    # the default step divides each of the RUN_SAVES save intervals evenly
+    target = nls.default_dt(grid, run["eps"], solver["nls_dt_safety"])
+    aligned = studies.aligned_run_config(nls.NlsRunConfig, target, run["T"], RUN_SAVES)
+    rc = _run_config(nls.NlsRunConfig, run, aligned.dt, tail_tol=solver["tail_tol"])
+    plan = studies.Run("nls", grid, run["eps"], rc, GaussianSpec(**cfg["data"]), 1.0)
+    return _run_single(cfg, out_dir, plan, report.nls_row, lambda s: {"u": s.u})
 
 
 def cmd_run_wkb(cfg, out_dir):
     run, solver = cfg["run"], cfg["solver"]
     if run["with_corrector"] and run["eps"] != 0:
         _fail("run.with_corrector", "requires run.eps = 0 (the corrector rides the limit system)")
-
-    def solve(grid, a0, keep):
-        # the default step is the RK4 rule clipped to the horizon
-        target = wkb.default_dt(grid, run["eps"], solver["wkb_dt_safety"])
-        rc = _run_config(wkb.WkbRunConfig, run, math.copysign(min(target, abs(run["T"])), run["T"]),
-                         tail_tol=solver["tail_tol"], sing_tol=run["sing_tol"])
-        a1 = studies.a1_datum(run["a1_mode"], a0)
-        if run["with_corrector"]:
-            return rc.dt, wkb.solve_limit_with_corrector(a0, a1, rc, keep)
-        return rc.dt, wkb.solve_grenier(a0, a1, run["eps"], rc, keep)
+    grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
+    # the default step is the RK4 rule clipped to the horizon
+    target = wkb.default_dt(grid, run["eps"], solver["wkb_dt_safety"])
+    rc = _run_config(wkb.WkbRunConfig, run, math.copysign(min(target, abs(run["T"])), run["T"]),
+                     sing_tol=run["sing_tol"])
+    plan = studies.Run("limit" if run["with_corrector"] else "grenier", grid, run["eps"], rc,
+                       GaussianSpec(**cfg["data"]), run["a1_mode"])
 
     def dumps(snap):
         state = snap[0] if run["with_corrector"] else snap
         return {"a": state.a, "phi": state.phi}
 
-    return _run_single(cfg, out_dir, "wkb", solve, report.wkb_row, dumps)
+    return _run_single(cfg, out_dir, plan, report.wkb_row, dumps)
 
 
 # study-* command -> (function of `studies`, looked up on each call so that a wrapper

@@ -128,19 +128,18 @@ class Grid:
 
     @cached_property
     def dealias_mask(self):
-        """Two-thirds rule mask: True on kept modes, per axis."""
+        """Two-thirds rule mask: True on kept modes, False on tail_boxes."""
         out = np.ones(self.shape, dtype=bool)
-        for ax in range(self.dim):
-            cutoff = (2.0 / 3.0) * np.abs(self.k_axes[ax]).max()
-            out = out & self.axis_view(np.abs(self.k_axes[ax]) <= cutoff, ax)
+        for box in self.tail_boxes:
+            out[box] = False
         return _frozen(out)
 
     @cached_property
     def tail_boxes(self):
-        """Disjoint index boxes covering exactly the modes dealias_mask
-        drops. Per axis those are one contiguous band in FFT order; box j
-        takes that band on axis j, the kept modes on the axes before it and
-        every mode on the axes after it."""
+        """Disjoint index boxes covering exactly the modes the two-thirds
+        rule drops, |k| > (2/3) max|k| on some axis. Per axis those are one
+        contiguous band in FFT order; box j takes that band on axis j, the
+        kept modes on the axes before it and every mode on the axes after it."""
         k = np.abs(self.k_axes[0])
         dropped = np.flatnonzero(k > (2.0 / 3.0) * k.max())
         band = slice(dropped[0], dropped[-1] + 1)

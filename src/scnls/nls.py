@@ -18,11 +18,10 @@ plus one per save segment.
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
 the grid axes only (np.fft.fft/ifft on a 1-D grid), and each member's
-trajectory is bit-identical to its own single run. solve_nls is the
-stack of one; solve_nls_stack runs several data together, so the Python
-loop and the per-call FFT overhead are paid once for all of them. The
-guards stay per member: a member that trips one raises the error its
-single run would, at the same step.
+trajectory is bit-identical to its own stack of one. Stacking several data
+pays the Python loop and the per-call FFT overhead once for all of them.
+The guards stay per member: a member that trips one raises the error its
+stack of one would, at the same step.
 
 The default step is safety * min(eps, dx^2/eps): O(eps), which resolves
 the semiclassical wavefunction (Bao, Jin & Markowich, J. Comput. Phys.
@@ -63,11 +62,12 @@ class NlsState:
 
 
 @dataclass(frozen=True)
-class NlsRunConfig:
+class _RunConfig:
+    """Step, horizon and save cadence of a run, checked."""
+
     dt: float
     T: float
     save_every: int = 1
-    tail_tol: float = 1e-6
 
     def __post_init__(self):
         # Negative dt with negative T runs the reversible flow backward.
@@ -85,6 +85,13 @@ class NlsRunConfig:
             )
         if not self.save_every >= 1:
             raise ValueError(f"save_every must be >= 1, got {self.save_every!r}")
+
+
+@dataclass(frozen=True)
+class NlsRunConfig(_RunConfig):
+    """A run config plus the spectral tail bound checked at every save."""
+
+    tail_tol: float = 1e-6
 
 
 def default_dt(grid, eps, safety=DEFAULT_DT_SAFETY):
@@ -134,30 +141,24 @@ def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> floa
     return state.eps**2 * grad_sq + lp_norm(state.u, 4) ** 4
 
 
-def solve_nls(u0: Field, eps, config: NlsRunConfig, keep=None):
-    """Integrate from u0 to T, returning snapshots every save_every steps.
+def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
+    """Integrate each datum in u0s (physical-space fields on one grid) to T
+    in one step loop, returning one trajectory per datum: its NlsState
+    snapshots every save_every steps, t = 0 and the final state included.
+    A stack of one is a single run, and each member's trajectory equals its
+    own stack of one bit for bit.
 
     dt is adjusted to the nearest divisor of T so the run lands exactly on
-    the horizon. The final state is always saved.
+    the horizon.
 
     keep, when given, is called on each saved NlsState once every guard
     at that time has passed, and the trajectory holds what it returns
     instead, so the caller may let each snapshot go as soon as it is saved.
 
-    Raises ResolutionError if the spectral tail guard trips at any saved
-    time (including t = 0) and NonFiniteError on NaN/overflow in u0 or at
-    any step, carrying the last good snapshot (None when u0 is at fault).
-    """
-    return solve_nls_stack([u0], eps, config, keep)[0]
-
-
-def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
-    """solve_nls for several data on one grid in one step loop: one
-    trajectory per datum, each equal to that datum's own solve_nls run.
-    keep, when given, is applied to every member's saved states.
-
-    The first member to trip a guard, in step order, raises the error its
-    single run raises, with its own last good snapshot.
+    The first member to trip a guard, in step order, raises: ResolutionError
+    if its spectral tail guard trips at a saved time (including t = 0),
+    NonFiniteError on NaN/overflow in its datum or at any step, carrying
+    its last good snapshot (None when the datum is at fault).
     """
     u0s = list(u0s)
     if not u0s:
@@ -165,7 +166,7 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     grid = u0s[0].grid
     for f in u0s:
         if f.space != PHYSICAL:
-            raise ValueError("solve_nls expects a physical-space initial field")
+            raise ValueError("the initial data must be physical-space fields")
         if f.grid != grid:
             raise ValueError("stacked data must share one grid")
     n_steps = max(1, round(config.T / config.dt))

@@ -140,10 +140,8 @@ class SweepConfig:
         )
 
     def wkb_run_config(self, grid, eps, horizon=None):
-        return aligned_run_config(
-            wkb.WkbRunConfig, wkb.default_dt(grid, eps, self.wkb_dt_safety),
-            self.horizon if horizon is None else horizon, self.n_saves, tail_tol=self.tail_tol,
-        )
+        return aligned_run_config(wkb.WkbRunConfig, wkb.default_dt(grid, eps, self.wkb_dt_safety),
+                                  self.horizon if horizon is None else horizon, self.n_saves)
 
 
 def aligned_run_config(config_cls, dt_target, horizon, n_saves, **kwargs):
@@ -183,19 +181,20 @@ def _limit_run(cfg: SweepConfig, a1_kind="equal_a0", horizon=None):
     return Run("limit", grid, 0.0, cfg.wkb_run_config(grid, 0.0, horizon), cfg.a0, a1_kind)
 
 
-def _solve_stack(runs):
+def solve_runs(runs, keep=None):
     """One stacked integration of runs, which share their kind, grid and
-    (for "nls") eps and run config: one trajectory per run."""
+    (for "nls") eps and run config: one trajectory per run, each snapshot
+    passed through keep when it is given."""
     kind, grid = runs[0].kind, runs[0].grid
     if kind == "nls":
         return nls.solve_nls_stack([run.a0.realize(grid, run.datum) for run in runs],
-                                   runs[0].eps, runs[0].config)
+                                   runs[0].eps, runs[0].config, keep)
     members = []
     for run in runs:
         a0 = run.a0.realize(grid)
         a1 = a1_datum(run.datum, a0)
         members.append((a0, a1, run.eps, run.config) if kind == "grenier" else (a0, a1, run.config))
-    return (wkb.solve_grenier_stack if kind == "grenier" else wkb.solve_limit_stack)(members)
+    return (wkb.solve_grenier_stack if kind == "grenier" else wkb.solve_limit_stack)(members, keep)
 
 
 def stack_runs(cache, runs):
@@ -220,7 +219,7 @@ def stack_runs(cache, runs):
     # Wavefunction stacks first: run before the small phase-amplitude ones,
     # they leave the heap less fragmented (selftest peak RSS 0.2 MiB lower).
     for group in sorted(groups.values(), key=lambda g: g[0].kind != "nls"):
-        cache.update(zip(group, _solve_stack(group)))
+        cache.update(zip(group, solve_runs(group)))
 
 
 def a1_datum(kind, a0):
@@ -382,6 +381,8 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
     * hyperbolic_gap     |a^eps - a|_{H^s} + |phi^eps - phi|_{H^s} = O(eps)
     * expansion_gap      corrector-corrected gap                   = O(eps^2)
     """
+    if len(config.eps_list) < 3:
+        raise ValueError(f"eps_list needs >= 3 points for slope fits, got {len(config.eps_list)}")
     cache = {} if cache is None else cache
     stack_runs(cache, wkb_error_runs(config))
     limit = cache[_limit_run(config)]

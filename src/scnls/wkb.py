@@ -21,7 +21,7 @@ RK4 advances a state of shape (fields, members, *grid): the fields
 a save cadence, each with its own datum, eps, dt and singularity bound.
 A stage makes 4 batched FFT calls (np.fft.fft/ifft on a 1-D grid), one
 pair for every derivative and one to dealias.  A stack member equals its
-single run (a stack of one) bit for bit and raises that run's guard error.
+own stack of one bit for bit and raises that stack's guard error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .grid import (
     check_boundary_decay,
     tail_fraction,
 )
-from .nls import NlsRunConfig
+from .nls import _RunConfig
 
 PHI_IMAG_TOL = 1e-12
 
@@ -83,9 +83,8 @@ class CorrectorState:
 
 
 @dataclass(frozen=True)
-class WkbRunConfig(NlsRunConfig):
-    """NlsRunConfig's step, horizon, save cadence and tail bound, checked
-    the same way, plus the singularity bound and the datum decay check."""
+class WkbRunConfig(_RunConfig):
+    """A run config plus the singularity bound and the datum decay check."""
 
     sing_tol: float | None = None
     enforce_decay: bool = True
@@ -258,38 +257,26 @@ def _prep_initial(a0: Field, a1, eps, config):
     return a0.values if eps == 0 or a1 is None else a0.values + eps * a1.values
 
 
-def solve_grenier(a0: Field, a1, eps, config: WkbRunConfig, keep=None):
-    """Integrate the phase-amplitude system from a(0) = a0 + eps*a1, phi(0) = 0.
-
-    Returns GrenierState snapshots every save_every steps (final included),
-    or what keep, when given, returns for each of them as it is saved.
-    The phase-gradient singularity guard and NaN checks abort the run with
-    SingularityError / NonFiniteError.
-    """
-    return solve_grenier_stack([(a0, a1, eps, config)], keep)[0]
-
-
 def solve_grenier_stack(members, keep=None):
-    """solve_grenier for (a0, a1, eps, config) members on one grid with one
-    step count and save cadence, in one RK4 loop: one trajectory per
-    member, equal to its single run; the first member to trip a guard
-    raises its single run's error."""
+    """Integrate the phase-amplitude system of each (a0, a1, eps, config)
+    member from a(0) = a0 + eps*a1 (a0 alone when a1 is None or eps = 0),
+    phi(0) = 0, in one RK4 loop; the members share a grid, a step count
+    and a save cadence, and each member's dt is its T over that count.
+    Returns one trajectory per member, equal to its own stack of one bit for
+    bit: GrenierState snapshots every save_every steps, the first and final
+    included, or what keep, when given, returns for each as it is saved.
+    The first member to trip a guard, in step order, raises SingularityError
+    (phase gradient above its sing_tol) or NonFiniteError (NaN/overflow,
+    carrying its last good snapshot)."""
     return _solve_stack(members, keep, corrector=False)
 
 
-def solve_limit_with_corrector(a0: Field, a1, config: WkbRunConfig, keep=None):
-    """Co-integrate the eps = 0 limit system with its corrector.
-
-    The corrector starts from a1 with zero phase; returns a list of
-    (GrenierState, CorrectorState) pairs at the saved times, each passed
-    through keep when it is given.
-    """
-    return solve_limit_stack([(a0, a1, config)], keep)[0]
-
-
 def solve_limit_stack(members, keep=None):
-    """solve_limit_with_corrector for (a0, a1, config) members, stacked as
-    in solve_grenier_stack."""
+    """Co-integrate the eps = 0 limit system of each (a0, a1, config)
+    member with its corrector, which starts from a1 (zero when a1 is None)
+    with zero phase; stacked, guarded and returned as in
+    solve_grenier_stack, with (GrenierState, CorrectorState) pairs for
+    snapshots."""
     return _solve_stack(members, keep, corrector=True)
 
 
@@ -339,30 +326,28 @@ def spectra(state: GrenierState):
     return _fft(state.a.values, d), _fft(state.phi.values.real, d)
 
 
-def gradients(state: GrenierState, fft_pair=None):
+def gradients(state: GrenierState, fft_pair):
     """Gradient components of a and of phi, shape (2, dim, *grid.shape),
-    the one gradient computation grad_phi_max and wkb_energy read.
-    fft_pair, when given, is spectra(state)."""
-    fft_pair = spectra(state) if fft_pair is None else fft_pair
+    the one gradient computation grad_phi_max and wkb_energy read, from
+    fft_pair = spectra(state)."""
     return _gradients(state.a.grid, np.stack(fft_pair))
 
 
-def grad_phi_max(state: GrenierState, grads=None) -> float:
-    """Sup norm of the phase gradient, the singularity-guard observable.
-    grads, when given, is gradients(state)."""
-    grads = gradients(state) if grads is None else grads
+def grad_phi_max(state: GrenierState, grads) -> float:
+    """Sup norm of the phase gradient, the singularity-guard observable,
+    from grads = gradients(state, spectra(state))."""
     return float(np.abs(grads[1].real).max())
 
 
-def wkb_energy(state: GrenierState, grads=None) -> float:
+def wkb_energy(state: GrenierState, grads) -> float:
     """Wavefunction energy in phase-amplitude variables:
 
         int |eps grad a + i a grad phi|^2 + int |a|^4,
 
     which equals the semiclassical energy of a e^{i phi/eps} for eps > 0
-    and its eps -> 0 limit for the limit system. grads, when given, is
-    gradients(state)."""
-    grad_a, grad_phi = gradients(state) if grads is None else grads
+    and its eps -> 0 limit for the limit system, from
+    grads = gradients(state, spectra(state))."""
+    grad_a, grad_phi = grads
     density = sum(
         np.abs(state.eps * ga + 1j * state.a.values * gp.real) ** 2
         for ga, gp in zip(grad_a, grad_phi)

@@ -88,4 +88,4 @@ def bit_identical(x, y):
 
 def alone(run):
     """The trajectory of the studies.Run run, from a stack of one."""
-    return studies._solve_stack([run])[0]
+    return studies.solve_runs([run])[0]

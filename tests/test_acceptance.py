@@ -13,8 +13,6 @@ from conftest import alone, bit_identical
 
 STACK_SOLVERS = ((nls, "solve_nls_stack"), (wkb, "solve_grenier_stack"),
                  (wkb, "solve_limit_stack"))
-SINGLE_SOLVERS = ((nls, "solve_nls"), (wkb, "solve_grenier"),
-                  (wkb, "solve_limit_with_corrector"))
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +33,7 @@ def test_criterion(suite, number):
 @pytest.fixture(scope="module")
 def planned():
     """A fresh suite whose runs are planned, with the arguments of every
-    stack the planner ran, per solver name.  No single-run solver may be
-    called while planning."""
+    stack the planner ran, per solver name."""
     stacks = collections.defaultdict(list)
     with pytest.MonkeyPatch.context() as mp:
         for module, name in STACK_SOLVERS:
@@ -44,8 +41,6 @@ def planned():
                 stacks[name].append(args)
                 return solve(*args)
             mp.setattr(module, name, recording)
-        for module, name in SINGLE_SOLVERS:
-            mp.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
         s = AcceptanceSuite()
         s.plan_runs()
     return s, stacks
@@ -55,15 +50,16 @@ def test_plan_is_five_wavefunction_three_grenier_and_two_limit_stacks(planned):
     _, stacks = planned
     assert {name: len(calls) for name, calls in stacks.items()} == {
         "solve_nls_stack": 5, "solve_grenier_stack": 3, "solve_limit_stack": 2}
-    # a phase-amplitude member's run config is the last item of its tuple
+    # a phase-amplitude stack's arguments are its members and keep; a
+    # member's run config is the last item of its tuple
     rk4_steps = [max(1, round(members[0][-1].T / members[0][-1].dt))
-                 for (members,) in stacks["solve_grenier_stack"] + stacks["solve_limit_stack"]]
+                 for members, _ in stacks["solve_grenier_stack"] + stacks["solve_limit_stack"]]
     assert sum(rk4_steps) == 140
 
 
 def test_criteria_make_no_solver_call_once_planned(planned, monkeypatch):
     s, _ = planned
-    for module, name in STACK_SOLVERS + SINGLE_SOLVERS:
+    for module, name in STACK_SOLVERS + ((studies, "solve_runs"),):
         monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     assert all(result.passed for result in s.run_all())
 

@@ -278,24 +278,28 @@ class TestRunCommands:
         assert not (tmp_path / "summary.json").exists()
         assert dump_names(tmp_path) == saved_names(2, ("u",))
 
-    @pytest.mark.parametrize("command, solver, run", [
-        ("run-nls", "solve_nls", {"eps": 0.25}),
-        ("run-wkb", "solve_grenier", {"eps": 0.25, "dt": 0.025}),
-        ("run-wkb", "solve_limit_with_corrector",
+    @pytest.mark.parametrize("command, engine, run", [
+        ("run-nls", "solve_nls_stack", {"eps": 0.25}),
+        ("run-wkb", "solve_grenier_stack", {"eps": 0.25, "dt": 0.025}),
+        ("run-wkb", "solve_limit_stack",
          {"eps": 0.0, "dt": 0.025, "with_corrector": True, "a1_mode": "equal_a0"}),
     ])
     def test_dumps_in_dimension_three_equal_the_trajectory(self, tmp_path, monkeypatch,
-                                                           command, solver, run):
+                                                           command, engine, run):
         # on 16^3, a Gaussian that decays to 1e-12 at the boundary keeps a
         # spectral tail fraction of about 2e-2, hence tail_tol = 0.1
         module = nls if command == "run-nls" else wkb
-        solve, calls = getattr(module, solver), []
-        monkeypatch.setattr(module, solver, lambda *args: calls.append(args[:-1]) or solve(*args))
+        solve_runs, stack, planned, sizes = studies.solve_runs, getattr(module, engine), [], []
+        monkeypatch.setattr(studies, "solve_runs",
+                            lambda runs, keep: planned.extend(runs) or solve_runs(runs, keep))
+        monkeypatch.setattr(module, engine,
+                            lambda data, *rest: sizes.append(len(data)) or stack(data, *rest))
         summary, rows = run_command(tmp_path, command,
                                     {"dim": 3, "points": 16, "dump_fields": True, **run},
                                     data={"width": 1.9}, solver={"tail_tol": 0.1})
         (out,) = [p for p in tmp_path.iterdir() if p.is_dir()]
-        traj = solve(*calls[0])  # the same run, every snapshot collected
+        assert len(planned) == 1 and sizes == [1]  # one run, integrated alone by engine
+        (traj,) = solve_runs(planned)  # the same run, every snapshot collected
         assert summary["rows"] == len(rows) == len(traj) == 11
         to_row = report.nls_row if command == "run-nls" else report.wkb_row
         assert rows == [{k: report.fmt(v) for k, v in to_row(snap, (0.0, 1.0)).items()}
@@ -484,13 +488,13 @@ class TestStudyCommands:
         doc["sweep"] = {"eps_list": [0.25, 0.125, 0.0625], "s_list": [0.0, 1.0], **sweep}
         cfg = write_config(tmp_path, doc)
         single, stacked = tmp_path / "single", tmp_path / "stacked"
-        stack_runs, solve_stack, sizes = studies.stack_runs, studies._solve_stack, []
+        stack_runs, solve_runs, sizes = studies.stack_runs, studies.solve_runs, []
 
-        def recording(runs):
+        def recording(runs, keep=None):
             sizes.append(len(runs))
-            return solve_stack(runs)
+            return solve_runs(runs, keep)
 
-        monkeypatch.setattr(studies, "_solve_stack", recording)
+        monkeypatch.setattr(studies, "solve_runs", recording)
         with monkeypatch.context() as mp:
             mp.setattr(studies, "stack_runs",
                        lambda cache, runs: [stack_runs(cache, [run]) for run in runs])
@@ -535,6 +539,20 @@ class TestStudyCommands:
                 return
         pytest.fail("no run trips a guard")
 
+    def test_wkb_error_study_short_sweep_fails_before_any_run(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the slope fits need three sweep points; tiny_sweep has two
+        monkeypatch.setattr(studies, "stack_runs", lambda *a: pytest.fail("stack_runs called"))
+        doc = tiny_sweep()
+        config = cli._sweep_config(cli.validate_config(doc, "study-wkb-error"))
+        with pytest.raises(ValueError, match="eps_list"):
+            studies.wkb_error_study(config)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert cli.run(["study-wkb-error", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: eps_list needs >= 3 points for slope fits, got 2\n"
+        assert not list(out.iterdir())
+
     def test_grid_cap_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
         # The run list is built before any run, so a sweep point past the cap
         # is a config error even where an earlier run would trip a guard.
@@ -563,12 +581,11 @@ class TestSelftest:
         stacks = []
         solve_stack = nls.solve_nls_stack
 
-        def recording(u0s, eps, rc):
+        def recording(u0s, eps, rc, keep=None):
             stacks.append(len(u0s))
-            return solve_stack(u0s, eps, rc)
+            return solve_stack(u0s, eps, rc, keep)
 
         monkeypatch.setattr(nls, "solve_nls_stack", recording)
-        monkeypatch.setattr(nls, "solve_nls", lambda *a: pytest.fail("single run"))
         runs = [(tmp_path / "a", 1), (tmp_path / "b", 1), (tmp_path / "c", 2)]
         stdout = []
         for out, jobs in runs:

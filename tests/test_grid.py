@@ -335,6 +335,10 @@ class TestTailFraction:
         for box in g.tail_boxes:
             cover[box] += 1
         assert np.array_equal(cover, (~g.dealias_mask).astype(int))
+        # the two-thirds rule, axis by axis
+        k = np.abs(g.k_axes[0])
+        kept = np.meshgrid(*(k <= (2.0 / 3.0) * k.max(),) * dim, indexing="ij")
+        assert np.array_equal(g.dealias_mask, np.logical_and.reduce(kept))
 
     @settings(max_examples=30, deadline=None)
     @given(dim=st.integers(1, 3), log_n=st.integers(3, 6), seed=st.integers(0, 10_000),
@@ -368,8 +372,8 @@ class TestFftHelpers:
         for name in ("fftn", "ifftn"):
             monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("n-D FFT wrapper"))
         sg.inverse_transform(sg.transform(gaussian_1d))
-        nls.solve_nls(gaussian_1d, 0.5, nls.NlsRunConfig(dt=1e-3, T=2e-3))
-        wkb.solve_limit_with_corrector(gaussian_1d, gaussian_1d, wkb.WkbRunConfig(dt=1e-3, T=2e-3))
+        nls.solve_nls_stack([gaussian_1d], 0.5, nls.NlsRunConfig(dt=1e-3, T=2e-3))
+        wkb.solve_limit_stack([(gaussian_1d, gaussian_1d, wkb.WkbRunConfig(dt=1e-3, T=2e-3))])
 
 
 class TestSharedGrid:

@@ -8,7 +8,7 @@ from scnls import nls
 from scnls.errors import NonFiniteError, ResolutionError
 from scnls.grid import Field, make_grid, make_gaussian
 from scnls.nls import (
-    NlsRunConfig, NlsState, mass, semiclassical_energy, solve_nls, solve_nls_stack,
+    NlsRunConfig, NlsState, mass, semiclassical_energy, solve_nls_stack,
 )
 
 from conftest import count_ffts, random_field
@@ -100,14 +100,14 @@ def composition_chain(u0, eps, dt, n_steps, kinetic=nls.KINETIC, nonlinear=nls.N
 
 
 class TestStrang:
-    """solve_nls as a composition of Strang stages."""
+    """A stack of one as a composition of Strang stages."""
 
     def test_plane_wave_closed_form(self):
         # For eps = 1 and u0 = e^{ix} on [-pi, pi): Lap u = -u and |u| = 1,
         # so u(t, x) = e^{i x - 3 i t / 2} exactly.
         state = plane_wave_state(1.0, 1.0)
         cfg = NlsRunConfig(dt=1e-3, T=0.5, save_every=100)
-        traj = solve_nls(state.u, 1.0, cfg)
+        traj = solve_nls_stack([state.u], 1.0, cfg)[0]
         final = traj[-1]
         assert final.t == pytest.approx(0.5)
         g = final.u.grid
@@ -121,7 +121,8 @@ class TestStrang:
         g = make_grid(1, 12.0, 256)
         u0 = make_gaussian(g)
         eps, T = 0.5, 0.2
-        ref = solve_nls(u0, eps, NlsRunConfig(dt=T / 512, T=T, save_every=10**6))[-1].u.values
+        cfg = NlsRunConfig(dt=T / 512, T=T, save_every=10**6)
+        ref = solve_nls_stack([u0], eps, cfg)[0][-1].u.values
         err_coarse = np.abs(strang_chain(u0, eps, T / 64, 64)[-1] - ref).max()
         err_fine = np.abs(strang_chain(u0, eps, T / 128, 128)[-1] - ref).max()
         assert err_coarse / err_fine == pytest.approx(4.0, rel=0.2)
@@ -133,7 +134,7 @@ class TestStrang:
 
         def run(dt):
             cfg = NlsRunConfig(dt=dt, T=0.2, save_every=10**6)
-            return solve_nls(u0, eps, cfg)[-1].u.values
+            return solve_nls_stack([u0], eps, cfg)[0][-1].u.values
 
         ref = run(0.2 / 512)
         err_coarse = np.abs(run(0.2 / 16) - ref).max()
@@ -145,7 +146,7 @@ class TestStrang:
         g = make_grid(1, 12.0, 256)
         u0 = make_gaussian(g)
         cfg = NlsRunConfig(dt=1e-3, T=0.25, save_every=50)
-        traj = solve_nls(u0, 0.25, cfg)
+        traj = solve_nls_stack([u0], 0.25, cfg)[0]
         m0 = mass(traj[0].u)
         drift = max(abs(mass(s.u) - m0) for s in traj) / m0
         assert drift < 1e-10
@@ -155,7 +156,7 @@ class TestStrang:
         u0 = make_gaussian(g)
         eps = 0.25
         cfg = NlsRunConfig(dt=nls.default_dt(g, eps), T=0.25, save_every=10)
-        traj = solve_nls(u0, eps, cfg)
+        traj = solve_nls_stack([u0], eps, cfg)[0]
         e0 = semiclassical_energy(traj[0])
         drift = max(abs(semiclassical_energy(s) - e0) for s in traj) / abs(e0)
         assert drift < 1e-6
@@ -164,10 +165,11 @@ class TestStrang:
         g = make_grid(1, 12.0, 256)
         u0 = make_gaussian(g)
         eps = 0.5
-        fwd = solve_nls(u0, eps, NlsRunConfig(dt=1e-3, T=0.1, save_every=10**6))
-        half = solve_nls(u0, eps, NlsRunConfig(dt=5e-4, T=0.1, save_every=10**6))
+        fwd = solve_nls_stack([u0], eps, NlsRunConfig(dt=1e-3, T=0.1, save_every=10**6))[0]
+        half = solve_nls_stack([u0], eps, NlsRunConfig(dt=5e-4, T=0.1, save_every=10**6))[0]
         fwd_err = np.abs(fwd[-1].u.values - half[-1].u.values).max()
-        back = solve_nls(fwd[-1].u, eps, NlsRunConfig(dt=-1e-3, T=-0.1, save_every=10**6))
+        back = solve_nls_stack([fwd[-1].u], eps,
+                               NlsRunConfig(dt=-1e-3, T=-0.1, save_every=10**6))[0]
         return_err = np.abs(back[-1].u.values - u0.values).max()
         assert return_err <= 10 * max(fwd_err, 1e-14)
 
@@ -185,7 +187,7 @@ class TestFusedEngine:
         u0 = random_field(g, seed, scale=amplitude)
         eps, T = 0.5, sign * 0.05
         cfg = NlsRunConfig(dt=T / self.N_STEPS, T=T, save_every=save_every, tail_tol=1.0)
-        traj = solve_nls(u0, eps, cfg)
+        traj = solve_nls_stack([u0], eps, cfg)[0]
         ref = composition_chain(u0, eps, T / self.N_STEPS, self.N_STEPS)
         saved = sorted(set(range(0, self.N_STEPS + 1, save_every)) | {self.N_STEPS})
         assert [s.t for s in traj] == pytest.approx([k * T / self.N_STEPS for k in saved])
@@ -200,8 +202,8 @@ class TestFusedEngine:
         monkeypatch.setattr(nls, "tail_fraction", lambda f: 0.0)
         g = make_grid(1, 12.0, 128)
         n_steps = 10
-        solve_nls(make_gaussian(g), 0.5, NlsRunConfig(dt=1e-3, T=n_steps * 1e-3,
-                                                      save_every=save_every))
+        solve_nls_stack([make_gaussian(g)], 0.5, NlsRunConfig(dt=1e-3, T=n_steps * 1e-3,
+                                                              save_every=save_every))
         # One FFT pair per Strang stage, three stages per step, and one more
         # pair per save segment: 6 FFTs per step plus 2 per segment.
         segments = -(-n_steps // save_every)
@@ -214,8 +216,8 @@ class TestFusedEngine:
         counts = count_ffts(monkeypatch)
         g = make_grid(1, 12.0, 128)
         n_steps = 10
-        traj = solve_nls(make_gaussian(g), 0.5, NlsRunConfig(dt=1e-3, T=n_steps * 1e-3,
-                                                             save_every=save_every))
+        (traj,) = solve_nls_stack([make_gaussian(g)], 0.5,
+                                  NlsRunConfig(dt=1e-3, T=n_steps * 1e-3, save_every=save_every))
         segments = -(-n_steps // save_every)
         assert len(traj) == segments + 1
         assert counts["forward"] == len(nls.NONLINEAR) * n_steps + segments + 1
@@ -248,7 +250,7 @@ class TestStackedEngine:
         stacked = solve_nls_stack(data, 0.5, cfg)
         assert len(stacked) == members
         for u0, traj in zip(data, stacked, strict=True):
-            single = solve_nls(u0, 0.5, cfg)
+            single = solve_nls_stack([u0], 0.5, cfg)[0]
             assert [s.t for s in traj] == [s.t for s in single]
             for a, b in zip(traj, single, strict=True):
                 assert np.array_equal(a.u.values, b.u.values)
@@ -262,7 +264,7 @@ class TestStackedEngine:
         g = make_grid(dim, 6.0, 32)
         cfg = NlsRunConfig(dt=1e-3, T=self.N_STEPS * 1e-3, save_every=save_every)
         counts = count_ffts(monkeypatch)
-        solve_nls(make_gaussian(g), 0.5, cfg)
+        solve_nls_stack([make_gaussian(g)], 0.5, cfg)
         single = dict(counts)
         counts.update(forward=0, inverse=0)
         solve_nls_stack([make_gaussian(g, amplitude=a) for a in (1.0, 1.5, 2.0)], 0.5, cfg)
@@ -301,7 +303,7 @@ class TestStackedEngine:
         g, runs = self._tripping_runs()
         bad, cfg, kind = runs[case]
         with pytest.raises(kind) as single:
-            solve_nls(bad, 0.5, cfg)
+            solve_nls_stack([bad], 0.5, cfg)
         data = [make_gaussian(g, amplitude=0.5), make_gaussian(g, amplitude=0.7)]
         data.insert(position, bad)
         with pytest.raises(kind) as stacked:
@@ -346,9 +348,10 @@ class TestEngineProperties:
     def test_reversible_under_dt_sign_flip(self, dim, seed, amplitude, eps, n_steps):
         u0 = random_field(small_grid(dim), seed, scale=amplitude, smooth_width=3)
         T = 0.02 * n_steps
-        fwd = solve_nls(u0, eps, NlsRunConfig(dt=T / n_steps, T=T, save_every=3, tail_tol=1.0))
-        back = solve_nls(fwd[-1].u, eps,
-                         NlsRunConfig(dt=-T / n_steps, T=-T, save_every=3, tail_tol=1.0))
+        fwd = solve_nls_stack([u0], eps, NlsRunConfig(dt=T / n_steps, T=T, save_every=3,
+                                                      tail_tol=1.0))[0]
+        back = solve_nls_stack([fwd[-1].u], eps,
+                               NlsRunConfig(dt=-T / n_steps, T=-T, save_every=3, tail_tol=1.0))[0]
         assert back[-1].t == pytest.approx(-T)
         err = np.abs(back[-1].u.values - u0.values).max() / np.abs(u0.values).max()
         assert err <= 1e-12
@@ -358,7 +361,8 @@ class TestEngineProperties:
     def test_mass_conserved(self, dim, seed, amplitude, eps, n_steps):
         u0 = random_field(small_grid(dim), seed, scale=amplitude, smooth_width=3)
         T = 0.05 * n_steps
-        traj = solve_nls(u0, eps, NlsRunConfig(dt=T / n_steps, T=T, save_every=2, tail_tol=1.0))
+        cfg = NlsRunConfig(dt=T / n_steps, T=T, save_every=2, tail_tol=1.0)
+        traj = solve_nls_stack([u0], eps, cfg)[0]
         m0 = mass(u0)
         assert max(abs(mass(s.u) - m0) for s in traj) <= 1e-12 * m0
 
@@ -368,13 +372,13 @@ class TestGuards:
         g = make_grid(1, np.pi, 32)
         rough = Field(g, np.exp(1j * 0.9 * g.k_max * g.x_axes[0]))
         with pytest.raises(ResolutionError, match="tail"):
-            solve_nls(rough, 1.0, NlsRunConfig(dt=1e-3, T=0.01))
+            solve_nls_stack([rough], 1.0, NlsRunConfig(dt=1e-3, T=0.01))
 
     def test_guard_reports_tail_fraction(self):
         g = make_grid(1, np.pi, 32)
         rough = Field(g, np.exp(1j * 0.9 * g.k_max * g.x_axes[0]))
         with pytest.raises(ResolutionError) as exc:
-            solve_nls(rough, 1.0, NlsRunConfig(dt=1e-3, T=0.01))
+            solve_nls_stack([rough], 1.0, NlsRunConfig(dt=1e-3, T=0.01))
         assert exc.value.tail_fraction > 0.5
 
     def test_overflowing_spectrum_trips_tail_guard(self):
@@ -385,7 +389,7 @@ class TestGuards:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(sg.tail_fraction(rough))
             with pytest.raises(ResolutionError, match="at t = 0;") as exc:
-                solve_nls(rough, 1.0, NlsRunConfig(dt=1e-3, T=0.01))
+                solve_nls_stack([rough], 1.0, NlsRunConfig(dt=1e-3, T=0.01))
         assert exc.value.t == 0.0
 
     def test_mid_run_trip_reads_the_loop_spectrum(self):
@@ -396,8 +400,8 @@ class TestGuards:
         tol, eps = 1e-4, 0.5
 
         def run(tail_tol):
-            return solve_nls(u0, eps, NlsRunConfig(dt=1e-3, T=0.2, save_every=10,
-                                                   tail_tol=tail_tol))
+            return solve_nls_stack([u0], eps, NlsRunConfig(dt=1e-3, T=0.2, save_every=10,
+                                                           tail_tol=tail_tol))[0]
 
         with pytest.raises(ResolutionError, match="at t = 0.05;") as exc:
             run(tol)
@@ -413,7 +417,7 @@ class TestGuards:
         values = make_gaussian(g).values
         values[3] = np.nan
         with pytest.raises(NonFiniteError, match="step 0") as exc:
-            solve_nls(Field(g, values), 0.5, NlsRunConfig(dt=1e-3, T=0.01))
+            solve_nls_stack([Field(g, values)], 0.5, NlsRunConfig(dt=1e-3, T=0.01))
         assert exc.value.t == 0.0
         assert exc.value.last_state is None
 
@@ -424,7 +428,7 @@ class TestGuards:
         g = make_grid(1, 12.0, 64)
         u0 = make_gaussian(g, amplitude=1e155)
         with pytest.raises(NonFiniteError, match="step 1 ") as exc:
-            solve_nls(u0, 0.5, NlsRunConfig(dt=1e-3, T=0.01, save_every=10))
+            solve_nls_stack([u0], 0.5, NlsRunConfig(dt=1e-3, T=0.01, save_every=10))
         assert exc.value.t == pytest.approx(1e-3)
         assert exc.value.last_state.t == 0.0
         assert np.all(np.isfinite(exc.value.last_state.u.values))

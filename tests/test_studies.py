@@ -87,7 +87,7 @@ class TestSweepConfig:
         fine = nls.NlsRunConfig(dt=rc.dt / 8, T=rc.T, save_every=8 * rc.save_every,
                                 tail_tol=rc.tail_tol)
         u0 = cfg.a0.realize(grid, 1 + eps)
-        coarse_traj, fine_traj = (nls.solve_nls(u0, eps, c) for c in (rc, fine))
+        coarse_traj, fine_traj = (nls.solve_nls_stack([u0], eps, c)[0] for c in (rc, fine))
         assert [s.t for s in coarse_traj] == pytest.approx([s.t for s in fine_traj])
         for a, b in zip(coarse_traj, fine_traj, strict=True):
             diff = Field(grid, a.u.values - b.u.values)
@@ -105,9 +105,9 @@ class TestStackedRuns:
         stacks = []
         solve_stack = nls.solve_nls_stack
 
-        def recording(u0s, eps, rc):
+        def recording(u0s, eps, rc, keep=None):
             stacks.append((eps, len(u0s)))
-            return solve_stack(u0s, eps, rc)
+            return solve_stack(u0s, eps, rc, keep)
 
         monkeypatch.setattr(nls, "solve_nls_stack", recording)
         cache = {}
@@ -153,9 +153,9 @@ class TestStackedRuns:
         expected = {run: alone(run) for run in runs}
         stacks = []
         for name in ("solve_grenier_stack", "solve_limit_stack"):
-            def recording(members, solve=getattr(wkb, name), name=name):
+            def recording(members, keep=None, solve=getattr(wkb, name), name=name):
                 stacks.append((name, len(members), members[0][-1].save_every))
-                return solve(members)
+                return solve(members, keep)
             monkeypatch.setattr(wkb, name, recording)
         cache = {}
         studies.stack_runs(cache, runs)
@@ -178,7 +178,7 @@ class TestStackedRuns:
 
         def single(run):
             a0 = run.a0.realize(run.grid)
-            return wkb.solve_limit_with_corrector(a0, studies.a1_datum(run.datum, a0), run.config)
+            return wkb.solve_limit_stack([(a0, studies.a1_datum(run.datum, a0), run.config)])[0]
 
         ref = single(healthy)
         ref_errors = []
@@ -285,7 +285,7 @@ class TestSmallTimeStudy:
         c = 0.8
         const = Field(g, np.full(g.shape, c, dtype=complex))
         cfg = wkb.WkbRunConfig(dt=1e-2, T=0.2, save_every=5, enforce_decay=False)
-        traj = wkb.solve_limit_with_corrector(const, const, cfg)
+        traj = wkb.solve_limit_stack([(const, const, cfg)])[0]
         for bg, corr in traj:
             t = bg.t
             assert np.abs(bg.phi.values.real + c**2 * t).max() < 1e-13
@@ -580,21 +580,21 @@ class TestFitAndReportPlumbing:
         from scnls import nls
 
         cfg = nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5)
-        traj = nls.solve_nls(gaussian_1d, 0.5, cfg)
+        traj = nls.solve_nls_stack([gaussian_1d], 0.5, cfg)[0]
         rows = [rpt.nls_row(state, norm_orders=(1.0,)) for state in traj]
         assert [r["t"] for r in rows] == pytest.approx([0.0, 0.05, 0.1])
         assert all("h1" in r and "mass" in r and "energy" in r for r in rows)
 
         wcfg = wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5)
-        wtraj = wkb.solve_limit_with_corrector(gaussian_1d, gaussian_1d, wcfg)
+        wtraj = wkb.solve_limit_stack([(gaussian_1d, gaussian_1d, wcfg)])[0]
         wrows = [rpt.wkb_row(snap, norm_orders=(1.0,)) for snap in wtraj]
         assert all("grad_phi_max" in r and "phi1_linf" in r for r in wrows)
 
     @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
                              ids=["1d", "2d"])
     def test_trajectory_rows_transform_each_snapshot_once(self, monkeypatch, g):
-        traj = nls.solve_nls(GaussianSpec().realize(g), 0.5,
-                             nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5))
+        (traj,) = nls.solve_nls_stack([GaussianSpec().realize(g)], 0.5,
+                                      nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5))
         orders = (0.0, 1.0, 2.0)
         counts = count_ffts(monkeypatch)
         rows = [rpt.nls_row(state, norm_orders=orders) for state in traj]
@@ -609,8 +609,7 @@ class TestFitAndReportPlumbing:
                              ids=["1d", "2d"])
     def test_wkb_rows_transform_a_and_phi_once(self, monkeypatch, g):
         a0 = GaussianSpec().realize(g)
-        traj = wkb.solve_limit_with_corrector(
-            a0, a0, wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5))
+        (traj,) = wkb.solve_limit_stack([(a0, a0, wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5))])
         orders = (0.0, 1.0)
         counts = count_ffts(monkeypatch)
         rows = [rpt.wkb_row(snap, norm_orders=orders) for snap in traj]
@@ -621,8 +620,9 @@ class TestFitAndReportPlumbing:
         assert counts.rows == {"forward": 3 * len(traj), "inverse": 2 * g.dim * len(traj)}
         monkeypatch.undo()
         for row, (state, corr) in zip(rows, traj, strict=True):
-            assert row["energy"] == wkb.wkb_energy(state)
-            assert row["grad_phi_max"] == wkb.grad_phi_max(state)
+            grads = wkb.gradients(state, wkb.spectra(state))
+            assert row["energy"] == wkb.wkb_energy(state, grads)
+            assert row["grad_phi_max"] == wkb.grad_phi_max(state, grads)
             assert row["a1_l2"] == norm(corr.a1)
             for s in orders:
                 assert row[f"a_h{s:g}"] == norm(state.a, SobolevIndex(s))

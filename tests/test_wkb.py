@@ -12,10 +12,8 @@ from scnls.wkb import (
     GrenierState,
     WkbRunConfig,
     reconstruct,
-    solve_grenier,
     solve_grenier_stack,
     solve_limit_stack,
-    solve_limit_with_corrector,
 )
 
 from conftest import bit_identical, count_ffts, random_field
@@ -237,13 +235,13 @@ class TestSolveGrenier:
     def test_eps_zero_ignores_perturbation_with_warning(self, grid_1d, gaussian_1d):
         cfg = WkbRunConfig(dt=5e-3, T=0.05, save_every=10)
         with pytest.warns(UserWarning, match="ignored"):
-            traj = solve_grenier(gaussian_1d, gaussian_1d, 0.0, cfg)
+            traj = solve_grenier_stack([(gaussian_1d, gaussian_1d, 0.0, cfg)])[0]
         np.testing.assert_allclose(traj[0].a.values, gaussian_1d.values, atol=0)
 
     def test_zero_datum_stays_zero(self, grid_1d):
         zero = Field(grid_1d, np.zeros(grid_1d.shape, dtype=complex))
         cfg = WkbRunConfig(dt=5e-3, T=0.1, save_every=10)
-        traj = solve_grenier(zero, None, 0.25, cfg)
+        traj = solve_grenier_stack([(zero, None, 0.25, cfg)])[0]
         assert np.abs(traj[-1].a.values).max() == 0.0
         assert np.abs(traj[-1].phi.values).max() == 0.0
 
@@ -252,7 +250,7 @@ class TestSolveGrenier:
 
         def run(dt):
             cfg = WkbRunConfig(dt=dt, T=0.2, save_every=10**6)
-            final = solve_grenier(gaussian_1d, gaussian_1d, eps, cfg)[-1]
+            final = solve_grenier_stack([(gaussian_1d, gaussian_1d, eps, cfg)])[0][-1]
             return final.a.values, final.phi.values.real
 
         a_ref, phi_ref = run(0.2 / 512)
@@ -264,7 +262,7 @@ class TestSolveGrenier:
 
     def test_mass_of_limit_flow_conserved(self, grid_1d, gaussian_1d):
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=25)
-        traj = solve_grenier(gaussian_1d, None, 0.0, cfg)
+        traj = solve_grenier_stack([(gaussian_1d, None, 0.0, cfg)])[0]
         m0 = nls.mass(traj[0].a)
         drift = max(abs(nls.mass(s.a) - m0) for s in traj) / m0
         assert drift < 1e-8
@@ -273,23 +271,22 @@ class TestSolveGrenier:
         g = make_grid(1, 2.0, 32)
         wide = Field(g, np.exp(-g.x_axes[0] ** 2).astype(complex))
         with pytest.raises(ValueError, match="decay"):
-            solve_grenier(wide, None, 0.1, WkbRunConfig(dt=1e-3, T=0.01))
-        traj = solve_grenier(
-            wide, None, 0.1, WkbRunConfig(dt=1e-3, T=0.01, enforce_decay=False)
-        )
+            solve_grenier_stack([(wide, None, 0.1, WkbRunConfig(dt=1e-3, T=0.01))])
+        traj = solve_grenier_stack(
+            [(wide, None, 0.1, WkbRunConfig(dt=1e-3, T=0.01, enforce_decay=False))])[0]
         assert traj[-1].t == pytest.approx(0.01)
 
     def test_singularity_guard_aborts_run(self, grid_1d, gaussian_1d):
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=0.05)
         with pytest.raises(SingularityError) as exc:
-            solve_grenier(gaussian_1d, None, 0.0, cfg)
+            solve_grenier_stack([(gaussian_1d, None, 0.0, cfg)])
         assert exc.value.grad_max > 0.05
 
 
 class TestCorrectorFlow:
     def test_no_perturbation_keeps_corrector_imaginary(self, grid_1d, gaussian_1d):
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=25)
-        traj = solve_limit_with_corrector(gaussian_1d, None, cfg)
+        traj = solve_limit_stack([(gaussian_1d, None, cfg)])[0]
         for _, corr in traj:
             assert np.abs(corr.a1.values.real).max() < 1e-10
             assert np.abs(corr.phi1.values).max() < 1e-8
@@ -297,14 +294,14 @@ class TestCorrectorFlow:
     def test_equal_perturbation_small_time_phase(self, grid_1d, gaussian_1d):
         t_small = 0.01
         cfg = WkbRunConfig(dt=t_small / 32, T=t_small, save_every=10**6)
-        (_, corr) = solve_limit_with_corrector(gaussian_1d, gaussian_1d, cfg)[-1]
+        (_, corr) = solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])[0][-1]
         target = -2 * t_small * np.abs(gaussian_1d.values) ** 2
         assert np.abs(corr.phi1.values.real - target).max() < 5e-4 * t_small
 
     def test_zero_background_transports_nothing(self, grid_1d, gaussian_1d):
         zero = Field(grid_1d, np.zeros(grid_1d.shape, dtype=complex))
         cfg = WkbRunConfig(dt=5e-3, T=0.2, save_every=10)
-        traj = solve_limit_with_corrector(zero, gaussian_1d, cfg)
+        traj = solve_limit_stack([(zero, gaussian_1d, cfg)])[0]
         (_, corr) = traj[-1]
         np.testing.assert_allclose(corr.a1.values, gaussian_1d.values, atol=1e-13)
         assert np.abs(corr.phi1.values).max() < 1e-13
@@ -313,7 +310,7 @@ class TestCorrectorFlow:
         # purely imaginary a1 against a real background never builds phase
         a1 = Field(grid_1d, 1j * gaussian_1d.values)
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=25)
-        traj = solve_limit_with_corrector(gaussian_1d, a1, cfg)
+        traj = solve_limit_stack([(gaussian_1d, a1, cfg)])[0]
         worst = max(np.abs(corr.phi1.values).max() for _, corr in traj)
         assert worst <= 1e-8
 
@@ -339,7 +336,7 @@ def test_corrector_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim)
     # corrector the gradient of a1 and both of phi1, and each of the four
     # quadratic terms is dealiased once.
     calls, rows = ffts_per_stage(monkeypatch, dim,
-                                 lambda a0, cfg: solve_limit_with_corrector(a0, a0, cfg))
+                                 lambda a0, cfg: solve_limit_stack([(a0, a0, cfg)]))
     assert calls == {"forward": 2, "inverse": 2}
     assert rows == {"forward": 8, "inverse": 4 * dim + 7}
 
@@ -347,7 +344,7 @@ def test_corrector_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grenier_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim):
     calls, rows = ffts_per_stage(monkeypatch, dim,
-                                 lambda a0, cfg: solve_grenier(a0, a0, 0.25, cfg))
+                                 lambda a0, cfg: solve_grenier_stack([(a0, a0, 0.25, cfg)]))
     assert calls == {"forward": 2, "inverse": 2}
     assert rows == {"forward": 4, "inverse": 2 * dim + 4}
 
@@ -390,10 +387,10 @@ class TestBitIdentity:
         config = WkbRunConfig(dt=sign * 0.01, T=sign * 0.06, save_every=save_every,
                               sing_tol=1e6, enforce_decay=False)
         if corrector:
-            traj = solve_limit_with_corrector(a0, a1, config)
+            traj = solve_limit_stack([(a0, a1, config)])[0]
             ref = ref_solve_limit_with_corrector(a0, a1, config)
         else:
-            traj = solve_grenier(a0, None, eps, config)
+            traj = solve_grenier_stack([(a0, None, eps, config)])[0]
             ref = ref_solve_grenier(a0, eps, config)
         assert len(traj) == len(ref)
         for snap, (t, fields) in zip(traj, ref):
@@ -418,10 +415,10 @@ class TestGuards:
         with np.errstate(over="ignore", invalid="ignore"):
             if case == "grenier":
                 ref = ref_solve_grenier(a0, 0.25, config)
-                run = lambda: solve_grenier(a0, None, 0.25, config)
+                run = lambda: solve_grenier_stack([(a0, None, 0.25, config)])[0]
             else:
                 ref = ref_solve_limit_with_corrector(a0, a1, config)
-                run = lambda: solve_limit_with_corrector(a0, a1, config)
+                run = lambda: solve_limit_stack([(a0, a1, config)])[0]
             with pytest.raises(NonFiniteError) as exc:
                 run()
         (t_last, last), (t_bad, bad) = ref[-2:]
@@ -442,9 +439,9 @@ class TestGuards:
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=0.05)
         with pytest.raises(SingularityError) as exc:
             if corrector:
-                solve_limit_with_corrector(gaussian_1d, gaussian_1d, cfg)
+                solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])
             else:
-                solve_grenier(gaussian_1d, None, 0.0, cfg)
+                solve_grenier_stack([(gaussian_1d, None, 0.0, cfg)])
         assert exc.value.t == 0.042
         assert exc.value.grad_max == 0.05063986133455971
 
@@ -466,7 +463,7 @@ class TestStackedEngine:
         stacked = solve_grenier_stack(members)
         assert len(stacked) == len(members)
         for member, traj in zip(members, stacked, strict=True):
-            single = solve_grenier(*member)
+            single = solve_grenier_stack([member])[0]
             assert len(traj) == 4 and bit_identical(traj, single)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -479,7 +476,7 @@ class TestStackedEngine:
         ]
         stacked = solve_limit_stack(members)
         for member, traj in zip(members, stacked, strict=True):
-            single = solve_limit_with_corrector(*member)
+            single = solve_limit_stack([member])[0]
             assert traj[-1][0].t == member[2].T and bit_identical(traj, single)
 
     @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
@@ -489,18 +486,18 @@ class TestStackedEngine:
         healthy = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=10.0)
         tight = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=0.05)
         if corrector:
-            solve, stack = solve_limit_with_corrector, solve_limit_stack
+            stack = solve_limit_stack
             members = [(gaussian_1d, gaussian_1d, rc) for rc in (healthy, healthy)]
             members[position] = (gaussian_1d, gaussian_1d, tight)
         else:
-            solve, stack = solve_grenier, solve_grenier_stack
+            stack = solve_grenier_stack
             members = [(gaussian_1d, None, eps, healthy) for eps in (0.0, 0.25)]
             members[position] = (gaussian_1d, None, 0.0, tight)
         for m, member in enumerate(members):
             if m != position:
-                assert len(solve(*member)) == 14  # 125 steps, saved every 10 and at the end
+                assert len(stack([member])[0]) == 14  # 125 steps, saved every 10 and at the end
         with pytest.raises(SingularityError) as single:
-            solve(*members[position])
+            stack([members[position]])
         with pytest.raises(SingularityError) as stacked:
             stack(members)
         assert str(stacked.value) == str(single.value)
@@ -513,10 +510,10 @@ class TestStackedEngine:
         # the second member overflows at t = 0.004; the first stays finite
         members = [(make_gaussian(g), None, 0.25, config),
                    (make_gaussian(g, amplitude=1e3), None, 0.25, config)]
-        assert np.isfinite(solve_grenier(*members[0])[-1].a.values).all()
+        assert np.isfinite(solve_grenier_stack([members[0]])[0][-1].a.values).all()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError) as single:
-                solve_grenier(*members[1])
+                solve_grenier_stack([members[1]])
             with pytest.raises(NonFiniteError) as stacked:
                 solve_grenier_stack(members)
         assert str(stacked.value) == str(single.value)
@@ -599,9 +596,9 @@ class TestExactReformulation:
         n_cfg = nls.NlsRunConfig(
             dt=nls.default_dt(fine, eps, safety=0.1), T=0.2, save_every=10**9
         )
-        u_traj = nls.solve_nls(u0, eps, n_cfg)
+        u_traj = nls.solve_nls_stack([u0], eps, n_cfg)[0]
         w_cfg = WkbRunConfig(dt=wkb.default_dt(coarse, eps), T=0.2, save_every=10**9)
-        g_traj = solve_grenier(a0_c, a1_c, eps, w_cfg)
+        g_traj = solve_grenier_stack([(a0_c, a1_c, eps, w_cfg)])[0]
 
         u_final = u_traj[-1]
         g_final = g_traj[-1]
@@ -619,12 +616,12 @@ class TestEpsilonConvergence:
         # corrector is subtracted.
         T = 0.2
         cfg = WkbRunConfig(dt=2e-3, T=T, save_every=10**6)
-        (bg, corr) = solve_limit_with_corrector(gaussian_1d, gaussian_1d, cfg)[-1]
+        (bg, corr) = solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])[0][-1]
         h1 = SobolevIndex(1.0)
         errs1, errs2 = [], []
         eps_list = [0.25, 0.125, 0.0625, 0.03125]
         for eps in eps_list:
-            fin = solve_grenier(gaussian_1d, gaussian_1d, eps, cfg)[-1]
+            fin = solve_grenier_stack([(gaussian_1d, gaussian_1d, eps, cfg)])[0][-1]
             d_a = Field(grid_1d, fin.a.values - bg.a.values)
             d_phi = Field(grid_1d, fin.phi.values - bg.phi.values)
             errs1.append(norm(d_a, h1) + norm(d_phi, h1))
@@ -642,4 +639,5 @@ def test_grad_phi_max_matches_direct_computation(grid_1d):
     phi = Field(grid_1d, (0.4 * np.sin(np.pi * x / 12)).astype(complex))
     state = GrenierState(1.0, Field(grid_1d, np.zeros(grid_1d.shape, dtype=complex)), phi, 0.0)
     expected = np.abs(0.4 * np.pi / 12 * np.cos(np.pi * x / 12)).max()
-    assert wkb.grad_phi_max(state) == pytest.approx(expected, rel=1e-6)
+    grads = wkb.gradients(state, wkb.spectra(state))
+    assert wkb.grad_phi_max(state, grads) == pytest.approx(expected, rel=1e-6)
