@@ -384,19 +384,17 @@ def cmd_selftest(cfg, out_dir):
     payload = {
         "schema_version": report.SUMMARY_SCHEMA_VERSION,
         "study": "acceptance",
-        "passed": all(r.passed for r in results),
+        "passed": all(passed for _, _, passed, _ in results),
         "criteria": [
-            {"number": r.criterion, "name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
+            {"number": number, "name": name, "passed": passed, "detail": detail}
+            for number, name, passed, detail in results
         ],
     }
     report.dump_json(payload, out_dir / "acceptance_summary.json")
-    names = ["wkb_error_study.csv", "smalltime_study.csv", "ghost_study.csv",
-             "ghost_control_study.csv", "ghost_n_study.csv"]
-    for rep, name in zip(suite.reports(), names):
+    for name, rep in suite.reports().items():
         report.write_study_csv(rep, out_dir / name)
     if not payload["passed"]:
-        failed = [r.name for r in results if not r.passed]
+        failed = [name for _, name, passed, _ in results if not passed]
         print(f"selftest: FAILED criteria: {', '.join(failed)}", file=sys.stderr)
         return 4
     return 0

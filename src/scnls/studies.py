@@ -303,12 +303,6 @@ class StudyReport:
         """Column of row values for one (family, quantity, s), in row order."""
         return [r["value"] for r in _rows_at(self.rows, family, quantity, s)]
 
-    def slope(self, family, s=None):
-        for item in self.slopes:
-            if item["family"] == family and (s is None or _close(item.get("s"), s)):
-                return item
-        raise KeyError(f"no slope recorded for family={family!r}, s={s!r}")
-
     def passed(self):
         return all(c["passed"] for c in self.checks.values())
 

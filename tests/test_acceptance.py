@@ -7,7 +7,7 @@ import collections
 import pytest
 
 from scnls import nls, studies, wkb
-from scnls.acceptance import CRITERIA, AcceptanceSuite
+from scnls.acceptance import CRITERIA_TABLE, AcceptanceSuite, conservation_checks
 
 from conftest import alone, bit_identical
 
@@ -16,18 +16,18 @@ STACK_SOLVERS = ((nls, "solve_nls_stack"), (wkb, "solve_grenier_stack"),
 
 
 @pytest.fixture(scope="session")
-def suite():
-    return AcceptanceSuite()
+def results():
+    return AcceptanceSuite().run_all()
 
 
 @pytest.mark.parametrize(
-    "number", range(1, 10), ids=[f"{i}-{name}" for i, name in enumerate(CRITERIA, 1)]
+    "number", range(1, 10), ids=[f"{i}-{row[0]}" for i, row in enumerate(CRITERIA_TABLE, 1)]
 )
-def test_criterion(suite, number):
-    result = suite.run_criterion(number)
-    mark = "PASS" if result.passed else "FAIL"
-    print(f"[{result.criterion}] {result.name:<28} {mark}  ({result.detail})")
-    assert result.passed, f"criterion {result.criterion} ({result.name}): {result.detail}"
+def test_criterion(results, number):
+    _, name, passed, detail = results[number - 1]
+    mark = "PASS" if passed else "FAIL"
+    print(f"[{number}] {name:<28} {mark}  ({detail})")
+    assert passed, f"criterion {number} ({name}): {detail}"
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_criteria_make_no_solver_call_once_planned(planned, monkeypatch):
     s, _ = planned
     for module, name in STACK_SOLVERS + ((studies, "solve_runs"),):
         monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
-    assert all(result.passed for result in s.run_all())
+    assert all(passed for _, _, passed, _ in s.run_all())
 
 
 def test_every_cached_run_equals_its_single_run(planned):
@@ -71,42 +71,60 @@ def test_every_cached_run_equals_its_single_run(planned):
         assert bit_identical(traj, alone(run)), run
 
 
-# The study checks each study-backed criterion names, per report attribute.
+def per_s(*names):
+    return [f"{name}_s{s:g}" for name in names for s in (0.0, 1.0, 2.0)]
+
+
+# The checks each criterion names; a study report's as <CSV stem>/<check>.
 CRITERION_CHECKS = {
-    2: {"error_report": ["profile_plain_slope", "profile_perturbed_slope"]},
-    3: {"error_report": ["expansion_gap_slope"]},
-    4: {"smalltime_report": ["phase_residual_slope", "corrector_phase_residual_slope"]},
-    5: {"ghost_report": ["stabilized", "above_floor"], "control_report": ["control_null"]},
-    9: {"higher_order_report": ["stabilized", "above_floor"]},
+    1: ["oracle"],
+    2: per_s("wkb_error_study/profile_plain_slope", "wkb_error_study/profile_perturbed_slope"),
+    3: per_s("wkb_error_study/expansion_gap_slope"),
+    4: per_s("smalltime_study/phase_residual_slope",
+             "smalltime_study/corrector_phase_residual_slope"),
+    5: per_s("ghost_study/stabilized", "ghost_study/above_floor",
+             "ghost_control_study/control_null"),
+    6: ["corrector_phase"],
+    7: ["conservation_runs", "mass_drift", "energy_drift"],
+    8: ["rescaling_identity", "threshold_sign_flips"],
+    9: per_s("ghost_n_study/stabilized", "ghost_n_study/above_floor"),
 }
 
 
-def stub_suite(number, failing=None):
-    """A suite whose reports hold only the checks criterion number names,
-    all passing with value 0.125 except failing, plus one failing check it
-    does not name."""
+def stub_suite(failing=None, checks=None):
+    """A suite holding only the checks the criteria name, all passing with
+    value 0.125 except failing, plus one failing check no criterion names;
+    checks, when given, replace stubs of the same name."""
+    stubs = {name: {"passed": name != failing, "value": 0.125, "bound": "stub", "note": "stub"}
+             for names in CRITERION_CHECKS.values() for name in names}
+    stubs["ghost_study/unnamed_s0"] = {"passed": False, "value": 0.0}
     s = AcceptanceSuite()
-    for attr, prefixes in CRITERION_CHECKS[number].items():
-        checks = {f"{prefix}_s{x:g}": {"passed": f"{prefix}_s{x:g}" != failing, "value": 0.125}
-                  for prefix in prefixes for x in s.config.s_list}
-        checks["unnamed_s0"] = {"passed": False, "value": 0.0}
-        s.__dict__[attr] = studies.StudyReport("stub", {}, [], [], checks)
+    s.__dict__["checks"] = stubs | (checks or {})
     return s
+
+
+def failed(suite):
+    return {number for number, _, passed, _ in suite.run_all() if not passed}
 
 
 @pytest.mark.parametrize("number", CRITERION_CHECKS)
 def test_study_criterion_passes_when_every_check_it_names_does(number):
-    named = [f"{prefix}_s{x:g}" for prefixes in CRITERION_CHECKS[number].values()
-             for prefix in prefixes for x in (0.0, 1.0, 2.0)]
-    criterion = getattr(AcceptanceSuite, f"criterion_{number}")
-    assert criterion(stub_suite(number)).passed
-    for name in named:
-        assert not criterion(stub_suite(number, name)).passed, name
+    assert number not in failed(stub_suite())
+    for name in CRITERION_CHECKS[number]:
+        assert failed(stub_suite(name)) == {number}, name
+
+
+def test_conservation_needs_ten_runs(planned):
+    s, _ = planned
+    runs = [run for run in s.cache if run.kind == "nls"]
+    for n, verdict in ((9, {7}), (10, set())):
+        checks = conservation_checks({run: s.cache[run] for run in runs[:n]})
+        assert failed(stub_suite(checks=checks)) == verdict, n
 
 
 def test_ghost_criteria_details():
-    assert AcceptanceSuite.criterion_5(stub_suite(5)).detail == (
+    assert stub_suite().run_all()[4][3] == (
         "s=0: spread 0.125, floor ok=True; s=1: spread 0.125, floor ok=True; "
         "s=2: spread 0.125, floor ok=True; control run null to 1e-10")
-    assert AcceptanceSuite.criterion_9(stub_suite(9, "above_floor_s1")).detail == (
+    assert stub_suite("ghost_n_study/above_floor_s1").run_all()[8][3] == (
         "s=0: spread 0.125; s=1: spread 0.125; s=2: spread 0.125")

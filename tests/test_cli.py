@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scnls import cli, nls, report, studies, wkb
-from scnls.acceptance import FULL_EPS_SWEEP, CheckResult
+from scnls.acceptance import FULL_EPS_SWEEP
 from scnls.errors import GuardError
 from scnls.grid import load_field, make_grid
 from scnls.studies import SweepConfig
@@ -17,6 +17,8 @@ from scnls.studies import SweepConfig
 from conftest import alone
 
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+GOLDEN_SELFTEST = Path(__file__).resolve().parent / "golden" / "selftest"
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -574,10 +576,36 @@ class TestStudyCommands:
         assert (tmp_path / "envout" / "nls_trajectory.csv").exists()
 
 
+def golden_mismatch(name, golden, produced):
+    """Why produced differs from the golden file name: the largest relative
+    move of any numeric cell, and the numpy versions on both sides."""
+    old, new = NUMBER.findall(golden), NUMBER.findall(produced)
+    if len(old) == len(new):
+        moves = [abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b)))
+                 for a, b in zip(old, new) if float(a) != float(b)]
+        move = f"largest relative move of a numeric cell {max(moves, default=0.0):.3e}"
+    else:
+        move = f"{len(old)} numeric cells became {len(new)}"
+    golden_numpy = (GOLDEN_SELFTEST / "numpy_version.txt").read_text().strip()
+    return (f"{name} differs from {GOLDEN_SELFTEST}: {move}; "
+            f"numpy {golden_numpy} there, {np.__version__} here")
+
+
 class TestSelftest:
     def test_real_suite_passes_and_is_deterministic(self, tmp_path, capsys, monkeypatch):
-        # Repeated runs, and runs with --jobs 1 and 2, write identical bytes.
-        # Every wavefunction run comes from one stack per sweep point.
+        r"""Repeated runs, and runs with --jobs 1 and 2, write identical bytes,
+        and the first run writes those of tests/golden/selftest.  Every
+        wavefunction run comes from one stack per sweep point.
+
+        Byte identity holds for one numpy build.  To rewrite the golden
+        files, from the repository root:
+
+            rm tests/golden/selftest/*.csv tests/golden/selftest/*.json
+            PYTHONPATH=src python -c "from scnls.cli import main; main()" \
+                selftest --out tests/golden/selftest > tests/golden/selftest/stdout.txt
+            python -c "import numpy; print(numpy.__version__)" \
+                > tests/golden/selftest/numpy_version.txt
+        """
         stacks = []
         solve_stack = nls.solve_nls_stack
 
@@ -600,6 +628,12 @@ class TestSelftest:
         for name in names + ["acceptance_summary.json"]:
             first = (runs[0][0] / name).read_bytes()
             assert all((out / name).read_bytes() == first for out, _ in runs[1:])
+        golden = sorted(p.name for p in GOLDEN_SELFTEST.iterdir() if p.name != "numpy_version.txt")
+        assert golden == sorted(names + ["acceptance_summary.json", "stdout.txt"])
+        for name in golden:
+            expected = (GOLDEN_SELFTEST / name).read_text()
+            produced = stdout[0] if name == "stdout.txt" else (runs[0][0] / name).read_text()
+            assert produced == expected, golden_mismatch(name, expected, produced)
 
     @pytest.fixture
     def stub_suite(self, monkeypatch):
@@ -610,17 +644,14 @@ class TestSelftest:
                 self.seed = seed
 
             def run_all(self, printer=None):
-                results = [
-                    CheckResult(i, f"check-{i}", outcomes["passed"], "stub")
-                    for i in range(1, 10)
-                ]
+                results = [(i, f"check-{i}", outcomes["passed"], "stub") for i in range(1, 10)]
                 if printer:
-                    for r in results:
-                        printer(f"[{r.criterion}] {r.name} {'PASS' if r.passed else 'FAIL'}")
+                    for number, name, passed, _ in results:
+                        printer(f"[{number}] {name} {'PASS' if passed else 'FAIL'}")
                 return results
 
             def reports(self):
-                return []
+                return {}
 
         monkeypatch.setattr(cli, "AcceptanceSuite", StubSuite)
         return outcomes

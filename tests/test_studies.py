@@ -237,7 +237,7 @@ class TestWkbErrorStudy:
             ("expansion_gap", (1.7, 2.3)),
         ):
             for s in short_cfg.s_list:
-                slope = rep.slope(family, s)["slope"]
+                slope = rep.checks[f"{family}_slope_s{s:g}"]["value"]
                 assert band[0] <= slope <= band[1], (family, s, slope)
         assert rep.passed()
 
@@ -275,7 +275,7 @@ class TestSmallTimeStudy:
         rep = small_time_study(short_cfg, cache)
         for family in ("phase_residual", "corrector_phase_residual"):
             for s in short_cfg.s_list:
-                assert 2.7 <= rep.slope(family, s)["slope"] <= 3.3
+                assert 2.7 <= rep.checks[f"{family}_slope_s{s:g}"]["value"] <= 3.3
         assert rep.passed()
 
     def test_constant_datum_flat_phase_is_exact(self):
