@@ -32,10 +32,10 @@ from .studies import (
 FULL_EPS_SWEEP = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 S_LIST = (0.0, 1.0, 2.0)
 # The oracle comparison's sweep points and perturbations, and the
-# degeneracy run's.
+# degeneracy run's coefficient c of a1 = c a0.
 ORACLE_EPS = (0.125, 0.0625)
 ORACLE_MODES = ("zero", "equal_a0")
-DEGENERACY_MODE = "imaginary"
+DEGENERACY_C = studies.A1_COEFFICIENTS["imaginary"](0.0, 1)
 
 
 def _per_s(names, template):
@@ -91,8 +91,8 @@ CRITERIA_TABLE = (
 
 def _oracle_runs(config, eps, mode):
     """The wavefunction and phase-amplitude runs the oracle check compares."""
-    multiplier, _ = studies.A1_FACTORS[mode](eps, config.scaled_order)
-    return studies._nls_run(config, eps, multiplier), studies._grenier_run(config, eps, mode)
+    c = studies.A1_COEFFICIENTS[mode](eps, config.scaled_order)
+    return studies._nls_run(config, eps, c), studies._grenier_run(config, eps, c)
 
 
 def oracle_checks(config, cache):
@@ -118,7 +118,7 @@ def oracle_checks(config, cache):
 def degeneracy_checks(config, cache):
     """A purely imaginary perturbation keeps the corrector phase below 1e-8
     in sup norm at every saved time."""
-    traj = cache[studies._limit_run(config, DEGENERACY_MODE)]
+    traj = cache[studies._limit_run(config, DEGENERACY_C)]
     worst = max(float(np.abs(corr.phi1.values).max()) for _, corr in traj)
     checks = {}
     _check(checks, "corrector_phase", worst <= 1e-8, worst, "<= 1e-8")
@@ -197,7 +197,7 @@ class AcceptanceSuite:
         share one integration as one stack (studies.stack_runs)."""
         c = self.config
         studies.stack_runs(self.cache, [
-            studies._limit_run(c, DEGENERACY_MODE),
+            studies._limit_run(c, DEGENERACY_C),
             *studies.wkb_error_runs(c),
             *studies.small_time_runs(c),
             *(run for cfg in (c, self.control_config, self.higher_order_config)

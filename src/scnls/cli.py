@@ -279,13 +279,16 @@ def _run_config(config_cls, run, default_dt, **kwargs):
     return config_cls(dt=dt, T=run["T"], save_every=save_every, **kwargs)
 
 
-def _run_single(cfg, out_dir, run, row, dumps):
-    """The path run-nls and run-wkb share: integrate the studies.Run run
-    alone, with keep as its per-save function.  keep writes the snapshot's
-    {file prefix: Field} dumps(snapshot) when run.dump_fields is set and
-    returns its row(snapshot, norms), so the run holds one snapshot at a
-    time; a guard abort leaves the earlier dumps."""
-    section, kind = cfg["run"], "nls" if run.kind == "nls" else "wkb"
+def _run_single(cfg, out_dir, kind, grid, rc, row, dumps):
+    """The path run-nls and run-wkb share: integrate the studies.Run of kind
+    on grid with run config rc, perturbed by run.a1_mode, alone, with keep
+    as its per-save function.  keep writes the snapshot's {file prefix:
+    Field} dumps(snapshot) when run.dump_fields is set and returns its
+    row(snapshot, norms), so the run holds one snapshot at a time; a guard
+    abort leaves the earlier dumps."""
+    section, name = cfg["run"], "nls" if kind == "nls" else "wkb"
+    c = studies.A1_COEFFICIENTS[section["a1_mode"]](section["eps"], cfg["sweep"]["scaled_order"])
+    run = studies.Run(kind, grid, section["eps"], rc, GaussianSpec(**cfg["data"]), c)
     fdir, saves = out_dir / "fields", itertools.count()
 
     def keep(snapshot):
@@ -297,10 +300,10 @@ def _run_single(cfg, out_dir, run, row, dumps):
         return row(snapshot, section["norms"])
 
     (rows,) = studies.solve_runs([run], keep)
-    path = report.write_trajectory_csv(rows, out_dir / f"{kind}_trajectory.csv")
+    path = report.write_trajectory_csv(rows, out_dir / f"{name}_trajectory.csv")
     log.info("wrote %s", path)
     report.dump_json({"schema_version": report.SUMMARY_SCHEMA_VERSION,
-                      "study": f"run_{kind}", "passed": True,
+                      "study": f"run_{name}", "passed": True,
                       "rows": len(rows), "eps": run.eps, "dt": run.config.dt},
                      out_dir / "summary.json")
     return 0
@@ -315,27 +318,28 @@ def cmd_run_nls(cfg, out_dir):
     target = nls.default_dt(grid, run["eps"], solver["nls_dt_safety"])
     aligned = studies.aligned_run_config(nls.NlsRunConfig, target, run["T"], RUN_SAVES)
     rc = _run_config(nls.NlsRunConfig, run, aligned.dt, tail_tol=solver["tail_tol"])
-    plan = studies.Run("nls", grid, run["eps"], rc, GaussianSpec(**cfg["data"]), 1.0)
-    return _run_single(cfg, out_dir, plan, report.nls_row, lambda s: {"u": s.u})
+    return _run_single(cfg, out_dir, "nls", grid, rc, report.nls_row, lambda s: {"u": s.u})
 
 
 def cmd_run_wkb(cfg, out_dir):
     run, solver = cfg["run"], cfg["solver"]
     if run["with_corrector"] and run["eps"] != 0:
         _fail("run.with_corrector", "requires run.eps = 0 (the corrector rides the limit system)")
+    if not run["with_corrector"] and run["eps"] == 0 and run["a1_mode"] != "zero":
+        _fail("run.a1_mode", "must be 'zero' at run.eps = 0 without run.with_corrector, where "
+              f"the datum (1 + eps c) a0 is a0; got {run['a1_mode']!r}")
     grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
     # the default step is the RK4 rule clipped to the horizon
     target = wkb.default_dt(grid, run["eps"], solver["wkb_dt_safety"])
     rc = _run_config(wkb.WkbRunConfig, run, math.copysign(min(target, abs(run["T"])), run["T"]),
                      sing_tol=run["sing_tol"])
-    plan = studies.Run("limit" if run["with_corrector"] else "grenier", grid, run["eps"], rc,
-                       GaussianSpec(**cfg["data"]), run["a1_mode"])
 
     def dumps(snap):
         state = snap[0] if run["with_corrector"] else snap
         return {"a": state.a, "phi": state.phi}
 
-    return _run_single(cfg, out_dir, plan, report.wkb_row, dumps)
+    return _run_single(cfg, out_dir, "limit" if run["with_corrector"] else "grenier", grid, rc,
+                       report.wkb_row, dumps)
 
 
 # study-* command -> (function of `studies`, looked up on each call so that a wrapper

@@ -86,6 +86,11 @@ class _RunConfig:
         if not self.save_every >= 1:
             raise ValueError(f"save_every must be >= 1, got {self.save_every!r}")
 
+    @property
+    def steps(self):
+        """T / dt rounded: the run makes this many steps of T / steps."""
+        return max(1, round(self.T / self.dt))
+
 
 @dataclass(frozen=True)
 class NlsRunConfig(_RunConfig):
@@ -169,7 +174,7 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
             raise ValueError("the initial data must be physical-space fields")
         if f.grid != grid:
             raise ValueError("stacked data must share one grid")
-    n_steps = max(1, round(config.T / config.dt))
+    n_steps = config.steps
     dt = config.T / n_steps
 
     # One multiplier per distinct kinetic coefficient: the outer piece is

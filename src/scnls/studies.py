@@ -25,17 +25,18 @@ from .grid import (
     Field, Grid, SobolevIndex, lp_norm, make_gaussian, make_grid, norm, resample, transform,
 )
 
-# a1_mode -> (eps, N) -> (m, lambda): the perturbed run starts from m a0, and
-# its profile is a e^{i lambda phi1} e^{i phi/eps}.  The corrector system is
-# linear in its datum, so a1 = c a0 gives c phi1; a purely imaginary
-# perturbation of a real background gives no phase at all.
-A1_FACTORS = {
-    "zero": lambda eps, order: (1.0, 0.0),
-    "equal_a0": lambda eps, order: (1.0 + eps, 1.0),
-    "scaled": lambda eps, order: (1.0 + eps**order, eps ** (order - 1)),
-    "imaginary": lambda eps, order: (1.0 + 1j * eps, 0.0),
+# a1_mode -> (eps, N) -> c, the perturbation a1 = c a0 of the datum
+# (a0 + eps a1) e^{i phi/eps}: a run at eps starts from (1 + eps c) a0, a
+# limit run's corrector from c a0.  The corrector phase is real-linear in
+# its datum and vanishes for an imaginary one over a real background, so the
+# perturbed profile is a e^{i Re(c) phi1} e^{i phi/eps}, phi1 that of c = 1.
+A1_COEFFICIENTS = {
+    "zero": lambda eps, order: 0.0,
+    "equal_a0": lambda eps, order: 1.0,
+    "scaled": lambda eps, order: eps ** (order - 1),
+    "imaginary": lambda eps, order: 1j,
 }
-A1_MODES = tuple(A1_FACTORS)
+A1_MODES = tuple(A1_COEFFICIENTS)
 
 # Operational stand-ins for the eps -> 0 limit: the two finest sweep
 # points must agree to this relative spread and exceed the floor.
@@ -99,6 +100,13 @@ class SweepConfig:
             raise ValueError(f"s_list entries must be distinct, got {self.s_list}")
         if not 0 < self.tau <= self.horizon:
             raise ValueError(f"tau = {self.tau} must lie in (0, horizon = {self.horizon}]")
+        if not (isinstance(self.n_saves, int) and self.n_saves >= 1):
+            raise ValueError(f"n_saves must be an integer >= 1, got {self.n_saves!r}")
+        if not 0 < self.eps_ref <= 1:
+            raise ValueError(f"eps_ref must lie in (0, 1], got {self.eps_ref!r}")
+        for name in ("nls_dt_safety", "wkb_dt_safety", "tail_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         ratio = self.tau / (self.horizon / self.n_saves)
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
@@ -115,6 +123,10 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a power of two >= 8, got {v!r}")
         if self.smalltime_points < 3:
             raise ValueError("smalltime_points must be >= 3 for slope fits")
+
+    def a1_coefficient(self, eps):
+        """The coefficient c of a1 = c a0 at eps (A1_COEFFICIENTS)."""
+        return A1_COEFFICIENTS[self.a1_mode](eps, self.scaled_order)
 
     @property
     def tau_index(self):
@@ -155,8 +167,8 @@ def aligned_run_config(config_cls, dt_target, horizon, n_saves, **kwargs):
 
 class Run(NamedTuple):
     """One trajectory a study reads, and its cache key.  datum is the
-    multiplier of a0 for kind "nls", the a1_datum kind for "grenier" and
-    "limit"; eps is 0 for "limit"."""
+    coefficient c of the perturbation a1 = c a0 (A1_COEFFICIENTS), which
+    solve_runs turns into the run's data; eps is 0 for "limit"."""
 
     kind: str
     grid: Grid
@@ -166,35 +178,35 @@ class Run(NamedTuple):
     datum: object
 
 
-def _nls_run(cfg: SweepConfig, eps, multiplier, refine=1):
+def _nls_run(cfg: SweepConfig, eps, c, refine=1):
     grid = cfg.grid_for(eps, refine)
-    return Run("nls", grid, eps, cfg.nls_run_config(grid, eps), cfg.a0, multiplier)
+    return Run("nls", grid, eps, cfg.nls_run_config(grid, eps), cfg.a0, c)
 
 
-def _grenier_run(cfg: SweepConfig, eps, a1_kind="equal_a0"):
+def _grenier_run(cfg: SweepConfig, eps, c=1.0):
     grid = cfg.wkb_grid()
-    return Run("grenier", grid, eps, cfg.wkb_run_config(grid, eps), cfg.a0, a1_kind)
+    return Run("grenier", grid, eps, cfg.wkb_run_config(grid, eps), cfg.a0, c)
 
 
-def _limit_run(cfg: SweepConfig, a1_kind="equal_a0", horizon=None):
+def _limit_run(cfg: SweepConfig, c=1.0, horizon=None):
     grid = cfg.wkb_grid()
-    return Run("limit", grid, 0.0, cfg.wkb_run_config(grid, 0.0, horizon), cfg.a0, a1_kind)
+    return Run("limit", grid, 0.0, cfg.wkb_run_config(grid, 0.0, horizon), cfg.a0, c)
 
 
 def solve_runs(runs, keep=None):
     """One stacked integration of runs, which share their kind, grid and
     (for "nls") eps and run config: one trajectory per run, each snapshot
-    passed through keep when it is given."""
+    passed through keep when it is given.  A "limit" run's corrector starts
+    from c a0, every other run from (1 + eps c) a0."""
     kind, grid = runs[0].kind, runs[0].grid
+    if kind == "limit":
+        return wkb.solve_limit_stack([(run.a0.realize(grid), run.a0.realize(grid, run.datum),
+                                       run.config) for run in runs], keep)
+    data = [run.a0.realize(grid, 1 + run.eps * run.datum) for run in runs]
     if kind == "nls":
-        return nls.solve_nls_stack([run.a0.realize(grid, run.datum) for run in runs],
-                                   runs[0].eps, runs[0].config, keep)
-    members = []
-    for run in runs:
-        a0 = run.a0.realize(grid)
-        a1 = a1_datum(run.datum, a0)
-        members.append((a0, a1, run.eps, run.config) if kind == "grenier" else (a0, a1, run.config))
-    return (wkb.solve_grenier_stack if kind == "grenier" else wkb.solve_limit_stack)(members, keep)
+        return nls.solve_nls_stack(data, runs[0].eps, runs[0].config, keep)
+    return wkb.solve_grenier_stack([(u0, run.eps, run.config) for u0, run in zip(data, runs)],
+                                   keep)
 
 
 def stack_runs(cache, runs):
@@ -212,8 +224,7 @@ def stack_runs(cache, runs):
         if run in cache:
             continue
         rc = run.config
-        steps = max(1, round(rc.T / rc.dt))
-        shared = (run.eps, rc) if run.kind == "nls" else (steps, rc.save_every)
+        shared = (run.eps, rc) if run.kind == "nls" else (rc.steps, rc.save_every)
         groups.setdefault((run.kind, run.grid, shared), []).append(run)
 
     # Wavefunction stacks first: run before the small phase-amplitude ones,
@@ -222,28 +233,16 @@ def stack_runs(cache, runs):
         cache.update(zip(group, solve_runs(group)))
 
 
-def a1_datum(kind, a0):
-    """The datum a1 a phase-amplitude run pairs with a0: None for "zero",
-    a0 for "equal_a0", i a0 for "imaginary"."""
-    if kind == "zero":
-        return None
-    if kind == "equal_a0":
-        return a0
-    if kind == "imaginary":
-        return Field(a0.grid, 1j * a0.values)
-    raise ValueError(f"unknown a1 datum kind {kind!r}")
-
-
 def _error_runs(config, eps):
     """The runs wkb_error_study reads at one sweep point: u, u~ and the
     phase-amplitude run of u~'s datum."""
-    return _nls_run(config, eps, 1.0), _nls_run(config, eps, 1.0 + eps), _grenier_run(config, eps)
+    return _nls_run(config, eps, 0.0), _nls_run(config, eps, 1.0), _grenier_run(config, eps)
 
 
 def _pair_runs(config, eps, refine=1):
     """The paired wavefunction runs a ghost study reads at one sweep point."""
-    tilde, _ = A1_FACTORS[config.a1_mode](eps, config.scaled_order)
-    return _nls_run(config, eps, 1.0, refine), _nls_run(config, eps, tilde, refine)
+    return (_nls_run(config, eps, 0.0, refine),
+            _nls_run(config, eps, config.a1_coefficient(eps), refine))
 
 
 def wkb_error_runs(config):
@@ -477,7 +476,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
         """The rows of one sweep point; as in wkb_error_study, its fields
         are freed when it returns."""
         grid, diff = pair_diff(eps, 1)
-        _, lam = A1_FACTORS[mode](eps, order)
+        lam = config.a1_coefficient(eps).real
         a_f, phi_f, phi1_f = _profile_fields(bg_tau, corr_tau, grid.points_per_axis)
         pred_vals = a_f.values * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
         pred = transform(Field(grid, pred_vals))

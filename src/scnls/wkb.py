@@ -26,7 +26,6 @@ own stack of one bit for bit and raises that stack's guard error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +194,7 @@ def _integrate(y, grid, corrector, eps, configs, make_snapshot, keep=None):
     keep the order y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in place, one
     buffer for k2-k4.
     """
-    schedules = {(max(1, round(c.T / c.dt)), c.save_every) for c in configs}
+    schedules = {(c.steps, c.save_every) for c in configs}
     if len(schedules) != 1:
         raise ValueError("stacked runs must share their step count and save cadence")
     ((n_steps, save_every),) = schedules
@@ -249,19 +248,11 @@ def _check_data(a0: Field, a1, config):
             check_boundary_decay(a1, tol=max(np.abs(a1.values).max(), 1.0) * 1e-12)
 
 
-def _prep_initial(a0: Field, a1, eps, config):
-    _check_data(a0, a1, config)
-    if eps == 0 and a1 is not None and np.abs(a1.values).max() > 0:
-        warnings.warn("the eps = 0 limit system starts from a0 alone; a1 is ignored",
-                      stacklevel=4)
-    return a0.values if eps == 0 or a1 is None else a0.values + eps * a1.values
-
-
 def solve_grenier_stack(members, keep=None):
-    """Integrate the phase-amplitude system of each (a0, a1, eps, config)
-    member from a(0) = a0 + eps*a1 (a0 alone when a1 is None or eps = 0),
-    phi(0) = 0, in one RK4 loop; the members share a grid, a step count
-    and a save cadence, and each member's dt is its T over that count.
+    """Integrate the phase-amplitude system of each (a0, eps, config)
+    member from a(0) = a0, phi(0) = 0, in one RK4 loop; the members share a
+    grid, a step count and a save cadence, and each member's dt is its T
+    over that count.
     Returns one trajectory per member, equal to its own stack of one bit for
     bit: GrenierState snapshots every save_every steps, the first and final
     included, or what keep, when given, returns for each as it is saved.
@@ -287,15 +278,13 @@ def _solve_stack(members, keep, corrector):
         raise ValueError("stacked data must share one grid")
     grid = members[0][0].grid
     y = np.zeros((4 if corrector else 2, len(members)) + grid.shape, dtype=complex)
-    eps = [0.0 if corrector else member[2] for member in members]
-    for m, (a0, a1, *_, config) in enumerate(members):
-        if corrector:
-            _check_data(a0, a1, config)
-            y[0, m], y[2, m] = a0.values, 0.0 if a1 is None else a1.values
-        elif eps[m] < 0:
-            raise ValueError(f"eps must be >= 0, got {eps[m]!r}")
-        else:
-            y[0, m] = _prep_initial(a0, a1, eps[m], config)
+    eps = [0.0 if corrector else member[1] for member in members]
+    for m, (a0, *data, config) in enumerate(members):
+        a1 = data[0] if corrector else None
+        _check_data(a0, a1, config)
+        y[0, m] = a0.values
+        if a1 is not None:
+            y[2, m] = a1.values
 
     def snap(m, t, y):
         state = GrenierState(t, Field(grid, y[0, m].copy()), Field(grid, y[1, m].real), eps[m])

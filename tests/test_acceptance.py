@@ -52,7 +52,7 @@ def test_plan_is_five_wavefunction_three_grenier_and_two_limit_stacks(planned):
         "solve_nls_stack": 5, "solve_grenier_stack": 3, "solve_limit_stack": 2}
     # a phase-amplitude stack's arguments are its members and keep; a
     # member's run config is the last item of its tuple
-    rk4_steps = [max(1, round(members[0][-1].T / members[0][-1].dt))
+    rk4_steps = [members[0][-1].steps
                  for members, _ in stacks["solve_grenier_stack"] + stacks["solve_limit_stack"]]
     assert sum(rk4_steps) == 140
 

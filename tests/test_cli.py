@@ -1,6 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import re
+import shutil
+import tempfile
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -17,7 +21,8 @@ from scnls.studies import SweepConfig
 from conftest import alone
 
 FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
-GOLDEN_SELFTEST = Path(__file__).resolve().parent / "golden" / "selftest"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_SELFTEST = GOLDEN / "selftest"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -201,6 +206,28 @@ class TestRunCommands:
         cfg = write_config(tmp_path, {"schema_version": 1, "run": {"eps": 0.0}})
         assert cli.run(["run-nls", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "run.eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a1_mode", ["equal_a0", "imaginary"])
+    def test_run_wkb_rejects_perturbation_at_zero_eps(self, tmp_path, capsys, a1_mode):
+        # (1 + 0 c) a0 = a0: the perturbation would be silently dropped
+        cfg = write_config(tmp_path, {"schema_version": 1,
+                                      "run": {"eps": 0.0, "a1_mode": a1_mode}})
+        out = tmp_path / "out"
+        assert cli.run(["run-wkb", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config field 'run.a1_mode'" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_run_commands_start_from_the_same_perturbed_datum(self, tmp_path):
+        # run.a1_mode sets both run commands' datum (1 + eps c) a0
+        run = {"eps": 0.25, "points": 256, "T": 0.05, "norms": []}
+        mass = {}
+        for command in ("run-nls", "run-wkb"):
+            for a1_mode in ("zero", "equal_a0"):
+                _, rows = run_command(tmp_path, command, {**run, "a1_mode": a1_mode})
+                mass[command, a1_mode] = rows[0]["mass"]
+        assert mass["run-nls", "equal_a0"] == mass["run-wkb", "equal_a0"]
+        assert mass["run-nls", "equal_a0"] != mass["run-nls", "zero"]
+        assert mass["run-wkb", "equal_a0"] != mass["run-wkb", "zero"]
 
     def test_run_nls_default_cadence_aligned(self, tmp_path):
         # Ten save intervals of T/10, forward and backward in time.
@@ -576,8 +603,8 @@ class TestStudyCommands:
         assert (tmp_path / "envout" / "nls_trajectory.csv").exists()
 
 
-def golden_mismatch(name, golden, produced):
-    """Why produced differs from the golden file name: the largest relative
+def golden_mismatch(golden_dir, name, golden, produced):
+    """Why produced differs from golden_dir's file name: the largest relative
     move of any numeric cell, and the numpy versions on both sides."""
     old, new = NUMBER.findall(golden), NUMBER.findall(produced)
     if len(old) == len(new):
@@ -586,9 +613,71 @@ def golden_mismatch(name, golden, produced):
         move = f"largest relative move of a numeric cell {max(moves, default=0.0):.3e}"
     else:
         move = f"{len(old)} numeric cells became {len(new)}"
-    golden_numpy = (GOLDEN_SELFTEST / "numpy_version.txt").read_text().strip()
-    return (f"{name} differs from {GOLDEN_SELFTEST}: {move}; "
+    golden_numpy = (golden_dir / "numpy_version.txt").read_text().strip()
+    return (f"{name} differs from {golden_dir}: {move}; "
             f"numpy {golden_numpy} there, {np.__version__} here")
+
+
+# tests/golden/<name>/ -> (command, config sections) of the run whose
+# stdout.txt and output files it holds, each exiting 0
+GOLDEN_RUNS = {
+    "study-ghost": ("study-ghost", {}),
+    "study-ghost-n": ("study-ghost-n", {}),
+    "study-wkb-error": ("study-wkb-error", {}),
+    "run-nls": ("run-nls", {}),
+    "run-wkb-imaginary": ("run-wkb", {"run": {"eps": 0.125, "a1_mode": "imaginary",
+                                              "norms": [0, 1, 2]}}),
+    "run-wkb-corrector": ("run-wkb", {"run": {"with_corrector": True, "eps": 0,
+                                              "a1_mode": "equal_a0"}}),
+}
+
+
+def run_golden(name, out, config_dir):
+    """Run GOLDEN_RUNS[name] into out, its config written to config_dir;
+    returns (exit code, stdout)."""
+    command, sections = GOLDEN_RUNS[name]
+    config = write_config(config_dir, {"schema_version": 1, **sections}, f"{name}.json")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.run([command, "--config", str(config), "--out", str(out)])
+    return code, stdout.getvalue()
+
+
+def write_golden():
+    """Rewrite tests/golden/<name>/ for every name of GOLDEN_RUNS."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in GOLDEN_RUNS:
+            out = GOLDEN / name
+            shutil.rmtree(out, ignore_errors=True)
+            code, stdout = run_golden(name, out, Path(tmp))
+            assert code == 0, f"{name} exited {code}"
+            (out / "stdout.txt").write_text(stdout)
+            (out / "numpy_version.txt").write_text(np.__version__ + "\n")
+
+
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_golden_outputs(tmp_path, name):
+    """The run writes the stdout and the bytes of every file that
+    tests/golden/<name>/ holds, and exits 0.
+
+    Byte identity holds for one numpy build.  To rewrite every golden
+    directory but tests/golden/selftest, from the repository root:
+
+        PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
+    """
+    golden, out = GOLDEN / name, tmp_path / "out"
+    code, stdout = run_golden(name, out, tmp_path)
+    assert code == 0
+    expected = [f for f in files_under(golden) if f != "numpy_version.txt"]
+    assert expected == sorted(files_under(out) + ["stdout.txt"])
+    for rel in expected:
+        want = (golden / rel).read_bytes()
+        got = stdout.encode() if rel == "stdout.txt" else (out / rel).read_bytes()
+        assert got == want, golden_mismatch(golden, rel, want.decode(), got.decode())
 
 
 class TestSelftest:
@@ -633,7 +722,8 @@ class TestSelftest:
         for name in golden:
             expected = (GOLDEN_SELFTEST / name).read_text()
             produced = stdout[0] if name == "stdout.txt" else (runs[0][0] / name).read_text()
-            assert produced == expected, golden_mismatch(name, expected, produced)
+            assert produced == expected, golden_mismatch(GOLDEN_SELFTEST, name, expected,
+                                                          produced)
 
     @pytest.fixture
     def stub_suite(self, monkeypatch):

@@ -55,6 +55,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="a1_mode"):
             SweepConfig(eps_list=(0.25,), a1_mode="sideways")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_saves", 0), ("n_saves", 2.5), ("eps_ref", 0.0), ("eps_ref", 1.5), ("nls_dt_safety", 0.0),
+        ("wkb_dt_safety", -0.25), ("tail_tol", 0.0),
+    ])
+    def test_rejects_degenerate_parameters_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(eps_list=(0.25, 0.125), **{field: value})
+
     def test_rejects_repeated_s(self):
         # every study reads its columns back by (family, quantity, s)
         with pytest.raises(ValueError, match="distinct"):
@@ -99,8 +107,8 @@ class TestStackedRuns:
     @pytest.mark.parametrize("copies", [1, 2])
     def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch, copies):
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
-        runs = [studies._nls_run(cfg, eps, m) for eps in cfg.eps_list
-                for m in (1.0, 1.0 + eps, 1.0, 1.0 + eps**2)]
+        runs = [studies._nls_run(cfg, eps, c) for eps in cfg.eps_list
+                for c in (0.0, 1.0, 0.0, eps)]
         expected = {run: alone(run) for run in runs}
         stacks = []
         solve_stack = nls.solve_nls_stack
@@ -129,14 +137,19 @@ class TestStackedRuns:
         # eps = 1/8 stack after it stores a run.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,),
                           a0=GaussianSpec(amplitude=30.0))
-        healthy, tripping = studies._nls_run(cfg, 0.5, 1e-3), studies._nls_run(cfg, 0.25, 1.0)
+
+        def pair(eps):
+            """The runs at eps from (1 + eps c) a0 = 1e-3 a0 and from a0."""
+            return studies._nls_run(cfg, eps, (1e-3 - 1) / eps), studies._nls_run(cfg, eps, 0.0)
+
+        healthy, tripping = pair(0.5)[0], pair(0.25)[1]
         ref = alone(healthy)
         with pytest.raises(ResolutionError) as ref_error:
             alone(tripping)
         cache = {}
         with pytest.raises(ResolutionError) as error:
-            studies.stack_runs(cache, [healthy, *(studies._nls_run(cfg, eps, m)
-                                                  for eps in cfg.eps_list for m in (1e-3, 1.0))])
+            studies.stack_runs(cache, [healthy, *(run for eps in cfg.eps_list
+                                                  for run in pair(eps))])
         assert str(error.value) == str(ref_error.value)
         assert list(cache) == [healthy]
         assert len(cache[healthy]) == cfg.n_saves + 1
@@ -144,9 +157,8 @@ class TestStackedRuns:
 
     def test_phase_amplitude_runs_stack_by_steps_and_cadence(self, monkeypatch):
         cfg = SweepConfig(eps_list=(0.25, 0.125, 0.0625, 0.03125), s_list=(0.0,))
-        runs = [*(studies._grenier_run(cfg, eps, kind) for eps in cfg.eps_list
-                  for kind in ("zero", "equal_a0")),
-                *(studies._limit_run(cfg, kind) for kind in ("equal_a0", "imaginary")),
+        runs = [*(studies._grenier_run(cfg, eps, c) for eps in cfg.eps_list for c in (0.0, 1.0)),
+                *(studies._limit_run(cfg, c) for c in (1.0, 1j)),
                 *studies.small_time_runs(cfg)[1:],
                 # 20 steps like the full-horizon limit runs, saved every step
                 studies._limit_run(replace(cfg, n_saves=20))]
@@ -173,12 +185,13 @@ class TestStackedRuns:
         # members of the tripping stack trip at one step, and the first raises.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), horizon=2.0,
                           a0=GaussianSpec(amplitude=6.0))
-        tripping = [studies._limit_run(cfg, kind) for kind in ("equal_a0", "imaginary")]
+        tripping = [studies._limit_run(cfg, c) for c in (1.0, 1j)]
         healthy = studies._limit_run(cfg, horizon=1.0)
 
         def single(run):
             a0 = run.a0.realize(run.grid)
-            return wkb.solve_limit_stack([(a0, studies.a1_datum(run.datum, a0), run.config)])[0]
+            a1 = Field(run.grid, run.datum * a0.values)
+            return wkb.solve_limit_stack([(a0, a1, run.config)])[0]
 
         ref = single(healthy)
         ref_errors = []
@@ -200,31 +213,22 @@ class TestA1Datum:
                                                (3, (1.001953125, 0.015625))],
                              ids=["order2", "order3"])
     def test_mode_factors(self, order, scaled):
-        # (datum multiplier m, corrector phase scale lambda) at eps = 1/8
+        # (datum multiplier 1 + eps c, corrector phase scale Re c) at eps = 1/8
+        eps = 0.125
         assert studies.A1_MODES == ("zero", "equal_a0", "scaled", "imaginary")
-        assert {mode: f(0.125, order) for mode, f in studies.A1_FACTORS.items()} == {
+        coefficients = {mode: f(eps, order) for mode, f in studies.A1_COEFFICIENTS.items()}
+        assert {mode: (1 + eps * c, c.real) for mode, c in coefficients.items()} == {
             "zero": (1.0, 0.0),
             "equal_a0": (1.125, 1.0),
             "scaled": scaled,
             "imaginary": (1 + 0.125j, 0.0),
         }
 
-    def test_kinds(self):
-        a0 = GaussianSpec().realize(make_grid(1, 12.0, 64))
-        assert studies.a1_datum("zero", a0) is None
-        assert studies.a1_datum("equal_a0", a0) is a0
-        imaginary = studies.a1_datum("imaginary", a0)
-        assert imaginary.grid is a0.grid
-        assert np.array_equal(imaginary.values, 1j * a0.values)
-        with pytest.raises(ValueError, match="scaled"):
-            studies.a1_datum("scaled", a0)
-
     def test_grenier_run_takes_its_datum(self, short_cfg):
-        zero, imaginary = (alone(studies._grenier_run(short_cfg, 0.25, k))
-                           for k in ("zero", "imaginary"))
+        zero, imaginary = (alone(studies._grenier_run(short_cfg, 0.25, c)) for c in (0.0, 1j))
         assert not np.array_equal(zero[-1].a.values, imaginary[-1].a.values)
-        with pytest.raises(ValueError, match="scaled"):
-            alone(studies._grenier_run(short_cfg, 0.25, "scaled"))
+        a0 = short_cfg.a0.realize(short_cfg.wkb_grid())
+        assert np.array_equal(imaginary[0].a.values, (1 + 0.25j) * a0.values)
 
 
 class TestWkbErrorStudy:
@@ -255,8 +259,8 @@ class TestWkbErrorStudy:
         rep = wkb_error_study(short_cfg, cache)
         eps = short_cfg.eps_list[0]
         fine = short_cfg.grid_for(eps)
-        u = cache[studies._nls_run(short_cfg, eps, 1.0)]
-        limit = cache[studies._limit_run(short_cfg, "equal_a0")]
+        u = cache[studies._nls_run(short_cfg, eps, 0.0)]
+        limit = cache[studies._limit_run(short_cfg, 1.0)]
         sup = 0.0
         for (bg, corr), us in zip(limit, u):
             a_f, phi_f, _ = studies._profile_fields(bg, corr, fine.points_per_axis)

@@ -19,6 +19,11 @@ from scnls.wkb import (
 from conftest import bit_identical, count_ffts, random_field
 
 
+def perturbed(a0, eps, c=1.0):
+    """The phase-amplitude datum (1 + eps c) a0 of the perturbation a1 = c a0."""
+    return Field(a0.grid, (1 + eps * c) * a0.values)
+
+
 # Per-field reference of the right-hand sides and the RK4 loop: one FFT per
 # field and derivative, phases carried as real arrays, a new list of arrays
 # per stage.  The stacked engine must reproduce it bit for bit.
@@ -232,16 +237,10 @@ class TestCorrectorRhs:
 
 
 class TestSolveGrenier:
-    def test_eps_zero_ignores_perturbation_with_warning(self, grid_1d, gaussian_1d):
-        cfg = WkbRunConfig(dt=5e-3, T=0.05, save_every=10)
-        with pytest.warns(UserWarning, match="ignored"):
-            traj = solve_grenier_stack([(gaussian_1d, gaussian_1d, 0.0, cfg)])[0]
-        np.testing.assert_allclose(traj[0].a.values, gaussian_1d.values, atol=0)
-
     def test_zero_datum_stays_zero(self, grid_1d):
         zero = Field(grid_1d, np.zeros(grid_1d.shape, dtype=complex))
         cfg = WkbRunConfig(dt=5e-3, T=0.1, save_every=10)
-        traj = solve_grenier_stack([(zero, None, 0.25, cfg)])[0]
+        traj = solve_grenier_stack([(zero, 0.25, cfg)])[0]
         assert np.abs(traj[-1].a.values).max() == 0.0
         assert np.abs(traj[-1].phi.values).max() == 0.0
 
@@ -250,7 +249,7 @@ class TestSolveGrenier:
 
         def run(dt):
             cfg = WkbRunConfig(dt=dt, T=0.2, save_every=10**6)
-            final = solve_grenier_stack([(gaussian_1d, gaussian_1d, eps, cfg)])[0][-1]
+            final = solve_grenier_stack([(perturbed(gaussian_1d, eps), eps, cfg)])[0][-1]
             return final.a.values, final.phi.values.real
 
         a_ref, phi_ref = run(0.2 / 512)
@@ -262,7 +261,7 @@ class TestSolveGrenier:
 
     def test_mass_of_limit_flow_conserved(self, grid_1d, gaussian_1d):
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=25)
-        traj = solve_grenier_stack([(gaussian_1d, None, 0.0, cfg)])[0]
+        traj = solve_grenier_stack([(gaussian_1d, 0.0, cfg)])[0]
         m0 = nls.mass(traj[0].a)
         drift = max(abs(nls.mass(s.a) - m0) for s in traj) / m0
         assert drift < 1e-8
@@ -271,15 +270,15 @@ class TestSolveGrenier:
         g = make_grid(1, 2.0, 32)
         wide = Field(g, np.exp(-g.x_axes[0] ** 2).astype(complex))
         with pytest.raises(ValueError, match="decay"):
-            solve_grenier_stack([(wide, None, 0.1, WkbRunConfig(dt=1e-3, T=0.01))])
+            solve_grenier_stack([(wide, 0.1, WkbRunConfig(dt=1e-3, T=0.01))])
         traj = solve_grenier_stack(
-            [(wide, None, 0.1, WkbRunConfig(dt=1e-3, T=0.01, enforce_decay=False))])[0]
+            [(wide, 0.1, WkbRunConfig(dt=1e-3, T=0.01, enforce_decay=False))])[0]
         assert traj[-1].t == pytest.approx(0.01)
 
     def test_singularity_guard_aborts_run(self, grid_1d, gaussian_1d):
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=0.05)
         with pytest.raises(SingularityError) as exc:
-            solve_grenier_stack([(gaussian_1d, None, 0.0, cfg)])
+            solve_grenier_stack([(gaussian_1d, 0.0, cfg)])
         assert exc.value.grad_max > 0.05
 
 
@@ -343,8 +342,8 @@ def test_corrector_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim)
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grenier_stage_computes_only_the_derivatives_it_uses(monkeypatch, dim):
-    calls, rows = ffts_per_stage(monkeypatch, dim,
-                                 lambda a0, cfg: solve_grenier_stack([(a0, a0, 0.25, cfg)]))
+    calls, rows = ffts_per_stage(
+        monkeypatch, dim, lambda a0, cfg: solve_grenier_stack([(perturbed(a0, 0.25), 0.25, cfg)]))
     assert calls == {"forward": 2, "inverse": 2}
     assert rows == {"forward": 4, "inverse": 2 * dim + 4}
 
@@ -390,7 +389,7 @@ class TestBitIdentity:
             traj = solve_limit_stack([(a0, a1, config)])[0]
             ref = ref_solve_limit_with_corrector(a0, a1, config)
         else:
-            traj = solve_grenier_stack([(a0, None, eps, config)])[0]
+            traj = solve_grenier_stack([(a0, eps, config)])[0]
             ref = ref_solve_grenier(a0, eps, config)
         assert len(traj) == len(ref)
         for snap, (t, fields) in zip(traj, ref):
@@ -415,7 +414,7 @@ class TestGuards:
         with np.errstate(over="ignore", invalid="ignore"):
             if case == "grenier":
                 ref = ref_solve_grenier(a0, 0.25, config)
-                run = lambda: solve_grenier_stack([(a0, None, 0.25, config)])[0]
+                run = lambda: solve_grenier_stack([(a0, 0.25, config)])[0]
             else:
                 ref = ref_solve_limit_with_corrector(a0, a1, config)
                 run = lambda: solve_limit_stack([(a0, a1, config)])[0]
@@ -441,7 +440,7 @@ class TestGuards:
             if corrector:
                 solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])
             else:
-                solve_grenier_stack([(gaussian_1d, None, 0.0, cfg)])
+                solve_grenier_stack([(gaussian_1d, 0.0, cfg)])
         assert exc.value.t == 0.042
         assert exc.value.grad_max == 0.05063986133455971
 
@@ -453,12 +452,12 @@ class TestStackedEngine:
     def test_grenier_members_equal_their_single_runs(self, dim):
         g = make_grid(dim, 4.0, 32)
         data = [random_field(g, 10 + m, scale=0.5 + 0.5 * m) for m in range(3)]
-        a1s = [None, data[1], Field(g, 1j * data[2].values)]
         # one step count (6) and cadence, three step sizes
         members = [
-            (a0, a1, eps, WkbRunConfig(dt=0.01 * (m + 1), T=0.06 * (m + 1), save_every=2,
-                                       sing_tol=1e6, enforce_decay=False))
-            for m, (a0, a1, eps) in enumerate(zip(data, a1s, (0.0, 0.125, 0.5)))
+            (perturbed(a0, eps, c), eps, WkbRunConfig(dt=0.01 * (m + 1), T=0.06 * (m + 1),
+                                                      save_every=2, sing_tol=1e6,
+                                                      enforce_decay=False))
+            for m, (a0, c, eps) in enumerate(zip(data, (0.0, 1.0, 1j), (0.0, 0.125, 0.5)))
         ]
         stacked = solve_grenier_stack(members)
         assert len(stacked) == len(members)
@@ -491,8 +490,8 @@ class TestStackedEngine:
             members[position] = (gaussian_1d, gaussian_1d, tight)
         else:
             stack = solve_grenier_stack
-            members = [(gaussian_1d, None, eps, healthy) for eps in (0.0, 0.25)]
-            members[position] = (gaussian_1d, None, 0.0, tight)
+            members = [(gaussian_1d, eps, healthy) for eps in (0.0, 0.25)]
+            members[position] = (gaussian_1d, 0.0, tight)
         for m, member in enumerate(members):
             if m != position:
                 assert len(stack([member])[0]) == 14  # 125 steps, saved every 10 and at the end
@@ -508,8 +507,8 @@ class TestStackedEngine:
         g = make_grid(1, 6.0, 64)
         config = WkbRunConfig(dt=1e-3, T=0.05, save_every=3, sing_tol=np.inf)
         # the second member overflows at t = 0.004; the first stays finite
-        members = [(make_gaussian(g), None, 0.25, config),
-                   (make_gaussian(g, amplitude=1e3), None, 0.25, config)]
+        members = [(make_gaussian(g), 0.25, config),
+                   (make_gaussian(g, amplitude=1e3), 0.25, config)]
         assert np.isfinite(solve_grenier_stack([members[0]])[0][-1].a.values).all()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError) as single:
@@ -527,7 +526,7 @@ class TestStackedEngine:
         base = WkbRunConfig(dt=1e-2, T=0.04, save_every=2)
         odd = WkbRunConfig(**{"save_every": 2, **other})
         with pytest.raises(ValueError, match="step count and save cadence"):
-            solve_grenier_stack([(gaussian_1d, None, 0.0, base), (gaussian_1d, None, 0.0, odd)])
+            solve_grenier_stack([(gaussian_1d, 0.0, base), (gaussian_1d, 0.0, odd)])
         with pytest.raises(ValueError, match="step count and save cadence"):
             solve_limit_stack([(gaussian_1d, None, base), (gaussian_1d, None, odd)])
 
@@ -590,7 +589,7 @@ class TestExactReformulation:
         coarse = make_grid(1, 12.0, 256)
         a0_f = make_gaussian(fine)
         a0_c = make_gaussian(coarse)
-        a1_c = a0_c if a1_mode == "equal" else None
+        c = 1.0 if a1_mode == "equal" else 0.0
         u0 = Field(fine, a0_f.values * (1 + eps if a1_mode == "equal" else 1.0))
 
         n_cfg = nls.NlsRunConfig(
@@ -598,7 +597,7 @@ class TestExactReformulation:
         )
         u_traj = nls.solve_nls_stack([u0], eps, n_cfg)[0]
         w_cfg = WkbRunConfig(dt=wkb.default_dt(coarse, eps), T=0.2, save_every=10**9)
-        g_traj = solve_grenier_stack([(a0_c, a1_c, eps, w_cfg)])[0]
+        g_traj = solve_grenier_stack([(perturbed(a0_c, eps, c), eps, w_cfg)])[0]
 
         u_final = u_traj[-1]
         g_final = g_traj[-1]
@@ -621,7 +620,7 @@ class TestEpsilonConvergence:
         errs1, errs2 = [], []
         eps_list = [0.25, 0.125, 0.0625, 0.03125]
         for eps in eps_list:
-            fin = solve_grenier_stack([(gaussian_1d, gaussian_1d, eps, cfg)])[0][-1]
+            fin = solve_grenier_stack([(perturbed(gaussian_1d, eps), eps, cfg)])[0][-1]
             d_a = Field(grid_1d, fin.a.values - bg.a.values)
             d_phi = Field(grid_1d, fin.phi.values - bg.phi.values)
             errs1.append(norm(d_a, h1) + norm(d_phi, h1))
