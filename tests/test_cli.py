@@ -619,39 +619,56 @@ def golden_mismatch(golden_dir, name, golden, produced):
 
 
 # tests/golden/<name>/ -> (command, config sections) of the run whose
-# stdout.txt and output files it holds, each exiting 0
+# stdout.txt and output files it holds; a run that exits nonzero also
+# leaves exit_code.txt and stderr.txt
 GOLDEN_RUNS = {
     "study-ghost": ("study-ghost", {}),
     "study-ghost-n": ("study-ghost-n", {}),
     "study-wkb-error": ("study-wkb-error", {}),
+    "study-smalltime": ("study-smalltime", {}),
+    "report-inflation": ("report-inflation", {}),
+    "report-corollary": ("report-corollary", {}),
+    "study-ghost-certified": ("study-ghost", {"sweep": {"eps_list": [0.25, 0.125, 0.0625],
+                                                        "certify_refinement": True}}),
     "run-nls": ("run-nls", {}),
     "run-wkb-imaginary": ("run-wkb", {"run": {"eps": 0.125, "a1_mode": "imaginary",
                                               "norms": [0, 1, 2]}}),
     "run-wkb-corrector": ("run-wkb", {"run": {"with_corrector": True, "eps": 0,
                                               "a1_mode": "equal_a0"}}),
+    # the guard aborts of TestRunCommands
+    "run-nls-tail-abort": ("run-nls", {"solver": {"tail_tol": 3e-5},
+                                       "run": {"eps": 0.25, "points": 64, "T": 0.5,
+                                               "dump_fields": True}}),
+    "run-wkb-singularity-abort": ("run-wkb", {"run": {"eps": 0.0, "points": 64, "T": 0.25,
+                                                      "sing_tol": 1e-6, "dump_fields": True}}),
 }
+# TestSelftest compares tests/golden/selftest with the first of its runs
+SELFTEST_RUN = {"selftest": ("selftest", {})}
 
 
 def run_golden(name, out, config_dir):
-    """Run GOLDEN_RUNS[name] into out, its config written to config_dir;
-    returns (exit code, stdout)."""
-    command, sections = GOLDEN_RUNS[name]
+    """Run the golden run name into out, its config written to config_dir;
+    returns what it printed as files: stdout.txt, and exit_code.txt and
+    stderr.txt when it exits nonzero."""
+    command, sections = (GOLDEN_RUNS | SELFTEST_RUN)[name]
     config = write_config(config_dir, {"schema_version": 1, **sections}, f"{name}.json")
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.run([command, "--config", str(config), "--out", str(out)])
-    return code, stdout.getvalue()
+    printed = {"stdout.txt": stdout.getvalue()}
+    if code:
+        printed.update({"exit_code.txt": f"{code}\n", "stderr.txt": stderr.getvalue()})
+    return printed
 
 
 def write_golden():
-    """Rewrite tests/golden/<name>/ for every name of GOLDEN_RUNS."""
+    """Rewrite tests/golden/<name>/ for every golden run, selftest included."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name in GOLDEN_RUNS:
+        for name in GOLDEN_RUNS | SELFTEST_RUN:
             out = GOLDEN / name
             shutil.rmtree(out, ignore_errors=True)
-            code, stdout = run_golden(name, out, Path(tmp))
-            assert code == 0, f"{name} exited {code}"
-            (out / "stdout.txt").write_text(stdout)
+            for rel, text in run_golden(name, out, Path(tmp)).items():
+                (out / rel).write_text(text)
             (out / "numpy_version.txt").write_text(np.__version__ + "\n")
 
 
@@ -661,39 +678,34 @@ def files_under(root):
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
 def test_golden_outputs(tmp_path, name):
-    """The run writes the stdout and the bytes of every file that
-    tests/golden/<name>/ holds, and exits 0.
+    """The run prints and writes the bytes of every file that
+    tests/golden/<name>/ holds, and exits 0 unless exit_code.txt there
+    says otherwise.
 
     Byte identity holds for one numpy build.  To rewrite every golden
-    directory but tests/golden/selftest, from the repository root:
+    directory, tests/golden/selftest included, from the repository root:
 
         PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_golden()"
     """
     golden, out = GOLDEN / name, tmp_path / "out"
-    code, stdout = run_golden(name, out, tmp_path)
-    assert code == 0
+    printed = run_golden(name, out, tmp_path)
     expected = [f for f in files_under(golden) if f != "numpy_version.txt"]
-    assert expected == sorted(files_under(out) + ["stdout.txt"])
+    assert expected == sorted(files_under(out) + list(printed))
     for rel in expected:
         want = (golden / rel).read_bytes()
-        got = stdout.encode() if rel == "stdout.txt" else (out / rel).read_bytes()
+        got = printed[rel].encode() if rel in printed else (out / rel).read_bytes()
         assert got == want, golden_mismatch(golden, rel, want.decode(), got.decode())
 
 
 class TestSelftest:
     def test_real_suite_passes_and_is_deterministic(self, tmp_path, capsys, monkeypatch):
-        r"""Repeated runs, and runs with --jobs 1 and 2, write identical bytes,
+        """Repeated runs, and runs with --jobs 1 and 2, write identical bytes,
         and the first run writes those of tests/golden/selftest.  Every
         wavefunction run comes from one stack per sweep point.
 
-        Byte identity holds for one numpy build.  To rewrite the golden
-        files, from the repository root:
-
-            rm tests/golden/selftest/*.csv tests/golden/selftest/*.json
-            PYTHONPATH=src python -c "from scnls.cli import main; main()" \
-                selftest --out tests/golden/selftest > tests/golden/selftest/stdout.txt
-            python -c "import numpy; print(numpy.__version__)" \
-                > tests/golden/selftest/numpy_version.txt
+        Byte identity holds for one numpy build.  write_golden() rewrites
+        the golden files with every other golden directory (see
+        test_golden_outputs).
         """
         stacks = []
         solve_stack = nls.solve_nls_stack
