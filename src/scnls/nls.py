@@ -10,10 +10,14 @@ time-stepping error is the splitting commutator.
 A step is Yoshida's symmetric triple jump of Strang steps (Phys. Lett. A
 150, 1990), S(w1*dt) S(w0*dt) S(w1*dt), which is time-reversible and of
 order four; KINETIC and NONLINEAR hold its substep coefficients.
-The step loop fuses the closing kinetic piece of each step with the
-opening one of the next, and splits them again only at save points,
-updating the field and one scratch buffer in place: 3 FFT pairs per step
-plus one per save segment.
+Between steps the loop holds the field's spectrum, after the step's
+closing kinetic piece, in one scratch buffer. Each stage multiplies it by
+its opening kinetic piece, transforms back, rotates the phase and
+transforms forward, so the closing piece of one step and the opening
+piece of the next are two multiplications of the same spectrum. A save
+transforms back once more, and its tail guard reads the spectrum held:
+3n + 1 forward and 3n + S inverse FFTs for n steps and S saves after
+t = 0.
 
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
@@ -50,6 +54,11 @@ KINETIC = (_W1 / 2, (_W1 + _W0) / 2, (_W1 + _W0) / 2, _W1 / 2)
 NONLINEAR = (_W1, _W0, _W1)
 
 
+def _check_eps(eps):
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
+
+
 @dataclass
 class NlsState:
     t: float
@@ -57,8 +66,7 @@ class NlsState:
     eps: float
 
     def __post_init__(self):
-        if not 0 < self.eps <= 1:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps!r}")
+        _check_eps(self.eps)
 
 
 @dataclass(frozen=True)
@@ -104,15 +112,6 @@ def default_dt(grid, eps, safety=DEFAULT_DT_SAFETY):
     resolved kinetic phase: safety * min(eps, dx^2/eps)."""
     dx = grid.spacing
     return safety * min(eps, dx * dx / eps)
-
-
-def _kinetic(u, buf, dim, *mults):
-    """u <- ifftn(mults * fftn(u)) over the last dim axes, in place, with
-    buf as spectral scratch."""
-    _fft(u, dim, out=buf)
-    for mult in mults:
-        buf *= mult
-    _ifft(buf, dim, out=u)
 
 
 def _rotate(u, buf, rate, axes):
@@ -168,6 +167,7 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     u0s = list(u0s)
     if not u0s:
         raise ValueError("solve_nls_stack needs at least one datum")
+    _check_eps(eps)
     grid = u0s[0].grid
     for f in u0s:
         if f.space != PHYSICAL:
@@ -177,50 +177,44 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     n_steps = config.steps
     dt = config.T / n_steps
 
-    # One multiplier per distinct kinetic coefficient: the outer piece is
-    # applied twice where a step's last piece meets the next step's first.
+    # Each stage opens with its kinetic piece on the spectrum held; a step
+    # closes with the outer piece, which the next step's first stage repeats.
     mults = {a: np.exp(-0.5j * eps * a * dt * grid.k_squared) for a in set(KINETIC)}
-    outer = mults[KINETIC[0]]
-    inner = [mults[a] for a in KINETIC[1:-1]]
+    opening = [mults[a] for a in KINETIC[:-1]]
+    outer = mults[KINETIC[-1]]
     rates = [b * dt / eps for b in NONLINEAR]
     u = np.stack([f.values for f in u0s])
-    buf = np.empty_like(u)
+    buf = _fft(u, grid.dim)
     axes = tuple(range(1, grid.dim + 1))
     keep = keep or (lambda state: state)
     trajectories = [[] for _ in u0s]
     last = [None] * len(u0s)  # each member's last saved state, the only one held
+    spectra = [Field(grid, member, SPECTRAL) for member in buf]
 
-    def save(step, guarded):
-        # guarded is u0s at t = 0, which tail_fraction transforms, and the
-        # loop's spectrum afterwards: ifftn(buf, out=u) leaves buf equal to
-        # fftn(u) to roundoff, and a tail fraction does not see transform's
-        # per-mode sign or constant weight, so buf serves without an FFT.
+    def save(step):
+        # u is ifftn(buf) (at t = 0, buf is fftn(u)); a tail fraction does not
+        # see transform's per-mode sign or constant weight, so the guard reads buf.
         t = step * dt
-        for member, (values, guard) in enumerate(zip(u, guarded)):
+        for member, (values, spectrum) in enumerate(zip(u, spectra)):
             if not np.isfinite(values).all():
                 raise NonFiniteError.at_step(step, dt, last[member])
-            ResolutionError.check(tail_fraction(guard), config.tail_tol, f"at t = {t:.6g}", t)
+            ResolutionError.check(tail_fraction(spectrum), config.tail_tol,
+                                  f"at t = {t:.6g}", t)
         for member, values in enumerate(u):
             last[member] = NlsState(t, Field(grid, values.copy()), eps)
             trajectories[member].append(keep(last[member]))
 
-    def rotate(step, rate):
-        finite = np.isfinite(_rotate(u, buf, rate, axes))
-        if not finite.all():
-            raise NonFiniteError.at_step(step, dt, last[int(np.argmin(finite))])
-
-    save(0, u0s)
-    loop_spectra = [Field(grid, member, SPECTRAL) for member in buf]
-    for seg_start in range(0, n_steps, config.save_every):
-        seg_end = min(seg_start + config.save_every, n_steps)
-        _kinetic(u, buf, grid.dim, outer)
-        for step in range(seg_start + 1, seg_end + 1):
-            for rate, mult in zip(rates, inner):
-                rotate(step, rate)
-                _kinetic(u, buf, grid.dim, mult)
-            rotate(step, rates[-1])
-            if step < seg_end:
-                _kinetic(u, buf, grid.dim, outer, outer)
-        _kinetic(u, buf, grid.dim, outer)
-        save(seg_end, loop_spectra)
+    save(0)
+    for step in range(1, n_steps + 1):
+        for rate, mult in zip(rates, opening):
+            buf *= mult
+            _ifft(buf, grid.dim, out=u)
+            finite = np.isfinite(_rotate(u, buf, rate, axes))
+            if not finite.all():
+                raise NonFiniteError.at_step(step, dt, last[int(np.argmin(finite))])
+            _fft(u, grid.dim, out=buf)
+        buf *= outer
+        if step % config.save_every == 0 or step == n_steps:
+            _ifft(buf, grid.dim, out=u)
+            save(step)
     return trajectories

@@ -21,11 +21,11 @@ def plane_wave_state(k0=1.0, eps=1.0, n=64):
 
 def kinetic_substep(state, tau):
     """Exact flow of i*eps*du/dt = -(eps^2/2) Lap(u) over tau, through the
-    step loop's kinetic kernel; substeps do not advance the clock."""
-    u = state.u.values.copy()
-    nls._kinetic(u, np.empty_like(u), state.u.grid.dim,
-                 np.exp(-0.5j * state.eps * tau * state.u.grid.k_squared))
-    return NlsState(state.t, Field(state.u.grid, u), state.eps)
+    step loop's transforms; substeps do not advance the clock."""
+    g = state.u.grid
+    spectrum = sg._fft(state.u.values, g.dim)
+    spectrum *= np.exp(-0.5j * state.eps * tau * g.k_squared)
+    return NlsState(state.t, Field(g, sg._ifft(spectrum, g.dim)), state.eps)
 
 
 def nonlinear_substep(state, tau):
@@ -197,31 +197,35 @@ class TestFusedEngine:
 
     @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
     def test_two_ffts_per_step_plus_two_per_segment(self, monkeypatch, save_every):
+        # The engine's own transforms, with the tail guard stubbed out: one
+        # FFT pair per Strang stage, three stages per step, one forward FFT
+        # of the datum and one inverse FFT per save after t = 0. Since the
+        # spectrum carries across saves, a save segment no longer costs the
+        # pair of the name; the count below is the exact one.
         counts = count_ffts(monkeypatch)
-        # The tail guard's transforms are the grid layer's, not the engine's.
         monkeypatch.setattr(nls, "tail_fraction", lambda f: 0.0)
         g = make_grid(1, 12.0, 128)
         n_steps = 10
         solve_nls_stack([make_gaussian(g)], 0.5, NlsRunConfig(dt=1e-3, T=n_steps * 1e-3,
                                                               save_every=save_every))
-        # One FFT pair per Strang stage, three stages per step, and one more
-        # pair per save segment: 6 FFTs per step plus 2 per segment.
-        segments = -(-n_steps // save_every)
-        assert counts["forward"] == counts["inverse"] == len(nls.NONLINEAR) * n_steps + segments
+        saves = -(-n_steps // save_every)
+        assert counts["forward"] == len(nls.NONLINEAR) * n_steps + 1
+        assert counts["inverse"] == len(nls.NONLINEAR) * n_steps + saves
 
     @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
     def test_save_point_guard_adds_one_fft_in_total(self, monkeypatch, save_every):
-        # With the real tail guard: only the t = 0 check transforms; every
-        # later save reads the spectrum the loop holds.
+        # One FFT pair per Strang stage, three stages per step, one inverse
+        # FFT per save after t = 0 and one forward FFT of the datum: every
+        # tail guard, at t = 0 too, reads the spectrum the loop holds.
         counts = count_ffts(monkeypatch)
         g = make_grid(1, 12.0, 128)
         n_steps = 10
         (traj,) = solve_nls_stack([make_gaussian(g)], 0.5,
                                   NlsRunConfig(dt=1e-3, T=n_steps * 1e-3, save_every=save_every))
-        segments = -(-n_steps // save_every)
-        assert len(traj) == segments + 1
-        assert counts["forward"] == len(nls.NONLINEAR) * n_steps + segments + 1
-        assert counts["inverse"] == len(nls.NONLINEAR) * n_steps + segments
+        saves = -(-n_steps // save_every)
+        assert len(traj) == saves + 1
+        assert counts["forward"] == len(nls.NONLINEAR) * n_steps + 1
+        assert counts["inverse"] == len(nls.NONLINEAR) * n_steps + saves
 
     def test_yoshida_coefficients(self):
         w1, w0 = nls.NONLINEAR[:2]
@@ -259,17 +263,16 @@ class TestStackedEngine:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("save_every", [1, 3, 10])
     def test_stack_makes_the_ffts_of_one_run(self, monkeypatch, dim, save_every):
-        # The tail guard's transforms are the grid layer's, not the engine's.
-        monkeypatch.setattr(nls, "tail_fraction", lambda f: 0.0)
+        # The real tail guard runs, at a bound these coarse grids meet.
         g = make_grid(dim, 6.0, 32)
-        cfg = NlsRunConfig(dt=1e-3, T=self.N_STEPS * 1e-3, save_every=save_every)
+        cfg = NlsRunConfig(dt=1e-3, T=self.N_STEPS * 1e-3, save_every=save_every, tail_tol=1.0)
         counts = count_ffts(monkeypatch)
         solve_nls_stack([make_gaussian(g)], 0.5, cfg)
         single = dict(counts)
         counts.update(forward=0, inverse=0)
         solve_nls_stack([make_gaussian(g, amplitude=a) for a in (1.0, 1.5, 2.0)], 0.5, cfg)
         assert counts == single
-        assert single["forward"] == single["inverse"] > 0
+        assert single["forward"] > 0
 
     def test_member_data_untouched(self):
         g = make_grid(1, 12.0, 64)
@@ -327,6 +330,9 @@ class TestStackedEngine:
             solve_nls_stack([make_gaussian(g), make_gaussian(make_grid(1, 12.0, 128))], 0.5, cfg)
         with pytest.raises(ValueError, match="physical-space"):
             solve_nls_stack([make_gaussian(g), sg.transform(make_gaussian(g))], 0.5, cfg)
+        for eps in (0.0, -0.5, np.nan, 1.5):
+            with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\], got"):
+                solve_nls_stack([make_gaussian(g)], eps, cfg)
 
 
 band_limited_runs = dict(
