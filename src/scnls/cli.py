@@ -246,6 +246,9 @@ def validate_config(doc, command):
         _fail("run.points", f"must be a power of two, got {out['run']['points']}")
     if out["run"]["dt"] == 0:
         _fail("run.dt", "must be nonzero (omit it for the default step)")
+    if len({f"{s:g}" for s in out["run"]["norms"]}) < len(out["run"]["norms"]):
+        _fail("run.norms", "must have entries distinct to 6 significant digits (each names "
+              f"an h<s> column), got {list(out['run']['norms'])}")
     return out
 
 
@@ -304,7 +307,7 @@ def _run_single(cfg, out_dir, kind, grid, rc, row, dumps):
     log.info("wrote %s", path)
     report.dump_json({"schema_version": report.SUMMARY_SCHEMA_VERSION,
                       "study": f"run_{name}", "passed": True,
-                      "rows": len(rows), "eps": run.eps, "dt": run.config.dt},
+                      "rows": len(rows), "eps": run.eps, "dt": run.config.step},
                      out_dir / "summary.json")
     return 0
 

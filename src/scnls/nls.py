@@ -99,6 +99,11 @@ class _RunConfig:
         """T / dt rounded: the run makes this many steps of T / steps."""
         return max(1, round(self.T / self.dt))
 
+    @property
+    def step(self):
+        """The step the run takes: T / steps, dt rounded to divide T."""
+        return self.T / self.steps
+
 
 @dataclass(frozen=True)
 class NlsRunConfig(_RunConfig):
@@ -175,7 +180,7 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
         if f.grid != grid:
             raise ValueError("stacked data must share one grid")
     n_steps = config.steps
-    dt = config.T / n_steps
+    dt = config.step
 
     # Each stage opens with its kinetic piece on the spectrum held; a step
     # closes with the outer piece, which the next step's first stage repeats.

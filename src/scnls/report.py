@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -61,28 +62,14 @@ def write_study_csv(report, path):
     return path
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def summary_dict(report):
     return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "study": report.study,
         "passed": report.passed(),
-        "checks": _json_ready(report.checks),
-        "slopes": _json_ready(report.slopes),
-        "header": _json_ready(report.header),
+        "checks": report.checks,
+        "slopes": report.slopes,
+        "header": {**report.header, "config": asdict(report.config)},
     }
 
 

@@ -96,8 +96,11 @@ class SweepConfig:
             raise ValueError(f"eps_list must be strictly decreasing, got {self.eps_list}")
         if len(self.s_list) == 0 or any(s < 0 for s in self.s_list):
             raise ValueError(f"s_list must be nonempty with s >= 0, got {self.s_list}")
-        if any(_close(a, b) for i, a in enumerate(self.s_list) for b in self.s_list[:i]):
-            raise ValueError(f"s_list entries must be distinct, got {self.s_list}")
+        # check names label s with :g, so entries must differ in that label too
+        if (len({f"{s:g}" for s in self.s_list}) < len(self.s_list)
+                or any(_close(a, b) for i, a in enumerate(self.s_list) for b in self.s_list[:i])):
+            raise ValueError(f"s_list entries must be distinct to 6 significant digits, "
+                             f"got {self.s_list}")
         if not 0 < self.tau <= self.horizon:
             raise ValueError(f"tau = {self.tau} must lie in (0, horizon = {self.horizon}]")
         if not (isinstance(self.n_saves, int) and self.n_saves >= 1):
@@ -290,9 +293,12 @@ def relative_spread(a, b):
 
 @dataclass
 class StudyReport:
-    """Long-format sweep rows plus fitted slopes and named pass/fail checks."""
+    """Long-format sweep rows plus fitted slopes and named pass/fail checks,
+    and the sweep config they were measured with (a bookkeeping report
+    carries its measured report's)."""
 
     study: str
+    config: SweepConfig
     header: dict
     rows: list
     slopes: list
@@ -323,12 +329,6 @@ def _row(family, quantity, value, **extra):
     base = {"family": family, "quantity": quantity, "value": value}
     base.update(extra)
     return base
-
-
-def _config_header(cfg: SweepConfig, **notes):
-    header = {"config": asdict(cfg)}
-    header.update(notes)
-    return header
 
 
 def _check(checks, name, passed, value, bound, note=""):
@@ -417,8 +417,8 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
     slopes, checks = _slope_fits(rows, "sup_error", config.eps_list, config.s_list, bands,
                                  degenerate=all(r["value"] == 0.0 for r in rows))
 
-    header = _config_header(config, description="profile and expansion error sweep")
-    return StudyReport("wkb_error", header, rows, slopes, checks)
+    header = {"description": "profile and expansion error sweep"}
+    return StudyReport("wkb_error", config, header, rows, slopes, checks)
 
 
 def small_time_study(config: SweepConfig, cache: dict | None = None) -> StudyReport:
@@ -449,8 +449,8 @@ def small_time_study(config: SweepConfig, cache: dict | None = None) -> StudyRep
     bands = dict.fromkeys(("phase_residual", "corrector_phase_residual"), SLOPE_BAND_CUBIC)
     slopes, checks = _slope_fits(rows, "residual", times, config.s_list, bands)
 
-    header = _config_header(config, description="dyadic small-time expansion residuals")
-    return StudyReport("small_time", header, rows, slopes, checks)
+    header = {"description": "dyadic small-time expansion residuals"}
+    return StudyReport("small_time", config, header, rows, slopes, checks)
 
 
 def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> StudyReport:
@@ -505,10 +505,10 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
 
     rows = [row for eps in config.eps_list for row in point_rows(eps)]
 
-    header = _config_header(config, description="paired-run separation at the observation time",
-                            observation_time=config.tau, a0_l2=a0_l2, separation_floor=floor)
+    header = {"description": "paired-run separation at the observation time",
+              "observation_time": config.tau, "a0_l2": a0_l2, "separation_floor": floor}
     report = StudyReport("ghost_higher_order" if higher_order else "ghost_separation",
-                         header, rows, [], {})
+                         config, header, rows, [], {})
     checks = report.checks
     rtol = HIGHER_ORDER_STABILIZATION_RTOL if higher_order else GHOST_STABILIZATION_RTOL
     verdict = "higher_order_scaled" if higher_order else "separation_scaled"
@@ -611,13 +611,6 @@ def _tabulate(rows, columns, family, eps, table):
         columns.setdefault(quantity, []).append(value)
 
 
-def _datum_from_header(measured: StudyReport):
-    cfg = measured.header["config"]
-    grid = make_grid(1, cfg["half_width"], cfg["wkb_points"])
-    spec = GaussianSpec(**cfg["a0"])
-    return spec.realize(grid), cfg["tau"]
-
-
 LIMITATION_NOTE = (
     "scale quantities combine 1-D measured profile norms with exact "
     "rescaling identities in dimension n; no n-dimensional PDE run is performed"
@@ -634,7 +627,7 @@ def inflation_bookkeeping(params: ScalingParams, measured: StudyReport) -> Study
             f"measured study has no Hdot^{params.k:g} difference rows; "
             "re-run the sweep with k included in s_list"
         )
-    a0, tau = _datum_from_header(measured)
+    a0, tau = measured.config.a0.realize(measured.config.wkb_grid()), measured.config.tau
     a0_l2 = norm(a0)
     a0_hsig = norm(a0, SobolevIndex(params.sigma, homogeneous=True))
 
@@ -696,9 +689,8 @@ def inflation_bookkeeping(params: ScalingParams, measured: StudyReport) -> Study
         "classification": classification,
         "source_study": measured.study,
         "limitation": LIMITATION_NOTE,
-        "config": measured.header["config"],
     }
-    return StudyReport("inflation", header, rows, slopes, checks)
+    return StudyReport("inflation", measured.config, header, rows, slopes, checks)
 
 
 def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
@@ -719,7 +711,7 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
     if [r["eps"] for r in l4_rows] != [r["eps"] for r in h1_rows]:
         raise ValueError("measured study lacks matching quartic-norm rows")
 
-    a0, tau = _datum_from_header(measured)
+    a0, tau = measured.config.a0.realize(measured.config.wkb_grid()), measured.config.tau
     l2_sq = norm(a0) ** 2
     grad_sq = norm(a0, SobolevIndex(1.0, homogeneous=True)) ** 2
     quart = lp_norm(a0, 4.0) ** 4
@@ -814,6 +806,5 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
         "band_threshold_j": j_star,
         "source_study": measured.study,
         "limitation": LIMITATION_NOTE,
-        "config": measured.header["config"],
     }
-    return StudyReport("corollary", header, rows, [], checks)
+    return StudyReport("corollary", measured.config, header, rows, [], checks)

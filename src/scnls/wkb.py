@@ -187,7 +187,7 @@ def _auto_sing_tol(grid, a_init, horizon):
 def _integrate(y, grid, corrector, eps, configs, make_snapshot, keep=None):
     """Classical RK4 on y of shape (fields, members, *grid), in place, with
     guard checks; one eps and run config per member, with one step count
-    and save cadence (each member's dt is its T / steps).  Returns the
+    and save cadence (each member steps by its config's step).  Returns the
     trajectory of keep(make_snapshot(member, t, y)) per member (keep=None:
     the snapshots); only each member's last snapshot is held, for
     NonFiniteError.  The stage times are diagnostics only.  The stage sums
@@ -200,7 +200,7 @@ def _integrate(y, grid, corrector, eps, configs, make_snapshot, keep=None):
     ((n_steps, save_every),) = schedules
     sing_tol = [c.sing_tol or _auto_sing_tol(grid, y[0, m], c.T) for m, c in enumerate(configs)]
     rates = _Rates(grid, corrector, eps, sing_tol)
-    dts = [c.T / n_steps for c in configs]
+    dts = [c.step for c in configs]
     times = np.array(dts)
     dt = times.reshape((-1,) + (1,) * grid.dim)
     keep = keep or (lambda snapshot: snapshot)

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import re
 import shutil
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields
@@ -24,6 +26,18 @@ FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_SELFTEST = GOLDEN / "selftest"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def load_benchmark_workloads():
+    """WORKLOADS of perfbench/workloads.py, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCHMARK_WORKLOADS = load_benchmark_workloads()
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -119,9 +133,11 @@ class TestConfigValidation:
 
     # Validation must catch these before the grid or the solver sees them:
     # their messages name no field, and a run with dumps writes fields/ at
-    # t = 0 before the solver reads run.norms.
-    @pytest.mark.parametrize("key, value", [("dim", 4), ("points", 100), ("norms", [-1])],
-                             ids=["dim", "points", "norms"])
+    # t = 0 before the solver reads run.norms.  Norms that share a column
+    # label (h<s:g>) would overwrite each other's column.
+    @pytest.mark.parametrize("key, value", [("dim", 4), ("points", 100), ("norms", [-1]),
+                                            ("norms", [1.0, 1.0000001, 2])],
+                             ids=["dim", "points", "norms", "norms-same-label"])
     def test_run_field_out_of_range_named_before_any_output(self, tmp_path, capsys, key,
                                                             value):
         cfg = write_config(tmp_path, {"schema_version": 1,
@@ -185,6 +201,15 @@ class TestSchema:
         assert example["schema_version"] == cli.CONFIG_SCHEMA_VERSION
         assert (example["seed"], example["jobs"]) == (cli.TOP_LEVEL["seed"].default,
                                                       cli.TOP_LEVEL["jobs"].default)
+
+    @pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+    def test_benchmark_workloads_are_accepted(self, name):
+        # perfbench/child.py setup validates each workload's config, and the
+        # benchmark times the CLI on its argv
+        workload = BENCHMARK_WORKLOADS[name]
+        cli.validate_config(workload.config(0), workload.command)
+        args = cli.build_parser().parse_args(workload.cli_args("c.json", "out"))
+        assert args.command == workload.command
 
 
 class TestRunCommands:
@@ -254,6 +279,13 @@ class TestRunCommands:
         cfg = write_config(tmp_path, {"schema_version": 1, "run": run})
         assert cli.run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    def test_summary_dt_is_the_step_taken(self, tmp_path):
+        # dt = 0.003 does not divide T = 0.05: the run makes 17 steps of T / 17
+        run = {"eps": 0, "points": 64, "T": 0.05, "dt": 0.003}
+        summary, rows = run_command(tmp_path, "run-wkb", run)
+        assert summary["dt"] == 0.05 / 17
+        assert float(rows[1]["t"]) == 2 * 0.05 / 17  # saved every 2 steps
 
     @pytest.mark.parametrize("command, key, run", [
         ("run-nls", "nls_dt_safety", {"eps": 0.25, "points": 256, "T": 0.05}),

@@ -64,9 +64,11 @@ class TestSweepConfig:
             SweepConfig(eps_list=(0.25, 0.125), **{field: value})
 
     def test_rejects_repeated_s(self):
-        # every study reads its columns back by (family, quantity, s)
-        with pytest.raises(ValueError, match="distinct"):
-            SweepConfig(eps_list=(0.25,), s_list=(0.0, 1.0, 1.0))
+        # every study reads its columns back by (family, quantity, s), and
+        # names its checks by s to 6 significant digits
+        for s_list in ((0.0, 1.0, 1.0), (0.0, 1.0, 1.0000001)):
+            with pytest.raises(ValueError, match="distinct"):
+                SweepConfig(eps_list=(0.25,), s_list=s_list)
 
     def test_grid_growth_and_cap(self):
         cfg = SweepConfig(eps_list=(0.25, 0.125), points_base=256)
@@ -409,7 +411,7 @@ class TestInflationBookkeeping:
     def test_rows_follow_exact_rescaling(self, ghost_report):
         p = ScalingParams(n=6, s=1.0, sigma=1.5, k=1.0)
         rep = inflation_bookkeeping(p, ghost_report)
-        eps_list = ghost_report.header["config"]["eps_list"]
+        eps_list = ghost_report.config.eps_list
         raws = ghost_report.values("ghost", "diff_hs_raw", 1.0)
         js = rep.values("inflation", "j")
         phys = rep.values("inflation", "physical_diff_hk")
@@ -428,6 +430,15 @@ class TestInflationBookkeeping:
         rep = inflation_bookkeeping(p, ghost_report)
         h = rep.values("inflation", "data_diff_hsigma_bound")
         assert all(a > b for a, b in zip(h, h[1:]))
+
+    def test_datum_comes_from_the_measured_config(self, ghost_report):
+        p = ScalingParams(n=6, s=1.0, sigma=1.5, k=1.0)
+        assert ghost_report.config.a0.amplitude == 1.0
+        doubled = replace(ghost_report, config=replace(
+            ghost_report.config, a0=replace(ghost_report.config.a0, amplitude=2.0)))
+        base = inflation_bookkeeping(p, ghost_report).values("inflation", "data_diff_l2")
+        twice = inflation_bookkeeping(p, doubled).values("inflation", "data_diff_l2")
+        assert twice == pytest.approx([2 * v for v in base], rel=1e-14)
 
     def test_missing_k_rejected(self, ghost_report):
         p = ScalingParams(n=6, s=1.0, sigma=1.5, k=0.7)
