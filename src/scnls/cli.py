@@ -237,9 +237,6 @@ def validate_config(doc, command):
         _fail("out_dir", "must be a string path")
     for name, keys in SCHEMA.items():
         out[name] = _section(doc.get(name, {}), keys, name)
-    forced = STUDY_COMMANDS.get(command, (None, None, None))[2]
-    if forced is not None and doc.get("sweep", {}).get("a1_mode", forced) != forced:
-        _fail("sweep.a1_mode", f"must be '{forced}' for {command}, got {doc['sweep']['a1_mode']!r}")
     if out["run"]["T"] == 0:
         _fail("run.T", "must be nonzero")
     if out["run"]["points"] & (out["run"]["points"] - 1):
@@ -249,16 +246,34 @@ def validate_config(doc, command):
     if len({f"{s:g}" for s in out["run"]["norms"]}) < len(out["run"]["norms"]):
         _fail("run.norms", "must have entries distinct to 6 significant digits (each names "
               f"an h<s> column), got {list(out['run']['norms'])}")
+    if command in STUDY_COMMANDS or command.startswith("report-"):
+        out["sweep_config"] = _sweep_config(doc, out, command)
     return out
 
 
-def _sweep_config(cfg, extra_s=None, a1_mode=None):
+def _sweep_config(doc, cfg, command):
+    """The SweepConfig command runs: sweep.s_list plus the s a bookkeeping
+    report reads, and sweep.a1_mode unless the command forces one (the
+    document may then name only that mode).  An error names the config
+    field at fault."""
+    forced = STUDY_COMMANDS.get(command, (None, None, None))[2]
+    if forced is not None and doc.get("sweep", {}).get("a1_mode", forced) != forced:
+        _fail("sweep.a1_mode", f"must be '{forced}' for {command}, got {doc['sweep']['a1_mode']!r}")
     s_list = cfg["sweep"]["s_list"]
+    extra_s = {"report-inflation": cfg["scaling"]["k"], "report-corollary": 1.0}.get(command)
     if extra_s is not None and not any(abs(extra_s - x) <= 1e-12 for x in s_list):
+        if command == "report-inflation" and f"{extra_s:g}" in {f"{x:g}" for x in s_list}:
+            _fail("scaling.k", "must equal a sweep.s_list entry or differ from each to 6 "
+                  f"significant digits (the report adds it to the sweep's s), got {extra_s!r}")
         s_list += (extra_s,)
     sweep = {**cfg["sweep"], "s_list": tuple(sorted(s_list)),
-             "a1_mode": a1_mode or cfg["sweep"]["a1_mode"]}
-    return SweepConfig(a0=GaussianSpec(**cfg["data"]), **cfg["grid"], **sweep, **cfg["solver"])
+             "a1_mode": forced or cfg["sweep"]["a1_mode"]}
+    try:
+        return SweepConfig(a0=GaussianSpec(**cfg["data"]), **cfg["grid"], **sweep,
+                           **cfg["solver"])
+    except studies.FieldError as exc:
+        section = next(name for name in ("grid", "sweep", "solver") if exc.field in SCHEMA[name])
+        _fail(f"{section}.{exc.field}", exc.message)
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +336,8 @@ def cmd_run_nls(cfg, out_dir):
     target = nls.default_dt(grid, run["eps"], solver["nls_dt_safety"])
     aligned = studies.aligned_run_config(nls.NlsRunConfig, target, run["T"], RUN_SAVES)
     rc = _run_config(nls.NlsRunConfig, run, aligned.dt, tail_tol=solver["tail_tol"])
-    return _run_single(cfg, out_dir, "nls", grid, rc, report.nls_row, lambda s: {"u": s.u})
+    return _run_single(cfg, out_dir, "nls", grid, rc, report.nls_row,
+                       lambda snap: {"u": snap[0].u})
 
 
 def cmd_run_wkb(cfg, out_dir):
@@ -356,20 +372,20 @@ STUDY_COMMANDS = {
 
 
 def cmd_study(command, cfg, out_dir):
-    study, csv_name, a1_mode = STUDY_COMMANDS[command]
-    rep = getattr(studies, study)(_sweep_config(cfg, a1_mode=a1_mode))
+    study, csv_name, _ = STUDY_COMMANDS[command]
+    rep = getattr(studies, study)(cfg["sweep_config"])
     return _emit(out_dir, [csv_name], [rep])
 
 
 def cmd_report_inflation(cfg, out_dir):
     params = ScalingParams(**cfg["scaling"])
-    measured = studies.ghost_separation_study(_sweep_config(cfg, extra_s=params.k))
+    measured = studies.ghost_separation_study(cfg["sweep_config"])
     rep = studies.inflation_bookkeeping(params, measured)
     return _emit(out_dir, ["ghost_study.csv", "inflation_report.csv"], [measured, rep])
 
 
 def cmd_report_corollary(cfg, out_dir):
-    sweep = _sweep_config(cfg, extra_s=1.0)
+    sweep = cfg["sweep_config"]
     corollary = cfg["corollary"]
     if corollary["target_energy"] is not None:
         # rescale the datum so the j-independent leading energy term hits

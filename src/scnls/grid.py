@@ -230,13 +230,16 @@ def transform(f: Field) -> Field:
     """Physical -> spectral, continuum-integral normalization."""
     _require_space(f, PHYSICAL, "transform")
     values = _fft(f.values, f.grid.dim)
-    values *= f.grid.quad_weight * f.grid.spectral_phase  # in place: one grid array fewer
+    values *= f.grid.quad_weight
+    values *= f.grid.spectral_phase  # exact after the weight: the sign is +-1
     return Field(f.grid, values, SPECTRAL)
 
 
 def from_fft(grid, fft_values) -> Field:
     """transform's result for the field whose _fft is fft_values."""
-    return Field(grid, fft_values * (grid.quad_weight * grid.spectral_phase), SPECTRAL)
+    values = fft_values * grid.quad_weight
+    values *= grid.spectral_phase
+    return Field(grid, values, SPECTRAL)
 
 
 def inverse_transform(f: Field) -> Field:
@@ -289,7 +292,13 @@ def norm(f: Field, index: SobolevIndex = SobolevIndex()) -> float:
 def lp_norm(f: Field, p: float) -> float:
     """Physical-space L^p norm by dx^n quadrature (used for quartic energies)."""
     _require_space(f, PHYSICAL, "lp_norm")
-    return float((np.sum(np.abs(f.values) ** p) * f.grid.quad_weight) ** (1.0 / p))
+    power = np.abs(f.values)
+    if p == 4:  # two squarings in place beat pow
+        np.square(power, out=power)
+        np.square(power, out=power)
+    else:
+        power **= p
+    return float((np.sum(power) * f.grid.quad_weight) ** (1.0 / p))
 
 
 def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):

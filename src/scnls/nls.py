@@ -14,10 +14,16 @@ Between steps the loop holds the field's spectrum, after the step's
 closing kinetic piece, in one scratch buffer. Each stage multiplies it by
 its opening kinetic piece, transforms back, rotates the phase and
 transforms forward, so the closing piece of one step and the opening
-piece of the next are two multiplications of the same spectrum. A save
-transforms back once more, and its tail guard reads the spectrum held:
-3n + 1 forward and 3n + S inverse FFTs for n steps and S saves after
-t = 0.
+piece of the next are two multiplications of the same spectrum. The
+kinetic phase exp(-0.5j eps a dt |k|^2) is separable, so a piece is one
+multiplication per axis by a vector of N entries. A save transforms back
+once more; its tail guard and the spectrum it hands on read the spectrum
+held: 3n + 1 forward and 3n + S inverse FFTs for n steps and S saves
+after t = 0.
+
+Per grid point the loop holds three fields of a member: u, its spectrum
+and the last saved snapshot (the NonFiniteError's last good state); a
+save adds the transform it hands on for as long as keep takes.
 
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
@@ -41,7 +47,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
 from .grid import (
-    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, lp_norm, norm, tail_fraction,
+    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, from_fft, lp_norm, norm,
+    tail_fraction,
 )
 
 MAX_STEPS = 5_000_000
@@ -136,7 +143,9 @@ def mass(f: Field) -> float:
     """int |u|^2 dx by grid quadrature."""
     if f.space != PHYSICAL:
         raise ValueError("mass expects a physical-space field")
-    return float(np.sum(np.abs(f.values) ** 2) * f.grid.quad_weight)
+    power = np.abs(f.values)
+    np.square(power, out=power)
+    return float(np.sum(power) * f.grid.quad_weight)
 
 
 def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> float:
@@ -151,18 +160,21 @@ def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> floa
 
 
 def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
-    """Integrate each datum in u0s (physical-space fields on one grid) to T
-    in one step loop, returning one trajectory per datum: its NlsState
-    snapshots every save_every steps, t = 0 and the final state included.
-    A stack of one is a single run, and each member's trajectory equals its
-    own stack of one bit for bit.
+    """Integrate each datum in u0s (an iterable of physical-space fields on
+    one grid) to T in one step loop, returning one trajectory per datum: its
+    NlsState snapshots every save_every steps, t = 0 and the final state
+    included.  A stack of one is a single run, and each member's trajectory
+    equals its own stack of one bit for bit.  The data are released once
+    stacked, so a caller that hands over a generator holds none of them.
 
     dt is adjusted to the nearest divisor of T so the run lands exactly on
     the horizon.
 
-    keep, when given, is called on each saved NlsState once every guard
-    at that time has passed, and the trajectory holds what it returns
-    instead, so the caller may let each snapshot go as soon as it is saved.
+    keep, when given, is called on each saved (NlsState, spectrum) pair once
+    every guard at that time has passed, spectrum being transform(state.u)
+    read off the spectrum the loop holds, and the trajectory holds what it
+    returns instead, so the caller may let each snapshot go as soon as it
+    is saved.
 
     The first member to trip a guard, in step order, raises: ResolutionError
     if its spectral tail guard trips at a saved time (including t = 0),
@@ -174,26 +186,27 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
         raise ValueError("solve_nls_stack needs at least one datum")
     _check_eps(eps)
     grid = u0s[0].grid
-    for f in u0s:
-        if f.space != PHYSICAL:
-            raise ValueError("the initial data must be physical-space fields")
-        if f.grid != grid:
-            raise ValueError("stacked data must share one grid")
+    if any(f.space != PHYSICAL for f in u0s):
+        raise ValueError("the initial data must be physical-space fields")
+    if any(f.grid != grid for f in u0s):
+        raise ValueError("stacked data must share one grid")
+    u = np.stack([f.values for f in u0s])
+    del u0s
     n_steps = config.steps
     dt = config.step
 
     # Each stage opens with its kinetic piece on the spectrum held; a step
     # closes with the outer piece, which the next step's first stage repeats.
-    mults = {a: np.exp(-0.5j * eps * a * dt * grid.k_squared) for a in set(KINETIC)}
+    # A piece is one factor per axis; on one axis it is the full multiplier.
+    mults = {a: [grid.axis_view(np.exp(-0.5j * eps * a * dt * k**2), ax)
+                 for ax, k in enumerate(grid.k_axes)] for a in set(KINETIC)}
     opening = [mults[a] for a in KINETIC[:-1]]
     outer = mults[KINETIC[-1]]
     rates = [b * dt / eps for b in NONLINEAR]
-    u = np.stack([f.values for f in u0s])
     buf = _fft(u, grid.dim)
     axes = tuple(range(1, grid.dim + 1))
-    keep = keep or (lambda state: state)
-    trajectories = [[] for _ in u0s]
-    last = [None] * len(u0s)  # each member's last saved state, the only one held
+    trajectories = [[] for _ in u]
+    last = [None] * len(u)  # each member's last saved state, the only one held
     spectra = [Field(grid, member, SPECTRAL) for member in buf]
 
     def save(step):
@@ -207,18 +220,21 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
                                   f"at t = {t:.6g}", t)
         for member, values in enumerate(u):
             last[member] = NlsState(t, Field(grid, values.copy()), eps)
-            trajectories[member].append(keep(last[member]))
+            trajectories[member].append(
+                keep((last[member], from_fft(grid, buf[member]))) if keep else last[member])
 
     save(0)
     for step in range(1, n_steps + 1):
         for rate, mult in zip(rates, opening):
-            buf *= mult
+            for factor in mult:
+                buf *= factor
             _ifft(buf, grid.dim, out=u)
             finite = np.isfinite(_rotate(u, buf, rate, axes))
             if not finite.all():
                 raise NonFiniteError.at_step(step, dt, last[int(np.argmin(finite))])
             _fft(u, grid.dim, out=buf)
-        buf *= outer
+        for factor in outer:
+            buf *= factor
         if step % config.save_every == 0 or step == n_steps:
             _ifft(buf, grid.dim, out=u)
             save(step)

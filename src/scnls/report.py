@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import nls, wkb
-from .grid import SobolevIndex, from_fft, norm, transform
+from .grid import SobolevIndex, from_fft, norm
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -91,10 +91,11 @@ def dump_json(payload, path):
     return path
 
 
-def nls_row(state, norm_orders=()):
-    """(t, mass, energy, requested H^s norms) of one saved NlsState; the
-    energy and the norms share one transform of it."""
-    uhat = transform(state.u)
+def nls_row(snap, norm_orders=()):
+    """(t, mass, energy, requested H^s norms) of the (NlsState, spectrum)
+    pair solve_nls_stack hands to keep; the energy and the norms read the
+    pair's spectrum, so a row makes no transform."""
+    state, uhat = snap
     row = {
         "t": state.t,
         "mass": nls.mass(state.u),

@@ -64,6 +64,15 @@ class GaussianSpec:
         return Field(grid, multiplier * base.values)
 
 
+class FieldError(ValueError):
+    """A SweepConfig field out of its range; field names it, and the
+    message reads "<field> <message>"."""
+
+    def __init__(self, field, message):
+        super().__init__(f"{field} {message}")
+        self.field, self.message = field, message
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything an eps-sweep needs; grids grow as eps shrinks."""
@@ -89,43 +98,41 @@ class SweepConfig:
 
     def __post_init__(self):
         if len(self.eps_list) == 0:
-            raise ValueError("eps_list must not be empty")
+            raise FieldError("eps_list", "must not be empty")
         if any(not 0 < e <= 1 for e in self.eps_list):
-            raise ValueError(f"eps_list entries must lie in (0, 1], got {self.eps_list}")
+            raise FieldError("eps_list", f"entries must lie in (0, 1], got {self.eps_list}")
         if not all(a > b for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ValueError(f"eps_list must be strictly decreasing, got {self.eps_list}")
+            raise FieldError("eps_list", f"must be strictly decreasing, got {self.eps_list}")
         if len(self.s_list) == 0 or any(s < 0 for s in self.s_list):
-            raise ValueError(f"s_list must be nonempty with s >= 0, got {self.s_list}")
+            raise FieldError("s_list", f"must be nonempty with s >= 0, got {self.s_list}")
         # check names label s with :g, so entries must differ in that label too
         if (len({f"{s:g}" for s in self.s_list}) < len(self.s_list)
                 or any(_close(a, b) for i, a in enumerate(self.s_list) for b in self.s_list[:i])):
-            raise ValueError(f"s_list entries must be distinct to 6 significant digits, "
+            raise FieldError("s_list", "entries must be distinct to 6 significant digits, "
                              f"got {self.s_list}")
         if not 0 < self.tau <= self.horizon:
-            raise ValueError(f"tau = {self.tau} must lie in (0, horizon = {self.horizon}]")
+            raise FieldError("tau", f"= {self.tau} must lie in (0, horizon = {self.horizon}]")
         if not (isinstance(self.n_saves, int) and self.n_saves >= 1):
-            raise ValueError(f"n_saves must be an integer >= 1, got {self.n_saves!r}")
+            raise FieldError("n_saves", f"must be an integer >= 1, got {self.n_saves!r}")
         if not 0 < self.eps_ref <= 1:
-            raise ValueError(f"eps_ref must lie in (0, 1], got {self.eps_ref!r}")
+            raise FieldError("eps_ref", f"must lie in (0, 1], got {self.eps_ref!r}")
         for name in ("nls_dt_safety", "wkb_dt_safety", "tail_tol"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
         ratio = self.tau / (self.horizon / self.n_saves)
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
-                f"tau = {self.tau} must fall on the save grid "
-                f"(horizon/n_saves = {self.horizon / self.n_saves})"
-            )
+            raise FieldError("tau", f"= {self.tau} must fall on the save grid "
+                             f"(horizon/n_saves = {self.horizon / self.n_saves})")
         if self.a1_mode not in A1_MODES:
-            raise ValueError(f"a1_mode must be one of {A1_MODES}, got {self.a1_mode!r}")
+            raise FieldError("a1_mode", f"must be one of {A1_MODES}, got {self.a1_mode!r}")
         if not (isinstance(self.scaled_order, int) and self.scaled_order >= 1):
-            raise ValueError(f"scaled_order must be an integer >= 1, got {self.scaled_order!r}")
+            raise FieldError("scaled_order", f"must be an integer >= 1, got {self.scaled_order!r}")
         for name in ("points_base", "wkb_points"):
             v = getattr(self, name)
             if v < 8 or v & (v - 1) != 0:
-                raise ValueError(f"{name} must be a power of two >= 8, got {v!r}")
+                raise FieldError(name, f"must be a power of two >= 8, got {v!r}")
         if self.smalltime_points < 3:
-            raise ValueError("smalltime_points must be >= 3 for slope fits")
+            raise FieldError("smalltime_points", "must be >= 3 for slope fits")
 
     def a1_coefficient(self, eps):
         """The coefficient c of a1 = c a0 at eps (A1_COEFFICIENTS)."""
@@ -205,7 +212,8 @@ def solve_runs(runs, keep=None):
     if kind == "limit":
         return wkb.solve_limit_stack([(run.a0.realize(grid), run.a0.realize(grid, run.datum),
                                        run.config) for run in runs], keep)
-    data = [run.a0.realize(grid, 1 + run.eps * run.datum) for run in runs]
+    # a generator: the engine holds the data only until it has stacked them
+    data = (run.a0.realize(grid, 1 + run.eps * run.datum) for run in runs)
     if kind == "nls":
         return nls.solve_nls_stack(data, runs[0].eps, runs[0].config, keep)
     return wkb.solve_grenier_stack([(u0, run.eps, run.config) for u0, run in zip(data, runs)],

@@ -203,6 +203,14 @@ class TestNorms:
         quad_l2 = np.sqrt(np.sum(np.abs(f.values) ** 2) * g.quad_weight)
         assert norm(f) == pytest.approx(quad_l2, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0])
+    def test_lp_norm_against_the_power_formula(self, p):
+        # p = 4 squares |f| twice in place, any other p raises it to p
+        g = make_grid(2, 6.0, 32)
+        f = random_field(g, 7)
+        ref = (np.sum(np.abs(f.values) ** p) * g.quad_weight) ** (1.0 / p)
+        assert sg.lp_norm(f, p) == pytest.approx(ref, rel=1e-14)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), s=st.floats(0.0, 4.0))
     def test_norm_monotone_in_s_and_eps_bound(self, seed, s):

@@ -274,6 +274,22 @@ class TestStackedEngine:
         assert counts == single
         assert single["forward"] > 0
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_keep_gets_the_transform_of_each_saved_state(self, dim):
+        # the spectrum handed on is read off the loop's, member by member,
+        # after the per-axis kinetic factors; a fresh transform agrees
+        g = make_grid(dim, 8.0, 16 if dim == 3 else 64)
+        data = [make_gaussian(g), make_gaussian(g, amplitude=1.5, width=0.8)]
+        cfg = NlsRunConfig(dt=1e-2, T=0.1, save_every=3, tail_tol=1.0)
+        kept = solve_nls_stack(data, 0.5, cfg, keep=lambda snap: snap)
+        assert [len(traj) for traj in kept] == [5, 5]
+        for traj in kept:
+            for state, spectrum in traj:
+                ref = sg.transform(state.u).values
+                assert spectrum.space == sg.SPECTRAL and spectrum.grid == g
+                assert np.allclose(spectrum.values, ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
     def test_member_data_untouched(self):
         g = make_grid(1, 12.0, 64)
         data = [make_gaussian(g), make_gaussian(g, amplitude=2.0)]

@@ -116,6 +116,7 @@ class TestStackedRuns:
         solve_stack = nls.solve_nls_stack
 
         def recording(u0s, eps, rc, keep=None):
+            u0s = list(u0s)
             stacks.append((eps, len(u0s)))
             return solve_stack(u0s, eps, rc, keep)
 
@@ -595,8 +596,8 @@ class TestFitAndReportPlumbing:
         from scnls import nls
 
         cfg = nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5)
-        traj = nls.solve_nls_stack([gaussian_1d], 0.5, cfg)[0]
-        rows = [rpt.nls_row(state, norm_orders=(1.0,)) for state in traj]
+        traj = nls.solve_nls_stack([gaussian_1d], 0.5, cfg, keep=lambda snap: snap)[0]
+        rows = [rpt.nls_row(snap, norm_orders=(1.0,)) for snap in traj]
         assert [r["t"] for r in rows] == pytest.approx([0.0, 0.05, 0.1])
         assert all("h1" in r and "mass" in r and "energy" in r for r in rows)
 
@@ -608,17 +609,19 @@ class TestFitAndReportPlumbing:
     @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
                              ids=["1d", "2d"])
     def test_trajectory_rows_transform_each_snapshot_once(self, monkeypatch, g):
-        (traj,) = nls.solve_nls_stack([GaussianSpec().realize(g)], 0.5,
-                                      nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5))
-        orders = (0.0, 1.0, 2.0)
+        # the one transform is the step loop's: 10 steps saved every 5 make
+        # its 3n + 1 forward and 3n + 2 inverse FFTs, rows included
+        u0, orders = GaussianSpec().realize(g), (0.0, 1.0, 2.0)
         counts = count_ffts(monkeypatch)
-        rows = [rpt.nls_row(state, norm_orders=orders) for state in traj]
-        assert counts == {"forward": len(traj), "inverse": 0}
+        (traj,) = nls.solve_nls_stack([u0], 0.5, nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5),
+                                      keep=lambda snap: (snap[0], rpt.nls_row(snap, orders)))
+        assert counts == {"forward": 3 * 10 + 1, "inverse": 3 * 10 + 2}
         monkeypatch.undo()
-        for row, state in zip(rows, traj, strict=True):
-            assert row["energy"] == nls.semiclassical_energy(state)
+        assert len(traj) == 3
+        for state, row in traj:  # against a transform of the saved field
+            assert row["energy"] == pytest.approx(nls.semiclassical_energy(state), rel=1e-13)
             for s in orders:
-                assert row[f"h{s:g}"] == norm(state.u, SobolevIndex(s))
+                assert row[f"h{s:g}"] == pytest.approx(norm(state.u, SobolevIndex(s)), rel=1e-13)
 
     @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
                              ids=["1d", "2d"])
