@@ -73,7 +73,7 @@ def _fields_of(cls, **keys):
 
 TOP_LEVEL = {
     "schema_version": Key(int),
-    "seed": Key(int, 0),
+    "seed": Key(int, 0, ge=0),
     "jobs": Key(int, 1, ge=1),
 }
 
@@ -204,13 +204,15 @@ def _bounded(key, val, path, what="be"):
 
 
 def _section(doc, keys, path, others=()):
-    """doc checked against keys, defaults filled in; others may also appear."""
+    """doc checked against keys, defaults filled in; others may also appear.
+    path names the section, None the top level, whose keys are named bare."""
+    where = path or "<top level>"
     if not isinstance(doc, dict):
-        _fail(path, "must be a JSON object")
+        _fail(where, "must be a JSON object")
     unknown = sorted(set(doc) - set(keys) - set(others))
     if unknown:
-        raise ValueError(f"unknown config key(s) {unknown} under '{path}'")
-    return {name: _checked(key, doc.get(name, key.default), f"{path}.{name}")
+        raise ValueError(f"unknown config key(s) {unknown} under '{where}'")
+    return {name: _checked(key, doc.get(name, key.default), f"{path}.{name}" if path else name)
             for name, key in keys.items()}
 
 
@@ -227,7 +229,7 @@ def load_config(path):
 
 def validate_config(doc, command):
     """Normalize the document; every error names the offending field."""
-    out = _section(doc, TOP_LEVEL, "<top level>", ("study", "out_dir", *SCHEMA))
+    out = _section(doc, TOP_LEVEL, None, ("study", "out_dir", *SCHEMA))
     if out["schema_version"] != CONFIG_SCHEMA_VERSION:
         _fail("schema_version", f"must be {CONFIG_SCHEMA_VERSION}, got {out['schema_version']}")
     if doc.get("study") not in (None, STUDY_NAMES[command]):
@@ -246,9 +248,21 @@ def validate_config(doc, command):
     if len({f"{s:g}" for s in out["run"]["norms"]}) < len(out["run"]["norms"]):
         _fail("run.norms", "must have entries distinct to 6 significant digits (each names "
               f"an h<s> column), got {list(out['run']['norms'])}")
+    if command == "report-inflation":
+        out["scaling_params"] = _built(ScalingParams, ("scaling",), **out["scaling"])
     if command in STUDY_COMMANDS or command.startswith("report-"):
         out["sweep_config"] = _sweep_config(doc, out, command)
     return out
+
+
+def _built(cls, sections, **kwargs):
+    """cls(**kwargs); a studies.FieldError it raises names the config field
+    at fault, under the first of sections that has that key."""
+    try:
+        return cls(**kwargs)
+    except studies.FieldError as exc:
+        section = next(name for name in sections if exc.field in SCHEMA[name])
+        _fail(f"{section}.{exc.field}", exc.message)
 
 
 def _sweep_config(doc, cfg, command):
@@ -268,12 +282,8 @@ def _sweep_config(doc, cfg, command):
         s_list += (extra_s,)
     sweep = {**cfg["sweep"], "s_list": tuple(sorted(s_list)),
              "a1_mode": forced or cfg["sweep"]["a1_mode"]}
-    try:
-        return SweepConfig(a0=GaussianSpec(**cfg["data"]), **cfg["grid"], **sweep,
-                           **cfg["solver"])
-    except studies.FieldError as exc:
-        section = next(name for name in ("grid", "sweep", "solver") if exc.field in SCHEMA[name])
-        _fail(f"{section}.{exc.field}", exc.message)
+    return _built(SweepConfig, ("grid", "sweep", "solver"), a0=GaussianSpec(**cfg["data"]),
+                  **cfg["grid"], **sweep, **cfg["solver"])
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +388,8 @@ def cmd_study(command, cfg, out_dir):
 
 
 def cmd_report_inflation(cfg, out_dir):
-    params = ScalingParams(**cfg["scaling"])
     measured = studies.ghost_separation_study(cfg["sweep_config"])
-    rep = studies.inflation_bookkeeping(params, measured)
+    rep = studies.inflation_bookkeeping(cfg["scaling_params"], measured)
     return _emit(out_dir, ["ghost_study.csv", "inflation_report.csv"], [measured, rep])
 
 

@@ -104,14 +104,18 @@ class Grid:
         return _frozen(out)
 
     @cached_property
-    def spectral_phase(self):
-        """Per-mode sign (-1)^m accounting for the x = -L origin."""
+    def origin_signs(self):
+        """Per-axis sign (-1)^m of mode m, FFT order, accounting for the
+        x = -L origin; the phase of a mode is the product over the axes."""
         m = np.rint(np.fft.fftfreq(self.points_per_axis) * self.points_per_axis)
-        sign = np.where(m.astype(int) % 2 == 0, 1.0, -1.0)
-        out = np.ones(self.shape)
+        return _frozen(np.where(m.astype(int) % 2 == 0, 1.0, -1.0))
+
+    def flip_origin_signs(self, values):
+        """values (grid axes last) times the origin phase, in place, one
+        axis at a time: exact, since every factor is +-1."""
         for ax in range(self.dim):
-            out = out * self.axis_view(sign, ax)
-        return _frozen(out)
+            values *= self.axis_view(self.origin_signs, ax)
+        return values
 
     @cached_property
     def derivative_multipliers(self):
@@ -231,23 +235,21 @@ def transform(f: Field) -> Field:
     _require_space(f, PHYSICAL, "transform")
     values = _fft(f.values, f.grid.dim)
     values *= f.grid.quad_weight
-    values *= f.grid.spectral_phase  # exact after the weight: the sign is +-1
-    return Field(f.grid, values, SPECTRAL)
+    return Field(f.grid, f.grid.flip_origin_signs(values), SPECTRAL)
 
 
 def from_fft(grid, fft_values) -> Field:
     """transform's result for the field whose _fft is fft_values."""
-    values = fft_values * grid.quad_weight
-    values *= grid.spectral_phase
-    return Field(grid, values, SPECTRAL)
+    return Field(grid, grid.flip_origin_signs(fft_values * grid.quad_weight), SPECTRAL)
 
 
 def inverse_transform(f: Field) -> Field:
     """Spectral -> physical, inverse of transform."""
     _require_space(f, SPECTRAL, "inverse_transform")
     g = f.grid
-    vals = _ifft(f.values * g.spectral_phase / g.quad_weight, g.dim)
-    return Field(g, vals, PHYSICAL)
+    values = g.flip_origin_signs(f.values.copy())
+    values /= g.quad_weight
+    return Field(g, _ifft(values, g.dim), PHYSICAL)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ class GaussianSpec:
 
 
 class FieldError(ValueError):
-    """A SweepConfig field out of its range; field names it, and the
+    """A SweepConfig or ScalingParams field out of its range; field names it, and the
     message reads "<field> <message>"."""
 
     def __init__(self, field, message):
@@ -279,7 +279,8 @@ def ghost_runs(config):
 
 def fit_loglog(xs, ys):
     """Least-squares slope of log(y) against log(x); returns
-    (slope, intercept, max_residual). Needs >= 3 strictly positive points."""
+    (slope, intercept, max_residual). Needs >= 3 strictly positive points
+    and two distinct x."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 3:
@@ -287,7 +288,13 @@ def fit_loglog(xs, ys):
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("slope fits need strictly positive data")
     lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    # the centred closed form of the least-squares line: no BLAS or LAPACK call
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    sxx = np.sum(dx * dx)
+    if sxx == 0:
+        raise ValueError("slope fits need at least two distinct x")
+    slope = np.sum(dx * dy) / sxx
+    intercept = ly.mean() - slope * lx.mean()
     resid = np.abs(ly - (slope * lx + intercept)).max()
     return float(slope), float(intercept), float(resid)
 
@@ -580,15 +587,15 @@ class ScalingParams:
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 3):
-            raise ValueError(f"dimension n must be an integer >= 3, got {self.n!r}")
+            raise FieldError("n", f"must be an integer >= 3, got {self.n!r}")
         if self.s >= self.s_c:
-            raise ValueError(f"s = {self.s} must be < s_c = {self.s_c}")
+            raise FieldError("s", f"= {self.s} must be < s_c = {self.s_c}")
         if self.s < 0:
-            raise ValueError(f"s must be >= 0, got {self.s}")
+            raise FieldError("s", f"must be >= 0, got {self.s}")
         if not 0 <= self.sigma < self.s_c:
-            raise ValueError(f"sigma = {self.sigma} must lie in [0, s_c = {self.s_c})")
+            raise FieldError("sigma", f"= {self.sigma} must lie in [0, s_c = {self.s_c})")
         if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+            raise FieldError("k", f"must be positive, got {self.k}")
 
     @property
     def s_c(self):

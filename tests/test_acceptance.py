@@ -3,11 +3,20 @@ pass/fail line printed per criterion (run with -s to see them live), and
 the run plan behind them."""
 
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import scnls
 from scnls import nls, studies, wkb
-from scnls.acceptance import CRITERIA_TABLE, AcceptanceSuite, conservation_checks
+from scnls.acceptance import (
+    CRITERIA_TABLE, AcceptanceSuite, conservation_checks, low_mode_datum, scaling_checks,
+)
+from scnls.grid import make_grid
 
 from conftest import alone, bit_identical
 
@@ -128,3 +137,23 @@ def test_ghost_criteria_details():
         "s=2: spread 0.125, floor ok=True; control run null to 1e-10")
     assert stub_suite("ghost_n_study/above_floor_s1").run_all()[8][3] == (
         "s=0: spread 0.125; s=1: spread 0.125; s=2: spread 0.125")
+
+
+def test_scaling_checks_leave_numpy_random_unimported():
+    # criterion 8's random datum comes from the standard library generator
+    code = ("import sys\n"
+            "from scnls import acceptance\n"
+            "assert all(c['passed'] for c in acceptance.scaling_checks(0).values())\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(scnls.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scaling_checks_datum_follows_the_seed():
+    assert scaling_checks(3) == scaling_checks(3)
+    g = make_grid(1, 12.0, 512)
+    assert np.array_equal(low_mode_datum(g, 3).values, low_mode_datum(g, 3).values)
+    assert not np.array_equal(low_mode_datum(g, 3).values, low_mode_datum(g, 4).values)
+    with pytest.raises(ValueError, match="seed"):
+        scaling_checks(-1)

@@ -170,6 +170,11 @@ class TestConfigValidation:
         pytest.param("report-inflation", "scaling.k",
                      {"sweep.s_list": [0.0, 1.0], "scaling.k": 1.0000001},
                      id="report-inflation-k-same-label"),
+    ] + [
+        # validate_config builds the report's ScalingParams too (n = 6: s_c = 2)
+        pytest.param("report-inflation", f"scaling.{key}", {f"scaling.{key}": value},
+                     id=f"report-inflation-scaling-{key}")
+        for key, value in (("k", 0), ("s", 5), ("sigma", 3))
     ])
     def test_bad_sweep_named_before_any_output(self, tmp_path, capsys, command, field, values):
         doc = tiny_sweep()
@@ -180,6 +185,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, doc)
         assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{field}' ")
+        assert not out.exists()
+
+    def test_negative_seed_named_before_any_output(self, tmp_path, capsys):
+        # random.Random would take abs(seed), so two seeds would share a datum
+        cfg = write_config(tmp_path, {"schema_version": 1, "seed": -1})
+        out = tmp_path / "out"
+        assert cli.run(["selftest", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config field 'seed' must be >= 0")
         assert not out.exists()
 
     def test_section_must_be_object(self, tmp_path, capsys):

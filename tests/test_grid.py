@@ -402,7 +402,7 @@ class TestSharedGrid:
 
     def test_cached_arrays_are_read_only(self):
         g = make_grid(2, 3.0, 16)
-        arrays = [*g.x_axes, *g.k_axes, g.k_squared, g.spectral_phase,
+        arrays = [*g.x_axes, *g.k_axes, g.k_squared, g.origin_signs,
                   g.derivative_multipliers, g.dealias_mask, g.sobolev_weight(SobolevIndex(1.0))]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -443,8 +443,12 @@ class TestSharedGrid:
         index = SobolevIndex(s, homogeneous=kind == "homogeneous",
                              eps_scaled=0.25 if kind == "eps" else None)
         fhat = sg.transform(f)
-        assert np.array_equal(
-            fhat.values, np.fft.fftn(f.values) * (g.quad_weight * g.spectral_phase))
+        # the sign (-1)^m of mode m per axis, multiplied over the axes
+        m = np.rint(np.fft.fftfreq(g.points_per_axis) * g.points_per_axis).astype(int)
+        sign = np.ones(g.shape)
+        for ax in range(dim):
+            sign = sign * g.axis_view(np.where(m % 2 == 0, 1.0, -1.0), ax)
+        assert np.array_equal(fhat.values, np.fft.fftn(f.values) * (g.quad_weight * sign))
         w = index.weight(g.k_squared)
         assert norm(f, index) == float(
             np.sqrt(np.sum(w * np.abs(fhat.values) ** 2) * g.parseval_weight))

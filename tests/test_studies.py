@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scnls import report as rpt
 from scnls import nls, studies, wkb
@@ -574,6 +576,27 @@ class TestFitAndReportPlumbing:
             fit_loglog([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="positive"):
             fit_loglog([1.0, 2.0, 3.0], [1.0, 0.0, 2.0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(ks=st.lists(st.integers(0, 12), min_size=3, max_size=6, unique=True),
+           ys=st.lists(st.floats(1e-6, 1e6), min_size=6, max_size=6))
+    def test_fit_is_the_least_squares_line_without_lapack(self, ks, ys):
+        xs = [0.5**k for k in ks]
+        ys = ys[:len(xs)]
+        reference = np.polyfit(np.log(xs), np.log(ys), 1)
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((np, "polyfit"), (np.linalg, "lstsq")):
+                mp.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+            slope, intercept, _ = fit_loglog(xs, ys)
+        # relative, with a floor at the scale of log(y) for slopes that
+        # vanish up to roundoff (a constant y gives 0 here, ~1e-15 there)
+        floor = 1e-12 * np.abs(np.log(ys)).max()
+        assert slope == pytest.approx(reference[0], rel=1e-12, abs=floor)
+        assert intercept == pytest.approx(reference[1], rel=1e-12, abs=floor)
+
+    def test_fit_needs_two_distinct_x(self):
+        with pytest.raises(ValueError, match="distinct"):
+            fit_loglog([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
 
     def test_fit_recovers_power_law(self):
         xs = [1.0, 0.5, 0.25, 0.125]
