@@ -148,13 +148,17 @@ def conservation_checks(cache):
     return checks
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def low_mode_datum(grid, seed):
     """The random field on the 1-D grid whose modes |m| <= 8 have standard
     normal real and imaginary parts, drawn from random.Random(seed) for a
     seed >= 0: the standard library's generator, which spares importing
     numpy.random."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     rng = random.Random(seed)
     spec = np.zeros(grid.shape, dtype=complex)
     low = np.arange(-8, 9) % grid.points_per_axis
@@ -196,6 +200,7 @@ class AcceptanceSuite:
     """Shared-state runner for the nine acceptance criteria."""
 
     def __init__(self, seed=0):
+        _check_seed(seed)
         self.cache = {}
         self.seed = seed
         self.config = SweepConfig(eps_list=FULL_EPS_SWEEP, s_list=S_LIST, tau=0.2, horizon=0.25)

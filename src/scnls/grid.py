@@ -100,7 +100,7 @@ class Grid:
         """|kappa|^2 over the full grid, FFT order."""
         out = np.zeros(self.shape)
         for ax in range(self.dim):
-            out = out + self.axis_view(self.k_axes[ax] ** 2, ax)
+            out += self.axis_view(self.k_axes[ax] ** 2, ax)
         return _frozen(out)
 
     @cached_property
@@ -271,12 +271,15 @@ class SobolevIndex:
                 raise ValueError("eps-scaled homogeneous norm is not defined")
 
     def weight(self, k_squared):
-        if self.eps_scaled is not None:
-            return (1.0 + self.eps_scaled**2 * k_squared) ** self.s
+        """The weight over k_squared in one new array, or k_squared itself
+        for the homogeneous order 1 (the energy's), since k**1 is k."""
         if self.homogeneous:
             # 0^0 == 1 makes s = 0 coincide with L2, as it should.
-            return k_squared**self.s
-        return (1.0 + k_squared) ** self.s
+            return k_squared if self.s == 1 else k_squared**self.s
+        w = (self.eps_scaled or 1.0) ** 2 * k_squared  # unscaled: 1.0 * k is k
+        w += 1.0
+        w **= self.s
+        return w
 
 
 def norm(f: Field, index: SobolevIndex = SobolevIndex()) -> float:

@@ -22,8 +22,10 @@ held: 3n + 1 forward and 3n + S inverse FFTs for n steps and S saves
 after t = 0.
 
 Per grid point the loop holds three fields of a member: u, its spectrum
-and the last saved snapshot (the NonFiniteError's last good state); a
-save adds the transform it hands on for as long as keep takes.
+and the last saved snapshot (the NonFiniteError's last good state). A
+save allocates no other field: it drops the old snapshot before it
+copies the new one, and the spectrum it hands on lives in u's buffer,
+which the next stage overwrites.
 
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
@@ -47,8 +49,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
 from .grid import (
-    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, from_fft, lp_norm, norm,
-    tail_fraction,
+    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, lp_norm, norm, tail_fraction,
 )
 
 MAX_STEPS = 5_000_000
@@ -174,7 +175,8 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     every guard at that time has passed, spectrum being transform(state.u)
     read off the spectrum the loop holds, and the trajectory holds what it
     returns instead, so the caller may let each snapshot go as soon as it
-    is saved.
+    is saved.  The spectrum is lent in the loop's own buffer and is valid
+    only during the keep call: a caller that holds on to it copies it.
 
     The first member to trip a guard, in step order, raises: ResolutionError
     if its spectral tail guard trips at a saved time (including t = 0),
@@ -219,9 +221,15 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
             ResolutionError.check(tail_fraction(spectrum), config.tail_tol,
                                   f"at t = {t:.6g}", t)
         for member, values in enumerate(u):
+            last[member] = None  # the old snapshot goes before the new copy
             last[member] = NlsState(t, Field(grid, values.copy()), eps)
-            trajectories[member].append(
-                keep((last[member], from_fft(grid, buf[member]))) if keep else last[member])
+            snap = last[member]
+            if keep is not None:
+                # copied, u is free until the next stage's inverse transform:
+                # it lends its buffer to transform(values), from_fft's bits
+                np.multiply(buf[member], grid.quad_weight, out=values)
+                snap = keep((snap, Field(grid, grid.flip_origin_signs(values), SPECTRAL)))
+            trajectories[member].append(snap)
 
     save(0)
     for step in range(1, n_steps + 1):

@@ -94,7 +94,8 @@ def dump_json(payload, path):
 def nls_row(snap, norm_orders=()):
     """(t, mass, energy, requested H^s norms) of the (NlsState, spectrum)
     pair solve_nls_stack hands to keep; the energy and the norms read the
-    pair's spectrum, so a row makes no transform."""
+    pair's spectrum, so a row makes no transform.  The row holds only
+    floats, since the spectrum is lent for the keep call alone."""
     state, uhat = snap
     row = {
         "t": state.t,

@@ -157,3 +157,11 @@ def test_scaling_checks_datum_follows_the_seed():
     assert not np.array_equal(low_mode_datum(g, 3).values, low_mode_datum(g, 4).values)
     with pytest.raises(ValueError, match="seed"):
         scaling_checks(-1)
+
+
+def test_negative_seed_raises_at_construction(monkeypatch):
+    # the suite refuses the seed before it plans or integrates any run
+    for module, name in STACK_SOLVERS + ((studies, "solve_runs"),):
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        AcceptanceSuite(seed=-1)

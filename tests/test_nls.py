@@ -274,21 +274,44 @@ class TestStackedEngine:
         assert counts == single
         assert single["forward"] > 0
 
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_keep_gets_the_transform_of_each_saved_state(self, dim):
-        # the spectrum handed on is read off the loop's, member by member,
-        # after the per-axis kinetic factors; a fresh transform agrees
+    @staticmethod
+    def keep_run(dim, keep=None):
         g = make_grid(dim, 8.0, 16 if dim == 3 else 64)
         data = [make_gaussian(g), make_gaussian(g, amplitude=1.5, width=0.8)]
         cfg = NlsRunConfig(dt=1e-2, T=0.1, save_every=3, tail_tol=1.0)
-        kept = solve_nls_stack(data, 0.5, cfg, keep=lambda snap: snap)
+        return g, solve_nls_stack(data, 0.5, cfg, keep)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_keep_gets_the_transform_of_each_saved_state(self, dim):
+        # the spectrum handed on is read off the loop's, member by member,
+        # after the per-axis kinetic factors; it is valid only during the
+        # keep call, where a fresh transform agrees
+        grids = []
+
+        def check(snap):
+            state, spectrum = snap
+            ref = sg.transform(state.u).values
+            assert spectrum.space == sg.SPECTRAL
+            assert np.allclose(spectrum.values, ref, rtol=1e-13,
+                               atol=1e-13 * np.abs(ref).max())
+            grids.append(spectrum.grid)
+            return state
+
+        g, kept = self.keep_run(dim, check)
         assert [len(traj) for traj in kept] == [5, 5]
-        for traj in kept:
-            for state, spectrum in traj:
-                ref = sg.transform(state.u).values
-                assert spectrum.space == sg.SPECTRAL and spectrum.grid == g
-                assert np.allclose(spectrum.values, ref, rtol=1e-13,
-                                   atol=1e-13 * np.abs(ref).max())
+        assert grids == [g] * 10
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_kept_states_outlive_the_lent_spectrum(self, dim):
+        # the spectrum lives in the loop's field buffer, which the next stage
+        # overwrites; the states keep holds are copies that nothing touches
+        _, kept = self.keep_run(dim, lambda snap: snap[0])
+        g, plain = self.keep_run(dim)
+        for kept_traj, plain_traj in zip(kept, plain, strict=True):
+            assert [s.t for s in kept_traj] == [s.t for s in plain_traj]
+            for a, b in zip(kept_traj, plain_traj, strict=True):
+                assert a.u.space == sg.PHYSICAL and a.u.grid == g
+                assert np.array_equal(a.u.values, b.u.values)
 
     def test_member_data_untouched(self):
         g = make_grid(1, 12.0, 64)
