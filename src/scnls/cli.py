@@ -17,7 +17,7 @@ import sys
 from dataclasses import MISSING, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from . import nls, report, studies, wkb
 from .acceptance import FULL_EPS_SWEEP, AcceptanceSuite
@@ -50,11 +50,12 @@ STUDY_NAMES = {
 # ----------------------------------------------------------------------
 
 class Key(NamedTuple):
-    """One config key.  kind is the type of the checked value: float, int,
-    bool, str (one of choices) or tuple (a list of floats).  A key whose
-    default is MISSING is required; a number whose default is None may be
-    null.  ge and le are inclusive bounds, gt an exclusive one; a tuple's
-    bounds hold for each entry."""
+    """One config key.  kind is the type of the parsed value: float, int,
+    bool, str or tuple (a list of floats).  A key whose default is MISSING
+    is required; a number whose default is None may be null.  ge and le are
+    inclusive bounds, gt an exclusive one, choices a str's values; a tuple's
+    bounds hold for each entry.  The keys of a section that builds a
+    dataclass have none: the dataclass checks its own fields."""
 
     kind: type
     default: object = MISSING
@@ -64,11 +65,11 @@ class Key(NamedTuple):
     choices: tuple = ()
 
 
-def _fields_of(cls, **keys):
-    """keys, each defaulting to the default of the field of cls it names."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    return {name: key if key.default is not MISSING else key._replace(default=defaults[name])
-            for name, key in keys.items()}
+def _fields_of(cls, *names, **defaults):
+    """A Key per named field of cls: its kind from the field's annotation,
+    its default from the field unless defaults overrides it."""
+    kinds, field_defaults = get_type_hints(cls), {f.name: f.default for f in fields(cls)}
+    return {name: Key(kinds[name], defaults.get(name, field_defaults[name])) for name in names}
 
 
 TOP_LEVEL = {
@@ -78,38 +79,13 @@ TOP_LEVEL = {
 }
 
 SCHEMA = {
-    "grid": _fields_of(
-        SweepConfig,
-        half_width=Key(float, gt=0.0),
-        points_base=Key(int, ge=8),
-        eps_ref=Key(float, gt=0.0, le=1.0),
-        wkb_points=Key(int, ge=8),
-        max_points_per_axis=Key(int, ge=8),
-    ),
-    "data": _fields_of(
-        GaussianSpec,
-        amplitude=Key(float),
-        width=Key(float, gt=0.0),
-        center=Key(float),
-    ),
-    "sweep": _fields_of(
-        SweepConfig,
-        eps_list=Key(tuple, FULL_EPS_SWEEP),
-        s_list=Key(tuple),
-        tau=Key(float, gt=0.0),
-        horizon=Key(float, gt=0.0),
-        a1_mode=Key(str, choices=studies.A1_MODES),
-        scaled_order=Key(int, ge=1),
-        n_saves=Key(int, ge=1),
-        certify_refinement=Key(bool),
-        smalltime_points=Key(int, ge=3),
-    ),
-    "solver": _fields_of(
-        SweepConfig,
-        nls_dt_safety=Key(float, gt=0.0),
-        wkb_dt_safety=Key(float, gt=0.0),
-        tail_tol=Key(float, gt=0.0),
-    ),
+    "grid": _fields_of(SweepConfig, "half_width", "points_base", "eps_ref", "wkb_points",
+                       "max_points_per_axis"),
+    "data": _fields_of(GaussianSpec, "amplitude", "width", "center"),
+    "sweep": _fields_of(SweepConfig, "eps_list", "s_list", "tau", "horizon", "a1_mode",
+                        "scaled_order", "n_saves", "certify_refinement", "smalltime_points",
+                        eps_list=FULL_EPS_SWEEP),
+    "solver": _fields_of(SweepConfig, "nls_dt_safety", "wkb_dt_safety", "tail_tol"),
     "run": {
         "eps": Key(float, 0.125, ge=0.0, le=1.0),
         "dim": Key(int, 1, ge=1, le=3),
@@ -123,12 +99,7 @@ SCHEMA = {
         "dump_fields": Key(bool, False),
         "sing_tol": Key(float, None, gt=0.0),
     },
-    "scaling": {
-        "n": Key(int, 6, ge=3),
-        "s": Key(float, 1.0),
-        "sigma": Key(float, 1.5),
-        "k": Key(float, 1.0),
-    },
+    "scaling": _fields_of(ScalingParams, "n", "s", "sigma", "k"),
     "corollary": {
         "n": Key(int, 6, ge=5),
         "delta": Key(float, 0.1, gt=0.0),
@@ -172,8 +143,10 @@ def _checked(key, val, path):
             _fail(path, f"must be true/false, got {val!r}")
         return val
     if key.kind is str:
-        if val not in key.choices:
+        if key.choices and val not in key.choices:
             _fail(path, f"must be one of {sorted(key.choices)}, got {val!r}")
+        if not isinstance(val, str):
+            _fail(path, f"must be a string, got {val!r}")
         return val
     if key.kind is tuple:
         if not isinstance(val, (list, tuple)) or not all(map(_is_number, val)):
@@ -248,10 +221,8 @@ def validate_config(doc, command):
     if len({f"{s:g}" for s in out["run"]["norms"]}) < len(out["run"]["norms"]):
         _fail("run.norms", "must have entries distinct to 6 significant digits (each names "
               f"an h<s> column), got {list(out['run']['norms'])}")
-    if command == "report-inflation":
-        out["scaling_params"] = _built(ScalingParams, ("scaling",), **out["scaling"])
-    if command in STUDY_COMMANDS or command.startswith("report-"):
-        out["sweep_config"] = _sweep_config(doc, out, command)
+    out["scaling_params"] = _built(ScalingParams, ("scaling",), **out["scaling"])
+    out["sweep_config"] = _sweep_config(doc, out, command)
     return out
 
 
@@ -266,10 +237,11 @@ def _built(cls, sections, **kwargs):
 
 
 def _sweep_config(doc, cfg, command):
-    """The SweepConfig command runs: sweep.s_list plus the s a bookkeeping
-    report reads, and sweep.a1_mode unless the command forces one (the
-    document may then name only that mode).  An error names the config
-    field at fault."""
+    """The SweepConfig command runs (every command builds one, and a run
+    command reads its a0): sweep.s_list plus the s a bookkeeping report
+    reads, and sweep.a1_mode unless the command forces one (the document
+    may then name only that mode).  An error names the config field at
+    fault."""
     forced = STUDY_COMMANDS.get(command, (None, None, None))[2]
     if forced is not None and doc.get("sweep", {}).get("a1_mode", forced) != forced:
         _fail("sweep.a1_mode", f"must be '{forced}' for {command}, got {doc['sweep']['a1_mode']!r}")
@@ -282,7 +254,8 @@ def _sweep_config(doc, cfg, command):
         s_list += (extra_s,)
     sweep = {**cfg["sweep"], "s_list": tuple(sorted(s_list)),
              "a1_mode": forced or cfg["sweep"]["a1_mode"]}
-    return _built(SweepConfig, ("grid", "sweep", "solver"), a0=GaussianSpec(**cfg["data"]),
+    return _built(SweepConfig, ("grid", "sweep", "solver"),
+                  a0=_built(GaussianSpec, ("data",), **cfg["data"]),
                   **cfg["grid"], **sweep, **cfg["solver"])
 
 
@@ -316,7 +289,7 @@ def _run_single(cfg, out_dir, kind, grid, rc, row, dumps):
     abort leaves the earlier dumps."""
     section, name = cfg["run"], "nls" if kind == "nls" else "wkb"
     c = studies.A1_COEFFICIENTS[section["a1_mode"]](section["eps"], cfg["sweep"]["scaled_order"])
-    run = studies.Run(kind, grid, section["eps"], rc, GaussianSpec(**cfg["data"]), c)
+    run = studies.Run(kind, grid, section["eps"], rc, cfg["sweep_config"].a0, c)
     fdir, saves = out_dir / "fields", itertools.count()
 
     def keep(snapshot):

@@ -49,6 +49,15 @@ SLOPE_BAND_ORDER2 = (1.7, 2.3)
 SLOPE_BAND_CUBIC = (2.7, 3.3)
 
 
+class FieldError(ValueError):
+    """A GaussianSpec, SweepConfig or ScalingParams field out of its range; field
+    names it, and the message reads "<field> <message>"."""
+
+    def __init__(self, field, message):
+        super().__init__(f"{field} {message}")
+        self.field, self.message = field, message
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Parameters of the canonical datum amplitude * exp(-|x-c|^2/w^2)."""
@@ -57,20 +66,15 @@ class GaussianSpec:
     width: float = 1.0
     center: float = 0.0
 
+    def __post_init__(self):
+        if not self.width > 0:
+            raise FieldError("width", f"must be positive, got {self.width!r}")
+
     def realize(self, grid, multiplier=1.0) -> Field:
         base = make_gaussian(grid, self.amplitude, self.width, self.center)
         if multiplier == 1.0:
             return base
         return Field(grid, multiplier * base.values)
-
-
-class FieldError(ValueError):
-    """A SweepConfig or ScalingParams field out of its range; field names it, and the
-    message reads "<field> <message>"."""
-
-    def __init__(self, field, message):
-        super().__init__(f"{field} {message}")
-        self.field, self.message = field, message
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,9 @@ class SweepConfig:
     max_points_per_axis: int = 32768
 
     def __post_init__(self):
+        for name in ("half_width", "horizon", "nls_dt_safety", "wkb_dt_safety", "tail_tol"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
         if len(self.eps_list) == 0:
             raise FieldError("eps_list", "must not be empty")
         if any(not 0 < e <= 1 for e in self.eps_list):
@@ -116,9 +123,6 @@ class SweepConfig:
             raise FieldError("n_saves", f"must be an integer >= 1, got {self.n_saves!r}")
         if not 0 < self.eps_ref <= 1:
             raise FieldError("eps_ref", f"must lie in (0, 1], got {self.eps_ref!r}")
-        for name in ("nls_dt_safety", "wkb_dt_safety", "tail_tol"):
-            if not getattr(self, name) > 0:
-                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
         ratio = self.tau / (self.horizon / self.n_saves)
         if abs(ratio - round(ratio)) > 1e-9:
             raise FieldError("tau", f"= {self.tau} must fall on the save grid "
@@ -132,7 +136,11 @@ class SweepConfig:
             if v < 8 or v & (v - 1) != 0:
                 raise FieldError(name, f"must be a power of two >= 8, got {v!r}")
         if self.smalltime_points < 3:
-            raise FieldError("smalltime_points", "must be >= 3 for slope fits")
+            raise FieldError("smalltime_points",
+                             f"must be >= 3 for slope fits, got {self.smalltime_points!r}")
+        if self.max_points_per_axis < 8:
+            raise FieldError("max_points_per_axis",
+                             f"must be >= 8, got {self.max_points_per_axis!r}")
 
     def a1_coefficient(self, eps):
         """The coefficient c of a1 = c a0 at eps (A1_COEFFICIENTS)."""
@@ -580,10 +588,10 @@ class ScalingParams:
     """Dimension-n scaling frame: s_c = n/2 - 1, datum frequency
     j = eps^{1/(s - s_c)}, observation times t_j = tau j^{-(s_c + 2 - s)}."""
 
-    n: int
-    s: float
-    sigma: float
-    k: float
+    n: int = 6
+    s: float = 1.0
+    sigma: float = 1.5
+    k: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 3):

@@ -157,8 +157,9 @@ class TestConfigValidation:
         assert "config field 'sweep.a1_mode'" in err and "'scaled'" in err
         assert not (tmp_path / "summary.json").exists()
 
-    # validate_config builds the SweepConfig a sweep command runs, so its
-    # checks name their field and fail before --out is created
+    # validate_config builds the SweepConfig a command runs (the canonical
+    # one under a command that runs none), so its checks name their field
+    # and fail before --out is created
     @pytest.mark.parametrize("command, field, values", [
         pytest.param(command, field, {field: value}, id=f"{command}-{case}")
         for command in ("study-smalltime", "report-inflation")
@@ -175,6 +176,14 @@ class TestConfigValidation:
         pytest.param("report-inflation", f"scaling.{key}", {f"scaling.{key}": value},
                      id=f"report-inflation-scaling-{key}")
         for key, value in (("k", 0), ("s", 5), ("sigma", 3))
+    ] + [
+        # every command builds the sweep and the scaling frame, also one
+        # that reads neither (sweep.tau 0.13 is off the save grid 0.025)
+        pytest.param(command, field, {field: value}, id=f"{command}-{field}")
+        for command, field, value in (("run-nls", "sweep.tau", 0.13),
+                                      ("run-wkb", "sweep.tau", 0.13),
+                                      ("selftest", "sweep.tau", 0.13),
+                                      ("selftest", "scaling.s", 5))
     ])
     def test_bad_sweep_named_before_any_output(self, tmp_path, capsys, command, field, values):
         doc = tiny_sweep()
@@ -186,6 +195,42 @@ class TestConfigValidation:
         assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{field}' ")
         assert not out.exists()
+
+    # Each range rule of a dataclass-backed section lives in the dataclass
+    # alone: the CLI reports the message building it directly raises, for a
+    # sweep command and a run command alike.
+    @pytest.mark.parametrize("command", ["study-ghost", "run-nls"])
+    @pytest.mark.parametrize("field, value", [
+        ("grid.points_base", 4), ("grid.wkb_points", 4), ("grid.eps_ref", 0.0),
+        ("grid.half_width", 0.0), ("grid.max_points_per_axis", 4),
+        ("data.width", 0.0),
+        ("sweep.tau", 0.0), ("sweep.horizon", 0.0), ("sweep.a1_mode", "diagonal"),
+        ("sweep.scaled_order", 0), ("sweep.n_saves", 0), ("sweep.smalltime_points", 2),
+        ("solver.nls_dt_safety", 0.0), ("solver.wkb_dt_safety", 0.0), ("solver.tail_tol", 0.0),
+        ("scaling.n", 2), ("scaling.s", 5.0), ("scaling.sigma", 3.0), ("scaling.k", 0.0),
+    ])
+    def test_dataclass_rule_reported_in_its_own_words(self, tmp_path, capsys, command, field,
+                                                      value):
+        section, key = field.split(".")
+        with pytest.raises(studies.FieldError) as exc:
+            if section == "data":
+                studies.GaussianSpec(**{key: value})
+            elif section == "scaling":
+                studies.ScalingParams(**{key: value})
+            else:
+                SweepConfig(eps_list=FULL_EPS_SWEEP, **{key: value})
+        assert exc.value.field == key
+        cfg = write_config(tmp_path, {"schema_version": 1, section: {key: value}})
+        out = tmp_path / "out"
+        assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config field '{field}' {exc.value.message}\n"
+        assert not out.exists()
+
+    def test_dataclass_backed_sections_carry_no_bounds(self):
+        for section in ("grid", "data", "sweep", "solver", "scaling"):
+            for name, key in cli.SCHEMA[section].items():
+                bounds = (key.ge, key.gt, key.le, key.choices)
+                assert bounds == (None, None, None, ()), f"{section}.{name}"
 
     def test_negative_seed_named_before_any_output(self, tmp_path, capsys):
         # random.Random would take abs(seed), so two seeds would share a datum
@@ -749,6 +794,10 @@ GOLDEN_RUNS = {
                                               "norms": [0, 1, 2]}}),
     "run-wkb-corrector": ("run-wkb", {"run": {"with_corrector": True, "eps": 0,
                                               "a1_mode": "equal_a0"}}),
+    # the 3-D derivative rows of the phase-amplitude engine; at its default
+    # step the run would make a single RK4 step
+    "run-wkb-3d": ("run-wkb", {"run": {"dim": 3, "points": 32, "eps": 0, "with_corrector": True,
+                                       "a1_mode": "equal_a0", "norms": [0, 1], "dt": 0.025}}),
     # the guard aborts of TestRunCommands
     "run-nls-tail-abort": ("run-nls", {"solver": {"tail_tol": 3e-5},
                                        "run": {"eps": 0.25, "points": 64, "T": 0.5,

@@ -411,6 +411,31 @@ class TestEngineProperties:
         m0 = mass(u0)
         assert max(abs(mass(s.u) - m0) for s in traj) <= 1e-12 * m0
 
+    # Galilean covariance: if u solves the equation, so does
+    # e^{i(k0.x - eps |k0|^2 t/2)} u(t, x - eps k0 t).  Both substeps keep it
+    # for any step, so the boosted run, demodulated and translated back,
+    # is the plain run up to the aliasing of the translation, which is
+    # roundoff on these grids (it reads 2e-6 on a 128^2 grid).
+    @pytest.mark.parametrize("dim, points, eps", [(1, 512, 0.125), (2, 512, 0.25)])
+    def test_galilean_boost(self, dim, points, eps):
+        g = make_grid(dim, 12.0, points)
+        T = 0.25
+        # a different lattice wavenumber per axis: mode m + 1 on axis m
+        k0 = [np.pi * (ax + 1) / g.half_width for ax in range(dim)]
+        phase = sum(g.axis_view(k * x, ax) for ax, (k, x) in enumerate(zip(k0, g.x_axes)))
+        u0 = make_gaussian(g)
+        boosted = Field(g, u0.values * np.exp(1j * phase))
+        cfg = NlsRunConfig(dt=0.025, T=T, save_every=10, tail_tol=1.0)
+        plain, moved = (traj[-1].u.values
+                        for traj in solve_nls_stack([u0, boosted], eps, cfg))
+        spectrum = sg._fft(moved * np.exp(-1j * (phase - eps * T / 2 * sum(k * k for k in k0))),
+                           dim)
+        for ax, (k, kx) in enumerate(zip(k0, g.k_axes)):
+            spectrum *= g.axis_view(np.exp(1j * eps * k * T * kx), ax)
+        back = sg._ifft(spectrum, dim)
+        err = np.linalg.norm(back - plain) / np.linalg.norm(plain)
+        assert err <= 1e-12
+
 
 class TestGuards:
     def test_resolution_guard_at_start(self):
