@@ -10,6 +10,9 @@ Conventions (fixed once, used everywhere):
   approximate the continuum integral  fhat(k) = int f(x) e^{-ikx} dx.
 * Parseval then reads  int |f|^2 dx = sum_k |fhat(k)|^2 * mu  with
   mu = (2L)^{-n}, and all Sobolev norms are weighted spectral sums.
+* A norm or a mass sums over slabs of the grid's first axis, building
+  each slab's weight from the per-axis wavenumbers, so neither it nor the
+  grid holds a whole-grid weight or |f|^2 array (see _power_sum).
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class Grid:
     """Precomputed spectral machinery for [-L, L)^n, immutable and shareable.
 
     Its cached arrays are read-only; make_grid hands out one Grid per
-    (dim, half_width, points_per_axis) while any holder keeps it alive."""
+    (dim, half_width, points_per_axis) while any holder keeps it alive.
+    It caches no Sobolev weight: a norm builds its weight slab by slab."""
 
     dim: int
     half_width: float
@@ -97,7 +101,8 @@ class Grid:
 
     @cached_property
     def k_squared(self):
-        """|kappa|^2 over the full grid, FFT order."""
+        """|kappa|^2 over the full grid, FFT order: the Laplacian row of
+        derivative_multipliers. Norms build it slab by slab instead."""
         out = np.zeros(self.shape)
         for ax in range(self.dim):
             out += self.axis_view(self.k_axes[ax] ** 2, ax)
@@ -153,16 +158,6 @@ class Grid:
             for axis in range(self.dim)
             for head in itertools.product(kept, repeat=axis)
         )
-
-    @cached_property
-    def _weights(self):
-        return {}
-
-    def sobolev_weight(self, index):
-        """index.weight(k_squared), computed once per index."""
-        if index not in self._weights:
-            self._weights[index] = _frozen(index.weight(self.k_squared))
-        return self._weights[index]
 
 
 _GRIDS = weakref.WeakValueDictionary()
@@ -282,28 +277,67 @@ class SobolevIndex:
         return w
 
 
+# A reduction over an n-D grid runs over at most this many slabs of its
+# first axis, each of at least numpy's pairwise-summation block.
+_MAX_SLABS = 16
+_PAIRWISE_BLOCK = 128
+
+
+def _power_sum(grid, values, p=2, index=None):
+    """sum |values|^p over the grid, each term times index.weight(|k|^2)
+    when index is given, for values of grid's shape in C order.
+
+    The sum runs slab by slab along the first axis, so no temporary spans
+    the grid. A 1-D grid, or one too small to split, is one slab.
+    Otherwise the grid splits into a power-of-two number (at most
+    _MAX_SLABS) of equal slabs of at least _PAIRWISE_BLOCK points, whose
+    sums are added as a balanced binary tree. numpy sums a contiguous float array
+    pairwise, halving it down to blocks of _PAIRWISE_BLOCK; on these
+    power-of-two sizes the tree is that order, so the result has the bits
+    of np.sum over the whole grid.
+    """
+    n = grid.points_per_axis
+    slabs = 1 if grid.dim == 1 else max(1, min(_MAX_SLABS, grid.num_points // _PAIRWISE_BLOCK))
+    if index is not None and index.s == 0:
+        index = None  # every weight of order 0 is identically 1
+    rows = n // slabs
+    sums = [_slab_power_sum(grid, values[lo:lo + rows], lo, p, index) for lo in range(0, n, rows)]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+def _slab_power_sum(grid, slab, lo, p, index):
+    """_power_sum over the slab of rows lo, lo + 1, ... of the first axis.
+    Its |k|^2 is (0 + kx^2) + ky^2 (+ kz^2) there, Grid.k_squared's bits."""
+    power = np.abs(slab)
+    if p in (2, 4):  # squarings in place beat pow
+        np.square(power, out=power)
+        if p == 4:
+            np.square(power, out=power)
+    else:
+        power **= p
+    if index is not None:
+        k2 = (grid.k_axes[0][lo:lo + len(slab)] ** 2).reshape((-1,) + (1,) * (grid.dim - 1))
+        for ax in range(1, grid.dim):
+            k2 = k2 + grid.axis_view(grid.k_axes[ax] ** 2, ax)
+        power *= index.weight(k2)
+    return power.sum()
+
+
 def norm(f: Field, index: SobolevIndex = SobolevIndex()) -> float:
     """Exact spectral evaluation of the selected Sobolev norm."""
     if f.space == PHYSICAL:
         f = transform(f)
     g = f.grid
-    power = np.abs(f.values)
-    np.square(power, out=power)
-    if index.s != 0:  # every weight of order 0 is identically 1
-        power *= g.sobolev_weight(index)
-    return float(np.sqrt(np.sum(power) * g.parseval_weight))
+    return float(np.sqrt(_power_sum(g, f.values, index=index) * g.parseval_weight))
 
 
 def lp_norm(f: Field, p: float) -> float:
     """Physical-space L^p norm by dx^n quadrature (used for quartic energies)."""
     _require_space(f, PHYSICAL, "lp_norm")
-    power = np.abs(f.values)
-    if p == 4:  # two squarings in place beat pow
-        np.square(power, out=power)
-        np.square(power, out=power)
-    else:
-        power **= p
-    return float((np.sum(power) * f.grid.quad_weight) ** (1.0 / p))
+    g = f.grid
+    return float((_power_sum(g, f.values, p) * g.quad_weight) ** (1.0 / p))
 
 
 def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
@@ -325,15 +359,10 @@ def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
 
 
 def boundary_max(f: Field) -> float:
-    """Largest |value| on the outermost shell of grid points."""
-    mask = np.zeros(f.grid.shape, dtype=bool)
-    for ax in range(f.grid.dim):
-        sl = [slice(None)] * f.grid.dim
-        sl[ax] = 0
-        mask[tuple(sl)] = True
-        sl[ax] = -1
-        mask[tuple(sl)] = True
-    return float(np.abs(f.values[mask]).max())
+    """Largest |value| on the outermost shell of grid points: the first
+    and last sample along each axis."""
+    return float(max(np.abs(np.take(f.values, [0, -1], axis=ax)).max()
+                     for ax in range(f.grid.dim)))
 
 
 def check_boundary_decay(f: Field, tol):

@@ -23,9 +23,10 @@ after t = 0.
 
 Per grid point the loop holds three fields of a member: u, its spectrum
 and the last saved snapshot (the NonFiniteError's last good state). A
-save allocates no other field: it drops the old snapshot before it
-copies the new one, and the spectrum it hands on lives in u's buffer,
-which the next stage overwrites.
+save allocates no other field: once a member's values pass the
+finiteness check, its old snapshot goes, before its tail guard and the
+new copy, and the spectrum it hands on lives in u's buffer, which the
+next stage overwrites.
 
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
@@ -49,7 +50,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
 from .grid import (
-    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, lp_norm, norm, tail_fraction,
+    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, _power_sum, lp_norm, norm,
+    tail_fraction,
 )
 
 MAX_STEPS = 5_000_000
@@ -144,9 +146,7 @@ def mass(f: Field) -> float:
     """int |u|^2 dx by grid quadrature."""
     if f.space != PHYSICAL:
         raise ValueError("mass expects a physical-space field")
-    power = np.abs(f.values)
-    np.square(power, out=power)
-    return float(np.sum(power) * f.grid.quad_weight)
+    return float(_power_sum(f.grid, f.values) * f.grid.quad_weight)
 
 
 def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> float:
@@ -218,10 +218,12 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
         for member, (values, spectrum) in enumerate(zip(u, spectra)):
             if not np.isfinite(values).all():
                 raise NonFiniteError.at_step(step, dt, last[member])
+            # finite, so no error needs its old snapshot, which goes before
+            # the tail guard's temporary and the new copy
+            last[member] = None
             ResolutionError.check(tail_fraction(spectrum), config.tail_tol,
                                   f"at t = {t:.6g}", t)
         for member, values in enumerate(u):
-            last[member] = None  # the old snapshot goes before the new copy
             last[member] = NlsState(t, Field(grid, values.copy()), eps)
             snap = last[member]
             if keep is not None:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ def count_ffts(monkeypatch):
         for name in names:
             monkeypatch.setattr(np.fft, name, counting(direction, getattr(np.fft, name)))
     return counts
+
+
+def traced_peak(call):
+    """tracemalloc's peak, in bytes, over one call of call(): what the call
+    allocates at its worst, less what it frees on the way."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bit_identical(x, y):

@@ -9,7 +9,7 @@ from scnls import grid as sg
 from scnls import nls, wkb
 from scnls.grid import SobolevIndex, make_grid, norm
 
-from conftest import bit_identical, random_field
+from conftest import bit_identical, random_field, traced_peak
 
 
 def derivatives(f):
@@ -403,7 +403,7 @@ class TestSharedGrid:
     def test_cached_arrays_are_read_only(self):
         g = make_grid(2, 3.0, 16)
         arrays = [*g.x_axes, *g.k_axes, g.k_squared, g.origin_signs,
-                  g.derivative_multipliers, g.dealias_mask, g.sobolev_weight(SobolevIndex(1.0))]
+                  g.derivative_multipliers, g.dealias_mask]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
@@ -418,27 +418,33 @@ class TestSharedGrid:
         assert np.array_equal(stack[1], np.broadcast_to(1j * k[None, :], g.shape))
         assert np.array_equal(stack[2], -g.k_squared)
 
-    def test_each_weight_is_computed_once_per_grid(self, monkeypatch):
-        calls = []
-        weight = SobolevIndex.weight
-        monkeypatch.setattr(SobolevIndex, "weight",
-                            lambda self, k2: calls.append(self) or weight(self, k2))
-        g = make_grid(1, 5.125, 32)  # a key no other test holds
+    @pytest.mark.parametrize("reduction, space", [
+        (lambda f: norm(f, SobolevIndex(1.5)), sg.SPECTRAL),
+        (lambda f: norm(f, SobolevIndex(1.0, homogeneous=True)), sg.SPECTRAL),
+        (lambda f: norm(f, SobolevIndex(2.0, eps_scaled=0.5)), sg.SPECTRAL),
+        (lambda f: sg.lp_norm(f, 4), sg.PHYSICAL),
+        (nls.mass, sg.PHYSICAL),
+    ], ids=["plain", "homogeneous", "eps_scaled", "l4", "mass"])
+    def test_reductions_hold_no_whole_grid_array(self, reduction, space):
+        # Each sums slab by slab: |f|^2 and the slab's weight span a sixteenth
+        # of the grid, and the grid caches no weight.
+        g = make_grid(2, 5.125, 256)  # a key no other test holds
         f = random_field(g, 3)
-        indices = [SobolevIndex(1.0), SobolevIndex(1.0, homogeneous=True),
-                   SobolevIndex(2.0, eps_scaled=0.5)]
-        first = [norm(f, index) for index in indices]
-        assert [norm(f, SobolevIndex(s.s, s.homogeneous, s.eps_scaled)) for s in indices] == first
-        assert calls == indices
-        # every order-0 weight is identically 1, so none is computed
-        norm(f, SobolevIndex(0.0, eps_scaled=0.5))
-        assert calls == indices
+        if space == sg.SPECTRAL:
+            f = sg.transform(f)
+        peak = traced_peak(lambda: reduction(f))
+        field = g.num_points * 16
+        assert peak < 0.25 * field, f"peak of {peak / field:.2f} fields"
 
     @settings(max_examples=25, deadline=None)
-    @given(dim=st.integers(1, 2), seed=st.integers(0, 10_000), s=st.floats(0.0, 3.0),
+    @given(shape=st.sampled_from([(1, 32), (2, 32), (2, 128), (3, 32)]),
+           seed=st.integers(0, 10_000), s=st.floats(0.0, 3.0),
            kind=st.sampled_from(["plain", "homogeneous", "eps"]))
-    def test_norm_and_transform_equal_the_uncached_formulas(self, dim, seed, s, kind):
-        g = make_grid(dim, 4.0, 32)
+    def test_norm_and_transform_equal_the_uncached_formulas(self, shape, seed, s, kind):
+        # 128^2 and 32^3 sum over 16 slabs, 32^2 over 8: == checks the slab
+        # tree against numpy's one pairwise sum
+        dim, points = shape
+        g = make_grid(dim, 4.0, points)
         f = random_field(g, seed)
         index = SobolevIndex(s, homogeneous=kind == "homogeneous",
                              eps_scaled=0.25 if kind == "eps" else None)
