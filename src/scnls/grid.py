@@ -50,7 +50,9 @@ class Grid:
 
     Its cached arrays are read-only; make_grid hands out one Grid per
     (dim, half_width, points_per_axis) while any holder keeps it alive.
-    It caches no Sobolev weight: a norm builds its weight slab by slab."""
+    Each is one vector per axis, save k_squared, the Laplacian's symbol:
+    a norm builds its weight slab by slab, and the two-thirds rule is the
+    index boxes tail_boxes, not a mask."""
 
     dim: int
     half_width: float
@@ -100,9 +102,20 @@ class Grid:
         return arr.reshape(shp)
 
     @cached_property
+    def gradient_factors(self):
+        """i*kappa per axis, FFT order, with the unpaired Nyquist mode
+        zeroed, each shaped by axis_view: the product of a spectrum with
+        factor m is its derivative along axis m."""
+        k = self.k_axes[0].copy()
+        k[self.points_per_axis // 2] = 0.0
+        ik = _frozen(1j * k)
+        return tuple(self.axis_view(ik, ax) for ax in range(self.dim))
+
+    @cached_property
     def k_squared(self):
-        """|kappa|^2 over the full grid, FFT order: the Laplacian row of
-        derivative_multipliers. Norms build it slab by slab instead."""
+        """|kappa|^2 over the full grid, FFT order: minus the Laplacian's
+        symbol, the one whole-grid array the phase-amplitude derivatives
+        read. Norms build it slab by slab instead."""
         out = np.zeros(self.shape)
         for ax in range(self.dim):
             out += self.axis_view(self.k_axes[ax] ** 2, ax)
@@ -121,27 +134,6 @@ class Grid:
         for ax in range(self.dim):
             values *= self.axis_view(self.origin_signs, ax)
         return values
-
-    @cached_property
-    def derivative_multipliers(self):
-        """i*kappa per axis with the unpaired Nyquist mode zeroed, then
-        -|kappa|^2, stacked over the full grid: one product with a spectrum
-        gives every gradient component and the Laplacian."""
-        out = np.empty((self.dim + 1,) + self.shape, dtype=np.complex128)
-        for ax in range(self.dim):
-            k = self.k_axes[ax].copy()
-            k[self.points_per_axis // 2] = 0.0
-            out[ax] = 1j * self.axis_view(k, ax)
-        out[self.dim] = -self.k_squared
-        return _frozen(out)
-
-    @cached_property
-    def dealias_mask(self):
-        """Two-thirds rule mask: True on kept modes, False on tail_boxes."""
-        out = np.ones(self.shape, dtype=bool)
-        for box in self.tail_boxes:
-            out[box] = False
-        return _frozen(out)
 
     @cached_property
     def tail_boxes(self):
@@ -229,13 +221,14 @@ def transform(f: Field) -> Field:
     """Physical -> spectral, continuum-integral normalization."""
     _require_space(f, PHYSICAL, "transform")
     values = _fft(f.values, f.grid.dim)
-    values *= f.grid.quad_weight
-    return Field(f.grid, f.grid.flip_origin_signs(values), SPECTRAL)
+    return from_fft(f.grid, values, out=values)
 
 
-def from_fft(grid, fft_values) -> Field:
-    """transform's result for the field whose _fft is fft_values."""
-    return Field(grid, grid.flip_origin_signs(fft_values * grid.quad_weight), SPECTRAL)
+def from_fft(grid, fft_values, out=None) -> Field:
+    """transform's result for the field whose _fft is fft_values: times
+    dx^n, then the origin signs, in out when given (fft_values may be it)."""
+    values = np.multiply(fft_values, grid.quad_weight, out=out)
+    return Field(grid, grid.flip_origin_signs(values), SPECTRAL)
 
 
 def inverse_transform(f: Field) -> Field:

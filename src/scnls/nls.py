@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
 from .grid import (
-    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, _power_sum, lp_norm, norm,
-    tail_fraction,
+    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, _power_sum, from_fft, lp_norm,
+    norm, tail_fraction,
 )
 
 MAX_STEPS = 5_000_000
@@ -228,9 +228,8 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
             snap = last[member]
             if keep is not None:
                 # copied, u is free until the next stage's inverse transform:
-                # it lends its buffer to transform(values), from_fft's bits
-                np.multiply(buf[member], grid.quad_weight, out=values)
-                snap = keep((snap, Field(grid, grid.flip_origin_signs(values), SPECTRAL)))
+                # it lends its buffer to transform(values)
+                snap = keep((snap, from_fft(grid, buf[member], out=values)))
             trajectories[member].append(snap)
 
     save(0)

@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import nls, wkb
-from .grid import SobolevIndex, from_fft, norm
+from .grid import SobolevIndex, _fft, from_fft, norm
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -111,19 +111,22 @@ def wkb_row(snap, norm_orders=()):
     """NLS columns plus the phase-gradient sup of one saved GrenierState,
     and the corrector norms when snap is a (GrenierState, CorrectorState)
     pair; the energy, the gradient sup and the norms share one transform
-    each of a and phi, and the energy and the gradient sup one gradient
-    computation."""
+    each of a and phi, and the energy and the gradient sup one batched
+    inverse transform of their gradients."""
     state, corr = snap if isinstance(snap, tuple) else (snap, None)
-    fft_pair = wkb.spectra(state)
-    grads = wkb.gradients(state, fft_pair)
+    g = state.a.grid
+    fft_pair = np.empty((2,) + g.shape, dtype=complex)
+    for field, spectrum in zip((state.a.values, state.phi.values.real), fft_pair):
+        _fft(field, g.dim, out=spectrum)
+    grad_a, grad_phi = np.swapaxes(wkb.gradients(g, fft_pair), 0, 1)
     row = {
         "t": state.t,
         "mass": nls.mass(state.a),
-        "energy": wkb.wkb_energy(state, grads),
-        "grad_phi_max": wkb.grad_phi_max(state, grads),
+        "energy": wkb.wkb_energy(state, grad_a, grad_phi),
+        "grad_phi_max": float(np.abs(grad_phi.real).max()),
     }
     if norm_orders:
-        a_hat, phi_hat = (from_fft(state.a.grid, f) for f in fft_pair)
+        a_hat, phi_hat = (from_fft(g, f, out=f) for f in fft_pair)
         for s in norm_orders:
             row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
             row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))

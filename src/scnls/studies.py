@@ -725,8 +725,8 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
         raise ValueError(f"the energy-frame bookkeeping needs integer n >= 5, got {n!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    s = n / 4
-    s_c = n / 2 - 1
+    frame = ScalingParams(n=n, s=n / 4, sigma=0.0)
+    s = frame.s
     h1_rows = _rows_at(measured.rows, "ghost", "diff_hs_raw", 1.0)
     if not h1_rows:
         raise ValueError("measured study must include s = 1 rows for the gradient energy")
@@ -748,12 +748,12 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
 
     rows, cols = [], {}
     for h1, l4 in zip(h1_rows, l4_rows):
-        j = h1["eps"] ** (1.0 / (s - s_c))
+        j = frame.j_for(h1["eps"])
         lam_plain = j ** (n / 2 - s)
         lam_tilde = lam_plain + j
         _tabulate(rows, cols, "corollary", h1["eps"], (
             ("j", j, None),
-            ("t_j", tau * j ** -(s_c + 2 - s), None),
+            ("t_j", frame.t_j(j, tau), None),
             ("mass_data", data_mass(lam_plain, j), None),
             ("mass_data_tilde", data_mass(lam_tilde, j), None),
             ("energy_data", data_energy(lam_plain, j), None),
@@ -823,7 +823,7 @@ def corollary_bookkeeping(n, measured: StudyReport, delta=0.1) -> StudyReport:
     header = {
         "n": n,
         "s": s,
-        "s_c": s_c,
+        "s_c": frame.s_c,
         "leading_energy": c0,
         "delta": delta,
         "band_threshold_j": j_star,

@@ -20,8 +20,12 @@ RK4 advances a state of shape (fields, members, *grid): the fields
 [a, phi] or [a, phi, a1, phi1] of runs that share a grid, a step count and
 a save cadence, each with its own datum, eps, dt and singularity bound.
 A stage makes 4 batched FFT calls (np.fft.fft/ifft on a 1-D grid), one
-pair for every derivative and one to dealias.  A stack member equals its
-own stack of one bit for bit and raises that stack's guard error.
+pair for every derivative and one to dealias.  Every spectral derivative
+comes from _derivatives: each gradient component is one product with the
+grid's per-axis factor i*kappa, the Laplacian one with -|kappa|^2.
+Dealiasing zeroes the grid's tail boxes, the modes tail_fraction sums.
+A stack member equals its own stack of one bit for bit and raises that
+stack's guard error.
 """
 
 from __future__ import annotations
@@ -104,12 +108,25 @@ def default_dt(grid, eps, safety=0.25):
     return safety * dx
 
 
-def _gradients(grid, spectra):
+def _derivatives(grid, spectrum, out):
+    """The spectral derivatives of spectrum (grid axes last) into out: row m
+    along axis m for each axis, then the Laplacian when out has a row more.
+    The Laplacian is |kappa|^2 spectrum negated in place, the bits of the
+    product with -|kappa|^2."""
+    for row, factor in zip(out, grid.gradient_factors):
+        np.multiply(factor, spectrum, out=row)
+    if len(out) > grid.dim:
+        lap = np.multiply(grid.k_squared, spectrum, out=out[grid.dim])
+        np.negative(lap, out=lap)
+    return out
+
+
+def gradients(grid, spectra):
     """Gradient components of the fields whose _fft are spectra (one field,
     or a stack of them), from one batched inverse transform: the component
-    axis goes in front of the grid axes."""
-    mults = grid.derivative_multipliers[: grid.dim]
-    return _ifft(np.expand_dims(spectra, -grid.dim - 1) * mults, grid.dim)
+    axis goes in front of the spectra's axes."""
+    out = np.empty((grid.dim,) + spectra.shape, dtype=complex)
+    return _ifft(_derivatives(grid, spectra, out), grid.dim, out=out)
 
 
 class _Rates:
@@ -121,10 +138,8 @@ class _Rates:
     def __init__(self, grid, corrector, eps=0.0, sing_tol=None):
         d = grid.dim
         eps = np.ravel(eps)
-        self.dim, self.sing_tol = d, None if sing_tol is None else np.ravel(sing_tol)
+        self.grid, self.sing_tol = grid, None if sing_tol is None else np.ravel(sing_tol)
         self.kin = np.reshape(0.5j * eps, (-1,) + (1,) * d)
-        self.mults = grid.derivative_multipliers[:, None]
-        self.mask = grid.dealias_mask
         # gradient and Laplacian rows per field; no term reads Lap(a1)
         sizes = (d + 1, d + 1, d, d + 1) if corrector else (d + 1, d + 1)
         self.deriv = np.empty((sum(sizes), len(eps)) + grid.shape, dtype=complex)
@@ -134,10 +149,10 @@ class _Rates:
     def __call__(self, y, t, out):
         """Write the rates of y into out (not y); t holds each member's stage
         time, for the error of the first member to exceed its sing_tol."""
-        d = self.dim
+        d = self.grid.dim
         spec = _fft(y, d, out=out)
         for field, block in enumerate(self.blocks):
-            np.multiply(self.mults[: len(block)], spec[field], out=block)
+            _derivatives(self.grid, spec[field], block)
         _ifft(self.deriv, d, out=self.deriv)
         da, dphi, *corr = self.blocks
         grad_a, lap_a = da[:d], da[d]
@@ -167,7 +182,8 @@ class _Rates:
                 + 2.0 * (np.conj(a) * a1).real
             )
         _fft(out, d, out=out)
-        np.multiply(out, self.mask, out=out)
+        for box in self.grid.tail_boxes:
+            out[(..., *box)] = 0.0
         _ifft(out, d, out=out)
         out[1::2].imag = 0.0  # the phase rates are real
         out[0] += self.kin * lap_a
@@ -179,8 +195,7 @@ class _Rates:
 def _auto_sing_tol(grid, a_init, horizon):
     # Early-time scale: |grad phi| grows like t * max|grad |a(0)|^2|, so
     # 50x its value at the horizon is far outside regular behaviour.
-    grads = _gradients(grid, _fft(np.abs(a_init) ** 2, grid.dim))
-    rate = np.abs(grads.real).max()
+    rate = np.abs(gradients(grid, _fft(np.abs(a_init) ** 2, grid.dim)).real).max()
     return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
 
 
@@ -307,36 +322,14 @@ def reconstruct(a: Field, phi: Field, eps) -> Field:
     return out
 
 
-def spectra(state: GrenierState):
-    """The unnormalized FFTs of the amplitude and of the (real) phase, the
-    spectra gradients reads; grid.from_fft gives them transform's
-    normalization."""
-    d = state.a.grid.dim
-    return _fft(state.a.values, d), _fft(state.phi.values.real, d)
-
-
-def gradients(state: GrenierState, fft_pair):
-    """Gradient components of a and of phi, shape (2, dim, *grid.shape),
-    the one gradient computation grad_phi_max and wkb_energy read, from
-    fft_pair = spectra(state)."""
-    return _gradients(state.a.grid, np.stack(fft_pair))
-
-
-def grad_phi_max(state: GrenierState, grads) -> float:
-    """Sup norm of the phase gradient, the singularity-guard observable,
-    from grads = gradients(state, spectra(state))."""
-    return float(np.abs(grads[1].real).max())
-
-
-def wkb_energy(state: GrenierState, grads) -> float:
+def wkb_energy(state: GrenierState, grad_a, grad_phi) -> float:
     """Wavefunction energy in phase-amplitude variables:
 
         int |eps grad a + i a grad phi|^2 + int |a|^4,
 
     which equals the semiclassical energy of a e^{i phi/eps} for eps > 0
-    and its eps -> 0 limit for the limit system, from
-    grads = gradients(state, spectra(state))."""
-    grad_a, grad_phi = grads
+    and its eps -> 0 limit for the limit system, from the gradient
+    components of a and of phi."""
     density = sum(
         np.abs(state.eps * ga + 1j * state.a.values * gp.real) ** 2
         for ga, gp in zip(grad_a, grad_phi)

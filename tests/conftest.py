@@ -36,6 +36,33 @@ def random_field(grid, seed, scale=1.0, smooth_width=5):
     return sg.Field(grid, out * (scale / peak), sg.PHYSICAL)
 
 
+def ref_symbols(grid):
+    """Derivative symbols over the full grid, rebuilt from the per-axis
+    wavenumbers: i*kappa_m for each axis m, its unpaired Nyquist mode
+    zeroed, then the Laplacian's -|kappa|^2."""
+    ks = []
+    for k in grid.k_axes:
+        k = k.copy()
+        k[grid.points_per_axis // 2] = 0.0
+        ks.append(k)
+    grads = [1j * k for k in np.meshgrid(*ks, indexing="ij")]
+    return grads, -sum(k**2 for k in np.meshgrid(*grid.k_axes, indexing="ij"))
+
+
+def ref_gradient(grid, values):
+    """The spectral gradient components of values, one FFT pair each."""
+    vhat = np.fft.fftn(values)
+    return [np.fft.ifftn(m * vhat) for m in ref_symbols(grid)[0]]
+
+
+def kept_modes(grid):
+    """The two-thirds rule axis by axis: True on the modes with
+    |k| <= (2/3) max|k| on every axis."""
+    k = np.abs(grid.k_axes[0])
+    kept = np.meshgrid(*(k <= (2.0 / 3.0) * k.max(),) * grid.dim, indexing="ij")
+    return np.logical_and.reduce(kept)
+
+
 class FftCounts(dict):
     """Calls per transform direction ("forward", "inverse"); .rows holds the
     transformed rows per direction, the product of the axes a call does not

@@ -539,6 +539,18 @@ class TestRunMemory:
                            points=points) / (points**2 * 16)
         assert fields < 3.5, f"peak of {fields:.2f} fields"
 
+    def test_cold_run_wkb_peaks_below_45_fields(self, tmp_path):
+        # With the corrector the RK4 loop holds y, acc, k and stage (16 fields)
+        # and 15 derivative rows.  The derivatives read per-axis gradient
+        # factors and |k|^2 (half a field), dealiasing zeroes the tail boxes
+        # in place, and a row's spectra and gradients share one buffer each.
+        # The peak is one step's worth, so 4 steps measure it.
+        points = 256
+        fields = self.peak(tmp_path, "run-wkb",
+                           {"eps": 0.0, "with_corrector": True, "a1_mode": "equal_a0"}, 1,
+                           T=0.004, half_width=11.5, points=points) / (points**2 * 16)
+        assert fields < 45, f"peak of {fields:.2f} fields"
+
 
 class TestStudyCommands:
     def test_ghost_study_outputs(self, tmp_path):

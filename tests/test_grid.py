@@ -9,16 +9,17 @@ from scnls import grid as sg
 from scnls import nls, wkb
 from scnls.grid import SobolevIndex, make_grid, norm
 
-from conftest import bit_identical, random_field, traced_peak
+from conftest import bit_identical, kept_modes, random_field, traced_peak
 
 
 def derivatives(f):
     """Spectral gradient of the trigonometric interpolant, one Field per
-    axis, then its Laplacian, from the grid's derivative multipliers."""
+    axis, then its Laplacian, from the phase-amplitude engine's one
+    derivative routine."""
     g = f.grid
-    spectrum = np.fft.fftn(f.values)
-    return [sg.Field(g, d)
-            for d in np.fft.ifftn(g.derivative_multipliers * spectrum, axes=range(1, g.dim + 1))]
+    out = np.empty((g.dim + 1,) + g.shape, dtype=complex)
+    wkb._derivatives(g, np.fft.fftn(f.values), out)
+    return [sg.Field(g, d) for d in np.fft.ifftn(out, axes=range(1, g.dim + 1))]
 
 
 def mesh(g):
@@ -331,7 +332,7 @@ def test_tail_fraction_resolved_vs_rough(grid_1d, gaussian_1d):
 def reference_tail_fraction(f):
     """The masked-copy formula tail_fraction replaced."""
     power = np.abs(sg.transform(f).values) ** 2
-    return float(power[~f.grid.dealias_mask].sum() / power.sum())
+    return float(power[~kept_modes(f.grid)].sum() / power.sum())
 
 
 class TestTailFraction:
@@ -342,11 +343,7 @@ class TestTailFraction:
         cover = np.zeros(g.shape, dtype=int)
         for box in g.tail_boxes:
             cover[box] += 1
-        assert np.array_equal(cover, (~g.dealias_mask).astype(int))
-        # the two-thirds rule, axis by axis
-        k = np.abs(g.k_axes[0])
-        kept = np.meshgrid(*(k <= (2.0 / 3.0) * k.max(),) * dim, indexing="ij")
-        assert np.array_equal(g.dealias_mask, np.logical_and.reduce(kept))
+        assert np.array_equal(cover, (~kept_modes(g)).astype(int))
 
     @settings(max_examples=30, deadline=None)
     @given(dim=st.integers(1, 3), log_n=st.integers(3, 6), seed=st.integers(0, 10_000),
@@ -402,21 +399,32 @@ class TestSharedGrid:
 
     def test_cached_arrays_are_read_only(self):
         g = make_grid(2, 3.0, 16)
-        arrays = [*g.x_axes, *g.k_axes, g.k_squared, g.origin_signs,
-                  g.derivative_multipliers, g.dealias_mask]
+        arrays = [*g.x_axes, *g.k_axes, g.k_squared, g.origin_signs, *g.gradient_factors]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
+        # after a limit run, every array the grid caches but k_squared is one
+        # vector per axis
+        a0 = sg.make_gaussian(g, width=0.4)
+        wkb.solve_limit_stack([(a0, a0, wkb.WkbRunConfig(dt=1e-2, T=2e-2))])
+        cached = {name: value for name, value in vars(g).items()
+                  if name not in ("dim", "half_width", "points_per_axis")}
+        assert "k_squared" in cached and "gradient_factors" in cached
+        for name, value in cached.items():
+            for arr in (value if isinstance(value, tuple) else (value,)):
+                if isinstance(arr, np.ndarray) and name != "k_squared":
+                    assert arr.size == g.points_per_axis, name
 
-    def test_derivative_multipliers_stack_gradient_and_laplacian(self):
-        g = make_grid(2, 3.0, 16)
-        stack = g.derivative_multipliers
-        assert stack.shape == (3, 16, 16)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gradient_factors_sit_on_their_own_axes(self, dim):
+        g = make_grid(dim, 3.0, 16)
         k = g.k_axes[0].copy()
         k[8] = 0.0  # the unpaired Nyquist mode
-        assert np.array_equal(stack[0], np.broadcast_to(1j * k[:, None], g.shape))
-        assert np.array_equal(stack[1], np.broadcast_to(1j * k[None, :], g.shape))
-        assert np.array_equal(stack[2], -g.k_squared)
+        assert len(g.gradient_factors) == dim
+        for ax, factor in enumerate(g.gradient_factors):
+            assert factor.shape == tuple(16 if m == ax else 1 for m in range(dim))
+            assert np.array_equal(factor.ravel(), 1j * k)
+            assert factor.ravel()[8] == 0
 
     @pytest.mark.parametrize("reduction, space", [
         (lambda f: norm(f, SobolevIndex(1.5)), sg.SPECTRAL),
