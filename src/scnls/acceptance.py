@@ -4,34 +4,39 @@ Nine verdicts covering the whole pipeline: solver cross-validation,
 profile/expansion orders, small-time expansions, ghost separation and its
 higher-order variant, the corrector-phase degeneracy, conservation, and
 the exact rescaling identities.  Each verdict is a row of CRITERIA_TABLE
-that names the checks it reduces; the study reports hold most of them, the
-four *_checks functions below the rest.  All tolerances are fixed here and
-in the studies; the heavy eps-sweeps are shared through one run cache.
+that names the checks it reduces; the reports of the studies in
+SUITE_STUDIES hold most of them, the four *_checks functions below the
+rest.  run_suite plans every run once into one run cache (plan_runs) and
+computes the reports and checks from it; verdicts reduces the checks to
+the nine verdicts.  All tolerances are fixed here and in the studies.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from functools import cached_property
 
 import numpy as np
 
 from . import nls, studies, wkb
 from .grid import Field, SobolevIndex, make_grid, norm, resample
-from .studies import (
-    GaussianSpec,
-    ScalingParams,
-    SweepConfig,
-    _check,
-    ghost_higher_order_study,
-    ghost_separation_study,
-    small_time_study,
-    wkb_error_study,
-)
+from .studies import GaussianSpec, ScalingParams, SweepConfig, _check
 
 FULL_EPS_SWEEP = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 S_LIST = (0.0, 1.0, 2.0)
+SUITE_CONFIG = SweepConfig(eps_list=FULL_EPS_SWEEP, s_list=S_LIST)
+# CSV name -> (study function and its run plan, both of `studies` and looked
+# up on each call so that a wrapper bound on the module runs, e.g.
+# perfbench's tracer; sweep config), in the order the reports are built
+SUITE_STUDIES = {
+    "wkb_error_study.csv": ("wkb_error_study", "wkb_error_runs", SUITE_CONFIG),
+    "smalltime_study.csv": ("small_time_study", "small_time_runs", SUITE_CONFIG),
+    "ghost_study.csv": ("ghost_separation_study", "ghost_runs", SUITE_CONFIG),
+    "ghost_control_study.csv": ("ghost_separation_study", "ghost_runs", replace(
+        SUITE_CONFIG, eps_list=FULL_EPS_SWEEP[-2:], a1_mode="zero")),
+    "ghost_n_study.csv": ("ghost_higher_order_study", "ghost_runs", replace(
+        SUITE_CONFIG, a1_mode="scaled", scaled_order=2)),
+}
 # The oracle comparison's sweep points and perturbations, and the
 # degeneracy run's coefficient c of a1 = c a0.
 ORACLE_EPS = (0.125, 0.0625)
@@ -90,20 +95,20 @@ CRITERIA_TABLE = (
 )
 
 
-def _oracle_runs(config, eps, mode):
+def _oracle_runs(eps, mode):
     """The wavefunction and phase-amplitude runs the oracle check compares."""
-    c = studies.A1_COEFFICIENTS[mode](eps, config.scaled_order)
-    return studies._nls_run(config, eps, c), studies._grenier_run(config, eps, c)
+    c = studies.A1_COEFFICIENTS[mode](eps, SUITE_CONFIG.scaled_order)
+    return studies._nls_run(SUITE_CONFIG, eps, c), studies._grenier_run(SUITE_CONFIG, eps, c)
 
 
-def oracle_checks(config, cache):
+def oracle_checks(cache):
     """L2 agreement of the wavefunction solver with the reconstructed
     phase-amplitude solution: discrepancy <= 1e-4 relative at every saved
     time, for eps in ORACLE_EPS and both data choices."""
     worst, where = 0.0, ""
     for eps in ORACLE_EPS:
         for mode in ORACLE_MODES:
-            u_traj, g_traj = (cache[run] for run in _oracle_runs(config, eps, mode))
+            u_traj, g_traj = (cache[run] for run in _oracle_runs(eps, mode))
             n_fine = u_traj[0].u.grid.points_per_axis
             u0_l2 = norm(u_traj[0].u)
             for us, gs in zip(u_traj, g_traj):
@@ -116,10 +121,10 @@ def oracle_checks(config, cache):
     return checks
 
 
-def degeneracy_checks(config, cache):
+def degeneracy_checks(cache):
     """A purely imaginary perturbation keeps the corrector phase below 1e-8
     in sup norm at every saved time."""
-    traj = cache[studies._limit_run(config, DEGENERACY_C)]
+    traj = cache[studies._limit_run(SUITE_CONFIG, DEGENERACY_C)]
     worst = max(float(np.abs(corr.phi1.values).max()) for _, corr in traj)
     checks = {}
     _check(checks, "corrector_phase", worst <= 1e-8, worst, "<= 1e-8")
@@ -196,71 +201,47 @@ def scaling_checks(seed):
     return checks
 
 
-class AcceptanceSuite:
-    """Shared-state runner for the nine acceptance criteria."""
+def plan_runs(cache):
+    """Cache every run the checks read: the degeneracy run, the run plan of
+    each study in SUITE_STUDIES and the oracle runs, each group of runs that
+    can share one integration as one stack (studies.stack_runs)."""
+    studies.stack_runs(cache, [
+        studies._limit_run(SUITE_CONFIG, DEGENERACY_C),
+        *(run for _, plan, config in SUITE_STUDIES.values()
+          for run in getattr(studies, plan)(config)),
+        *(run for eps in ORACLE_EPS for mode in ORACLE_MODES for run in _oracle_runs(eps, mode)),
+    ])
 
-    def __init__(self, seed=0):
-        _check_seed(seed)
-        self.cache = {}
-        self.seed = seed
-        self.config = SweepConfig(eps_list=FULL_EPS_SWEEP, s_list=S_LIST, tau=0.2, horizon=0.25)
-        self.control_config = replace(
-            self.config, eps_list=self.config.eps_list[-2:], a1_mode="zero")
-        self.higher_order_config = replace(self.config, a1_mode="scaled", scaled_order=2)
 
-    def plan_runs(self):
-        """Cache every run the checks read: the studies' run lists, the
-        degeneracy run and the oracle runs, each group of runs that can
-        share one integration as one stack (studies.stack_runs)."""
-        c = self.config
-        studies.stack_runs(self.cache, [
-            studies._limit_run(c, DEGENERACY_C),
-            *studies.wkb_error_runs(c),
-            *studies.small_time_runs(c),
-            *(run for cfg in (c, self.control_config, self.higher_order_config)
-              for run in studies.ghost_runs(cfg)),
-            *(run for eps in ORACLE_EPS for mode in ORACLE_MODES
-              for run in _oracle_runs(c, eps, mode)),
-        ])
+def run_suite(seed=0, cache=None):
+    """(reports, checks): the study reports backing the verdicts, by the CSV
+    name each is written under, and every check a criterion can name, the
+    suite's own and each report's as <CSV stem>/<check>.  The runs come from
+    cache, planned into a new one when not given."""
+    _check_seed(seed)
+    cache = {} if cache is None else cache
+    plan_runs(cache)
+    # the reports first: built after the suite's own checks, they raise
+    # selftest's peak RSS by about 0.5 MiB
+    reports = {name: getattr(studies, study)(config, cache)
+               for name, (study, _, config) in SUITE_STUDIES.items()}
+    return reports, {
+        **oracle_checks(cache), **degeneracy_checks(cache), **conservation_checks(cache),
+        **scaling_checks(seed),
+        **{f"{name.removesuffix('.csv')}/{check}": result
+           for name, rep in reports.items() for check, result in rep.checks.items()}}
 
-    @cached_property
-    def _reports(self):
-        return {
-            "wkb_error_study.csv": wkb_error_study(self.config, self.cache),
-            "smalltime_study.csv": small_time_study(self.config, self.cache),
-            "ghost_study.csv": ghost_separation_study(self.config, self.cache),
-            "ghost_control_study.csv": ghost_separation_study(self.control_config, self.cache),
-            "ghost_n_study.csv": ghost_higher_order_study(self.higher_order_config, self.cache),
-        }
 
-    def reports(self):
-        """The study reports backing the verdicts, by the CSV name each is
-        written under."""
-        return self._reports
-
-    @cached_property
-    def checks(self):
-        """Every check a criterion can name: the suite's own, and each study
-        report's as <CSV stem>/<check>."""
-        self.plan_runs()
-        # the reports first: built after the suite's own checks, they raise
-        # selftest's peak RSS by about 0.5 MiB
-        checks = {f"{name.removesuffix('.csv')}/{check}": result
-                  for name, rep in self._reports.items() for check, result in rep.checks.items()}
-        return {**oracle_checks(self.config, self.cache),
-                **degeneracy_checks(self.config, self.cache),
-                **conservation_checks(self.cache), **scaling_checks(self.seed), **checks}
-
-    def run_all(self, printer=None):
-        """(number, name, passed, detail) of every criterion of
-        CRITERIA_TABLE; printer, when given, gets one line per criterion."""
-        results = []
-        for number, (name, head, sep, parts) in enumerate(CRITERIA_TABLE, 1):
-            named = [([self.checks[check] for check in checks], template)
-                     for checks, template in parts]
-            passed = all(check["passed"] for checks, _ in named for check in checks)
-            detail = head + sep.join(template.format(*checks) for checks, template in named)
-            results.append((number, name, passed, detail))
-            if printer is not None:
-                printer(f"[{number}] {name:<28} {'PASS' if passed else 'FAIL'}  ({detail})")
-        return results
+def verdicts(checks, printer=None):
+    """(number, name, passed, detail) of every criterion of CRITERIA_TABLE,
+    reduced from checks (run_suite); printer, when given, gets one line per
+    criterion."""
+    results = []
+    for number, (name, head, sep, parts) in enumerate(CRITERIA_TABLE, 1):
+        named = [([checks[check] for check in names], template) for names, template in parts]
+        passed = all(check["passed"] for found, _ in named for check in found)
+        detail = head + sep.join(template.format(*found) for found, template in named)
+        results.append((number, name, passed, detail))
+        if printer is not None:
+            printer(f"[{number}] {name:<28} {'PASS' if passed else 'FAIL'}  ({detail})")
+    return results

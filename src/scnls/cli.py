@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 from . import nls, report, studies, wkb
-from .acceptance import FULL_EPS_SWEEP, AcceptanceSuite
+from .acceptance import FULL_EPS_SWEEP, run_suite, verdicts
 from .errors import GuardError
 from .grid import lp_norm, make_grid, save_field
 from .studies import GaussianSpec, ScalingParams, SweepConfig
@@ -384,8 +384,8 @@ def cmd_report_corollary(cfg, out_dir):
 
 
 def cmd_selftest(cfg, out_dir):
-    suite = AcceptanceSuite(seed=cfg["seed"])
-    results = suite.run_all(printer=print)
+    reports, checks = run_suite(seed=cfg["seed"])
+    results = verdicts(checks, printer=print)
     payload = {
         "schema_version": report.SUMMARY_SCHEMA_VERSION,
         "study": "acceptance",
@@ -396,7 +396,7 @@ def cmd_selftest(cfg, out_dir):
         ],
     }
     report.dump_json(payload, out_dir / "acceptance_summary.json")
-    for name, rep in suite.reports().items():
+    for name, rep in reports.items():
         report.write_study_csv(rep, out_dir / name)
     if not payload["passed"]:
         failed = [name for _, name, passed, _ in results if not passed]

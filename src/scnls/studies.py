@@ -110,7 +110,7 @@ class SweepConfig:
             raise FieldError("eps_list", f"entries must lie in (0, 1], got {self.eps_list}")
         if not all(a > b for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise FieldError("eps_list", f"must be strictly decreasing, got {self.eps_list}")
-        if len(self.s_list) == 0 or any(s < 0 for s in self.s_list):
+        if len(self.s_list) == 0 or any(not s >= 0 for s in self.s_list):
             raise FieldError("s_list", f"must be nonempty with s >= 0, got {self.s_list}")
         # check names label s with :g, so entries must differ in that label too
         if (len({f"{s:g}" for s in self.s_list}) < len(self.s_list)
@@ -133,14 +133,15 @@ class SweepConfig:
             raise FieldError("scaled_order", f"must be an integer >= 1, got {self.scaled_order!r}")
         for name in ("points_base", "wkb_points"):
             v = getattr(self, name)
-            if v < 8 or v & (v - 1) != 0:
+            if not (isinstance(v, int) and v >= 8 and v & (v - 1) == 0):
                 raise FieldError(name, f"must be a power of two >= 8, got {v!r}")
-        if self.smalltime_points < 3:
-            raise FieldError("smalltime_points",
-                             f"must be >= 3 for slope fits, got {self.smalltime_points!r}")
-        if self.max_points_per_axis < 8:
-            raise FieldError("max_points_per_axis",
-                             f"must be >= 8, got {self.max_points_per_axis!r}")
+        for name, low, why in (("smalltime_points", 3, " for slope fits"),
+                               ("max_points_per_axis", 8, "")):
+            v = getattr(self, name)
+            if not v >= low:
+                raise FieldError(name, f"must be >= {low}{why}, got {v!r}")
+            if not isinstance(v, int):
+                raise FieldError(name, f"must be an integer, got {v!r}")
 
     def a1_coefficient(self, eps):
         """The coefficient c of a1 = c a0 at eps (A1_COEFFICIENTS)."""
@@ -596,13 +597,13 @@ class ScalingParams:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 3):
             raise FieldError("n", f"must be an integer >= 3, got {self.n!r}")
-        if self.s >= self.s_c:
+        if not self.s < self.s_c:
             raise FieldError("s", f"= {self.s} must be < s_c = {self.s_c}")
-        if self.s < 0:
+        if not self.s >= 0:
             raise FieldError("s", f"must be >= 0, got {self.s}")
         if not 0 <= self.sigma < self.s_c:
             raise FieldError("sigma", f"= {self.sigma} must lie in [0, s_c = {self.s_c})")
-        if self.k <= 0:
+        if not self.k > 0:
             raise FieldError("k", f"must be positive, got {self.k}")
 
     @property

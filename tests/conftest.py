@@ -113,9 +113,13 @@ def traced_peak(call):
 
 def bit_identical(x, y):
     """x and y hold the same bits: arrays by bytes, dataclasses field by
-    field, lists and tuples item by item, anything else by ==."""
+    field, lists and tuples item by item, anything else by ==.  A Grid is
+    compared by ==, on its three fields, not by its __dict__, which also
+    holds whatever caches it has built."""
     if x is y:
         return True
+    if isinstance(x, sg.Grid):
+        return x == y
     if isinstance(x, np.ndarray):
         return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
     if isinstance(x, (list, tuple)):

@@ -14,7 +14,8 @@ import pytest
 import scnls
 from scnls import nls, studies, wkb
 from scnls.acceptance import (
-    CRITERIA_TABLE, AcceptanceSuite, conservation_checks, low_mode_datum, scaling_checks,
+    CRITERIA_TABLE, conservation_checks, low_mode_datum, plan_runs, run_suite, scaling_checks,
+    verdicts,
 )
 from scnls.grid import make_grid
 
@@ -26,7 +27,7 @@ STACK_SOLVERS = ((nls, "solve_nls_stack"), (wkb, "solve_grenier_stack"),
 
 @pytest.fixture(scope="session")
 def results():
-    return AcceptanceSuite().run_all()
+    return verdicts(run_suite()[1])
 
 
 @pytest.mark.parametrize(
@@ -41,8 +42,8 @@ def test_criterion(results, number):
 
 @pytest.fixture(scope="module")
 def planned():
-    """A fresh suite whose runs are planned, with the arguments of every
-    stack the planner ran, per solver name."""
+    """A run cache freshly planned by plan_runs, with the arguments of
+    every stack the planner ran, per solver name."""
     stacks = collections.defaultdict(list)
     with pytest.MonkeyPatch.context() as mp:
         for module, name in STACK_SOLVERS:
@@ -50,9 +51,9 @@ def planned():
                 stacks[name].append(args)
                 return solve(*args)
             mp.setattr(module, name, recording)
-        s = AcceptanceSuite()
-        s.plan_runs()
-    return s, stacks
+        cache = {}
+        plan_runs(cache)
+    return cache, stacks
 
 
 def test_plan_is_five_wavefunction_three_grenier_and_two_limit_stacks(planned):
@@ -67,16 +68,16 @@ def test_plan_is_five_wavefunction_three_grenier_and_two_limit_stacks(planned):
 
 
 def test_criteria_make_no_solver_call_once_planned(planned, monkeypatch):
-    s, _ = planned
+    cache, _ = planned
     for module, name in STACK_SOLVERS + ((studies, "solve_runs"),):
         monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
-    assert all(passed for _, _, passed, _ in s.run_all())
+    assert all(passed for _, _, passed, _ in verdicts(run_suite(cache=cache)[1]))
 
 
 def test_every_cached_run_equals_its_single_run(planned):
-    s, _ = planned
-    assert collections.Counter(run.kind for run in s.cache) == {"nls": 15, "grenier": 7, "limit": 7}
-    for run, traj in s.cache.items():
+    cache, _ = planned
+    assert collections.Counter(run.kind for run in cache) == {"nls": 15, "grenier": 7, "limit": 7}
+    for run, traj in cache.items():
         assert bit_identical(traj, alone(run)), run
 
 
@@ -101,19 +102,17 @@ CRITERION_CHECKS = {
 
 
 def stub_suite(failing=None, checks=None):
-    """A suite holding only the checks the criteria name, all passing with
-    value 0.125 except failing, plus one failing check no criterion names;
-    checks, when given, replace stubs of the same name."""
+    """Only the checks the criteria name, all passing with value 0.125
+    except failing, plus one failing check no criterion names; checks, when
+    given, replace stubs of the same name."""
     stubs = {name: {"passed": name != failing, "value": 0.125, "bound": "stub", "note": "stub"}
              for names in CRITERION_CHECKS.values() for name in names}
     stubs["ghost_study/unnamed_s0"] = {"passed": False, "value": 0.0}
-    s = AcceptanceSuite()
-    s.__dict__["checks"] = stubs | (checks or {})
-    return s
+    return stubs | (checks or {})
 
 
-def failed(suite):
-    return {number for number, _, passed, _ in suite.run_all() if not passed}
+def failed(checks):
+    return {number for number, _, passed, _ in verdicts(checks) if not passed}
 
 
 @pytest.mark.parametrize("number", CRITERION_CHECKS)
@@ -124,18 +123,18 @@ def test_study_criterion_passes_when_every_check_it_names_does(number):
 
 
 def test_conservation_needs_ten_runs(planned):
-    s, _ = planned
-    runs = [run for run in s.cache if run.kind == "nls"]
+    cache, _ = planned
+    runs = [run for run in cache if run.kind == "nls"]
     for n, verdict in ((9, {7}), (10, set())):
-        checks = conservation_checks({run: s.cache[run] for run in runs[:n]})
+        checks = conservation_checks({run: cache[run] for run in runs[:n]})
         assert failed(stub_suite(checks=checks)) == verdict, n
 
 
 def test_ghost_criteria_details():
-    assert stub_suite().run_all()[4][3] == (
+    assert verdicts(stub_suite())[4][3] == (
         "s=0: spread 0.125, floor ok=True; s=1: spread 0.125, floor ok=True; "
         "s=2: spread 0.125, floor ok=True; control run null to 1e-10")
-    assert stub_suite("ghost_n_study/above_floor_s1").run_all()[8][3] == (
+    assert verdicts(stub_suite("ghost_n_study/above_floor_s1"))[8][3] == (
         "s=0: spread 0.125; s=1: spread 0.125; s=2: spread 0.125")
 
 
@@ -159,9 +158,9 @@ def test_scaling_checks_datum_follows_the_seed():
         scaling_checks(-1)
 
 
-def test_negative_seed_raises_at_construction(monkeypatch):
-    # the suite refuses the seed before it plans or integrates any run
+def test_negative_seed_raises_before_any_run(monkeypatch):
+    # run_suite refuses the seed before it plans or integrates any run
     for module, name in STACK_SOLVERS + ((studies, "solve_runs"),):
         monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        AcceptanceSuite(seed=-1)
+        run_suite(seed=-1)

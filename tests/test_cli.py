@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scnls import cli, nls, report, studies, wkb
+from scnls import acceptance, cli, nls, report, studies, wkb
 from scnls.acceptance import FULL_EPS_SWEEP
 from scnls.errors import GuardError
 from scnls.grid import load_field, make_grid, transform
@@ -27,15 +27,16 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def load_benchmark_workloads():
-    """WORKLOADS of perfbench/workloads.py, imported by path."""
+    """perfbench/workloads.py, imported by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-BENCHMARK_WORKLOADS = load_benchmark_workloads()
+BENCHMARK_MODULE = load_benchmark_workloads()
+BENCHMARK_WORKLOADS = BENCHMARK_MODULE.WORKLOADS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -291,6 +292,11 @@ class TestSchema:
         cli.validate_config(workload.config(0), workload.command)
         args = cli.build_parser().parse_args(workload.cli_args("c.json", "out"))
         assert args.command == workload.command
+
+    def test_benchmark_reads_the_suite_csvs(self):
+        # the benchmark's selftest check reads exactly these files, so a
+        # renamed CSV would fail the benchmark while the tests passed
+        assert BENCHMARK_MODULE.SELFTEST_CSVS == tuple(acceptance.SUITE_STUDIES)
 
 
 class TestRunCommands:
@@ -924,23 +930,18 @@ class TestSelftest:
 
     @pytest.fixture
     def stub_suite(self, monkeypatch):
+        """run_suite replaced by no reports and every check a criterion
+        names, each passing as outcomes["passed"] says."""
         outcomes = {"passed": True}
 
-        class StubSuite:
-            def __init__(self, seed=0):
-                self.seed = seed
+        def run_suite(seed=0):
+            names = [name for *_, parts in acceptance.CRITERIA_TABLE
+                     for names, _ in parts for name in names]
+            check = {"passed": outcomes["passed"], "value": 0.125, "bound": "stub",
+                     "note": "stub"}
+            return {}, dict.fromkeys(names, check)
 
-            def run_all(self, printer=None):
-                results = [(i, f"check-{i}", outcomes["passed"], "stub") for i in range(1, 10)]
-                if printer:
-                    for number, name, passed, _ in results:
-                        printer(f"[{number}] {name} {'PASS' if passed else 'FAIL'}")
-                return results
-
-            def reports(self):
-                return {}
-
-        monkeypatch.setattr(cli, "AcceptanceSuite", StubSuite)
+        monkeypatch.setattr(cli, "run_suite", run_suite)
         return outcomes
 
     def test_selftest_pass_exit_zero(self, tmp_path, stub_suite, capsys):

@@ -388,6 +388,14 @@ class TestSharedGrid:
         assert make_grid(2, 3.0, 32) is not g
         assert make_grid(1, 3.0, 16) is not g
 
+    def test_bit_identical_compares_grids_by_value(self):
+        # the shared grid has built k_axes, the fresh equal one has not
+        shared, fresh = make_grid(1, 12.0, 64), sg.Grid(1, 12.0, 64)
+        shared.k_axes
+        values = np.arange(64, dtype=complex)
+        assert bit_identical(sg.Field(shared, values), sg.Field(fresh, values.copy()))
+        assert not bit_identical(sg.Field(shared, values), sg.Field(sg.Grid(1, 6.0, 64), values))
+
     def test_dead_grids_are_freed(self):
         import gc
         import weakref

@@ -40,6 +40,23 @@ def ghost_report(short_cfg, cache):
     return ghost_separation_study(short_cfg, cache)
 
 
+# Each range rule fails on NaN, and the grid sizes must be integers; the
+# CLI rejects these inputs itself, but a config built in Python does not
+# pass through it.
+@pytest.mark.parametrize("cls, field, value", [
+    (ScalingParams, "s", float("nan")), (ScalingParams, "k", float("nan")),
+    (SweepConfig, "s_list", (0.0, float("nan"))),
+    (SweepConfig, "max_points_per_axis", float("nan")), (SweepConfig, "max_points_per_axis", 8.5),
+    (SweepConfig, "smalltime_points", float("nan")), (SweepConfig, "smalltime_points", 3.5),
+    (SweepConfig, "points_base", 8.5), (SweepConfig, "wkb_points", 8.5),
+])
+def test_range_rules_reject_nan_and_non_integers(cls, field, value):
+    kwargs = {"eps_list": (0.25, 0.125)} if cls is SweepConfig else {}
+    with pytest.raises(studies.FieldError) as exc:
+        cls(**kwargs, **{field: value})
+    assert exc.value.field == field
+
+
 class TestSweepConfig:
     def test_rejects_increasing_eps(self):
         with pytest.raises(ValueError, match="decreasing"):
