@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import nls, studies, wkb
-from .grid import Field, SobolevIndex, make_grid, norm, resample
+from .grid import SPECTRAL, Field, SobolevIndex, inverse_transform, make_grid, norm, resample
 from .studies import GaussianSpec, ScalingParams, SweepConfig, _check
 
 FULL_EPS_SWEEP = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
@@ -168,7 +168,7 @@ def low_mode_datum(grid, seed):
     spec = np.zeros(grid.shape, dtype=complex)
     low = np.arange(-8, 9) % grid.points_per_axis
     spec[low] = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in low]
-    return Field(grid, np.fft.ifftn(spec))
+    return inverse_transform(Field(grid, spec, SPECTRAL))
 
 
 def scaling_checks(seed):

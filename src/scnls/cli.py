@@ -22,7 +22,7 @@ from typing import NamedTuple, get_type_hints
 from . import nls, report, studies, wkb
 from .acceptance import FULL_EPS_SWEEP, run_suite, verdicts
 from .errors import GuardError
-from .grid import lp_norm, make_grid, save_field
+from .grid import MAX_POINTS, lp_norm, make_grid, save_field
 from .studies import GaussianSpec, ScalingParams, SweepConfig
 
 log = logging.getLogger("scnls")
@@ -214,8 +214,12 @@ def validate_config(doc, command):
         out[name] = _section(doc.get(name, {}), keys, name)
     if out["run"]["T"] == 0:
         _fail("run.T", "must be nonzero")
-    if out["run"]["points"] & (out["run"]["points"] - 1):
-        _fail("run.points", f"must be a power of two, got {out['run']['points']}")
+    points, dim = out["run"]["points"], out["run"]["dim"]
+    if points & (points - 1):
+        _fail("run.points", f"must be a power of two, got {points}")
+    if points**dim > MAX_POINTS:
+        _fail("run.points", f"gives {points}^{dim} = {points**dim} grid points at run.dim = "
+              f"{dim}, over the memory budget of {MAX_POINTS}")
     if out["run"]["dt"] == 0:
         _fail("run.dt", "must be nonzero (omit it for the default step)")
     if len({f"{s:g}" for s in out["run"]["norms"]}) < len(out["run"]["norms"]):
@@ -273,11 +277,17 @@ def _emit(out_dir, names, reports):
 
 
 def _run_config(config_cls, run, default_dt, **kwargs):
-    """config_cls for the run section: run.dt or default_dt, saved every
-    run.save_every steps or about RUN_SAVES times over the horizon."""
-    dt = default_dt if run["dt"] is None else run["dt"]
-    save_every = run["save_every"] or max(1, round(abs(run["T"] / dt) / RUN_SAVES))
-    return config_cls(dt=dt, T=run["T"], save_every=save_every, **kwargs)
+    """config_cls for the run section: run.dt or default_dt(), saved every
+    run.save_every steps or about RUN_SAVES times over the horizon.  A step
+    or horizon config_cls rejects names run.dt, or run.T when run.dt is
+    unset."""
+    try:
+        rc = config_cls(dt=default_dt() if run["dt"] is None else run["dt"], T=run["T"],
+                        **kwargs)
+    except ValueError as exc:
+        _fail("run.T" if run["dt"] is None else "run.dt", f"is out of range: {exc}")
+    return replace(rc, save_every=run["save_every"]
+                   or max(1, round(abs(rc.T / rc.dt) / RUN_SAVES)))
 
 
 def _run_single(cfg, out_dir, kind, grid, rc, row, dumps):
@@ -317,8 +327,10 @@ def cmd_run_nls(cfg, out_dir):
     grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
     # the default step divides each of the RUN_SAVES save intervals evenly
     target = nls.default_dt(grid, run["eps"], solver["nls_dt_safety"])
-    aligned = studies.aligned_run_config(nls.NlsRunConfig, target, run["T"], RUN_SAVES)
-    rc = _run_config(nls.NlsRunConfig, run, aligned.dt, tail_tol=solver["tail_tol"])
+    rc = _run_config(nls.NlsRunConfig, run,
+                     lambda: studies.aligned_run_config(nls.NlsRunConfig, target, run["T"],
+                                                        RUN_SAVES).dt,
+                     tail_tol=solver["tail_tol"])
     return _run_single(cfg, out_dir, "nls", grid, rc, report.nls_row,
                        lambda snap: {"u": snap[0].u})
 
@@ -333,7 +345,8 @@ def cmd_run_wkb(cfg, out_dir):
     grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
     # the default step is the RK4 rule clipped to the horizon
     target = wkb.default_dt(grid, run["eps"], solver["wkb_dt_safety"])
-    rc = _run_config(wkb.WkbRunConfig, run, math.copysign(min(target, abs(run["T"])), run["T"]),
+    rc = _run_config(wkb.WkbRunConfig, run,
+                     lambda: math.copysign(min(target, abs(run["T"])), run["T"]),
                      sing_tol=run["sing_tol"])
 
     def dumps(snap):

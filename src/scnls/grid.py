@@ -5,11 +5,12 @@ Conventions (fixed once, used everywhere):
 * Domain is [-L, L)^n sampled at N points per axis, dx = 2L/N.
 * Wavenumbers per axis are kappa_m = pi*m/L for m in [-N/2, N/2),
   stored in FFT order.
-* The forward transform carries the trapezoidal quadrature weight dx^n
-  together with the phase for the x = -L origin, so spectral values
-  approximate the continuum integral  fhat(k) = int f(x) e^{-ikx} dx.
+* A spectrum is numpy's unnormalised DFT over the grid axes,
+  fhat(k) = sum_j f(x_j) e^{-ik(x_j + L)}, and inverse_transform is
+  numpy's inverse DFT: no scale and no phase is applied either way.
 * Parseval then reads  int |f|^2 dx = sum_k |fhat(k)|^2 * mu  with
-  mu = (2L)^{-n}, and all Sobolev norms are weighted spectral sums.
+  mu = (dx/N)^n, the one weight a Sobolev norm applies to its weighted
+  spectral sum.
 * A norm or a mass sums over slabs of the grid's first axis, building
   each slab's weight from the per-axis wavenumbers, so neither it nor the
   grid holds a whole-grid weight or |f|^2 array (see _power_sum).
@@ -82,8 +83,9 @@ class Grid:
 
     @property
     def parseval_weight(self):
-        """(2L)^{-n}, the spectral quadrature weight mu."""
-        return (2.0 * self.half_width) ** -self.dim
+        """dx^n / N^n, the spectral quadrature weight mu: int |f|^2 dx is
+        mu times the sum of |fhat|^2 over the unnormalised DFT."""
+        return self.quad_weight / self.num_points
 
     @cached_property
     def x_axes(self):
@@ -120,20 +122,6 @@ class Grid:
         for ax in range(self.dim):
             out += self.axis_view(self.k_axes[ax] ** 2, ax)
         return _frozen(out)
-
-    @cached_property
-    def origin_signs(self):
-        """Per-axis sign (-1)^m of mode m, FFT order, accounting for the
-        x = -L origin; the phase of a mode is the product over the axes."""
-        m = np.rint(np.fft.fftfreq(self.points_per_axis) * self.points_per_axis)
-        return _frozen(np.where(m.astype(int) % 2 == 0, 1.0, -1.0))
-
-    def flip_origin_signs(self, values):
-        """values (grid axes last) times the origin phase, in place, one
-        axis at a time: exact, since every factor is +-1."""
-        for ax in range(self.dim):
-            values *= self.axis_view(self.origin_signs, ax)
-        return values
 
     @cached_property
     def tail_boxes(self):
@@ -218,26 +206,15 @@ def _require_space(f, space, op):
 
 
 def transform(f: Field) -> Field:
-    """Physical -> spectral, continuum-integral normalization."""
+    """Physical -> spectral: the unnormalised DFT over the grid axes."""
     _require_space(f, PHYSICAL, "transform")
-    values = _fft(f.values, f.grid.dim)
-    return from_fft(f.grid, values, out=values)
-
-
-def from_fft(grid, fft_values, out=None) -> Field:
-    """transform's result for the field whose _fft is fft_values: times
-    dx^n, then the origin signs, in out when given (fft_values may be it)."""
-    values = np.multiply(fft_values, grid.quad_weight, out=out)
-    return Field(grid, grid.flip_origin_signs(values), SPECTRAL)
+    return Field(f.grid, _fft(f.values, f.grid.dim), SPECTRAL)
 
 
 def inverse_transform(f: Field) -> Field:
     """Spectral -> physical, inverse of transform."""
     _require_space(f, SPECTRAL, "inverse_transform")
-    g = f.grid
-    values = g.flip_origin_signs(f.values.copy())
-    values /= g.quad_weight
-    return Field(g, _ifft(values, g.dim), PHYSICAL)
+    return Field(f.grid, _ifft(f.values, f.grid.dim), PHYSICAL)
 
 
 @dataclass(frozen=True)
@@ -382,9 +359,10 @@ def tail_fraction(f: Field) -> float:
 def resample(f: Field, points_per_axis) -> Field:
     """Trigonometric interpolation onto a grid with a different N.
 
-    Modes are matched by wavenumber (the integral-normalized coefficients
-    carry over unchanged); new modes are zero, dropped modes must be empty
-    for the result to be exact, so only use this on resolved fields.
+    Modes are matched by wavenumber. Both grids start at x = -L, so a
+    mode's DFT coefficient carries over times (N_new / N_old)^dim, an exact
+    power of two. New modes are zero; dropped modes must be empty for the
+    result to be exact, so only use this on resolved fields.
     """
     src = f if f.space == SPECTRAL else transform(f)
     g = f.grid
@@ -395,7 +373,7 @@ def resample(f: Field, points_per_axis) -> Field:
     half = min(n_old, n_new) // 2
     take = tuple(slice(n_old // 2 - half, n_old // 2 + half) for _ in range(g.dim))
     put = tuple(slice(n_new // 2 - half, n_new // 2 + half) for _ in range(g.dim))
-    out[put] = shifted[take]
+    np.multiply(shifted[take], (n_new / n_old) ** g.dim, out=out[put])
     res = Field(new_grid, np.fft.ifftshift(out), SPECTRAL)
     return res if f.space == SPECTRAL else inverse_transform(res)
 

@@ -25,8 +25,8 @@ Per grid point the loop holds three fields of a member: u, its spectrum
 and the last saved snapshot (the NonFiniteError's last good state). A
 save allocates no other field: once a member's values pass the
 finiteness check, its old snapshot goes, before its tail guard and the
-new copy, and the spectrum it hands on lives in u's buffer, which the
-next stage overwrites.
+new copy, and the spectrum it hands on is the one the loop holds, which
+the next stage overwrites.
 
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
 from .grid import (
-    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, _power_sum, from_fft, lp_norm,
-    norm, tail_fraction,
+    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, _power_sum, lp_norm, norm,
+    tail_fraction,
 )
 
 MAX_STEPS = 5_000_000
@@ -172,11 +172,11 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     the horizon.
 
     keep, when given, is called on each saved (NlsState, spectrum) pair once
-    every guard at that time has passed, spectrum being transform(state.u)
-    read off the spectrum the loop holds, and the trajectory holds what it
-    returns instead, so the caller may let each snapshot go as soon as it
-    is saved.  The spectrum is lent in the loop's own buffer and is valid
-    only during the keep call: a caller that holds on to it copies it.
+    every guard at that time has passed, spectrum being the loop's own
+    spectrum of state.u (transform(state.u) up to roundoff), and the
+    trajectory holds what it returns instead, so the caller may let each
+    snapshot go as soon as it is saved.  The spectrum is valid only during
+    the keep call: a caller that holds on to it copies it.
 
     The first member to trip a guard, in step order, raises: ResolutionError
     if its spectral tail guard trips at a saved time (including t = 0),
@@ -212,8 +212,7 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     spectra = [Field(grid, member, SPECTRAL) for member in buf]
 
     def save(step):
-        # u is ifftn(buf) (at t = 0, buf is fftn(u)); a tail fraction does not
-        # see transform's per-mode sign or constant weight, so the guard reads buf.
+        # u is ifftn(buf) (at t = 0, buf is fftn(u))
         t = step * dt
         for member, (values, spectrum) in enumerate(zip(u, spectra)):
             if not np.isfinite(values).all():
@@ -223,13 +222,9 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
             last[member] = None
             ResolutionError.check(tail_fraction(spectrum), config.tail_tol,
                                   f"at t = {t:.6g}", t)
-        for member, values in enumerate(u):
+        for member, (values, spectrum) in enumerate(zip(u, spectra)):
             last[member] = NlsState(t, Field(grid, values.copy()), eps)
-            snap = last[member]
-            if keep is not None:
-                # copied, u is free until the next stage's inverse transform:
-                # it lends its buffer to transform(values)
-                snap = keep((snap, from_fft(grid, buf[member], out=values)))
+            snap = last[member] if keep is None else keep((last[member], spectrum))
             trajectories[member].append(snap)
 
     save(0)

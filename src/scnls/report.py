@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import nls, wkb
-from .grid import SobolevIndex, _fft, from_fft, norm
+from .grid import SPECTRAL, Field, SobolevIndex, _fft, norm
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -115,10 +115,10 @@ def wkb_row(snap, norm_orders=()):
     inverse transform of their gradients."""
     state, corr = snap if isinstance(snap, tuple) else (snap, None)
     g = state.a.grid
-    fft_pair = np.empty((2,) + g.shape, dtype=complex)
-    for field, spectrum in zip((state.a.values, state.phi.values.real), fft_pair):
+    spectra = np.empty((2,) + g.shape, dtype=complex)
+    for field, spectrum in zip((state.a.values, state.phi.values.real), spectra):
         _fft(field, g.dim, out=spectrum)
-    grad_a, grad_phi = np.swapaxes(wkb.gradients(g, fft_pair), 0, 1)
+    grad_a, grad_phi = np.swapaxes(wkb.gradients(g, spectra), 0, 1)
     row = {
         "t": state.t,
         "mass": nls.mass(state.a),
@@ -126,7 +126,7 @@ def wkb_row(snap, norm_orders=()):
         "grad_phi_max": float(np.abs(grad_phi.real).max()),
     }
     if norm_orders:
-        a_hat, phi_hat = (from_fft(g, f, out=f) for f in fft_pair)
+        a_hat, phi_hat = (Field(g, f, SPECTRAL) for f in spectra)
         for s in norm_orders:
             row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
             row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))

@@ -122,9 +122,9 @@ def _derivatives(grid, spectrum, out):
 
 
 def gradients(grid, spectra):
-    """Gradient components of the fields whose _fft are spectra (one field,
-    or a stack of them), from one batched inverse transform: the component
-    axis goes in front of the spectra's axes."""
+    """Gradient components of the fields whose transforms are spectra (one
+    field's, or a stack of them), from one batched inverse transform: the
+    component axis goes in front of the spectra's axes."""
     out = np.empty((grid.dim,) + spectra.shape, dtype=complex)
     return _ifft(_derivatives(grid, spectra, out), grid.dim, out=out)
 

@@ -133,19 +133,32 @@ class TestConfigValidation:
     # Validation must catch these before the grid or the solver sees them:
     # their messages name no field, and a run with dumps writes fields/ at
     # t = 0 before the solver reads run.norms.  Norms that share a column
-    # label (h<s:g>) would overwrite each other's column.
-    @pytest.mark.parametrize("key, value", [("dim", 4), ("points", 100), ("norms", [-1]),
-                                            ("norms", [1.0, 1.0000001, 2])],
-                             ids=["dim", "points", "norms", "norms-same-label"])
-    def test_run_field_out_of_range_named_before_any_output(self, tmp_path, capsys, key,
-                                                            value):
+    # label (h<s:g>) would overwrite each other's column.  A step or horizon
+    # the run config rejects names run.dt, or run.T when run.dt is unset.
+    @pytest.mark.parametrize("key, run", [
+        ("dim", {"dim": 4}), ("points", {"points": 100}), ("norms", {"norms": [-1]}),
+        ("norms", {"norms": [1.0, 1.0000001, 2]}), ("points", {"dim": 3, "points": 512}),
+        ("dt", {"dt": 0.5, "T": 0.25}), ("dt", {"dt": -0.01}), ("dt", {"dt": 1e-9, "T": 10}),
+        ("dt", {"dt": 1e-320}), ("T", {"T": 1e9}),
+    ], ids=["dim", "points", "norms", "norms-same-label", "memory-budget", "dt-over-horizon",
+            "dt-sign", "dt-step-budget", "dt-overflow", "T-step-budget"])
+    def test_run_field_out_of_range_named_before_any_output(self, tmp_path, capsys, key, run):
         cfg = write_config(tmp_path, {"schema_version": 1,
-                                      "run": {key: value, "dump_fields": True}})
+                                      "run": {**run, "dump_fields": True}})
         out = tmp_path / "out"
         out.mkdir()
         assert cli.run(["run-nls", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config field 'run.{key}'" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    def test_explicit_dt_is_checked_without_the_default_step(self, tmp_path, monkeypatch):
+        # 10^6 steps of run.dt fit the budget; the default step, which would
+        # make more than the budget, is never built
+        configs = []
+        monkeypatch.setattr(cli, "_run_single", lambda *args: configs.append(args[4]) or 0)
+        cfg = write_config(tmp_path, {"schema_version": 1, "run": {"dt": 0.1, "T": 1e5}})
+        assert cli.run(["run-nls", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert [rc.steps for rc in configs] == [10**6]
 
     @pytest.mark.parametrize("mode", ["zero", "equal_a0", "imaginary"])
     def test_ghost_n_study_refuses_another_a1_mode(self, tmp_path, capsys, mode):

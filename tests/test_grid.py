@@ -76,7 +76,7 @@ class TestTransforms:
         fhat = sg.transform(f)
         nonzero = np.abs(fhat.values) > 1e-10
         assert nonzero.sum() == 1
-        assert np.abs(fhat.values[0]) == pytest.approx(2.5 * 2 * grid_1d.half_width)
+        assert np.abs(fhat.values[0]) == pytest.approx(2.5 * grid_1d.points_per_axis)
 
     def test_plane_wave_single_mode(self):
         g = make_grid(1, np.pi, 32)
@@ -85,7 +85,7 @@ class TestTransforms:
         fhat = sg.transform(f)
         hit = np.argmin(np.abs(g.k_axes[0] - k0))
         others = np.delete(np.abs(fhat.values), hit)
-        assert np.abs(fhat.values[hit]) == pytest.approx(2 * np.pi, rel=1e-12)
+        assert np.abs(fhat.values[hit]) == pytest.approx(g.points_per_axis, rel=1e-12)
         assert others.max() < 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -305,21 +305,30 @@ class TestFieldIO:
 
 
 class TestResample:
-    def test_upsample_matches_direct_construction(self):
-        coarse = sg.make_gaussian(make_grid(1, 12.0, 128))
-        up = sg.resample(coarse, 512)
-        direct = sg.make_gaussian(make_grid(1, 12.0, 512))
+    # (coarse, fine) points per axis on [-6, 6)^dim, both of which resolve
+    # the unit Gaussian to roundoff
+    SIZES = {1: (64, 512), 2: (64, 256), 3: (64, 128)}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_upsample_matches_direct_construction(self, dim):
+        n_coarse, n_fine = self.SIZES[dim]
+        coarse = sg.make_gaussian(make_grid(dim, 6.0, n_coarse))
+        up = sg.resample(coarse, n_fine)
+        direct = sg.make_gaussian(make_grid(dim, 6.0, n_fine))
         assert np.abs(up.values - direct.values).max() < 1e-13
 
-    def test_downsample_of_resolved_field(self):
-        fine = sg.make_gaussian(make_grid(1, 12.0, 512))
-        down = sg.resample(fine, 128)
-        direct = sg.make_gaussian(make_grid(1, 12.0, 128))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_downsample_of_resolved_field(self, dim):
+        n_coarse, n_fine = self.SIZES[dim]
+        fine = sg.make_gaussian(make_grid(dim, 6.0, n_fine))
+        down = sg.resample(fine, n_coarse)
+        direct = sg.make_gaussian(make_grid(dim, 6.0, n_coarse))
         assert np.abs(down.values - direct.values).max() < 1e-13
 
-    def test_same_size_is_identity(self):
-        f = sg.make_gaussian(make_grid(1, 12.0, 64))
-        same = sg.resample(f, 64)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_same_size_is_identity(self, dim):
+        f = sg.make_gaussian(make_grid(dim, 6.0, 32))
+        same = sg.resample(f, 32)
         assert np.abs(same.values - f.values).max() < 1e-14
 
 
@@ -407,7 +416,7 @@ class TestSharedGrid:
 
     def test_cached_arrays_are_read_only(self):
         g = make_grid(2, 3.0, 16)
-        arrays = [*g.x_axes, *g.k_axes, g.k_squared, g.origin_signs, *g.gradient_factors]
+        arrays = [*g.x_axes, *g.k_axes, g.k_squared, *g.gradient_factors]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
@@ -465,12 +474,8 @@ class TestSharedGrid:
         index = SobolevIndex(s, homogeneous=kind == "homogeneous",
                              eps_scaled=0.25 if kind == "eps" else None)
         fhat = sg.transform(f)
-        # the sign (-1)^m of mode m per axis, multiplied over the axes
-        m = np.rint(np.fft.fftfreq(g.points_per_axis) * g.points_per_axis).astype(int)
-        sign = np.ones(g.shape)
-        for ax in range(dim):
-            sign = sign * g.axis_view(np.where(m % 2 == 0, 1.0, -1.0), ax)
-        assert np.array_equal(fhat.values, np.fft.fftn(f.values) * (g.quad_weight * sign))
+        assert np.array_equal(fhat.values, np.fft.fftn(f.values))
+        assert g.parseval_weight == g.spacing**dim / g.points_per_axis**dim
         w = index.weight(g.k_squared)
         assert norm(f, index) == float(
             np.sqrt(np.sum(w * np.abs(fhat.values) ** 2) * g.parseval_weight))

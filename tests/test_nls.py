@@ -303,7 +303,7 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_kept_states_outlive_the_lent_spectrum(self, dim):
-        # the spectrum lives in the loop's field buffer, which the next stage
+        # the spectrum is the one the loop holds, which the next stage
         # overwrites; the states keep holds are copies that nothing touches
         _, kept = self.keep_run(dim, lambda snap: snap[0])
         g, plain = self.keep_run(dim)
