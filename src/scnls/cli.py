@@ -269,6 +269,7 @@ def _sweep_config(doc, cfg, command):
 
 def _emit(out_dir, names, reports):
     """Write each report's CSV and one summary.json; returns exit code 0."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = [report.write_study_csv(rep, out_dir / name) for rep, name in zip(reports, names)]
     paths.append(report.write_summary_json(reports, out_dir / "summary.json"))
     for p in paths:
@@ -301,6 +302,7 @@ def _run_single(cfg, out_dir, kind, grid, rc, row, dumps):
     c = studies.A1_COEFFICIENTS[section["a1_mode"]](section["eps"], cfg["sweep"]["scaled_order"])
     run = studies.Run(kind, grid, section["eps"], rc, cfg["sweep_config"].a0, c)
     fdir, saves = out_dir / "fields", itertools.count()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def keep(snapshot):
         i = next(saves)
@@ -408,6 +410,7 @@ def cmd_selftest(cfg, out_dir):
             for number, name, passed, detail in results
         ],
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.dump_json(payload, out_dir / "acceptance_summary.json")
     for name, rep in reports.items():
         report.write_study_csv(rep, out_dir / name)
@@ -466,7 +469,6 @@ def run(argv) -> int:
         if jobs > 1:
             log.warning("jobs = %d ignored: sweeps run sequentially", jobs)
         out_dir = Path(args.out or cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "scnls_out")
-        out_dir.mkdir(parents=True, exist_ok=True)
         return DISPATCH[args.command](cfg, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

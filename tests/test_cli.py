@@ -143,11 +143,16 @@ class TestConfigValidation:
     ], ids=["dim", "points", "norms", "norms-same-label", "memory-budget", "dt-over-horizon",
             "dt-sign", "dt-step-budget", "dt-overflow", "T-step-budget"])
     def test_run_field_out_of_range_named_before_any_output(self, tmp_path, capsys, key, run):
+        # a new --out is not created, and an existing one stays empty
         cfg = write_config(tmp_path, {"schema_version": 1,
                                       "run": {**run, "dump_fields": True}})
         out = tmp_path / "out"
+        argv = ["run-nls", "--config", str(cfg), "--out", str(out)]
+        assert cli.run(argv) == 2
+        assert f"config field 'run.{key}'" in capsys.readouterr().err
+        assert not out.exists()
         out.mkdir()
-        assert cli.run(["run-nls", "--config", str(cfg), "--out", str(out)]) == 2
+        assert cli.run(argv) == 2
         assert f"config field 'run.{key}'" in capsys.readouterr().err
         assert not list(out.iterdir())
 
@@ -328,14 +333,16 @@ class TestRunCommands:
         assert summary["study"] == "run_nls"
 
     def test_run_nls_rows_add_no_fft(self, tmp_path, monkeypatch):
-        # 50 steps saved every 5: the step loop's 3n + 1 forward and 3n + S
-        # inverse transforms are all; each row reads the spectrum the loop holds
+        # 50 steps saved every 5: the step loop's FFT pair per stage, forward
+        # FFT of the datum and inverse FFT per save after t = 0 are all; each
+        # row reads the spectrum the loop holds
         counts = count_ffts(monkeypatch)
         run = {"eps": 0.25, "points": 256, "T": 0.05, "dt": 0.001, "save_every": 5,
                "norms": [0.0, 1.0, 2.0]}
         _, rows = run_command(tmp_path, "run-nls", run)
         assert len(rows) == 11
-        assert counts == {"forward": 3 * 50 + 1, "inverse": 3 * 50 + 10}
+        stages = len(nls.NONLINEAR) * 50
+        assert counts == {"forward": stages + 1, "inverse": stages + 10}
 
     def test_run_nls_rejects_zero_eps(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 1, "run": {"eps": 0.0}})
@@ -350,7 +357,7 @@ class TestRunCommands:
         out = tmp_path / "out"
         assert cli.run(["run-wkb", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config field 'run.a1_mode'" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_run_commands_start_from_the_same_perturbed_datum(self, tmp_path):
         # run.a1_mode sets both run commands' datum (1 + eps c) a0
@@ -659,7 +666,7 @@ class TestStudyCommands:
         assert cli.run(["report-corollary", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config field 'corollary.target_energy' ")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, failed", [
         ("study-ghost", []),
@@ -762,7 +769,7 @@ class TestStudyCommands:
         assert cli.run(["study-wkb-error", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: eps_list needs >= 3 points for slope fits, got 2\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_grid_cap_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
         # The run list is built before any run, so a sweep point past the cap

@@ -14,6 +14,14 @@ from scnls.nls import (
 from conftest import count_ffts, random_field
 
 
+# Yoshida's triple jump of Strang steps (Phys. Lett. A 150, 1990), the
+# fourth-order splitting the engine's is measured against.
+_W1 = 1 / (2 - 2 ** (1 / 3))
+_W0 = 1 - 2 * _W1
+YOSHIDA_KINETIC = (_W1 / 2, (_W1 + _W0) / 2, (_W1 + _W0) / 2, _W1 / 2)
+YOSHIDA_NONLINEAR = (_W1, _W0, _W1)
+
+
 def plane_wave_state(k0=1.0, eps=1.0, n=64):
     g = make_grid(1, np.pi, n)
     return NlsState(0.0, Field(g, np.exp(1j * k0 * g.x_axes[0])), eps)
@@ -100,7 +108,7 @@ def composition_chain(u0, eps, dt, n_steps, kinetic=nls.KINETIC, nonlinear=nls.N
 
 
 class TestStrang:
-    """A stack of one as a composition of Strang stages."""
+    """A stack of one against compositions of the exact substeps."""
 
     def test_plane_wave_closed_form(self):
         # For eps = 1 and u0 = e^{ix} on [-pi, pi): Lap u = -u and |u| = 1,
@@ -116,8 +124,8 @@ class TestStrang:
         np.testing.assert_allclose(final.u.values, expected, atol=1e-5)
 
     def test_second_order_self_convergence(self):
-        # The Strang stage the engine composes is second order; the
-        # engine's own fine run is the reference.
+        # A Strang step is second order; the engine's own fine run is the
+        # reference.
         g = make_grid(1, 12.0, 256)
         u0 = make_gaussian(g)
         eps, T = 0.5, 0.2
@@ -198,7 +206,7 @@ class TestFusedEngine:
     @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
     def test_two_ffts_per_step_plus_two_per_segment(self, monkeypatch, save_every):
         # The engine's own transforms, with the tail guard stubbed out: one
-        # FFT pair per Strang stage, three stages per step, one forward FFT
+        # FFT pair per stage, len(NONLINEAR) stages per step, one forward FFT
         # of the datum and one inverse FFT per save after t = 0. Since the
         # spectrum carries across saves, a save segment no longer costs the
         # pair of the name; the count below is the exact one.
@@ -214,7 +222,7 @@ class TestFusedEngine:
 
     @pytest.mark.parametrize("save_every", [1, 3, 4, 10, 25])
     def test_save_point_guard_adds_one_fft_in_total(self, monkeypatch, save_every):
-        # One FFT pair per Strang stage, three stages per step, one inverse
+        # One FFT pair per stage, len(NONLINEAR) stages per step, one inverse
         # FFT per save after t = 0 and one forward FFT of the datum: every
         # tail guard, at t = 0 too, reads the spectrum the loop holds.
         counts = count_ffts(monkeypatch)
@@ -227,13 +235,31 @@ class TestFusedEngine:
         assert counts["forward"] == len(nls.NONLINEAR) * n_steps + 1
         assert counts["inverse"] == len(nls.NONLINEAR) * n_steps + saves
 
-    def test_yoshida_coefficients(self):
-        w1, w0 = nls.NONLINEAR[:2]
-        assert nls.NONLINEAR == (w1, w0, w1)
-        assert sum(nls.NONLINEAR) == pytest.approx(1.0, abs=1e-15)
-        assert sum(nls.KINETIC) == pytest.approx(1.0, abs=1e-15)
-        assert 2 * w1**3 + w0**3 == pytest.approx(0.0, abs=1e-14)
-        assert nls.KINETIC == (w1 / 2, (w1 + w0) / 2, (w1 + w0) / 2, w1 / 2)
+    def test_blanes_moan_coefficients(self):
+        # symmetric (so time-reversible), consistent, one more kinetic piece
+        # than nonlinear ones, and the published six-stage values
+        for table in (nls.KINETIC, nls.NONLINEAR):
+            assert table == table[::-1]
+            assert sum(table) == pytest.approx(1.0, abs=1e-15)
+        assert len(nls.KINETIC) == len(nls.NONLINEAR) + 1
+        assert nls.KINETIC[:3] == (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
+        assert nls.NONLINEAR[:2] == (0.209515106613362, -0.143851773179818)
+        assert nls.KINETIC[3] == 1 - 2 * sum(nls.KINETIC[:3])
+        assert nls.NONLINEAR[2] == 0.5 - sum(nls.NONLINEAR[:2])
+
+    def test_more_accurate_than_yoshida_at_equal_fft_count(self):
+        # 20 engine steps make as many FFTs as 40 Yoshida steps; each is
+        # measured against its own run at 8x the steps.
+        g = make_grid(1, 12.0, 1024)
+        u0 = make_gaussian(g)
+        eps, T = 1 / 16, 0.25
+
+        def error(n, *table):
+            coarse, fine = (composition_chain(u0, eps, T / m, m, *table)[-1] for m in (n, 8 * n))
+            return np.abs(coarse - fine).max()
+
+        assert 20 * len(nls.NONLINEAR) == 40 * len(YOSHIDA_NONLINEAR)
+        assert 10 * error(20) <= error(40, YOSHIDA_KINETIC, YOSHIDA_NONLINEAR)
 
 
 class TestStackedEngine:

@@ -105,22 +105,32 @@ class TestSweepConfig:
         rc = studies.aligned_run_config(nls.NlsRunConfig, 0.0176, horizon, 10)
         assert (rc.dt, rc.T, rc.save_every) == (horizon / 20, horizon, 2)
 
-    def test_default_step_accurate_at_largest_drift_point(self):
-        # eps = 1/4 with datum (1 + eps) a0 carries the suite's largest energy
-        # drift; the default step must agree with an 8x finer one.
-        cfg = SweepConfig(eps_list=(0.25,))
-        eps = 0.25
+    @staticmethod
+    def assert_default_step_accurate(eps, dt, refine, bound):
+        """The default step at eps, with datum (1 + eps) a0, is dt and agrees
+        with a refine times finer one to bound at every save."""
+        cfg = SweepConfig(eps_list=(eps,))
         grid = cfg.grid_for(eps)
         rc = cfg.nls_run_config(grid, eps)
-        assert rc.dt == pytest.approx(0.0125)
-        fine = nls.NlsRunConfig(dt=rc.dt / 8, T=rc.T, save_every=8 * rc.save_every,
+        assert rc.dt == pytest.approx(dt)
+        fine = nls.NlsRunConfig(dt=rc.dt / refine, T=rc.T, save_every=refine * rc.save_every,
                                 tail_tol=rc.tail_tol)
         u0 = cfg.a0.realize(grid, 1 + eps)
         coarse_traj, fine_traj = (nls.solve_nls_stack([u0], eps, c)[0] for c in (rc, fine))
         assert [s.t for s in coarse_traj] == pytest.approx([s.t for s in fine_traj])
         for a, b in zip(coarse_traj, fine_traj, strict=True):
             diff = Field(grid, a.u.values - b.u.values)
-            assert norm(diff) <= 3e-7 * norm(b.u)
+            assert norm(diff) <= bound * norm(b.u)
+
+    def test_default_step_accurate_at_largest_drift_point(self):
+        # eps = 1/4 with datum (1 + eps) a0 carries the suite's largest energy
+        # drift; the save interval 0.025 caps the step there.
+        self.assert_default_step_accurate(0.25, 0.025, 8, 3e-7)
+
+    def test_default_step_accurate_where_dx2_over_eps_binds(self):
+        # On the eps = 1/32 suite grid (N = 2048) the step rule's dx^2/eps
+        # term binds: 2 dx^2/eps = 0.0088, aligned to 30 steps of 1/120.
+        self.assert_default_step_accurate(1 / 32, 1 / 120, 4, 1e-9)
 
 
 class TestStackedRuns:
@@ -650,12 +660,14 @@ class TestFitAndReportPlumbing:
                              ids=["1d", "2d"])
     def test_trajectory_rows_transform_each_snapshot_once(self, monkeypatch, g):
         # the one transform is the step loop's: 10 steps saved every 5 make
-        # its 3n + 1 forward and 3n + 2 inverse FFTs, rows included
+        # its one FFT pair per stage, one forward FFT of the datum and one
+        # inverse FFT per save after t = 0, rows included
         u0, orders = GaussianSpec().realize(g), (0.0, 1.0, 2.0)
         counts = count_ffts(monkeypatch)
         (traj,) = nls.solve_nls_stack([u0], 0.5, nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5),
                                       keep=lambda snap: (snap[0], rpt.nls_row(snap, orders)))
-        assert counts == {"forward": 3 * 10 + 1, "inverse": 3 * 10 + 2}
+        stages = len(nls.NONLINEAR) * 10
+        assert counts == {"forward": stages + 1, "inverse": stages + 2}
         monkeypatch.undo()
         assert len(traj) == 3
         for state, row in traj:  # against a transform of the saved field
