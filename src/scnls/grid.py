@@ -11,9 +11,10 @@ Conventions (fixed once, used everywhere):
 * Parseval then reads  int |f|^2 dx = sum_k |fhat(k)|^2 * mu  with
   mu = (dx/N)^n, the one weight a Sobolev norm applies to its weighted
   spectral sum.
-* A norm or a mass sums over slabs of the grid's first axis, building
-  each slab's weight from the per-axis wavenumbers, so neither it nor the
-  grid holds a whole-grid weight or |f|^2 array (see _power_sum).
+* A norm, a mass or a tail fraction sums over slabs of the grid's first
+  axis, building each slab's weight from the per-axis wavenumbers, so
+  neither it nor the grid holds a whole-grid weight or |f|^2 array (see
+  _power_sum).
 """
 
 from __future__ import annotations
@@ -191,12 +192,17 @@ class Field:
 
 def _fft(a, dim, out=None):
     """np.fft.fftn over the last dim axes; np.fft.fft for one axis (the
-    same bits without the n-D wrapper)."""
+    same bits without the n-D wrapper).  Without out, the result is
+    allocated once: fftn allocates one array per axis."""
+    if out is None:
+        out = np.empty(np.shape(a), dtype=np.complex128)
     return np.fft.fft(a, out=out) if dim == 1 else np.fft.fftn(a, axes=range(-dim, 0), out=out)
 
 
 def _ifft(a, dim, out=None):
-    """The inverse of _fft."""
+    """The inverse of _fft, allocating its result once too."""
+    if out is None:
+        out = np.empty(np.shape(a), dtype=np.complex128)
     return np.fft.ifft(a, out=out) if dim == 1 else np.fft.ifftn(a, axes=range(-dim, 0), out=out)
 
 
@@ -253,28 +259,39 @@ _MAX_SLABS = 16
 _PAIRWISE_BLOCK = 128
 
 
+def _slab_rows(grid):
+    """Rows of the first axis in each slab a reduction sums over.
+
+    A 1-D grid, or one too small to split, is one slab. Otherwise the grid
+    splits into a power-of-two number (at most _MAX_SLABS) of equal slabs
+    of at least _PAIRWISE_BLOCK points."""
+    if grid.dim == 1:
+        return grid.points_per_axis
+    return grid.points_per_axis // max(1, min(_MAX_SLABS, grid.num_points // _PAIRWISE_BLOCK))
+
+
+def _tree_sum(sums):
+    """The slab sums added as a balanced binary tree. numpy sums a
+    contiguous float array pairwise, halving it down to blocks of
+    _PAIRWISE_BLOCK; on _slab_rows' power-of-two sizes the tree is that
+    order, so the result has the bits of np.sum over the whole grid."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def _power_sum(grid, values, p=2, index=None):
     """sum |values|^p over the grid, each term times index.weight(|k|^2)
     when index is given, for values of grid's shape in C order.
 
-    The sum runs slab by slab along the first axis, so no temporary spans
-    the grid. A 1-D grid, or one too small to split, is one slab.
-    Otherwise the grid splits into a power-of-two number (at most
-    _MAX_SLABS) of equal slabs of at least _PAIRWISE_BLOCK points, whose
-    sums are added as a balanced binary tree. numpy sums a contiguous float array
-    pairwise, halving it down to blocks of _PAIRWISE_BLOCK; on these
-    power-of-two sizes the tree is that order, so the result has the bits
-    of np.sum over the whole grid.
+    The sum runs slab by slab along the first axis (_slab_rows), so no
+    temporary spans the grid, and has the bits of np.sum (_tree_sum).
     """
-    n = grid.points_per_axis
-    slabs = 1 if grid.dim == 1 else max(1, min(_MAX_SLABS, grid.num_points // _PAIRWISE_BLOCK))
     if index is not None and index.s == 0:
         index = None  # every weight of order 0 is identically 1
-    rows = n // slabs
-    sums = [_slab_power_sum(grid, values[lo:lo + rows], lo, p, index) for lo in range(0, n, rows)]
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return sums[0]
+    rows = _slab_rows(grid)
+    return _tree_sum([_slab_power_sum(grid, values[lo:lo + rows], lo, p, index)
+                      for lo in range(0, grid.points_per_axis, rows)])
 
 
 def _slab_power_sum(grid, slab, lo, p, index):
@@ -345,15 +362,28 @@ def check_boundary_decay(f: Field, tol):
 
 
 def tail_fraction(f: Field) -> float:
-    """Fraction of spectral mass above the two-thirds cutoff (resolution guard)."""
+    """Fraction of spectral mass above the two-thirds cutoff (resolution guard).
+
+    It runs over _power_sum's slabs, so no |fhat|^2 array spans the grid:
+    each slab adds its part of every tail box to the tail, and its whole
+    sum to the total, which keeps _power_sum's bits."""
     if f.space == PHYSICAL:
         f = transform(f)
-    power = np.abs(f.values)
-    np.square(power, out=power)
-    total = power.sum()
+    g = f.grid
+    n, rows = g.points_per_axis, _slab_rows(g)
+    sums, tail = [], 0.0
+    for lo in range(0, n, rows):
+        power = np.abs(f.values[lo:lo + rows])
+        np.square(power, out=power)
+        sums.append(power.sum())
+        for box in g.tail_boxes:
+            first = range(n)[box[0]]  # the box's rows, clipped to the slab below
+            start, stop = (min(max(r, lo), lo + rows) - lo for r in (first.start, first.stop))
+            tail += power[(slice(start, stop),) + box[1:]].sum()
+    total = _tree_sum(sums)
     if total == 0.0:
         return 0.0
-    return float(sum(power[box].sum() for box in f.grid.tail_boxes) / total)
+    return float(tail / total)
 
 
 def resample(f: Field, points_per_axis) -> Field:

@@ -14,21 +14,24 @@ times below that of Yoshida's triple jump of Strang steps, so it pays
 for twice the stages per step with a step four times as long. KINETIC
 and NONLINEAR hold its substep coefficients. Between steps the loop
 holds the field's spectrum, after the step's closing kinetic piece, in
-one scratch buffer. Each stage multiplies it by its opening kinetic
-piece, transforms back, rotates the phase and transforms forward, so the
+one array w, which also holds the field during each phase rotation. Each
+stage multiplies w by its opening kinetic piece, transforms it back in
+place, rotates the phase and transforms it forward in place, so the
 closing piece of one step and the opening piece of the next are two
 multiplications of the same spectrum. The kinetic phase
 exp(-0.5j eps a dt |k|^2) is separable, so a piece is one multiplication
-per axis by a vector of N entries. A save transforms back once more; its
-tail guard and the spectrum it hands on read the spectrum held: 6n + 1
-forward and 6n + S inverse FFTs for n steps and S saves after t = 0.
+per axis by a vector of N entries. The rotation runs over pieces of the
+stack through a complex scratch of at most ROTATE_POINTS points. A save
+transforms back once more, into a new array; its tail guard and the
+spectrum it hands on read the spectrum held: 6n + 1 forward and 6n + S
+inverse FFTs for n steps and S saves after t = 0.
 
-Per grid point the loop holds three fields of a member: u, its spectrum
-and the last saved snapshot (the NonFiniteError's last good state). A
-save allocates no other field: once a member's values pass the
-finiteness check, its old snapshot goes, before its tail guard and the
-new copy, and the spectrum it hands on is the one the loop holds, which
-the next stage overwrites.
+Per grid point the loop holds two fields of a member: the spectrum w and
+the last saved snapshot (the NonFiniteError's last good state). A save
+checks each member's spectrum for finiteness and then drops its old
+snapshot, before the tail guard (which sums slab by slab) and the
+inverse transform that makes the new snapshots; the spectrum it hands
+on is w, which the next stage overwrites.
 
 The loop advances a stack of data on one grid with one step, eps and
 save cadence: the field is an (m, *grid.shape) array, every FFT runs over
@@ -64,6 +67,10 @@ _B1, _B2 = 0.209515106613362, -0.143851773179818
 # Substep fractions of dt: kinetic pieces around each nonlinear one.
 KINETIC = (_A1, _A2, _A3, 1 - 2 * (_A1 + _A2 + _A3), _A3, _A2, _A1)
 NONLINEAR = (_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1)
+
+# Points in the phase rotation's complex scratch (128 KiB): a stack larger
+# than this rotates in pieces, a smaller one in one pass.
+ROTATE_POINTS = 2**13
 
 
 def _check_eps(eps):
@@ -144,6 +151,23 @@ def _rotate(u, buf, rate, axes):
     return total
 
 
+def _rotate_stack(w, scratch, rate):
+    """_rotate over each member of the stack w in place, in pieces of its
+    flattened members that fit scratch: several whole members per piece, or
+    one member in pieces of scratch's size.  Returns whether each member's
+    values are finite."""
+    flat = w.reshape(len(w), -1)
+    n = flat.shape[1]
+    rows, cols = max(1, scratch.size // n), min(n, scratch.size)
+    finite = np.ones(len(w), dtype=bool)
+    for lo in range(0, len(w), rows):
+        for c in range(0, n, cols):
+            piece = flat[lo:lo + rows, c:c + cols]
+            buf = scratch[:piece.size].reshape(piece.shape)
+            finite[lo:lo + rows] &= np.isfinite(_rotate(piece, buf, rate, 1))
+    return finite
+
+
 def mass(f: Field) -> float:
     """int |u|^2 dx by grid quadrature."""
     if f.space != PHYSICAL:
@@ -169,6 +193,7 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     included.  A stack of one is a single run, and each member's trajectory
     equals its own stack of one bit for bit.  The data are released once
     stacked, so a caller that hands over a generator holds none of them.
+    The members' snapshots at one saved time are views of one stack array.
 
     dt is adjusted to the nearest divisor of T so the run lands exactly on
     the horizon.
@@ -183,7 +208,8 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     The first member to trip a guard, in step order, raises: ResolutionError
     if its spectral tail guard trips at a saved time (including t = 0),
     NonFiniteError on NaN/overflow in its datum or at any step, carrying
-    its last good snapshot (None when the datum is at fault).
+    its last good snapshot (None when the datum is at fault, or when a
+    save's inverse transform overflows a finite spectrum).
     """
     u0s = list(u0s)
     if not u0s:
@@ -207,41 +233,45 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     opening = [mults[a] for a in KINETIC[:-1]]
     outer = mults[KINETIC[-1]]
     rates = [b * dt / eps for b in NONLINEAR]
-    buf = _fft(u, grid.dim)
-    axes = tuple(range(1, grid.dim + 1))
-    trajectories = [[] for _ in u]
-    last = [None] * len(u)  # each member's last saved state, the only one held
-    spectra = [Field(grid, member, SPECTRAL) for member in buf]
+    w = _fft(u, grid.dim)
+    scratch = np.empty(min(ROTATE_POINTS, w.size), dtype=complex)
+    trajectories = [[] for _ in w]
+    last = [None] * len(w)  # each member's last saved state, the only one held
+    spectra = [Field(grid, member, SPECTRAL) for member in w]
 
-    def save(step):
-        # u is ifftn(buf) (at t = 0, buf is fftn(u))
+    def save(step, values=None):
+        # values is the stack of data at t = 0; later saves transform w back
         t = step * dt
-        for member, (values, spectrum) in enumerate(zip(u, spectra)):
-            if not np.isfinite(values).all():
+        for member, spectrum in enumerate(spectra):
+            if not np.isfinite(spectrum.values).all():
                 raise NonFiniteError.at_step(step, dt, last[member])
-            # finite, so no error needs its old snapshot, which goes before
-            # the tail guard's temporary and the new copy
+            # finite, so no error needs its old snapshot; once every member's
+            # has gone, before the new stack, no old one is held
             last[member] = None
             ResolutionError.check(tail_fraction(spectrum), config.tail_tol,
                                   f"at t = {t:.6g}", t)
-        for member, (values, spectrum) in enumerate(zip(u, spectra)):
-            last[member] = NlsState(t, Field(grid, values.copy()), eps)
+        if values is None:
+            values = _ifft(w, grid.dim)
+            if not np.isfinite(values).all():
+                raise NonFiniteError.at_step(step, dt, None)
+        for member, (member_values, spectrum) in enumerate(zip(values, spectra)):
+            last[member] = NlsState(t, Field(grid, member_values), eps)
             snap = last[member] if keep is None else keep((last[member], spectrum))
             trajectories[member].append(snap)
 
-    save(0)
+    save(0, u)
+    del u  # the data are the t = 0 snapshots, held only as those
     for step in range(1, n_steps + 1):
         for rate, mult in zip(rates, opening):
             for factor in mult:
-                buf *= factor
-            _ifft(buf, grid.dim, out=u)
-            finite = np.isfinite(_rotate(u, buf, rate, axes))
+                w *= factor
+            _ifft(w, grid.dim, out=w)
+            finite = _rotate_stack(w, scratch, rate)
             if not finite.all():
                 raise NonFiniteError.at_step(step, dt, last[int(np.argmin(finite))])
-            _fft(u, grid.dim, out=buf)
+            _fft(w, grid.dim, out=w)
         for factor in outer:
-            buf *= factor
+            w *= factor
         if step % config.save_every == 0 or step == n_steps:
-            _ifft(buf, grid.dim, out=u)
             save(step)
     return trajectories

@@ -102,7 +102,10 @@ def count_ffts(monkeypatch):
 
 def traced_peak(call):
     """tracemalloc's peak, in bytes, over one call of call(): what the call
-    allocates at its worst, less what it frees on the way."""
+    allocates at its worst, less what it frees on the way.  numpy imports
+    numpy.fft on first use; it is imported here first, so that a peak
+    measures the call and not that import."""
+    np.fft.fft
     tracemalloc.start()
     try:
         call()

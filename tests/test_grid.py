@@ -373,6 +373,37 @@ class TestTailFraction:
             assert (new <= tol) == (old <= tol)
 
 
+def box_sum_tail_fraction(f):
+    """The whole-array formula the slab-streamed tail_fraction replaced: one
+    |fhat|^2 array, summed over each tail box."""
+    power = np.abs(sg.transform(f).values)
+    np.square(power, out=power)
+    return float(sum(power[box].sum() for box in f.grid.tail_boxes) / power.sum())
+
+
+class TestStreamedTailFraction:
+    @pytest.mark.parametrize("dim, n", [(1, 64), (1, 4096), (2, 8), (2, 32), (2, 256), (3, 16),
+                                        (3, 32)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_whole_array_formula(self, dim, n, seed):
+        # 8^2 is one slab; 32^2 splits into 8 slabs and the rest into 16,
+        # whose rows cut the tail boxes' first-axis bands
+        g = make_grid(dim, 4.0, n)
+        rng = np.random.default_rng(seed)
+        f = sg.Field(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        new, old = sg.tail_fraction(f), box_sum_tail_fraction(f)
+        assert abs(new - old) <= 1e-15 * old
+        if dim == 1:
+            assert new == old
+
+    def test_holds_no_whole_grid_array(self):
+        g = make_grid(2, 5.375, 256)  # a key no other test holds
+        f = sg.transform(random_field(g, 4))
+        field = g.num_points * 16
+        peak = traced_peak(lambda: sg.tail_fraction(f))
+        assert peak < 0.1 * field, f"peak of {peak / field:.3f} fields"
+
+
 class TestFftHelpers:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equal_fftn_over_the_last_axes(self, dim):
@@ -381,6 +412,24 @@ class TestFftHelpers:
         axes = range(1, dim + 1)
         assert bit_identical(sg._fft(a, dim), np.fft.fftn(a, axes=axes))
         assert bit_identical(sg._ifft(a, dim), np.fft.ifftn(a, axes=axes))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_in_place_transforms_keep_the_bits(self, dim):
+        g = make_grid(dim, 4.0, 16)
+        a = np.stack([random_field(g, seed).values for seed in range(2)])
+        ref = sg._fft(a, dim)
+        assert bit_identical(sg._fft(a, dim, out=a), ref)
+        assert bit_identical(sg._ifft(a, dim, out=a), sg._ifft(ref, dim))
+
+    def test_transform_allocates_its_result_once(self):
+        # fftn without out allocates one array per axis: three fields on 64^3
+        g = make_grid(3, 4.0, 64)
+        f = random_field(g, 2)
+        field = g.num_points * 16
+        for call in (lambda: sg.transform(f), lambda: sg.inverse_transform(sg.Field(
+                g, f.values, sg.SPECTRAL))):
+            peak = traced_peak(call)
+            assert peak < 1.1 * field, f"peak of {peak / field:.2f} fields"
 
     def test_one_axis_bypasses_the_nd_wrapper(self, monkeypatch, grid_1d, gaussian_1d):
         for name in ("fftn", "ifftn"):

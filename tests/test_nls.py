@@ -11,7 +11,7 @@ from scnls.nls import (
     NlsRunConfig, NlsState, mass, semiclassical_energy, solve_nls_stack,
 )
 
-from conftest import count_ffts, random_field
+from conftest import bit_identical, count_ffts, random_field, traced_peak
 
 
 # Yoshida's triple jump of Strang steps (Phys. Lett. A 150, 1990), the
@@ -400,6 +400,87 @@ class TestStackedEngine:
                 solve_nls_stack([make_gaussian(g)], eps, cfg)
 
 
+class TestPiecedRotation:
+    """The phase rotation runs over pieces of the flattened stack through a
+    scratch of at most ROTATE_POINTS points; with that bound made small,
+    both ways of cutting a stack into pieces keep every bit."""
+
+    RATE = 0.37
+    # (grid, members, piece points): three whole members of 16 points per
+    # piece and two in the last; or 2-D members of 256 points in pieces of
+    # 48, the last of 16
+    CASES = {"members_per_piece": ((1, 16), 5, 48), "pieces_per_member": ((2, 16), 3, 48)}
+
+    @classmethod
+    def case(cls, name):
+        (dim, points), members, piece = cls.CASES[name]
+        g = make_grid(dim, 4.0, points)
+        return g, [random_field(g, seed, smooth_width=2) for seed in range(members)], piece
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_one_whole_array_rotation(self, name):
+        _, data, piece = self.case(name)
+        w = np.stack([f.values for f in data])
+        ref = w.copy()
+        nls._rotate(ref, np.empty_like(ref), self.RATE, None)
+        finite = nls._rotate_stack(w, np.empty(piece, dtype=complex), self.RATE)
+        assert bit_identical(w, ref)
+        assert finite.tolist() == [True] * len(data)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_runs_keep_their_bits(self, monkeypatch, name):
+        g, data, piece = self.case(name)
+        cfg = NlsRunConfig(dt=1e-2, T=0.05, save_every=2, tail_tol=1.0)
+        whole = solve_nls_stack(data, 0.5, cfg)
+        monkeypatch.setattr(nls, "ROTATE_POINTS", piece)
+        assert bit_identical(solve_nls_stack(data, 0.5, cfg), whole)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_in_a_later_piece_raises_with_its_member_snapshot(self, monkeypatch):
+        # a NaN planted, at step 2's first stage, in member 1's second piece
+        g, data, piece = self.case("pieces_per_member")
+        cfg = NlsRunConfig(dt=1e-2, T=0.05, save_every=1, tail_tol=1.0)
+        clean = solve_nls_stack(data, 0.5, cfg)
+        monkeypatch.setattr(nls, "ROTATE_POINTS", piece)
+        rotate, calls = nls._rotate_stack, []
+
+        def planting(w, scratch, rate):
+            calls.append(rate)
+            if len(calls) == len(nls.NONLINEAR) + 1:
+                w[1].reshape(-1)[piece + 5] = np.nan
+            finite = rotate(w, scratch, rate)
+            if len(calls) == len(nls.NONLINEAR) + 1:
+                assert finite.tolist() == [True, False, True]
+            return finite
+
+        monkeypatch.setattr(nls, "_rotate_stack", planting)
+        with pytest.raises(NonFiniteError, match="step 2 ") as exc:
+            solve_nls_stack(data, 0.5, cfg)
+        assert bit_identical(exc.value.last_state, clean[1][1])
+        assert not np.array_equal(exc.value.last_state.u.values, clean[0][1].u.values)
+
+
+class TestStackMemory:
+    def test_stack_peaks_below_two_and_a_half_of_its_fields(self):
+        # The loop holds the spectrum w, the last snapshots and a rotation
+        # scratch of a sixteenth of this stack; a save drops the old snapshots
+        # before its tail guard, which sums slab by slab, and the one
+        # inverse transform that makes the new ones.
+        g = make_grid(2, 10.25, 256)  # a key no other test holds
+        data = [make_gaussian(g), make_gaussian(g, amplitude=1.5, width=0.8)]
+        cfg = NlsRunConfig(dt=1e-3, T=0.01, save_every=1)
+        saves = []
+
+        def keep(snap):
+            saves.append(snap[0].t)
+            return mass(snap[0].u)
+
+        stack_fields = traced_peak(lambda: solve_nls_stack(data, 0.5, cfg, keep)) / (
+            len(data) * g.num_points * 16)
+        assert len(saves) == 2 * 11
+        assert stack_fields < 2.5, f"peak of {stack_fields:.2f} of the stack's fields"
+
+
 band_limited_runs = dict(
     dim=st.integers(1, 3),
     seed=st.integers(0, 10_000),
@@ -554,6 +635,24 @@ class TestGuards:
         assert exc.value.t == pytest.approx(1e-3)
         assert exc.value.last_state.t == 0.0
         assert np.all(np.isfinite(exc.value.last_state.u.values))
+
+    def test_overflowing_save_transform_carries_no_snapshot(self, monkeypatch):
+        # The spectrum held passed the finiteness check, so the old snapshots
+        # have gone when the save's own inverse transform overflows.
+        g = make_grid(1, 12.0, 64)
+        ifft = nls._ifft
+
+        def overflowing(a, dim, out=None):
+            values = ifft(a, dim, out=out)
+            if out is None:  # the save's transform, not a stage's in place
+                values[0, 3] = np.inf
+            return values
+
+        monkeypatch.setattr(nls, "_ifft", overflowing)
+        with pytest.raises(NonFiniteError, match="step 2 ") as exc:
+            solve_nls_stack([make_gaussian(g), make_gaussian(g, amplitude=2.0)], 0.5,
+                            NlsRunConfig(dt=1e-3, T=0.004, save_every=2))
+        assert exc.value.last_state is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dt"):
