@@ -39,7 +39,6 @@ from .studies import (
     wkb_error_study,
 )
 from .wkb import (
-    CorrectorState,
     GrenierState,
     WkbRunConfig,
     reconstruct,
@@ -54,8 +53,8 @@ __all__ = [
     "transform", "inverse_transform", "norm", "lp_norm", "resample",
     "tail_fraction", "save_field", "load_field",
     "NlsState", "NlsRunConfig", "solve_nls_stack", "mass", "semiclassical_energy",
-    "GrenierState", "CorrectorState", "WkbRunConfig", "solve_grenier_stack",
-    "solve_limit_stack", "reconstruct",
+    "GrenierState", "WkbRunConfig", "solve_grenier_stack", "solve_limit_stack",
+    "reconstruct",
     "SweepConfig", "GaussianSpec", "ScalingParams", "StudyReport",
     "wkb_error_study", "small_time_study",
     "ghost_separation_study", "ghost_higher_order_study",

@@ -125,7 +125,7 @@ def degeneracy_checks(cache):
     """A purely imaginary perturbation keeps the corrector phase below 1e-8
     in sup norm at every saved time."""
     traj = cache[studies._limit_run(SUITE_CONFIG, DEGENERACY_C)]
-    worst = max(float(np.abs(corr.phi1.values).max()) for _, corr in traj)
+    worst = max(float(np.abs(state.phi1.values).max()) for state in traj)
     checks = {}
     _check(checks, "corrector_phase", worst <= 1e-8, worst, "<= 1e-8")
     return checks

@@ -350,13 +350,8 @@ def cmd_run_wkb(cfg, out_dir):
     rc = _run_config(wkb.WkbRunConfig, run,
                      lambda: math.copysign(min(target, abs(run["T"])), run["T"]),
                      sing_tol=run["sing_tol"])
-
-    def dumps(snap):
-        state = snap[0] if run["with_corrector"] else snap
-        return {"a": state.a, "phi": state.phi}
-
     return _run_single(cfg, out_dir, "limit" if run["with_corrector"] else "grenier", grid, rc,
-                       report.wkb_row, dumps)
+                       report.wkb_row, lambda state: {"a": state.a, "phi": state.phi})
 
 
 # study-* command -> (function of `studies`, looked up on each call so that a wrapper

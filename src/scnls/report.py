@@ -107,13 +107,12 @@ def nls_row(snap, norm_orders=()):
     return row
 
 
-def wkb_row(snap, norm_orders=()):
+def wkb_row(state, norm_orders=()):
     """NLS columns plus the phase-gradient sup of one saved GrenierState,
-    and the corrector norms when snap is a (GrenierState, CorrectorState)
-    pair; the energy, the gradient sup and the norms share one transform
-    each of a and phi, and the energy and the gradient sup one batched
-    inverse transform of their gradients."""
-    state, corr = snap if isinstance(snap, tuple) else (snap, None)
+    and the corrector norms when it carries a1 and phi1; the energy, the
+    gradient sup and the norms share one transform each of a and phi, and
+    the energy and the gradient sup one batched inverse transform of their
+    gradients."""
     g = state.a.grid
     spectra = np.empty((2,) + g.shape, dtype=complex)
     for field, spectrum in zip((state.a.values, state.phi.values.real), spectra):
@@ -130,9 +129,9 @@ def wkb_row(snap, norm_orders=()):
         for s in norm_orders:
             row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
             row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))
-    if corr is not None:
-        row["a1_l2"] = norm(corr.a1)
-        row["phi1_linf"] = float(np.abs(corr.phi1.values).max())
+    if state.a1 is not None:
+        row["a1_l2"] = norm(state.a1)
+        row["phi1_linf"] = float(np.abs(state.phi1.values).max())
     return row
 
 

@@ -380,11 +380,11 @@ def _slope_fits(rows, quantity, xs, s_list, bands, degenerate=False):
     return slopes, checks
 
 
-def _profile_fields(bg, corr, fine_n):
+def _profile_fields(state, fine_n):
     """Upsample the smooth limit fields onto the oscillatory grid."""
-    a = resample(bg.a, fine_n)
-    phi = resample(bg.phi, fine_n).values.real
-    phi1 = resample(corr.phi1, fine_n).values.real
+    a = resample(state.a, fine_n)
+    phi = resample(state.phi, fine_n).values.real
+    phi1 = resample(state.phi1, fine_n).values.real
     return a, phi, phi1
 
 
@@ -412,8 +412,8 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
         n_fine = fine.points_per_axis
         u_traj, ut_traj, g_traj = (cache[run] for run in _error_runs(config, eps))
         sup = {(family, s): 0.0 for family in families for s in config.s_list}
-        for (bg, corr), us, uts, gs in zip(limit, u_traj, ut_traj, g_traj):
-            a_f, phi_f, phi1_f = _profile_fields(bg, corr, n_fine)
+        for bg, us, uts, gs in zip(limit, u_traj, ut_traj, g_traj):
+            a_f, phi_f, phi1_f = _profile_fields(bg, n_fine)
             carrier = a_f.values * np.exp(1j * phi_f / eps)
             coarse = bg.a.grid
             a_gap = gs.a.values - bg.a.values
@@ -423,8 +423,8 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
             d_pert = transform(Field(fine, uts.u.values - carrier * np.exp(1j * phi1_f)))
             da = transform(Field(coarse, a_gap))
             dphi = transform(Field(coarse, phi_gap))
-            da2 = transform(Field(coarse, a_gap - eps * corr.a1.values))
-            dphi2 = transform(Field(coarse, phi_gap - eps * corr.phi1.values))
+            da2 = transform(Field(coarse, a_gap - eps * bg.a1.values))
+            dphi2 = transform(Field(coarse, phi_gap - eps * bg.phi1.values))
             for s in config.s_list:
                 idx_eps = SobolevIndex(s, eps_scaled=eps)
                 idx = SobolevIndex(s)
@@ -460,9 +460,9 @@ def small_time_study(config: SweepConfig, cache: dict | None = None) -> StudyRep
 
     rows = []
     for t, run in zip(times, runs):
-        bg, corr = cache[run][-1]
+        bg = cache[run][-1]
         res = transform(Field(grid, bg.phi.values.real + t * a0_sq))
-        res1 = transform(Field(grid, corr.phi1.values.real + 2 * t * a0_sq))
+        res1 = transform(Field(grid, bg.phi1.values.real + 2 * t * a0_sq))
         for s in config.s_list:
             idx = SobolevIndex(s)
             r = norm(res, idx)
@@ -484,7 +484,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
     stack_runs(cache, ghost_runs(config))
     mode = config.a1_mode
     order = config.scaled_order
-    bg_tau, corr_tau = cache[_limit_run(config)][config.tau_index]
+    bg_tau = cache[_limit_run(config)][config.tau_index]
     wkb_grid = config.wkb_grid()
     a0_l2 = norm(config.a0.realize(wkb_grid))
     floor = SEPARATION_FLOOR_FACTOR * a0_l2
@@ -501,7 +501,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
         are freed when it returns."""
         grid, diff = pair_diff(eps, 1)
         lam = config.a1_coefficient(eps).real
-        a_f, phi_f, phi1_f = _profile_fields(bg_tau, corr_tau, grid.points_per_axis)
+        a_f, phi_f, phi1_f = _profile_fields(bg_tau, grid.points_per_axis)
         pred_vals = a_f.values * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
         pred = transform(Field(grid, pred_vals))
 

@@ -14,7 +14,8 @@ the oscillatory wavefunction needs.
 The corrector pair (a1, phi1) solves the linearization of the limit
 system around (a, phi) forced by i Lap(a) / 2, and is co-integrated with
 the eps = 0 background inside one RK4 flow so no stage interpolation is
-ever needed.
+ever needed.  A snapshot is one GrenierState: a limit run's carries the
+corrector in its a1 and phi1, a Grenier run's leaves them None.
 
 RK4 advances a state of shape (fields, members, *grid): the fields
 [a, phi] or [a, phi, a1, phi1] of runs that share a grid, a step count and
@@ -60,10 +61,15 @@ def _require_real_phase(phi: Field, what):
 
 @dataclass
 class GrenierState:
+    """The fields (a, phi) at time t and, for a limit run, the corrector
+    (a1, phi1) of the ansatz (a + eps a1) e^{i (phi + eps phi1) / eps}."""
+
     t: float
     a: Field
     phi: Field
     eps: float
+    a1: Field | None = None
+    phi1: Field | None = None
 
     def __post_init__(self):
         if self.eps < 0:
@@ -71,18 +77,10 @@ class GrenierState:
         _require_real_phase(self.phi, "phase field")
         if self.t == 0 and np.abs(self.phi.values).max() != 0.0:
             raise ValueError("the phase must vanish identically at t = 0")
-
-
-@dataclass
-class CorrectorState:
-    t: float
-    a1: Field
-    phi1: Field
-
-    def __post_init__(self):
-        _require_real_phase(self.phi1, "corrector phase")
-        if self.t == 0 and np.abs(self.phi1.values).max() != 0.0:
-            raise ValueError("the corrector phase must vanish identically at t = 0")
+        if self.phi1 is not None:
+            _require_real_phase(self.phi1, "corrector phase")
+            if self.t == 0 and np.abs(self.phi1.values).max() != 0.0:
+                raise ValueError("the corrector phase must vanish identically at t = 0")
 
 
 @dataclass(frozen=True)
@@ -132,13 +130,13 @@ def gradients(grid, spectra):
 class _Rates:
     """d/dt of the stacked state [a, phi] or, with the corrector,
     [a, phi, a1, phi1], each field of shape (members, *grid); the phases
-    are real and stored with zero imaginary part.  eps and sing_tol (or
-    None: no check) hold one value per member."""
+    are real and stored with zero imaginary part.  eps and sing_tol hold
+    one value per member."""
 
-    def __init__(self, grid, corrector, eps=0.0, sing_tol=None):
+    def __init__(self, grid, corrector, eps, sing_tol):
         d = grid.dim
         eps = np.ravel(eps)
-        self.grid, self.sing_tol = grid, None if sing_tol is None else np.ravel(sing_tol)
+        self.grid, self.sing_tol = grid, np.ravel(sing_tol)
         self.kin = np.reshape(0.5j * eps, (-1,) + (1,) * d)
         # gradient and Laplacian rows per field; no term reads Lap(a1)
         sizes = (d + 1, d + 1, d, d + 1) if corrector else (d + 1, d + 1)
@@ -157,14 +155,13 @@ class _Rates:
         da, dphi, *corr = self.blocks
         grad_a, lap_a = da[:d], da[d]
         grad_phi, lap_phi = dphi[:d].real, dphi[d].real
-        if self.sing_tol is not None:
-            gmax = np.abs(grad_phi).max(axis=(0, *range(2, grad_phi.ndim)))
-            if (gmax > self.sing_tol).any():
-                m = int(np.argmax(gmax > self.sing_tol))
-                raise SingularityError(
-                    f"phase gradient {gmax[m]:.3e} exceeds the singularity threshold "
-                    f"{self.sing_tol[m]:.3e} at t = {t[m]:.6g}; the run is approaching "
-                    "the breakdown time", grad_max=gmax[m], t=float(t[m]))
+        gmax = np.abs(grad_phi).max(axis=(0, *range(2, grad_phi.ndim)))
+        if (gmax > self.sing_tol).any():
+            m = int(np.argmax(gmax > self.sing_tol))
+            raise SingularityError(
+                f"phase gradient {gmax[m]:.3e} exceeds the singularity threshold "
+                f"{self.sing_tol[m]:.3e} at t = {t[m]:.6g}; the run is approaching "
+                "the breakdown time", grad_max=gmax[m], t=float(t[m]))
         a = y[0]
         out[0] = -(sum(gp * ga for gp, ga in zip(grad_phi, grad_a)) + 0.5 * a * lap_phi)
         out[1] = -(0.5 * sum(g * g for g in grad_phi) + np.abs(a) ** 2)
@@ -199,16 +196,30 @@ def _auto_sing_tol(grid, a_init, horizon):
     return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
 
 
-def _integrate(y, grid, corrector, eps, configs, make_snapshot, keep=None):
-    """Classical RK4 on y of shape (fields, members, *grid), in place, with
-    guard checks; one eps and run config per member, with one step count
-    and save cadence (each member steps by its config's step).  Returns the
-    trajectory of keep(make_snapshot(member, t, y)) per member (keep=None:
+def _solve_stack(members, keep, corrector):
+    """Classical RK4 on the stacked state y of shape (fields, members,
+    *grid), in place, with guard checks; one eps and run config per member,
+    with one step count and save cadence (each member steps by its config's
+    step).  Returns the trajectory of keep(snapshot) per member (keep=None:
     the snapshots); only each member's last snapshot is held, for
     NonFiniteError.  The stage times are diagnostics only.  The stage sums
     keep the order y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in place, one
     buffer for k2-k4.
     """
+    if not members:
+        raise ValueError("a stack needs at least one member")
+    if len({member[0].grid for member in members}) > 1:
+        raise ValueError("stacked data must share one grid")
+    grid = members[0][0].grid
+    y = np.zeros((4 if corrector else 2, len(members)) + grid.shape, dtype=complex)
+    eps = [0.0 if corrector else member[1] for member in members]
+    configs = [member[-1] for member in members]
+    for m, (a0, *data, config) in enumerate(members):
+        a1 = data[0] if corrector else None
+        _check_data(a0, a1, config)
+        y[0, m] = a0.values
+        if a1 is not None:
+            y[2, m] = a1.values
     schedules = {(c.steps, c.save_every) for c in configs}
     if len(schedules) != 1:
         raise ValueError("stacked runs must share their step count and save cadence")
@@ -219,8 +230,14 @@ def _integrate(y, grid, corrector, eps, configs, make_snapshot, keep=None):
     times = np.array(dts)
     dt = times.reshape((-1,) + (1,) * grid.dim)
     keep = keep or (lambda snapshot: snapshot)
-    last = [make_snapshot(m, 0.0, y) for m in range(len(configs))]
-    trajectories = [[keep(snapshot)] for snapshot in last]
+
+    def snapshot(m, t):
+        a, phi = Field(grid, y[0, m].copy()), Field(grid, y[1, m].real)
+        corr = (Field(grid, y[2, m].copy()), Field(grid, y[3, m].real)) if corrector else ()
+        return GrenierState(t, a, phi, eps[m], *corr)
+
+    last = [snapshot(m, 0.0) for m in range(len(members))]
+    trajectories = [[keep(state)] for state in last]
     acc, k, stage = (np.empty_like(y) for _ in range(3))
     for step in range(1, n_steps + 1):
         t = (step - 1) * times
@@ -247,7 +264,7 @@ def _integrate(y, grid, corrector, eps, configs, make_snapshot, keep=None):
             raise NonFiniteError.at_step(step, dts[m], last[m])
         if step % save_every == 0 or step == n_steps:
             for m, traj in enumerate(trajectories):
-                last[m] = make_snapshot(m, step * dts[m], y)
+                last[m] = snapshot(m, step * dts[m])
                 traj.append(keep(last[m]))
     return trajectories
 
@@ -281,33 +298,9 @@ def solve_limit_stack(members, keep=None):
     """Co-integrate the eps = 0 limit system of each (a0, a1, config)
     member with its corrector, which starts from a1 (zero when a1 is None)
     with zero phase; stacked, guarded and returned as in
-    solve_grenier_stack, with (GrenierState, CorrectorState) pairs for
-    snapshots."""
+    solve_grenier_stack, with the corrector in each snapshot's a1 and
+    phi1."""
     return _solve_stack(members, keep, corrector=True)
-
-
-def _solve_stack(members, keep, corrector):
-    if not members:
-        raise ValueError("a stack needs at least one member")
-    if len({member[0].grid for member in members}) > 1:
-        raise ValueError("stacked data must share one grid")
-    grid = members[0][0].grid
-    y = np.zeros((4 if corrector else 2, len(members)) + grid.shape, dtype=complex)
-    eps = [0.0 if corrector else member[1] for member in members]
-    for m, (a0, *data, config) in enumerate(members):
-        a1 = data[0] if corrector else None
-        _check_data(a0, a1, config)
-        y[0, m] = a0.values
-        if a1 is not None:
-            y[2, m] = a1.values
-
-    def snap(m, t, y):
-        state = GrenierState(t, Field(grid, y[0, m].copy()), Field(grid, y[1, m].real), eps[m])
-        if not corrector:
-            return state
-        return state, CorrectorState(t, Field(grid, y[2, m].copy()), Field(grid, y[3, m].real))
-
-    return _integrate(y, grid, corrector, eps, [member[-1] for member in members], snap, keep)
 
 
 def reconstruct(a: Field, phi: Field, eps) -> Field:

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "transform", "inverse_transform", "norm", "lp_norm", "resample",
     "tail_fraction", "save_field", "load_field",
     "NlsState", "NlsRunConfig", "solve_nls_stack", "mass", "semiclassical_energy",
-    "GrenierState", "CorrectorState", "WkbRunConfig", "solve_grenier_stack",
+    "GrenierState", "WkbRunConfig", "solve_grenier_stack",
     "solve_limit_stack", "reconstruct",
     "SweepConfig", "GaussianSpec", "ScalingParams", "StudyReport",
     "wkb_error_study", "small_time_study",

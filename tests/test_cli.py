@@ -495,8 +495,7 @@ class TestRunCommands:
                             for snap in traj]
         prefixes = ("u",) if command == "run-nls" else ("a", "phi")
         assert dump_names(out) == saved_names(11, prefixes)
-        for i, snap in enumerate(traj):
-            state = snap[0] if isinstance(snap, tuple) else snap
+        for i, state in enumerate(traj):
             for prefix in prefixes:
                 dumped = load_field(out / "fields" / f"{prefix}_{i:04d}")
                 assert np.array_equal(dumped.values, getattr(state, prefix).values)

@@ -294,8 +294,8 @@ class TestWkbErrorStudy:
         u = cache[studies._nls_run(short_cfg, eps, 0.0)]
         limit = cache[studies._limit_run(short_cfg, 1.0)]
         sup = 0.0
-        for (bg, corr), us in zip(limit, u):
-            a_f, phi_f, _ = studies._profile_fields(bg, corr, fine.points_per_axis)
+        for bg, us in zip(limit, u):
+            a_f, phi_f, _ = studies._profile_fields(bg, fine.points_per_axis)
             diff = Field(fine, us.u.values - a_f.values * np.exp(1j * phi_f / eps))
             sup = max(sup, norm(diff))
         study_val = [
@@ -322,10 +322,10 @@ class TestSmallTimeStudy:
         const = Field(g, np.full(g.shape, c, dtype=complex))
         cfg = wkb.WkbRunConfig(dt=1e-2, T=0.2, save_every=5, enforce_decay=False)
         traj = wkb.solve_limit_stack([(const, const, cfg)])[0]
-        for bg, corr in traj:
+        for bg in traj:
             t = bg.t
             assert np.abs(bg.phi.values.real + c**2 * t).max() < 1e-13
-            assert np.abs(corr.phi1.values.real + 2 * c**2 * t).max() < 1e-13
+            assert np.abs(bg.phi1.values.real + 2 * c**2 * t).max() < 1e-13
 
 
 class TestGhostStudy:
@@ -689,12 +689,12 @@ class TestFitAndReportPlumbing:
         assert counts == {"forward": 3 * len(traj), "inverse": len(traj)}
         assert counts.rows == {"forward": 3 * len(traj), "inverse": 2 * g.dim * len(traj)}
         monkeypatch.undo()
-        for row, (state, corr) in zip(rows, traj, strict=True):
+        for row, state in zip(rows, traj, strict=True):
             grad_a = ref_gradient(g, state.a.values)
             grad_phi = ref_gradient(g, state.phi.values.real)
             assert row["energy"] == wkb.wkb_energy(state, grad_a, grad_phi)
             assert row["grad_phi_max"] == max(np.abs(gp.real).max() for gp in grad_phi)
-            assert row["a1_l2"] == norm(corr.a1)
+            assert row["a1_l2"] == norm(state.a1)
             for s in orders:
                 assert row[f"a_h{s:g}"] == norm(state.a, SobolevIndex(s))
                 assert row[f"phi_h{s:g}"] == norm(state.phi, SobolevIndex(s))

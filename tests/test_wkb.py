@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from scnls.errors import NonFiniteError, ResolutionError, SingularityError
 from scnls.grid import Field, SobolevIndex, make_grid, make_gaussian, norm, resample
 from scnls.report import wkb_row
 from scnls.wkb import (
-    CorrectorState,
     GrenierState,
     WkbRunConfig,
     reconstruct,
@@ -104,13 +105,9 @@ def ref_solve_limit_with_corrector(a0, a1, config):
                    lambda y: ref_corrector_rates(g, *y), config)
 
 
-def snapshot_fields(snap):
-    states = snap if isinstance(snap, tuple) else (snap,)
-    out = []
-    for state in states:
-        out += [state.a.values, state.phi.values] if isinstance(state, GrenierState) else [
-            state.a1.values, state.phi1.values]
-    return out
+def snapshot_fields(state):
+    corr = [] if state.a1 is None else [state.a1, state.phi1]
+    return [field.values for field in [state.a, state.phi, *corr]]
 
 
 def fresh_state(grid, a_values, eps=0.0, t=0.0, phi_values=None):
@@ -118,9 +115,9 @@ def fresh_state(grid, a_values, eps=0.0, t=0.0, phi_values=None):
     return GrenierState(t, Field(grid, a_values), Field(grid, phi), eps)
 
 
-def grenier_rhs(state, sing_tol=None):
+def grenier_rhs(state, sing_tol=np.inf):
     """(da/dt, dphi/dt) as Fields, from the RK4 loop's rates on a stack of
-    one; sing_tol, when given, is checked against the phase gradient."""
+    one; sing_tol is checked against the phase gradient."""
     g = state.a.grid
     y = np.stack([state.a.values, state.phi.values.real])[:, None]
     k = wkb._Rates(g, corrector=False, eps=state.eps, sing_tol=sing_tol)(
@@ -128,13 +125,13 @@ def grenier_rhs(state, sing_tol=None):
     return Field(g, k[0, 0]), Field(g, k[1, 0])
 
 
-def corrector_rhs(background, corr):
-    """(da1/dt, dphi1/dt) as Fields around an eps = 0 background, from the
-    RK4 loop's rates on a stack of one."""
-    g = background.a.grid
-    y = np.stack([background.a.values, background.phi.values.real,
-                  corr.a1.values, corr.phi1.values.real])[:, None]
-    k = wkb._Rates(g, corrector=True)(y, [corr.t], np.empty_like(y))
+def corrector_rhs(state):
+    """(da1/dt, dphi1/dt) as Fields of a state with an eps = 0 background
+    and a corrector, from the RK4 loop's rates on a stack of one."""
+    g = state.a.grid
+    y = np.stack([state.a.values, state.phi.values.real,
+                  state.a1.values, state.phi1.values.real])[:, None]
+    k = wkb._Rates(g, corrector=True, eps=0.0, sing_tol=np.inf)(y, [state.t], np.empty_like(y))
     return Field(g, k[2, 0]), Field(g, k[3, 0])
 
 
@@ -177,6 +174,10 @@ class TestGrenierRhs:
                 np.zeros(grid_1d.shape, dtype=complex),
                 phi_values=np.ones(grid_1d.shape, dtype=complex),
             )
+        with pytest.raises(ValueError, match="corrector phase must vanish"):
+            replace(fresh_state(grid_1d, np.zeros(grid_1d.shape, dtype=complex)),
+                    a1=Field(grid_1d, np.zeros(grid_1d.shape)),
+                    phi1=Field(grid_1d, np.ones(grid_1d.shape)))
 
     def test_nan_imaginary_phase_rejected(self, grid_1d):
         phi = np.zeros(grid_1d.shape, dtype=complex)
@@ -187,11 +188,9 @@ class TestGrenierRhs:
 
 class TestCorrectorRhs:
     def test_initial_corrector_phase_rate(self, grid_1d, gaussian_1d):
-        background = fresh_state(grid_1d, gaussian_1d.values)
-        corr = CorrectorState(
-            0.0, gaussian_1d.copy(), Field(grid_1d, np.zeros(grid_1d.shape))
-        )
-        _, dphi1 = corrector_rhs(background, corr)
+        state = replace(fresh_state(grid_1d, gaussian_1d.values), a1=gaussian_1d.copy(),
+                        phi1=Field(grid_1d, np.zeros(grid_1d.shape)))
+        _, dphi1 = corrector_rhs(state)
         np.testing.assert_allclose(
             dphi1.values.real, -2 * np.abs(gaussian_1d.values) ** 2, atol=1e-12
         )
@@ -200,32 +199,31 @@ class TestCorrectorRhs:
         phi1 = np.zeros(grid_1d.shape, dtype=complex)
         phi1[5] = np.nan * 1j
         with pytest.raises(ValueError, match="corrector phase .* imaginary"):
-            CorrectorState(0.1, gaussian_1d.copy(), Field(grid_1d, phi1))
+            GrenierState(0.1, gaussian_1d.copy(), Field(grid_1d, np.zeros(grid_1d.shape)), 0.0,
+                         a1=gaussian_1d.copy(), phi1=Field(grid_1d, phi1))
 
     def test_imaginary_perturbation_gives_zero_phase_rate(self, grid_1d, gaussian_1d):
-        background = fresh_state(grid_1d, gaussian_1d.values)
-        corr = CorrectorState(
-            0.0,
-            Field(grid_1d, 1j * gaussian_1d.values),
-            Field(grid_1d, np.zeros(grid_1d.shape)),
-        )
-        _, dphi1 = corrector_rhs(background, corr)
+        state = replace(fresh_state(grid_1d, gaussian_1d.values),
+                        a1=Field(grid_1d, 1j * gaussian_1d.values),
+                        phi1=Field(grid_1d, np.zeros(grid_1d.shape)))
+        _, dphi1 = corrector_rhs(state)
         assert np.abs(dphi1.values).max() < 1e-13
 
     def test_zero_background_amplitude_drops_terms(self):
         g = make_grid(1, 6.0, 64)
         x = g.x_axes[0]
         phi = np.cos(np.pi * x / 6.0)
-        background = GrenierState(
+        a1 = np.exp(-(x**2)) * (1 + 0.5j)
+        phi1 = np.sin(np.pi * x / 6.0)
+        state = GrenierState(
             0.5,
             Field(g, np.zeros(g.shape, dtype=complex)),
             Field(g, phi.astype(complex)),
             0.0,
+            a1=Field(g, a1),
+            phi1=Field(g, phi1.astype(complex)),
         )
-        a1 = np.exp(-(x**2)) * (1 + 0.5j)
-        phi1 = np.sin(np.pi * x / 6.0)
-        corr = CorrectorState(0.5, Field(g, a1), Field(g, phi1.astype(complex)))
-        da1, dphi1 = corrector_rhs(background, corr)
+        da1, dphi1 = corrector_rhs(state)
 
         (gphi,), lphi = ref_derivs(g, phi)
         (ga1,) = ref_gradient(g, a1)
@@ -286,32 +284,53 @@ class TestCorrectorFlow:
     def test_no_perturbation_keeps_corrector_imaginary(self, grid_1d, gaussian_1d):
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=25)
         traj = solve_limit_stack([(gaussian_1d, None, cfg)])[0]
-        for _, corr in traj:
-            assert np.abs(corr.a1.values.real).max() < 1e-10
-            assert np.abs(corr.phi1.values).max() < 1e-8
+        for state in traj:
+            assert np.abs(state.a1.values.real).max() < 1e-10
+            assert np.abs(state.phi1.values).max() < 1e-8
 
     def test_equal_perturbation_small_time_phase(self, grid_1d, gaussian_1d):
         t_small = 0.01
         cfg = WkbRunConfig(dt=t_small / 32, T=t_small, save_every=10**6)
-        (_, corr) = solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])[0][-1]
+        final = solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])[0][-1]
         target = -2 * t_small * np.abs(gaussian_1d.values) ** 2
-        assert np.abs(corr.phi1.values.real - target).max() < 5e-4 * t_small
+        assert np.abs(final.phi1.values.real - target).max() < 5e-4 * t_small
 
     def test_zero_background_transports_nothing(self, grid_1d, gaussian_1d):
         zero = Field(grid_1d, np.zeros(grid_1d.shape, dtype=complex))
         cfg = WkbRunConfig(dt=5e-3, T=0.2, save_every=10)
         traj = solve_limit_stack([(zero, gaussian_1d, cfg)])[0]
-        (_, corr) = traj[-1]
-        np.testing.assert_allclose(corr.a1.values, gaussian_1d.values, atol=1e-13)
-        assert np.abs(corr.phi1.values).max() < 1e-13
+        final = traj[-1]
+        np.testing.assert_allclose(final.a1.values, gaussian_1d.values, atol=1e-13)
+        assert np.abs(final.phi1.values).max() < 1e-13
 
     def test_imaginary_perturbation_degeneracy(self, grid_1d, gaussian_1d):
         # purely imaginary a1 against a real background never builds phase
         a1 = Field(grid_1d, 1j * gaussian_1d.values)
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=25)
         traj = solve_limit_stack([(gaussian_1d, a1, cfg)])[0]
-        worst = max(np.abs(corr.phi1.values).max() for _, corr in traj)
+        worst = max(np.abs(state.phi1.values).max() for state in traj)
         assert worst <= 1e-8
+
+
+class TestSnapshotRecord:
+    """A snapshot is one GrenierState; only a limit run's carries a1 and phi1."""
+
+    def test_grenier_snapshots_carry_no_corrector(self, gaussian_1d):
+        cfg = WkbRunConfig(dt=5e-3, T=0.05, save_every=2)
+        traj = solve_grenier_stack([(perturbed(gaussian_1d, 0.25), 0.25, cfg)])[0]
+        assert len(traj) == 6
+        assert all(state.a1 is None and state.phi1 is None for state in traj)
+
+    def test_limit_snapshots_carry_the_reference_corrector(self, gaussian_1d):
+        a1 = Field(gaussian_1d.grid, (1 + 0.5j) * gaussian_1d.values)
+        cfg = WkbRunConfig(dt=5e-3, T=0.05, save_every=2)
+        traj = solve_limit_stack([(gaussian_1d, a1, cfg)])[0]
+        ref = ref_solve_limit_with_corrector(gaussian_1d, a1, cfg)
+        assert len(traj) == len(ref) == 6
+        for state, (t, (_, _, ref_a1, ref_phi1)) in zip(traj, ref, strict=True):
+            assert state.t == t and state.eps == 0.0
+            assert np.array_equal(state.a1.values, ref_a1)
+            assert np.array_equal(state.phi1.values, ref_phi1)
 
 
 def ffts_per_stage(monkeypatch, dim, solve):
@@ -366,9 +385,9 @@ class TestBitIdentity:
         assert np.array_equal(dphi.values, ref_dphi)
         assert not dphi.values.imag.any()
 
-        background = GrenierState(t, Field(g, a), state.phi, 0.0)
-        corr = CorrectorState(t, Field(g, a1), Field(g, phi1 if t else 0 * phi1))
-        da1, dphi1 = corrector_rhs(background, corr)
+        corr = GrenierState(t, Field(g, a), state.phi, 0.0,
+                            a1=Field(g, a1), phi1=Field(g, phi1 if t else 0 * phi1))
+        da1, dphi1 = corrector_rhs(corr)
         ref = ref_corrector_rates(g, a, state.phi.values.real, a1, corr.phi1.values.real)
         assert np.array_equal(da1.values, ref[2])
         assert np.array_equal(dphi1.values, ref[3])
@@ -393,8 +412,7 @@ class TestBitIdentity:
             ref = ref_solve_grenier(a0, eps, config)
         assert len(traj) == len(ref)
         for snap, (t, fields) in zip(traj, ref):
-            states = snap if isinstance(snap, tuple) else (snap,)
-            assert all(state.t == t for state in states)
+            assert snap.t == t
             for got, want in zip(snapshot_fields(snap), fields, strict=True):
                 assert np.array_equal(got, want)
 
@@ -429,7 +447,7 @@ class TestGuards:
         assert exc.value.t == t_bad
         assert str(exc.value).startswith(f"non-finite values at step {step} ")
         snap = exc.value.last_state
-        assert (snap if case == "grenier" else snap[0]).t == t_last
+        assert snap.t == t_last
         for got, want in zip(snapshot_fields(snap), last, strict=True):
             assert np.array_equal(got, want)
 
@@ -476,7 +494,7 @@ class TestStackedEngine:
         stacked = solve_limit_stack(members)
         for member, traj in zip(members, stacked, strict=True):
             single = solve_limit_stack([member])[0]
-            assert traj[-1][0].t == member[2].T and bit_identical(traj, single)
+            assert traj[-1].t == member[2].T and bit_identical(traj, single)
 
     @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
     @pytest.mark.parametrize("position", [0, 1])
@@ -642,7 +660,7 @@ class TestEpsilonConvergence:
         # corrector is subtracted.
         T = 0.2
         cfg = WkbRunConfig(dt=2e-3, T=T, save_every=10**6)
-        (bg, corr) = solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])[0][-1]
+        bg = solve_limit_stack([(gaussian_1d, gaussian_1d, cfg)])[0][-1]
         h1 = SobolevIndex(1.0)
         errs1, errs2 = [], []
         eps_list = [0.25, 0.125, 0.0625, 0.03125]
@@ -651,8 +669,8 @@ class TestEpsilonConvergence:
             d_a = Field(grid_1d, fin.a.values - bg.a.values)
             d_phi = Field(grid_1d, fin.phi.values - bg.phi.values)
             errs1.append(norm(d_a, h1) + norm(d_phi, h1))
-            d2_a = Field(grid_1d, fin.a.values - bg.a.values - eps * corr.a1.values)
-            d2_phi = Field(grid_1d, fin.phi.values - bg.phi.values - eps * corr.phi1.values)
+            d2_a = Field(grid_1d, fin.a.values - bg.a.values - eps * bg.a1.values)
+            d2_phi = Field(grid_1d, fin.phi.values - bg.phi.values - eps * bg.phi1.values)
             errs2.append(norm(d2_a, h1) + norm(d2_phi, h1))
         slope1 = np.polyfit(np.log(eps_list), np.log(errs1), 1)[0]
         slope2 = np.polyfit(np.log(eps_list), np.log(errs2), 1)[0]
