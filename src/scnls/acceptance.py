@@ -95,10 +95,11 @@ CRITERIA_TABLE = (
 )
 
 
-def _oracle_runs(eps, mode):
+def _oracle_runs(eps, mode, cache):
     """The wavefunction and phase-amplitude runs the oracle check compares."""
     c = studies.A1_COEFFICIENTS[mode](eps, SUITE_CONFIG.scaled_order)
-    return studies._nls_run(SUITE_CONFIG, eps, c), studies._grenier_run(SUITE_CONFIG, eps, c)
+    return (studies._nls_run(SUITE_CONFIG, eps, c, cache=cache),
+            studies._grenier_run(SUITE_CONFIG, eps, c))
 
 
 def oracle_checks(cache):
@@ -108,7 +109,7 @@ def oracle_checks(cache):
     worst, where = 0.0, ""
     for eps in ORACLE_EPS:
         for mode in ORACLE_MODES:
-            u_traj, g_traj = (cache[run] for run in _oracle_runs(eps, mode))
+            u_traj, g_traj = (cache[run] for run in _oracle_runs(eps, mode, cache))
             n_fine = u_traj[0].u.grid.points_per_axis
             u0_l2 = norm(u_traj[0].u)
             for us, gs in zip(u_traj, g_traj):
@@ -202,14 +203,18 @@ def scaling_checks(seed):
 
 
 def plan_runs(cache):
-    """Cache every run the checks read: the degeneracy run, the run plan of
-    each study in SUITE_STUDIES and the oracle runs, each group of runs that
-    can share one integration as one stack (studies.stack_runs)."""
+    """Cache every run the checks read, each group of runs that can share
+    one integration as one stack (studies.stack_runs).  First the degeneracy
+    run and the limit run the wavefunction grids are read off
+    (SweepConfig.grid_for), as one stack; then the run plan of each study in
+    SUITE_STUDIES and the oracle runs."""
+    studies.stack_runs(cache, [studies._limit_run(SUITE_CONFIG, DEGENERACY_C),
+                               studies._limit_run(SUITE_CONFIG)])
     studies.stack_runs(cache, [
-        studies._limit_run(SUITE_CONFIG, DEGENERACY_C),
         *(run for _, plan, config in SUITE_STUDIES.values()
-          for run in getattr(studies, plan)(config)),
-        *(run for eps in ORACLE_EPS for mode in ORACLE_MODES for run in _oracle_runs(eps, mode)),
+          for run in getattr(studies, plan)(config, cache)),
+        *(run for eps in ORACLE_EPS for mode in ORACLE_MODES
+          for run in _oracle_runs(eps, mode, cache)),
     ])
 
 

@@ -79,7 +79,7 @@ TOP_LEVEL = {
 }
 
 SCHEMA = {
-    "grid": _fields_of(SweepConfig, "half_width", "points_base", "eps_ref", "wkb_points",
+    "grid": _fields_of(SweepConfig, "half_width", "points_base", "wkb_points",
                        "max_points_per_axis"),
     "data": _fields_of(GaussianSpec, "amplitude", "width", "center"),
     "sweep": _fields_of(SweepConfig, "eps_list", "s_list", "tau", "horizon", "a1_mode",

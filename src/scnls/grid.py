@@ -20,6 +20,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import weakref
@@ -384,6 +385,36 @@ def tail_fraction(f: Field) -> float:
     if total == 0.0:
         return 0.0
     return float(tail / total)
+
+
+def gradient_max(f: Field) -> float:
+    """Largest |d f / d x_j| over the grid and the axes j, by spectral
+    differentiation of the physical-space field f."""
+    _require_space(f, PHYSICAL, "gradient_max")
+    g = f.grid
+    spectrum = _fft(f.values, g.dim)
+    return max(float(np.abs(_ifft(factor * spectrum, g.dim)).max())
+               for factor in g.gradient_factors)
+
+
+def spectral_extent(f: Field, tol) -> float:
+    """The smallest K such that the modes with |k_j| > K on some axis j
+    hold at most tol of f's power: the per-axis cut that a tail guard of
+    tolerance tol would need in place of the two-thirds rule's.  0 for a
+    zero field."""
+    spectrum = f if f.space == SPECTRAL else transform(f)
+    g = f.grid
+    k = np.abs(g.k_axes[0])
+    # max_j |k_j| over the grid, the norm whose balls the tail boxes cut
+    box = functools.reduce(np.maximum, (g.axis_view(k, ax) for ax in range(g.dim)))
+    levels, level = np.unique(box, return_inverse=True)
+    power = np.bincount(level.ravel(), weights=(np.abs(spectrum.values) ** 2).ravel())
+    # beyond[i]: the power at the levels above levels[i], summed from the top
+    beyond = np.append(np.cumsum(power[:0:-1])[::-1], 0.0)
+    total = power.sum()
+    if total == 0.0:
+        return 0.0
+    return float(levels[np.argmax(beyond <= tol * total)])
 
 
 def resample(f: Field, points_per_axis) -> Field:

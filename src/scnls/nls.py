@@ -41,10 +41,14 @@ pays the Python loop and the per-call FFT overhead once for all of them.
 The guards stay per member: a member that trips one raises the error its
 stack of one would, at the same step.
 
-The default step is safety * min(eps, dx^2/eps): O(eps), which resolves
-the semiclassical wavefunction (Bao, Jin & Markowich, J. Comput. Phys.
-175, 2002), and small enough that the fastest resolved kinetic phase
-turns by O(1) per step.
+The default step is safety * min(eps, dx^2/(2 eps)): O(eps), which
+resolves the semiclassical wavefunction (Bao, Jin & Markowich, J. Comput.
+Phys. 175, 2002), and short enough that the fastest kinetic phase,
+eps k_max^2 dt / 2, turns by at most safety * pi^2/4 per step (4.9 at the
+default safety, under 2 pi).  At twice that step, pi^2 per step, the modes
+above the two-thirds cut grew from roundoff in strongly nonlinear runs:
+2 exp(-x^2) at eps = 1/128 on 4,096 points reached a tail fraction of
+0.18 by t = 0.25.
 """
 
 from __future__ import annotations
@@ -133,9 +137,9 @@ class NlsRunConfig(_RunConfig):
 
 def default_dt(grid, eps, safety=DEFAULT_DT_SAFETY):
     """Step resolving the semiclassical wavefunction and the fastest
-    resolved kinetic phase: safety * min(eps, dx^2/eps)."""
+    kinetic phase: safety * min(eps, dx^2/(2 eps))."""
     dx = grid.spacing
-    return safety * min(eps, dx * dx / eps)
+    return safety * min(eps, dx * dx / (2 * eps))
 
 
 def _rotate(u, buf, rate, axes):

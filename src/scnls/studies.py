@@ -7,9 +7,11 @@ quantities eps^s * |u - u_tilde|_{Hdot^s}.  Two bookkeeping operations
 convert measured sweep rows into the physical-scale instability
 statements through exact rescaling identities.
 
-Wavefunction runs use per-eps grids (N grows like 1/eps); the smooth
-phase-amplitude fields are integrated once on a coarse grid and
-spectrally upsampled wherever an oscillatory profile is needed.
+Wavefunction runs use per-eps grids sized from the sweep's limit run
+(SweepConfig.grid_for): each holds the limit amplitude's bandwidth plus
+the phase's wavenumber |grad phi|/eps.  The smooth phase-amplitude fields
+are integrated once on a coarse grid and spectrally upsampled wherever an
+oscillatory profile is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from . import nls, wkb
 from .grid import (
-    Field, Grid, SobolevIndex, lp_norm, make_gaussian, make_grid, norm, resample, transform,
+    Field, Grid, SobolevIndex, gradient_max, lp_norm, make_gaussian, make_grid, norm, resample,
+    spectral_extent, transform,
 )
 
 # a1_mode -> (eps, N) -> c, the perturbation a1 = c a0 of the datum
@@ -47,6 +50,10 @@ SEPARATION_FLOOR_FACTOR = 1e-3
 SLOPE_BAND_ORDER1 = (0.8, 1.2)
 SLOPE_BAND_ORDER2 = (1.7, 2.3)
 SLOPE_BAND_CUBIC = (2.7, 3.3)
+
+# A wavefunction grid's two-thirds cut lies this factor above the largest
+# wavenumber its run must hold (SweepConfig.grid_for).
+GRID_MARGIN = 1.5
 
 
 class FieldError(ValueError):
@@ -79,7 +86,8 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything an eps-sweep needs; grids grow as eps shrinks."""
+    """Everything an eps-sweep needs; the wavefunction grids are read off its
+    limit run (grid_for)."""
 
     eps_list: tuple
     s_list: tuple = (0.0, 1.0, 2.0)
@@ -90,7 +98,6 @@ class SweepConfig:
     scaled_order: int = 2
     half_width: float = 12.0
     points_base: int = 256
-    eps_ref: float = 0.25
     wkb_points: int = 256
     n_saves: int = 10
     nls_dt_safety: float = nls.DEFAULT_DT_SAFETY
@@ -121,8 +128,6 @@ class SweepConfig:
             raise FieldError("tau", f"= {self.tau} must lie in (0, horizon = {self.horizon}]")
         if not (isinstance(self.n_saves, int) and self.n_saves >= 1):
             raise FieldError("n_saves", f"must be an integer >= 1, got {self.n_saves!r}")
-        if not 0 < self.eps_ref <= 1:
-            raise FieldError("eps_ref", f"must lie in (0, 1], got {self.eps_ref!r}")
         ratio = self.tau / (self.horizon / self.n_saves)
         if abs(ratio - round(ratio)) > 1e-9:
             raise FieldError("tau", f"= {self.tau} must fall on the save grid "
@@ -152,14 +157,48 @@ class SweepConfig:
         """Snapshot index of the observation time on the save grid."""
         return round(self.tau / (self.horizon / self.n_saves))
 
-    def grid_for(self, eps, refine=1):
-        target = self.points_base * self.eps_ref / eps * refine
-        n = max(self.points_base, 2 ** math.ceil(math.log2(target)))
+    def grid_scales(self, cache=None):
+        """(G, K_a) of the sweep's limit run: the largest max |grad phi| and
+        the largest spectral_extent(a, tail_tol) over its saved times.  The
+        first call reads the run from the run cache, or solves it into it (a
+        new one when None); the config keeps the pair for every later call."""
+        scales = self.__dict__.get("_grid_scales")
+        if scales is None:
+            run = _limit_run(self)
+            cache = {} if cache is None else cache
+            stack_runs(cache, [run])
+            scales = (max(gradient_max(state.phi) for state in cache[run]),
+                      max(spectral_extent(state.a, self.tail_tol) for state in cache[run]))
+            # not a field: asdict, == and hash see only the config
+            object.__setattr__(self, "_grid_scales", scales)
+        return scales
+
+    def grid_for(self, eps, refine=1, cache=None):
+        """The wavefunction grid at eps: refine times the smallest power of
+        two N >= points_base whose two-thirds cut (2/3) k_max reaches
+        GRID_MARGIN (K_a + G/eps), with (G, K_a) = grid_scales(cache)."""
+        gradient, extent = self.grid_scales(cache)
+        need = GRID_MARGIN * (extent + gradient / eps)
+        n = self.points_base
+        # (2/3) k_max is pi N / (3 L); past the cap the search stops, at an N
+        # no larger than the rule's
+        while n <= self.max_points_per_axis and math.pi * n / (3 * self.half_width) < need:
+            n *= 2
+        n *= refine
         if n > self.max_points_per_axis:
             raise ValueError(
-                f"eps = {eps} needs N = {n} > configured cap {self.max_points_per_axis}"
+                f"eps = {eps} needs N >= {n} > configured cap {self.max_points_per_axis}"
             )
         return make_grid(1, self.half_width, n)
+
+    def grid_rule(self, cache=None):
+        """The grid rule's inputs and its N per sweep point, as a study's
+        header records them."""
+        gradient, extent = self.grid_scales(cache)
+        return {"phase_gradient_max": gradient, "amplitude_extent": extent,
+                "margin": GRID_MARGIN,
+                "points_per_axis": [self.grid_for(eps, cache=cache).points_per_axis
+                                    for eps in self.eps_list]}
 
     def wkb_grid(self):
         return make_grid(1, self.half_width, self.wkb_points)
@@ -197,8 +236,8 @@ class Run(NamedTuple):
     datum: object
 
 
-def _nls_run(cfg: SweepConfig, eps, c, refine=1):
-    grid = cfg.grid_for(eps, refine)
+def _nls_run(cfg: SweepConfig, eps, c, refine=1, cache=None):
+    grid = cfg.grid_for(eps, refine, cache)
     return Run("nls", grid, eps, cfg.nls_run_config(grid, eps), cfg.a0, c)
 
 
@@ -249,41 +288,48 @@ def stack_runs(cache, runs):
 
     # Wavefunction stacks first: run before the small phase-amplitude ones,
     # they leave the heap less fragmented (selftest peak RSS 0.2 MiB lower).
+    # A run plan has already solved the limit run its grids are read off.
     for group in sorted(groups.values(), key=lambda g: g[0].kind != "nls"):
         cache.update(zip(group, solve_runs(group)))
 
 
-def _error_runs(config, eps):
+def _error_runs(config, eps, cache=None):
     """The runs wkb_error_study reads at one sweep point: u, u~ and the
     phase-amplitude run of u~'s datum."""
-    return _nls_run(config, eps, 0.0), _nls_run(config, eps, 1.0), _grenier_run(config, eps)
+    return (_nls_run(config, eps, 0.0, cache=cache), _nls_run(config, eps, 1.0, cache=cache),
+            _grenier_run(config, eps))
 
 
-def _pair_runs(config, eps, refine=1):
+def _pair_runs(config, eps, refine=1, cache=None):
     """The paired wavefunction runs a ghost study reads at one sweep point."""
-    return (_nls_run(config, eps, 0.0, refine),
-            _nls_run(config, eps, config.a1_coefficient(eps), refine))
+    return (_nls_run(config, eps, 0.0, refine, cache),
+            _nls_run(config, eps, config.a1_coefficient(eps), refine, cache))
 
 
-def wkb_error_runs(config):
-    """Every run wkb_error_study reads, in its reading order."""
+# A run plan lists every run a study reads, in its reading order.  Its
+# wavefunction runs' grids are read off the limit run (SweepConfig.grid_for),
+# which a plan takes from the run cache or solves into it.
+
+def wkb_error_runs(config, cache=None):
+    """wkb_error_study's run plan: the limit run, then each sweep point's
+    _error_runs."""
     return [_limit_run(config),
-            *(run for eps in config.eps_list for run in _error_runs(config, eps))]
+            *(run for eps in config.eps_list for run in _error_runs(config, eps, cache))]
 
 
-def small_time_runs(config):
-    """Every run small_time_study reads: one limit run per dyadic horizon."""
+def small_time_runs(config, cache=None):
+    """small_time_study's run plan: one limit run per dyadic horizon, and no
+    wavefunction run, so cache goes unread."""
     return [_limit_run(config, horizon=config.horizon * 0.5**m)
             for m in range(config.smalltime_points)]
 
 
-def ghost_runs(config):
-    """Every run a ghost study reads, in its reading order: the limit run,
-    then each sweep point's pair and, under certify_refinement, its pair on
-    grids refined twofold."""
+def ghost_runs(config, cache=None):
+    """A ghost study's run plan: the limit run, then each sweep point's pair
+    and, under certify_refinement, its pair on grids refined twofold."""
     refines = (1, 2) if config.certify_refinement else (1,)
     return [_limit_run(config), *(run for eps in config.eps_list for refine in refines
-                                  for run in _pair_runs(config, eps, refine))]
+                                  for run in _pair_runs(config, eps, refine, cache))]
 
 
 def fit_loglog(xs, ys):
@@ -401,16 +447,16 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
     if len(config.eps_list) < 3:
         raise ValueError(f"eps_list needs >= 3 points for slope fits, got {len(config.eps_list)}")
     cache = {} if cache is None else cache
-    stack_runs(cache, wkb_error_runs(config))
+    stack_runs(cache, wkb_error_runs(config, cache))
     limit = cache[_limit_run(config)]
     families = ("profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap")
 
     # One sweep point per call, so that its fields are freed before the next
     # point's are built (selftest peak RSS 0.3 MiB lower than one flat loop).
     def point_rows(eps):
-        fine = config.grid_for(eps)
+        u_traj, ut_traj, g_traj = (cache[run] for run in _error_runs(config, eps, cache))
+        fine = u_traj[0].u.grid
         n_fine = fine.points_per_axis
-        u_traj, ut_traj, g_traj = (cache[run] for run in _error_runs(config, eps))
         sup = {(family, s): 0.0 for family in families for s in config.s_list}
         for bg, us, uts, gs in zip(limit, u_traj, ut_traj, g_traj):
             a_f, phi_f, phi1_f = _profile_fields(bg, n_fine)
@@ -441,7 +487,8 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
     slopes, checks = _slope_fits(rows, "sup_error", config.eps_list, config.s_list, bands,
                                  degenerate=all(r["value"] == 0.0 for r in rows))
 
-    header = {"description": "profile and expansion error sweep"}
+    header = {"description": "profile and expansion error sweep",
+              "grid_rule": config.grid_rule(cache)}
     return StudyReport("wkb_error", config, header, rows, slopes, checks)
 
 
@@ -481,7 +528,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
     if len(config.eps_list) < 2:
         raise ValueError("ghost studies need at least two sweep points")
     cache = {} if cache is None else cache
-    stack_runs(cache, ghost_runs(config))
+    stack_runs(cache, ghost_runs(config, cache))
     mode = config.a1_mode
     order = config.scaled_order
     bg_tau = cache[_limit_run(config)][config.tau_index]
@@ -490,7 +537,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
     floor = SEPARATION_FLOOR_FACTOR * a0_l2
 
     def pair_diff(eps, refine):
-        u_traj, ut_traj = (cache[run] for run in _pair_runs(config, eps, refine))
+        u_traj, ut_traj = (cache[run] for run in _pair_runs(config, eps, refine, cache))
         u_tau = u_traj[config.tau_index]
         ut_tau = ut_traj[config.tau_index]
         grid = u_tau.u.grid
@@ -530,7 +577,8 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
     rows = [row for eps in config.eps_list for row in point_rows(eps)]
 
     header = {"description": "paired-run separation at the observation time",
-              "observation_time": config.tau, "a0_l2": a0_l2, "separation_floor": floor}
+              "observation_time": config.tau, "a0_l2": a0_l2, "separation_floor": floor,
+              "grid_rule": config.grid_rule(cache)}
     report = StudyReport("ghost_higher_order" if higher_order else "ghost_separation",
                          config, header, rows, [], {})
     checks = report.checks

@@ -219,7 +219,7 @@ class TestConfigValidation:
     # sweep command and a run command alike.
     @pytest.mark.parametrize("command", ["study-ghost", "run-nls"])
     @pytest.mark.parametrize("field, value", [
-        ("grid.points_base", 4), ("grid.wkb_points", 4), ("grid.eps_ref", 0.0),
+        ("grid.points_base", 4), ("grid.wkb_points", 4),
         ("grid.half_width", 0.0), ("grid.max_points_per_axis", 4),
         ("data.width", 0.0),
         ("sweep.tau", 0.0), ("sweep.horizon", 0.0), ("sweep.a1_mode", "diagonal"),
@@ -256,6 +256,14 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert cli.run(["selftest", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: config field 'seed' must be >= 0")
+        assert not out.exists()
+
+    def test_eps_ref_is_an_unknown_key(self, tmp_path, capsys):
+        # the grids are read off the limit run; the old slope key is refused
+        cfg = write_config(tmp_path, {"schema_version": 1, "grid": {"eps_ref": 0.25}})
+        out = tmp_path / "out"
+        assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key(s) ['eps_ref'] under 'grid'\n"
         assert not out.exists()
 
     def test_section_must_be_object(self, tmp_path, capsys):
@@ -730,10 +738,10 @@ class TestStudyCommands:
             assert (single / name).read_bytes() == (stacked / name).read_bytes(), name
 
     # a0 = 30 exp(-x^2): at the default horizon the limit run trips the
-    # singularity guard and the first wavefunction pair the tail guard at
-    # t = 0.025; over a horizon of 0.025 the limit run stays healthy and the
-    # first pair trips at t = 0.0025.  Wavefunction stacks run first, in eps
-    # order, so both abort on the first pair.
+    # singularity guard; over a horizon of 0.025 it stays healthy, and the
+    # perturbed run of the eps = 1/4 pair trips the tail guard at t = 0.025.
+    # The limit run the grids are read off integrates first, then the
+    # wavefunction stacks in eps order.
     @pytest.mark.parametrize("sweep", [{}, {"horizon": 0.025, "tau": 0.025}],
                              ids=["limit-trips", "wavefunction-trips"])
     def test_ghost_study_guard_abort_names_the_first_tripping_run(self, tmp_path, capsys,
@@ -745,9 +753,14 @@ class TestStudyCommands:
         err = capsys.readouterr().err
         config = cli.validate_config(doc, "study-ghost")["sweep_config"]
         # The stacks in stacking order; a tripping stack raises the error of
-        # the member that trips first in step order.
-        for stack in [*(studies._pair_runs(config, eps) for eps in config.eps_list),
-                      [studies._limit_run(config)]]:
+        # the member that trips first in step order.  The pairs are built
+        # lazily, since their grids are read off the limit run.
+        def stacks():
+            yield [studies._limit_run(config)]
+            for eps in config.eps_list:
+                yield studies._pair_runs(config, eps)
+
+        for stack in stacks():
             errors = []
             for run in stack:
                 try:
@@ -774,15 +787,20 @@ class TestStudyCommands:
         assert not out.exists()
 
     def test_grid_cap_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
-        # The run list is built before any run, so a sweep point past the cap
-        # is a config error even where an earlier run would trip a guard.
-        doc = tiny_sweep(data={"amplitude": 30.0})
+        # The run plan is built once the limit run is solved and before any
+        # wavefunction run, so a sweep point whose grid passes the cap is a
+        # config error before the first sweep point runs.  The canonical
+        # datum needs N = 512 at eps = 1/32.
+        doc = tiny_sweep()
+        doc["sweep"]["eps_list"] = [0.25, 0.03125]
         doc["grid"]["max_points_per_axis"] = 256
         cfg = write_config(tmp_path, doc)
-        for module, name in ((nls, "solve_nls_stack"), (wkb, "solve_limit_stack")):
-            monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} called"))
-        assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: eps = 0.125 needs N = 512 > configured cap 256\n"
+        monkeypatch.setattr(nls, "solve_nls_stack", lambda *a: pytest.fail("solve_nls_stack called"))
+        out = tmp_path / "out"
+        assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: eps = 0.03125 needs N >= 512 > configured cap 256\n")
+        assert not out.exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))

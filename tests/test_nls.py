@@ -169,6 +169,19 @@ class TestStrang:
         drift = max(abs(semiclassical_energy(s) - e0) for s in traj) / abs(e0)
         assert drift < 1e-6
 
+    def test_default_step_keeps_the_tail_at_roundoff(self):
+        # 2 exp(-x^2) at eps = 1/128 on 4096 points, where dx^2/(2 eps)
+        # binds.  A step of 2 dx^2/eps, which turns the fastest kinetic
+        # phase by pi^2, let the modes above the two-thirds cut grow from
+        # roundoff to a tail fraction of 0.18 by t = 0.25.
+        g = make_grid(1, 12.0, 4096)
+        eps = 1 / 128
+        dt = nls.default_dt(g, eps)
+        assert dt == pytest.approx(g.spacing**2 / eps)
+        cfg = NlsRunConfig(dt=dt, T=0.25, save_every=3, tail_tol=1e-20)
+        traj = solve_nls_stack([make_gaussian(g, 2.0)], eps, cfg)[0]
+        assert traj[-1].t == 0.25 and max(sg.tail_fraction(s.u) for s in traj) < 1e-20
+
     def test_time_reversibility(self):
         g = make_grid(1, 12.0, 256)
         u0 = make_gaussian(g)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scnls import report as rpt
-from scnls import nls, studies, wkb
+from scnls import acceptance, nls, studies, wkb
 from scnls.errors import ResolutionError, SingularityError
 from scnls.grid import Field, SobolevIndex, lp_norm, make_grid, norm
 from scnls.studies import (
@@ -75,7 +75,7 @@ class TestSweepConfig:
             SweepConfig(eps_list=(0.25,), a1_mode="sideways")
 
     @pytest.mark.parametrize("field, value", [
-        ("n_saves", 0), ("n_saves", 2.5), ("eps_ref", 0.0), ("eps_ref", 1.5), ("nls_dt_safety", 0.0),
+        ("n_saves", 0), ("n_saves", 2.5), ("nls_dt_safety", 0.0),
         ("wkb_dt_safety", -0.25), ("tail_tol", 0.0),
     ])
     def test_rejects_degenerate_parameters_by_name(self, field, value):
@@ -90,12 +90,52 @@ class TestSweepConfig:
                 SweepConfig(eps_list=(0.25,), s_list=s_list)
 
     def test_grid_growth_and_cap(self):
+        # the canonical limit run's scales: G = 0.289, and K_a = 8.90, its
+        # wavenumber 34 pi/L on the L = 12 grid.  N holds 1.5 (K_a + G/eps)
+        # below (2/3) k_max = pi N / 36, and never falls under points_base.
         cfg = SweepConfig(eps_list=(0.25, 0.125), points_base=256)
-        assert cfg.grid_for(0.25).points_per_axis == 256
-        assert cfg.grid_for(0.0625).points_per_axis == 1024
+        assert cfg.grid_scales() == (pytest.approx(0.28921, rel=1e-4),
+                                     pytest.approx(34 * np.pi / 12, rel=1e-15))
+        assert [cfg.grid_for(eps).points_per_axis for eps in (1.0, 0.25, 0.0625, 0.03125,
+                                                              0.0078125, 0.001)] == [
+            256, 256, 256, 512, 1024, 8192]
+        assert replace(cfg, points_base=1024).grid_for(0.25).points_per_axis == 1024
         small_cap = SweepConfig(eps_list=(0.25,), max_points_per_axis=512)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="eps = 0.001 needs N >= 1024 > configured cap 512"):
             small_cap.grid_for(0.001)
+
+    def test_refine_doubles_every_grid(self):
+        # the points_base floor must not swallow the refinement, also where
+        # it binds (eps = 1 and 1/2)
+        cfg = SweepConfig(eps_list=(0.25, 0.125))
+        for eps in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625):
+            assert cfg.grid_for(eps, 2).points_per_axis == 2 * cfg.grid_for(eps).points_per_axis
+
+    def test_canonical_sweep_grids(self):
+        assert [acceptance.SUITE_CONFIG.grid_for(eps).points_per_axis
+                for eps in acceptance.FULL_EPS_SWEEP] == [256, 256, 256, 512, 512]
+
+    def test_limit_run_solved_once_into_the_cache(self, monkeypatch):
+        # a new config keeps no scales yet: the rule solves the limit run
+        # into the run cache, and the run plan finds it there
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
+        solved = []
+        solve_runs = studies.solve_runs
+        monkeypatch.setattr(studies, "solve_runs",
+                            lambda runs, keep=None: solved.extend(runs) or solve_runs(runs, keep))
+        cache = {}
+        studies.stack_runs(cache, studies.ghost_runs(cfg, cache))
+        assert [run.kind for run in solved].count("limit") == 1
+        assert solved[0] == studies._limit_run(cfg)
+        assert bit_identical(cache[solved[0]], alone(solved[0]))
+        solved.clear()
+        assert cfg.grid_rule(cache)["points_per_axis"] == [256, 256] and not solved
+        # the kept scales are no field of the config, and a replaced config
+        # reads its own limit run
+        assert cfg == SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
+        assert "_grid_scales" not in asdict(cfg)
+        wider = replace(cfg, a0=GaussianSpec(amplitude=2.0))
+        assert wider.grid_scales()[0] > 3 * cfg.grid_scales()[0]
 
     def test_tau_index(self, short_cfg):
         assert short_cfg.tau_index == 8  # tau = 0.2 on a 0.025 save grid
@@ -106,11 +146,12 @@ class TestSweepConfig:
         assert (rc.dt, rc.T, rc.save_every) == (horizon / 20, horizon, 2)
 
     @staticmethod
-    def assert_default_step_accurate(eps, dt, refine, bound):
+    def assert_default_step_accurate(eps, dt, refine, bound, points=None):
         """The default step at eps, with datum (1 + eps) a0, is dt and agrees
-        with a refine times finer one to bound at every save."""
+        with a refine times finer one to bound at every save, on the grid of
+        the given points or, by default, the sweep's grid at eps."""
         cfg = SweepConfig(eps_list=(eps,))
-        grid = cfg.grid_for(eps)
+        grid = cfg.grid_for(eps) if points is None else make_grid(1, cfg.half_width, points)
         rc = cfg.nls_run_config(grid, eps)
         assert rc.dt == pytest.approx(dt)
         fine = nls.NlsRunConfig(dt=rc.dt / refine, T=rc.T, save_every=refine * rc.save_every,
@@ -128,9 +169,39 @@ class TestSweepConfig:
         self.assert_default_step_accurate(0.25, 0.025, 8, 3e-7)
 
     def test_default_step_accurate_where_dx2_over_eps_binds(self):
-        # On the eps = 1/32 suite grid (N = 2048) the step rule's dx^2/eps
-        # term binds: 2 dx^2/eps = 0.0088, aligned to 30 steps of 1/120.
-        self.assert_default_step_accurate(1 / 32, 1 / 120, 4, 1e-9)
+        # On an N = 2048 grid at eps = 1/32 the step rule's dx^2/(2 eps) term
+        # binds: 2 dx^2/(2 eps) = 0.0044, aligned to 60 steps of 1/240.  (On
+        # the sweep's own grid there, N = 512, it is 0.070 > 2 eps.)
+        self.assert_default_step_accurate(1 / 32, 1 / 240, 4, 1e-9, points=2048)
+
+
+# A fixed datum family, (amplitude, width) -> the rule's N at eps = 1/64.
+# There each N but amplitude 3's is the smallest power of two on which the
+# pair keeps its tail within tail_tol; amplitude 3 holds on N/2 as well.
+DATUM_FAMILY = {(1.0, 1.0): 512, (1.0, 0.7): 1024, (1.0, 0.5): 1024, (2.0, 1.0): 2048,
+                (0.5, 1.0): 256, (1.0, 1.5): 512, (3.0, 1.0): 4096}
+
+
+@pytest.mark.parametrize("amplitude, width", DATUM_FAMILY)
+def test_datum_family_runs_on_the_rule_grids(amplitude, width):
+    # each pair c = 0, 1 at eps = 1/4 ... 1/128 passes the tail guard on the
+    # rule's grid (stack_runs raises ResolutionError otherwise)
+    cfg = SweepConfig(eps_list=tuple(2.0**-m for m in range(2, 8)), s_list=(0.0,),
+                      a0=GaussianSpec(amplitude, width))
+    cache = {}
+    studies.stack_runs(cache, studies.ghost_runs(cfg, cache))
+    assert sum(run.kind == "nls" for run in cache) == 2 * len(cfg.eps_list)
+    eps = 1 / 64
+    n = cfg.grid_for(eps).points_per_axis
+    assert n == DATUM_FAMILY[amplitude, width]
+    half = make_grid(1, cfg.half_width, n // 2)
+    pair = [studies.Run("nls", half, eps, cfg.nls_run_config(half, eps), cfg.a0, c)
+            for c in (0.0, 1.0)]
+    if amplitude == 3.0:
+        studies.stack_runs({}, pair)
+    else:
+        with pytest.raises(ResolutionError):
+            studies.stack_runs({}, pair)
 
 
 class TestStackedRuns:
@@ -163,16 +234,18 @@ class TestStackedRuns:
         assert len(cache) == len(expected)
 
     def test_tripped_stack_raises_its_runs_error_keeps_earlier_stacks(self):
-        # a0 = 30 exp(-x^2) trips the tail guard at the first save on both
-        # grids; 1e-3 a0 stays resolved.  The eps = 1/2 stack, listed first,
-        # is stored; the eps = 1/4 stack trips, and neither it nor the
-        # eps = 1/8 stack after it stores a run.
-        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,),
+        # Over the horizon 0.025 the limit run of a0 = 30 exp(-x^2) stays
+        # healthy, and the grids read off it hold 1e-3 a0 at every eps.
+        # (1 + eps) a0 outgrows the eps = 1/4 grid and trips the tail guard
+        # at t = 0.025.  The eps = 1/2 stack, listed first, is stored; the
+        # eps = 1/4 stack trips, and neither it nor the eps = 1/8 stack
+        # after it stores a run.
+        cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), horizon=0.025, tau=0.025,
                           a0=GaussianSpec(amplitude=30.0))
 
         def pair(eps):
-            """The runs at eps from (1 + eps c) a0 = 1e-3 a0 and from a0."""
-            return studies._nls_run(cfg, eps, (1e-3 - 1) / eps), studies._nls_run(cfg, eps, 0.0)
+            """The runs at eps from (1 + eps c) a0 = 1e-3 a0 and (1 + eps) a0."""
+            return studies._nls_run(cfg, eps, (1e-3 - 1) / eps), studies._nls_run(cfg, eps, 1.0)
 
         healthy, tripping = pair(0.5)[0], pair(0.25)[1]
         ref = alone(healthy)
