@@ -95,10 +95,10 @@ CRITERIA_TABLE = (
 )
 
 
-def _oracle_runs(eps, mode, cache):
+def _oracle_runs(eps, mode, scales):
     """The wavefunction and phase-amplitude runs the oracle check compares."""
     c = studies.A1_COEFFICIENTS[mode](eps, SUITE_CONFIG.scaled_order)
-    return (studies._nls_run(SUITE_CONFIG, eps, c, cache=cache),
+    return (studies._nls_run(SUITE_CONFIG, eps, c, scales),
             studies._grenier_run(SUITE_CONFIG, eps, c))
 
 
@@ -107,9 +107,10 @@ def oracle_checks(cache):
     phase-amplitude solution: discrepancy <= 1e-4 relative at every saved
     time, for eps in ORACLE_EPS and both data choices."""
     worst, where = 0.0, ""
+    scales = studies.grid_scales(SUITE_CONFIG, cache)
     for eps in ORACLE_EPS:
         for mode in ORACLE_MODES:
-            u_traj, g_traj = (cache[run] for run in _oracle_runs(eps, mode, cache))
+            u_traj, g_traj = (cache[run] for run in _oracle_runs(eps, mode, scales))
             n_fine = u_traj[0].u.grid.points_per_axis
             u0_l2 = norm(u_traj[0].u)
             for us, gs in zip(u_traj, g_traj):
@@ -205,20 +206,21 @@ def scaling_checks(seed):
 def plan_runs(cache):
     """Cache every run the checks read, each group of runs that can share
     one integration as one stack (studies.stack_runs).  First the degeneracy
-    run and the limit run the wavefunction grids are read off
-    (SweepConfig.grid_for), as one stack; then the run plan of each study in
-    SUITE_STUDIES and the oracle runs."""
+    run and the limit run whose scales size the wavefunction grids
+    (studies.grid_scales), as one stack; then the run plan of each study in
+    SUITE_STUDIES and the oracle runs, built from those scales."""
     studies.stack_runs(cache, [studies._limit_run(SUITE_CONFIG, DEGENERACY_C),
                                studies._limit_run(SUITE_CONFIG)])
+    scales = studies.grid_scales(SUITE_CONFIG, cache)
     studies.stack_runs(cache, [
         *(run for _, plan, config in SUITE_STUDIES.values()
-          for run in getattr(studies, plan)(config, cache)),
+          for run in getattr(studies, plan)(config, studies.grid_scales(config, cache))),
         *(run for eps in ORACLE_EPS for mode in ORACLE_MODES
-          for run in _oracle_runs(eps, mode, cache)),
+          for run in _oracle_runs(eps, mode, scales)),
     ])
 
 
-def run_suite(seed=0, cache=None):
+def run_suite(seed=0, cache: dict | None = None):
     """(reports, checks): the study reports backing the verdicts, by the CSV
     name each is written under, and every check a criterion can name, the
     suite's own and each report's as <CSV stem>/<check>.  The runs come from

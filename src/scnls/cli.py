@@ -195,6 +195,8 @@ def load_config(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"config file {path} cannot be read: {exc.strerror}") from exc
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
     return doc

@@ -387,34 +387,34 @@ def tail_fraction(f: Field) -> float:
     return float(tail / total)
 
 
-def gradient_max(f: Field) -> float:
-    """Largest |d f / d x_j| over the grid and the axes j, by spectral
-    differentiation of the physical-space field f."""
-    _require_space(f, PHYSICAL, "gradient_max")
-    g = f.grid
-    spectrum = _fft(f.values, g.dim)
-    return max(float(np.abs(_ifft(factor * spectrum, g.dim)).max())
-               for factor in g.gradient_factors)
+def gradient_max(grid, values) -> float:
+    """Largest |d f / d x_j| over the grid, the axes j and the fields f of
+    values (physical samples, grid axes last: one field or a stack), by
+    spectral differentiation of one transform of the stack; 0 for no field."""
+    spectrum = _fft(values, grid.dim)
+    return max(float(np.abs(_ifft(factor * spectrum, grid.dim)).max(initial=0.0))
+               for factor in grid.gradient_factors)
 
 
-def spectral_extent(f: Field, tol) -> float:
-    """The smallest K such that the modes with |k_j| > K on some axis j
-    hold at most tol of f's power: the per-axis cut that a tail guard of
-    tolerance tol would need in place of the two-thirds rule's.  0 for a
-    zero field."""
-    spectrum = f if f.space == SPECTRAL else transform(f)
-    g = f.grid
-    k = np.abs(g.k_axes[0])
+def spectral_extent(grid, values, tol) -> float:
+    """The smallest K such that, in each field f of values (as gradient_max
+    reads them), the modes with |k_j| > K on some axis j hold at most tol of
+    f's power: the per-axis cut that a tail guard of tolerance tol would need
+    in place of the two-thirds rule's.  0 for zero fields and for no field."""
+    power = np.abs(_fft(values, grid.dim)).reshape(-1, grid.num_points) ** 2
+    k = np.abs(grid.k_axes[0])
     # max_j |k_j| over the grid, the norm whose balls the tail boxes cut
-    box = functools.reduce(np.maximum, (g.axis_view(k, ax) for ax in range(g.dim)))
+    box = functools.reduce(np.maximum, (grid.axis_view(k, ax) for ax in range(grid.dim)))
     levels, level = np.unique(box, return_inverse=True)
-    power = np.bincount(level.ravel(), weights=(np.abs(spectrum.values) ** 2).ravel())
-    # beyond[i]: the power at the levels above levels[i], summed from the top
-    beyond = np.append(np.cumsum(power[:0:-1])[::-1], 0.0)
-    total = power.sum()
-    if total == 0.0:
-        return 0.0
-    return float(levels[np.argmax(beyond <= tol * total)])
+    # each field's power per level: one bincount, its bins offset per field
+    fields, width = len(power), len(levels)
+    bins = level.ravel() + width * np.arange(fields).reshape(-1, 1)
+    power = np.bincount(bins.ravel(), power.ravel(), fields * width).reshape(fields, width)
+    # beyond[:, i]: the power above levels[i], summed from the top (all 0 for a zero field)
+    beyond = np.zeros_like(power)
+    beyond[:, :-1] = np.cumsum(power[:, :0:-1], axis=1)[:, ::-1]
+    cut = np.argmax(beyond <= tol * power.sum(axis=1).reshape(-1, 1), axis=1)
+    return float(levels[cut].max(initial=0.0))
 
 
 def resample(f: Field, points_per_axis) -> Field:

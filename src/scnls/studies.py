@@ -7,11 +7,11 @@ quantities eps^s * |u - u_tilde|_{Hdot^s}.  Two bookkeeping operations
 convert measured sweep rows into the physical-scale instability
 statements through exact rescaling identities.
 
-Wavefunction runs use per-eps grids sized from the sweep's limit run
-(SweepConfig.grid_for): each holds the limit amplitude's bandwidth plus
-the phase's wavenumber |grad phi|/eps.  The smooth phase-amplitude fields
-are integrated once on a coarse grid and spectrally upsampled wherever an
-oscillatory profile is needed.
+A study first solves its sweep's limit run and reads its scales off it
+(grid_scales); each per-eps wavefunction grid then holds the limit
+amplitude's bandwidth plus the phase's wavenumber |grad phi|/eps
+(SweepConfig.grid_for).  The smooth phase-amplitude fields are integrated
+once on a coarse grid and upsampled wherever an oscillatory profile is needed.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything an eps-sweep needs; the wavefunction grids are read off its
-    limit run (grid_for)."""
+    """Everything an eps-sweep needs; its wavefunction grids are sized from
+    the scales of its limit run (grid_scales, grid_for)."""
 
     eps_list: tuple
     s_list: tuple = (0.0, 1.0, 2.0)
@@ -157,27 +157,11 @@ class SweepConfig:
         """Snapshot index of the observation time on the save grid."""
         return round(self.tau / (self.horizon / self.n_saves))
 
-    def grid_scales(self, cache=None):
-        """(G, K_a) of the sweep's limit run: the largest max |grad phi| and
-        the largest spectral_extent(a, tail_tol) over its saved times.  The
-        first call reads the run from the run cache, or solves it into it (a
-        new one when None); the config keeps the pair for every later call."""
-        scales = self.__dict__.get("_grid_scales")
-        if scales is None:
-            run = _limit_run(self)
-            cache = {} if cache is None else cache
-            stack_runs(cache, [run])
-            scales = (max(gradient_max(state.phi) for state in cache[run]),
-                      max(spectral_extent(state.a, self.tail_tol) for state in cache[run]))
-            # not a field: asdict, == and hash see only the config
-            object.__setattr__(self, "_grid_scales", scales)
-        return scales
-
-    def grid_for(self, eps, refine=1, cache=None):
+    def grid_for(self, eps, scales, refine=1):
         """The wavefunction grid at eps: refine times the smallest power of
         two N >= points_base whose two-thirds cut (2/3) k_max reaches
-        GRID_MARGIN (K_a + G/eps), with (G, K_a) = grid_scales(cache)."""
-        gradient, extent = self.grid_scales(cache)
+        GRID_MARGIN (K_a + G/eps), with (G, K_a) = scales (grid_scales)."""
+        gradient, extent = scales
         need = GRID_MARGIN * (extent + gradient / eps)
         n = self.points_base
         # (2/3) k_max is pi N / (3 L); past the cap the search stops, at an N
@@ -191,13 +175,13 @@ class SweepConfig:
             )
         return make_grid(1, self.half_width, n)
 
-    def grid_rule(self, cache=None):
+    def grid_rule(self, scales):
         """The grid rule's inputs and its N per sweep point, as a study's
         header records them."""
-        gradient, extent = self.grid_scales(cache)
+        gradient, extent = scales
         return {"phase_gradient_max": gradient, "amplitude_extent": extent,
                 "margin": GRID_MARGIN,
-                "points_per_axis": [self.grid_for(eps, cache=cache).points_per_axis
+                "points_per_axis": [self.grid_for(eps, scales).points_per_axis
                                     for eps in self.eps_list]}
 
     def wkb_grid(self):
@@ -236,8 +220,8 @@ class Run(NamedTuple):
     datum: object
 
 
-def _nls_run(cfg: SweepConfig, eps, c, refine=1, cache=None):
-    grid = cfg.grid_for(eps, refine, cache)
+def _nls_run(cfg: SweepConfig, eps, c, scales, refine=1):
+    grid = cfg.grid_for(eps, scales, refine)
     return Run("nls", grid, eps, cfg.nls_run_config(grid, eps), cfg.a0, c)
 
 
@@ -288,48 +272,58 @@ def stack_runs(cache, runs):
 
     # Wavefunction stacks first: run before the small phase-amplitude ones,
     # they leave the heap less fragmented (selftest peak RSS 0.2 MiB lower).
-    # A run plan has already solved the limit run its grids are read off.
+    # Their grids were sized from the limit run, which grid_scales solved.
     for group in sorted(groups.values(), key=lambda g: g[0].kind != "nls"):
         cache.update(zip(group, solve_runs(group)))
 
 
-def _error_runs(config, eps, cache=None):
+def grid_scales(config, cache):
+    """(G, K_a) of the sweep's limit run, which is stacked into the dict
+    cache first unless it is there: the largest max |grad phi| and the
+    largest spectral_extent(a, tail_tol) over its saved times."""
+    run = _limit_run(config)
+    stack_runs(cache, [run])
+    phi, a = (np.stack([getattr(state, name).values for state in cache[run]])
+              for name in ("phi", "a"))
+    return gradient_max(run.grid, phi), spectral_extent(run.grid, a, config.tail_tol)
+
+
+def _error_runs(config, eps, scales):
     """The runs wkb_error_study reads at one sweep point: u, u~ and the
     phase-amplitude run of u~'s datum."""
-    return (_nls_run(config, eps, 0.0, cache=cache), _nls_run(config, eps, 1.0, cache=cache),
+    return (_nls_run(config, eps, 0.0, scales), _nls_run(config, eps, 1.0, scales),
             _grenier_run(config, eps))
 
 
-def _pair_runs(config, eps, refine=1, cache=None):
+def _pair_runs(config, eps, scales, refine=1):
     """The paired wavefunction runs a ghost study reads at one sweep point."""
-    return (_nls_run(config, eps, 0.0, refine, cache),
-            _nls_run(config, eps, config.a1_coefficient(eps), refine, cache))
+    return (_nls_run(config, eps, 0.0, scales, refine),
+            _nls_run(config, eps, config.a1_coefficient(eps), scales, refine))
 
 
-# A run plan lists every run a study reads, in its reading order.  Its
-# wavefunction runs' grids are read off the limit run (SweepConfig.grid_for),
-# which a plan takes from the run cache or solves into it.
+# A run plan lists every run a study reads, in its reading order, and solves
+# nothing: its wavefunction grids are sized from the scales it is given.
 
-def wkb_error_runs(config, cache=None):
+def wkb_error_runs(config, scales):
     """wkb_error_study's run plan: the limit run, then each sweep point's
     _error_runs."""
     return [_limit_run(config),
-            *(run for eps in config.eps_list for run in _error_runs(config, eps, cache))]
+            *(run for eps in config.eps_list for run in _error_runs(config, eps, scales))]
 
 
-def small_time_runs(config, cache=None):
+def small_time_runs(config, scales=None):
     """small_time_study's run plan: one limit run per dyadic horizon, and no
-    wavefunction run, so cache goes unread."""
+    wavefunction run, so scales goes unread."""
     return [_limit_run(config, horizon=config.horizon * 0.5**m)
             for m in range(config.smalltime_points)]
 
 
-def ghost_runs(config, cache=None):
+def ghost_runs(config, scales):
     """A ghost study's run plan: the limit run, then each sweep point's pair
     and, under certify_refinement, its pair on grids refined twofold."""
     refines = (1, 2) if config.certify_refinement else (1,)
     return [_limit_run(config), *(run for eps in config.eps_list for refine in refines
-                                  for run in _pair_runs(config, eps, refine, cache))]
+                                  for run in _pair_runs(config, eps, scales, refine))]
 
 
 def fit_loglog(xs, ys):
@@ -447,14 +441,15 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
     if len(config.eps_list) < 3:
         raise ValueError(f"eps_list needs >= 3 points for slope fits, got {len(config.eps_list)}")
     cache = {} if cache is None else cache
-    stack_runs(cache, wkb_error_runs(config, cache))
+    scales = grid_scales(config, cache)
+    stack_runs(cache, wkb_error_runs(config, scales))
     limit = cache[_limit_run(config)]
     families = ("profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap")
 
     # One sweep point per call, so that its fields are freed before the next
     # point's are built (selftest peak RSS 0.3 MiB lower than one flat loop).
     def point_rows(eps):
-        u_traj, ut_traj, g_traj = (cache[run] for run in _error_runs(config, eps, cache))
+        u_traj, ut_traj, g_traj = (cache[run] for run in _error_runs(config, eps, scales))
         fine = u_traj[0].u.grid
         n_fine = fine.points_per_axis
         sup = {(family, s): 0.0 for family in families for s in config.s_list}
@@ -488,7 +483,7 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
                                  degenerate=all(r["value"] == 0.0 for r in rows))
 
     header = {"description": "profile and expansion error sweep",
-              "grid_rule": config.grid_rule(cache)}
+              "grid_rule": config.grid_rule(scales)}
     return StudyReport("wkb_error", config, header, rows, slopes, checks)
 
 
@@ -528,16 +523,14 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
     if len(config.eps_list) < 2:
         raise ValueError("ghost studies need at least two sweep points")
     cache = {} if cache is None else cache
-    stack_runs(cache, ghost_runs(config, cache))
-    mode = config.a1_mode
-    order = config.scaled_order
+    scales = grid_scales(config, cache)
+    stack_runs(cache, ghost_runs(config, scales))
     bg_tau = cache[_limit_run(config)][config.tau_index]
-    wkb_grid = config.wkb_grid()
-    a0_l2 = norm(config.a0.realize(wkb_grid))
+    a0_l2 = norm(config.a0.realize(config.wkb_grid()))
     floor = SEPARATION_FLOOR_FACTOR * a0_l2
 
     def pair_diff(eps, refine):
-        u_traj, ut_traj = (cache[run] for run in _pair_runs(config, eps, refine, cache))
+        u_traj, ut_traj = (cache[run] for run in _pair_runs(config, eps, scales, refine))
         u_tau = u_traj[config.tau_index]
         ut_tau = ut_traj[config.tau_index]
         grid = u_tau.u.grid
@@ -570,7 +563,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
                 d2 = eps**s * norm(refined, idx)
                 table.append(("refined_rel_change", relative_spread(d, d2)))
             if higher_order:
-                table.append(("higher_order_scaled", d * eps ** (1 - order)))
+                table.append(("higher_order_scaled", d * eps ** (1 - config.scaled_order)))
             out += [_row("ghost", quantity, value, eps=eps, s=s) for quantity, value in table]
         return out + [_row("ghost", "diff_l4", l4, eps=eps, s=None)]
 
@@ -578,7 +571,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
 
     header = {"description": "paired-run separation at the observation time",
               "observation_time": config.tau, "a0_l2": a0_l2, "separation_floor": floor,
-              "grid_rule": config.grid_rule(cache)}
+              "grid_rule": config.grid_rule(scales)}
     report = StudyReport("ghost_higher_order" if higher_order else "ghost_separation",
                          config, header, rows, [], {})
     checks = report.checks
@@ -586,7 +579,7 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
     verdict = "higher_order_scaled" if higher_order else "separation_scaled"
     for s in config.s_list:
         vals = report.values("ghost", verdict, s)
-        if mode == "zero":
+        if config.a1_mode == "zero":
             worst = max(abs(v) for v in vals)
             _check(checks, f"control_null_s{s:g}", worst <= 1e-10, worst, "<= 1e-10",
                    "identical data must give a vanishing difference")

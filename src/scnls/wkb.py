@@ -42,6 +42,7 @@ from .grid import (
     _fft,
     _ifft,
     check_boundary_decay,
+    gradient_max,
     tail_fraction,
 )
 from .nls import _RunConfig
@@ -192,7 +193,7 @@ class _Rates:
 def _auto_sing_tol(grid, a_init, horizon):
     # Early-time scale: |grad phi| grows like t * max|grad |a(0)|^2|, so
     # 50x its value at the horizon is far outside regular behaviour.
-    rate = np.abs(gradients(grid, _fft(np.abs(a_init) ** 2, grid.dim)).real).max()
+    rate = gradient_max(grid, np.abs(a_init) ** 2)
     return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
 
 

@@ -93,6 +93,18 @@ class TestConfigValidation:
         assert cli.run(["study-ghost", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_named_before_any_output(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        out = tmp_path / "out"
+        assert cli.run(["selftest", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path} cannot be read: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_a1_mode_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_sweep())
         doc = json.loads(cfg.read_text())
@@ -315,9 +327,11 @@ class TestSchema:
         # perfbench/child.py setup validates each workload's config, and the
         # benchmark times the CLI on its argv
         workload = BENCHMARK_WORKLOADS[name]
-        cli.validate_config(workload.config(0), workload.command)
+        cfg = cli.validate_config(workload.config(0), workload.command)
         args = cli.build_parser().parse_args(workload.cli_args("c.json", "out"))
         assert args.command == workload.command
+        # the workloads pass the config's "jobs" key and --jobs
+        assert cfg["jobs"] == args.jobs == workload.jobs
 
     def test_benchmark_reads_the_suite_csvs(self):
         # the benchmark's selftest check reads exactly these files, so a
@@ -757,8 +771,9 @@ class TestStudyCommands:
         # lazily, since their grids are read off the limit run.
         def stacks():
             yield [studies._limit_run(config)]
+            scales = studies.grid_scales(config, {})
             for eps in config.eps_list:
-                yield studies._pair_runs(config, eps)
+                yield studies._pair_runs(config, eps, scales)
 
         for stack in stacks():
             errors = []

@@ -9,7 +9,7 @@ from scnls import grid as sg
 from scnls import nls, wkb
 from scnls.grid import SobolevIndex, make_grid, norm
 
-from conftest import bit_identical, kept_modes, random_field, traced_peak
+from conftest import bit_identical, kept_modes, random_field, ref_gradient, traced_peak
 
 
 def derivatives(f):
@@ -402,6 +402,48 @@ class TestStreamedTailFraction:
         field = g.num_points * 16
         peak = traced_peak(lambda: sg.tail_fraction(f))
         assert peak < 0.1 * field, f"peak of {peak / field:.3f} fields"
+
+
+def reference_extent(g, values, tol):
+    """spectral_extent of one field by brute force: the smallest level K of
+    max_j |k_j| whose modes beyond it hold at most tol of the power."""
+    power = np.abs(np.fft.fftn(values)) ** 2
+    box = np.maximum.reduce(np.meshgrid(*(np.abs(k) for k in g.k_axes), indexing="ij"))
+    return next(level for level in np.unique(box)
+                if power[box > level].sum() <= tol * power.sum())
+
+
+class TestGridRuleScales:
+    # The grid rule reads a limit run's saved fields as one stack (grid axes
+    # last); a stack's value is the largest of its fields', bit for bit.
+    @staticmethod
+    def stack(g):
+        return np.stack([random_field(g, seed, scale=seed + 1.0, smooth_width=1 + seed % 3).values
+                         for seed in range(4)])
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+    def test_stack_equals_the_largest_single_field(self, dim, n):
+        g = make_grid(dim, 6.0, n)
+        stack = self.stack(g)
+        assert sg.gradient_max(g, stack) == max(sg.gradient_max(g, f) for f in stack)
+        for tol in (1e-6, 1e-2, 0.3):
+            assert sg.spectral_extent(g, stack, tol) == max(
+                sg.spectral_extent(g, f, tol) for f in stack)
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+    def test_single_fields_match_the_reference_formulas(self, dim, n):
+        g = make_grid(dim, 6.0, n)
+        for f in self.stack(g):
+            ref = max(np.abs(component).max() for component in ref_gradient(g, f))
+            assert sg.gradient_max(g, f) == pytest.approx(ref, rel=1e-12)
+            for tol in (1e-6, 1e-2, 0.3):
+                assert sg.spectral_extent(g, f, tol) == reference_extent(g, f, tol)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_and_zero_stacks_give_zero(self, dim):
+        g = make_grid(dim, 6.0, 16)
+        for stack in (np.zeros((0,) + g.shape), np.zeros((3,) + g.shape), np.zeros(g.shape)):
+            assert (sg.gradient_max(g, stack), sg.spectral_extent(g, stack, 1e-6)) == (0.0, 0.0)
 
 
 class TestFftHelpers:

@@ -1,4 +1,4 @@
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -94,48 +94,69 @@ class TestSweepConfig:
         # wavenumber 34 pi/L on the L = 12 grid.  N holds 1.5 (K_a + G/eps)
         # below (2/3) k_max = pi N / 36, and never falls under points_base.
         cfg = SweepConfig(eps_list=(0.25, 0.125), points_base=256)
-        assert cfg.grid_scales() == (pytest.approx(0.28921, rel=1e-4),
-                                     pytest.approx(34 * np.pi / 12, rel=1e-15))
-        assert [cfg.grid_for(eps).points_per_axis for eps in (1.0, 0.25, 0.0625, 0.03125,
-                                                              0.0078125, 0.001)] == [
+        scales = studies.grid_scales(cfg, {})
+        assert scales == (pytest.approx(0.28921, rel=1e-4),
+                          pytest.approx(34 * np.pi / 12, rel=1e-15))
+        assert [cfg.grid_for(eps, scales).points_per_axis
+                for eps in (1.0, 0.25, 0.0625, 0.03125, 0.0078125, 0.001)] == [
             256, 256, 256, 512, 1024, 8192]
-        assert replace(cfg, points_base=1024).grid_for(0.25).points_per_axis == 1024
+        assert replace(cfg, points_base=1024).grid_for(0.25, scales).points_per_axis == 1024
         small_cap = SweepConfig(eps_list=(0.25,), max_points_per_axis=512)
         with pytest.raises(ValueError, match="eps = 0.001 needs N >= 1024 > configured cap 512"):
-            small_cap.grid_for(0.001)
+            small_cap.grid_for(0.001, scales)
+
+    def test_grid_rule_is_a_function_of_the_scales(self, monkeypatch):
+        # the canonical scales, given as values: no run is solved
+        monkeypatch.setattr(studies, "solve_runs", lambda *a: pytest.fail("solve_runs called"))
+        cfg = SweepConfig(eps_list=(0.25, 0.125), points_base=256)
+        scales = (0.28921, 34 * np.pi / 12)
+        assert [cfg.grid_for(eps, scales).points_per_axis
+                for eps in (1.0, 0.25, 0.0625, 0.03125, 0.0078125, 0.001)] == [
+            256, 256, 256, 512, 1024, 8192]
+        assert cfg.grid_rule(scales) == {
+            "phase_gradient_max": 0.28921, "amplitude_extent": 34 * np.pi / 12,
+            "margin": studies.GRID_MARGIN, "points_per_axis": [256, 256]}
 
     def test_refine_doubles_every_grid(self):
         # the points_base floor must not swallow the refinement, also where
         # it binds (eps = 1 and 1/2)
         cfg = SweepConfig(eps_list=(0.25, 0.125))
+        scales = studies.grid_scales(cfg, {})
         for eps in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625):
-            assert cfg.grid_for(eps, 2).points_per_axis == 2 * cfg.grid_for(eps).points_per_axis
+            assert (cfg.grid_for(eps, scales, 2).points_per_axis
+                    == 2 * cfg.grid_for(eps, scales).points_per_axis)
 
     def test_canonical_sweep_grids(self):
-        assert [acceptance.SUITE_CONFIG.grid_for(eps).points_per_axis
+        cfg = acceptance.SUITE_CONFIG
+        scales = studies.grid_scales(cfg, {})
+        assert [cfg.grid_for(eps, scales).points_per_axis
                 for eps in acceptance.FULL_EPS_SWEEP] == [256, 256, 256, 512, 512]
 
     def test_limit_run_solved_once_into_the_cache(self, monkeypatch):
-        # a new config keeps no scales yet: the rule solves the limit run
-        # into the run cache, and the run plan finds it there
+        # grid_scales solves the limit run into the run cache, the run plan
+        # finds it there, and a second call reads it back
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
         solved = []
         solve_runs = studies.solve_runs
         monkeypatch.setattr(studies, "solve_runs",
                             lambda runs, keep=None: solved.extend(runs) or solve_runs(runs, keep))
         cache = {}
-        studies.stack_runs(cache, studies.ghost_runs(cfg, cache))
+        scales = studies.grid_scales(cfg, cache)
+        studies.stack_runs(cache, studies.ghost_runs(cfg, scales))
         assert [run.kind for run in solved].count("limit") == 1
         assert solved[0] == studies._limit_run(cfg)
         assert bit_identical(cache[solved[0]], alone(solved[0]))
         solved.clear()
-        assert cfg.grid_rule(cache)["points_per_axis"] == [256, 256] and not solved
-        # the kept scales are no field of the config, and a replaced config
+        assert studies.grid_scales(cfg, cache) == scales and not solved
+        assert cfg.grid_rule(scales)["points_per_axis"] == [256, 256]
+        # a study leaves the config its fields alone, and a replaced config
         # reads its own limit run
+        ghost_separation_study(cfg, cache)
+        assert not solved
         assert cfg == SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
-        assert "_grid_scales" not in asdict(cfg)
+        assert set(vars(cfg)) == {f.name for f in fields(SweepConfig)}
         wider = replace(cfg, a0=GaussianSpec(amplitude=2.0))
-        assert wider.grid_scales()[0] > 3 * cfg.grid_scales()[0]
+        assert studies.grid_scales(wider, cache)[0] > 3 * scales[0]
 
     def test_tau_index(self, short_cfg):
         assert short_cfg.tau_index == 8  # tau = 0.2 on a 0.025 save grid
@@ -151,7 +172,8 @@ class TestSweepConfig:
         with a refine times finer one to bound at every save, on the grid of
         the given points or, by default, the sweep's grid at eps."""
         cfg = SweepConfig(eps_list=(eps,))
-        grid = cfg.grid_for(eps) if points is None else make_grid(1, cfg.half_width, points)
+        grid = (cfg.grid_for(eps, studies.grid_scales(cfg, {})) if points is None
+                else make_grid(1, cfg.half_width, points))
         rc = cfg.nls_run_config(grid, eps)
         assert rc.dt == pytest.approx(dt)
         fine = nls.NlsRunConfig(dt=rc.dt / refine, T=rc.T, save_every=refine * rc.save_every,
@@ -189,10 +211,11 @@ def test_datum_family_runs_on_the_rule_grids(amplitude, width):
     cfg = SweepConfig(eps_list=tuple(2.0**-m for m in range(2, 8)), s_list=(0.0,),
                       a0=GaussianSpec(amplitude, width))
     cache = {}
-    studies.stack_runs(cache, studies.ghost_runs(cfg, cache))
+    scales = studies.grid_scales(cfg, cache)
+    studies.stack_runs(cache, studies.ghost_runs(cfg, scales))
     assert sum(run.kind == "nls" for run in cache) == 2 * len(cfg.eps_list)
     eps = 1 / 64
-    n = cfg.grid_for(eps).points_per_axis
+    n = cfg.grid_for(eps, scales).points_per_axis
     assert n == DATUM_FAMILY[amplitude, width]
     half = make_grid(1, cfg.half_width, n // 2)
     pair = [studies.Run("nls", half, eps, cfg.nls_run_config(half, eps), cfg.a0, c)
@@ -204,12 +227,37 @@ def test_datum_family_runs_on_the_rule_grids(amplitude, width):
             studies.stack_runs({}, pair)
 
 
+def test_run_plans_are_built_from_given_scales(monkeypatch):
+    # A plan is a function of its config and the scales: with no solver, every
+    # plan of the suite, a certified ghost plan and the oracle runs build,
+    # each wavefunction run on the rule's grid for the given scales.
+    monkeypatch.setattr(studies, "solve_runs", lambda *a: pytest.fail("solve_runs called"))
+    scales = (0.28921, 34 * np.pi / 12)
+    certified = replace(acceptance.SUITE_CONFIG, certify_refinement=True)
+    plans = [(getattr(studies, plan), config)
+             for _, plan, config in acceptance.SUITE_STUDIES.values()]
+    for plan, config in [*plans, (studies.ghost_runs, certified)]:
+        runs = plan(config, scales)
+        assert runs[0].kind == "limit"
+        for run in runs[1:]:
+            if run.kind == "nls":
+                n = config.grid_for(run.eps, scales).points_per_axis
+                assert run.grid.points_per_axis in (n, 2 * n)
+    refined = [run for run in studies.ghost_runs(certified, scales) if run.kind == "nls"]
+    assert len(refined) == 4 * len(certified.eps_list)
+    oracle = [run for eps in acceptance.ORACLE_EPS for mode in acceptance.ORACLE_MODES
+              for run in acceptance._oracle_runs(eps, mode, scales)]
+    assert [(run.kind, run.grid.points_per_axis) for run in oracle] == [
+        ("nls", 256), ("grenier", 256)] * 4
+
+
 class TestStackedRuns:
     # copies = 2 asks for every run twice: the stacks must not grow.
     @pytest.mark.parametrize("copies", [1, 2])
     def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch, copies):
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
-        runs = [studies._nls_run(cfg, eps, c) for eps in cfg.eps_list
+        scales = studies.grid_scales(cfg, {})
+        runs = [studies._nls_run(cfg, eps, c, scales) for eps in cfg.eps_list
                 for c in (0.0, 1.0, 0.0, eps)]
         expected = {run: alone(run) for run in runs}
         stacks = []
@@ -228,7 +276,7 @@ class TestStackedRuns:
         studies.stack_runs(cache, runs)
         assert len(stacks) == 2
         for run, ref in expected.items():
-            traj = cache[studies._nls_run(cfg, run.eps, run.datum)]
+            traj = cache[studies._nls_run(cfg, run.eps, run.datum, scales)]
             assert [s.t for s in traj] == [s.t for s in ref]
             assert all(np.array_equal(a.u.values, b.u.values) for a, b in zip(traj, ref))
         assert len(cache) == len(expected)
@@ -242,10 +290,12 @@ class TestStackedRuns:
         # after it stores a run.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), horizon=0.025, tau=0.025,
                           a0=GaussianSpec(amplitude=30.0))
+        scales = studies.grid_scales(cfg, {})
 
         def pair(eps):
             """The runs at eps from (1 + eps c) a0 = 1e-3 a0 and (1 + eps) a0."""
-            return studies._nls_run(cfg, eps, (1e-3 - 1) / eps), studies._nls_run(cfg, eps, 1.0)
+            return (studies._nls_run(cfg, eps, (1e-3 - 1) / eps, scales),
+                    studies._nls_run(cfg, eps, 1.0, scales))
 
         healthy, tripping = pair(0.5)[0], pair(0.25)[1]
         ref = alone(healthy)
@@ -363,8 +413,9 @@ class TestWkbErrorStudy:
         # L2 distance; recompute one entry directly from the cached runs.
         rep = wkb_error_study(short_cfg, cache)
         eps = short_cfg.eps_list[0]
-        fine = short_cfg.grid_for(eps)
-        u = cache[studies._nls_run(short_cfg, eps, 0.0)]
+        scales = studies.grid_scales(short_cfg, cache)
+        fine = short_cfg.grid_for(eps, scales)
+        u = cache[studies._nls_run(short_cfg, eps, 0.0, scales)]
         limit = cache[studies._limit_run(short_cfg, 1.0)]
         sup = 0.0
         for bg, us in zip(limit, u):
