@@ -191,10 +191,12 @@ def _section(doc, keys, path, others=()):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path} is not UTF-8 text") from exc
     except OSError as exc:
         raise ValueError(f"config file {path} cannot be read: {exc.strerror}") from exc
     if not isinstance(doc, dict):
@@ -348,7 +350,7 @@ def cmd_run_wkb(cfg, out_dir):
               f"the datum (1 + eps c) a0 is a0; got {run['a1_mode']!r}")
     grid = make_grid(run["dim"], cfg["grid"]["half_width"], run["points"])
     # the default step is the RK4 rule clipped to the horizon
-    target = wkb.default_dt(grid, run["eps"], solver["wkb_dt_safety"])
+    target = wkb.default_dt(grid, solver["wkb_dt_safety"])
     rc = _run_config(wkb.WkbRunConfig, run,
                      lambda: math.copysign(min(target, abs(run["T"])), run["T"]),
                      sing_tol=run["sing_tol"])
@@ -466,6 +468,11 @@ def run(argv) -> int:
         if jobs > 1:
             log.warning("jobs = %d ignored: sweeps run sequentially", jobs)
         out_dir = Path(args.out or cfg["out_dir"] or os.environ.get(OUT_DIR_ENV) or "scnls_out")
+        # checked before any work: mkdir would fail only once the runs are done
+        blocked = next((p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()),
+                       None)
+        if blocked is not None:
+            raise ValueError(f"--out {out_dir} cannot be a directory: {blocked} is a file")
         return DISPATCH[args.command](cfg, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,8 +193,8 @@ class SweepConfig:
             self.horizon, self.n_saves, tail_tol=self.tail_tol,
         )
 
-    def wkb_run_config(self, grid, eps, horizon=None):
-        return aligned_run_config(wkb.WkbRunConfig, wkb.default_dt(grid, eps, self.wkb_dt_safety),
+    def wkb_run_config(self, grid, horizon=None):
+        return aligned_run_config(wkb.WkbRunConfig, wkb.default_dt(grid, self.wkb_dt_safety),
                                   self.horizon if horizon is None else horizon, self.n_saves)
 
 
@@ -227,12 +227,12 @@ def _nls_run(cfg: SweepConfig, eps, c, scales, refine=1):
 
 def _grenier_run(cfg: SweepConfig, eps, c=1.0):
     grid = cfg.wkb_grid()
-    return Run("grenier", grid, eps, cfg.wkb_run_config(grid, eps), cfg.a0, c)
+    return Run("grenier", grid, eps, cfg.wkb_run_config(grid), cfg.a0, c)
 
 
 def _limit_run(cfg: SweepConfig, c=1.0, horizon=None):
     grid = cfg.wkb_grid()
-    return Run("limit", grid, 0.0, cfg.wkb_run_config(grid, 0.0, horizon), cfg.a0, c)
+    return Run("limit", grid, 0.0, cfg.wkb_run_config(grid, horizon), cfg.a0, c)
 
 
 def solve_runs(runs, keep=None):

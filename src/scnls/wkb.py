@@ -20,13 +20,21 @@ corrector in its a1 and phi1, a Grenier run's leaves them None.
 RK4 advances a state of shape (fields, members, *grid): the fields
 [a, phi] or [a, phi, a1, phi1] of runs that share a grid, a step count and
 a save cadence, each with its own datum, eps, dt and singularity bound.
-A stage makes 4 batched FFT calls (np.fft.fft/ifft on a 1-D grid), one
-pair for every derivative and one to dealias.  Every spectral derivative
-comes from _derivatives: each gradient component is one product with the
-grid's per-axis factor i*kappa, the Laplacian one with -|kappa|^2.
-Dealiasing zeroes the grid's tail boxes, the modes tail_fraction sums.
-A stack member equals its own stack of one bit for bit and raises that
-stack's guard error.
+The state is held as its spectrum between stages.  The linear term
+i (eps/2) Lap(a) is not among the rates: it is the integrating factor
+exp(-i eps |kappa|^2 t / 2) on the row of a (Lawson, SIAM J. Numer. Anal. 4,
+1967), exact at any step, so the step is the transport CFL at every eps.
+Like the kinetic pieces of nls, it is one vector of N entries per axis
+(and per member), not a whole-grid array.
+A stage makes 2 batched FFT calls (np.fft.fft/ifft on a 1-D grid): one
+inverse transform gives every value and derivative the rates read, and
+one forward transform hands the rates back, dealiased in place.  Every
+spectral derivative comes from _derivatives: each gradient component is
+one product with the grid's per-axis factor i*kappa, minus the Laplacian
+one with |kappa|^2.  Dealiasing zeroes the grid's tail boxes, the modes
+tail_fraction sums.  A save transforms the state back once, into the
+buffer the snapshots then keep.  A stack member equals its own stack of
+one bit for bit and raises that stack's guard error.
 """
 
 from __future__ import annotations
@@ -97,26 +105,22 @@ class WkbRunConfig(_RunConfig):
             raise ValueError(f"sing_tol must be positive, got {self.sing_tol!r}")
 
 
-def default_dt(grid, eps, safety=0.25):
-    """RK4 step: transport CFL against the grid plus the imaginary-axis
-    stability bound for the dispersive i (eps/2) Lap term."""
-    dx = grid.spacing
-    kin_rate = 0.5 * eps * grid.k_max**2
-    if kin_rate > 0:
-        return safety * min(dx, 2.8 / kin_rate)
-    return safety * dx
+def default_dt(grid, safety=0.25):
+    """RK4 step: safety * dx, the transport CFL against the grid.  The
+    dispersive term i (eps/2) Lap(a) is the integrating factor, exact for
+    any step, so eps sets no bound."""
+    return safety * grid.spacing
 
 
 def _derivatives(grid, spectrum, out):
     """The spectral derivatives of spectrum (grid axes last) into out: row m
-    along axis m for each axis, then the Laplacian when out has a row more.
-    The Laplacian is |kappa|^2 spectrum negated in place, the bits of the
-    product with -|kappa|^2."""
+    along axis m for each axis, then, when out has a row more, |kappa|^2
+    spectrum, minus the Laplacian (its sign goes into the callers'
+    coefficients)."""
     for row, factor in zip(out, grid.gradient_factors):
         np.multiply(factor, spectrum, out=row)
     if len(out) > grid.dim:
-        lap = np.multiply(grid.k_squared, spectrum, out=out[grid.dim])
-        np.negative(lap, out=lap)
+        np.multiply(grid.k_squared, spectrum, out=out[grid.dim])
     return out
 
 
@@ -129,64 +133,88 @@ def gradients(grid, spectra):
 
 
 class _Rates:
-    """d/dt of the stacked state [a, phi] or, with the corrector,
-    [a, phi, a1, phi1], each field of shape (members, *grid); the phases
-    are real and stored with zero imaginary part.  eps and sing_tol hold
-    one value per member."""
+    """d/dt, less the dispersive term i (eps/2) Lap(a), of the stacked state
+    [a, phi] or, with the corrector, [a, phi, a1, phi1], each field the
+    spectrum of shape (members, *grid); the phases are real in physical
+    space.  sing_tol holds one value per member."""
 
-    def __init__(self, grid, corrector, eps, sing_tol):
+    def __init__(self, grid, corrector, sing_tol):
         d = grid.dim
-        eps = np.ravel(eps)
         self.grid, self.sing_tol = grid, np.ravel(sing_tol)
-        self.kin = np.reshape(0.5j * eps, (-1,) + (1,) * d)
-        # gradient and Laplacian rows per field; no term reads Lap(a1)
-        sizes = (d + 1, d + 1, d, d + 1) if corrector else (d + 1, d + 1)
-        self.deriv = np.empty((sum(sizes), len(eps)) + grid.shape, dtype=complex)
-        bounds = np.cumsum((0,) + sizes)
-        self.blocks = [self.deriv[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # per field, d + 1 rows: an amplitude's value and gradient, a phase's
+        # gradient and minus its Laplacian
+        fields = 4 if corrector else 2
+        self.deriv = np.empty((fields * (d + 1), len(self.sing_tol)) + grid.shape,
+                              dtype=complex)
+        self.blocks = np.split(self.deriv, fields)
 
-    def __call__(self, y, t, out):
-        """Write the rates of y into out (not y); t holds each member's stage
-        time, for the error of the first member to exceed its sing_tol."""
-        d = self.grid.dim
-        spec = _fft(y, d, out=out)
+    def __call__(self, spec, t, out):
+        """Write the rates of the spectra spec into out (not spec), as
+        spectra; t holds each member's stage time, for the error of the first
+        member to exceed its sing_tol.  The rate expressions run in physical
+        space in place, in out and in the derivative rows they have read."""
+        grid, d = self.grid, self.grid.dim
         for field, block in enumerate(self.blocks):
-            _derivatives(self.grid, spec[field], block)
+            if field % 2:
+                _derivatives(grid, spec[field], block)
+            else:
+                block[0] = spec[field]
+                _derivatives(grid, spec[field], block[1:])
         _ifft(self.deriv, d, out=self.deriv)
-        da, dphi, *corr = self.blocks
-        grad_a, lap_a = da[:d], da[d]
-        grad_phi, lap_phi = dphi[:d].real, dphi[d].real
-        gmax = np.abs(grad_phi).max(axis=(0, *range(2, grad_phi.ndim)))
+        (a, *grad_a), dphi, *corr = self.blocks
+        grad_phi, klap_phi = [row.real for row in dphi[:d]], dphi[d].real
+        gmax = np.abs(dphi[:d].real).max(axis=(0, *range(2, dphi.ndim)))
         if (gmax > self.sing_tol).any():
             m = int(np.argmax(gmax > self.sing_tol))
             raise SingularityError(
                 f"phase gradient {gmax[m]:.3e} exceeds the singularity threshold "
                 f"{self.sing_tol[m]:.3e} at t = {t[m]:.6g}; the run is approaching "
                 "the breakdown time", grad_max=gmax[m], t=float(t[m]))
-        a = y[0]
-        out[0] = -(sum(gp * ga for gp, ga in zip(grad_phi, grad_a)) + 0.5 * a * lap_phi)
-        out[1] = -(0.5 * sum(g * g for g in grad_phi) + np.abs(a) ** 2)
+        da, dphi_rate, *dcorr = out  # views, updated in place
         if corr:
-            a1, (grad_a1, dphi1) = y[2], corr
-            grad_phi1, lap_phi1 = dphi1[:d].real, dphi1[d].real
-            out[2] = -(
-                sum(gp * g1 for gp, g1 in zip(grad_phi, grad_a1))
-                + sum(g1 * ga for g1, ga in zip(grad_phi1, grad_a))
-                + 0.5 * a1 * lap_phi
-                + 0.5 * a * lap_phi1
-            )
-            out[3] = -(
-                sum(gp * g1 for gp, g1 in zip(grad_phi, grad_phi1))
-                + 2.0 * (np.conj(a) * a1).real
-            )
+            (a1, *grad_a1), dphi1 = corr
+            grad_phi1, klap_phi1 = [row.real for row in dphi1[:d]], dphi1[d].real
+            da1, dphi1_rate = dcorr
+            # a1: (a1 (-Lap phi) + a (-Lap phi1)) / 2 - grad phi.grad a1 - grad phi1.grad a
+            np.multiply(a1, klap_phi, out=da1)
+            da1 += np.multiply(a, klap_phi1, out=dphi1_rate)
+            da1 *= 0.5
+            for g1, ga, gp, gp1 in zip(grad_a1, grad_a, grad_phi, grad_phi1):
+                g1 *= gp
+                da1 -= g1
+                da1 -= np.multiply(ga, gp1, out=g1)
+            # phi1: -2 Re(conj(a) a1) - grad phi.grad phi1
+            np.conjugate(a, out=dphi1_rate)
+            dphi1_rate *= a1
+            rate = dphi1_rate.real
+            rate *= -2.0
+            for gp, gp1 in zip(grad_phi, grad_phi1):
+                gp1 *= gp
+                rate -= gp1
+            dphi1_rate.imag = 0.0
+        # a: a (-Lap phi) / 2 - grad phi.grad a
+        np.multiply(a, klap_phi, out=da)
+        da *= 0.5
+        for ga, gp in zip(grad_a, grad_phi):
+            ga *= gp
+            da -= ga
+        # phi: -|a|^2 - |grad phi|^2 / 2
+        rate = dphi_rate.real
+        np.square(np.abs(a, out=rate), out=rate)
+        np.negative(rate, out=rate)
+        for gp in grad_phi:
+            np.square(gp, out=gp)
+            gp *= 0.5
+            rate -= gp
+        dphi_rate.imag = 0.0
         _fft(out, d, out=out)
-        for box in self.grid.tail_boxes:
+        for box in grid.tail_boxes:
             out[(..., *box)] = 0.0
-        _ifft(out, d, out=out)
-        out[1::2].imag = 0.0  # the phase rates are real
-        out[0] += self.kin * lap_a
         if corr:
-            out[2] += 0.5j * lap_a
+            # the corrector's forcing i Lap(a) / 2, in the row of a, read
+            forcing = np.multiply(grid.k_squared, spec[0], out=a)
+            forcing *= -0.5j
+            da1 += forcing
         return out
 
 
@@ -198,20 +226,27 @@ def _auto_sing_tol(grid, a_init, horizon):
 
 
 def _solve_stack(members, keep, corrector):
-    """Classical RK4 on the stacked state y of shape (fields, members,
-    *grid), in place, with guard checks; one eps and run config per member,
-    with one step count and save cadence (each member steps by its config's
-    step).  Returns the trajectory of keep(snapshot) per member (keep=None:
-    the snapshots); only each member's last snapshot is held, for
-    NonFiniteError.  The stage times are diagnostics only.  The stage sums
-    keep the order y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in place, one
-    buffer for k2-k4.
+    """Lawson's integrating-factor RK4 on the stacked state y of shape
+    (fields, members, *grid), held as its spectrum, in place, with guard
+    checks; one eps and run config per member, with one step count and save
+    cadence (each member steps by its config's step).  Returns the
+    trajectory of keep(snapshot) per member (keep=None: the snapshots);
+    only each member's last snapshot is held, for NonFiniteError.  The
+    stage times are diagnostics only.
+
+    With E the factor of the dispersive term over a step (one on every row
+    but a's, and at eps = 0), a step is
+
+        y+ = E y + (h/6) (E½ ((E½ k1 + 2 k2) + 2 k3) + k4),
+
+    in place, one buffer for k2-k4, the sums in classical RK4's order.
     """
     if not members:
         raise ValueError("a stack needs at least one member")
     if len({member[0].grid for member in members}) > 1:
         raise ValueError("stacked data must share one grid")
     grid = members[0][0].grid
+    d = grid.dim
     y = np.zeros((4 if corrector else 2, len(members)) + grid.shape, dtype=complex)
     eps = [0.0 if corrector else member[1] for member in members]
     configs = [member[-1] for member in members]
@@ -226,26 +261,39 @@ def _solve_stack(members, keep, corrector):
         raise ValueError("stacked runs must share their step count and save cadence")
     ((n_steps, save_every),) = schedules
     sing_tol = [c.sing_tol or _auto_sing_tol(grid, y[0, m], c.T) for m, c in enumerate(configs)]
-    rates = _Rates(grid, corrector, eps, sing_tol)
+    rates = _Rates(grid, corrector, sing_tol)
     dts = [c.step for c in configs]
     times = np.array(dts)
-    dt = times.reshape((-1,) + (1,) * grid.dim)
+    dt = times.reshape((-1,) + (1,) * d)
+    # the dispersive flow over half a step, one factor per axis (none in the
+    # limit system): exp(-i eps kappa_m^2 dt / 4)
+    theta = 0.25 * np.reshape(np.multiply(eps, dts), dt.shape)
+    half = [] if corrector else [np.exp(-1j * (theta * grid.axis_view(k**2, ax)))
+                                 for ax, k in enumerate(grid.k_axes)]
     keep = keep or (lambda snapshot: snapshot)
 
-    def snapshot(m, t):
-        a, phi = Field(grid, y[0, m].copy()), Field(grid, y[1, m].real)
-        corr = (Field(grid, y[2, m].copy()), Field(grid, y[3, m].real)) if corrector else ()
+    def twist(state):
+        for factor in half:
+            state[0] *= factor
+
+    def snapshot(values, m, t):
+        # views of member m's fields in values, whose phase rows are real
+        a, phi, *corr = (Field(grid, field[m]) for field in values)
         return GrenierState(t, a, phi, eps[m], *corr)
 
-    last = [snapshot(m, 0.0) for m in range(len(members))]
+    last = [snapshot(y, m, 0.0) for m in range(len(members))]
     trajectories = [[keep(state)] for state in last]
+    y = _fft(y, d)  # the t = 0 snapshots keep the data
     acc, k, stage = (np.empty_like(y) for _ in range(3))
     for step in range(1, n_steps + 1):
         t = (step - 1) * times
         rates(y, t, acc)
         np.multiply(acc, 0.5 * dt, out=stage)
         stage += y
+        twist(stage)  # E½ (y + h k1 / 2)
         rates(stage, t + 0.5 * times, k)
+        twist(acc)
+        twist(y)  # E½ y from here
         np.multiply(k, 0.5 * dt, out=stage)
         stage += y
         k *= 2
@@ -253,8 +301,11 @@ def _solve_stack(members, keep, corrector):
         rates(stage, t + 0.5 * times, k)
         np.multiply(k, dt, out=stage)
         stage += y
+        twist(stage)  # E½ (E½ y + h k3)
         k *= 2
         acc += k
+        twist(acc)
+        twist(y)  # E y from here
         rates(stage, t + times, k)
         acc += k
         acc *= dt / 6.0
@@ -264,9 +315,13 @@ def _solve_stack(members, keep, corrector):
             m = int(np.argmin(finite))
             raise NonFiniteError.at_step(step, dts[m], last[m])
         if step % save_every == 0 or step == n_steps:
+            # the snapshots keep stage, so the next step takes a new one
+            _ifft(y, d, out=stage)
+            stage[1::2].imag = 0.0
             for m, traj in enumerate(trajectories):
-                last[m] = snapshot(m, step * dts[m])
+                last[m] = snapshot(stage, m, step * dts[m])
                 traj.append(keep(last[m]))
+            stage = np.empty_like(y)
     return trajectories
 
 
@@ -289,6 +344,7 @@ def solve_grenier_stack(members, keep=None):
     Returns one trajectory per member, equal to its own stack of one bit for
     bit: GrenierState snapshots every save_every steps, the first and final
     included, or what keep, when given, returns for each as it is saved.
+    The members' snapshots at one saved time are views of one stack array.
     The first member to trip a guard, in step order, raises SingularityError
     (phase gradient above its sing_tol) or NonFiniteError (NaN/overflow,
     carrying its last good snapshot)."""

@@ -56,15 +56,16 @@ def planned():
     return cache, stacks
 
 
-def test_plan_is_five_wavefunction_three_grenier_and_two_limit_stacks(planned):
+def test_plan_is_five_wavefunction_one_grenier_and_two_limit_stacks(planned):
     _, stacks = planned
+    # every Grenier run takes the transport step, whatever its eps
     assert {name: len(calls) for name, calls in stacks.items()} == {
-        "solve_nls_stack": 5, "solve_grenier_stack": 3, "solve_limit_stack": 2}
+        "solve_nls_stack": 5, "solve_grenier_stack": 1, "solve_limit_stack": 2}
     # a phase-amplitude stack's arguments are its members and keep; a
     # member's run config is the last item of its tuple
     rk4_steps = [members[0][-1].steps
                  for members, _ in stacks["solve_grenier_stack"] + stacks["solve_limit_stack"]]
-    assert sum(rk4_steps) == 140
+    assert sum(rk4_steps) == 50
 
 
 def test_criteria_make_no_solver_call_once_planned(planned, monkeypatch):

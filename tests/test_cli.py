@@ -93,6 +93,25 @@ class TestConfigValidation:
         assert cli.run(["study-ghost", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"schema_version": 1, "note": "caf\u00e9"}'.encode("latin-1"))
+        out = tmp_path / "out"
+        assert cli.run(["run-nls", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config file {path} is not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["out", "parent"])
+    def test_out_naming_a_file_fails_before_any_run(self, tmp_path, capsys, monkeypatch, where):
+        blocked = tmp_path / "afile"
+        blocked.write_text("kept\n")
+        out = blocked if where == "out" else blocked / "sub"
+        monkeypatch.setattr(nls, "solve_nls_stack", lambda *a: pytest.fail("solve_nls_stack called"))
+        assert cli.run(["run-nls", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} cannot be a directory: {blocked} is a file\n")
+        assert blocked.read_text() == "kept\n"
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config_named_before_any_output(self, tmp_path, capsys, kind):
         path = tmp_path / "config.json"
@@ -589,17 +608,19 @@ class TestRunMemory:
                            points=points) / (points**2 * 16)
         assert fields < 2.5, f"peak of {fields:.2f} fields"
 
-    def test_cold_run_wkb_peaks_below_45_fields(self, tmp_path):
+    def test_cold_run_wkb_peaks_below_41_fields(self, tmp_path):
         # With the corrector the RK4 loop holds y, acc, k and stage (16 fields)
-        # and 15 derivative rows.  The derivatives read per-axis gradient
-        # factors and |k|^2 (half a field), dealiasing zeroes the tail boxes
-        # in place, and a row's spectra and gradients share one buffer each.
-        # The peak is one step's worth, so 4 steps measure it.
+        # and 12 derivative rows.  The derivatives read per-axis gradient
+        # factors and |k|^2 (half a field), the rate expressions write into
+        # those rows and the rates in place, dealiasing zeroes the tail boxes
+        # in place, a save's snapshots keep the buffer it transforms into,
+        # and a row's spectra and gradients share one buffer each.  The peak
+        # is at a save's row (measured 39.4 fields); 4 steps measure it.
         points = 256
         fields = self.peak(tmp_path, "run-wkb",
                            {"eps": 0.0, "with_corrector": True, "a1_mode": "equal_a0"}, 1,
                            T=0.004, half_width=11.5, points=points) / (points**2 * 16)
-        assert fields < 45, f"peak of {fields:.2f} fields"
+        assert fields < 41, f"peak of {fields:.2f} fields"
 
 
 class TestStudyCommands:

@@ -15,10 +15,11 @@ from conftest import bit_identical, kept_modes, random_field, ref_gradient, trac
 def derivatives(f):
     """Spectral gradient of the trigonometric interpolant, one Field per
     axis, then its Laplacian, from the phase-amplitude engine's one
-    derivative routine."""
+    derivative routine (whose last row is minus the Laplacian)."""
     g = f.grid
     out = np.empty((g.dim + 1,) + g.shape, dtype=complex)
     wkb._derivatives(g, np.fft.fftn(f.values), out)
+    np.negative(out[g.dim], out=out[g.dim])
     return [sg.Field(g, d) for d in np.fft.ifftn(out, axes=range(1, g.dim + 1))]
 
 

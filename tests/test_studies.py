@@ -326,13 +326,18 @@ class TestStackedRuns:
             monkeypatch.setattr(wkb, name, recording)
         cache = {}
         studies.stack_runs(cache, runs)
-        # Grenier runs take 6, 3 and 2 steps per save at eps = 1/4, 1/8 and
-        # below; the limit runs 2 at the full horizon and 1 at the shorter ones.
-        assert sorted(stacks) == [("solve_grenier_stack", 2, 3), ("solve_grenier_stack", 2, 6),
-                                  ("solve_grenier_stack", 4, 2), ("solve_limit_stack", 1, 1),
+        # Grenier runs take the transport step at every eps, 2 steps per
+        # save; the limit runs 2 at the full horizon and 1 at the shorter ones.
+        assert sorted(stacks) == [("solve_grenier_stack", 8, 2), ("solve_limit_stack", 1, 1),
                                   ("solve_limit_stack", 2, 2), ("solve_limit_stack", 5, 1)]
         for run, ref in expected.items():
             assert bit_identical(cache[run], ref)
+
+    def test_grenier_runs_share_one_run_config_at_every_eps(self):
+        # the RK4 step is the transport step, safety * dx, whatever eps
+        cfg = SweepConfig(eps_list=(0.25, 0.125, 0.0625, 0.03125), s_list=(0.0,))
+        configs = {studies._grenier_run(cfg, eps, 0.0).config for eps in cfg.eps_list}
+        assert configs == {cfg.wkb_run_config(cfg.wkb_grid())}
 
     def test_tripped_phase_amplitude_stack_caches_nothing(self):
         # a0 = 6 exp(-x^2) trips the singularity guard before t = 2 and not
