@@ -105,17 +105,19 @@ def _oracle_runs(eps, mode, scales):
 def oracle_checks(cache):
     """L2 agreement of the wavefunction solver with the reconstructed
     phase-amplitude solution: discrepancy <= 1e-4 relative at every saved
-    time, for eps in ORACLE_EPS and both data choices."""
+    time, for eps in ORACLE_EPS and both data choices.  Each trajectory is
+    read as one stack over its saved times."""
     worst, where = 0.0, ""
     scales = studies.grid_scales(SUITE_CONFIG, cache)
     for eps in ORACLE_EPS:
         for mode in ORACLE_MODES:
             u_traj, g_traj = (cache[run] for run in _oracle_runs(eps, mode, scales))
-            n_fine = u_traj[0].u.grid.points_per_axis
-            u0_l2 = norm(u_traj[0].u)
-            for us, gs in zip(u_traj, g_traj):
-                profile = wkb.reconstruct(resample(gs.a, n_fine), resample(gs.phi, n_fine), eps)
-                rel = norm(Field(us.u.grid, us.u.values - profile.values)) / u0_l2
+            u = studies.snapshots(u_traj, "u")
+            n_fine = u.grid.points_per_axis
+            a, phi = resample(studies.snapshots(g_traj, "a", "phi"), n_fine).values
+            profile = wkb.reconstruct(Field(u.grid, a), Field(u.grid, phi), eps)
+            rels = norm(Field(u.grid, u.values - profile.values)) / norm(u_traj[0].u)
+            for us, rel in zip(u_traj, rels.tolist()):
                 if rel > worst:
                     worst, where = rel, f"eps={eps}, a1={mode}, t={us.t:g}"
     checks = {}
@@ -136,15 +138,19 @@ def degeneracy_checks(cache):
 def conservation_checks(cache):
     """Mass drift < 1e-10 relative and energy drift < 1e-6 relative on
     every wavefunction run in cache with nonzero mass, of which there must
-    be at least 10."""
+    be at least 10.  Each trajectory is read as one stack over its saved
+    times."""
     worst_mass, worst_energy, n_runs = 0.0, 0.0, 0
-    for traj in (v for run, v in cache.items() if run.kind == "nls"):
-        masses = [nls.mass(s.u) for s in traj]
+    for run, traj in cache.items():
+        if run.kind != "nls":
+            continue
+        u = studies.snapshots(traj, "u")
+        masses = nls.mass(u).tolist()
         m0 = masses[0]
         if m0 == 0.0:
             continue
         n_runs += 1
-        energies = [nls.semiclassical_energy(s) for s in traj]
+        energies = nls._energy(u, run.eps).tolist()
         e0 = energies[0]
         worst_mass = max(worst_mass, max(abs(m - m0) for m in masses) / m0)
         worst_energy = max(worst_energy, max(abs(e - e0) for e in energies) / abs(e0))

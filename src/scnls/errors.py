@@ -1,5 +1,7 @@
 """Runtime guard exceptions, distinct from plain ValueError validation."""
 
+import numpy as np
+
 
 class GuardError(RuntimeError):
     """A solver guard tripped mid-run (distinct from config validation)."""
@@ -15,10 +17,13 @@ class ResolutionError(GuardError):
 
     @classmethod
     def check(cls, frac, tail_tol, where, t=None):
-        """Raise unless frac <= tail_tol; a NaN fraction fails too."""
-        if not frac <= tail_tol:
-            raise cls(f"spectral tail fraction {frac:.3e} exceeds {tail_tol:.1e} {where}; "
-                      "oscillations are unresolved on this grid", tail_fraction=frac, t=t)
+        """Raise unless frac <= tail_tol; a NaN fraction fails too.  frac may
+        hold one fraction per field of a stack (grid.tail_fraction): the
+        first that fails raises."""
+        for value in np.ravel(frac).tolist():
+            if not value <= tail_tol:
+                raise cls(f"spectral tail fraction {value:.3e} exceeds {tail_tol:.1e} {where}; "
+                          "oscillations are unresolved on this grid", tail_fraction=value, t=t)
 
 
 class SingularityError(GuardError):

@@ -172,7 +172,12 @@ def make_grid(dim, half_width, points_per_axis):
 
 @dataclass
 class Field:
-    """Complex samples on a Grid, tagged physical or spectral."""
+    """Complex samples on a Grid, tagged physical or spectral: one field of
+    the grid's shape, or a stack of fields, leading axes before the grid
+    axes.  transform, inverse_transform, norm, lp_norm, tail_fraction and
+    resample take either; on a stack they act per field, with the bits of
+    that field alone, and a reduction returns an array over the leading
+    axes where one field gives a float."""
 
     grid: Grid
     values: np.ndarray
@@ -180,7 +185,7 @@ class Field:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape:
+        if self.values.shape[self.values.ndim - self.grid.dim:] != self.grid.shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
@@ -281,9 +286,23 @@ def _tree_sum(sums):
     return sums[0]
 
 
+def _slab(grid, lo, rows):
+    """Index of rows lo, ..., lo + rows - 1 of the grid's first axis, across
+    any leading axes."""
+    return (..., slice(lo, lo + rows)) + (slice(None),) * (grid.dim - 1)
+
+
+def _grid_sum(grid, arr):
+    """arr summed over its grid axes: per field of a stack, pairwise over
+    each field's contiguous values, so each sum has the bits of that
+    field's own np.sum."""
+    return arr.sum(axis=tuple(range(-grid.dim, 0)))
+
+
 def _power_sum(grid, values, p=2, index=None):
     """sum |values|^p over the grid, each term times index.weight(|k|^2)
-    when index is given, for values of grid's shape in C order.
+    when index is given, for values of grid's shape in C order, or per
+    field of a stack of them (an array over its leading axes).
 
     The sum runs slab by slab along the first axis (_slab_rows), so no
     temporary spans the grid, and has the bits of np.sum (_tree_sum).
@@ -291,8 +310,24 @@ def _power_sum(grid, values, p=2, index=None):
     if index is not None and index.s == 0:
         index = None  # every weight of order 0 is identically 1
     rows = _slab_rows(grid)
-    return _tree_sum([_slab_power_sum(grid, values[lo:lo + rows], lo, p, index)
+    return _tree_sum([_slab_power_sum(grid, values[_slab(grid, lo, rows)], lo, p, index)
                       for lo in range(0, grid.points_per_axis, rows)])
+
+
+def _per_field(f, values):
+    """values, one per field of f: a float for one field, else the array
+    over its leading axes."""
+    return float(values) if f.values.ndim == f.grid.dim else values
+
+
+def _scalar_map(fn, *values):
+    """fn over the per-field numbers of values (each a float, or an array
+    over a stack's leading axes), in Python floats: a power then has the
+    bits of one field's own, which numpy's vector pow need not give."""
+    if np.ndim(values[0]) == 0:
+        return fn(*values)
+    rows = zip(*(np.ravel(v).tolist() for v in values))
+    return np.reshape([fn(*row) for row in rows], np.shape(values[0]))
 
 
 def _slab_power_sum(grid, slab, lo, p, index):
@@ -306,26 +341,29 @@ def _slab_power_sum(grid, slab, lo, p, index):
     else:
         power **= p
     if index is not None:
-        k2 = (grid.k_axes[0][lo:lo + len(slab)] ** 2).reshape((-1,) + (1,) * (grid.dim - 1))
+        rows = slab.shape[-grid.dim]
+        k2 = (grid.k_axes[0][lo:lo + rows] ** 2).reshape((-1,) + (1,) * (grid.dim - 1))
         for ax in range(1, grid.dim):
             k2 = k2 + grid.axis_view(grid.k_axes[ax] ** 2, ax)
         power *= index.weight(k2)
-    return power.sum()
+    return _grid_sum(grid, power)
 
 
-def norm(f: Field, index: SobolevIndex = SobolevIndex()) -> float:
-    """Exact spectral evaluation of the selected Sobolev norm."""
+def norm(f: Field, index: SobolevIndex = SobolevIndex()):
+    """Exact spectral evaluation of the selected Sobolev norm, per field."""
     if f.space == PHYSICAL:
         f = transform(f)
     g = f.grid
-    return float(np.sqrt(_power_sum(g, f.values, index=index) * g.parseval_weight))
+    return _per_field(f, np.sqrt(_power_sum(g, f.values, index=index) * g.parseval_weight))
 
 
-def lp_norm(f: Field, p: float) -> float:
-    """Physical-space L^p norm by dx^n quadrature (used for quartic energies)."""
+def lp_norm(f: Field, p: float):
+    """Physical-space L^p norm by dx^n quadrature (used for quartic
+    energies), per field."""
     _require_space(f, PHYSICAL, "lp_norm")
     g = f.grid
-    return float((_power_sum(g, f.values, p) * g.quad_weight) ** (1.0 / p))
+    return _per_field(f, _scalar_map(lambda total: total ** (1.0 / p),
+                                     _power_sum(g, f.values, p) * g.quad_weight))
 
 
 def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
@@ -337,10 +375,16 @@ def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
     if not width > 0:
         raise ValueError(f"width must be positive, got {width!r}")
     centers = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
-    r2 = np.zeros(grid.shape)
+    # r^2, the exponent and the datum are built in place in the real part
+    # of the output: one field, where out-of-place steps peak at two
+    vals = np.zeros(grid.shape, dtype=np.complex128)
+    r2 = vals.real
     for ax in range(grid.dim):
-        r2 = r2 + grid.axis_view((grid.x_axes[ax] - centers[ax]) ** 2, ax)
-    vals = amplitude * np.exp(-r2 / width**2)
+        r2 += grid.axis_view((grid.x_axes[ax] - centers[ax]) ** 2, ax)
+    np.negative(r2, out=r2)
+    r2 /= width**2
+    np.exp(r2, out=r2)
+    r2 *= amplitude
     f = Field(grid, vals, PHYSICAL)
     check_boundary_decay(f, tol=abs(amplitude) * DECAY_TOL)
     return f
@@ -362,8 +406,9 @@ def check_boundary_decay(f: Field, tol):
         )
 
 
-def tail_fraction(f: Field) -> float:
-    """Fraction of spectral mass above the two-thirds cutoff (resolution guard).
+def tail_fraction(f: Field):
+    """Fraction of spectral mass above the two-thirds cutoff (resolution
+    guard), per field; 0 for a zero field.
 
     It runs over _power_sum's slabs, so no |fhat|^2 array spans the grid:
     each slab adds its part of every tail box to the tail, and its whole
@@ -374,17 +419,16 @@ def tail_fraction(f: Field) -> float:
     n, rows = g.points_per_axis, _slab_rows(g)
     sums, tail = [], 0.0
     for lo in range(0, n, rows):
-        power = np.abs(f.values[lo:lo + rows])
+        power = np.abs(f.values[_slab(g, lo, rows)])
         np.square(power, out=power)
-        sums.append(power.sum())
+        sums.append(_grid_sum(g, power))
         for box in g.tail_boxes:
             first = range(n)[box[0]]  # the box's rows, clipped to the slab below
             start, stop = (min(max(r, lo), lo + rows) - lo for r in (first.start, first.stop))
-            tail += power[(slice(start, stop),) + box[1:]].sum()
+            tail += _grid_sum(g, power[(..., slice(start, stop)) + box[1:]])
     total = _tree_sum(sums)
-    if total == 0.0:
-        return 0.0
-    return float(tail / total)
+    # a zero field has a zero tail: 0 / 1
+    return _per_field(f, tail / np.where(total == 0.0, 1.0, total))
 
 
 def gradient_max(grid, values) -> float:
@@ -418,25 +462,28 @@ def spectral_extent(grid, values, tol) -> float:
 
 
 def resample(f: Field, points_per_axis) -> Field:
-    """Trigonometric interpolation onto a grid with a different N.
+    """Trigonometric interpolation onto a grid with a different N, per field.
 
     Modes are matched by wavenumber. Both grids start at x = -L, so a
     mode's DFT coefficient carries over times (N_new / N_old)^dim, an exact
     power of two. New modes are zero; dropped modes must be empty for the
     result to be exact, so only use this on resolved fields.
     """
-    src = f if f.space == SPECTRAL else transform(f)
     g = f.grid
+    spectrum = f.values if f.space == SPECTRAL else _fft(f.values, g.dim)
     new_grid = make_grid(g.dim, g.half_width, points_per_axis)
-    shifted = np.fft.fftshift(src.values)
-    out = np.zeros(new_grid.shape, dtype=np.complex128)
+    out = np.zeros(f.values.shape[:-g.dim] + new_grid.shape, dtype=np.complex128)
     n_old, n_new = g.points_per_axis, new_grid.points_per_axis
     half = min(n_old, n_new) // 2
-    take = tuple(slice(n_old // 2 - half, n_old // 2 + half) for _ in range(g.dim))
-    put = tuple(slice(n_new // 2 - half, n_new // 2 + half) for _ in range(g.dim))
-    np.multiply(shifted[take], (n_new / n_old) ** g.dim, out=out[put])
-    res = Field(new_grid, np.fft.ifftshift(out), SPECTRAL)
-    return res if f.space == SPECTRAL else inverse_transform(res)
+    # the modes -half, ..., half - 1 of an axis are its first and its last
+    # half entries in FFT order, on either grid
+    for block in itertools.product((slice(0, half), slice(-half, None)), repeat=g.dim):
+        block = (...,) + block
+        np.multiply(spectrum[block], (n_new / n_old) ** g.dim, out=out[block])
+    del spectrum  # a physical field's spectrum goes before its result's inverse transform
+    if f.space == PHYSICAL:
+        _ifft(out, g.dim, out=out)
+    return Field(new_grid, out, f.space)
 
 
 FIELD_SCHEMA_VERSION = 1

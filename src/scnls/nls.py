@@ -20,7 +20,7 @@ place, rotates the phase and transforms it forward in place, so the
 closing piece of one step and the opening piece of the next are two
 multiplications of the same spectrum. The kinetic phase
 exp(-0.5j eps a dt |k|^2) is separable, so a piece is one multiplication
-per axis by a vector of N entries. The rotation runs over pieces of the
+per axis by one vector of N entries per member. The rotation runs over pieces of the
 stack through a complex scratch of at most ROTATE_POINTS points. A save
 transforms back once more, into a new array; its tail guard and the
 spectrum it hands on read the spectrum held: 6n + 1 forward and 6n + S
@@ -28,17 +28,21 @@ inverse FFTs for n steps and S saves after t = 0.
 
 Per grid point the loop holds two fields of a member: the spectrum w and
 the last saved snapshot (the NonFiniteError's last good state). A save
-checks each member's spectrum for finiteness and then drops its old
-snapshot, before the tail guard (which sums slab by slab) and the
-inverse transform that makes the new snapshots; the spectrum it hands
-on is w, which the next stage overwrites.
+checks the members' spectra for finiteness and drops the old snapshots
+of the members before the first non-finite one (all of them, when every
+spectrum is finite), before the tail guard (one stacked pass over those
+members, slab by slab) and the inverse transform that makes the new
+snapshots; the spectrum it hands on is w, which the next stage
+overwrites.
 
-The loop advances a stack of data on one grid with one step, eps and
-save cadence: the field is an (m, *grid.shape) array, every FFT runs over
-the grid axes only (np.fft.fft/ifft on a 1-D grid), and each member's
-trajectory is bit-identical to its own stack of one. Stacking several data
-pays the Python loop and the per-call FFT overhead once for all of them.
-The guards stay per member: a member that trips one raises the error its
+The loop advances a stack of data on one grid with one step and save
+cadence, each datum with its own eps: the field is an (m, *grid.shape)
+array, every FFT runs over the grid axes only (np.fft.fft/ifft on a 1-D
+grid), each kinetic factor holds one vector per member on its axis and
+each rotation rate one value per member, and each member's trajectory is
+bit-identical to its own stack of one. Stacking several data pays the
+Python loop and the per-call FFT overhead once for all of them. The
+guards stay per member: a member that trips one raises the error its
 stack of one would, at the same step.
 
 The default step is safety * min(eps, dx^2/(2 eps)): O(eps), which
@@ -59,8 +63,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ResolutionError
 from .grid import (
-    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, _power_sum, lp_norm, norm,
-    tail_fraction,
+    PHYSICAL, SPECTRAL, Field, SobolevIndex, _fft, _ifft, _per_field, _power_sum, _scalar_map,
+    lp_norm, norm, tail_fraction,
 )
 
 MAX_STEPS = 5_000_000
@@ -143,8 +147,8 @@ def default_dt(grid, eps, safety=DEFAULT_DT_SAFETY):
 
 
 def _rotate(u, buf, rate, axes):
-    """u <- u * exp(-1j * rate * |u|^2) in place; returns sum |u|^2 over
-    axes (finite iff u is)."""
+    """u <- u * exp(-1j * rate * |u|^2) in place, rate a number or one per
+    row of u; returns sum |u|^2 over axes (finite iff u is)."""
     dens = buf.real
     np.square(np.abs(u, out=dens), out=dens)
     total = dens.sum(axis=axes)
@@ -156,10 +160,10 @@ def _rotate(u, buf, rate, axes):
 
 
 def _rotate_stack(w, scratch, rate):
-    """_rotate over each member of the stack w in place, in pieces of its
-    flattened members that fit scratch: several whole members per piece, or
-    one member in pieces of scratch's size.  Returns whether each member's
-    values are finite."""
+    """_rotate over each member of the stack w in place, at its row of the
+    column rate, in pieces of its flattened members that fit scratch:
+    several whole members per piece, or one member in pieces of scratch's
+    size.  Returns whether each member's values are finite."""
     flat = w.reshape(len(w), -1)
     n = flat.shape[1]
     rows, cols = max(1, scratch.size // n), min(n, scratch.size)
@@ -168,15 +172,15 @@ def _rotate_stack(w, scratch, rate):
         for c in range(0, n, cols):
             piece = flat[lo:lo + rows, c:c + cols]
             buf = scratch[:piece.size].reshape(piece.shape)
-            finite[lo:lo + rows] &= np.isfinite(_rotate(piece, buf, rate, 1))
+            finite[lo:lo + rows] &= np.isfinite(_rotate(piece, buf, rate[lo:lo + rows], 1))
     return finite
 
 
-def mass(f: Field) -> float:
-    """int |u|^2 dx by grid quadrature."""
+def mass(f: Field):
+    """int |u|^2 dx by grid quadrature, per field."""
     if f.space != PHYSICAL:
         raise ValueError("mass expects a physical-space field")
-    return float(_power_sum(f.grid, f.values) * f.grid.quad_weight)
+    return _per_field(f, _power_sum(f.grid, f.values) * f.grid.quad_weight)
 
 
 def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> float:
@@ -185,17 +189,22 @@ def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> floa
     spectrum, when given, is transform(state.u); the gradient term then
     reads it instead of transforming the field again.
     """
-    grad_sq = norm(state.u if spectrum is None else spectrum,
-                   SobolevIndex(1.0, homogeneous=True)) ** 2
-    return state.eps**2 * grad_sq + lp_norm(state.u, 4) ** 4
+    return _energy(state.u, state.eps, spectrum)
+
+
+def _energy(u: Field, eps, spectrum: Field | None = None):
+    """semiclassical_energy of u at eps, per field of u."""
+    grad = norm(u if spectrum is None else spectrum, SobolevIndex(1.0, homogeneous=True))
+    return _scalar_map(lambda g, q: eps**2 * g**2 + q**4, grad, lp_norm(u, 4))
 
 
 def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     """Integrate each datum in u0s (an iterable of physical-space fields on
     one grid) to T in one step loop, returning one trajectory per datum: its
     NlsState snapshots every save_every steps, t = 0 and the final state
-    included.  A stack of one is a single run, and each member's trajectory
-    equals its own stack of one bit for bit.  The data are released once
+    included.  eps is one value per datum, or one number for all of them.
+    A stack of one is a single run, and each member's trajectory equals its
+    own stack of one bit for bit.  The data are released once
     stacked, so a caller that hands over a generator holds none of them.
     The members' snapshots at one saved time are views of one stack array.
 
@@ -218,7 +227,11 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     u0s = list(u0s)
     if not u0s:
         raise ValueError("solve_nls_stack needs at least one datum")
-    _check_eps(eps)
+    eps = [eps] * len(u0s) if np.ndim(eps) == 0 else list(eps)
+    if len(eps) != len(u0s):
+        raise ValueError(f"got {len(eps)} values of eps for {len(u0s)} data")
+    for e in eps:
+        _check_eps(e)
     grid = u0s[0].grid
     if any(f.space != PHYSICAL for f in u0s):
         raise ValueError("the initial data must be physical-space fields")
@@ -231,12 +244,14 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
 
     # Each stage opens with its kinetic piece on the spectrum held; a step
     # closes with the outer piece, which the next step's first stage repeats.
-    # A piece is one factor per axis; on one axis it is the full multiplier.
-    mults = {a: [grid.axis_view(np.exp(-0.5j * eps * a * dt * k**2), ax)
+    # A piece is one factor per axis, a row per member of the vector its own
+    # eps gives; on one axis it is the full multiplier.
+    mults = {a: [np.reshape([np.exp(-0.5j * e * a * dt * k**2) for e in eps],
+                            (-1,) + grid.axis_view(k, ax).shape)
                  for ax, k in enumerate(grid.k_axes)] for a in set(KINETIC)}
     opening = [mults[a] for a in KINETIC[:-1]]
     outer = mults[KINETIC[-1]]
-    rates = [b * dt / eps for b in NONLINEAR]
+    rates = [np.reshape([b * dt / e for e in eps], (-1, 1)) for b in NONLINEAR]
     w = _fft(u, grid.dim)
     scratch = np.empty(min(ROTATE_POINTS, w.size), dtype=complex)
     trajectories = [[] for _ in w]
@@ -246,20 +261,22 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     def save(step, values=None):
         # values is the stack of data at t = 0; later saves transform w back
         t = step * dt
-        for member, spectrum in enumerate(spectra):
-            if not np.isfinite(spectrum.values).all():
-                raise NonFiniteError.at_step(step, dt, last[member])
-            # finite, so no error needs its old snapshot; once every member's
-            # has gone, before the new stack, no old one is held
-            last[member] = None
-            ResolutionError.check(tail_fraction(spectrum), config.tail_tol,
-                                  f"at t = {t:.6g}", t)
+        finite = np.isfinite(w).all(axis=tuple(range(1, w.ndim)))
+        # the members before the first non-finite one, in order; no error of
+        # theirs needs an old snapshot, so theirs go before the tail guard,
+        # which runs over them in one stacked pass
+        healthy = len(w) if finite.all() else int(np.argmin(finite))
+        last[:healthy] = [None] * healthy
+        ResolutionError.check(tail_fraction(Field(grid, w[:healthy], SPECTRAL)),
+                              config.tail_tol, f"at t = {t:.6g}", t)
+        if healthy < len(w):
+            raise NonFiniteError.at_step(step, dt, last[healthy])
         if values is None:
             values = _ifft(w, grid.dim)
             if not np.isfinite(values).all():
                 raise NonFiniteError.at_step(step, dt, None)
         for member, (member_values, spectrum) in enumerate(zip(values, spectra)):
-            last[member] = NlsState(t, Field(grid, member_values), eps)
+            last[member] = NlsState(t, Field(grid, member_values), eps[member])
             snap = last[member] if keep is None else keep((last[member], spectrum))
             trajectories[member].append(snap)
 

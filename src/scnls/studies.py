@@ -24,8 +24,8 @@ import numpy as np
 
 from . import nls, wkb
 from .grid import (
-    Field, Grid, SobolevIndex, gradient_max, lp_norm, make_gaussian, make_grid, norm, resample,
-    spectral_extent, transform,
+    SPECTRAL, Field, Grid, SobolevIndex, _fft, gradient_max, lp_norm, make_gaussian, make_grid,
+    norm, resample, spectral_extent, transform,
 )
 
 # a1_mode -> (eps, N) -> c, the perturbation a1 = c a0 of the datum
@@ -237,9 +237,9 @@ def _limit_run(cfg: SweepConfig, c=1.0, horizon=None):
 
 def solve_runs(runs, keep=None):
     """One stacked integration of runs, which share their kind, grid and
-    (for "nls") eps and run config: one trajectory per run, each snapshot
-    passed through keep when it is given.  A "limit" run's corrector starts
-    from c a0, every other run from (1 + eps c) a0."""
+    (for "nls") run config, each run at its own eps: one trajectory per
+    run, each snapshot passed through keep when it is given.  A "limit"
+    run's corrector starts from c a0, every other run from (1 + eps c) a0."""
     kind, grid = runs[0].kind, runs[0].grid
     if kind == "limit":
         return wkb.solve_limit_stack([(run.a0.realize(grid), run.a0.realize(grid, run.datum),
@@ -247,27 +247,29 @@ def solve_runs(runs, keep=None):
     # a generator: the engine holds the data only until it has stacked them
     data = (run.a0.realize(grid, 1 + run.eps * run.datum) for run in runs)
     if kind == "nls":
-        return nls.solve_nls_stack(data, runs[0].eps, runs[0].config, keep)
+        return nls.solve_nls_stack(data, [run.eps for run in runs], runs[0].config, keep)
     return wkb.solve_grenier_stack([(u0, run.eps, run.config) for u0, run in zip(data, runs)],
                                    keep)
 
 
 def stack_runs(cache, runs):
     """Store every run in runs in the dict cache under its key, as one
-    stacked integration per group: wavefunction runs group by grid, eps and
-    run config, phase-amplitude runs of one kind by grid, step count and
-    save cadence.  Runs already in the cache are skipped, so a second call
+    stacked integration per group: wavefunction runs group by grid and run
+    config, whatever their eps, phase-amplitude runs of one kind by grid,
+    step count and save cadence; a group's runs stack in the order runs
+    lists them.  Runs already in the cache are skipped, so a second call
     over the same runs integrates nothing.
 
-    A guard error propagates from the first stack that trips; that stack
-    stores nothing, the stacks before it keep their runs.
+    A guard error propagates from the first stack that trips, raised by its
+    first member to trip, in step order; that stack stores nothing, the
+    stacks before it keep their runs.
     """
     groups = {}
     for run in dict.fromkeys(runs):
         if run in cache:
             continue
         rc = run.config
-        shared = (run.eps, rc) if run.kind == "nls" else (rc.steps, rc.save_every)
+        shared = rc if run.kind == "nls" else (rc.steps, rc.save_every)
         groups.setdefault((run.kind, run.grid, shared), []).append(run)
 
     # Wavefunction stacks first: run before the small phase-amplitude ones,
@@ -283,9 +285,18 @@ def grid_scales(config, cache):
     largest spectral_extent(a, tail_tol) over its saved times."""
     run = _limit_run(config)
     stack_runs(cache, [run])
-    phi, a = (np.stack([getattr(state, name).values for state in cache[run]])
-              for name in ("phi", "a"))
+    phi, a = snapshots(cache[run], "phi", "a").values
     return gradient_max(run.grid, phi), spectral_extent(run.grid, a, config.tail_tol)
+
+
+def snapshots(traj, *names):
+    """The fields names (u, a, phi, a1 or phi1) of every snapshot of the
+    trajectory traj as one stack of fields: times first, or for several
+    names, names first and then times."""
+    first = getattr(traj[0], names[0])
+    lead = (len(names), len(traj)) if len(names) > 1 else (len(traj),)
+    values = np.stack([getattr(state, name).values for name in names for state in traj])
+    return Field(first.grid, values.reshape(lead + first.values.shape))
 
 
 def _error_runs(config, eps, scales):
@@ -420,12 +431,13 @@ def _slope_fits(rows, quantity, xs, s_list, bands, degenerate=False):
     return slopes, checks
 
 
-def _profile_fields(state, fine_n):
-    """Upsample the smooth limit fields onto the oscillatory grid."""
-    a = resample(state.a, fine_n)
-    phi = resample(state.phi, fine_n).values.real
-    phi1 = resample(state.phi1, fine_n).values.real
-    return a, phi, phi1
+def _profile_fields(fields, fine_n):
+    """Upsample the smooth limit fields a, phi and phi1, the stack fields
+    (snapshots(traj, "a", "phi", "phi1")), onto the oscillatory grid in one
+    resample: the values of a and the real values of phi and phi1, each
+    times first."""
+    a, phi, phi1 = resample(fields, fine_n).values
+    return a, phi.real, phi1.real
 
 
 def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyReport:
@@ -446,33 +458,46 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
     limit = cache[_limit_run(config)]
     families = ("profile_plain", "profile_perturbed", "hyperbolic_gap", "expansion_gap")
 
+    # The limit run's a, phi, phi1 and a1, each a stack over the saved times;
+    # the first three make the profile.
+    bg = snapshots(limit, "a", "phi", "phi1", "a1")
+    profile = Field(bg.grid, bg.values[:3])
+
     # One sweep point per call, so that its fields are freed before the next
     # point's are built (selftest peak RSS 0.3 MiB lower than one flat loop).
+    # Every field is a stack over the saved times, and the error fields of
+    # each grid one stack of them, built and transformed in place; so each
+    # s takes one norm per grid, and a family's sup is the largest of its
+    # errors over the times.
     def point_rows(eps):
-        u_traj, ut_traj, g_traj = (cache[run] for run in _error_runs(config, eps, scales))
-        fine = u_traj[0].u.grid
-        n_fine = fine.points_per_axis
-        sup = {(family, s): 0.0 for family in families for s in config.s_list}
-        for bg, us, uts, gs in zip(limit, u_traj, ut_traj, g_traj):
-            a_f, phi_f, phi1_f = _profile_fields(bg, n_fine)
-            carrier = a_f.values * np.exp(1j * phi_f / eps)
-            coarse = bg.a.grid
-            a_gap = gs.a.values - bg.a.values
-            phi_gap = gs.phi.values - bg.phi.values
-            # Each error field is transformed once, for every s below.
-            d_plain = transform(Field(fine, us.u.values - carrier))
-            d_pert = transform(Field(fine, uts.u.values - carrier * np.exp(1j * phi1_f)))
-            da = transform(Field(coarse, a_gap))
-            dphi = transform(Field(coarse, phi_gap))
-            da2 = transform(Field(coarse, a_gap - eps * bg.a1.values))
-            dphi2 = transform(Field(coarse, phi_gap - eps * bg.phi1.values))
-            for s in config.s_list:
-                idx_eps = SobolevIndex(s, eps_scaled=eps)
-                idx = SobolevIndex(s)
-                errors = (norm(d_plain, idx_eps), norm(d_pert, idx_eps),
-                          norm(da, idx) + norm(dphi, idx), norm(da2, idx) + norm(dphi2, idx))
-                for family, error in zip(families, errors):
-                    sup[family, s] = max(sup[family, s], error)
+        u_run, ut_run, g_run = _error_runs(config, eps, scales)
+        fine = cache[u_run][0].u.grid
+        a_f, phi_f, phi1_f = _profile_fields(profile, fine.points_per_axis)
+        carrier = a_f * np.exp(1j * phi_f / eps)
+        twist = np.exp(1j * phi1_f)
+        del a_f, phi_f, phi1_f
+        # u - carrier and u~ - carrier e^{i phi1}
+        fine_errors = np.empty((2,) + carrier.shape, dtype=complex)
+        for row, run in zip(fine_errors, (u_run, ut_run)):
+            np.stack([state.u.values for state in cache[run]], out=row)
+        fine_errors[0] -= carrier
+        fine_errors[1] -= np.multiply(carrier, twist, out=twist)
+        del carrier, twist
+        # a^eps - a and phi^eps - phi, then each less eps times its corrector
+        coarse_errors = np.empty(bg.values.shape, dtype=complex)
+        gaps = coarse_errors[:2]
+        np.subtract(snapshots(cache[g_run], "a", "phi").values, bg.values[:2], out=gaps)
+        np.subtract(gaps, eps * bg.values[3:1:-1], out=coarse_errors[2:])  # a1, phi1
+        fine_errors, coarse_errors = (
+            Field(g, _fft(errors, g.dim, out=errors), SPECTRAL)
+            for g, errors in ((fine, fine_errors), (bg.grid, coarse_errors)))
+        sup = {}
+        for s in config.s_list:
+            plain, perturbed = norm(fine_errors, SobolevIndex(s, eps_scaled=eps))
+            da, dphi, da2, dphi2 = norm(coarse_errors, SobolevIndex(s))
+            for family, error in zip(families, (plain, perturbed, da + dphi, da2 + dphi2)):
+                # the running max over the saved times, from 0
+                sup[family, s] = max(0.0, *error.tolist())
         return [_row(family, "sup_error", sup[family, s], eps=eps, s=s)
                 for family in families for s in config.s_list]
 
@@ -541,8 +566,9 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
         are freed when it returns."""
         grid, diff = pair_diff(eps, 1)
         lam = config.a1_coefficient(eps).real
-        a_f, phi_f, phi1_f = _profile_fields(bg_tau, grid.points_per_axis)
-        pred_vals = a_f.values * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
+        a_f, phi_f, phi1_f = (f[0] for f in _profile_fields(
+            snapshots([bg_tau], "a", "phi", "phi1"), grid.points_per_axis))
+        pred_vals = a_f * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
         pred = transform(Field(grid, pred_vals))
 
         l4 = lp_norm(diff, 4.0)

@@ -363,7 +363,9 @@ def solve_limit_stack(members, keep=None):
 def reconstruct(a: Field, phi: Field, eps) -> Field:
     """Oscillatory wavefunction a * exp(i phi / eps), with a resolution
     guard on the result (the phase may oscillate too fast for the grid):
-    its spectral tail fraction must not exceed 1e-6."""
+    its spectral tail fraction must not exceed 1e-6.  a and phi may be
+    stacks of fields (a trajectory's, times first): the guard then checks
+    every field of the result and raises at the first that fails."""
     if not eps > 0:
         raise ValueError(f"reconstruction requires eps > 0, got {eps!r}")
     _require_real_phase(phi, "phase field")
@@ -379,10 +381,24 @@ def wkb_energy(state: GrenierState, grad_a, grad_phi) -> float:
 
     which equals the semiclassical energy of a e^{i phi/eps} for eps > 0
     and its eps -> 0 limit for the limit system, from the gradient
-    components of a and of phi."""
-    density = sum(
-        np.abs(state.eps * ga + 1j * state.a.values * gp.real) ** 2
-        for ga, gp in zip(grad_a, grad_phi)
-    )
-    quart = np.abs(state.a.values) ** 4
-    return float(np.sum(density + quart) * state.a.grid.quad_weight)
+    components of a and of phi.  The terms add up in one real buffer; each
+    component's eps grad a + i a grad phi is built part by part, with the
+    bits of that complex expression for finite fields."""
+    a = state.a.values
+    term = np.empty_like(a)
+    scratch = np.empty(a.shape)
+    density = np.zeros(a.shape)
+    for ga, gp in zip(grad_a, grad_phi):
+        gp = gp.real
+        # real part eps Re(grad a) - Im(a) grad phi, imaginary part
+        # eps Im(grad a) + Re(a) grad phi
+        np.multiply(ga.real, state.eps, out=term.real)
+        term.real -= np.multiply(a.imag, gp, out=scratch)
+        np.multiply(ga.imag, state.eps, out=term.imag)
+        term.imag += np.multiply(a.real, gp, out=scratch)
+        np.square(np.abs(term, out=scratch), out=scratch)
+        density += scratch
+    np.abs(a, out=scratch)
+    scratch **= 4
+    density += scratch
+    return float(np.sum(density) * state.a.grid.quad_weight)

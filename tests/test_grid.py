@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from scnls import grid as sg
 from scnls import nls, wkb
+from scnls.errors import ResolutionError
 from scnls.grid import SobolevIndex, make_grid, norm
 
 from conftest import bit_identical, kept_modes, random_field, ref_gradient, traced_peak
@@ -255,6 +256,15 @@ class TestGaussian:
         # boundary value exp(-4) ~ 1.8e-2 is far above the tolerance
         with pytest.raises(ValueError, match="decay"):
             sg.make_gaussian(g, width=1.0)
+
+    def test_builds_in_the_output_array(self):
+        # r^2, the exponent and the datum are built in place in the real
+        # part of the complex result: one field, where the out-of-place
+        # steps peaked at two
+        g = make_grid(2, 12.625, 256)  # a key no other test holds
+        field = g.num_points * 16
+        peak = traced_peak(lambda: sg.make_gaussian(g, amplitude=2.0, width=1.3, center=0.5))
+        assert peak < 1.1 * field, f"peak of {peak / field:.2f} fields"
 
     def test_offcenter_3d(self):
         g = make_grid(3, 10.0, 16)
@@ -571,3 +581,121 @@ class TestSharedGrid:
         w = index.weight(g.k_squared)
         assert norm(f, index) == float(
             np.sqrt(np.sum(w * np.abs(fhat.values) ** 2) * g.parseval_weight))
+
+
+class TestStackedFields:
+    """A Field may hold a stack of fields, leading axes before the grid
+    axes.  The transforms, norms, lp_norm, mass, the tail fraction and
+    resample act per field with the bits of that field alone: one field is
+    the one-row case of the same code."""
+
+    LEAD = (2, 3)
+    INDICES = {
+        "l2": SobolevIndex(),
+        "h1.5": SobolevIndex(1.5),
+        "hdot0.7": SobolevIndex(0.7, homogeneous=True),
+        "hdot1": SobolevIndex(1.0, homogeneous=True),
+        "eps_scaled": SobolevIndex(1.3, eps_scaled=0.25),
+    }
+    # 1-D: one slab; 128^2: 16 slabs of the first axis
+    GRIDS = [(1, 64), (2, 128)]
+
+    def stack(self, dim, n, smooth_width=5):
+        """Six random fields on the grid, and the stack of them of shape
+        LEAD + grid shape, their order row-major."""
+        g = make_grid(dim, 4.0, n)
+        fields = [random_field(g, seed, scale=1 + seed, smooth_width=smooth_width)
+                  for seed in range(int(np.prod(self.LEAD)))]
+        return fields, sg.Field(g, np.reshape([f.values for f in fields], self.LEAD + g.shape))
+
+    @staticmethod
+    def rows(values):
+        return np.reshape(values, -1).tolist()
+
+    def test_shape_must_end_in_the_grid_shape(self):
+        g = make_grid(2, 4.0, 16)
+        assert sg.Field(g, np.zeros((3, 16, 16))).values.shape == (3, 16, 16)
+        for shape in [(16,), (16, 8), (3, 16, 8), (16, 16, 3)]:
+            with pytest.raises(ValueError, match="does not match grid"):
+                sg.Field(g, np.zeros(shape))
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    def test_transforms_match_each_field(self, dim, n):
+        fields, stack = self.stack(dim, n)
+        spectra = sg.transform(stack)
+        back = sg.inverse_transform(spectra)
+        shape = stack.grid.shape
+        for f, spectrum, values in zip(fields, spectra.values.reshape(-1, *shape),
+                                       back.values.reshape(-1, *shape)):
+            single = sg.transform(f)
+            assert bit_identical(spectrum, single.values)
+            assert bit_identical(values, sg.inverse_transform(single).values)
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    @pytest.mark.parametrize("index", INDICES)
+    def test_norms_match_each_field(self, dim, n, index):
+        fields, stack = self.stack(dim, n)
+        idx = self.INDICES[index]
+        for f in (stack, sg.transform(stack)):
+            got = norm(f, idx)
+            assert got.shape == self.LEAD
+            assert self.rows(got) == [norm(field, idx) for field in fields]
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    def test_lp_norm_and_mass_match_each_field(self, dim, n):
+        fields, stack = self.stack(dim, n)
+        for p in (4.0, 3.0):
+            assert self.rows(sg.lp_norm(stack, p)) == [sg.lp_norm(f, p) for f in fields]
+        assert self.rows(nls.mass(stack)) == [nls.mass(f) for f in fields]
+        assert isinstance(nls.mass(fields[0]), float) and isinstance(norm(fields[0]), float)
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    def test_energy_matches_each_field(self, dim, n):
+        fields, stack = self.stack(dim, n)
+        assert self.rows(nls._energy(stack, 0.25)) == [
+            nls.semiclassical_energy(nls.NlsState(0.0, f, 0.25)) for f in fields]
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    def test_tail_fractions_match_each_field(self, dim, n):
+        # broad spectra carry a tail; a zero row reads 0
+        fields, stack = self.stack(dim, n, smooth_width=n // 2 - 1)
+        fields[4] = sg.Field(fields[4].grid, np.zeros(fields[4].grid.shape))
+        stack.values[1, 1] = 0.0
+        for f in (stack, sg.transform(stack)):
+            got = sg.tail_fraction(f)
+            assert got.shape == self.LEAD
+            assert self.rows(got) == [sg.tail_fraction(field) for field in fields]
+        assert self.rows(got)[4] == 0.0 and min(self.rows(got)[:4]) > 1e-3
+
+    @pytest.mark.parametrize("dim, n", GRIDS)
+    @pytest.mark.parametrize("factor", [2, 0.5])
+    def test_resample_matches_each_field(self, dim, n, factor):
+        fields, stack = self.stack(dim, n)
+        new_n = int(n * factor)
+        for space in (sg.PHYSICAL, sg.SPECTRAL):
+            f = stack if space == sg.PHYSICAL else sg.transform(stack)
+            got = sg.resample(f, new_n)
+            assert got.space == space and got.values.shape == self.LEAD + got.grid.shape
+            for field, values in zip(fields, got.values.reshape(-1, *got.grid.shape)):
+                field = field if space == sg.PHYSICAL else sg.transform(field)
+                assert bit_identical(values, sg.resample(field, new_n).values)
+
+    def test_reconstruct_guards_every_row(self):
+        # a trajectory's a and phi as stacks, times first; a steep phase
+        # planted in one row trips the guard with that row's own error
+        g = make_grid(1, 12.0, 256)
+        x = g.x_axes[0]
+        a = np.stack([sg.make_gaussian(g, amplitude=1 + 0.1 * t).values for t in range(5)])
+        phi = np.stack([-0.1 * t * np.exp(-x**2) for t in range(5)]).astype(complex)
+        out = wkb.reconstruct(sg.Field(g, a), sg.Field(g, phi), 0.25)
+        for row_a, row_phi, row in zip(a, phi, out.values):
+            single = wkb.reconstruct(sg.Field(g, row_a), sg.Field(g, row_phi), 0.25)
+            assert bit_identical(row, single.values)
+        # a carrier at 0.9 k_max, past the two-thirds cut
+        phi[3] = 0.9 * g.k_max * 0.25 * x
+        with pytest.raises(ResolutionError) as single:
+            wkb.reconstruct(sg.Field(g, a[3]), sg.Field(g, phi[3]), 0.25)
+        with pytest.raises(ResolutionError) as stacked:
+            wkb.reconstruct(sg.Field(g, a), sg.Field(g, phi), 0.25)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.tail_fraction == single.value.tail_fraction

@@ -399,9 +399,65 @@ class TestStackedEngine:
             if ref is not None:
                 assert last.t == ref.t and np.array_equal(last.u.values, ref.u.values)
 
+    # eps per member: the kinetic factors hold one vector per member on each
+    # axis and the rotation rates one value per member
+    MIXED_EPS = (0.5, 0.125, 1.0, 0.25)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("save_every", [1, 3])
+    def test_mixed_eps_members_equal_their_single_runs(self, dim, save_every):
+        g = make_grid(dim, 4.0, 32)
+        data = [random_field(g, seed, scale=0.5 + 0.4 * seed) for seed in range(4)]
+        cfg = NlsRunConfig(dt=0.05 / self.N_STEPS, T=0.05, save_every=save_every, tail_tol=1.0)
+        stacked = solve_nls_stack(data, self.MIXED_EPS, cfg)
+        for u0, eps, traj in zip(data, self.MIXED_EPS, stacked, strict=True):
+            single = solve_nls_stack([u0], eps, cfg)[0]
+            assert bit_identical(traj, single)
+            assert {s.eps for s in traj} == {eps}
+        # the eps do act: a member's trajectory moves with its own eps
+        assert not np.array_equal(stacked[0][-1].u.values,
+                                  solve_nls_stack([data[0]], 0.125, cfg)[0][-1].u.values)
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tripping_member_of_a_mixed_eps_stack_raises_its_single_run_error(
+            self, case, position):
+        # the tripping datum at eps = 1/2, the healthy ones at 1/4 and 1
+        g, runs = self._tripping_runs()
+        bad, cfg, kind = runs[case]
+        with pytest.raises(kind) as single:
+            solve_nls_stack([bad], 0.5, cfg)
+        data = [make_gaussian(g, amplitude=0.5), make_gaussian(g, amplitude=0.7)]
+        eps = [0.25, 1.0]
+        data.insert(position, bad)
+        eps.insert(position, 0.5)
+        with pytest.raises(kind) as stacked:
+            solve_nls_stack(data, eps, cfg)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.t == single.value.t
+        if kind is ResolutionError:
+            assert stacked.value.tail_fraction == single.value.tail_fraction
+        else:
+            assert bit_identical(stacked.value.last_state, single.value.last_state)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_member_to_trip_in_step_order_raises(self):
+        # the member at eps = 1/2 trips the tail guard at t = 0.05 and the
+        # overflowing one at step 1: the overflow raises, wherever it sits
+        g, runs = self._tripping_runs()
+        (late, cfg, _), (early, _, _) = runs[0], runs[3]
+        for data in ([late, early], [early, late]):
+            with pytest.raises(NonFiniteError, match="step 1 "):
+                solve_nls_stack(data, [0.5, 0.25], cfg)
+
     def test_stack_validation(self):
         g = make_grid(1, 12.0, 64)
         cfg = NlsRunConfig(dt=1e-3, T=0.01)
+        with pytest.raises(ValueError, match="2 values of eps for 1 data"):
+            solve_nls_stack([make_gaussian(g)], [0.5, 0.25], cfg)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\], got 1.5"):
+            solve_nls_stack([make_gaussian(g)] * 2, [0.5, 1.5], cfg)
         with pytest.raises(ValueError, match="at least one"):
             solve_nls_stack([], 0.5, cfg)
         with pytest.raises(ValueError, match="one grid"):
@@ -436,7 +492,8 @@ class TestPiecedRotation:
         w = np.stack([f.values for f in data])
         ref = w.copy()
         nls._rotate(ref, np.empty_like(ref), self.RATE, None)
-        finite = nls._rotate_stack(w, np.empty(piece, dtype=complex), self.RATE)
+        rates = np.full((len(data), 1), self.RATE)
+        finite = nls._rotate_stack(w, np.empty(piece, dtype=complex), rates)
         assert bit_identical(w, ref)
         assert finite.tolist() == [True] * len(data)
 

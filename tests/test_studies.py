@@ -255,6 +255,8 @@ class TestStackedRuns:
     # copies = 2 asks for every run twice: the stacks must not grow.
     @pytest.mark.parametrize("copies", [1, 2])
     def test_stacks_equal_single_runs_under_their_keys(self, monkeypatch, copies):
+        # both sweep points get N = 256 and one save per step: one stack,
+        # its members in the order the runs are listed
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,))
         scales = studies.grid_scales(cfg, {})
         runs = [studies._nls_run(cfg, eps, c, scales) for eps in cfg.eps_list
@@ -264,17 +266,16 @@ class TestStackedRuns:
         solve_stack = nls.solve_nls_stack
 
         def recording(u0s, eps, rc, keep=None):
-            u0s = list(u0s)
-            stacks.append((eps, len(u0s)))
+            stacks.append(list(eps))
             return solve_stack(u0s, eps, rc, keep)
 
         monkeypatch.setattr(nls, "solve_nls_stack", recording)
         cache = {}
         studies.stack_runs(cache, runs * copies)
-        assert sorted(stacks) == [(0.125, 3), (0.25, 3)]
+        assert stacks == [[0.25] * 3 + [0.125] * 3]
         # a second call over cached runs adds no stack
         studies.stack_runs(cache, runs)
-        assert len(stacks) == 2
+        assert len(stacks) == 1
         for run, ref in expected.items():
             traj = cache[studies._nls_run(cfg, run.eps, run.datum, scales)]
             assert [s.t for s in traj] == [s.t for s in ref]
@@ -285,30 +286,36 @@ class TestStackedRuns:
         # Over the horizon 0.025 the limit run of a0 = 30 exp(-x^2) stays
         # healthy, and the grids read off it hold 1e-3 a0 at every eps.
         # (1 + eps) a0 outgrows the eps = 1/4 grid and trips the tail guard
-        # at t = 0.025.  The eps = 1/2 stack, listed first, is stored; the
-        # eps = 1/4 stack trips, and neither it nor the eps = 1/8 stack
-        # after it stores a run.
+        # at t = 0.025.  The sweep points 1/2, 1/4 and 1/8 get three grid
+        # and run config pairs, so three stacks, each spanning eps: the
+        # first holds 1e-3 a0 at eps = 1/2 and 1/4 and is stored; the second
+        # holds 1e-3 a0 at eps = 1/8 and the tripping run, which raises its
+        # own error; neither it nor the third stack stores a run.
         cfg = SweepConfig(eps_list=(0.25, 0.125), s_list=(0.0,), horizon=0.025, tau=0.025,
                           a0=GaussianSpec(amplitude=30.0))
         scales = studies.grid_scales(cfg, {})
 
-        def pair(eps):
-            """The runs at eps from (1 + eps c) a0 = 1e-3 a0 and (1 + eps) a0."""
-            return (studies._nls_run(cfg, eps, (1e-3 - 1) / eps, scales),
-                    studies._nls_run(cfg, eps, 1.0, scales))
+        def run(point, eps, c=None):
+            """The run at eps from (1 + eps c) a0, by default 1e-3 a0, on the
+            grid and run config of the sweep point point."""
+            c = (1e-3 - 1) / eps if c is None else c
+            return studies._nls_run(cfg, point, c, scales)._replace(eps=eps)
 
-        healthy, tripping = pair(0.5)[0], pair(0.25)[1]
-        ref = alone(healthy)
+        stored = [run(0.5, 0.5), run(0.5, 0.25)]
+        tripping = run(0.25, 0.25, 1.0)
+        later = [run(0.25, 0.125), tripping, run(0.125, 0.125, 1.0)]
+        assert len({(r.grid, r.config) for r in stored + later}) == 3
+        refs = [alone(r) for r in stored]
         with pytest.raises(ResolutionError) as ref_error:
             alone(tripping)
         cache = {}
         with pytest.raises(ResolutionError) as error:
-            studies.stack_runs(cache, [healthy, *(run for eps in cfg.eps_list
-                                                  for run in pair(eps))])
+            studies.stack_runs(cache, stored + later)
         assert str(error.value) == str(ref_error.value)
-        assert list(cache) == [healthy]
-        assert len(cache[healthy]) == cfg.n_saves + 1
-        assert bit_identical(cache[healthy], ref)
+        assert list(cache) == stored
+        for r, ref in zip(stored, refs):
+            assert len(cache[r]) == cfg.n_saves + 1
+            assert bit_identical(cache[r], ref)
 
     def test_phase_amplitude_runs_stack_by_steps_and_cadence(self, monkeypatch):
         cfg = SweepConfig(eps_list=(0.25, 0.125, 0.0625, 0.03125), s_list=(0.0,))
@@ -424,8 +431,9 @@ class TestWkbErrorStudy:
         limit = cache[studies._limit_run(short_cfg, 1.0)]
         sup = 0.0
         for bg, us in zip(limit, u):
-            a_f, phi_f, _ = studies._profile_fields(bg, fine.points_per_axis)
-            diff = Field(fine, us.u.values - a_f.values * np.exp(1j * phi_f / eps))
+            a_f, phi_f, _ = (f[0] for f in studies._profile_fields(
+                studies.snapshots([bg], "a", "phi", "phi1"), fine.points_per_axis))
+            diff = Field(fine, us.u.values - a_f * np.exp(1j * phi_f / eps))
             sup = max(sup, norm(diff))
         study_val = [
             r["value"]
