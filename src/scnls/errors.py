@@ -42,8 +42,3 @@ class NonFiniteError(GuardError):
         super().__init__(msg)
         self.last_state = last_state
         self.t = t
-
-    @classmethod
-    def at_step(cls, step, dt, last_state):
-        t = step * dt
-        return cls(f"non-finite values at step {step} (t = {t:.6g})", last_state, t)

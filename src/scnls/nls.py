@@ -20,20 +20,17 @@ place, rotates the phase and transforms it forward in place, so the
 closing piece of one step and the opening piece of the next are two
 multiplications of the same spectrum. The kinetic phase
 exp(-0.5j eps a dt |k|^2) is separable, so a piece is one multiplication
-per axis by one vector of N entries per member. The rotation runs over pieces of the
-stack through a complex scratch of at most ROTATE_POINTS points. A save
-transforms back once more, into a new array; its tail guard and the
-spectrum it hands on read the spectrum held: 6n + 1 forward and 6n + S
-inverse FFTs for n steps and S saves after t = 0.
+per axis by one vector of N entries per member (_dispersion). The
+rotation runs over pieces of the stack through a complex scratch of at
+most ROTATE_POINTS points. A save transforms back once more, into a new
+array; its tail guard and the spectrum it hands on read the spectrum
+held: 6n + 1 forward and 6n + S inverse FFTs for n steps and S saves
+after t = 0.
 
 Per grid point the loop holds two fields of a member: the spectrum w and
-the last saved snapshot (the NonFiniteError's last good state). A save
-checks the members' spectra for finiteness and drops the old snapshots
-of the members before the first non-finite one (all of them, when every
-spectrum is finite), before the tail guard (one stacked pass over those
-members, slab by slab) and the inverse transform that makes the new
-snapshots; the spectrum it hands on is w, which the next stage
-overwrites.
+the last saved snapshot. Saves and the finiteness guard are _Saver's,
+which both engines share; the tail guard runs in a save over the members
+its finiteness check passed, in one stacked pass, slab by slab.
 
 The loop advances a stack of data on one grid with one step and save
 cadence, each datum with its own eps: the field is an (m, *grid.shape)
@@ -198,6 +195,68 @@ def _energy(u: Field, eps, spectrum: Field | None = None):
     return _scalar_map(lambda g, q: eps**2 * g**2 + q**4, grad, lp_norm(u, 4))
 
 
+def _stack_data(data):
+    """(grid, values) of data, physical-space fields on one grid, stacked."""
+    if not data:
+        raise ValueError("a stack needs at least one member")
+    grid = data[0].grid
+    if any(f.space != PHYSICAL for f in data):
+        raise ValueError("the initial data must be physical-space fields")
+    if any(f.grid != grid for f in data):
+        raise ValueError("stacked data must share one grid")
+    return grid, np.stack([f.values for f in data])
+
+
+def _dispersion(grid, theta):
+    """exp(-i theta_m |kappa|^2) of each member m: one factor per axis, a vector per member."""
+    theta = np.reshape(theta, (-1,) + (1,) * grid.dim)
+    return [np.exp(-1j * (theta * grid.axis_view(k**2, ax))) for ax, k in enumerate(grid.k_axes)]
+
+
+class _Saver:
+    """The save-and-guard path of both engines: per member of a stack, the
+    trajectory of keep(m, state) over its saved states and the last good
+    snapshot, the only one held, for its NonFiniteError.
+
+    A save checks the spectrum held for finiteness per member and drops the
+    old snapshots of the members before the first non-finite one (no error
+    of theirs needs one).  It runs guard on those members, raises for the
+    non-finite one, makes the values with transform (t = 0 has the data),
+    a non-finite value raising with no snapshot, then each member m's
+    snapshot(values, m, step * dts[m]).  axis is the stacks' member axis."""
+
+    def __init__(self, dts, snapshot, keep, transform, guard=None, axis=0):
+        self.dts, self.snapshot, self.keep = dts, snapshot, keep
+        self.transform, self.guard, self.axis = transform, guard, axis
+        self.trajectories, self.last = [[] for _ in dts], [None] * len(dts)
+
+    def finite(self, stack):
+        """Whether each member's values in stack are all finite."""
+        return np.isfinite(stack).all(axis=tuple(i for i in range(stack.ndim) if i != self.axis))
+
+    def check(self, step, finite):
+        """Raise for the first member not finite, at its t, with its last snapshot."""
+        if not finite.all():
+            m = int(np.argmin(finite))
+            t = step * self.dts[m]
+            raise NonFiniteError(f"non-finite values at step {step} (t = {t:.6g})", self.last[m], t)
+
+    def save(self, step, spectrum, values=None):
+        """Save every member at step; values, at t = 0, is the stack of data."""
+        finite = self.finite(spectrum)
+        healthy = len(finite) if finite.all() else int(np.argmin(finite))
+        self.last[:healthy] = [None] * healthy
+        if self.guard is not None:
+            self.guard(healthy, step)
+        self.check(step, finite)
+        if values is None:
+            values = self.transform(spectrum)
+            self.check(step, self.finite(values))
+        for m, trajectory in enumerate(self.trajectories):
+            self.last[m] = self.snapshot(values, m, step * self.dts[m])
+            trajectory.append(self.keep(m, self.last[m]))
+
+
 def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     """Integrate each datum in u0s (an iterable of physical-space fields on
     one grid) to T in one step loop, returning one trajectory per datum: its
@@ -224,75 +283,43 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     its last good snapshot (None when the datum is at fault, or when a
     save's inverse transform overflows a finite spectrum).
     """
-    u0s = list(u0s)
-    if not u0s:
-        raise ValueError("solve_nls_stack needs at least one datum")
-    eps = [eps] * len(u0s) if np.ndim(eps) == 0 else list(eps)
-    if len(eps) != len(u0s):
-        raise ValueError(f"got {len(eps)} values of eps for {len(u0s)} data")
+    grid, u = _stack_data(list(u0s))  # the data go once stacked
+    eps = [eps] * len(u) if np.ndim(eps) == 0 else list(eps)
+    if len(eps) != len(u):
+        raise ValueError(f"got {len(eps)} values of eps for {len(u)} data")
     for e in eps:
         _check_eps(e)
-    grid = u0s[0].grid
-    if any(f.space != PHYSICAL for f in u0s):
-        raise ValueError("the initial data must be physical-space fields")
-    if any(f.grid != grid for f in u0s):
-        raise ValueError("stacked data must share one grid")
-    u = np.stack([f.values for f in u0s])
-    del u0s
     n_steps = config.steps
     dt = config.step
 
     # Each stage opens with its kinetic piece on the spectrum held; a step
     # closes with the outer piece, which the next step's first stage repeats.
-    # A piece is one factor per axis, a row per member of the vector its own
-    # eps gives; on one axis it is the full multiplier.
-    mults = {a: [np.reshape([np.exp(-0.5j * e * a * dt * k**2) for e in eps],
-                            (-1,) + grid.axis_view(k, ax).shape)
-                 for ax, k in enumerate(grid.k_axes)] for a in set(KINETIC)}
+    mults = {a: _dispersion(grid, [0.5 * e * a * dt for e in eps]) for a in set(KINETIC)}
     opening = [mults[a] for a in KINETIC[:-1]]
     outer = mults[KINETIC[-1]]
     rates = [np.reshape([b * dt / e for e in eps], (-1, 1)) for b in NONLINEAR]
     w = _fft(u, grid.dim)
     scratch = np.empty(min(ROTATE_POINTS, w.size), dtype=complex)
-    trajectories = [[] for _ in w]
-    last = [None] * len(w)  # each member's last saved state, the only one held
-    spectra = [Field(grid, member, SPECTRAL) for member in w]
 
-    def save(step, values=None):
-        # values is the stack of data at t = 0; later saves transform w back
-        t = step * dt
-        finite = np.isfinite(w).all(axis=tuple(range(1, w.ndim)))
-        # the members before the first non-finite one, in order; no error of
-        # theirs needs an old snapshot, so theirs go before the tail guard,
-        # which runs over them in one stacked pass
-        healthy = len(w) if finite.all() else int(np.argmin(finite))
-        last[:healthy] = [None] * healthy
-        ResolutionError.check(tail_fraction(Field(grid, w[:healthy], SPECTRAL)),
-                              config.tail_tol, f"at t = {t:.6g}", t)
-        if healthy < len(w):
-            raise NonFiniteError.at_step(step, dt, last[healthy])
-        if values is None:
-            values = _ifft(w, grid.dim)
-            if not np.isfinite(values).all():
-                raise NonFiniteError.at_step(step, dt, None)
-        for member, (member_values, spectrum) in enumerate(zip(values, spectra)):
-            last[member] = NlsState(t, Field(grid, member_values), eps[member])
-            snap = last[member] if keep is None else keep((last[member], spectrum))
-            trajectories[member].append(snap)
+    def tail_guard(healthy, step):  # over the first healthy members
+        ResolutionError.check(tail_fraction(Field(grid, w[:healthy], SPECTRAL)), config.tail_tol,
+                              f"at t = {step * dt:.6g}", step * dt)
 
-    save(0, u)
+    saver = _Saver([dt] * len(w), lambda values, m, t: NlsState(t, Field(grid, values[m]), eps[m]),
+                   lambda m, state: state if keep is None
+                   else keep((state, Field(grid, w[m], SPECTRAL))),
+                   lambda spectrum: _ifft(spectrum, grid.dim), tail_guard)
+    saver.save(0, w, u)
     del u  # the data are the t = 0 snapshots, held only as those
     for step in range(1, n_steps + 1):
         for rate, mult in zip(rates, opening):
             for factor in mult:
                 w *= factor
             _ifft(w, grid.dim, out=w)
-            finite = _rotate_stack(w, scratch, rate)
-            if not finite.all():
-                raise NonFiniteError.at_step(step, dt, last[int(np.argmin(finite))])
+            saver.check(step, _rotate_stack(w, scratch, rate))
             _fft(w, grid.dim, out=w)
         for factor in outer:
             w *= factor
         if step % config.save_every == 0 or step == n_steps:
-            save(step)
-    return trajectories
+            saver.save(step, w)
+    return saver.trajectories

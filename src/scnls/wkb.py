@@ -23,18 +23,18 @@ a save cadence, each with its own datum, eps, dt and singularity bound.
 The state is held as its spectrum between stages.  The linear term
 i (eps/2) Lap(a) is not among the rates: it is the integrating factor
 exp(-i eps |kappa|^2 t / 2) on the row of a (Lawson, SIAM J. Numer. Anal. 4,
-1967), exact at any step, so the step is the transport CFL at every eps.
-Like the kinetic pieces of nls, it is one vector of N entries per axis
-(and per member), not a whole-grid array.
+1967), exact at any step, so the step is the transport CFL at every eps;
+like the kinetic pieces of nls, it is one vector per axis and member.
 A stage makes 2 batched FFT calls (np.fft.fft/ifft on a 1-D grid): one
 inverse transform gives every value and derivative the rates read, and
 one forward transform hands the rates back, dealiased in place.  Every
 spectral derivative comes from _derivatives: each gradient component is
 one product with the grid's per-axis factor i*kappa, minus the Laplacian
 one with |kappa|^2.  Dealiasing zeroes the grid's tail boxes, the modes
-tail_fraction sums.  A save transforms the state back once, into the
-buffer the snapshots then keep.  A stack member equals its own stack of
-one bit for bit and raises that stack's guard error.
+tail_fraction sums.  Saves and the finiteness guard are nls._Saver's; a
+save transforms the state back into the buffer the snapshots then keep.
+A stack member equals its own stack of one bit for bit and raises that
+stack's guard error.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ResolutionError, SingularityError
+from .errors import ResolutionError, SingularityError
 from .grid import (
-    PHYSICAL,
     Field,
     _fft,
     _ifft,
@@ -53,7 +52,7 @@ from .grid import (
     gradient_max,
     tail_fraction,
 )
-from .nls import _RunConfig
+from .nls import _RunConfig, _Saver, _dispersion, _stack_data
 
 PHI_IMAG_TOL = 1e-12
 
@@ -230,9 +229,8 @@ def _solve_stack(members, keep, corrector):
     (fields, members, *grid), held as its spectrum, in place, with guard
     checks; one eps and run config per member, with one step count and save
     cadence (each member steps by its config's step).  Returns the
-    trajectory of keep(snapshot) per member (keep=None: the snapshots);
-    only each member's last snapshot is held, for NonFiniteError.  The
-    stage times are diagnostics only.
+    trajectory of keep(snapshot) per member (keep=None: the snapshots),
+    saved by nls._Saver.  The stage times are diagnostics only.
 
     With E the factor of the dispersive term over a step (one on every row
     but a's, and at eps = 0), a step is
@@ -241,49 +239,46 @@ def _solve_stack(members, keep, corrector):
 
     in place, one buffer for k2-k4, the sums in classical RK4's order.
     """
-    if not members:
-        raise ValueError("a stack needs at least one member")
-    if len({member[0].grid for member in members}) > 1:
-        raise ValueError("stacked data must share one grid")
-    grid = members[0][0].grid
+    a0s = [member[0] for member in members]
+    zeros = [Field(a0.grid, np.broadcast_to(0j, a0.grid.shape)) for a0 in a0s]  # phases at t = 0
+    a1s = ([zero if a1 is None else a1 for (_, a1, _), zero in zip(members, zeros)]
+           if corrector else [])
+    grid, data = _stack_data(a0s + zeros + (a1s + zeros if corrector else []))
+    data = data.reshape((-1, len(members)) + grid.shape)  # [a, phi] or [a, phi, a1, phi1]
     d = grid.dim
-    y = np.zeros((4 if corrector else 2, len(members)) + grid.shape, dtype=complex)
-    eps = [0.0 if corrector else member[1] for member in members]
     configs = [member[-1] for member in members]
-    for m, (a0, *data, config) in enumerate(members):
-        a1 = data[0] if corrector else None
-        _check_data(a0, a1, config)
-        y[0, m] = a0.values
-        if a1 is not None:
-            y[2, m] = a1.values
+    for field, config in zip(a0s + a1s, configs * 2):
+        if config.enforce_decay:
+            check_boundary_decay(field, tol=max(np.abs(field.values).max(), 1.0) * 1e-12)
+    eps = [0.0 if corrector else member[1] for member in members]
     schedules = {(c.steps, c.save_every) for c in configs}
     if len(schedules) != 1:
         raise ValueError("stacked runs must share their step count and save cadence")
     ((n_steps, save_every),) = schedules
-    sing_tol = [c.sing_tol or _auto_sing_tol(grid, y[0, m], c.T) for m, c in enumerate(configs)]
-    rates = _Rates(grid, corrector, sing_tol)
     dts = [c.step for c in configs]
+
+    def snapshot(values, m, t):
+        # views of member m's fields in values, its phase rows made real
+        values[1::2, m].imag = 0.0
+        a, phi, *corr = (Field(grid, field[m]) for field in values)
+        return GrenierState(t, a, phi, eps[m], *corr)
+
+    saver = _Saver(dts, snapshot, lambda m, state: state if keep is None else keep(state),
+                   lambda spectrum: _ifft(spectrum, d, out=stage), axis=1)
+    y = _fft(data, d)
+    saver.save(0, y, data)  # the t = 0 snapshots keep the data
+    sing_tol = [c.sing_tol or _auto_sing_tol(grid, data[0, m], c.T) for m, c in enumerate(configs)]
+    del data
+    rates = _Rates(grid, corrector, sing_tol)
     times = np.array(dts)
     dt = times.reshape((-1,) + (1,) * d)
-    # the dispersive flow over half a step, one factor per axis (none in the
-    # limit system): exp(-i eps kappa_m^2 dt / 4)
-    theta = 0.25 * np.reshape(np.multiply(eps, dts), dt.shape)
-    half = [] if corrector else [np.exp(-1j * (theta * grid.axis_view(k**2, ax)))
-                                 for ax, k in enumerate(grid.k_axes)]
-    keep = keep or (lambda snapshot: snapshot)
+    # the dispersive flow over half a step (none in the limit system)
+    half = [] if corrector else _dispersion(grid, [0.25 * e * h for e, h in zip(eps, dts)])
 
     def twist(state):
         for factor in half:
             state[0] *= factor
 
-    def snapshot(values, m, t):
-        # views of member m's fields in values, whose phase rows are real
-        a, phi, *corr = (Field(grid, field[m]) for field in values)
-        return GrenierState(t, a, phi, eps[m], *corr)
-
-    last = [snapshot(y, m, 0.0) for m in range(len(members))]
-    trajectories = [[keep(state)] for state in last]
-    y = _fft(y, d)  # the t = 0 snapshots keep the data
     acc, k, stage = (np.empty_like(y) for _ in range(3))
     for step in range(1, n_steps + 1):
         t = (step - 1) * times
@@ -310,30 +305,12 @@ def _solve_stack(members, keep, corrector):
         acc += k
         acc *= dt / 6.0
         y += acc
-        finite = np.isfinite(y).all(axis=(0, *range(2, y.ndim)))
-        if not finite.all():
-            m = int(np.argmin(finite))
-            raise NonFiniteError.at_step(step, dts[m], last[m])
         if step % save_every == 0 or step == n_steps:
-            # the snapshots keep stage, so the next step takes a new one
-            _ifft(y, d, out=stage)
-            stage[1::2].imag = 0.0
-            for m, traj in enumerate(trajectories):
-                last[m] = snapshot(stage, m, step * dts[m])
-                traj.append(keep(last[m]))
+            saver.save(step, y)  # into stage, which the snapshots keep
             stage = np.empty_like(y)
-    return trajectories
-
-
-def _check_data(a0: Field, a1, config):
-    if a0.space != PHYSICAL:
-        raise ValueError("initial amplitude must be a physical-space field")
-    if a1 is not None and a1.space != PHYSICAL:
-        raise ValueError("perturbation datum must be a physical-space field")
-    if config.enforce_decay:
-        check_boundary_decay(a0, tol=max(np.abs(a0.values).max(), 1.0) * 1e-12)
-        if a1 is not None:
-            check_boundary_decay(a1, tol=max(np.abs(a1.values).max(), 1.0) * 1e-12)
+        else:
+            saver.check(step, saver.finite(y))
+    return saver.trajectories
 
 
 def solve_grenier_stack(members, keep=None):
@@ -346,8 +323,9 @@ def solve_grenier_stack(members, keep=None):
     included, or what keep, when given, returns for each as it is saved.
     The members' snapshots at one saved time are views of one stack array.
     The first member to trip a guard, in step order, raises SingularityError
-    (phase gradient above its sing_tol) or NonFiniteError (NaN/overflow,
-    carrying its last good snapshot)."""
+    (phase gradient above its sing_tol) or NonFiniteError (NaN/overflow in
+    its datum or at any step, carrying its last good snapshot: None when
+    the datum is at fault, as in solve_nls_stack)."""
     return _solve_stack(members, keep, corrector=False)
 
 

@@ -616,7 +616,7 @@ class TestRunMemory:
         # in place, a save's snapshots keep the buffer it transforms into,
         # a row's spectra and gradients share one buffer each, and its
         # energy adds up its terms in one buffer (2 fields of scratch).  The
-        # peak is at a save's row, in its energy (measured 38.75 fields);
+        # peak is at a save's row, in its energy (measured 38.58 fields);
         # 4 steps measure it.
         points = 256
         fields = self.peak(tmp_path, "run-wkb",

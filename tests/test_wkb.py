@@ -568,6 +568,25 @@ class TestGuards:
         for got, want in zip(snapshot_fields(snap), last, strict=True):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("solver, datum", [("nls", "a0"), ("grenier", "a0"),
+                                               ("limit", "a0"), ("limit", "a1")])
+    def test_non_finite_datum_raises_at_step_0_with_no_snapshot(self, gaussian_1d, solver, datum):
+        # both engines' shared t = 0 save applies the finiteness guard
+        values = gaussian_1d.values.copy()
+        values[3] = np.nan
+        bad = Field(gaussian_1d.grid, values)
+        a0, a1 = (bad, gaussian_1d) if datum == "a0" else (gaussian_1d, bad)
+        with pytest.raises(NonFiniteError) as exc:
+            if solver == "nls":
+                nls.solve_nls_stack([a0], 0.5, nls.NlsRunConfig(dt=1e-3, T=0.01))
+            elif solver == "grenier":
+                solve_grenier_stack([(a0, 0.25, WkbRunConfig(dt=1e-3, T=0.01))])
+            else:
+                solve_limit_stack([(a0, a1, WkbRunConfig(dt=1e-3, T=0.01))])
+        assert str(exc.value) == "non-finite values at step 0 (t = 0)"
+        assert exc.value.t == 0
+        assert exc.value.last_state is None
+
     @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
     def test_singularity_abort_is_unchanged(self, gaussian_1d, corrector):
         cfg = WkbRunConfig(dt=2e-3, T=0.25, save_every=10, sing_tol=0.05)
@@ -672,6 +691,11 @@ class TestStackedEngine:
         cfg = WkbRunConfig(dt=1e-2, T=0.04)
         with pytest.raises(ValueError, match="share one grid"):
             solve_limit_stack([(gaussian_1d, None, cfg), (other, None, cfg)])
+        spectral = sg.transform(gaussian_1d)
+        with pytest.raises(ValueError, match="physical-space"):
+            solve_grenier_stack([(gaussian_1d, 0.0, cfg), (spectral, 0.0, cfg)])
+        with pytest.raises(ValueError, match="physical-space"):
+            solve_limit_stack([(gaussian_1d, None, cfg), (gaussian_1d, spectral, cfg)])
 
 
 class TestEngineProperties:
