@@ -298,23 +298,23 @@ def _run_config(config_cls, run, default_dt, **kwargs):
 def _run_single(cfg, out_dir, kind, grid, rc, row, dumps):
     """The path run-nls and run-wkb share: integrate the studies.Run of kind
     on grid with run config rc, perturbed by run.a1_mode, alone, with keep
-    as its per-save function.  keep writes the snapshot's {file prefix:
-    Field} dumps(snapshot) when run.dump_fields is set and returns its
-    row(snapshot, norms), so the run holds one snapshot at a time; a guard
-    abort leaves the earlier dumps."""
+    as its per-save function.  keep writes the snapshot's fields named in
+    dumps when run.dump_fields is set and returns the row(pair, norms) of
+    the (snapshot, spectrum) pair, so the run holds one snapshot at a time;
+    a guard abort leaves the earlier dumps."""
     section, name = cfg["run"], "nls" if kind == "nls" else "wkb"
     c = studies.A1_COEFFICIENTS[section["a1_mode"]](section["eps"], cfg["sweep"]["scaled_order"])
     run = studies.Run(kind, grid, section["eps"], rc, cfg["sweep_config"].a0, c)
     fdir, saves = out_dir / "fields", itertools.count()
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def keep(snapshot):
+    def keep(pair):
         i = next(saves)
         if section["dump_fields"]:
             fdir.mkdir(exist_ok=True)
-            for prefix, field in dumps(snapshot).items():
-                save_field(field, fdir / f"{prefix}_{i:04d}")
-        return row(snapshot, section["norms"])
+            for name in dumps:
+                save_field(getattr(pair[0], name), fdir / f"{name}_{i:04d}")
+        return row(pair, section["norms"])
 
     (rows,) = studies.solve_runs([run], keep)
     path = report.write_trajectory_csv(rows, out_dir / f"{name}_trajectory.csv")
@@ -337,8 +337,7 @@ def cmd_run_nls(cfg, out_dir):
                      lambda: studies.aligned_run_config(nls.NlsRunConfig, target, run["T"],
                                                         RUN_SAVES).dt,
                      tail_tol=solver["tail_tol"])
-    return _run_single(cfg, out_dir, "nls", grid, rc, report.nls_row,
-                       lambda snap: {"u": snap[0].u})
+    return _run_single(cfg, out_dir, "nls", grid, rc, report.nls_row, ("u",))
 
 
 def cmd_run_wkb(cfg, out_dir):
@@ -355,7 +354,7 @@ def cmd_run_wkb(cfg, out_dir):
                      lambda: math.copysign(min(target, abs(run["T"])), run["T"]),
                      sing_tol=run["sing_tol"])
     return _run_single(cfg, out_dir, "limit" if run["with_corrector"] else "grenier", grid, rc,
-                       report.wkb_row, lambda state: {"a": state.a, "phi": state.phi})
+                       report.wkb_row, ("a", "phi"))
 
 
 # study-* command -> (function of `studies`, looked up on each call so that a wrapper

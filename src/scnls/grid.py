@@ -309,6 +309,16 @@ def _power_sum(grid, values, p=2, index=None):
     """
     if index is not None and index.s == 0:
         index = None  # every weight of order 0 is identically 1
+    elif index is not None:
+        # the largest weight, at the Nyquist mode on every axis, in Python
+        # floats, which raise where numpy would warn of the overflow
+        k2 = grid.dim * float(grid.k_axes[0][grid.points_per_axis // 2]) ** 2
+        try:
+            index.weight(k2)
+        except OverflowError:
+            raise ValueError(f"the weight of Sobolev order s = {index.s:g} overflows at |k|^2 = "
+                             f"{k2:.6g} on the {grid.points_per_axis}^{grid.dim} grid of "
+                             f"half-width {grid.half_width:g}") from None
     rows = _slab_rows(grid)
     return _tree_sum([_slab_power_sum(grid, values[_slab(grid, lo, rows)], lo, p, index)
                       for lo in range(0, grid.points_per_axis, rows)])

@@ -215,18 +215,20 @@ def _dispersion(grid, theta):
 
 class _Saver:
     """The save-and-guard path of both engines: per member of a stack, the
-    trajectory of keep(m, state) over its saved states and the last good
-    snapshot, the only one held, for its NonFiniteError.
+    trajectory of its saved states, or of what keep returns for each, and
+    the last good snapshot, the only one held, for its NonFiniteError.
 
     A save checks the spectrum held for finiteness per member and drops the
     old snapshots of the members before the first non-finite one (no error
     of theirs needs one).  It runs guard on those members, raises for the
     non-finite one, makes the values with transform (t = 0 has the data),
     a non-finite value raising with no snapshot, then each member m's
-    snapshot(values, m, step * dts[m]).  axis is the stacks' member axis."""
+    snapshot(values, m, step * dts[m]), and keep, when given, gets the pair
+    (snapshot, member m's spectrum as a Field), lent for that call alone.
+    axis is the stacks' member axis."""
 
-    def __init__(self, dts, snapshot, keep, transform, guard=None, axis=0):
-        self.dts, self.snapshot, self.keep = dts, snapshot, keep
+    def __init__(self, grid, dts, snapshot, keep, transform, guard=None, axis=0):
+        self.grid, self.dts, self.snapshot, self.keep = grid, dts, snapshot, keep
         self.transform, self.guard, self.axis = transform, guard, axis
         self.trajectories, self.last = [[] for _ in dts], [None] * len(dts)
 
@@ -252,9 +254,11 @@ class _Saver:
         if values is None:
             values = self.transform(spectrum)
             self.check(step, self.finite(values))
+        members = np.moveaxis(spectrum, self.axis, 0)  # a view, members first
         for m, trajectory in enumerate(self.trajectories):
-            self.last[m] = self.snapshot(values, m, step * self.dts[m])
-            trajectory.append(self.keep(m, self.last[m]))
+            self.last[m] = state = self.snapshot(values, m, step * self.dts[m])
+            trajectory.append(state if self.keep is None
+                              else self.keep((state, Field(self.grid, members[m], SPECTRAL))))
 
 
 def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
@@ -305,9 +309,8 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
         ResolutionError.check(tail_fraction(Field(grid, w[:healthy], SPECTRAL)), config.tail_tol,
                               f"at t = {step * dt:.6g}", step * dt)
 
-    saver = _Saver([dt] * len(w), lambda values, m, t: NlsState(t, Field(grid, values[m]), eps[m]),
-                   lambda m, state: state if keep is None
-                   else keep((state, Field(grid, w[m], SPECTRAL))),
+    saver = _Saver(grid, [dt] * len(w),
+                   lambda values, m, t: NlsState(t, Field(grid, values[m]), eps[m]), keep,
                    lambda spectrum: _ifft(spectrum, grid.dim), tail_guard)
     saver.save(0, w, u)
     del u  # the data are the t = 0 snapshots, held only as those

@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import nls, wkb
-from .grid import SPECTRAL, Field, SobolevIndex, _fft, norm
+from .grid import SPECTRAL, Field, SobolevIndex, norm
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -107,30 +107,27 @@ def nls_row(snap, norm_orders=()):
     return row
 
 
-def wkb_row(state, norm_orders=()):
-    """NLS columns plus the phase-gradient sup of one saved GrenierState,
-    and the corrector norms when it carries a1 and phi1; the energy, the
-    gradient sup and the norms share one transform each of a and phi, and
-    the energy and the gradient sup one batched inverse transform of their
-    gradients."""
+def wkb_row(snap, norm_orders=()):
+    """NLS columns plus the phase-gradient sup, and the corrector norms when
+    the state carries a1 and phi1, of the (GrenierState, spectrum) pair the
+    phase-amplitude engine hands to keep.  The norms read the lent spectra,
+    so a row makes no forward transform; the energy and the gradient sup
+    share one batched inverse transform of the gradients of a and phi."""
+    state, spectra = snap
     g = state.a.grid
-    spectra = np.empty((2,) + g.shape, dtype=complex)
-    for field, spectrum in zip((state.a.values, state.phi.values.real), spectra):
-        _fft(field, g.dim, out=spectrum)
-    grad_a, grad_phi = np.swapaxes(wkb.gradients(g, spectra), 0, 1)
+    grad_a, grad_phi = np.swapaxes(wkb.gradients(g, spectra.values[:2]), 0, 1)
     row = {
         "t": state.t,
         "mass": nls.mass(state.a),
         "energy": wkb.wkb_energy(state, grad_a, grad_phi),
         "grad_phi_max": float(np.abs(grad_phi.real).max()),
     }
-    if norm_orders:
-        a_hat, phi_hat = (Field(g, f, SPECTRAL) for f in spectra)
-        for s in norm_orders:
-            row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
-            row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))
+    a_hat, phi_hat, *corr = (Field(g, f, SPECTRAL) for f in spectra.values)
+    for s in norm_orders:
+        row[f"a_h{s:g}"] = norm(a_hat, SobolevIndex(s))
+        row[f"phi_h{s:g}"] = norm(phi_hat, SobolevIndex(s))
     if state.a1 is not None:
-        row["a1_l2"] = norm(state.a1)
+        row["a1_l2"] = norm(corr[0])
         row["phi1_linf"] = float(np.abs(state.phi1.values).max())
     return row
 

@@ -201,9 +201,13 @@ class SweepConfig:
 def aligned_run_config(config_cls, dt_target, horizon, n_saves, **kwargs):
     """config_cls for a run saved at n_saves equal intervals of the horizon,
     each a whole number of steps no longer than dt_target; dt carries the
-    sign of the horizon."""
+    sign of the horizon.  A dt_target that gives no finite step count (an
+    underflowed dx^2) goes to config_cls as dt, whose checks reject it."""
     interval = horizon / n_saves
-    steps = max(1, math.ceil(abs(interval) / dt_target))
+    ratio = abs(interval) / dt_target if dt_target else math.inf
+    if math.isinf(ratio):
+        return config_cls(dt=math.copysign(dt_target, horizon), T=horizon, **kwargs)
+    steps = max(1, math.ceil(ratio))
     return config_cls(dt=interval / steps, T=horizon, save_every=steps, **kwargs)
 
 
@@ -431,15 +435,6 @@ def _slope_fits(rows, quantity, xs, s_list, bands, degenerate=False):
     return slopes, checks
 
 
-def _profile_fields(fields, fine_n):
-    """Upsample the smooth limit fields a, phi and phi1, the stack fields
-    (snapshots(traj, "a", "phi", "phi1")), onto the oscillatory grid in one
-    resample: the values of a and the real values of phi and phi1, each
-    times first."""
-    a, phi, phi1 = resample(fields, fine_n).values
-    return a, phi.real, phi1.real
-
-
 def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyReport:
     """Accuracy of the oscillatory profiles and of the eps-expansion.
 
@@ -472,9 +467,9 @@ def wkb_error_study(config: SweepConfig, cache: dict | None = None) -> StudyRepo
     def point_rows(eps):
         u_run, ut_run, g_run = _error_runs(config, eps, scales)
         fine = cache[u_run][0].u.grid
-        a_f, phi_f, phi1_f = _profile_fields(profile, fine.points_per_axis)
-        carrier = a_f * np.exp(1j * phi_f / eps)
-        twist = np.exp(1j * phi1_f)
+        a_f, phi_f, phi1_f = resample(profile, fine.points_per_axis).values
+        carrier = wkb.reconstruct(Field(fine, a_f), Field(fine, phi_f), eps).values
+        twist = np.exp(1j * phi1_f.real)
         del a_f, phi_f, phi1_f
         # u - carrier and u~ - carrier e^{i phi1}
         fine_errors = np.empty((2,) + carrier.shape, dtype=complex)
@@ -525,20 +520,17 @@ def small_time_study(config: SweepConfig, cache: dict | None = None) -> StudyRep
     a0_sq = np.abs(config.a0.realize(grid).values) ** 2
     times = [run.config.T for run in runs]
 
-    rows = []
-    for t, run in zip(times, runs):
-        bg = cache[run][-1]
-        res = transform(Field(grid, bg.phi.values.real + t * a0_sq))
-        res1 = transform(Field(grid, bg.phi1.values.real + 2 * t * a0_sq))
-        for s in config.s_list:
-            idx = SobolevIndex(s)
-            r = norm(res, idx)
-            r1 = norm(res1, idx)
-            rows.append(_row("phase_residual", "residual", r, t=t, s=s))
-            rows.append(_row("corrector_phase_residual", "residual", r1, t=t, s=s))
-
-    bands = dict.fromkeys(("phase_residual", "corrector_phase_residual"), SLOPE_BAND_CUBIC)
-    slopes, checks = _slope_fits(rows, "residual", times, config.s_list, bands)
+    # both residuals at every time, one (times, 2) stack normed once per s
+    res = transform(Field(grid, np.stack([
+        (bg.phi.values.real + t * a0_sq, bg.phi1.values.real + 2 * t * a0_sq)
+        for t, bg in zip(times, (cache[run][-1] for run in runs))])))
+    norms = [norm(res, SobolevIndex(s)).tolist() for s in config.s_list]
+    families = ("phase_residual", "corrector_phase_residual")
+    rows = [_row(family, "residual", r, t=t, s=s)
+            for i, t in enumerate(times) for s, by_time in zip(config.s_list, norms)
+            for family, r in zip(families, by_time[i])]
+    slopes, checks = _slope_fits(rows, "residual", times, config.s_list,
+                                 dict.fromkeys(families, SLOPE_BAND_CUBIC))
 
     header = {"description": "dyadic small-time expansion residuals"}
     return StudyReport("small_time", config, header, rows, slopes, checks)
@@ -555,33 +547,27 @@ def _ghost_core(config: SweepConfig, cache: dict | None, higher_order: bool) -> 
     floor = SEPARATION_FLOOR_FACTOR * a0_l2
 
     def pair_diff(eps, refine):
-        u_traj, ut_traj = (cache[run] for run in _pair_runs(config, eps, scales, refine))
-        u_tau = u_traj[config.tau_index]
-        ut_tau = ut_traj[config.tau_index]
-        grid = u_tau.u.grid
-        return grid, Field(grid, u_tau.u.values - ut_tau.u.values)
+        u, ut = (cache[run][config.tau_index].u for run in _pair_runs(config, eps, scales, refine))
+        return Field(u.grid, u.values - ut.values)
 
     def point_rows(eps):
-        """The rows of one sweep point; as in wkb_error_study, its fields
-        are freed when it returns."""
-        grid, diff = pair_diff(eps, 1)
-        lam = config.a1_coefficient(eps).real
-        a_f, phi_f, phi1_f = (f[0] for f in _profile_fields(
-            snapshots([bg_tau], "a", "phi", "phi1"), grid.points_per_axis))
-        pred_vals = a_f * np.exp(1j * phi_f / eps) * (1 - np.exp(1j * lam * phi1_f))
-        pred = transform(Field(grid, pred_vals))
-
+        """The rows of one sweep point, its u - u~ and profile prediction
+        normed as one stack, freed when it returns (as in wkb_error_study)."""
+        diff = pair_diff(eps, 1)
+        grid, lam = diff.grid, config.a1_coefficient(eps).real
+        a_f, phi_f, phi1_f = resample(snapshots([bg_tau], "a", "phi", "phi1"),
+                                      grid.points_per_axis).values[:, 0]
+        pred = (wkb.reconstruct(Field(grid, a_f), Field(grid, phi_f), eps).values
+                * (1 - np.exp(1j * lam * phi1_f.real)))
         l4 = lp_norm(diff, 4.0)
-        diff_hat = transform(diff)
-        refined = None
-        if config.certify_refinement:
-            refined = transform(pair_diff(eps, 2)[1])
+        pair = transform(Field(grid, np.stack([diff.values, pred])))
+        refined = transform(pair_diff(eps, 2)) if config.certify_refinement else None
         out = []
         for s in config.s_list:
             idx = SobolevIndex(s, homogeneous=True)
-            raw = norm(diff_hat, idx)
+            raw, p = norm(pair, idx).tolist()
             d = eps**s * raw
-            p = eps**s * norm(pred, idx)
+            p *= eps**s
             table = [("diff_hs_raw", raw), ("separation_scaled", d), ("profile_prediction", p)]
             if p > 1e-300:
                 table.append(("ratio_to_profile", d / p))

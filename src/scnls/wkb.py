@@ -31,10 +31,10 @@ one forward transform hands the rates back, dealiased in place.  Every
 spectral derivative comes from _derivatives: each gradient component is
 one product with the grid's per-axis factor i*kappa, minus the Laplacian
 one with |kappa|^2.  Dealiasing zeroes the grid's tail boxes, the modes
-tail_fraction sums.  Saves and the finiteness guard are nls._Saver's; a
-save transforms the state back into the buffer the snapshots then keep.
-A stack member equals its own stack of one bit for bit and raises that
-stack's guard error.
+tail_fraction sums.  Saves and the finiteness guard are nls._Saver's: a
+save transforms the state back into the buffer the snapshots then keep,
+and lends keep the spectra.  A stack member equals its own stack of one
+bit for bit and raises that stack's guard error.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def _solve_stack(members, keep, corrector):
     (fields, members, *grid), held as its spectrum, in place, with guard
     checks; one eps and run config per member, with one step count and save
     cadence (each member steps by its config's step).  Returns the
-    trajectory of keep(snapshot) per member (keep=None: the snapshots),
-    saved by nls._Saver.  The stage times are diagnostics only.
+    trajectory of keep((snapshot, spectrum)) per member (keep=None: the
+    snapshots), saved by nls._Saver.  The stage times are diagnostics only.
 
     With E the factor of the dispersive term over a step (one on every row
     but a's, and at eps = 0), a step is
@@ -263,8 +263,8 @@ def _solve_stack(members, keep, corrector):
         a, phi, *corr = (Field(grid, field[m]) for field in values)
         return GrenierState(t, a, phi, eps[m], *corr)
 
-    saver = _Saver(dts, snapshot, lambda m, state: state if keep is None else keep(state),
-                   lambda spectrum: _ifft(spectrum, d, out=stage), axis=1)
+    saver = _Saver(grid, dts, snapshot, keep, lambda spectrum: _ifft(spectrum, d, out=stage),
+                   axis=1)
     y = _fft(data, d)
     saver.save(0, y, data)  # the t = 0 snapshots keep the data
     sing_tol = [c.sing_tol or _auto_sing_tol(grid, data[0, m], c.T) for m, c in enumerate(configs)]
@@ -320,8 +320,10 @@ def solve_grenier_stack(members, keep=None):
     over that count.
     Returns one trajectory per member, equal to its own stack of one bit for
     bit: GrenierState snapshots every save_every steps, the first and final
-    included, or what keep, when given, returns for each as it is saved.
-    The members' snapshots at one saved time are views of one stack array.
+    included, or what keep, when given, returns for each (snapshot,
+    spectrum) pair as it is saved, the spectrum the loop's own of [a, phi]
+    or [a, phi, a1, phi1], lent for that call alone.  The members'
+    snapshots at one saved time are views of one stack array.
     The first member to trip a guard, in step order, raises SingularityError
     (phase gradient above its sing_tol) or NonFiniteError (NaN/overflow in
     its datum or at any step, carrying its last good snapshot: None when

@@ -49,9 +49,10 @@ def ref_symbols(grid):
     return grads, -sum(k**2 for k in np.meshgrid(*grid.k_axes, indexing="ij"))
 
 
-def ref_gradient(grid, values):
-    """The spectral gradient components of values, one FFT pair each."""
-    vhat = np.fft.fftn(values)
+def ref_gradient(grid, values=None, spectrum=None):
+    """The spectral gradient components of values, one FFT pair each, or of
+    the field whose transform is spectrum, one inverse FFT each."""
+    vhat = np.fft.fftn(values) if spectrum is None else spectrum
     return [np.fft.ifftn(m * vhat) for m in ref_symbols(grid)[0]]
 
 

@@ -227,6 +227,27 @@ class TestNorms:
                 f, SobolevIndex(s=max(s, 1e-3))
             ) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("index", [SobolevIndex(400.0), SobolevIndex(400.0, homogeneous=True),
+                                       SobolevIndex(400.0, eps_scaled=0.5)],
+                             ids=["inhomogeneous", "homogeneous", "eps-scaled"])
+    def test_overflowing_weight_named(self, dim, n, index):
+        # the weight at the largest |k|^2 (1123 and 140 here) overflows: a
+        # ValueError names the order and the grid, and no RuntimeWarning,
+        # an error under this suite's settings, comes before it
+        g = make_grid(dim, 12.0, n)
+        with pytest.raises(ValueError, match=rf"order s = 400 overflows at \|k\|\^2 = .* on the "
+                           rf"{n}\^{dim} grid of half-width 12"):
+            norm(sg.make_gaussian(g), index)
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
+    def test_largest_finite_weight_passes(self, dim, n):
+        # just below the overflow the weight, and the norm, are finite
+        g = make_grid(dim, 12.0, n)
+        k2 = dim * float(g.k_axes[0][n // 2]) ** 2
+        s = 0.999 * np.log(np.finfo(float).max) / np.log1p(k2)
+        assert np.isfinite(norm(sg.make_gaussian(g), SobolevIndex(s)))
+
     @pytest.mark.parametrize("j", [2, 4])
     @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0])
     def test_rescaling_identity_two_grids(self, j, m):

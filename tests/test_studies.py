@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scnls import report as rpt
 from scnls import acceptance, nls, studies, wkb
 from scnls.errors import ResolutionError, SingularityError
-from scnls.grid import Field, SobolevIndex, lp_norm, make_grid, norm
+from scnls.grid import SPECTRAL, Field, SobolevIndex, lp_norm, make_grid, norm, resample
 from scnls.studies import (
     GaussianSpec,
     ScalingParams,
@@ -431,9 +431,9 @@ class TestWkbErrorStudy:
         limit = cache[studies._limit_run(short_cfg, 1.0)]
         sup = 0.0
         for bg, us in zip(limit, u):
-            a_f, phi_f, _ = (f[0] for f in studies._profile_fields(
-                studies.snapshots([bg], "a", "phi", "phi1"), fine.points_per_axis))
-            diff = Field(fine, us.u.values - a_f * np.exp(1j * phi_f / eps))
+            a_f, phi_f = (f[0] for f in resample(
+                studies.snapshots([bg], "a", "phi"), fine.points_per_axis).values)
+            diff = Field(fine, us.u.values - a_f * np.exp(1j * phi_f.real / eps))
             sup = max(sup, norm(diff))
         study_val = [
             r["value"]
@@ -783,14 +783,16 @@ class TestFitAndReportPlumbing:
         from scnls import nls
 
         cfg = nls.NlsRunConfig(dt=1e-2, T=0.1, save_every=5)
-        traj = nls.solve_nls_stack([gaussian_1d], 0.5, cfg, keep=lambda snap: snap)[0]
-        rows = [rpt.nls_row(snap, norm_orders=(1.0,)) for snap in traj]
+        # a row reads the lent spectrum during the keep call, as the CLI's do
+        rows = nls.solve_nls_stack([gaussian_1d], 0.5, cfg,
+                                   keep=lambda snap: rpt.nls_row(snap, norm_orders=(1.0,)))[0]
         assert [r["t"] for r in rows] == pytest.approx([0.0, 0.05, 0.1])
         assert all("h1" in r and "mass" in r and "energy" in r for r in rows)
 
         wcfg = wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5)
-        wtraj = wkb.solve_limit_stack([(gaussian_1d, gaussian_1d, wcfg)])[0]
-        wrows = [rpt.wkb_row(snap, norm_orders=(1.0,)) for snap in wtraj]
+        wrows = wkb.solve_limit_stack([(gaussian_1d, gaussian_1d, wcfg)],
+                                      keep=lambda snap: rpt.wkb_row(snap, norm_orders=(1.0,)))[0]
+        assert len(wrows) == 3
         assert all("grad_phi_max" in r and "phi1_linf" in r for r in wrows)
 
     @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
@@ -814,24 +816,32 @@ class TestFitAndReportPlumbing:
 
     @pytest.mark.parametrize("g", [make_grid(1, 12.0, 256), make_grid(2, 6.0, 64)],
                              ids=["1d", "2d"])
-    def test_wkb_rows_transform_a_and_phi_once(self, monkeypatch, g):
+    def test_wkb_rows_read_the_lent_spectra(self, monkeypatch, g):
         a0 = GaussianSpec().realize(g)
-        (traj,) = wkb.solve_limit_stack([(a0, a0, wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5))])
+        # the spectra are lent for the keep call alone: copies outlive it
+        (traj,) = wkb.solve_limit_stack([(a0, a0, wkb.WkbRunConfig(dt=1e-2, T=0.1, save_every=5))],
+                                        keep=lambda snap: (snap[0], snap[1].copy()))
         orders = (0.0, 1.0)
         counts = count_ffts(monkeypatch)
-        rows = [rpt.wkb_row(snap, norm_orders=orders) for snap in traj]
-        # FFTs of a, of phi and of a1 (its L2 norm); one batched inverse gives
-        # every gradient component of a and of phi, which the energy and the
-        # phase-gradient sup share.
-        assert counts == {"forward": 3 * len(traj), "inverse": len(traj)}
-        assert counts.rows == {"forward": 3 * len(traj), "inverse": 2 * g.dim * len(traj)}
+        rows = [rpt.wkb_row(pair, norm_orders=orders) for pair in traj]
+        # no forward FFT: the norms read the lent spectra of a, phi and a1,
+        # and one batched inverse gives every gradient component of a and of
+        # phi, which the energy and the phase-gradient sup share
+        assert counts == {"forward": 0, "inverse": len(traj)}
+        assert counts.rows == {"forward": 0, "inverse": 2 * g.dim * len(traj)}
         monkeypatch.undo()
-        for row, state in zip(rows, traj, strict=True):
-            grad_a = ref_gradient(g, state.a.values)
-            grad_phi = ref_gradient(g, state.phi.values.real)
+        for row, (state, spectra) in zip(rows, traj, strict=True):
+            a_hat, phi_hat, a1_hat, _ = (Field(g, f, SPECTRAL) for f in spectra.values)
+            grad_a = ref_gradient(g, spectrum=a_hat.values)
+            grad_phi = ref_gradient(g, spectrum=phi_hat.values)
             assert row["energy"] == wkb.wkb_energy(state, grad_a, grad_phi)
             assert row["grad_phi_max"] == max(np.abs(gp.real).max() for gp in grad_phi)
-            assert row["a1_l2"] == norm(state.a1)
+            assert row["a1_l2"] == norm(a1_hat)
             for s in orders:
-                assert row[f"a_h{s:g}"] == norm(state.a, SobolevIndex(s))
-                assert row[f"phi_h{s:g}"] == norm(state.phi, SobolevIndex(s))
+                assert row[f"a_h{s:g}"] == norm(a_hat, SobolevIndex(s))
+                assert row[f"phi_h{s:g}"] == norm(phi_hat, SobolevIndex(s))
+            # the lent spectra are the saved fields' transforms up to roundoff
+            fresh = {"a1_l2": norm(state.a1),
+                     **{f"{name}_h{s:g}": norm(getattr(state, name), SobolevIndex(s))
+                        for name in ("a", "phi") for s in orders}}
+            assert {k: row[k] for k in fresh} == pytest.approx(fresh, rel=1e-13)

@@ -674,6 +674,37 @@ class TestStackedEngine:
         assert stacked.value.last_state.t == 0.003
         assert bit_identical(stacked.value.last_state, single.value.last_state)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
+    def test_keep_gets_the_transform_of_each_saved_state(self, dim, corrector):
+        # as in solve_nls_stack: keep gets the pair (snapshot, the loop's
+        # spectra of its fields, one stack), which agree with a fresh
+        # transform during the call; the snapshots keep holds equal the
+        # plain trajectory's bit for bit
+        g = make_grid(dim, 6.0, 32)
+        a0 = make_gaussian(g)
+        cfg = WkbRunConfig(dt=1e-2, T=0.05, save_every=2)
+        stack = solve_limit_stack if corrector else solve_grenier_stack
+        members = [(a0, a0 if corrector else eps, cfg) for eps in (0.0, 0.25)]
+        lent = []
+
+        def check(snap):
+            state, spectra = snap
+            names = ("a", "phi", "a1", "phi1") if corrector else ("a", "phi")
+            ref = sg.transform(Field(g, np.stack([getattr(state, n).values for n in names])))
+            assert spectra.space == sg.SPECTRAL and spectra.grid == g
+            assert np.allclose(spectra.values, ref.values, rtol=1e-13,
+                               atol=1e-13 * np.abs(ref.values).max())
+            lent.append(spectra.values)
+            return state
+
+        kept = stack(members, keep=check)
+        assert [len(traj) for traj in kept] == [4, 4]
+        # every save lends each member its part of the one buffer the loop
+        # steps in place
+        assert all(np.shares_memory(spectra, lent[m]) for m in (0, 1) for spectra in lent[m::2])
+        assert bit_identical(kept, stack(members))
+
     @pytest.mark.parametrize("other", [dict(dt=1e-2, T=0.05), dict(dt=1e-2, T=0.04, save_every=1)],
                              ids=["steps", "cadence"])
     def test_members_must_share_steps_and_cadence(self, gaussian_1d, other):
@@ -823,5 +854,6 @@ def test_grad_phi_max_matches_direct_computation(grid_1d):
     x = grid_1d.x_axes[0]
     phi = Field(grid_1d, (0.4 * np.sin(np.pi * x / 12)).astype(complex))
     state = GrenierState(1.0, Field(grid_1d, np.zeros(grid_1d.shape, dtype=complex)), phi, 0.0)
+    spectra = sg.transform(Field(grid_1d, np.stack([state.a.values, phi.values])))
     expected = np.abs(0.4 * np.pi / 12 * np.cos(np.pi * x / 12)).max()
-    assert wkb_row(state)["grad_phi_max"] == pytest.approx(expected, rel=1e-6)
+    assert wkb_row((state, spectra))["grad_phi_max"] == pytest.approx(expected, rel=1e-6)
