@@ -107,6 +107,9 @@ SCHEMA = {
     },
 }
 
+# the sections whose fields make up a SweepConfig
+SWEEP_SECTIONS = ("grid", "sweep", "solver")
+
 
 def _fail(path, message):
     raise ValueError(f"config field '{path}' {message}")
@@ -234,13 +237,16 @@ def validate_config(doc, command):
     return out
 
 
-def _built(cls, sections, **kwargs):
-    """cls(**kwargs); a studies.FieldError it raises names the config field
-    at fault, under the first of sections that has that key."""
+def _built(call, sections, *args, **kwargs):
+    """call(*args, **kwargs); a studies.FieldError it raises names the
+    config field at fault, under the first of sections that has that key
+    (it passes as it is when none has)."""
     try:
-        return cls(**kwargs)
+        return call(*args, **kwargs)
     except studies.FieldError as exc:
-        section = next(name for name in sections if exc.field in SCHEMA[name])
+        section = next((name for name in sections if exc.field in SCHEMA[name]), None)
+        if section is None:
+            raise
         _fail(f"{section}.{exc.field}", exc.message)
 
 
@@ -262,7 +268,7 @@ def _sweep_config(doc, cfg, command):
         s_list += (extra_s,)
     sweep = {**cfg["sweep"], "s_list": tuple(sorted(s_list)),
              "a1_mode": forced or cfg["sweep"]["a1_mode"]}
-    return _built(SweepConfig, ("grid", "sweep", "solver"),
+    return _built(SweepConfig, SWEEP_SECTIONS,
                   a0=_built(GaussianSpec, ("data",), **cfg["data"]),
                   **cfg["grid"], **sweep, **cfg["solver"])
 
@@ -472,7 +478,8 @@ def run(argv) -> int:
                        None)
         if blocked is not None:
             raise ValueError(f"--out {out_dir} cannot be a directory: {blocked} is a file")
-        return DISPATCH[args.command](cfg, out_dir)
+        # a study finds a sweep field out of range only once it sizes a run
+        return _built(DISPATCH[args.command], SWEEP_SECTIONS, cfg, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

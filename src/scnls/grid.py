@@ -316,12 +316,26 @@ def _power_sum(grid, values, p=2, index=None):
         try:
             index.weight(k2)
         except OverflowError:
-            raise ValueError(f"the weight of Sobolev order s = {index.s:g} overflows at |k|^2 = "
-                             f"{k2:.6g} on the {grid.points_per_axis}^{grid.dim} grid of "
-                             f"half-width {grid.half_width:g}") from None
+            raise _overflow(grid, index, "the weight", f" at |k|^2 = {k2:.6g}") from None
     rows = _slab_rows(grid)
-    return _tree_sum([_slab_power_sum(grid, values[_slab(grid, lo, rows)], lo, p, index)
-                      for lo in range(0, grid.points_per_axis, rows)])
+
+    def total():
+        return _tree_sum([_slab_power_sum(grid, values[_slab(grid, lo, rows)], lo, p, index)
+                          for lo in range(0, grid.points_per_axis, rows)])
+
+    if index is None:
+        return total()
+    try:  # a finite weight can still take a finite power past the largest float
+        with np.errstate(over="raise"):
+            return total()
+    except FloatingPointError:
+        raise _overflow(grid, index, "the weighted power") from None
+
+
+def _overflow(grid, index, what, where=""):
+    """The ValueError for what, of index's order, overflowing on grid."""
+    return ValueError(f"{what} of Sobolev order s = {index.s:g} overflows{where} on the "
+                      f"{grid.points_per_axis}^{grid.dim} grid of half-width {grid.half_width:g}")
 
 
 def _per_field(f, values):

@@ -22,7 +22,13 @@ multiplications of the same spectrum. The kinetic phase
 exp(-0.5j eps a dt |k|^2) is separable, so a piece is one multiplication
 per axis by one vector of N entries per member (_dispersion). The
 rotation runs over pieces of the stack through a complex scratch of at
-most ROTATE_POINTS points. A save transforms back once more, into a new
+most ROTATE_POINTS points, the phase in a real array of its own; a piece
+whose |rate| * sum |u|^2 bounds every phase by TINY_PHASE multiplies by
+1 + i phase, which has the bits of cos + i sin there, and calls neither.
+On a grid of dim >= 2, w is the view of a store whose last axis PAD
+zeros extend: the transforms run on w, and the kinetic multiplications,
+the rotation and the save's finiteness check on the store, contiguous,
+which keeps the padding 0. A save transforms back once more, into a new
 array; its tail guard and the spectrum it hands on read the spectrum
 held: 6n + 1 forward and 6n + S inverse FFTs for n steps and S saves
 after t = 0.
@@ -76,6 +82,22 @@ NONLINEAR = (_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1)
 # Points in the phase rotation's complex scratch (128 KiB): a stack larger
 # than this rotates in pieces, a smaller one in one pass.
 ROTATE_POINTS = 2**13
+
+# Entries that pad the last axis of a spectrum on a grid of dim >= 2: one
+# 64-byte cache line of complex128.  With a power-of-two row stride, numpy's
+# transform along a strided axis maps its columns onto a few cache sets and
+# thrashes them.  On 512^2 (one Xeon core) the padding took that pass from
+# 1.76 to 1.24 ms and a 2-D transform pair from 5.9 to 4.5 ms, with the same
+# bits: a 1-D transform's bits do not depend on its stride.
+PAD = 4
+
+# A phase of magnitude at most 2^-27 has cos exactly 1 and sin exactly
+# itself in double precision: theta^2 / 2 <= 2^-55 is below half an ulp of
+# 1, and theta^3 / 6 below half an ulp of theta.  numpy's sin and cos give
+# these bits up to 1.05e-8 and 2.1e-8 (tests/test_nls.py checks the
+# premise for the installed numpy), so a piece whose rows' |rate| * sum |u|^2
+# add up to at most TINY_PHASE rotates by 1 + i phase and calls neither.
+TINY_PHASE = 2.0**-27
 
 
 def _check_eps(eps):
@@ -145,13 +167,22 @@ def default_dt(grid, eps, safety=DEFAULT_DT_SAFETY):
 
 def _rotate(u, buf, rate, axes):
     """u <- u * exp(-1j * rate * |u|^2) in place, rate a number or one per
-    row of u; returns sum |u|^2 over axes (finite iff u is)."""
-    dens = buf.real
-    np.square(np.abs(u, out=dens), out=dens)
-    total = dens.sum(axis=axes)
-    dens *= -rate
-    np.sin(dens, out=buf.imag)
-    np.cos(dens, out=dens)
+    row of u, through buf, a complex scratch shaped like u; returns
+    sum |u|^2 over axes (finite iff u is).  The phase is computed in a real
+    array of its own, where numpy's passes run faster than on buf.real.
+    When |rate| * sum |u|^2 summed over the rows is at most TINY_PHASE, so
+    that no phase exceeds TINY_PHASE, buf is 1 + i phase, the bits of
+    cos + i sin there."""
+    phase = np.abs(u)
+    np.square(phase, out=phase)
+    total = phase.sum(axis=axes)
+    phase *= -rate
+    if np.dot(total, np.abs(rate)) <= TINY_PHASE:  # false for a NaN or inf total
+        buf.real = 1.0
+        buf.imag = phase
+    else:
+        np.sin(phase, out=buf.imag)
+        np.cos(phase, out=buf.real)
     u *= buf
     return total
 
@@ -244,8 +275,11 @@ class _Saver:
             raise NonFiniteError(f"non-finite values at step {step} (t = {t:.6g})", self.last[m], t)
 
     def save(self, step, spectrum, values=None):
-        """Save every member at step; values, at t = 0, is the stack of data."""
+        """Save every member at step; values, at t = 0, is the stack of data.
+        spectrum may pad its last axis past the grid's points with zeros:
+        the finiteness check reads it whole, all else the grid's part."""
         finite = self.finite(spectrum)
+        spectrum = spectrum[..., :self.grid.points_per_axis]
         healthy = len(finite) if finite.all() else int(np.argmin(finite))
         self.last[:healthy] = [None] * healthy
         if self.guard is not None:
@@ -296,14 +330,22 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     n_steps = config.steps
     dt = config.step
 
+    # The spectrum w is a view of store, whose last axis PAD zeros extend on
+    # a grid of dim >= 2.  The transforms run on w; the elementwise passes
+    # run on store, contiguous, and keep its padding 0: each kinetic piece's
+    # factor on the last axis is padded with ones.
+    pad = PAD if grid.dim > 1 else 0
+    store = np.zeros(u.shape[:-1] + (u.shape[-1] + pad,), dtype=complex)
+    w = _fft(u, grid.dim, out=store[..., :u.shape[-1]])
     # Each stage opens with its kinetic piece on the spectrum held; a step
     # closes with the outer piece, which the next step's first stage repeats.
     mults = {a: _dispersion(grid, [0.5 * e * a * dt for e in eps]) for a in set(KINETIC)}
+    for factors in mults.values():
+        factors[-1] = np.pad(factors[-1], [(0, 0)] * grid.dim + [(0, pad)], constant_values=1)
     opening = [mults[a] for a in KINETIC[:-1]]
     outer = mults[KINETIC[-1]]
     rates = [np.reshape([b * dt / e for e in eps], (-1, 1)) for b in NONLINEAR]
-    w = _fft(u, grid.dim)
-    scratch = np.empty(min(ROTATE_POINTS, w.size), dtype=complex)
+    scratch = np.empty(min(ROTATE_POINTS, store.size), dtype=complex)
 
     def tail_guard(healthy, step):  # over the first healthy members
         ResolutionError.check(tail_fraction(Field(grid, w[:healthy], SPECTRAL)), config.tail_tol,
@@ -312,17 +354,17 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     saver = _Saver(grid, [dt] * len(w),
                    lambda values, m, t: NlsState(t, Field(grid, values[m]), eps[m]), keep,
                    lambda spectrum: _ifft(spectrum, grid.dim), tail_guard)
-    saver.save(0, w, u)
+    saver.save(0, store, u)
     del u  # the data are the t = 0 snapshots, held only as those
     for step in range(1, n_steps + 1):
         for rate, mult in zip(rates, opening):
             for factor in mult:
-                w *= factor
+                store *= factor
             _ifft(w, grid.dim, out=w)
-            saver.check(step, _rotate_stack(w, scratch, rate))
+            saver.check(step, _rotate_stack(store, scratch, rate))
             _fft(w, grid.dim, out=w)
         for factor in outer:
-            w *= factor
+            store *= factor
         if step % config.save_every == 0 or step == n_steps:
-            saver.save(step, w)
+            saver.save(step, store)
     return saver.trajectories

@@ -188,14 +188,32 @@ class SweepConfig:
         return make_grid(1, self.half_width, self.wkb_points)
 
     def nls_run_config(self, grid, eps):
-        return aligned_run_config(
-            nls.NlsRunConfig, nls.default_dt(grid, eps, self.nls_dt_safety),
-            self.horizon, self.n_saves, tail_tol=self.tail_tol,
-        )
+        return self._aligned(nls.NlsRunConfig, nls.default_dt(grid, eps, self.nls_dt_safety),
+                             "nls_dt_safety", self.horizon, tail_tol=self.tail_tol)
 
     def wkb_run_config(self, grid, horizon=None):
-        return aligned_run_config(wkb.WkbRunConfig, wkb.default_dt(grid, self.wkb_dt_safety),
-                                  self.horizon if horizon is None else horizon, self.n_saves)
+        return self._aligned(wkb.WkbRunConfig, wkb.default_dt(grid, self.wkb_dt_safety),
+                             "wkb_dt_safety", self.horizon if horizon is None else horizon)
+
+    def _aligned(self, config_cls, dt_target, safety, horizon, **kwargs):
+        """aligned_run_config at n_saves for the default step dt_target: the
+        field safety times a step that the grid spacing sets.  A step the
+        run config rejects (too many steps, or none) is a FieldError of
+        safety when the step at safety's default value passes, else of
+        half_width, which sets the spacing."""
+        def config(dt):
+            return aligned_run_config(config_cls, dt, horizon, self.n_saves, **kwargs)
+
+        try:
+            return config(dt_target)
+        except ValueError as exc:
+            default = self.__dataclass_fields__[safety].default
+            try:
+                config(dt_target / getattr(self, safety) * default)
+                field = safety
+            except ValueError:
+                field = "half_width"
+            raise FieldError(field, f"is out of range: {exc}") from None
 
 
 def aligned_run_config(config_cls, dt_target, horizon, n_saves, **kwargs):

@@ -478,6 +478,24 @@ class TestRunCommands:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value, ratio", [
+        ("grid", "half_width", 1e-300, "1.28e+302"), ("grid", "half_width", 1e-156, "1.28e+158"),
+        ("solver", "wkb_dt_safety", 1e-9, "2.67e+09"),
+        ("solver", "nls_dt_safety", 1e-9, "1.42e+10"),
+    ])
+    def test_study_degenerate_default_step_named(self, tmp_path, capsys, section, key, value,
+                                                 ratio):
+        # a study's default step is a safety factor times a step the grid
+        # spacing sets: one too short for the step budget names the safety
+        # when its default value would fit, else the half-width
+        cfg = write_config(tmp_path, {"schema_version": 1, section: {key: value}})
+        out = tmp_path / "out"
+        assert cli.run(["study-ghost", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field '{section}.{key}' is out of range: T/dt = {ratio} exceeds "
+            "the step budget 5000000\n")
+        assert not out.exists()
+
     def test_summary_dt_is_the_step_taken(self, tmp_path):
         # dt = 0.003 does not divide T = 0.05: the run makes 17 steps of T / 17
         run = {"eps": 0, "points": 64, "T": 0.05, "dt": 0.003}
@@ -641,8 +659,12 @@ class TestRunMemory:
         assert many < two + self.FIELD_BYTES, f"{(many - two) / self.FIELD_BYTES:.2f} fields above"
 
     def test_cold_run_nls_peaks_below_2_5_fields(self, tmp_path):
-        # The step loop holds the spectrum, which it transforms in place, the
-        # last saved snapshot and a rotation scratch of an eighth of a field here.
+        # The step loop holds the spectrum, which it transforms in place, in
+        # storage padded by 4 entries a row (1.6% of a field here), the last
+        # saved snapshot and a rotation scratch of an eighth of a field; each
+        # rotation piece makes and frees a real phase array of up to a
+        # sixteenth of a field.  Its finiteness check at a save reads the
+        # contiguous storage: on the padded view numpy would add a buffer.
         # A save drops the old snapshot once the spectrum passes the
         # finiteness check, before its tail guard and the one inverse
         # transform that makes the new snapshot; the guard and the row's

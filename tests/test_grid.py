@@ -240,6 +240,15 @@ class TestNorms:
                            rf"{n}\^{dim} grid of half-width 12"):
             norm(sg.make_gaussian(g), index)
 
+    def test_overflowing_weighted_power_named(self, grid_1d):
+        # the weight at the Nyquist mode is finite (1.1e308) but the power
+        # there, (256 * 1e3)^2, takes it past the largest float: the same
+        # ValueError, and no RuntimeWarning before it
+        f = sg.Field(grid_1d, 1e3 * (-1.0) ** np.arange(256))
+        with pytest.raises(ValueError, match=r"^the weighted power of Sobolev order s = 100.94 "
+                           r"overflows on the 256\^1 grid of half-width 12$"):
+            norm(f, SobolevIndex(100.94))
+
     @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64)])
     def test_largest_finite_weight_passes(self, dim, n):
         # just below the overflow the weight, and the norm, are finite

@@ -530,6 +530,122 @@ class TestPiecedRotation:
         assert not np.array_equal(exc.value.last_state.u.values, clean[0][1].u.values)
 
 
+def plain_stack_run(data, eps, cfg):
+    """The step loop written plainly, per member m at eps[m]: contiguous
+    np.fft.fftn/ifftn over the grid axes, each kinetic piece one factor per
+    axis, and a rotation by cos + i sin of the phase; the values after every
+    step, from t = 0."""
+    g = data[0].grid
+    axes = tuple(range(-g.dim, 0))
+    dt, column = cfg.step, (-1,) + (1,) * g.dim
+
+    def kinetic(w, a):
+        theta = np.reshape([0.5 * e * a * dt for e in eps], column)
+        for ax, k in enumerate(g.k_axes):
+            w = w * np.exp(-1j * (theta * g.axis_view(k**2, ax)))
+        return w
+
+    u = np.stack([f.values for f in data])
+    out, w = [u], np.fft.fftn(u, axes=axes)
+    for _ in range(cfg.steps):
+        for a, b in zip(nls.KINETIC, nls.NONLINEAR):
+            u = np.fft.ifftn(kinetic(w, a), axes=axes)
+            phase = np.abs(u) ** 2 * -np.reshape([b * dt / e for e in eps], column)
+            rotation = np.empty_like(u)
+            rotation.real, rotation.imag = np.cos(phase), np.sin(phase)
+            w = np.fft.fftn(u * rotation, axes=axes)
+        w = kinetic(w, nls.KINETIC[-1])
+        out.append(np.fft.ifftn(w, axes=axes))
+    return out
+
+
+class TestPaddedStage:
+    """On a grid of dim >= 2 the loop keeps the spectrum in storage whose
+    last axis PAD zeros extend, and a rotation piece whose phases are
+    bounded by TINY_PHASE skips sin and cos; neither changes a bit."""
+
+    def test_sin_and_cos_are_exact_below_tiny_phase(self):
+        # the premise of the skip, for the installed numpy: sin x == x and
+        # cos x == 1 bit for bit for |x| <= TINY_PHASE, on 512 mantissas of
+        # every binade from the subnormals up, both signs and zero, written
+        # to a contiguous array and into a complex one's parts, as _rotate does
+        binades = np.ldexp(1 + np.arange(512) / 512, np.arange(-1074, -26).reshape(-1, 1)).ravel()
+        x = np.concatenate([[0.0, 5e-324, np.nextafter(2.0**-1022, 0), nls.TINY_PHASE],
+                            binades[binades <= nls.TINY_PHASE]])
+        x = np.concatenate([x, -x])
+        buf = np.empty(len(x), dtype=complex)
+        np.sin(x, out=buf.imag)
+        np.cos(x, out=buf.real)
+        for sin, cos in ((np.sin(x), np.cos(x)), (buf.imag, buf.real)):
+            assert bit_identical(sin, x)
+            assert bit_identical(cos, np.ones_like(x))
+
+    # (dim, points, member scales, sign of dt, ROTATE_POINTS): a unit member
+    # and one of amplitude 1e-6, forward and backward, in one rotation piece
+    # (in 3-D, each member a piece of its own, the tiny one's skipping); the
+    # tiny member alone, which skips every sin and cos; a Gaussian in pieces
+    # of 128 points, which skip at its edges only
+    CASES = {
+        "2d-mixed": (2, 32, (1.0, 1e-6), 1, nls.ROTATE_POINTS),
+        "2d-mixed-backward": (2, 32, (1.0, 1e-6), -1, nls.ROTATE_POINTS),
+        "2d-tiny": (2, 32, (1e-6,), 1, nls.ROTATE_POINTS),
+        "2d-gaussian-in-pieces": (2, 32, None, 1, 128),
+        "3d-mixed": (3, 16, (1.0, 1e-6), 1, nls.ROTATE_POINTS),
+        "3d-mixed-backward": (3, 16, (1.0, 1e-6), -1, nls.ROTATE_POINTS),
+        "1d-mixed": (1, 64, (1.0, 1e-6), 1, nls.ROTATE_POINTS),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_a_plain_loop(self, monkeypatch, name):
+        dim, points, scales, sign, piece = self.CASES[name]
+        if scales is None:
+            g = make_grid(dim, 8.0, points)
+            data = [make_gaussian(g)]
+        else:
+            g = make_grid(dim, 4.0, points)
+            data = [random_field(g, 7 + m, scale=c, smooth_width=2) for m, c in enumerate(scales)]
+        eps = [0.5, 0.25][:len(data)]
+        cfg = NlsRunConfig(dt=sign * 0.01, T=sign * 0.02, save_every=1, tail_tol=1.0)
+        monkeypatch.setattr(nls, "ROTATE_POINTS", piece)
+        stores, rotate_stack = [], nls._rotate_stack
+
+        def watching(w, scratch, rate):  # w is the storage the loop rotates
+            stores.append(w)
+            assert not w[..., points:].any()
+            finite = rotate_stack(w, scratch, rate)
+            assert not w[..., points:].any()
+            return finite
+
+        monkeypatch.setattr(nls, "_rotate_stack", watching)
+        sines, sin = [], np.sin
+
+        def counting_sin(*args, **kwargs):
+            sines.append(1)
+            return sin(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counting_sin)
+        trajectories = solve_nls_stack(data, eps, cfg)
+        monkeypatch.undo()
+
+        reference = plain_stack_run(data, eps, cfg)
+        for m, trajectory in enumerate(trajectories):
+            assert [s.t for s in trajectory] == [0.0, sign * 0.01, sign * 0.02]
+            for state, values in zip(trajectory, reference, strict=True):
+                assert bit_identical(state.u.values, values[m])
+                assert state.u.values.flags.c_contiguous
+        store = stores[0]
+        assert all(s is store for s in stores) and len(stores) == 2 * len(nls.NONLINEAR)
+        assert store.shape == (len(data),) + g.shape[:-1] + (points + (nls.PAD if dim > 1 else 0),)
+        assert not store[..., points:].any()  # after the closing kinetic piece too
+        pieces = len(stores) * -(-store.size // min(piece, store.size))
+        if name == "2d-tiny":
+            assert not sines
+        elif name == "2d-gaussian-in-pieces":
+            assert 0 < len(sines) < pieces
+        else:
+            assert len(sines) == len(stores)
+
+
 class TestStackMemory:
     def test_stack_peaks_below_two_and_a_half_of_its_fields(self):
         # The loop holds the spectrum w, the last snapshots and a rotation
