@@ -19,10 +19,12 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import functools
 import itertools
 import json
+import os
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,20 +198,78 @@ class Field:
         return Field(self.grid, self.values.copy(), self.space)
 
 
+# Each axis pass of a 2-D/3-D transform splits its lines into one band per
+# CPU the process may run on, bands of at least _BAND_LINES lines on arrays
+# of at least _SPLIT_POINTS points: a band's dispatch costs some 50-100 us.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_SPLIT_POINTS = 2**16
+_BAND_LINES = 16
+_POOL = None  # the band threads, started on first use
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
+
+
+def _split(task, arr, axis):
+    """task(index) for the index of each band of arr along axis (negative;
+    None keeps arr whole), band 0 on the calling thread and the others on
+    the pool in a copy of the caller's context, so its np.errstate holds.
+    A band's error is raised once every band has finished."""
+    global _POOL
+    lines = 1 if axis is None else arr.shape[axis]
+    bands = min(_CPUS, lines // _BAND_LINES) if arr.size >= _SPLIT_POINTS else 1
+    if bands <= 1:
+        return task((...,))
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(max(1, _CPUS - 1), thread_name_prefix="scnls-band")
+    index = [(..., slice(lines * b // bands, lines * (b + 1) // bands)) + (slice(None),) * (-1 - axis)
+             for b in range(bands)]
+    share = max(16, np.getbufsize() // bands // 16 * 16)
+
+    def run(band):  # the bands' ufunc buffers together take numpy's one
+        with np.errstate():
+            np.setbufsize(share)
+            task(band)
+
+    futures = [_POOL.submit(contextvars.copy_context().run, run, band) for band in index[1:]]
+    try:
+        run(index[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the band
+    for future in futures:
+        future.result()
+
+
+def _transform(fn, a, dim, out=None, first=None):
+    """fn (np.fft.fft or ifft) over the last dim axes of a into out (new
+    when None, or a itself), with fftn's bits: the axis passes run in its
+    order, last axis first, their lines split along another grid axis
+    (_split), and a line's transform has the same bits whatever its stride
+    and whichever lines share its call.  first(index), when given, runs on
+    each band of the first pass before that band transforms."""
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+
+    def band(index, src, ax):
+        if first is not None and ax == -1:
+            first(index)
+        fn(src[index], axis=ax, out=out[index])
+
+    for ax in range(-1, -dim - 1, -1):
+        split = None if dim == 1 else -dim if ax != -dim else 1 - dim
+        _split(functools.partial(band, src=a if ax == -1 else out, ax=ax), out, split)
+    return out
+
+
 def _fft(a, dim, out=None):
-    """np.fft.fftn over the last dim axes; np.fft.fft for one axis (the
-    same bits without the n-D wrapper).  Without out, the result is
-    allocated once: fftn allocates one array per axis."""
-    if out is None:
-        out = np.empty(np.shape(a), dtype=np.complex128)
-    return np.fft.fft(a, out=out) if dim == 1 else np.fft.fftn(a, axes=range(-dim, 0), out=out)
+    """np.fft.fftn over the last dim axes, allocating its result once."""
+    return _transform(np.fft.fft, a, dim, out)
 
 
-def _ifft(a, dim, out=None):
-    """The inverse of _fft, allocating its result once too."""
-    if out is None:
-        out = np.empty(np.shape(a), dtype=np.complex128)
-    return np.fft.ifft(a, out=out) if dim == 1 else np.fft.ifftn(a, axes=range(-dim, 0), out=out)
+def _ifft(a, dim, out=None, first=None):
+    """The inverse of _fft; first as in _transform."""
+    return _transform(np.fft.ifft, a, dim, out, first)
 
 
 def _require_space(f, space, op):

@@ -28,10 +28,14 @@ whose |rate| * sum |u|^2 bounds every phase by TINY_PHASE multiplies by
 On a grid of dim >= 2, w is the view of a store whose last axis PAD
 zeros extend: the transforms run on w, and the kinetic multiplications,
 the rotation and the save's finiteness check on the store, contiguous,
-which keeps the padding 0. A save transforms back once more, into a new
-array; its tail guard and the spectrum it hands on read the spectrum
-held: 6n + 1 forward and 6n + S inverse FFTs for n steps and S saves
-after t = 0.
+which keeps the padding 0. There each transform's axis passes run in
+bands of lines across the CPUs (grid._split), and a stage's opening
+kinetic piece in the bands of its inverse transform's first pass, the
+last-axis one; a step's closing piece and the rotation run on the
+calling thread. A save transforms back once more, into a new array; its
+tail guard and the spectrum it hands on read the spectrum held: 6n + 1
+forward and 6n + S inverse FFTs for n steps and S saves after t = 0,
+each a whole transform however many bands it runs in.
 
 Per grid point the loop holds two fields of a member: the spectrum w and
 the last saved snapshot. Saves and the finiteness guard are _Saver's,
@@ -40,8 +44,8 @@ its finiteness check passed, in one stacked pass, slab by slab.
 
 The loop advances a stack of data on one grid with one step and save
 cadence, each datum with its own eps: the field is an (m, *grid.shape)
-array, every FFT runs over the grid axes only (np.fft.fft/ifft on a 1-D
-grid), each kinetic factor holds one vector per member on its axis and
+array, every FFT runs over the grid axes only (np.fft.fft/ifft per
+axis), each kinetic factor holds one vector per member on its axis and
 each rotation rate one value per member, and each member's trajectory is
 bit-identical to its own stack of one. Stacking several data pays the
 Python loop and the per-call FFT overhead once for all of them. The
@@ -60,6 +64,7 @@ above the two-thirds cut grew from roundoff in strongly nonlinear runs:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,19 +175,19 @@ def _rotate(u, buf, rate, axes):
     row of u, through buf, a complex scratch shaped like u; returns
     sum |u|^2 over axes (finite iff u is).  The phase is computed in a real
     array of its own, where numpy's passes run faster than on buf.real.
-    When |rate| * sum |u|^2 summed over the rows is at most TINY_PHASE, so
-    that no phase exceeds TINY_PHASE, buf is 1 + i phase, the bits of
-    cos + i sin there."""
+    buf is 1 + i phase, the bits of cos + i sin where no phase exceeds
+    TINY_PHASE; unless |rate| * sum |u|^2 summed over the rows bounds every
+    phase so, sin and cos overwrite it where a phase exceeds TINY_PHASE."""
     phase = np.abs(u)
     np.square(phase, out=phase)
     total = phase.sum(axis=axes)
     phase *= -rate
-    if np.dot(total, np.abs(rate)) <= TINY_PHASE:  # false for a NaN or inf total
-        buf.real = 1.0
-        buf.imag = phase
-    else:
-        np.sin(phase, out=buf.imag)
-        np.cos(phase, out=buf.real)
+    buf.real = 1.0
+    buf.imag = phase
+    if not np.dot(total, np.abs(rate)) <= TINY_PHASE:  # true for a NaN or inf total
+        big = ~(np.abs(phase) <= TINY_PHASE)  # NaN and inf phases included
+        np.sin(phase, out=buf.imag, where=big)
+        np.cos(phase, out=buf.real, where=big)
     u *= buf
     return total
 
@@ -202,6 +207,15 @@ def _rotate_stack(w, scratch, rate):
             buf = scratch[:piece.size].reshape(piece.shape)
             finite[lo:lo + rows] &= np.isfinite(_rotate(piece, buf, rate[lo:lo + rows], 1))
     return finite
+
+
+def _kinetic(store, factors, band):
+    """store[band] *= each factor in place, band a slice of the first grid
+    axis, the one only factors[0] varies along."""
+    rows = store[band]
+    rows *= factors[0][band]
+    for factor in factors[1:]:
+        rows *= factor
 
 
 def mass(f: Field):
@@ -358,13 +372,10 @@ def solve_nls_stack(u0s, eps, config: NlsRunConfig, keep=None):
     del u  # the data are the t = 0 snapshots, held only as those
     for step in range(1, n_steps + 1):
         for rate, mult in zip(rates, opening):
-            for factor in mult:
-                store *= factor
-            _ifft(w, grid.dim, out=w)
+            _ifft(w, grid.dim, out=w, first=functools.partial(_kinetic, store, mult))
             saver.check(step, _rotate_stack(store, scratch, rate))
             _fft(w, grid.dim, out=w)
-        for factor in outer:
-            store *= factor
+        _kinetic(store, outer, (...,))
         if step % config.save_every == 0 or step == n_steps:
             saver.save(step, store)
     return saver.trajectories

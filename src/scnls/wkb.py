@@ -25,8 +25,9 @@ i (eps/2) Lap(a) is not among the rates: it is the integrating factor
 exp(-i eps |kappa|^2 t / 2) on the row of a (Lawson, SIAM J. Numer. Anal. 4,
 1967), exact at any step, so the step is the transport CFL at every eps;
 like the kinetic pieces of nls, it is one vector per axis and member.
-A stage makes 2 batched FFT calls (np.fft.fft/ifft on a 1-D grid): one
-inverse transform gives every value and derivative the rates read, and
+A stage makes 2 batched transforms, whole ones however many bands of
+lines grid._split runs their passes in on a 2-D or 3-D grid: one inverse
+transform gives every value and derivative the rates read, and
 one forward transform hands the rates back, dealiased in place.  Every
 spectral derivative comes from _derivatives: each gradient component is
 one product with the grid's per-axis factor i*kappa, minus the Laplacian

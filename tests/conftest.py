@@ -1,5 +1,5 @@
+import concurrent.futures
 import dataclasses
-import inspect
 import math
 import tracemalloc
 
@@ -65,48 +65,51 @@ def kept_modes(grid):
 
 
 class FftCounts(dict):
-    """Calls per transform direction ("forward", "inverse"); .rows holds the
-    transformed rows per direction, the product of the axes a call does not
-    transform (1 for a call that transforms every axis)."""
+    """Transforms per direction ("forward", "inverse"); .rows holds the
+    transformed rows per direction, the product of the axes a transform
+    leaves alone (1 for one field over every grid axis)."""
 
     def __init__(self, names):
         super().__init__((name, 0) for name in names)
         self.rows = dict.fromkeys(names, 0)
 
 
-FFT_ENTRY_POINTS = {"forward": ("fft", "fftn"), "inverse": ("ifft", "ifftn")}
-
-
 def count_ffts(monkeypatch):
-    """Count forward (np.fft.fft, fftn) and inverse (ifft, ifftn) calls and
-    rows from here to the end of the test."""
-    counts = FftCounts(FFT_ENTRY_POINTS)
+    """Count forward and inverse transforms, and their rows, from here to the
+    end of the test: the calls of grid._transform, which every transform of
+    the package runs through (only grid.py reaches numpy.fft; see test_api).
+    A 2-D or 3-D transform counts once, however many line passes and bands
+    it runs in."""
+    counts = FftCounts(("forward", "inverse"))
+    transform = sg._transform
 
-    def counting(direction, fn):
-        signature = inspect.signature(fn)
+    def counting(fn, a, dim, *args, **kwargs):
+        direction = "inverse" if fn is np.fft.ifft else "forward"
+        counts[direction] += 1
+        counts.rows[direction] += math.prod(np.shape(a)[:-dim])
+        return transform(fn, a, dim, *args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs).arguments
-            shape = np.shape(bound["a"])
-            axes = [bound.get("axis", -1)] if "axis" in signature.parameters else bound.get("axes")
-            done = range(len(shape)) if axes is None else {ax % len(shape) for ax in axes}
-            counts[direction] += 1
-            counts.rows[direction] += math.prod(n for ax, n in enumerate(shape) if ax not in done)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for direction, names in FFT_ENTRY_POINTS.items():
-        for name in names:
-            monkeypatch.setattr(np.fft, name, counting(direction, getattr(np.fft, name)))
+    monkeypatch.setattr(sg, "_transform", counting)
     return counts
+
+
+@pytest.fixture(params=[1, 2, 3, 5])
+def bands(request, monkeypatch):
+    """Band count of a 2-D/3-D transform pass forced to the parameter, on
+    arrays of any size, whatever CPUs the host has."""
+    monkeypatch.setattr(sg, "_CPUS", request.param)
+    monkeypatch.setattr(sg, "_SPLIT_POINTS", 0)
+    monkeypatch.setattr(sg, "_BAND_LINES", 1)
+    return request.param
 
 
 def traced_peak(call):
     """tracemalloc's peak, in bytes, over one call of call(): what the call
     allocates at its worst, less what it frees on the way.  numpy imports
-    numpy.fft on first use; it is imported here first, so that a peak
-    measures the call and not that import."""
-    np.fft.fft
+    numpy.fft on first use, and grid imports concurrent.futures' thread pool
+    when it first splits a transform into bands; both are imported here
+    first, so that a peak measures the call and not those imports."""
+    np.fft.fft, concurrent.futures.ThreadPoolExecutor
     tracemalloc.start()
     try:
         call()

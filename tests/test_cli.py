@@ -3,7 +3,9 @@ import csv
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from dataclasses import fields
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scnls
 from scnls import acceptance, cli, nls, report, studies, wkb
 from scnls.acceptance import FULL_EPS_SWEEP
 from scnls.errors import GuardError
@@ -693,6 +696,33 @@ class TestRunMemory:
                            {"eps": 0.0, "with_corrector": True, "a1_mode": "equal_a0"}, 1,
                            T=0.004, half_width=11.5, points=points) / (points**2 * 16)
         assert fields < 38.3, f"peak of {fields:.2f} fields"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity is not available on this platform")
+@pytest.mark.parametrize("command, run", [
+    ("run-nls", {"eps": 0.25, "points": 256, "T": 0.01}),
+    ("run-wkb", {"eps": 0.0, "with_corrector": True, "a1_mode": "equal_a0", "points": 128,
+                 "T": 0.02}),
+], ids=["run-nls", "run-wkb"])
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, command, run):
+    # 2-D transforms split into one band per CPU of the affinity mask: a
+    # process pinned to one CPU runs every pass whole, an unpinned one splits
+    # these grids' passes on a host of several CPUs
+    one_cpu = {min(os.sched_getaffinity(0))}
+    env = {**os.environ, "PYTHONPATH": str(Path(scnls.__file__).parents[1])}
+    outputs = []
+    for pin in (lambda: os.sched_setaffinity(0, one_cpu), None):
+        out = tmp_path / f"out{len(outputs)}"
+        out.mkdir()
+        cfg = write_config(tmp_path, {"schema_version": 1, "grid": {"half_width": 11.5},
+                                      "run": {"dim": 2, "dt": 0.001, "save_every": 5, **run}})
+        subprocess.run([sys.executable, "-m", "scnls.cli", command, "--config", str(cfg),
+                        "--out", str(out)], env=env, preexec_fn=pin, check=True,
+                       capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert {"summary.json", f"{command[4:]}_trajectory.csv"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 class TestStudyCommands:

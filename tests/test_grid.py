@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -520,6 +522,84 @@ class TestFftHelpers:
         sg.inverse_transform(sg.transform(gaussian_1d))
         nls.solve_nls_stack([gaussian_1d], 0.5, nls.NlsRunConfig(dt=1e-3, T=2e-3))
         wkb.solve_limit_stack([(gaussian_1d, gaussian_1d, wkb.WkbRunConfig(dt=1e-3, T=2e-3))])
+
+
+class TestBandedTransforms:
+    """Each axis pass of a 2-D/3-D transform runs its lines in bands, band 0
+    on the calling thread: fftn's bits for every band count."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("padded", [False, True], ids=["contiguous", "padded"])
+    @pytest.mark.parametrize("out", ["new", "in-place", "separate"])
+    def test_bits_of_fftn_for_any_band_count(self, monkeypatch, bands, dim, members, padded, out):
+        n = {2: 16, 3: 8}[dim]
+        shape = (members,) + (n,) * dim
+        rng = np.random.default_rng(10 * dim + members)
+        # the storage nls keeps on a grid of dim >= 2: the last axis PAD zeros longer
+        store = np.zeros(shape[:-1] + (n + nls.PAD * padded,), dtype=complex)
+        a = store[..., :n]
+        a[...] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        calls = []
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, lambda *args, fn=getattr(np.fft, name), **kwargs: (
+                calls.append(1), fn(*args, **kwargs))[1])
+        for transform, reference in ((sg._fft, np.fft.fftn), (sg._ifft, np.fft.ifftn)):
+            expected = reference(a, axes=range(1, dim + 1))
+            work = store.copy()
+            src = work[..., :n]
+            dest = {"new": None, "in-place": src, "separate": np.empty(shape, dtype=complex)}[out]
+            calls.clear()
+            result = transform(src, dim, out=dest)
+            assert len(calls) == dim * bands  # one call per band of each axis pass
+            assert dest is None or result is dest
+            assert bit_identical(result, expected)
+            assert not work[..., n:].any()
+
+    @staticmethod
+    def last_row_overflows():
+        """A datum whose first pass overflows in the last band alone, which
+        a worker runs unless there is one band."""
+        a = np.zeros((1, 16, 16), dtype=complex)
+        a[0, -1] = 1e308
+        return a
+
+    def test_an_overflow_raises_under_errstate_raise(self, bands):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            sg._fft(self.last_row_overflows(), 2)
+
+    def test_an_overflow_is_silent_under_errstate_ignore(self, bands):
+        # pytest turns any RuntimeWarning, in a worker too, into an error; the
+        # second pass multiplies inf by zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(sg._fft(self.last_row_overflows(), 2)).all()
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_failing_band_raises_once_every_band_has_finished(self, monkeypatch, failing):
+        monkeypatch.setattr(sg, "_CPUS", 3)
+        monkeypatch.setattr(sg, "_SPLIT_POINTS", 0)
+        monkeypatch.setattr(sg, "_BAND_LINES", 1)
+        finished = []
+
+        def task(index):
+            band = index[-2].start // 4
+            if band == failing:
+                raise ValueError(f"band {band}")
+            time.sleep(0.05)
+            finished.append(band)
+
+        with pytest.raises(ValueError, match=f"band {failing}"):
+            sg._split(task, np.zeros((12, 5)), -2)
+        assert sorted(finished) == [b for b in range(3) if b != failing]
+
+    def test_one_dimensional_transforms_stay_on_the_calling_thread(self, bands):
+        seen = set()
+
+        def task(index):
+            seen.add(index)
+
+        sg._split(task, np.zeros((4, 64)), None)
+        assert seen == {(...,)}
 
 
 class TestSharedGrid:

@@ -646,6 +646,47 @@ class TestPaddedStage:
             assert len(sines) == len(stores)
 
 
+    @pytest.mark.parametrize("name", ["2d-mixed", "3d-mixed-backward"])
+    def test_any_band_count_keeps_the_bits(self, bands, name):
+        # three steps saved every two, in 1, 2, 3 or 5 bands of grid lines
+        dim, points, scales, sign, _ = self.CASES[name]
+        g = make_grid(dim, 4.0, points)
+        data = [random_field(g, 7 + m, scale=c, smooth_width=2) for m, c in enumerate(scales)]
+        eps = [0.5, 0.25]
+        cfg = NlsRunConfig(dt=sign * 0.01, T=sign * 0.03, save_every=2, tail_tol=1.0)
+        reference = plain_stack_run(data, eps, cfg)
+        for m, trajectory in enumerate(solve_nls_stack(data, eps, cfg)):
+            for state, values in zip(trajectory, [reference[k] for k in (0, 2, 3)], strict=True):
+                assert bit_identical(state.u.values, values[m])
+
+    def test_rotation_straddling_tiny_phase_keeps_the_bits(self, monkeypatch):
+        # one piece whose phases straddle TINY_PHASE, among them NaN and -inf
+        # (|u|^2 overflows or u is inf): sin and cos run just where a phase
+        # is not at most TINY_PHASE, with the bits of running them everywhere
+        radius = np.sqrt(nls.TINY_PHASE) * np.array([0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 1e3])
+        u0 = np.concatenate([radius * np.exp(1j * (0.3 + np.arange(6))), [np.nan, 1e200, np.inf, 1j]])
+        u0 = u0.reshape(1, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.square(np.abs(u0)) * -1.0
+            ref_buf = np.empty_like(u0)
+            np.sin(phase, out=ref_buf.imag)
+            np.cos(phase, out=ref_buf.real)
+            reference = u0 * ref_buf
+            masks, sin = [], np.sin
+
+            def recording_sin(*args, **kwargs):
+                masks.append(kwargs["where"])
+                return sin(*args, **kwargs)
+
+            monkeypatch.setattr(np, "sin", recording_sin)
+            u = u0.copy()
+            nls._rotate(u, np.empty_like(u), np.array([[1.0]]), 1)
+        assert bit_identical(u, reference)
+        (mask,) = masks
+        assert bit_identical(mask, ~(np.abs(phase) <= nls.TINY_PHASE))
+        assert mask.tolist() == [[False, False, False, True, True, True, True, True, True, True]]
+
+
 class TestStackMemory:
     def test_stack_peaks_below_two_and_a_half_of_its_fields(self):
         # The loop holds the spectrum w, the last snapshots and a rotation
@@ -828,8 +869,8 @@ class TestGuards:
         g = make_grid(1, 12.0, 64)
         ifft = nls._ifft
 
-        def overflowing(a, dim, out=None):
-            values = ifft(a, dim, out=out)
+        def overflowing(a, dim, out=None, **kwargs):
+            values = ifft(a, dim, out=out, **kwargs)
             if out is None:  # the save's transform, not a stage's in place
                 values[0, 3] = np.inf
             return values
