@@ -15,6 +15,13 @@ Conventions (fixed once, used everywhere):
   axis, building each slab's weight from the per-axis wavenumbers, so
   neither it nor the grid holds a whole-grid weight or |f|^2 array (see
   _power_sum).
+* Every reduction, norms, masses, tail fractions, gradient_max,
+  spectral_extent and boundary_max, acts per field of a stack (leading
+  axes before the grid axes): a float for one field, an array over the
+  leading axes for a stack, each entry with the bits of its field alone.
+* Every spectral derivative comes from _derivatives: a gradient
+  component is one product with the per-axis factor i*kappa
+  (Grid.gradient_factors), minus the Laplacian one with k_squared.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import weakref
 from dataclasses import dataclass
@@ -176,10 +184,9 @@ def make_grid(dim, half_width, points_per_axis):
 class Field:
     """Complex samples on a Grid, tagged physical or spectral: one field of
     the grid's shape, or a stack of fields, leading axes before the grid
-    axes.  transform, inverse_transform, norm, lp_norm, tail_fraction and
-    resample take either; on a stack they act per field, with the bits of
-    that field alone, and a reduction returns an array over the leading
-    axes where one field gives a float."""
+    axes.  transform, inverse_transform, resample and the reductions take
+    either; on a stack they act per field, with the bits of that field
+    alone (see the conventions above)."""
 
     grid: Grid
     values: np.ndarray
@@ -275,6 +282,26 @@ def _ifft(a, dim, out=None, first=None):
 def _require_space(f, space, op):
     if f.space != space:
         raise ValueError(f"{op} expects a {space}-space field, got {f.space}")
+
+
+def _derivatives(grid, spectrum, out):
+    """The spectral derivatives of spectrum (grid axes last) into out: row m
+    along axis m for each axis, then, when out has a row more, |kappa|^2
+    spectrum, minus the Laplacian (its sign goes into the callers'
+    coefficients)."""
+    for row, factor in zip(out, grid.gradient_factors):
+        np.multiply(factor, spectrum, out=row)
+    if len(out) > grid.dim:
+        np.multiply(grid.k_squared, spectrum, out=out[grid.dim])
+    return out
+
+
+def gradients(grid, spectra):
+    """Gradient components of the fields whose transforms are spectra (one
+    field's, or a stack of them), from one batched inverse transform: the
+    component axis goes in front of the spectra's axes."""
+    out = np.empty((grid.dim,) + spectra.shape, dtype=complex)
+    return _ifft(_derivatives(grid, spectra, out), grid.dim, out=out)
 
 
 def transform(f: Field) -> Field:
@@ -398,10 +425,10 @@ def _overflow(grid, index, what, where=""):
                       f"{grid.points_per_axis}^{grid.dim} grid of half-width {grid.half_width:g}")
 
 
-def _per_field(f, values):
-    """values, one per field of f: a float for one field, else the array
-    over its leading axes."""
-    return float(values) if f.values.ndim == f.grid.dim else values
+def _per_field(out):
+    """out, a reduction's numbers, one per field: a float for one field
+    (out is 0-d), else the array over a stack's leading axes."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _scalar_map(fn, *values):
@@ -438,7 +465,7 @@ def norm(f: Field, index: SobolevIndex = SobolevIndex()):
     if f.space == PHYSICAL:
         f = transform(f)
     g = f.grid
-    return _per_field(f, np.sqrt(_power_sum(g, f.values, index=index) * g.parseval_weight))
+    return _per_field(np.sqrt(_power_sum(g, f.values, index=index) * g.parseval_weight))
 
 
 def lp_norm(f: Field, p: float):
@@ -446,27 +473,37 @@ def lp_norm(f: Field, p: float):
     energies), per field."""
     _require_space(f, PHYSICAL, "lp_norm")
     g = f.grid
-    return _per_field(f, _scalar_map(lambda total: total ** (1.0 / p),
-                                     _power_sum(g, f.values, p) * g.quad_weight))
+    return _per_field(_scalar_map(lambda total: total ** (1.0 / p),
+                                  _power_sum(g, f.values, p) * g.quad_weight))
 
 
 def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
     """Canonical smooth rapidly-decaying datum: amplitude * exp(-|x-c|^2/w^2).
 
-    Rejects combinations whose boundary samples exceed DECAY_TOL * amplitude,
-    since then the periodic domain is too small to stand in for free space.
+    Rejects a centre outside the box [-L, L) on some axis, a width whose
+    square leaves the floats, and combinations whose boundary samples
+    exceed DECAY_TOL * amplitude, since then the periodic domain is too
+    small to stand in for free space.
     """
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width!r}")
+    try:
+        w2 = float(width) ** 2
+    except OverflowError:
+        w2 = math.inf
+    if not (width > 0 and 0 < w2 < math.inf):
+        raise ValueError(f"width must be positive with a square in (0, inf), got {width!r}")
     centers = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
+    L = grid.half_width
+    if not all(-L <= c < L for c in centers):
+        raise ValueError(f"center {center!r} lies outside the box [-{L:g}, {L:g}) on some axis")
     # r^2, the exponent and the datum are built in place in the real part
     # of the output: one field, where out-of-place steps peak at two
     vals = np.zeros(grid.shape, dtype=np.complex128)
     r2 = vals.real
-    for ax in range(grid.dim):
-        r2 += grid.axis_view((grid.x_axes[ax] - centers[ax]) ** 2, ax)
-    np.negative(r2, out=r2)
-    r2 /= width**2
+    with np.errstate(over="ignore"):  # an r^2 past the floats is inf: the datum is 0 there
+        for ax in range(grid.dim):
+            r2 += grid.axis_view((grid.x_axes[ax] - centers[ax]) ** 2, ax)
+        np.negative(r2, out=r2)
+        r2 /= w2
     np.exp(r2, out=r2)
     r2 *= amplitude
     f = Field(grid, vals, PHYSICAL)
@@ -474,20 +511,21 @@ def make_gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
     return f
 
 
-def boundary_max(f: Field) -> float:
-    """Largest |value| on the outermost shell of grid points: the first
-    and last sample along each axis."""
-    return float(max(np.abs(np.take(f.values, [0, -1], axis=ax)).max()
-                     for ax in range(f.grid.dim)))
+def boundary_max(f: Field):
+    """Largest |value| on the outermost shell of grid points, the first
+    and last sample along each axis, per field."""
+    axes = tuple(range(-f.grid.dim, 0))
+    return _per_field(functools.reduce(np.maximum, (
+        np.abs(np.take(f.values, [0, -1], axis=ax)).max(axis=axes) for ax in axes)))
 
 
 def check_boundary_decay(f: Field, tol):
-    b = boundary_max(f)
-    if b > tol:
-        raise ValueError(
-            f"boundary decay check failed: max boundary sample {b:.3e} > {tol:.3e}; "
-            "the domain is too small for this datum"
-        )
+    """Raise for the first field of f whose boundary_max exceeds tol, a
+    bound for every field or one per field."""
+    for b, bound in np.broadcast(boundary_max(f), tol):
+        if b > bound:
+            raise ValueError(f"boundary decay check failed: max boundary sample {b:.3e} > "
+                             f"{bound:.3e}; the domain is too small for this datum")
 
 
 def tail_fraction(f: Field):
@@ -512,23 +550,23 @@ def tail_fraction(f: Field):
             tail += _grid_sum(g, power[(..., slice(start, stop)) + box[1:]])
     total = _tree_sum(sums)
     # a zero field has a zero tail: 0 / 1
-    return _per_field(f, tail / np.where(total == 0.0, 1.0, total))
+    return _per_field(tail / np.where(total == 0.0, 1.0, total))
 
 
-def gradient_max(grid, values) -> float:
-    """Largest |d f / d x_j| over the grid, the axes j and the fields f of
+def gradient_max(grid, values):
+    """Largest |d f / d x_j| over the grid and the axes j, per field f of
     values (physical samples, grid axes last: one field or a stack), by
-    spectral differentiation of one transform of the stack; 0 for no field."""
-    spectrum = _fft(values, grid.dim)
-    return max(float(np.abs(_ifft(factor * spectrum, grid.dim)).max(initial=0.0))
-               for factor in grid.gradient_factors)
+    spectral differentiation: one transform of the stack and one batched
+    inverse of its gradients."""
+    grad = np.abs(gradients(grid, _fft(values, grid.dim)))
+    return _per_field(grad.max(axis=(0, *range(-grid.dim, 0))))
 
 
-def spectral_extent(grid, values, tol) -> float:
+def spectral_extent(grid, values, tol):
     """The smallest K such that, in each field f of values (as gradient_max
     reads them), the modes with |k_j| > K on some axis j hold at most tol of
     f's power: the per-axis cut that a tail guard of tolerance tol would need
-    in place of the two-thirds rule's.  0 for zero fields and for no field."""
+    in place of the two-thirds rule's, per field; 0 for a zero field."""
     power = np.abs(_fft(values, grid.dim)).reshape(-1, grid.num_points) ** 2
     k = np.abs(grid.k_axes[0])
     # max_j |k_j| over the grid, the norm whose balls the tail boxes cut
@@ -542,7 +580,7 @@ def spectral_extent(grid, values, tol) -> float:
     beyond = np.zeros_like(power)
     beyond[:, :-1] = np.cumsum(power[:, :0:-1], axis=1)[:, ::-1]
     cut = np.argmax(beyond <= tol * power.sum(axis=1).reshape(-1, 1), axis=1)
-    return float(levels[cut].max(initial=0.0))
+    return _per_field(levels[cut].reshape(np.shape(values)[:-grid.dim]))
 
 
 def resample(f: Field, points_per_axis) -> Field:

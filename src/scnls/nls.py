@@ -222,7 +222,7 @@ def mass(f: Field):
     """int |u|^2 dx by grid quadrature, per field."""
     if f.space != PHYSICAL:
         raise ValueError("mass expects a physical-space field")
-    return _per_field(f, _power_sum(f.grid, f.values) * f.grid.quad_weight)
+    return _per_field(_power_sum(f.grid, f.values) * f.grid.quad_weight)
 
 
 def semiclassical_energy(state: NlsState, spectrum: Field | None = None) -> float:

@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import nls, wkb
-from .grid import SPECTRAL, Field, SobolevIndex, norm
+from .grid import SPECTRAL, Field, SobolevIndex, gradients, norm
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -115,7 +115,7 @@ def wkb_row(snap, norm_orders=()):
     share one batched inverse transform of the gradients of a and phi."""
     state, spectra = snap
     g = state.a.grid
-    grad_a, grad_phi = np.swapaxes(wkb.gradients(g, spectra.values[:2]), 0, 1)
+    grad_a, grad_phi = np.swapaxes(gradients(g, spectra.values[:2]), 0, 1)
     row = {
         "t": state.t,
         "mass": nls.mass(state.a),

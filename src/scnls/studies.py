@@ -308,7 +308,8 @@ def grid_scales(config, cache):
     run = _limit_run(config)
     stack_runs(cache, [run])
     phi, a = snapshots(cache[run], "phi", "a").values
-    return gradient_max(run.grid, phi), spectral_extent(run.grid, a, config.tail_tol)
+    return (float(gradient_max(run.grid, phi).max()),
+            float(spectral_extent(run.grid, a, config.tail_tol).max()))
 
 
 def snapshots(traj, *names):

@@ -28,13 +28,12 @@ like the kinetic pieces of nls, it is one vector per axis and member.
 A stage makes 2 batched transforms, whole ones however many bands of
 lines grid._split runs their passes in on a 2-D or 3-D grid: one inverse
 transform gives every value and derivative the rates read, and
-one forward transform hands the rates back, dealiased in place.  Every
-spectral derivative comes from _derivatives: each gradient component is
-one product with the grid's per-axis factor i*kappa, minus the Laplacian
-one with |kappa|^2.  Dealiasing zeroes the grid's tail boxes, the modes
-tail_fraction sums.  Saves and the finiteness guard are nls._Saver's: a
-save transforms the state back into the buffer the snapshots then keep,
-and lends keep the spectra.  A stack member equals its own stack of one
+one forward transform hands the rates back, dealiased in place.  Its
+derivatives, like every spectral derivative, are grid._derivatives'.
+Dealiasing zeroes the grid's tail boxes, the modes tail_fraction sums.
+Saves and the finiteness guard are nls._Saver's: a save transforms the
+state back into the buffer the snapshots then keep, and lends keep the
+spectra.  A stack member equals its own stack of one
 bit for bit and raises that stack's guard error.
 """
 
@@ -47,6 +46,7 @@ import numpy as np
 from .errors import ResolutionError, SingularityError
 from .grid import (
     Field,
+    _derivatives,
     _fft,
     _ifft,
     check_boundary_decay,
@@ -110,26 +110,6 @@ def default_dt(grid, safety=0.25):
     dispersive term i (eps/2) Lap(a) is the integrating factor, exact for
     any step, so eps sets no bound."""
     return safety * grid.spacing
-
-
-def _derivatives(grid, spectrum, out):
-    """The spectral derivatives of spectrum (grid axes last) into out: row m
-    along axis m for each axis, then, when out has a row more, |kappa|^2
-    spectrum, minus the Laplacian (its sign goes into the callers'
-    coefficients)."""
-    for row, factor in zip(out, grid.gradient_factors):
-        np.multiply(factor, spectrum, out=row)
-    if len(out) > grid.dim:
-        np.multiply(grid.k_squared, spectrum, out=out[grid.dim])
-    return out
-
-
-def gradients(grid, spectra):
-    """Gradient components of the fields whose transforms are spectra (one
-    field's, or a stack of them), from one batched inverse transform: the
-    component axis goes in front of the spectra's axes."""
-    out = np.empty((grid.dim,) + spectra.shape, dtype=complex)
-    return _ifft(_derivatives(grid, spectra, out), grid.dim, out=out)
 
 
 class _Rates:
@@ -218,13 +198,6 @@ class _Rates:
         return out
 
 
-def _auto_sing_tol(grid, a_init, horizon):
-    # Early-time scale: |grad phi| grows like t * max|grad |a(0)|^2|, so
-    # 50x its value at the horizon is far outside regular behaviour.
-    rate = gradient_max(grid, np.abs(a_init) ** 2)
-    return 50.0 * max(rate * abs(horizon), _SING_RATE_FLOOR)
-
-
 def _solve_stack(members, keep, corrector):
     """Lawson's integrating-factor RK4 on the stacked state y of shape
     (fields, members, *grid), held as its spectrum, in place, with guard
@@ -248,9 +221,10 @@ def _solve_stack(members, keep, corrector):
     data = data.reshape((-1, len(members)) + grid.shape)  # [a, phi] or [a, phi, a1, phi1]
     d = grid.dim
     configs = [member[-1] for member in members]
-    for field, config in zip(a0s + a1s, configs * 2):
-        if config.enforce_decay:
-            check_boundary_decay(field, tol=max(np.abs(field.values).max(), 1.0) * 1e-12)
+    # the decay of the data's a (and a1) rows, each against its own peak
+    peaks = np.maximum(np.abs(data[::2]).max(axis=tuple(range(-d, 0))), 1.0)
+    check_boundary_decay(Field(grid, data[::2]), tol=np.where(
+        [c.enforce_decay for c in configs], peaks * 1e-12, np.inf))
     eps = [0.0 if corrector else member[1] for member in members]
     schedules = {(c.steps, c.save_every) for c in configs}
     if len(schedules) != 1:
@@ -268,7 +242,12 @@ def _solve_stack(members, keep, corrector):
                    axis=1)
     y = _fft(data, d)
     saver.save(0, y, data)  # the t = 0 snapshots keep the data
-    sing_tol = [c.sing_tol or _auto_sing_tol(grid, data[0, m], c.T) for m, c in enumerate(configs)]
+    sing_tol = [c.sing_tol for c in configs]
+    unset = [m for m, tol in enumerate(sing_tol) if tol is None]
+    # |grad phi| grows like t * max|grad |a(0)|^2|: 50x its value at the
+    # horizon is far outside regular behaviour
+    for m, rate in zip(unset, gradient_max(grid, np.abs(data[0, unset]) ** 2) if unset else ()):
+        sing_tol[m] = 50.0 * max(rate * abs(configs[m].T), _SING_RATE_FLOOR)
     del data
     rates = _Rates(grid, corrector, sing_tol)
     times = np.array(dts)

@@ -59,3 +59,12 @@ def test_only_grid_reaches_numpy_fft():
     uses = {path.name: list(numpy_fft_lines(path)) for path in sorted(SRC.glob("*.py"))}
     assert uses.pop("grid.py")
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_only_grid_reads_gradient_factors():
+    # grid.py is the one home of the spectral derivatives (_derivatives,
+    # gradients, gradient_max); every other module differentiates through it
+    readers = {path.name for path in SRC.glob("*.py")
+               if any(isinstance(node, ast.Attribute) and node.attr == "gradient_factors"
+                      for node in ast.walk(ast.parse(path.read_text())))}
+    assert readers == {"grid.py"}

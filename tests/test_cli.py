@@ -698,31 +698,85 @@ class TestRunMemory:
         assert fields < 38.3, f"peak of {fields:.2f} fields"
 
 
+def run_child(tmp_path, command, doc, pin=None):
+    """command on the config doc in a child process, which pytest's warning
+    filters do not reach, run after pin() when pin is given: its exit code,
+    its stderr and the files it wrote into its --out, by name."""
+    out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+    cfg = write_config(tmp_path, doc, name=f"{out.name}.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(scnls.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "scnls.cli", command, "--config", str(cfg),
+                           "--out", str(out)], env=env, preexec_fn=pin, capture_output=True,
+                          text=True)
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.is_file()}
+    return done.returncode, done.stderr, files
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="os.sched_setaffinity is not available on this platform")
 @pytest.mark.parametrize("command, run", [
     ("run-nls", {"eps": 0.25, "points": 256, "T": 0.01}),
     ("run-wkb", {"eps": 0.0, "with_corrector": True, "a1_mode": "equal_a0", "points": 128,
                  "T": 0.02}),
-], ids=["run-nls", "run-wkb"])
+    # 64^3 is the smallest 3-D grid that splits: 32^3 is under grid._SPLIT_POINTS
+    ("run-wkb", {"dim": 3, "eps": 0.0, "with_corrector": True, "a1_mode": "equal_a0",
+                 "points": 64, "T": 0.004}),
+    ("run-wkb", {"eps": 0.125, "points": 256, "T": 0.01}),
+], ids=["run-nls", "run-wkb", "run-wkb-3d", "run-wkb-grenier"])
 def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, command, run):
-    # 2-D transforms split into one band per CPU of the affinity mask: a
-    # process pinned to one CPU runs every pass whole, an unpinned one splits
-    # these grids' passes on a host of several CPUs
+    # 2-D and 3-D transforms split into one band per CPU of the affinity
+    # mask: a process pinned to one CPU runs every pass whole, an unpinned
+    # one splits these grids' passes on a host of several CPUs
     one_cpu = {min(os.sched_getaffinity(0))}
-    env = {**os.environ, "PYTHONPATH": str(Path(scnls.__file__).parents[1])}
+    doc = {"schema_version": 1, "grid": {"half_width": 11.5},
+           "run": {"dim": 2, "dt": 0.001, "save_every": 5, **run}}
     outputs = []
     for pin in (lambda: os.sched_setaffinity(0, one_cpu), None):
-        out = tmp_path / f"out{len(outputs)}"
-        out.mkdir()
-        cfg = write_config(tmp_path, {"schema_version": 1, "grid": {"half_width": 11.5},
-                                      "run": {"dim": 2, "dt": 0.001, "save_every": 5, **run}})
-        subprocess.run([sys.executable, "-m", "scnls.cli", command, "--config", str(cfg),
-                        "--out", str(out)], env=env, preexec_fn=pin, check=True,
-                       capture_output=True)
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        code, stderr, files = run_child(tmp_path, command, doc, pin)
+        assert (code, stderr) == (0, "")
+        outputs.append(files)
     assert {"summary.json", f"{command[4:]}_trajectory.csv"} <= set(outputs[0])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["run-nls", "run-wkb", "study-ghost"])
+@pytest.mark.parametrize("center", [1e10, 20.0], ids=["1e10", "20"])
+def test_a_datum_centred_outside_the_box_is_a_validation_error(tmp_path, capsys, command,
+                                                               center):
+    # it wrote all-zero trajectories, "passed": true, at 1e10, and tripped
+    # run-nls's tail guard (exit 3) at 20
+    cfg = write_config(tmp_path, tiny_sweep(data={"center": center}, run={"T": 0.01}))
+    out = tmp_path / "out"
+    assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: center {center!r} lies outside the box [-12, 12) on some axis\n")
+    assert not [p for p in out.glob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command, box_code", [("run-nls", 3), ("run-wkb", 0), ("study-ghost", 3)],
+                         ids=["run-nls", "run-wkb", "study-ghost"])
+@pytest.mark.parametrize("section, key, value", [
+    ("data", "width", 1e300), ("data", "width", 1e-300), ("grid", "half_width", 1e300),
+], ids=["wide", "thin", "huge-box"])
+def test_a_degenerate_datum_exits_with_its_message_alone(tmp_path, command, box_code, section,
+                                                         key, value):
+    # a width whose square leaves the floats is a validation error: 1e300
+    # raised OverflowError and 1e-300 warned of a division by zero.  On a box
+    # of half-width 1e300, r^2 overflows off the centre and the datum is one
+    # sample: no warning, the tail guard aborts the wavefunction runs, and
+    # the phase-amplitude engine, which has no resolution guard, runs it.
+    doc = tiny_sweep(run={"T": 0.01})
+    doc.setdefault(section, {})[key] = value
+    code, stderr, files = run_child(tmp_path, command, doc)
+    if section == "data":
+        assert (code, files) == (2, {})
+        assert stderr == f"error: width must be positive with a square in (0, inf), got {value!r}\n"
+    else:
+        assert code == box_code
+        assert stderr == ("" if code == 0 else "solver guard abort: spectral tail fraction "
+                          "3.340e-01 exceeds 1.0e-06 at t = 0; oscillations are unresolved on "
+                          "this grid\n")
+        assert not files if code else files
 
 
 class TestStudyCommands:

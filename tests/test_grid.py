@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -12,16 +13,18 @@ from scnls import nls, wkb
 from scnls.errors import ResolutionError
 from scnls.grid import SobolevIndex, make_grid, norm
 
-from conftest import bit_identical, kept_modes, random_field, ref_gradient, traced_peak
+from conftest import (
+    bit_identical, count_ffts, kept_modes, random_field, ref_gradient, traced_peak,
+)
 
 
 def derivatives(f):
     """Spectral gradient of the trigonometric interpolant, one Field per
-    axis, then its Laplacian, from the phase-amplitude engine's one
-    derivative routine (whose last row is minus the Laplacian)."""
+    axis, then its Laplacian, from the package's one derivative routine
+    (whose last row is minus the Laplacian)."""
     g = f.grid
     out = np.empty((g.dim + 1,) + g.shape, dtype=complex)
-    wkb._derivatives(g, np.fft.fftn(f.values), out)
+    sg._derivatives(g, np.fft.fftn(f.values), out)
     np.negative(out[g.dim], out=out[g.dim])
     return [sg.Field(g, d) for d in np.fft.ifftn(out, axes=range(1, g.dim + 1))]
 
@@ -289,6 +292,48 @@ class TestGaussian:
         with pytest.raises(ValueError, match="decay"):
             sg.make_gaussian(g, width=1.0)
 
+    @pytest.mark.parametrize("center", [12.0, -12.000001, 1e10, (0.0, 20.0), float("nan")])
+    def test_rejects_a_center_outside_the_box(self, center):
+        g = make_grid(2, 12.0, 16)
+        with pytest.raises(ValueError, match=r"center .* outside the box \[-12, 12\)"):
+            sg.make_gaussian(g, center=center)
+        # the box's lower edge is in it: there the decay check refuses the datum
+        with pytest.raises(ValueError, match="decay"):
+            sg.make_gaussian(g, center=(-12.0, 0.0))
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), 1e300, 1e-300])
+    def test_rejects_a_width_whose_square_leaves_the_floats(self, width):
+        # 1e300 ** 2 overflows and 1e-300 ** 2 underflows to 0
+        with pytest.raises(ValueError, match="width must be positive"):
+            sg.make_gaussian(make_grid(1, 12.0, 16), width=width)
+
+    def test_an_exponent_past_the_floats_gives_zero_silently(self):
+        # r^2 overflows everywhere but at x = 0 on this box, and r^2 / w^2
+        # off the centre for this width: the datum is 0 there, with no
+        # warning (filterwarnings = error)
+        huge = sg.make_gaussian(make_grid(1, 1e300, 16), amplitude=2.0)
+        thin = sg.make_gaussian(make_grid(1, 8.0, 16), amplitude=2.0, width=1e-160)
+        for f in (huge, thin):
+            assert np.flatnonzero(f.values).tolist() == [8] and f.values[8] == 2.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_boundary_max_and_decay_check_act_per_field(self, dim):
+        # the shell is read on the grid axes, not on a stack's leading axes
+        g = make_grid(dim, 6.0, 8)
+        stack = np.stack([random_field(g, seed).values for seed in range(3)])
+        shell = np.zeros(g.shape, dtype=bool)
+        for ax in range(dim):
+            shell[(slice(None),) * ax + ([0, -1],)] = True
+        ref = np.array([np.abs(f[shell]).max() for f in stack])
+        singles = [sg.boundary_max(sg.Field(g, f)) for f in stack]
+        assert all(type(b) is float for b in singles) and bit_identical(np.array(singles), ref)
+        assert bit_identical(sg.boundary_max(sg.Field(g, stack)), ref)
+        sg.check_boundary_decay(sg.Field(g, stack), tol=ref)  # each field at its own bound
+        tol = np.nextafter(ref, 0.0)
+        tol[0] = ref[0]
+        with pytest.raises(ValueError, match=re.escape(f"sample {ref[1]:.3e} > {tol[1]:.3e};")):
+            sg.check_boundary_decay(sg.Field(g, stack), tol=tol)
+
     def test_builds_in_the_output_array(self):
         # r^2, the exponent and the datum are built in place in the real
         # part of the complex result: one field, where the out-of-place
@@ -458,20 +503,38 @@ def reference_extent(g, values, tol):
 
 class TestGridRuleScales:
     # The grid rule reads a limit run's saved fields as one stack (grid axes
-    # last); a stack's value is the largest of its fields', bit for bit.
+    # last); a stack gives each field's own value, bit for bit.
     @staticmethod
     def stack(g):
         return np.stack([random_field(g, seed, scale=seed + 1.0, smooth_width=1 + seed % 3).values
                          for seed in range(4)])
 
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
-    def test_stack_equals_the_largest_single_field(self, dim, n):
+    def test_stack_gives_each_fields_own_value(self, dim, n):
         g = make_grid(dim, 6.0, n)
         stack = self.stack(g)
-        assert sg.gradient_max(g, stack) == max(sg.gradient_max(g, f) for f in stack)
+        singles = [sg.gradient_max(g, f) for f in stack]
+        assert all(type(value) is float for value in singles)
+        assert bit_identical(sg.gradient_max(g, stack), np.array(singles))
+        # leading axes keep their shape
+        assert bit_identical(sg.gradient_max(g, stack.reshape((2, 2) + g.shape)),
+                             np.reshape(singles, (2, 2)))
         for tol in (1e-6, 1e-2, 0.3):
-            assert sg.spectral_extent(g, stack, tol) == max(
-                sg.spectral_extent(g, f, tol) for f in stack)
+            singles = [sg.spectral_extent(g, f, tol) for f in stack]
+            assert all(type(value) is float for value in singles)
+            assert bit_identical(sg.spectral_extent(g, stack, tol), np.array(singles))
+            assert bit_identical(sg.spectral_extent(g, stack.reshape((2, 2) + g.shape), tol),
+                                 np.reshape(singles, (2, 2)))
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+    def test_gradient_max_is_one_transform_pair(self, monkeypatch, dim, n):
+        # one forward transform of the stack, one batched inverse of its
+        # gradient rows, at any dim
+        g = make_grid(dim, 6.0, n)
+        counts = count_ffts(monkeypatch)
+        sg.gradient_max(g, self.stack(g))
+        assert counts == {"forward": 1, "inverse": 1}
+        assert counts.rows == {"forward": 4, "inverse": 4 * dim}
 
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
     def test_single_fields_match_the_reference_formulas(self, dim, n):
@@ -484,9 +547,14 @@ class TestGridRuleScales:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_and_zero_stacks_give_zero(self, dim):
+        # one zero per field: none for no field, a float for one
         g = make_grid(dim, 6.0, 16)
-        for stack in (np.zeros((0,) + g.shape), np.zeros((3,) + g.shape), np.zeros(g.shape)):
-            assert (sg.gradient_max(g, stack), sg.spectral_extent(g, stack, 1e-6)) == (0.0, 0.0)
+        for lead in ((0,), (3,)):
+            stack = np.zeros(lead + g.shape)
+            for value in (sg.gradient_max(g, stack), sg.spectral_extent(g, stack, 1e-6)):
+                assert bit_identical(value, np.zeros(lead))
+        assert (sg.gradient_max(g, np.zeros(g.shape)),
+                sg.spectral_extent(g, np.zeros(g.shape), 1e-6)) == (0.0, 0.0)
 
 
 class TestFftHelpers:

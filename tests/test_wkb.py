@@ -1,4 +1,5 @@
 import inspect
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -631,6 +632,65 @@ class TestStackedEngine:
         for member, traj in zip(members, stacked, strict=True):
             single = solve_limit_stack([member])[0]
             assert traj[-1].t == member[2].T and bit_identical(traj, single)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
+    def test_a_stack_checks_its_data_and_sets_its_sing_tols_once(self, monkeypatch, dim,
+                                                                 corrector):
+        # one decay check of every datum, and one gradient_max (one transform
+        # pair) of the data whose sing_tol is unset, none when every member
+        # has one
+        g = make_grid(dim, 6.0, 32)
+        data = [make_gaussian(g, amplitude=1.0 + 0.25 * m, width=0.8 + 0.1 * m) for m in range(3)]
+        stack = solve_limit_stack if corrector else solve_grenier_stack
+
+        def cost(*sing_tols):
+            """(FFT calls, inverse FFT rows, wkb's calls of the two named) of
+            one stack of the data with these sing_tols, whose members equal
+            their own stacks of one."""
+            members = [(a0, a0 if corrector else 0.25,
+                        WkbRunConfig(dt=1e-2, T=0.03, save_every=3, sing_tol=tol))
+                       for a0, tol in zip(data, sing_tols)]
+            calls = Counter()
+            with monkeypatch.context() as patch:
+                counts = count_ffts(patch)
+                for name in ("check_boundary_decay", "gradient_max"):
+                    def counted(*args, _name=name, _fn=getattr(wkb, name), **kwargs):
+                        calls[_name] += 1
+                        return _fn(*args, **kwargs)
+                    patch.setattr(wkb, name, counted)
+                trajectories = stack(members)
+            for member, traj in zip(members, trajectories, strict=True):
+                assert bit_identical(traj, stack([member])[0])
+            return dict(counts), counts.rows["inverse"], calls
+
+        ffts, rows, calls = cost(1e3, 1e3, 1e3)
+        assert calls == {"check_boundary_decay": 1}
+        for sing_tols, unset in (((None, None, None), 3), ((None, 1e3, None), 2)):
+            more_ffts, more_rows, calls = cost(*sing_tols)
+            assert calls == {"check_boundary_decay": 1, "gradient_max": 1}
+            assert {k: more_ffts[k] - ffts[k] for k in ffts} == {"forward": 1, "inverse": 1}
+            assert more_rows - rows == unset * dim
+
+    def test_the_first_datum_to_fail_the_decay_check_raises_its_single_run_error(self):
+        # a stack checks every a, then every a1, each against its own peak
+        g = make_grid(1, 6.0, 32)
+        narrow, wide = (Field(g, np.exp(-(g.x_axes[0] / w) ** 2).astype(complex)) for w in (1, 3))
+        half_wide = Field(g, 0.5 * wide.values)
+        cfg = WkbRunConfig(dt=1e-2, T=0.02)
+        exempt = replace(cfg, enforce_decay=False)
+
+        def error(stack, members):
+            with pytest.raises(ValueError, match="decay") as exc:
+                stack(members)
+            return str(exc.value)
+
+        assert (error(solve_grenier_stack, [(narrow, 0.1, cfg), (wide, 0.1, cfg)])
+                == error(solve_grenier_stack, [(wide, 0.1, cfg)]))
+        solve_grenier_stack([(narrow, 0.1, cfg), (wide, 0.1, exempt)])
+        a1_fails = error(solve_limit_stack, [(narrow, half_wide, cfg)])
+        assert (error(solve_limit_stack, [(narrow, half_wide, cfg), (wide, None, cfg)])
+                == error(solve_limit_stack, [(wide, None, cfg)]) != a1_fails)
 
     @pytest.mark.parametrize("corrector", [False, True], ids=["grenier", "corrector"])
     @pytest.mark.parametrize("position", [0, 1])
