@@ -1,5 +1,8 @@
 """Command-line front end: config parsing, study dispatch, CSV emission.
 
+COMMANDS declares each subcommand once: the `study` name a config may
+carry and its handler, in the parser's order.
+
 Exit codes: 0 success, 2 config/validation error, 3 solver guard abort,
 4 acceptance-check failure in selftest.  Identical configs produce
 byte-identical CSVs (17-significant-digit formatting, fixed ordering).
@@ -30,19 +33,6 @@ log = logging.getLogger("scnls")
 CONFIG_SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SCNLS_OUT_DIR"
 RUN_SAVES = 10  # save intervals of run-nls / run-wkb unless run.save_every is set
-
-# command -> the `study` name a config may carry; also the parser's command order
-STUDY_NAMES = {
-    "run-nls": "run_nls",
-    "run-wkb": "run_wkb",
-    "study-wkb-error": "wkb_error",
-    "study-smalltime": "small_time",
-    "study-ghost": "ghost_separation",
-    "study-ghost-n": "ghost_higher_order",
-    "report-inflation": "inflation",
-    "report-corollary": "corollary",
-    "selftest": "acceptance",
-}
 
 
 # ----------------------------------------------------------------------
@@ -208,12 +198,14 @@ def load_config(path):
 
 
 def validate_config(doc, command):
-    """Normalize the document; every error names the offending field."""
+    """Normalize the document, with `study` set to the command's; every
+    error names the offending field."""
     out = _section(doc, TOP_LEVEL, None, ("study", "out_dir", *SCHEMA))
     if out["schema_version"] != CONFIG_SCHEMA_VERSION:
         _fail("schema_version", f"must be {CONFIG_SCHEMA_VERSION}, got {out['schema_version']}")
-    if doc.get("study") not in (None, STUDY_NAMES[command]):
-        _fail("study", f"names '{doc['study']}' but the subcommand runs '{STUDY_NAMES[command]}'")
+    out["study"] = COMMANDS[command][0]
+    if doc.get("study") not in (None, out["study"]):
+        _fail("study", f"names '{doc['study']}' but the subcommand runs '{out['study']}'")
     out["out_dir"] = doc.get("out_dir")
     if out["out_dir"] is not None and not isinstance(out["out_dir"], str):
         _fail("out_dir", "must be a string path")
@@ -254,9 +246,9 @@ def _sweep_config(doc, cfg, command):
     """The SweepConfig command runs (every command builds one, and a run
     command reads its a0): sweep.s_list plus the s a bookkeeping report
     reads, and sweep.a1_mode unless the command forces one (the document
-    may then name only that mode).  An error names the config field at
-    fault."""
-    forced = STUDY_COMMANDS.get(command, (None, None, None))[2]
+    may then name only that mode: study-ghost-n runs the scaled datum).  An
+    error names the config field at fault."""
+    forced = "scaled" if command == "study-ghost-n" else None
     if forced is not None and doc.get("sweep", {}).get("a1_mode", forced) != forced:
         _fail("sweep.a1_mode", f"must be '{forced}' for {command}, got {doc['sweep']['a1_mode']!r}")
     s_list = cfg["sweep"]["s_list"]
@@ -326,7 +318,7 @@ def _run_single(cfg, out_dir, kind, grid, rc, row, dumps):
     path = report.write_trajectory_csv(rows, out_dir / f"{name}_trajectory.csv")
     log.info("wrote %s", path)
     report.dump_json({"schema_version": report.SUMMARY_SCHEMA_VERSION,
-                      "study": f"run_{name}", "passed": True,
+                      "study": cfg["study"], "passed": True,
                       "rows": len(rows), "eps": run.eps, "dt": run.config.step},
                      out_dir / "summary.json")
     return 0
@@ -363,18 +355,9 @@ def cmd_run_wkb(cfg, out_dir):
                        report.wkb_row, ("a", "phi"))
 
 
-# study-* command -> (function of `studies`, looked up on each call so that a wrapper
-# bound on the module runs, e.g. perfbench's tracer; CSV name; forced sweep.a1_mode)
-STUDY_COMMANDS = {
-    "study-wkb-error": ("wkb_error_study", "wkb_error_study.csv", None),
-    "study-smalltime": ("small_time_study", "smalltime_study.csv", None),
-    "study-ghost": ("ghost_separation_study", "ghost_study.csv", None),
-    "study-ghost-n": ("ghost_higher_order_study", "ghost_n_study.csv", "scaled"),
-}
-
-
-def cmd_study(command, cfg, out_dir):
-    study, csv_name, _ = STUDY_COMMANDS[command]
+def cmd_study(study, csv_name, cfg, out_dir):
+    """Write the report of studies.<study> (looked up on each call, so that
+    a wrapper bound on the module runs, e.g. perfbench's tracer) to csv_name."""
     rep = getattr(studies, study)(cfg["sweep_config"])
     return _emit(out_dir, [csv_name], [rep])
 
@@ -407,7 +390,7 @@ def cmd_selftest(cfg, out_dir):
     results = verdicts(checks, printer=print)
     payload = {
         "schema_version": report.SUMMARY_SCHEMA_VERSION,
-        "study": "acceptance",
+        "study": cfg["study"],
         "passed": all(passed for _, _, passed, _ in results),
         "criteria": [
             {"number": number, "name": name, "passed": passed, "detail": detail}
@@ -425,13 +408,20 @@ def cmd_selftest(cfg, out_dir):
     return 0
 
 
-DISPATCH = {
-    "run-nls": cmd_run_nls,
-    "run-wkb": cmd_run_wkb,
-    **{command: partial(cmd_study, command) for command in STUDY_COMMANDS},
-    "report-inflation": cmd_report_inflation,
-    "report-corollary": cmd_report_corollary,
-    "selftest": cmd_selftest,
+# command -> (the `study` name a config may carry, its handler), in the parser's order
+COMMANDS = {
+    "run-nls": ("run_nls", cmd_run_nls),
+    "run-wkb": ("run_wkb", cmd_run_wkb),
+    "study-wkb-error": ("wkb_error", partial(cmd_study, "wkb_error_study", "wkb_error_study.csv")),
+    "study-smalltime": ("small_time", partial(cmd_study, "small_time_study",
+                                              "smalltime_study.csv")),
+    "study-ghost": ("ghost_separation", partial(cmd_study, "ghost_separation_study",
+                                                "ghost_study.csv")),
+    "study-ghost-n": ("ghost_higher_order", partial(cmd_study, "ghost_higher_order_study",
+                                                    "ghost_n_study.csv")),
+    "report-inflation": ("inflation", cmd_report_inflation),
+    "report-corollary": ("corollary", cmd_report_corollary),
+    "selftest": ("acceptance", cmd_selftest),
 }
 
 
@@ -441,7 +431,7 @@ def build_parser():
         description="Pseudo-spectral verification suite for semiclassical cubic NLS",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STUDY_NAMES:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config (defaults to the canonical setup)")
@@ -479,7 +469,7 @@ def run(argv) -> int:
         if blocked is not None:
             raise ValueError(f"--out {out_dir} cannot be a directory: {blocked} is a file")
         # a study finds a sweep field out of range only once it sizes a run
-        return _built(DISPATCH[args.command], SWEEP_SECTIONS, cfg, out_dir)
+        return _built(COMMANDS[args.command][1], SWEEP_SECTIONS, cfg, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

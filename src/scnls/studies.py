@@ -78,10 +78,21 @@ class GaussianSpec:
             raise FieldError("width", f"must be positive, got {self.width!r}")
 
     def realize(self, grid, multiplier=1.0) -> Field:
-        base = make_gaussian(grid, self.amplitude, self.width, self.center)
-        if multiplier == 1.0:
-            return base
-        return Field(grid, multiplier * base.values)
+        """multiplier times the datum on grid.  A datum whose quartic sum
+        sum |a0|^4, which lp_norm(a0, 4) and both energies read, passes the
+        largest float is a ValueError naming the amplitude and the grid."""
+        f = make_gaussian(grid, self.amplitude, self.width, self.center)
+        try:
+            with np.errstate(over="raise"):
+                f = f if multiplier == 1.0 else Field(grid, multiplier * f.values)
+                lp_norm(f, 4.0)
+        except FloatingPointError:
+            times = "" if multiplier == 1.0 else f" times {multiplier:g}"
+            raise ValueError(f"a datum of amplitude {self.amplitude:g}{times} is too large for "
+                             f"the {grid.points_per_axis}^{grid.dim} grid of half-width "
+                             f"{grid.half_width:g}: its sum |a0|^4 passes the largest "
+                             "float") from None
+        return f
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import ResolutionError, SingularityError
 from .grid import (
+    DECAY_TOL,
     Field,
     _derivatives,
     _fft,
@@ -224,7 +225,7 @@ def _solve_stack(members, keep, corrector):
     # the decay of the data's a (and a1) rows, each against its own peak
     peaks = np.maximum(np.abs(data[::2]).max(axis=tuple(range(-d, 0))), 1.0)
     check_boundary_decay(Field(grid, data[::2]), tol=np.where(
-        [c.enforce_decay for c in configs], peaks * 1e-12, np.inf))
+        [c.enforce_decay for c in configs], peaks * DECAY_TOL, np.inf))
     eps = [0.0 if corrector else member[1] for member in members]
     schedules = {(c.steps, c.save_every) for c in configs}
     if len(schedules) != 1:

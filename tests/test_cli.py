@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib.util
@@ -312,8 +313,11 @@ class TestConfigValidation:
         assert cli.run(["--help"]) == 0
 
 
+STUDY_SUBCOMMANDS = [command for command in cli.COMMANDS if command.startswith("study-")]
+
+
 class TestSchema:
-    @pytest.mark.parametrize("command", list(cli.STUDY_COMMANDS))
+    @pytest.mark.parametrize("command", STUDY_SUBCOMMANDS)
     def test_defaults_build_the_canonical_sweep(self, command):
         cfg = cli.validate_config({"schema_version": 1}, command)
         sweep = cfg["sweep_config"]
@@ -343,6 +347,38 @@ class TestSchema:
         assert example["schema_version"] == cli.CONFIG_SCHEMA_VERSION
         assert (example["seed"], example["jobs"]) == (cli.TOP_LEVEL["seed"].default,
                                                       cli.TOP_LEVEL["jobs"].default)
+
+    def test_formats_doc_tabulates_the_commands(self):
+        # each command's study name, and the files its golden run writes
+        text = FORMATS_MD.read_text()
+        table = re.search(r"## Commands\n.*?\n(\| Command .*?)\n\n", text, re.S)[1]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[2:]]
+        assert [(command, study) for command, study, _ in rows] == [
+            (f"`{command}`", f"`{study}`") for command, (study, _) in cli.COMMANDS.items()]
+        for command, _, files in rows:
+            name = next(name for name, (c, _) in (GOLDEN_RUNS | SELFTEST_RUN).items()
+                        if f"`{c}`" == command and not (GOLDEN / name / "exit_code.txt").exists())
+            written = set(files_under(GOLDEN / name)) - {"stdout.txt", "numpy_version.txt"}
+            assert sorted(re.findall(r"`(\w+\.(?:csv|json))`", files)) == sorted(written), command
+
+    def test_the_parser_takes_the_commands_in_table_order(self):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_config_naming_its_own_study_validates(self, command):
+        study = cli.COMMANDS[command][0]
+        assert cli.validate_config({"schema_version": 1, "study": study}, command)["study"] == study
+
+    @pytest.mark.parametrize("command", STUDY_SUBCOMMANDS)
+    def test_a_study_commands_csv_is_its_golden_and_suite_csv(self, command):
+        function, csv_name = cli.COMMANDS[command][1].args
+        assert callable(getattr(studies, function))
+        assert [p.name for p in (GOLDEN / command).glob("*.csv")] == [csv_name]
+        suite = {name for name, (f, *_) in acceptance.SUITE_STUDIES.items() if f == function}
+        assert csv_name in suite
 
     @pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
     def test_benchmark_workloads_are_accepted(self, name):
@@ -779,6 +815,30 @@ def test_a_degenerate_datum_exits_with_its_message_alone(tmp_path, command, box_
         assert not files if code else files
 
 
+@pytest.mark.parametrize("command, grid", [("run-nls", 512), ("run-wkb", 512),
+                                           ("study-ghost", 256)])
+@pytest.mark.parametrize("amplitude", [1e160, 1e200], ids=["1e160", "1e200"])
+def test_a_datum_whose_quartic_sum_overflows_exits_with_its_message_alone(tmp_path, command,
+                                                                         grid, amplitude):
+    # numpy warned of the overflow of sum |a0|^4, and the runs then exited 2
+    # (run-wkb) or 3 (run-nls, study-ghost) as unresolved or non-finite
+    code, stderr, files = run_child(tmp_path, command,
+                                    {"schema_version": 1, "data": {"amplitude": amplitude}})
+    assert (code, files) == (2, {})
+    assert stderr == (f"error: a datum of amplitude {amplitude:g} is too large for the "
+                      f"{grid}^1 grid of half-width 12: its sum |a0|^4 passes the largest "
+                      "float\n")
+
+
+def test_a_datum_whose_quartic_sum_is_finite_aborts_with_no_warning(tmp_path):
+    # 1e77 overflows sum |a0|^4 on 512 points; 3e76 runs into the tail guard
+    code, stderr, files = run_child(tmp_path, "run-nls",
+                                    {"schema_version": 1, "data": {"amplitude": 3e76}})
+    assert (code, files) == (3, {})
+    assert re.fullmatch(r"solver guard abort: spectral tail fraction \S+ exceeds 1\.0e-06 at "
+                        r"t = 0\.025; oscillations are unresolved on this grid\n", stderr)
+
+
 class TestStudyCommands:
     def test_ghost_study_outputs(self, tmp_path):
         cfg = write_config(tmp_path, tiny_sweep())
@@ -1117,6 +1177,23 @@ def test_golden_outputs(tmp_path, name):
         want = (golden / rel).read_bytes()
         got = printed[rel].encode() if rel in printed else (out / rel).read_bytes()
         assert got == want, golden_mismatch(golden, rel, want.decode(), got.decode())
+
+
+@pytest.mark.parametrize("name", [name for name in GOLDEN_RUNS | SELFTEST_RUN
+                                  if not (GOLDEN / name / "exit_code.txt").exists()])
+def test_golden_runs_record_their_commands_study(name):
+    # run commands write it as summary.json's "study", study and report
+    # commands as their own report's key under "studies", and selftest
+    # as acceptance_summary.json's "study"
+    command = (GOLDEN_RUNS | SELFTEST_RUN)[name][0]
+    study = cli.COMMANDS[command][0]
+    doc = json.loads((GOLDEN / name / ("acceptance_summary.json" if command == "selftest"
+                                       else "summary.json")).read_text())
+    if command.startswith(("study-", "report-")):
+        measured = {"ghost_separation"} if command.startswith("report-") else set()
+        assert set(doc["studies"]) == measured | {study}
+    else:
+        assert doc["study"] == study
 
 
 class TestSelftest:

@@ -391,6 +391,17 @@ class TestA1Datum:
             "imaginary": (1 + 0.125j, 0.0),
         }
 
+    def test_a_datum_whose_quartic_sum_overflows_is_refused(self):
+        # 5e76 exp(-x^2) keeps sum |a0|^4 finite on 512 points; twice it does not
+        grid, spec = make_grid(1, 12.0, 512), GaussianSpec(amplitude=5e76)
+        assert np.isfinite(lp_norm(spec.realize(grid), 4.0))
+        box = "the 512^1 grid of half-width 12: its sum |a0|^4 passes the largest float"
+        for multiplier, what in ((2.0, "5e+76 times 2"), (1.0, "1e+160")):
+            datum = spec if multiplier == 2.0 else GaussianSpec(amplitude=1e160)
+            with pytest.raises(ValueError) as exc:
+                datum.realize(grid, multiplier)
+            assert str(exc.value) == f"a datum of amplitude {what} is too large for {box}"
+
     def test_grenier_run_takes_its_datum(self, short_cfg):
         zero, imaginary = (alone(studies._grenier_run(short_cfg, 0.25, c)) for c in (0.0, 1j))
         assert not np.array_equal(zero[-1].a.values, imaginary[-1].a.values)
